@@ -72,8 +72,8 @@ def quantize_indices(phases_rad, lookup_rad) -> np.ndarray:
     """Nearest lookup entry on the circle per phase; ties -> smaller index."""
     phases = np.asarray(phases_rad, dtype=float)
     lookup = np.asarray(lookup_rad, dtype=float)
-    dist = np.abs(wrap_phase(phases[:, None] - lookup[None, :]))
-    return np.argmin(dist, axis=1)
+    dist = np.abs(wrap_phase(phases[..., None] - lookup))
+    return np.argmin(dist, axis=-1)
 
 
 def quantize_config(phases_rad, lookup_rad) -> RisConfig:
@@ -117,11 +117,15 @@ def mean_subcarrier_phasor(tau_s, count: int, spacing_hz: float):
 
 @dataclass(frozen=True)
 class GainTerms:
-    """Quadratic form of the mean-subcarrier post-combining power gain."""
+    """Quadratic form of the mean-subcarrier post-combining power gain.
 
-    b: np.ndarray  # (M,) complex
-    V: np.ndarray  # (M, M) complex Hermitian
-    c0: float  # direct-only gain
+    One point holds b (M,), V (M, M) and a float c0; a block of K points
+    holds b (K, M), V (K, M, M) and c0 (K,).
+    """
+
+    b: np.ndarray  # (M,) or (K, M) complex
+    V: np.ndarray  # (M, M) or (K, M, M) complex Hermitian
+    c0: float | np.ndarray  # direct-only gain
 
     def gain(self, z) -> float:
         return kernels.eval_quadratic_gain(self.b, self.V, self.c0, z)
@@ -130,30 +134,47 @@ class GainTerms:
         return self.gain(config.response())
 
 
+def direct_gain(direct: DirectChannel):
+    """Direct-only post-combining gain ||h||^2: float, or (n,) for a batch."""
+    c0 = np.sum(np.abs(direct.gains) ** 2, axis=-1)
+    return float(c0) if c0.ndim == 0 else c0
+
+
 def gain_terms(
     direct: DirectChannel, ris_ch: RisChannel | None, count: int, spacing_hz: float
 ) -> GainTerms:
-    """Build (b, V, c0) for one base station and one point.
+    """Build (b, V, c0) for one base station at one point or at a batch of points.
 
     With no surface the form degenerates to the constant c0. The antenna
     dimension collapses analytically: the direct and cascade paths share
     per-antenna steering structure, so only the steering correlation rho
-    and the antenna count survive.
+    and the antenna count survive. Every operation is per point, so a
+    point's terms do not depend on the batch it was built in.
     """
-    c0 = float(np.sum(np.abs(direct.gains) ** 2))
+    c0 = direct_gain(direct)
     if ris_ch is None:
+        lead = np.shape(c0)
         return GainTerms(
-            b=np.zeros(0, dtype=np.complex128),
-            V=np.zeros((0, 0), dtype=np.complex128),
+            b=np.zeros((*lead, 0), dtype=np.complex128),
+            V=np.zeros((*lead, 0, 0), dtype=np.complex128),
             c0=c0,
         )
     hops = ris_ch.hop_products
     taus = ris_ch.element_delays_s
-    rho = complex(np.sum(direct.gains * np.conj(ris_ch.bs_steering)))
-    b = np.conj(hops) * rho * mean_subcarrier_phasor(taus - direct.delay_s, count, spacing_hz)
+    rho = np.sum(direct.gains * np.conj(ris_ch.bs_steering), axis=-1)
+    delay = np.asarray(direct.delay_s)[..., None]
+    b = np.conj(hops) * rho[..., None] * mean_subcarrier_phasor(taus - delay, count, spacing_hz)
     ant = ris_ch.bs_steering.shape[0]
-    pair_phasor = mean_subcarrier_phasor(taus[:, None] - taus[None, :], count, spacing_hz)
-    V = ant * np.conj(hops)[:, None] * hops[None, :] * pair_phasor
+    # the pair phasor is Hermitian: flipping a delay difference conjugates
+    # it (sin is odd), so only the upper triangle is evaluated; the diagonal
+    # is exactly 1
+    m = taus.shape[-1]
+    iu, ju = np.triu_indices(m, 1)
+    upper = mean_subcarrier_phasor(taus[..., iu] - taus[..., ju], count, spacing_hz)
+    pair_phasor = np.ones((*taus.shape, m), dtype=np.complex128)
+    pair_phasor[..., iu, ju] = upper
+    pair_phasor[..., ju, iu] = np.conj(upper)
+    V = ant * np.conj(hops)[..., :, None] * hops[..., None, :] * pair_phasor
     return GainTerms(b=np.ascontiguousarray(b), V=np.ascontiguousarray(V), c0=c0)
 
 
@@ -171,6 +192,41 @@ class AscentResult:
     gain: float
 
 
+def optimize_gains(
+    terms: GainTerms,
+    lookup_rad,
+    init_indices=None,
+    max_rounds: int = 20,
+    rel_tol: float = 1e-6,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantized coordinate ascent on a block of K quadratic forms at once.
+
+    ``terms`` holds b (K, M), V (K, M, M) and c0 (K,); returns lookup
+    indices (K, M) and gains (K,). Each point starts from its quantized
+    per-element alignment unless explicit (K, M) indices are given, and
+    ends where it would if ascended alone (Wu & Zhang, IEEE TCOM 2020,
+    best response per element over the discrete phases). Entirely
+    deterministic; a constant objective returns the initial configuration.
+    """
+    lookup = np.asarray(lookup_rad, dtype=float)
+    b = np.asarray(terms.b, dtype=np.complex128)
+    if init_indices is None:
+        init = quantize_indices(np.angle(b), lookup)
+    else:
+        init = np.asarray(init_indices, dtype=np.int64)
+        if init.shape != b.shape:
+            raise ValueError(f"expected initial indices of shape {b.shape}, got {init.shape}")
+    return kernels.ascent_quadratic(
+        b,
+        np.asarray(terms.V, dtype=np.complex128),
+        np.asarray(terms.c0, dtype=np.float64),
+        np.exp(1j * lookup).astype(np.complex128),
+        init.astype(np.int64),
+        max_rounds,
+        rel_tol,
+    )
+
+
 def optimize_gain(
     terms: GainTerms,
     lookup_rad,
@@ -178,34 +234,22 @@ def optimize_gain(
     max_rounds: int = 20,
     rel_tol: float = 1e-6,
 ) -> AscentResult:
-    """Quantized coordinate ascent on the quadratic gain form.
-
-    Starts from the quantized per-element alignment unless explicit
-    indices are given. Entirely deterministic; a constant objective
-    returns the initial configuration.
-    """
+    """One-point view of :func:`optimize_gains`, with the configuration spelled out."""
     lookup = np.asarray(lookup_rad, dtype=float)
     m_count = terms.b.shape[0]
     if m_count == 0:
         return AscentResult(config=RisConfig(phases_rad=()), indices=(), gain=terms.c0)
-    if init_indices is None:
-        init = quantize_indices(np.angle(terms.b), lookup)
-    else:
-        init = np.asarray(init_indices, dtype=np.int64)
-        if init.shape != (m_count,):
-            raise ValueError(f"expected {m_count} initial indices, got {init.shape}")
-    phasors = np.exp(1j * lookup).astype(np.complex128)
-    idx, gain = kernels.ascent_quadratic(
-        np.asarray(terms.b, dtype=np.complex128),
-        np.asarray(terms.V, dtype=np.complex128),
-        float(terms.c0),
-        phasors,
-        init.astype(np.int64),
-        max_rounds,
-        rel_tol,
-    )
-    config = RisConfig(phases_rad=tuple(float(lookup[i]) for i in idx))
-    return AscentResult(config=config, indices=tuple(int(i) for i in idx), gain=float(gain))
+    if init_indices is not None:
+        init_indices = np.asarray(init_indices, dtype=np.int64)
+        if init_indices.shape != (m_count,):
+            raise ValueError(
+                f"expected {m_count} initial indices, got {init_indices.shape}"
+            )
+        init_indices = init_indices[None, :]
+    block = GainTerms(b=terms.b[None, :], V=terms.V[None, :, :], c0=np.array([terms.c0]))
+    idx, gain = optimize_gains(block, lookup, init_indices, max_rounds, rel_tol)
+    config = RisConfig(phases_rad=tuple(float(lookup[i]) for i in idx[0]))
+    return AscentResult(config=config, indices=tuple(int(i) for i in idx[0]), gain=float(gain[0]))
 
 
 def coordinate_ascent(

@@ -41,8 +41,9 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, RunError
-from .linkmetrics import gain_pair, se_pair, tx_power_pair
+from .errors import CoincidentNodeError, ConfigError, RunError
+from .linkmetrics import gain_pairs, se_pairs, tx_power_pairs
+from .linkmetrics import gain_pair, se_pair, tx_power_pair  # noqa: F401  (per-cell views)
 from .localization import peb_pair
 from .scene import Grid, METRIC_IDS, Scene, Thresholds
 from .secrecy import sse_pair
@@ -108,21 +109,12 @@ class InfluenceMap:
 
 @dataclass(frozen=True)
 class _Metric:
-    pair: Callable[[Scene, np.ndarray, int], tuple[float, float]]
+    """How a metric is swept: grid-batched (``pairs``) or cell by cell (``pair``)."""
+
     higher_better: bool
+    pairs: Callable[[Scene, np.ndarray], list[tuple[float, float]]] | None = None
+    pair: Callable[[Scene, np.ndarray, int], tuple[float, float]] | None = None
     needs_eve: bool = False
-
-
-def _gain_cell(scene: Scene, point: np.ndarray, index: int) -> tuple[float, float]:
-    return gain_pair(scene, point)
-
-
-def _power_cell(scene: Scene, point: np.ndarray, index: int) -> tuple[float, float]:
-    return tx_power_pair(scene, point)
-
-
-def _se_cell(scene: Scene, point: np.ndarray, index: int) -> tuple[float, float]:
-    return se_pair(scene, point)
 
 
 def _peb_cell(scene: Scene, point: np.ndarray, index: int) -> tuple[float, float]:
@@ -134,11 +126,11 @@ def _sse_cell(scene: Scene, point: np.ndarray, index: int) -> tuple[float, float
 
 
 METRICS: dict[str, _Metric] = {
-    "gain_db": _Metric(_gain_cell, higher_better=True),
-    "tx_power_dbm": _Metric(_power_cell, higher_better=False),
-    "se_bps_hz": _Metric(_se_cell, higher_better=True),
-    "peb_m": _Metric(_peb_cell, higher_better=False),
-    "sse_bps_hz": _Metric(_sse_cell, higher_better=True, needs_eve=True),
+    "gain_db": _Metric(higher_better=True, pairs=gain_pairs),
+    "tx_power_dbm": _Metric(higher_better=False, pairs=tx_power_pairs),
+    "se_bps_hz": _Metric(higher_better=True, pairs=se_pairs),
+    "peb_m": _Metric(higher_better=False, pair=_peb_cell),
+    "sse_bps_hz": _Metric(higher_better=True, pair=_sse_cell, needs_eve=True),
 }
 
 assert set(METRICS) == set(METRIC_IDS)
@@ -154,10 +146,14 @@ def _require_metric(metric_id: str) -> _Metric:
 
 
 def _sweep_cell(args: tuple[Scene, str, int]) -> tuple[float, float]:
+    """One cell of a per-cell sweep; a cell on a scene node is a NaN pair."""
     scene, metric_id, index = args
     x, y = scene.grid.cell_xy(index)
     point = np.array([x, y, scene.grid.fixed_height_m])
-    return METRICS[metric_id].pair(scene, point, index)
+    try:
+        return METRICS[metric_id].pair(scene, point, index)
+    except CoincidentNodeError:
+        return math.nan, math.nan
 
 
 def sweep(
@@ -165,23 +161,32 @@ def sweep(
 ) -> tuple[MetricField, MetricField]:
     """Evaluate a metric over the whole grid; returns (without, with) fields.
 
-    ``jobs`` > 1 fans cells out to a process pool; results come back in cell
-    order either way, and all randomness derives from the scene seed plus the
-    cell index, so the worker count never changes the output.
+    Gain-family metrics (``gain_db``, ``tx_power_dbm``, ``se_bps_hz``) run
+    grid-batched in this process and ignore ``jobs``. The per-cell metrics
+    (``peb_m``, ``sse_bps_hz``) fan cells out to a process pool when
+    ``jobs`` > 1; results come back in cell order either way, and all
+    randomness derives from the scene seed plus the cell index, so the
+    worker count never changes the output. A per-cell evaluation that
+    lands on a scene node (``CoincidentNodeError``) turns into a NaN pair
+    for that cell; the gain engine masks such cells the same way (see
+    :func:`risplan.linkmetrics.gain_pairs`).
     """
     metric = _require_metric(metric_id)
     if metric.needs_eve and scene.eve is None:
         raise RunError("secrecy metrics need an eavesdropper in the scene")
     n = scene.grid.cell_count
-    tasks = ((scene, metric_id, i) for i in range(n))
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, n // (jobs * 4))
-            pairs = list(pool.map(_sweep_cell, tasks, chunksize=chunk))
+    if metric.pairs is not None:
+        pairs = metric.pairs(scene, scene.grid.points())
     else:
-        pairs = [_sweep_cell(t) for t in tasks]
+        tasks = ((scene, metric_id, i) for i in range(n))
+        if jobs is None:
+            jobs = os.cpu_count() or 1
+        if jobs > 1 and n > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                chunk = max(1, n // (jobs * 4))
+                pairs = list(pool.map(_sweep_cell, tasks, chunksize=chunk))
+        else:
+            pairs = [_sweep_cell(t) for t in tasks]
     without = MetricField(
         scene.grid, metric_id, "without", tuple(float(a) for a, _ in pairs)
     )

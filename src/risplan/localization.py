@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CoincidentNodeError
 from .propagation import (
@@ -30,7 +29,7 @@ from .propagation import (
     ris_channel,
     wall_attenuation,
 )
-from .scene import Scene, Thresholds
+from .scene import Scene
 from .seeding import derived_rng
 
 PEB_CONDITION_LIMIT = 1e12
@@ -235,30 +234,6 @@ def peb_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
     return without, with_ris
 
 
-def _feasible(value: float, limit_m: float) -> bool:
-    return math.isfinite(value) and value <= limit_m
-
-
-def classify_peb(peb_without: float, peb_with: float, thresholds: Thresholds | None = None) -> str:
-    """Label one cell by feasibility and the dB change of the bound."""
-    th = thresholds if thresholds is not None else Thresholds()
-    feas_without = _feasible(peb_without, th.peb_feasible_m)
-    feas_with = _feasible(peb_with, th.peb_feasible_m)
-    if not feas_without:
-        return "enabled" if feas_with else "infeasible_both"
-    if peb_with == 0.0 or not math.isfinite(peb_with):
-        improvement_db = math.inf if peb_with == 0.0 else -math.inf
-    else:
-        improvement_db = 20.0 * math.log10(peb_without / peb_with)
-    if improvement_db >= th.boost_db:
-        return "boosted"
-    if improvement_db >= th.unchanged_db:
-        return "marginal"
-    if improvement_db > -th.unchanged_db:
-        return "unchanged"
-    return "degraded"
-
-
 def _stacked_observation(scene: Scene, point, with_ris: bool, point_index: int):
     """Blocks with direct rows expanded to per-pilot copies (for simulation)."""
     use_ris = with_ris and scene.ris is not None
@@ -301,8 +276,11 @@ def ml_position_rmse(
 
     A local grid around the true point picks the likelihood basin, a
     simplex polish finds the minimum. Intended for high-SNR sanity runs
-    against the bound, not as a practical estimator.
+    against the bound, not as a practical estimator: an oracle for the
+    tests, on no command-line path, so scipy loads only when it runs.
     """
+    from scipy.optimize import minimize
+
     p_true = np.asarray(point, dtype=float)
     clean = _stacked_observation(scene, p_true, with_ris, point_index)
     sigma = math.sqrt(noise_variance_w(scene))

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import SceneError
-
-C_LIGHT_M_S = 299_792_458.0
+from .propagation import C_LIGHT_M_S
 
 METRIC_IDS = ("gain_db", "tx_power_dbm", "se_bps_hz", "peb_m", "sse_bps_hz")
 

@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import risplan
 from risplan import __version__
 from risplan.cli import main
 from risplan.influence import read_field_csv, sweep
@@ -232,6 +238,20 @@ class TestAoi:
         labels = (out / "bare_gain_db_labels.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",unchanged") for line in labels)
 
+    @pytest.mark.parametrize("metric", ["gain_db", "peb_m", "sse_bps_hz"])
+    @pytest.mark.filterwarnings("ignore:.*image is flat")
+    def test_cell_on_base_station_exits_0(self, tmp_path, metric):
+        # grid cell (1, 1, 1.5) coincides with base station 0
+        doc = dict(SCENE, bs=[{"position_m": [1, 1, 1.5]}, {"position_m": [5, 0, 3]}],
+                   eve={"position_m": [2, 4, 1.5]})
+        scene_path = write_scene(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["aoi", scene_path, "--metric", metric,
+                     "--out-dir", str(out), "--jobs", "1"]) == 0
+        got = read_field_csv(out / f"scene_{metric}_with.csv", metric, "with",
+                             fixed_height_m=1.5)
+        assert math.isnan(got.values[0]) == (metric != "gain_db")
+
     def test_sse_without_eve_exits_3(self, tmp_path, capsys):
         scene_path = write_scene(tmp_path, SCENE)
         assert main(["aoi", scene_path, "--metric", "sse_bps_hz",
@@ -333,3 +353,14 @@ def test_no_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only a test oracle; a fresh interpreter must not pay for it
+    src = str(pathlib.Path(risplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, risplan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

@@ -2,12 +2,14 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risplan import linkmetrics
 from risplan.errors import ConfigError, RunError
 from risplan.influence import (
     LABEL_COLORS,
@@ -34,7 +36,9 @@ from risplan.influence import (
 )
 from risplan.linkmetrics import gain_pair
 from risplan.localization import peb_pair
-from risplan.scene import Grid, Thresholds, parse_scene
+from risplan.scene import Grid, Thresholds, load_scene, parse_scene
+
+SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 
 SMALL = {
     "spec_version": 1,
@@ -121,6 +125,35 @@ class TestSweep:
         assert serial[0].values == pooled[0].values
         assert serial[1].values == pooled[1].values
 
+    def test_cell_on_base_station_is_nan_pair_for_per_cell_metrics(self):
+        # cell 6 sits at (2, 2, 1.5), exactly on base station 0
+        scene = small_scene(
+            bs=[{"position_m": [2, 2, 1.5]}, {"position_m": [6, 0, 3]}],
+            eve={"position_m": [4, 6, 1.5]},
+        )
+        for metric in ("peb_m", "sse_bps_hz"):
+            without, with_ = sweep(scene, metric)
+            assert math.isnan(without.values[6]) and math.isnan(with_.values[6])
+            others = [v for i, v in enumerate(without.values) if i != 6]
+            assert not any(math.isnan(v) for v in others), metric
+
+    def test_cell_on_base_station_is_served_by_another(self):
+        scene = small_scene(bs=[{"position_m": [2, 2, 1.5]}, {"position_m": [6, 0, 3]}])
+        without, with_ = sweep(scene, "gain_db")
+        assert math.isfinite(without.values[6]) and math.isfinite(with_.values[6])
+        assert (without.values[6], with_.values[6]) == gain_pair(scene, [2, 2, 1.5])
+
+    def test_cell_on_surface_element_is_nan_pair_for_every_metric(self):
+        # a one-element surface centred on cell 7 at (3, 2, 1.5)
+        scene = small_scene(
+            bs=[{"position_m": [0, 0, 3]}, {"position_m": [6, 0, 3]}],
+            ris={"position_m": [3, 2, 1.5], "element_count": 1},
+            eve={"position_m": [4, 6, 1.5]},
+        )
+        for metric in ("gain_db", "tx_power_dbm", "se_bps_hz", "peb_m", "sse_bps_hz"):
+            without, with_ = sweep(scene, metric)
+            assert math.isnan(without.values[7]) and math.isnan(with_.values[7]), metric
+
     def test_unknown_metric(self):
         with pytest.raises(ConfigError, match="unknown metric"):
             sweep(small_scene(), "latency_ms")
@@ -128,6 +161,43 @@ class TestSweep:
     def test_secrecy_needs_eavesdropper(self):
         with pytest.raises(RunError, match="eavesdropper"):
             sweep(small_scene(), "sse_bps_hz")
+
+
+def walled_street():
+    doc = json.loads((SCENES / "street_coexistence.json").read_text())
+    doc["walls"] = [{"p1_m": [8, 5], "p2_m": [12, 12], "penetration_loss_db": 12}]
+    return parse_scene(json.dumps(doc))
+
+
+class TestBatchedSweepInvariance:
+    """Gain-family maps do not depend on the cell block size or on ``jobs``."""
+
+    @pytest.fixture(scope="class", params=["office_energy", "street_coexistence"])
+    def scene(self, request):
+        return load_scene(SCENES / f"{request.param}.json")
+
+    @pytest.mark.parametrize("metric", ["gain_db", "tx_power_dbm", "se_bps_hz"])
+    def test_block_size_and_jobs(self, scene, metric, monkeypatch):
+        reference = sweep(scene, metric, jobs=1)
+        assert np.isfinite(reference[1].values).any()
+        runs = [sweep(scene, metric, jobs=2)]
+        m = scene.ris.element_count
+        monkeypatch.setattr(linkmetrics, "_BLOCK_BYTES", 16 * m * m * 7)
+        assert linkmetrics._cell_block(scene) == 7
+        runs.append(sweep(scene, metric, jobs=1))
+        for without, with_ in runs:
+            np.testing.assert_array_equal(without.values, reference[0].values)
+            np.testing.assert_array_equal(with_.values, reference[1].values)
+
+    def test_walls_single_cell_blocks(self, monkeypatch):
+        scene = walled_street()
+        reference = sweep(scene, "gain_db")
+        monkeypatch.setattr(linkmetrics, "_BLOCK_BYTES", 1)
+        assert linkmetrics._cell_block(scene) == 1
+        for idx in (0, 200, 650):
+            x, y = scene.grid.cell_xy(idx)
+            assert gain_pair(scene, [x, y, 1.5]) == (
+                reference[0].values[idx], reference[1].values[idx])
 
 
 class TestComparisonScale:

@@ -17,13 +17,16 @@ from risplan.kernels import (
 )
 
 
-def random_quadratic(rng, m_count=12, n_lookup=4):
-    b = rng.standard_normal(m_count) + 1j * rng.standard_normal(m_count)
-    a = rng.standard_normal((m_count, m_count)) + 1j * rng.standard_normal((m_count, m_count))
-    V = a.conj().T @ a  # Hermitian PSD by construction
+def random_quadratic(rng, m_count=12, n_lookup=4, k_count=1):
+    b = rng.standard_normal((k_count, m_count)) + 1j * rng.standard_normal((k_count, m_count))
+    a = rng.standard_normal((k_count, m_count, m_count)) + 1j * rng.standard_normal(
+        (k_count, m_count, m_count)
+    )
+    V = a.conj().transpose(0, 2, 1) @ a  # Hermitian PSD by construction
     lookup = np.exp(2j * np.pi * np.arange(n_lookup) / n_lookup)
-    init = rng.integers(0, n_lookup, m_count)
-    return b, V, 0.5, lookup, init
+    init = rng.integers(0, n_lookup, (k_count, m_count))
+    c0 = rng.uniform(0.1, 2.0, k_count)
+    return b, V, c0, lookup, init
 
 
 class TestMaxPairContrast:
@@ -52,44 +55,94 @@ class TestMaxPairContrast:
         np.testing.assert_allclose(max_pair_contrast(values), brute, rtol=1e-14)
 
 
+def mixed_block(seed):
+    """Cells of different sizes of coupling, so they converge at different rounds."""
+    rng = np.random.default_rng(seed)
+    b, V, c0, lookup, init = random_quadratic(rng, m_count=10, n_lookup=8, k_count=6)
+    V[1] *= 1e-3  # nearly separable: settles almost at once
+    V[2] *= 30.0  # strongly coupled: takes more rounds
+    b[3] *= 0.0  # no direct path: pure phase alignment
+    return b, V, c0, lookup, init
+
+
+def rounds_to_converge(b, V, c0, lookup, init, k):
+    final = ascent_quadratic_numpy(b[k:k + 1], V[k:k + 1], c0[k:k + 1], lookup, init[k:k + 1], 50,
+                                   1e-12)
+    for r in range(51):
+        idx, _ = ascent_quadratic_numpy(b[k:k + 1], V[k:k + 1], c0[k:k + 1], lookup,
+                                        init[k:k + 1], r, 1e-12)
+        if np.array_equal(idx, final[0]):
+            return r
+    raise AssertionError("did not converge")
+
+
 class TestAscentQuadratic:
     @pytest.mark.parametrize("seed", range(8))
     def test_variants_identical(self, seed):
         rng = np.random.default_rng(seed)
-        b, V, c0, lookup, init = random_quadratic(rng)
+        b, V, c0, lookup, init = random_quadratic(rng, k_count=3)
         idx_a, gain_a = _ascent_quadratic_loops(b, V, c0, lookup, init, 50, 1e-12)
         idx_b, gain_b = ascent_quadratic_numpy(b, V, c0, lookup, init, 50, 1e-12)
         np.testing.assert_array_equal(idx_a, idx_b)
-        assert gain_a == gain_b
+        np.testing.assert_array_equal(gain_a, gain_b)
         idx_c, gain_c = ascent_quadratic(b, V, c0, lookup, init, 50, 1e-12)
         np.testing.assert_array_equal(idx_c, idx_b)
-        assert gain_c == gain_b
+        np.testing.assert_array_equal(gain_c, gain_b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_variants_identical_cells_converging_at_different_rounds(self, seed):
+        b, V, c0, lookup, init = mixed_block(seed)
+        rounds = {rounds_to_converge(b, V, c0, lookup, init, k) for k in range(b.shape[0])}
+        assert len(rounds) > 1
+        for max_rounds, rel_tol in ((1, 1e-12), (2, 1e-12), (50, 1e-12), (50, 0.05)):
+            idx_a, gain_a = _ascent_quadratic_loops(b, V, c0, lookup, init, max_rounds, rel_tol)
+            idx_b, gain_b = ascent_quadratic_numpy(b, V, c0, lookup, init, max_rounds, rel_tol)
+            np.testing.assert_array_equal(idx_a, idx_b)
+            np.testing.assert_array_equal(gain_a, gain_b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rel_tol", [1e-12, 0.05])
+    def test_block_equals_cells_alone(self, seed, rel_tol):
+        # a loose tolerance stops cells short of a fixed point, so a cell
+        # that kept sweeping with its block mates would end elsewhere
+        b, V, c0, lookup, init = mixed_block(seed)
+        idx, gain = ascent_quadratic_numpy(b, V, c0, lookup, init, 50, rel_tol)
+        for k in range(b.shape[0]):
+            one = slice(k, k + 1)
+            idx_k, gain_k = ascent_quadratic_numpy(b[one], V[one], c0[one], lookup, init[one], 50,
+                                                   rel_tol)
+            np.testing.assert_array_equal(idx_k[0], idx[k])
+            assert gain_k[0] == gain[k]
 
     def test_reaches_fixed_point_no_single_swap_helps(self):
         rng = np.random.default_rng(11)
-        b, V, c0, lookup, init = random_quadratic(rng, m_count=8)
+        b, V, c0, lookup, init = random_quadratic(rng, m_count=8, k_count=2)
         idx, gain = ascent_quadratic(b, V, c0, lookup, init, 100, 0.0)
-        z = lookup[idx]
-        for m in range(8):
-            for c in range(len(lookup)):
-                trial = z.copy()
-                trial[m] = lookup[c]
-                assert eval_quadratic_gain(b, V, c0, trial) <= gain + 1e-9
+        for k in range(2):
+            z = lookup[idx[k]]
+            for m in range(8):
+                for c in range(len(lookup)):
+                    trial = z.copy()
+                    trial[m] = lookup[c]
+                    assert eval_quadratic_gain(b[k], V[k], c0[k], trial) <= gain[k] + 1e-9
 
     def test_never_below_start(self):
         rng = np.random.default_rng(21)
-        for _ in range(5):
-            b, V, c0, lookup, init = random_quadratic(rng, m_count=6)
-            start = eval_quadratic_gain(b, V, c0, lookup[init])
-            _, gain = ascent_quadratic(b, V, c0, lookup, init, 30, 1e-12)
-            assert gain >= start - 1e-9
+        b, V, c0, lookup, init = random_quadratic(rng, m_count=6, k_count=5)
+        _, gain = ascent_quadratic(b, V, c0, lookup, init, 30, 1e-12)
+        for k in range(5):
+            start = eval_quadratic_gain(b[k], V[k], c0[k], lookup[init[k]])
+            assert gain[k] >= start - 1e-9
 
     def test_zero_rounds_returns_start(self):
         rng = np.random.default_rng(5)
-        b, V, c0, lookup, init = random_quadratic(rng, m_count=4)
+        b, V, c0, lookup, init = random_quadratic(rng, m_count=4, k_count=2)
         idx, gain = ascent_quadratic(b, V, c0, lookup, init, 0, 1e-12)
         np.testing.assert_array_equal(idx, init)
-        assert gain == pytest.approx(eval_quadratic_gain(b, V, c0, lookup[init]), rel=1e-12)
+        for k in range(2):
+            assert gain[k] == pytest.approx(
+                eval_quadratic_gain(b[k], V[k], c0[k], lookup[init[k]]), rel=1e-12
+            )
 
 
 class TestForwardFill:

@@ -209,6 +209,15 @@ class TestServingBs:
         scene = scene_with(bs=[{"position_m": [0, 0]}, {"position_m": [9, 9]}])
         assert serving_bs(scene, [0, 0, 0]) == 1
 
+    def test_station_on_a_surface_element_is_never_served(self):
+        # the one-element surface sits on station 0, so its cascade is undefined
+        scene = scene_with(bs=[{"position_m": [4, 0]}, {"position_m": [9, 9]}],
+                           ris={"position_m": [4, 0], "element_count": 1})
+        point = [3, 1, 0]
+        assert serving_bs(scene, point) == 1
+        assert gain_pair(scene, point) == (
+            equivalent_gain(scene, 1, point, "off"), equivalent_gain(scene, 1, point))
+
 
 class TestPairs:
     def test_pairs_match_single_calls(self):

@@ -9,7 +9,6 @@ import pytest
 from risplan.localization import (
     PebResult,
     build_fim,
-    classify_peb,
     equivalent_position_fim,
     ml_position_rmse,
     noise_variance_w,
@@ -19,7 +18,8 @@ from risplan.localization import (
     peb_point,
     pilot_configs,
 )
-from risplan.scene import Thresholds, parse_scene
+from risplan.influence import MetricField, classify
+from risplan.scene import Grid, Thresholds, parse_scene
 from risplan.seeding import derived_rng
 
 LOC = {
@@ -284,35 +284,47 @@ class TestEquivalentPositionFim:
         assert equivalent_position_fim(f) is None
 
 
+def peb_label(peb_without, peb_with, thresholds=None):
+    """Label of one cell whose PEB moves from ``peb_without`` to ``peb_with``."""
+    grid = Grid(x_min=0, x_max=0, y_min=0, y_max=0, resolution_m=1.0)
+    without = MetricField(grid, "peb_m", "without", (peb_without,))
+    with_ = MetricField(grid, "peb_m", "with", (peb_with,))
+    return classify(without, with_, thresholds).labels[0]
+
+
 class TestClassifyPeb:
     def test_enabled(self):
-        assert classify_peb(0.5, 0.05) == "enabled"
+        assert peb_label(0.5, 0.05) == "enabled"
 
     def test_unchanged_zero_db(self):
-        assert classify_peb(0.05, 0.05) == "unchanged"
+        assert peb_label(0.05, 0.05) == "unchanged"
 
     def test_boosted_six_db(self):
-        assert classify_peb(0.08, 0.04) == "boosted"
+        assert peb_label(0.08, 0.04) == "boosted"
 
     def test_marginal_band(self):
         # 2.5 dB improvement sits in [unchanged, boost)
-        assert classify_peb(0.05, 0.05 / 10 ** (2.5 / 20)) == "marginal"
+        assert peb_label(0.05, 0.05 / 10 ** (2.5 / 20)) == "marginal"
 
     def test_degraded(self):
-        assert classify_peb(0.04, 0.08) == "degraded"
+        assert peb_label(0.04, 0.08) == "degraded"
+
+    def test_feasibility_lost_is_degraded(self):
+        # -0.17 dB, but the bound leaves the 0.1 m feasibility cap
+        assert peb_label(0.099, 0.101) == "degraded"
 
     def test_infeasible_both(self):
-        assert classify_peb(0.5, 0.3) == "infeasible_both"
-        assert classify_peb(math.inf, math.inf) == "infeasible_both"
-        assert classify_peb(math.inf, 0.2) == "infeasible_both"
+        assert peb_label(0.5, 0.3) == "infeasible_both"
+        assert peb_label(math.inf, math.inf) == "infeasible_both"
+        assert peb_label(math.inf, 0.2) == "infeasible_both"
 
     def test_enabled_from_infinite(self):
-        assert classify_peb(math.inf, 0.09) == "enabled"
+        assert peb_label(math.inf, 0.09) == "enabled"
 
     def test_custom_thresholds(self):
         th = Thresholds(boost_db=10.0, unchanged_db=1.0, peb_feasible_m=1.0)
-        assert classify_peb(0.8, 0.4, th) == "marginal"  # 6.02 dB < 10
-        assert classify_peb(0.8, 0.02, th) == "boosted"
+        assert peb_label(0.8, 0.4, th) == "marginal"  # 6.02 dB < 10
+        assert peb_label(0.8, 0.02, th) == "boosted"
 
 
 class TestPebPoint:

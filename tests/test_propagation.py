@@ -17,6 +17,7 @@ from risplan.propagation import (
     ris_channel,
     surface_element_positions,
     wall_attenuation,
+    wall_factors,
 )
 from risplan.scene import parse_scene
 
@@ -93,6 +94,66 @@ class TestWalls:
     def test_segment_not_infinite_line(self):
         scene = scene_with(walls=[{"p1_m": [5, 10], "p2_m": [5, 20], "penetration_loss_db": 20}])
         assert wall_attenuation([0, 0], [10, 0], scene.walls) == 1.0
+
+
+def reference_wall_attenuation(p1, p2, walls):
+    """Scalar segment test, one ray and one wall at a time (reference)."""
+
+    def ccw(ax, ay, bx, by, cx, cy):
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    def on_segment(ax, ay, bx, by, px, py):
+        return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+
+    def cross(ax, ay, bx, by, cx, cy, dx, dy):
+        d1, d2 = ccw(cx, cy, dx, dy, ax, ay), ccw(cx, cy, dx, dy, bx, by)
+        d3, d4 = ccw(ax, ay, bx, by, cx, cy), ccw(ax, ay, bx, by, dx, dy)
+        if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+            (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+        ):
+            return True
+        return (
+            (d1 == 0 and on_segment(cx, cy, dx, dy, ax, ay))
+            or (d2 == 0 and on_segment(cx, cy, dx, dy, bx, by))
+            or (d3 == 0 and on_segment(ax, ay, bx, by, cx, cy))
+            or (d4 == 0 and on_segment(ax, ay, bx, by, dx, dy))
+        )
+
+    factor = 1.0
+    for wall in walls:
+        if cross(float(p1[0]), float(p1[1]), float(p2[0]), float(p2[1]),
+                 wall.p1_m[0], wall.p1_m[1], wall.p2_m[0], wall.p2_m[1]):
+            factor *= 10.0 ** (-wall.penetration_loss_db / 20.0)
+    return factor
+
+
+class TestWallFactors:
+    def test_matches_scalar_reference(self):
+        # integer coordinates make touching and collinear cases common
+        rng = np.random.default_rng(4)
+        walls = [
+            {"p1_m": rng.integers(0, 6, 2).tolist(), "p2_m": rng.integers(0, 6, 2).tolist(),
+             "penetration_loss_db": float(rng.uniform(1, 20))}
+            for _ in range(5)
+        ]
+        walls.append({"p1_m": [1, 1], "p2_m": [4, 4], "penetration_loss_db": 7.0})
+        scene = scene_with(walls=walls)
+        p1 = rng.integers(0, 6, (400, 3)).astype(float)
+        p2 = rng.integers(0, 6, (400, 3)).astype(float)
+        got = wall_factors(p1, p2, scene.walls)
+        expect = [reference_wall_attenuation(a, b, scene.walls) for a, b in zip(p1, p2)]
+        np.testing.assert_array_equal(got, expect)
+        assert len(set(expect)) > 3
+
+    def test_broadcasts_one_origin_over_many_targets(self):
+        scene = scene_with(walls=[TestWalls.WALL])
+        targets = np.array([[10.0, 0.0], [0.0, 3.0], [10.0, 4.9]])
+        got = wall_factors([0.0, 0.0], targets, scene.walls)
+        np.testing.assert_allclose(got, [0.1, 1.0, 0.1])
+
+    def test_no_walls_is_all_ones(self):
+        np.testing.assert_array_equal(wall_factors(np.zeros((2, 3, 2)), [1.0, 1.0], ()),
+                                      np.ones((2, 3)))
 
 
 class TestElementPositions:
