@@ -5,7 +5,8 @@ the command, the resolved configuration, the seed and a sha256 digest per
 emitted file.  Nothing in the pipeline reads the clock or OS entropy, so a
 rerun with the same inputs reproduces every byte, digests included.
 
-Exit codes: 0 success, 2 input or configuration problem, 3 runtime failure.
+Exit codes: 0 success, 2 input or configuration problem, 3 runtime failure
+(a ``RunError``, or a ``ValueError`` or ``LinAlgError`` from the numerics).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .coexistence import CoexistConfig, ris_direct_ratio_db, simulate, write_trace_csv
-from .errors import CoincidentNodeError, ConfigError, RunError
+from .errors import ConfigError, RunError
 from .influence import (
     classify,
     export_csv,
@@ -301,10 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CoincidentNodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RunError as exc:
+    except (RunError, ValueError, np.linalg.LinAlgError) as exc:
+        # any other ValueError, a CoincidentNodeError included, is a
+        # numeric failure at run time, as is a singular linear system
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -89,19 +89,31 @@ class CoexistResult:
     transmitting_slots: int
 
 
-def _combined_amplitudes(
-    scene: Scene, ue_point, config: CoexistConfig
-) -> np.ndarray:
-    """Post-combining channel amplitude for each codebook entry."""
+def _victim_link(scene: Scene, ue_point):
+    """The victim's serving link after direct-matched combining.
+
+    Returns the combined direct amplitude, the cascade channel of the
+    serving station (None without a surface) and the combining weights'
+    gain on that station's steering toward the surface.
+    """
     bs_index = serving_bs(scene, ue_point)
     direct = direct_channel(scene, bs_index, ue_point)
     w = mrc_weights(direct.gains)
     base = complex(np.vdot(w, direct.gains))
     if scene.ris is None:
+        return base, None, 0j
+    ch = ris_channel(scene, bs_index, ue_point)
+    return base, ch, complex(np.vdot(w, ch.bs_steering))
+
+
+def _combined_amplitudes(
+    scene: Scene, ue_point, config: CoexistConfig
+) -> np.ndarray:
+    """Post-combining channel amplitude for each codebook entry."""
+    base, ch, steer_gain = _victim_link(scene, ue_point)
+    if ch is None:
         return np.array([base])
     book = config.codebook if config.codebook is not None else default_codebook(scene)
-    ch = ris_channel(scene, bs_index, ue_point)
-    steer_gain = complex(np.vdot(w, ch.bs_steering))
     out = np.empty(len(book), dtype=np.complex128)
     for c, entry in enumerate(book):
         ripple = cascade(ch, entry.phases_rad) if entry.active else 0.0
@@ -174,18 +186,13 @@ def ris_direct_ratio_db(scene: Scene, ue_point) -> float:
     aligned), which bounds how far any configuration can move the combined
     channel; -inf when the scene has no surface.
     """
-    bs_index = serving_bs(scene, ue_point)
-    direct = direct_channel(scene, bs_index, ue_point)
-    w = mrc_weights(direct.gains)
-    base = abs(complex(np.vdot(w, direct.gains)))
-    if scene.ris is None:
+    base, ch, steer_gain = _victim_link(scene, ue_point)
+    if ch is None:
         return -math.inf
-    ch = ris_channel(scene, bs_index, ue_point)
-    steer_gain = abs(complex(np.vdot(w, ch.bs_steering)))
-    ripple = float(np.sum(np.abs(ch.hop_products))) * steer_gain
+    ripple = float(np.sum(np.abs(ch.hop_products))) * abs(steer_gain)
     if ripple == 0.0:
         return -math.inf
-    return 20.0 * math.log10(ripple / base)
+    return 20.0 * math.log10(ripple / abs(base))
 
 
 @dataclass(frozen=True)

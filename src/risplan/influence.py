@@ -26,8 +26,8 @@ every other metric compares in its native unit.  The sign convention is
 "improvement positive" regardless of whether the metric is higher-better
 or lower-better.
 
-Exports cover CSV (bit-exact round trip), PGM grayscale, and PPM with a
-blue/green/red three-stop colormap; label maps export with a fixed palette.
+Exports cover CSV (bit-exact round trip) and PPM with a blue/green/red
+three-stop colormap; label maps export with a fixed palette.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -338,35 +338,11 @@ def self_exposure_boosted(imap: InfluenceMap) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # file export
 
-_Exportable = Union[MetricField, InfluenceMap]
-
 
 def field_filename(scene_name: str, metric_id: str, kind: str, ext: str) -> str:
     if kind not in FIELD_KINDS:
         raise ValueError(f"kind must be one of {FIELD_KINDS}, got {kind!r}")
     return f"{scene_name}_{metric_id}_{kind}.{ext}"
-
-
-def export(obj: _Exportable, fmt: str, path: str) -> None:
-    """Write a field or label map to ``path`` in the named format."""
-    if isinstance(obj, InfluenceMap):
-        if fmt == "csv":
-            export_labels_csv(obj, path)
-        elif fmt == "ppm":
-            export_labels_ppm(obj, path)
-        elif fmt == "pgm":
-            raise ValueError("label maps export as csv or ppm, not pgm")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        return
-    if fmt == "csv":
-        export_csv(obj, path)
-    elif fmt == "pgm":
-        export_pgm(obj, path)
-    elif fmt == "ppm":
-        export_ppm(obj, path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def export_csv(field: MetricField, path: str) -> None:
@@ -465,24 +441,6 @@ def _finite_range(values: Sequence[float], what: str) -> tuple[float, float] | N
         warnings.warn(f"{what}: flat value range, rendering mid-scale", stacklevel=3)
         return None
     return vmin, vmax
-
-
-def export_pgm(field: MetricField, path: str) -> None:
-    """Plain-text grayscale, black = vmin, white = vmax, NaN = black."""
-    rng = _finite_range(field.values, path)
-
-    def pixel(v: float) -> int:
-        if math.isnan(v):
-            return 0
-        if rng is None:
-            return 128
-        t = (v - rng[0]) / (rng[1] - rng[0])
-        return int(round(255.0 * min(max(t, 0.0), 1.0)))
-
-    with open(path, "w", newline="") as fh:
-        fh.write(f"P2\n{field.grid.nx} {field.grid.ny}\n255\n")
-        for row in _image_rows(field.grid):
-            _write_tokens(fh, (str(pixel(field.values[i])) for i in row))
 
 
 def colormap_rgb(t: float) -> tuple[int, int, int]:

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentNodeError
-from .propagation import (
-    C_LIGHT_M_S,
-    dbm_to_watts,
-    fspl_amplitude,
-    ris_channel,
-    wall_attenuation,
-)
+from .propagation import C_LIGHT_M_S, dbm_to_watts, ray_amplitudes, ris_channel
 from .scene import Scene
 from .seeding import derived_rng
 
@@ -84,8 +78,9 @@ def _direct_block(scene: Scene, bs_index: int, point) -> PathBlock:
     bs = scene.bs[bs_index]
     p = np.asarray(point, dtype=float)
     q = np.asarray(bs.position_m, dtype=float)
-    d = float(np.linalg.norm(p - q))
-    amp = fspl_amplitude(d, scene.carrier_hz) * wall_attenuation(p, q, scene.walls)
+    amp, d = (float(v) for v in ray_amplitudes(scene, p, q))
+    if d == 0.0:
+        raise CoincidentNodeError(f"point coincides with the base station at {bs.position_m}")
     gamma = pilot_amplitude(scene) * amp * np.exp(-2j * math.pi * d / scene.wavelength_m)
     tau = d / C_LIGHT_M_S
     d_tau = (p - q)[:2] / (C_LIGHT_M_S * d)

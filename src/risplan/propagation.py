@@ -10,7 +10,10 @@ Two regimes, chosen to match how each link is used:
   two-leg distance, so the wavefront curvature across the aperture is kept.
 
 A ray's amplitude is lambda / (4 pi d) times the wall penetration factor;
-walls attenuate, never block. Subcarrier n multiplies a path by
+walls attenuate, never block. :func:`ray_amplitudes` is the only place in
+the package where a ray's amplitude, length and wall factor are computed:
+the channels here, the localization observation model and the secrecy
+fading links all take theirs from it. Subcarrier n multiplies a path by
 exp(-j 2 pi n spacing delay), n = 0 .. N-1. Speed of light is exact.
 """
 
@@ -34,20 +37,8 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    if value <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(value)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(watts) + 30.0
 
 
 def element_positions(
@@ -60,12 +51,6 @@ def element_positions(
     return center[None, :] + offsets[:, None] * axis[None, :]
 
 
-def bs_antenna_positions(scene: Scene, bs: BaseStation) -> np.ndarray:
-    return element_positions(
-        bs.position_m, bs.antenna_count, scene.bs_spacing_m(bs), bs.orientation_rad
-    )
-
-
 def surface_element_positions(scene: Scene) -> np.ndarray:
     if scene.ris is None:
         raise RunError("scene has no surface")
@@ -75,13 +60,6 @@ def surface_element_positions(scene: Scene) -> np.ndarray:
         scene.ris_spacing_m(),
         scene.ris.orientation_rad,
     )
-
-
-def fspl_amplitude(distance_m: float, f_hz: float) -> float:
-    """Free-space amplitude lambda / (4 pi d)."""
-    if distance_m <= 0.0:
-        raise CoincidentNodeError(f"zero-length ray (distance {distance_m})")
-    return C_LIGHT_M_S / f_hz / (4.0 * math.pi * distance_m)
 
 
 def _ccw(ax, ay, bx, by, cx, cy):
@@ -142,11 +120,28 @@ def wall_factors(p1, p2, walls) -> np.ndarray:
     return factor
 
 
-def wall_attenuation(p1, p2, walls) -> float:
-    """Linear amplitude factor <= 1 for one p1 -> p2 ray; see :func:`wall_factors`."""
-    if not walls:
-        return 1.0
-    return float(wall_factors(p1, p2, walls))
+def _norm(v: np.ndarray) -> np.ndarray:
+    # row-wise, so a point's distance does not depend on its batch
+    return np.sqrt(np.sum(v * v, axis=-1))
+
+
+def ray_amplitudes(scene: Scene, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes and lengths of the rays a -> b: (amp, dist).
+
+    ``a`` and ``b`` are (..., 3) endpoint arrays that broadcast against
+    each other; both results have their broadcast leading shape. A ray's
+    amplitude is lambda / (4 pi d) times its wall factor. A zero-length
+    ray comes back with distance 0 and an infinite amplitude; callers
+    mask it or raise :class:`CoincidentNodeError`.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    dist = _norm(b - a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = scene.wavelength_m / (4.0 * math.pi * dist)
+        if scene.walls:
+            amp = amp * wall_factors(a, b, scene.walls)
+    return amp, dist
 
 
 @dataclass(frozen=True)
@@ -204,11 +199,6 @@ class RisChannel:
         return self.efficiency * self.bs_to_elements * self.elements_to_point
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    # row-wise, so a point's distance does not depend on its batch
-    return np.sqrt(np.sum(v * v, axis=-1))
-
-
 def _steering(scene: Scene, bs: BaseStation, targets) -> np.ndarray:
     """Plane-wave phasors of the array toward far targets, (..., A).
 
@@ -237,13 +227,8 @@ def direct_channels(scene: Scene, bs_index: int, points) -> DirectChannel:
     callers mask it.
     """
     bs = scene.bs[bs_index]
-    center = np.asarray(bs.position_m, dtype=float)
-    points = np.asarray(points, dtype=float)
-    dist = _norm(points - center)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = C_LIGHT_M_S / scene.carrier_hz / (4.0 * math.pi * dist)
-        if scene.walls:
-            amp = amp * wall_factors(center, points, scene.walls)
+    amp, dist = ray_amplitudes(scene, bs.position_m, points)
+    with np.errstate(invalid="ignore"):
         carrier = amp * np.exp(-2j * math.pi * dist / scene.wavelength_m)
         gains = carrier[:, None] * _steering(scene, bs, points)
     return DirectChannel(gains=gains, delay_s=dist / C_LIGHT_M_S, distance_m=dist)
@@ -264,14 +249,9 @@ def direct_channel(scene: Scene, bs_index: int, point) -> DirectChannel:
 
 
 def _legs(scene: Scene, elems: np.ndarray, endpoints: np.ndarray):
-    diffs = elems[None, :, :] - endpoints[:, None, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
-    lam = scene.wavelength_m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amps = lam / (4.0 * math.pi * dists)
-        if scene.walls:
-            amps = amps * wall_factors(elems[None, :, :], endpoints[:, None, :], scene.walls)
-        gains = amps * np.exp(-2j * math.pi * dists / lam)
+    amps, dists = ray_amplitudes(scene, elems[None, :, :], endpoints[:, None, :])
+    with np.errstate(invalid="ignore"):
+        gains = amps * np.exp(-2j * math.pi * dists / scene.wavelength_m)
     return gains, dists
 
 

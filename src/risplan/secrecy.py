@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import RisConfig, coordinate_ascent
-from .errors import RunError
-from .propagation import dbm_to_watts, fspl_amplitude, wall_attenuation
+from .errors import CoincidentNodeError, RunError
+from .propagation import dbm_to_watts, ray_amplitudes
 from .scene import Scene
 from .seeding import derived_rng
 
@@ -70,11 +70,13 @@ def _fading(rng, rows: int, cols: int) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def _link_amplitude(scene: Scene, a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = float(np.linalg.norm(a - b))
-    return fspl_amplitude(d, scene.carrier_hz) * wall_attenuation(a, b, scene.walls)
+def _amplitudes_from(scene: Scene, origin, targets) -> np.ndarray:
+    amp, dist = ray_amplitudes(scene, origin, targets)
+    if np.any(dist == 0.0):
+        raise CoincidentNodeError(
+            f"a link from {np.asarray(origin, dtype=float).tolist()} has zero length"
+        )
+    return amp
 
 
 def secrecy_link(scene: Scene, point, point_index: int = 0, draw: int = 0) -> SecrecyChannels:
@@ -82,40 +84,30 @@ def secrecy_link(scene: Scene, point, point_index: int = 0, draw: int = 0) -> Se
     if scene.eve is None:
         raise RunError("secrecy metrics need an eavesdropper in the scene")
     rng = derived_rng(scene.seed, "sse-fading", point_index, draw)
-    p = np.asarray(point, dtype=float)
     n_bs = sum(bs.antenna_count for bs in scene.bs)
     n_rx = scene.secrecy.rx_antenna_count
     n_eve = scene.eve.antenna_count
 
+    # one amplitude per station, then per station antenna; the surface
+    # centre, when there is one, is the last target of the RX and Eve rays
+    stations = np.array([bs.position_m for bs in scene.bs], dtype=float)
+    antennas = [bs.antenna_count for bs in scene.bs]
+    targets = stations if scene.ris is None else np.vstack([stations, scene.ris.position_m])
+    amp_rx = _amplitudes_from(scene, point, targets)
+    amp_eve = _amplitudes_from(scene, scene.eve.position_m, targets)
+
     # matrices are always drawn in the same order so results are stable
-    amp_rx = np.concatenate(
-        [
-            np.full(bs.antenna_count, _link_amplitude(scene, p, bs.position_m))
-            for bs in scene.bs
-        ]
-    )
-    direct_rx = amp_rx[None, :] * _fading(rng, n_rx, n_bs)
-    amp_eve = np.concatenate(
-        [
-            np.full(bs.antenna_count, _link_amplitude(scene, scene.eve.position_m, bs.position_m))
-            for bs in scene.bs
-        ]
-    )
-    direct_eve = amp_eve[None, :] * _fading(rng, n_eve, n_bs)
+    k = len(antennas)
+    direct_rx = np.repeat(amp_rx[:k], antennas)[None, :] * _fading(rng, n_rx, n_bs)
+    direct_eve = np.repeat(amp_eve[:k], antennas)[None, :] * _fading(rng, n_eve, n_bs)
 
     bs_to_ris = ris_to_rx = ris_to_eve = None
     if scene.ris is not None:
         m = scene.ris.element_count
-        r = np.asarray(scene.ris.position_m, dtype=float)
-        amp_g = np.concatenate(
-            [
-                np.full(bs.antenna_count, _link_amplitude(scene, r, bs.position_m))
-                for bs in scene.bs
-            ]
-        )
+        amp_g = np.repeat(_amplitudes_from(scene, scene.ris.position_m, stations), antennas)
         bs_to_ris = scene.ris.element_efficiency * amp_g[None, :] * _fading(rng, m, n_bs)
-        ris_to_rx = _link_amplitude(scene, p, r) * _fading(rng, n_rx, m)
-        ris_to_eve = _link_amplitude(scene, scene.eve.position_m, r) * _fading(rng, n_eve, m)
+        ris_to_rx = amp_rx[k] * _fading(rng, n_rx, m)
+        ris_to_eve = amp_eve[k] * _fading(rng, n_eve, m)
 
     return SecrecyChannels(
         direct_rx=direct_rx,

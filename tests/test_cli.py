@@ -28,6 +28,8 @@ SCENE = {
     },
 }
 
+SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+
 COEX_SCENE = {
     "spec_version": 1,
     "carrier_hz": 3.5e9,
@@ -355,12 +357,43 @@ def test_no_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy serves only a test oracle; a fresh interpreter must not pay for it
+def fresh_interpreter(*args):
+    """Run ``python *args`` in a new process that imports this checkout of risplan."""
     src = str(pathlib.Path(risplan.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only a test oracle; a fresh interpreter must not pay for it
     code = "import sys, risplan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
+    done = fresh_interpreter("-c", code)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("exc", [ValueError("cancelled"), np.linalg.LinAlgError("singular")])
+def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
+    def failing_sweep(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("risplan.cli.sweep", failing_sweep)
+    scene_path = write_scene(tmp_path, SCENE)
+    assert main(["aoi", scene_path, "--metric", "peb_m", "--out-dir", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("name", ["office_energy", "street_coexistence"])
+def test_one_level_lookup_peb_has_no_traceback(tmp_path, name):
+    # with a single phase level the Schur-complement EFIM cancels; the run
+    # must end in maps or in one error line, never in a traceback
+    doc = json.loads((SCENES / f"{name}.json").read_text())
+    doc["ris"]["phase_lookup_rad"] = [0.0]
+    scene_path = write_scene(tmp_path, doc, f"{name}.json")
+    done = fresh_interpreter("-m", "risplan.cli", "aoi", scene_path, "--metric", "peb_m",
+                             "--jobs", "1", "--out-dir", str(tmp_path / "out"))
+    assert done.returncode in (0, 3)
+    assert "Traceback" not in done.stderr
+    if done.returncode == 3:
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1

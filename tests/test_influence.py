@@ -22,11 +22,9 @@ from risplan.influence import (
     colormap_rgb,
     comparison_value,
     energy_efficiency_boosted,
-    export,
     export_csv,
     export_labels_csv,
     export_labels_ppm,
-    export_pgm,
     export_ppm,
     field_filename,
     in_coverage,
@@ -459,45 +457,6 @@ class TestCsvExport:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestPgmExport:
-    def test_two_cell_extremes(self, tmp_path):
-        f = field_of([0.0, 1.0])
-        path = tmp_path / "two.pgm"
-        export_pgm(f, path)
-        assert path.read_text() == "P2\n2 1\n255\n0 255\n"
-
-    def test_nan_is_black(self, tmp_path):
-        f = field_of([0.0, math.nan, 1.0])
-        path = tmp_path / "nan.pgm"
-        export_pgm(f, path)
-        assert path.read_text().splitlines()[-1] == "0 0 255"
-
-    def test_flat_field_mid_gray_with_warning(self, tmp_path):
-        f = field_of([7.0, 7.0])
-        path = tmp_path / "flat.pgm"
-        with pytest.warns(UserWarning, match="flat"):
-            export_pgm(f, path)
-        assert path.read_text().splitlines()[-1] == "128 128"
-
-    def test_top_row_is_north(self, tmp_path):
-        grid = Grid(x_min=0, x_max=1, y_min=0, y_max=1, resolution_m=1.0)
-        # south row 0s, north row 255s
-        f = MetricField(grid, "gain_db", "without", (0.0, 0.0, 1.0, 1.0))
-        path = tmp_path / "rows.pgm"
-        export_pgm(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[3] == "255 255"
-        assert lines[4] == "0 0"
-
-    def test_lines_stay_narrow(self, tmp_path):
-        grid = Grid(x_min=0, x_max=39, y_min=0, y_max=0, resolution_m=1.0)
-        f = MetricField(grid, "gain_db", "without",
-                        tuple(float(i) for i in range(40)))
-        path = tmp_path / "wide.pgm"
-        export_pgm(f, path)
-        assert max(len(line) for line in path.read_text().splitlines()) <= 70
-
-
 class TestPpmExport:
     def test_colormap_stops(self):
         assert colormap_rgb(0.0) == (0, 0, 255)
@@ -525,6 +484,26 @@ class TestPpmExport:
             export_ppm(f, path)
         pixels = " ".join(path.read_text().splitlines()[3:]).split()
         assert pixels == ["0", "255", "0"] * 2
+
+    def test_top_row_is_north(self, tmp_path):
+        grid = Grid(x_min=0, x_max=1, y_min=0, y_max=1, resolution_m=1.0)
+        # south row at the bottom of the range, north row at the top
+        f = MetricField(grid, "gain_db", "without", (0.0, 0.0, 1.0, 1.0))
+        path = tmp_path / "rows.ppm"
+        export_ppm(f, path)
+        lines = path.read_text().splitlines()
+        assert lines[3] == "255 0 0 255 0 0"
+        assert lines[4] == "0 0 255 0 0 255"
+
+    def test_lines_stay_narrow(self, tmp_path):
+        grid = Grid(x_min=0, x_max=39, y_min=0, y_max=0, resolution_m=1.0)
+        f = MetricField(grid, "gain_db", "without",
+                        tuple(float(i) for i in range(40)))
+        path = tmp_path / "wide.ppm"
+        export_ppm(f, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) > 4
+        assert max(len(line) for line in lines) <= 70
 
 
 class TestLabelExport:
@@ -555,27 +534,6 @@ class TestLabelExport:
 
     def test_every_label_has_a_colour(self):
         assert set(LABEL_COLORS) == set(LABELS)
-
-
-class TestExportDispatch:
-    def test_field_formats(self, tmp_path):
-        f = field_of([0.0, 1.0])
-        for fmt in ("csv", "pgm", "ppm"):
-            export(f, fmt, tmp_path / f"f.{fmt}")
-            assert (tmp_path / f"f.{fmt}").exists()
-
-    def test_map_formats(self, tmp_path):
-        wo = field_of([0.0])
-        wi = field_of([5.0], kind="with")
-        imap = classify(wo, wi)
-        export(imap, "csv", tmp_path / "m.csv")
-        export(imap, "ppm", tmp_path / "m.ppm")
-        with pytest.raises(ValueError, match="pgm"):
-            export(imap, "pgm", tmp_path / "m.pgm")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            export(field_of([0.0]), "svg", tmp_path / "f.svg")
 
 
 class TestNaming:

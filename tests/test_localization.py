@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from risplan.errors import CoincidentNodeError
 from risplan.localization import (
     PebResult,
+    _direct_block,
     build_fim,
     equivalent_position_fim,
     ml_position_rmse,
@@ -132,6 +134,30 @@ class TestObservationModel:
                 )
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
             assert rel < 1e-5
+
+
+class TestDirectBlockWalls:
+    # a wall across the segment from station 0 at (0.5, 1) to the point (3, 1)
+    WALL = {"p1_m": [2, 0], "p2_m": [2, 2], "penetration_loss_db": 11.0}
+    POINT = [3.0, 1.0, 0.0]
+
+    def test_wall_scales_rows_by_its_loss(self):
+        plain = _direct_block(loc_scene(), 0, self.POINT)
+        walled = _direct_block(loc_scene(walls=[self.WALL]), 0, self.POINT)
+        np.testing.assert_allclose(walled.mu, plain.mu * 10.0 ** (-11.0 / 20.0),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(walled.d_pos, plain.d_pos * 10.0 ** (-11.0 / 20.0),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(walled.basis, plain.basis)
+
+    def test_wall_off_the_path_changes_nothing(self):
+        plain = _direct_block(loc_scene(), 1, self.POINT)
+        walled = _direct_block(loc_scene(walls=[self.WALL]), 1, self.POINT)
+        np.testing.assert_array_equal(walled.mu, plain.mu)
+
+    def test_point_on_station_raises(self):
+        with pytest.raises(CoincidentNodeError):
+            _direct_block(loc_scene(), 0, [0.5, 1.0, 0.0])
 
 
 class TestPilotConfigs:

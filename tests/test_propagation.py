@@ -12,11 +12,12 @@ from risplan.propagation import (
     C_LIGHT_M_S,
     cascade,
     direct_channel,
+    direct_channels,
     element_positions,
-    fspl_amplitude,
+    ray_amplitudes,
     ris_channel,
     surface_element_positions,
-    wall_attenuation,
+    surface_legs,
     wall_factors,
 )
 from risplan.scene import parse_scene
@@ -35,38 +36,68 @@ def scene_with(**kwargs):
     return parse_scene(json.dumps(doc))
 
 
-class TestFspl:
+def amplitude(scene, a, b):
+    amp, _ = ray_amplitudes(scene, a, b)
+    return float(amp)
+
+
+def wall_factor(scene, a, b):
+    """A ray's amplitude over the same ray's amplitude with the walls taken out."""
+    return amplitude(scene, a, b) / amplitude(scene_with(carrier_hz=scene.carrier_hz), a, b)
+
+
+class TestRayAmplitudes:
     def test_inverse_distance_law(self):
-        a1 = fspl_amplitude(10.0, 1e9)
-        a2 = fspl_amplitude(20.0, 1e9)
+        scene = scene_with(carrier_hz=1e9)
+        a1 = amplitude(scene, [0, 0, 0], [10, 0, 0])
+        a2 = amplitude(scene, [0, 0, 0], [20, 0, 0])
         assert a1 / a2 == pytest.approx(2.0)
 
     def test_28ghz_one_meter_reference(self):
         # oracle: 20 log10(lambda / 4 pi) with lambda = c / 28e9 gives -61.391
-        amp = fspl_amplitude(1.0, 28e9)
+        amp = amplitude(scene_with(carrier_hz=28e9), [0, 0, 0], [0, 0, 1])
         assert 20 * math.log10(amp) == pytest.approx(
             20 * math.log10(C_LIGHT_M_S / 28e9 / (4 * math.pi))
         )
         assert 20 * math.log10(amp) == pytest.approx(-61.39, abs=0.01)
 
-    def test_zero_distance_rejected(self):
-        with pytest.raises(CoincidentNodeError):
-            fspl_amplitude(0.0, 1e9)
+    def test_returns_distance(self):
+        _, dist = ray_amplitudes(scene_with(), [1, 2, 3], [4, 6, 3])
+        assert dist == 5.0
+
+    def test_zero_length_ray_has_distance_zero(self):
+        # a zero-length ray does not raise; callers mask it or raise themselves
+        amp, dist = ray_amplitudes(scene_with(), [2, 1, 0], [[2, 1, 0], [5, 5, 0]])
+        assert dist[0] == 0.0
+        assert not np.isfinite(amp[0])
+        assert np.isfinite(amp[1]) and dist[1] == 5.0
+
+    def test_broadcast_shape(self):
+        amp, dist = ray_amplitudes(scene_with(), np.zeros((4, 1, 3)) + 1.0,
+                                   np.zeros((1, 5, 3)) + [3.0, 0.0, 0.0])
+        assert amp.shape == dist.shape == (4, 5)
+
+    def test_reciprocity(self):
+        scene = scene_with(walls=[TestWalls.WALL])
+        a = np.array([[0, 0, 1.5], [1, -2, 0.5]])
+        b = np.array([[10, 3, 2.0], [9, 4, 1.0]])
+        for x, y in zip(ray_amplitudes(scene, a, b), ray_amplitudes(scene, b, a)):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestWalls:
     WALL = {"p1_m": [5, -5], "p2_m": [5, 5], "penetration_loss_db": 20}
 
     def test_no_walls(self):
-        assert wall_attenuation([0, 0], [10, 0], ()) == 1.0
+        assert wall_factor(scene_with(), [0, 0, 0], [10, 0, 0]) == 1.0
 
     def test_single_crossing(self):
         scene = scene_with(walls=[self.WALL])
-        assert wall_attenuation([0, 0], [10, 0], scene.walls) == pytest.approx(0.1)
+        assert wall_factor(scene, [0, 0, 0], [10, 0, 0]) == pytest.approx(0.1)
 
     def test_miss(self):
         scene = scene_with(walls=[self.WALL])
-        assert wall_attenuation([0, 6], [10, 6], scene.walls) == 1.0
+        assert wall_factor(scene, [0, 6, 0], [10, 6, 0]) == 1.0
 
     def test_two_parallel_walls(self):
         scene = scene_with(
@@ -75,25 +106,72 @@ class TestWalls:
                 {"p1_m": [7, -5], "p2_m": [7, 5], "penetration_loss_db": 10},
             ]
         )
-        assert wall_attenuation([0, 0], [10, 0], scene.walls) == pytest.approx(0.1)
+        assert wall_factor(scene, [0, 0, 0], [10, 0, 0]) == pytest.approx(0.1)
 
     def test_endpoint_touch_counts(self):
         scene = scene_with(walls=[{"p1_m": [5, 0], "p2_m": [5, 5], "penetration_loss_db": 20}])
         # ray passes exactly through the wall's lower endpoint
-        assert wall_attenuation([0, 0], [10, 0], scene.walls) == pytest.approx(0.1)
+        assert wall_factor(scene, [0, 0, 0], [10, 0, 0]) == pytest.approx(0.1)
 
     def test_collinear_overlap_counts_once(self):
         scene = scene_with(walls=[{"p1_m": [2, 0], "p2_m": [8, 0], "penetration_loss_db": 20}])
-        assert wall_attenuation([0, 0], [10, 0], scene.walls) == pytest.approx(0.1)
+        assert wall_factor(scene, [0, 0, 0], [10, 0, 0]) == pytest.approx(0.1)
 
     def test_symmetry(self):
         scene = scene_with(walls=[self.WALL])
-        for p, q in [([0, 0], [10, 3]), ([1, -2], [9, 4])]:
-            assert wall_attenuation(p, q, scene.walls) == wall_attenuation(q, p, scene.walls)
+        for p, q in [([0, 0, 0], [10, 3, 0]), ([1, -2, 1], [9, 4, 2])]:
+            assert wall_factor(scene, p, q) == wall_factor(scene, q, p)
 
     def test_segment_not_infinite_line(self):
         scene = scene_with(walls=[{"p1_m": [5, 10], "p2_m": [5, 20], "penetration_loss_db": 20}])
-        assert wall_attenuation([0, 0], [10, 0], scene.walls) == 1.0
+        assert wall_factor(scene, [0, 0, 0], [10, 0, 0]) == 1.0
+
+    def test_amplitude_is_friis_times_wall_factors(self):
+        scene = scene_with(walls=[self.WALL, {"p1_m": [0, 4], "p2_m": [10, 4],
+                                              "penetration_loss_db": 3}])
+        a = np.array([0.0, 0.0, 1.0])
+        b = np.array([[10, 0, 1], [10, 6, 2], [1, 1, 1], [4, 9, 0]], dtype=float)
+        amp, dist = ray_amplitudes(scene, a, b)
+        friis = scene.wavelength_m / (4 * math.pi * dist)
+        np.testing.assert_array_equal(amp, friis * wall_factors(a, b, scene.walls))
+
+
+class TestChannelsUseThePrimitive:
+    """The direct and surface legs carry the primitive's amplitudes and lengths."""
+
+    def scene(self, antennas=1):
+        return scene_with(
+            bs=[{"position_m": [0, 0, 3], "antenna_count": antennas}],
+            ris={"position_m": [6, 2, 3], "element_count": 8},
+            walls=[{"p1_m": [3, -5], "p2_m": [3, 5], "penetration_loss_db": 9},
+                   {"p1_m": [4, 0.5], "p2_m": [9, 0.5], "penetration_loss_db": 4}],
+        )
+
+    POINTS = np.array([[5, 0, 1.5], [1, 4, 1.5], [8, -2, 1.0], [2, 1, 1.5], [7, 4, 1.5]])
+
+    def test_direct_channels(self):
+        scene = self.scene()
+        amp, dist = ray_amplitudes(scene, scene.bs[0].position_m, self.POINTS)
+        factors = wall_factors(scene.bs[0].position_m, self.POINTS, scene.walls)
+        assert np.any(factors < 1.0) and np.any(factors == 1.0)
+        ch = direct_channels(scene, 0, self.POINTS)
+        np.testing.assert_array_equal(ch.distance_m, dist)
+        # one antenna: no steering, the gain is the amplitude times the carrier phase
+        np.testing.assert_array_equal(
+            ch.gains[:, 0], amp * np.exp(-2j * math.pi * dist / scene.wavelength_m))
+        wide = direct_channels(self.scene(antennas=4), 0, self.POINTS)
+        np.testing.assert_allclose(np.abs(wide.gains), amp[:, None] * np.ones(4), rtol=1e-13)
+
+    def test_surface_legs(self):
+        scene = self.scene()
+        elems = surface_element_positions(scene)
+        amp, dist = ray_amplitudes(scene, elems[None, :, :], self.POINTS[:, None, :])
+        gains, dists = surface_legs(scene, self.POINTS)
+        np.testing.assert_array_equal(dists, dist)
+        np.testing.assert_array_equal(
+            gains, amp * np.exp(-2j * math.pi * dist / scene.wavelength_m))
+        factors = wall_factors(elems[None, :, :], self.POINTS[:, None, :], scene.walls)
+        assert np.any(factors < 1.0) and np.any(factors == 1.0)
 
 
 def reference_wall_attenuation(p1, p2, walls):
@@ -174,7 +252,7 @@ class TestDirectChannel:
     def test_single_antenna_amplitude(self):
         scene = scene_with()
         ch = direct_channel(scene, 0, [3, 4, 0])
-        assert abs(ch.gains[0]) == pytest.approx(fspl_amplitude(5.0, 3.5e9))
+        assert abs(ch.gains[0]) == pytest.approx(C_LIGHT_M_S / 3.5e9 / (4 * math.pi * 5.0))
         assert ch.delay_s == pytest.approx(5.0 / C_LIGHT_M_S)
 
     def test_broadside_in_phase(self):
@@ -312,6 +390,8 @@ class TestCascade:
     f=st.floats(1e9, 1e11),
 )
 def test_reciprocity_and_positivity(d, f):
-    amp = fspl_amplitude(d, f)
+    scene = scene_with(carrier_hz=f)
+    amp = amplitude(scene, [0, 0, 0], [d, 0, 0])
     assert amp > 0
-    assert fspl_amplitude(2 * d, f) == pytest.approx(amp / 2)
+    assert amplitude(scene, [d, 0, 0], [0, 0, 0]) == amp
+    assert amplitude(scene, [0, 0, 0], [2 * d, 0, 0]) == pytest.approx(amp / 2)
