@@ -10,8 +10,8 @@ Three planning questions, one package:
 * time: what an uncoordinated surface switching in another operator's band
   does to a victim link (:mod:`risplan.coexistence`).
 
-Hot numeric loops live in :mod:`risplan.kernels` with numba-compiled and
-pure-numpy variants; set ``RISPLAN_NUMBA=0`` to force the numpy path.
+Hot numeric loops live in :mod:`risplan.kernels`, one vectorized numpy
+implementation each.
 """
 
 from .errors import ConfigError, RunError, SceneError, TouchstoneError, CoincidentNodeError

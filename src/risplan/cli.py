@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coexistence import CoexistConfig, ris_direct_ratio_db, simulate, write_trace_csv
+from .coexistence import CoexistConfig, simulate, write_trace_csv
 from .errors import ConfigError, RunError
 from .influence import (
     classify,
@@ -203,14 +203,13 @@ def cmd_coexist(args: argparse.Namespace) -> int:
     base = os.path.splitext(os.path.basename(args.scene))[0]
 
     result = simulate(scene, ue, config)
-    ratio_db = ris_direct_ratio_db(scene, ue)
     write_trace_csv(result, out.path(f"{base}_coexist_trace.csv"))
     summary_path = out.path(f"{base}_coexist_summary.csv")
     with open(summary_path, "w", newline="") as fh:
         fh.write("slots,transmitting_slots,error_count,bler,ris_direct_ratio_db\n")
         fh.write(
             f"{config.slots},{result.transmitting_slots},{len(result.error_slots)},"
-            f"{result.bler!r},{ratio_db!r}\n"
+            f"{result.bler!r},{result.ris_direct_ratio_db!r}\n"
         )
 
     _write_manifest(

@@ -87,6 +87,7 @@ class CoexistResult:
     selected_rate_bps_hz: np.ndarray  # NaN over the warm-up slots
     capacity_bps_hz: np.ndarray
     transmitting_slots: int
+    ris_direct_ratio_db: float  # see ris_direct_ratio_db()
 
 
 def _victim_link(scene: Scene, ue_point):
@@ -106,11 +107,9 @@ def _victim_link(scene: Scene, ue_point):
     return base, ch, complex(np.vdot(w, ch.bs_steering))
 
 
-def _combined_amplitudes(
-    scene: Scene, ue_point, config: CoexistConfig
-) -> np.ndarray:
+def _combined_amplitudes(scene: Scene, link, config: CoexistConfig) -> np.ndarray:
     """Post-combining channel amplitude for each codebook entry."""
-    base, ch, steer_gain = _victim_link(scene, ue_point)
+    base, ch, steer_gain = link
     if ch is None:
         return np.array([base])
     book = config.codebook if config.codebook is not None else default_codebook(scene)
@@ -137,7 +136,8 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     so its random stream depends on the seed alone, never on the victim's
     position: two nearby UEs observe the same switching history.
     """
-    amps = _combined_amplitudes(scene, ue_point, config)
+    link = _victim_link(scene, ue_point)
+    amps = _combined_amplitudes(scene, link, config)
     power_w = dbm_to_watts(scene.link_budget.max_tx_power_dbm)
     noise_w = dbm_to_watts(scene.noise_power_dbm)
     snr_per_config = power_w * np.abs(amps) ** 2 / noise_w
@@ -176,6 +176,7 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
         selected_rate_bps_hz=selected,
         capacity_bps_hz=capacity,
         transmitting_slots=tx,
+        ris_direct_ratio_db=_ratio_db(link),
     )
 
 
@@ -186,7 +187,11 @@ def ris_direct_ratio_db(scene: Scene, ue_point) -> float:
     aligned), which bounds how far any configuration can move the combined
     channel; -inf when the scene has no surface.
     """
-    base, ch, steer_gain = _victim_link(scene, ue_point)
+    return _ratio_db(_victim_link(scene, ue_point))
+
+
+def _ratio_db(link) -> float:
+    base, ch, steer_gain = link
     if ch is None:
         return -math.inf
     ripple = float(np.sum(np.abs(ch.hop_products))) * abs(steer_gain)
@@ -215,7 +220,7 @@ def bler_vs_overlap_curve(
         rows.append(
             OverlapRow(
                 point=(float(p[0]), float(p[1]), float(p[2])),
-                ris_direct_ratio_db=ris_direct_ratio_db(scene, p),
+                ris_direct_ratio_db=result.ris_direct_ratio_db,
                 bler=result.bler,
             )
         )

@@ -43,7 +43,9 @@ import numpy as np
 
 from .errors import CoincidentNodeError, ConfigError, RunError
 from .linkmetrics import gain_pairs, se_pairs, tx_power_pairs
-from .linkmetrics import gain_pair, se_pair, tx_power_pair  # noqa: F401  (per-cell views)
+# not called here, but perfbench's CellTimer rebinds these names on this
+# module to time each cell, so they must stay bound
+from .linkmetrics import gain_pair, se_pair, tx_power_pair  # noqa: F401
 from .localization import peb_pair
 from .scene import Grid, METRIC_IDS, Scene, Thresholds
 from .secrecy import sse_pair
@@ -318,18 +320,8 @@ def energy_efficiency_boosted(imap: InfluenceMap) -> frozenset[int]:
 
     Energy efficiency is rate over transmit power at a fixed target rate, so
     it improves exactly where the required power falls: the boosted set of
-    the power map.
-    """
-    _power_map_only(imap)
-    return boosted_cells(imap)
-
-
-def self_exposure_boosted(imap: InfluenceMap) -> frozenset[int]:
-    """Cells where the self-exposure utility improves past the boost threshold.
-
-    Self-exposure scales with the same transmit power the energy-efficiency
-    reading divides by, so this set is identical to the energy-efficiency one
-    by construction.
+    the power map. Self-exposure scales with the same transmit power, so
+    this is also the set where self-exposure improves.
     """
     _power_map_only(imap)
     return boosted_cells(imap)

@@ -3,8 +3,8 @@
 All three metrics share one channel evaluation per (base station, point)
 pair. `equivalent_gain` reports the post-combining power gain averaged
 over subcarriers; `required_tx_power` inverts the uplink voice budget;
-`spectral_efficiency` rate-adapts at full power. Out-of-coverage points
-are reported as NaN so the mapping layer can treat them uniformly.
+`spectral_efficiency_from_gain` rate-adapts at full power. Out-of-coverage
+points are reported as NaN so the mapping layer can treat them uniformly.
 
 Grid maps go through one engine, :func:`gain_pairs`, which works on
 arrays of points: direct channels per base station for a whole block at
@@ -115,12 +115,6 @@ def spectral_efficiency_from_gain(gain_db: float, budget: LinkBudget) -> float:
         return math.nan
     se = math.log2(1.0 + 10.0 ** (snr_db / 10.0))
     return min(se, budget.se_max_bps_hz)
-
-
-def spectral_efficiency(scene: Scene, bs_index: int, point, ris_mode: str = "optimized") -> float:
-    return spectral_efficiency_from_gain(
-        equivalent_gain(scene, bs_index, point, ris_mode), link_budget(scene)
-    )
 
 
 def _cell_block(scene: Scene) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from risplan.coexistence import (
 )
 from risplan.errors import ConfigError
 from risplan.propagation import cascade, direct_channel, ris_channel
-from risplan.scene import parse_scene
+from risplan.scene import load_scene, parse_scene
 from risplan.seeding import derived_rng
 
 COEX = {
@@ -31,6 +32,8 @@ COEX = {
 
 NEAR = [11.0, 19.0, 1.5]
 FAR = [200.0, 5.0, 1.5]
+
+STREET = pathlib.Path(__file__).resolve().parent.parent / "scenes" / "street_coexistence.json"
 
 
 def coex_scene(**kwargs):
@@ -206,7 +209,17 @@ class TestSimulate:
 
 class TestOverlapCurve:
     def test_ratio_negative_infinity_without_surface(self):
-        assert ris_direct_ratio_db(coex_scene(ris=None), NEAR) == -math.inf
+        scene = coex_scene(ris=None)
+        assert ris_direct_ratio_db(scene, NEAR) == -math.inf
+        res = simulate(scene, NEAR, CoexistConfig(slots=50, switch_probability=0.5))
+        assert res.ris_direct_ratio_db == -math.inf
+
+    @pytest.mark.parametrize("point", [NEAR, FAR, [3.0, 27.0, 1.5]])
+    def test_simulate_carries_the_ratio(self, point):
+        scene = load_scene(str(STREET))
+        res = simulate(scene, point, CoexistConfig(slots=50, switch_probability=0.5))
+        assert res.ris_direct_ratio_db == ris_direct_ratio_db(scene, point)
+        assert math.isfinite(res.ris_direct_ratio_db)
 
     def test_ratio_decays_along_ray(self):
         scene = coex_scene()

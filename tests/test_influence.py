@@ -29,7 +29,6 @@ from risplan.influence import (
     field_filename,
     in_coverage,
     read_field_csv,
-    self_exposure_boosted,
     sweep,
 )
 from risplan.linkmetrics import gain_pair
@@ -395,9 +394,8 @@ class TestBoostedSets:
         wi = field_of([14.0, 19.99, 10.0], "tx_power_dbm", "with")
         return classify(wo, wi)
 
-    def test_energy_and_exposure_sets_identical(self):
+    def test_energy_set_is_boosted_set(self):
         imap = self.imap_power()
-        assert energy_efficiency_boosted(imap) == self_exposure_boosted(imap)
         assert energy_efficiency_boosted(imap) == boosted_cells(imap) == frozenset({0})
 
     def test_wrong_metric_rejected(self):

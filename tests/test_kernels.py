@@ -1,20 +1,11 @@
-"""Loop and numpy kernel variants must agree bit for bit, tie-breaks included."""
+"""Each kernel against an independent oracle, tie-breaks included."""
 
 import numpy as np
 import pytest
 
-from risplan.kernels import (
-    _ascent_quadratic_loops,
-    _forward_fill_loops,
-    _max_pair_contrast_loops,
-    ascent_quadratic,
-    ascent_quadratic_numpy,
-    eval_quadratic_gain,
-    forward_fill,
-    forward_fill_numpy,
-    max_pair_contrast,
-    max_pair_contrast_numpy,
-)
+from risplan import kernels
+from risplan.beamforming import RisConfig, coordinate_ascent
+from risplan.kernels import ascent_quadratic, eval_quadratic_gain, forward_fill, max_pair_contrast
 
 
 def random_quadratic(rng, m_count=12, n_lookup=4, k_count=1):
@@ -30,26 +21,19 @@ def random_quadratic(rng, m_count=12, n_lookup=4, k_count=1):
 
 
 class TestMaxPairContrast:
-    @pytest.mark.parametrize("n_states,n_freq", [(2, 5), (3, 17), (7, 64), (1, 9)])
-    def test_variants_identical(self, n_states, n_freq):
-        rng = np.random.default_rng(n_states * 100 + n_freq)
-        values = rng.standard_normal((n_states, n_freq)) + 1j * rng.standard_normal(
-            (n_states, n_freq)
-        )
-        expect = max_pair_contrast_numpy(values)
-        np.testing.assert_array_equal(_max_pair_contrast_loops(values), expect)
-        np.testing.assert_array_equal(max_pair_contrast(values), expect)
-
     def test_single_state_is_zero(self):
         values = np.ones((1, 6), dtype=np.complex128)
         np.testing.assert_array_equal(max_pair_contrast(values), np.zeros(6))
 
-    def test_matches_exhaustive(self):
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((5, 11)) + 1j * rng.standard_normal((5, 11))
-        brute = np.zeros(11)
-        for i in range(5):
-            for j in range(i + 1, 5):
+    @pytest.mark.parametrize("n_states,n_freq", [(5, 11), (2, 5), (3, 17), (7, 64), (1, 9)])
+    def test_matches_exhaustive(self, n_states, n_freq):
+        rng = np.random.default_rng(n_states * 100 + n_freq)
+        values = rng.standard_normal((n_states, n_freq)) + 1j * rng.standard_normal(
+            (n_states, n_freq)
+        )
+        brute = np.zeros(n_freq)
+        for i in range(n_states):
+            for j in range(i + 1, n_states):
                 brute = np.maximum(brute, np.abs(values[i] - values[j]))
         # brute force uses hypot-based abs, the kernel a naive modulus
         np.testing.assert_allclose(max_pair_contrast(values), brute, rtol=1e-14)
@@ -66,39 +50,54 @@ def mixed_block(seed):
 
 
 def rounds_to_converge(b, V, c0, lookup, init, k):
-    final = ascent_quadratic_numpy(b[k:k + 1], V[k:k + 1], c0[k:k + 1], lookup, init[k:k + 1], 50,
-                                   1e-12)
+    final = ascent_quadratic(b[k:k + 1], V[k:k + 1], c0[k:k + 1], lookup, init[k:k + 1], 50, 1e-12)
     for r in range(51):
-        idx, _ = ascent_quadratic_numpy(b[k:k + 1], V[k:k + 1], c0[k:k + 1], lookup,
-                                        init[k:k + 1], r, 1e-12)
+        idx, _ = ascent_quadratic(b[k:k + 1], V[k:k + 1], c0[k:k + 1], lookup, init[k:k + 1], r,
+                                  1e-12)
         if np.array_equal(idx, final[0]):
             return r
     raise AssertionError("did not converge")
 
 
-class TestAscentQuadratic:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_variants_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        b, V, c0, lookup, init = random_quadratic(rng, k_count=3)
-        idx_a, gain_a = _ascent_quadratic_loops(b, V, c0, lookup, init, 50, 1e-12)
-        idx_b, gain_b = ascent_quadratic_numpy(b, V, c0, lookup, init, 50, 1e-12)
-        np.testing.assert_array_equal(idx_a, idx_b)
-        np.testing.assert_array_equal(gain_a, gain_b)
-        idx_c, gain_c = ascent_quadratic(b, V, c0, lookup, init, 50, 1e-12)
-        np.testing.assert_array_equal(idx_c, idx_b)
-        np.testing.assert_array_equal(gain_c, gain_b)
+def ascend_alone(b, V, c0, lookup, init, max_rounds, rel_tol):
+    """beamforming.coordinate_ascent on G(z) for one cell; lookup positions stand in for phases."""
+    labels = np.arange(len(lookup), dtype=float)
 
+    def objective(config):
+        return eval_quadratic_gain(b, V, c0, lookup[np.asarray(config.phases_rad, dtype=np.int64)])
+
+    config, value, _ = coordinate_ascent(objective, len(b), labels, RisConfig(tuple(labels[init])),
+                                         max_rounds, rel_tol)
+    return np.asarray(config.phases_rad, dtype=np.int64), value
+
+
+ROUNDS_AND_TOLERANCES = [(0, 1e-12), (1, 1e-12), (2, 1e-12), (50, 1e-12), (50, 0.05)]
+
+
+def assert_matches_oracle(b, V, c0, lookup, init, max_rounds, rel_tol):
+    idx, gain = ascent_quadratic(b, V, c0, lookup, init, max_rounds, rel_tol)
+    for k in range(b.shape[0]):
+        idx_k, gain_k = ascend_alone(b[k], V[k], c0[k], lookup, init[k], max_rounds, rel_tol)
+        np.testing.assert_array_equal(idx[k], idx_k)
+        assert gain[k] == pytest.approx(gain_k, rel=1e-12, abs=0.0)
+
+
+class TestAscentQuadratic:
+    @pytest.mark.parametrize("max_rounds,rel_tol", ROUNDS_AND_TOLERANCES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_coordinate_ascent(self, seed, max_rounds, rel_tol):
+        rng = np.random.default_rng(seed)
+        assert_matches_oracle(*random_quadratic(rng, k_count=3), max_rounds, rel_tol)
+
+    @pytest.mark.parametrize("max_rounds,rel_tol", ROUNDS_AND_TOLERANCES)
     @pytest.mark.parametrize("seed", range(4))
-    def test_variants_identical_cells_converging_at_different_rounds(self, seed):
+    def test_matches_coordinate_ascent_cells_converging_at_different_rounds(
+        self, seed, max_rounds, rel_tol
+    ):
         b, V, c0, lookup, init = mixed_block(seed)
         rounds = {rounds_to_converge(b, V, c0, lookup, init, k) for k in range(b.shape[0])}
         assert len(rounds) > 1
-        for max_rounds, rel_tol in ((1, 1e-12), (2, 1e-12), (50, 1e-12), (50, 0.05)):
-            idx_a, gain_a = _ascent_quadratic_loops(b, V, c0, lookup, init, max_rounds, rel_tol)
-            idx_b, gain_b = ascent_quadratic_numpy(b, V, c0, lookup, init, max_rounds, rel_tol)
-            np.testing.assert_array_equal(idx_a, idx_b)
-            np.testing.assert_array_equal(gain_a, gain_b)
+        assert_matches_oracle(b, V, c0, lookup, init, max_rounds, rel_tol)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("rel_tol", [1e-12, 0.05])
@@ -106,11 +105,10 @@ class TestAscentQuadratic:
         # a loose tolerance stops cells short of a fixed point, so a cell
         # that kept sweeping with its block mates would end elsewhere
         b, V, c0, lookup, init = mixed_block(seed)
-        idx, gain = ascent_quadratic_numpy(b, V, c0, lookup, init, 50, rel_tol)
+        idx, gain = ascent_quadratic(b, V, c0, lookup, init, 50, rel_tol)
         for k in range(b.shape[0]):
             one = slice(k, k + 1)
-            idx_k, gain_k = ascent_quadratic_numpy(b[one], V[one], c0[one], lookup, init[one], 50,
-                                                   rel_tol)
+            idx_k, gain_k = ascent_quadratic(b[one], V[one], c0[one], lookup, init[one], 50, rel_tol)
             np.testing.assert_array_equal(idx_k[0], idx[k])
             assert gain_k[0] == gain[k]
 
@@ -147,13 +145,16 @@ class TestAscentQuadratic:
 
 class TestForwardFill:
     @pytest.mark.parametrize("seed", range(6))
-    def test_variants_identical(self, seed):
+    def test_matches_loop(self, seed):
         rng = np.random.default_rng(seed)
         n = 500
         switch = rng.random(n) < 0.3
         draws = rng.integers(0, 7, n)
-        expect = forward_fill_numpy(switch, draws)
-        np.testing.assert_array_equal(_forward_fill_loops(switch, draws), expect)
+        expect, cur = [], 0
+        for t in range(n):
+            if switch[t]:
+                cur = draws[t]
+            expect.append(cur)
         np.testing.assert_array_equal(forward_fill(switch, draws), expect)
 
     def test_no_switch_stays_at_zero(self):
@@ -168,3 +169,8 @@ class TestForwardFill:
     def test_switch_every_slot_copies_draws(self):
         draws = np.array([4, 0, 2, 2, 6], dtype=np.int64)
         np.testing.assert_array_equal(forward_fill(np.ones(5, dtype=bool), draws), draws)
+
+
+def test_numpy_backend_binding_kept():
+    # the benchmark names the kernel backend by this identity
+    assert kernels.ascent_quadratic is kernels.ascent_quadratic_numpy

@@ -17,7 +17,6 @@ from risplan.linkmetrics import (
     required_tx_power,
     se_pair,
     serving_bs,
-    spectral_efficiency,
     spectral_efficiency_from_gain,
     tx_power_pair,
 )
@@ -161,13 +160,6 @@ class TestSpectralEfficiency:
         assert s0 == pytest.approx(math.log2(1 + 1e-3), rel=1e-12)
         assert s1 == pytest.approx(math.log2(1 + 1e-3 * 10 ** 0.301), rel=1e-12)
         assert s1 / s0 == pytest.approx(2.0, rel=5e-3)
-
-    def test_scene_level_wrapper(self):
-        scene = scene_with()
-        gain = equivalent_gain(scene, 0, [1, 1, 0], "off")
-        assert spectral_efficiency(scene, 0, [1, 1, 0], "off") == pytest.approx(
-            spectral_efficiency_from_gain(gain, link_budget(scene))
-        )
 
     def test_nan_propagates(self):
         assert math.isnan(spectral_efficiency_from_gain(math.nan, BUDGET))
