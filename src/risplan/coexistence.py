@@ -34,6 +34,11 @@ from .propagation import (
 from .scene import Scene
 from .seeding import derived_rng
 
+# Rows per chunk of the trace writer. It bounds the text held at once (about
+# 0.5 MB at 8192 rows), never the bytes written, which are the same for any
+# chunk size.
+_TRACE_CHUNK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class CoexistConfig:
@@ -167,7 +172,7 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
             errors[d:] = capacity[d:] < selected[d:] * (1.0 - 1e-12)
 
     tx = max(n - d, 0)
-    error_slots = tuple(int(i) for i in np.nonzero(errors)[0])
+    error_slots = tuple(np.flatnonzero(errors).tolist())
     bler = len(error_slots) / tx if tx > 0 else 0.0
     return CoexistResult(
         bler=bler,
@@ -200,51 +205,38 @@ def _ratio_db(link) -> float:
     return 20.0 * math.log10(ripple / abs(base))
 
 
-@dataclass(frozen=True)
-class OverlapRow:
-    point: tuple[float, float, float]
-    ris_direct_ratio_db: float
-    bler: float
-
-
-def bler_vs_overlap_curve(
-    scene: Scene, ue_points, config: CoexistConfig
-) -> tuple[OverlapRow, ...]:
-    """BLER against surface-to-direct power ratio, one row per point."""
-    points = [np.asarray(p, dtype=float) for p in ue_points]
-    if not points:
-        raise ConfigError("need at least one point")
-    rows = []
-    for p in points:
-        result = simulate(scene, p, config)
-        rows.append(
-            OverlapRow(
-                point=(float(p[0]), float(p[1]), float(p[2])),
-                ris_direct_ratio_db=result.ris_direct_ratio_db,
-                bler=result.bler,
-            )
-        )
-    return tuple(rows)
-
-
 def write_trace_csv(result: CoexistResult, path: str) -> None:
-    """Per-slot log; floats via repr, so -inf and nan survive a round trip."""
+    """Per-slot log; floats via repr, so -inf and nan survive a round trip.
+
+    Rows are formatted from per-chunk string tables: within a chunk each
+    float column is coded by its float64 bit pattern, so ``-0.0`` and
+    ``0.0`` stay apart; each distinct value goes through ``repr`` once and
+    each distinct row tail is formatted once. The output is byte-identical
+    to formatting every row with ``repr``.
+    """
+    n = result.snr_trace_db.shape[0]
+    err = np.zeros(n, dtype=bool)
+    err[np.asarray(result.error_slots, dtype=np.intp)] = True
+    columns = (result.snr_trace_db, result.selected_rate_bps_hz, result.capacity_bps_hz)
     with open(path, "w", newline="") as fh:
         fh.write("slot,snr_db,selected_rate,actual_capacity,error\n")
-        err = set(result.error_slots)
-        for t in range(result.snr_trace_db.shape[0]):
-            fh.write(
-                f"{t},{float(result.snr_trace_db[t])!r},"
-                f"{float(result.selected_rate_bps_hz[t])!r},"
-                f"{float(result.capacity_bps_hz[t])!r},{int(t in err)}\n"
-            )
-
-
-def write_curve_csv(rows: tuple[OverlapRow, ...], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("x_m,y_m,z_m,ris_direct_ratio_db,bler\n")
-        for row in rows:
-            x, y, z = row.point
-            fh.write(
-                f"{x!r},{y!r},{z!r},{row.ris_direct_ratio_db!r},{row.bler!r}\n"
-            )
+        for start in range(0, n, _TRACE_CHUNK_ROWS):
+            stop = min(start + _TRACE_CHUNK_ROWS, n)
+            key = flags = err[start:stop].astype(np.int64)
+            codes, texts = [], []
+            for column in columns:
+                bits = np.ascontiguousarray(column[start:stop], dtype=np.float64)
+                values, code = np.unique(bits.view(np.uint64), return_inverse=True)
+                key = key * values.shape[0] + code
+                codes.append(code)
+                texts.append([repr(v) for v in values.view(np.float64).tolist()])
+            _, first, rows = np.unique(key, return_index=True, return_inverse=True)
+            snr, sel, cap = texts
+            tails = [
+                f",{snr[a]},{sel[b]},{cap[c]},{e}\n"
+                for a, b, c, e in zip(
+                    *(code[first].tolist() for code in codes), flags[first].tolist()
+                )
+            ]
+            lines = zip(range(start, stop), rows.tolist())
+            fh.write("".join(f"{t}{tails[r]}" for t, r in lines))

@@ -17,6 +17,8 @@ phases still register as contrast.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,10 @@ from .errors import ConfigError
 from .touchstone import StateRecord
 
 DEFAULT_CONTRAST_THRESHOLD = 1.0
+
+# Rows per write() of the contrast and normalized writers. It bounds the text
+# held at once, never the bytes written.
+_CSV_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -214,11 +220,11 @@ def normalized_contrast_table(
 # ---------------------------------------------------------------------------
 
 def write_contrast_csv(curve: ContrastCurve, path):
+    freqs = np.asarray(curve.frequencies_hz, dtype=np.float64).tolist()
+    contrast = np.asarray(curve.contrast, dtype=np.float64).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "contrast"])
-        for f, c in zip(curve.frequencies_hz, curve.contrast):
-            writer.writerow([repr(float(f)), repr(float(c))])
+        fh.write("frequency_hz,contrast\r\n")
+        _write_chunked(fh, (f"{f!r},{c!r}\r\n" for f, c in zip(freqs, contrast)))
 
 
 def write_boi_summary_csv(rows: list[tuple[str, BandOfInfluence]], path):
@@ -237,8 +243,22 @@ def write_boi_summary_csv(rows: list[tuple[str, BandOfInfluence]], path):
 
 
 def write_normalized_csv(rows: list[tuple[str, float, float]], path):
+    names = {name: _csv_field(name) for name in {row[0] for row in rows}}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "f_over_f0", "contrast"])
-        for name, x, c in rows:
-            writer.writerow([name, repr(x), repr(c)])
+        fh.write("name,f_over_f0,contrast\r\n")
+        _write_chunked(fh, (f"{names[name]},{x!r},{c!r}\r\n" for name, x, c in rows))
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it next to other fields of a row."""
+    buf = io.StringIO()
+    # a lone empty field would be quoted; the blank second field prevents it
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _write_chunked(fh, lines) -> None:
+    """Write formatted lines with one ``write`` per chunk of rows."""
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, _CSV_CHUNK_ROWS)):
+        fh.write(chunk)

@@ -25,7 +25,7 @@ from risplan.beamforming import (
     quantize_config,
     wrap_phase,
 )
-from risplan.coexistence import CoexistConfig, bler_vs_overlap_curve, simulate
+from risplan.coexistence import CoexistConfig, simulate
 from risplan.influence import (
     classify,
     energy_efficiency_boosted,
@@ -491,7 +491,7 @@ class TestCoexistence:
         )
         config = CoexistConfig(slots=100_000, switch_probability=0.5, codebook=book)
         ray = [[10.0 + 1.6 * k, 19.5 - 0.3 * k, 1.5] for k in range(10)]
-        rows = bler_vs_overlap_curve(scene, ray, config)
+        rows = [simulate(scene, point, config) for point in ray]
         rho = spearmanr(
             [row.ris_direct_ratio_db for row in rows], [row.bler for row in rows]
         ).statistic

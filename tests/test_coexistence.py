@@ -3,17 +3,18 @@
 import json
 import math
 import pathlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from risplan.beamforming import RisConfig, mrc_weights
 from risplan.coexistence import (
+    _TRACE_CHUNK_ROWS,
     CoexistConfig,
-    bler_vs_overlap_curve,
+    CoexistResult,
     ris_direct_ratio_db,
     simulate,
-    write_curve_csv,
     write_trace_csv,
 )
 from risplan.errors import ConfigError
@@ -40,6 +41,46 @@ def coex_scene(**kwargs):
     doc = json.loads(json.dumps(COEX))
     doc.update(kwargs)
     return parse_scene(json.dumps(doc))
+
+
+@dataclass(frozen=True)
+class OverlapRow:
+    point: tuple[float, float, float]
+    ris_direct_ratio_db: float
+    bler: float
+
+
+def bler_vs_overlap_curve(scene, ue_points, config):
+    """BLER against surface-to-direct power ratio, one row per point."""
+    if not ue_points:
+        raise ConfigError("need at least one point")
+    rows = []
+    for p in ue_points:
+        result = simulate(scene, p, config)
+        point = tuple(float(c) for c in p)
+        rows.append(OverlapRow(point, result.ris_direct_ratio_db, result.bler))
+    return tuple(rows)
+
+
+def write_curve_csv(rows, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("x_m,y_m,z_m,ris_direct_ratio_db,bler\n")
+        for row in rows:
+            x, y, z = row.point
+            fh.write(f"{x!r},{y!r},{z!r},{row.ris_direct_ratio_db!r},{row.bler!r}\n")
+
+
+def reference_trace(result):
+    """The trace as a per-row loop formats it: the oracle for write_trace_csv."""
+    lines = ["slot,snr_db,selected_rate,actual_capacity,error\n"]
+    err = set(result.error_slots)
+    for t in range(result.snr_trace_db.shape[0]):
+        lines.append(
+            f"{t},{float(result.snr_trace_db[t])!r},"
+            f"{float(result.selected_rate_bps_hz[t])!r},"
+            f"{float(result.capacity_bps_hz[t])!r},{int(t in err)}\n"
+        )
+    return "".join(lines).encode()
 
 
 class TestConfigValidation:
@@ -140,6 +181,7 @@ class TestSimulate:
                                                          csi_delay_slots=5))
         assert res.transmitting_slots == 0
         assert res.bler == 0.0
+        assert np.all(np.isnan(res.selected_rate_bps_hz))
 
     def test_capacity_column_follows_gap(self):
         cfg = CoexistConfig(slots=50, switch_probability=0.0, mcs_gap_db=3.0)
@@ -290,3 +332,49 @@ class TestCsvWriters:
         write_trace_csv(simulate(scene, NEAR, cfg), a)
         write_trace_csv(simulate(scene, NEAR, cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestTraceWriterOracle:
+    """write_trace_csv against the per-row reference, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "scene_kwargs, config",
+        [
+            ({}, CoexistConfig(slots=20_000, switch_probability=0.5)),
+            ({}, CoexistConfig(slots=20_000, switch_probability=0.5,
+                               rate_table=(0.5, 2.0, 4.0, 6.0, 8.0))),
+            ({}, CoexistConfig(slots=20_000, switch_probability=0.5, csi_delay_slots=3)),
+            ({}, CoexistConfig(slots=3, switch_probability=1.0, csi_delay_slots=3)),
+            ({"ris": None}, CoexistConfig(slots=20_000, switch_probability=0.5)),
+        ],
+        ids=["default", "rate_table", "csi_delay_3", "all_warmup", "no_surface"],
+    )
+    def test_simulated_trace(self, tmp_path, scene_kwargs, config):
+        res = simulate(coex_scene(**scene_kwargs), NEAR, config)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(res, path)
+        assert path.read_bytes() == reference_trace(res)
+
+    def test_signed_zeros_and_non_finite_across_chunks(self, tmp_path):
+        n = 2 * _TRACE_CHUNK_ROWS + 37
+        rng = np.random.default_rng(5)
+        negative_nan = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+        pool = np.array([np.nan, negative_nan, -np.inf, np.inf, 0.0, -0.0, 1.5, 5e-324])
+        snr, sel, cap = (pool[rng.integers(0, pool.size, n)] for _ in range(3))
+        snr[:2], sel[:2], cap[:2] = (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)
+        errors = np.flatnonzero(rng.random(n) < 0.3)
+        res = CoexistResult(
+            bler=0.0,
+            snr_trace_db=snr,
+            error_slots=tuple(errors.tolist()),
+            selected_rate_bps_hz=sel,
+            capacity_bps_hz=cap,
+            transmitting_slots=n,
+            ris_direct_ratio_db=-math.inf,
+        )
+        path = tmp_path / "trace.csv"
+        write_trace_csv(res, path)
+        expected = reference_trace(res)
+        assert path.read_bytes() == expected
+        assert b"\n0,0.0,-0.0,-0.0," in expected
+        assert b",-inf," in expected and b",nan," in expected

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from risplan.unitcell import (
     max_contrast,
     max_contrast_effective,
     normalized_contrast_table,
+    write_contrast_csv,
+    write_normalized_csv,
 )
 
 
@@ -336,3 +340,55 @@ def test_normalized_requires_positive_f0():
     curve = ContrastCurve(f, np.ones(2), "reflection")
     with pytest.raises(ConfigError, match="f0"):
         normalized_contrast_table([("d", curve, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# CSV writers against csv.writer, byte for byte
+# ---------------------------------------------------------------------------
+
+SPECIAL_FLOATS = [float("nan"), float("-inf"), float("inf"), 0.0, -0.0, 5e-324, 1.25e9]
+
+
+def csv_reference(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def test_contrast_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 2 * 8192 + 11
+    freqs = np.linspace(1e9, 2e9, n)
+    contrast = rng.uniform(0.0, 2.0, n)
+    contrast[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    curve = ContrastCurve(freqs, contrast, "reflection")
+    write_contrast_csv(curve, tmp_path / "new.csv")
+    csv_reference(
+        tmp_path / "ref.csv",
+        ["frequency_hz", "contrast"],
+        ([repr(float(f)), repr(float(c))] for f, c in zip(freqs, contrast)),
+    )
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_normalized_csv_matches_csv_writer(tmp_path):
+    names = ["pin", "a,b", 'say "hi"', "", "line\nbreak", " lead"]
+    rng = np.random.default_rng(4)
+    rows = [
+        (names[i % len(names)], float(x), float(c))
+        for i, (x, c) in enumerate(rng.uniform(0.5, 1.5, (2 * 8192 + 5, 2)))
+    ]
+    rows[: len(SPECIAL_FLOATS)] = [
+        (names[i % len(names)], v, -v) for i, v in enumerate(SPECIAL_FLOATS)
+    ]
+    write_normalized_csv(rows, tmp_path / "new.csv")
+    csv_reference(
+        tmp_path / "ref.csv",
+        ["name", "f_over_f0", "contrast"],
+        ([name, repr(x), repr(c)] for name, x, c in rows),
+    )
+    expected = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == expected
+    assert b'"a,b",' in expected and b'"say ""hi""",' in expected
