@@ -97,6 +97,8 @@ def optimal_phases_continuous(ris_ch: RisChannel, direct: complex) -> RisConfig:
     phi_m = arg(direct) - arg(hop_m), so |direct + cascade| becomes
     |direct| + sum_m |hop_m| (the triangle bound with equality). A zero
     direct path aligns the hops with each other (arg 0 by convention).
+    Kept as a deliberate oracle (the unquantized optimum), on no
+    command-line path.
     """
     hops = ris_ch.hop_products
     phases = wrap_phase(np.angle(complex(direct)) - np.angle(hops))
@@ -265,7 +267,9 @@ def coordinate_ascent(
     ``objective(config) -> float`` may be any deterministic function.
     Returns (best_config, best_value, trace) where trace holds the value
     after each completed round; the trace is non-decreasing because every
-    switch requires strict improvement.
+    switch requires strict improvement. Kept as a deliberate oracle, on no
+    command-line path: ``kernels.ascent_quadratic`` and the batched phase
+    search of ``secrecy.sse_pairs`` are tested against it.
     """
     lookup = [float(p) for p in np.asarray(lookup_rad, dtype=float)]
     if init is None:
@@ -335,7 +339,10 @@ def default_codebook(scene: Scene) -> tuple[RisConfig, ...]:
 
 
 def codebook_sweep(scene: Scene, bs_index: int, point, codebook=None):
-    """(best_config, best_gain): post-combining gain argmax, ties -> first."""
+    """(best_config, best_gain): post-combining gain argmax, ties -> first.
+
+    Kept as a deliberate oracle of the codebook, on no command-line path.
+    """
     if codebook is None:
         codebook = default_codebook(scene)
     if not codebook:

@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     aoi.add_argument("--seed", type=int, default=None,
                      help="override the scene seed")
     aoi.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for the per-cell metrics peb_m and "
-                     "sse_bps_hz (default: all cores); the gain-family maps run "
-                     "grid-batched in-process")
+                     help="worker processes for the per-cell metric peb_m "
+                     "(default: all cores); every other map, sse_bps_hz "
+                     "included, runs grid-batched in-process")
     aoi.add_argument("--force", action="store_true",
                      help="overwrite existing output files")
     aoi.set_defaults(func=cmd_aoi)

@@ -43,12 +43,13 @@ import numpy as np
 
 from .errors import CoincidentNodeError, ConfigError, RunError
 from .linkmetrics import gain_pairs, se_pairs, tx_power_pairs
-# not called here, but perfbench's CellTimer rebinds these names on this
-# module to time each cell, so they must stay bound
-from .linkmetrics import gain_pair, se_pair, tx_power_pair  # noqa: F401
 from .localization import peb_pair
 from .scene import Grid, METRIC_IDS, Scene, Thresholds
-from .secrecy import sse_pair
+from .secrecy import sse_pairs
+# not called here, but perfbench's CellTimer looks these per-cell names up
+# on this module and rebinds them to time each cell, so they must stay bound
+from .linkmetrics import gain_pair, se_pair, tx_power_pair  # noqa: F401
+from .secrecy import sse_pair  # noqa: F401
 
 LABELS = ("unchanged", "boosted", "enabled", "degraded", "marginal", "infeasible_both")
 
@@ -123,16 +124,12 @@ def _peb_cell(scene: Scene, point: np.ndarray, index: int) -> tuple[float, float
     return peb_pair(scene, point, point_index=index)
 
 
-def _sse_cell(scene: Scene, point: np.ndarray, index: int) -> tuple[float, float]:
-    return sse_pair(scene, point, point_index=index)
-
-
 METRICS: dict[str, _Metric] = {
     "gain_db": _Metric(higher_better=True, pairs=gain_pairs),
     "tx_power_dbm": _Metric(higher_better=False, pairs=tx_power_pairs),
     "se_bps_hz": _Metric(higher_better=True, pairs=se_pairs),
     "peb_m": _Metric(higher_better=False, pair=_peb_cell),
-    "sse_bps_hz": _Metric(higher_better=True, pair=_sse_cell, needs_eve=True),
+    "sse_bps_hz": _Metric(higher_better=True, pairs=sse_pairs, needs_eve=True),
 }
 
 assert set(METRICS) == set(METRIC_IDS)
@@ -163,15 +160,17 @@ def sweep(
 ) -> tuple[MetricField, MetricField]:
     """Evaluate a metric over the whole grid; returns (without, with) fields.
 
-    Gain-family metrics (``gain_db``, ``tx_power_dbm``, ``se_bps_hz``) run
-    grid-batched in this process and ignore ``jobs``. The per-cell metrics
-    (``peb_m``, ``sse_bps_hz``) fan cells out to a process pool when
-    ``jobs`` > 1; results come back in cell order either way, and all
-    randomness derives from the scene seed plus the cell index, so the
-    worker count never changes the output. A per-cell evaluation that
-    lands on a scene node (``CoincidentNodeError``) turns into a NaN pair
-    for that cell; the gain engine masks such cells the same way (see
-    :func:`risplan.linkmetrics.gain_pairs`).
+    Every metric but ``peb_m`` runs grid-batched in this process and
+    ignores ``jobs``: the gain family (``gain_db``, ``tx_power_dbm``,
+    ``se_bps_hz``) through :func:`risplan.linkmetrics.gain_pairs`,
+    ``sse_bps_hz`` through :func:`risplan.secrecy.sse_pairs`. Only
+    ``peb_m`` runs cell by cell, and it alone fans cells out to a process
+    pool when ``jobs`` > 1; results come back in cell order either way,
+    and all randomness derives from the scene seed plus the cell index, so
+    the worker count never changes the output. A cell on a scene node
+    (``CoincidentNodeError``) is a NaN pair for ``peb_m`` and
+    ``sse_bps_hz``; the gain engine drops a station the cell sits on and
+    reads NaN only on a surface element or with no station left.
     """
     metric = _require_metric(metric_id)
     if metric.needs_eve and scene.eve is None:

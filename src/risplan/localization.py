@@ -271,8 +271,9 @@ def ml_position_rmse(
 
     A local grid around the true point picks the likelihood basin, a
     simplex polish finds the minimum. Intended for high-SNR sanity runs
-    against the bound, not as a practical estimator: an oracle for the
-    tests, on no command-line path, so scipy loads only when it runs.
+    against the bound, not as a practical estimator: kept as a deliberate
+    oracle for the tests, on no command-line path, so scipy loads only
+    when it runs.
     """
     from scipy.optimize import minimize
 

@@ -7,12 +7,18 @@ seed, draw index). The transmit side optimizes a single covariance
 matrix on the power ball; the surface side runs quantized coordinate
 ascent on the secrecy rate. Neither side can lose to switching the
 surface dark, because the dark configuration is always compared in.
+
+Maps go through one engine, :func:`sse_pairs`, which runs that
+alternating ascent on blocks of points in lock-step; ``sse_pair`` is a
+one-row view of it. The per-point :func:`optimize_sse` and
+:func:`optimize_q` are on no command-line path: they are kept as the
+deliberate oracles the engine is tested against, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -189,7 +195,8 @@ def optimize_q(
 
     Returns (q, unclamped rate difference, clamped objective trace).
     Steps are only taken on strict improvement, so the trace is
-    non-decreasing by construction.
+    non-decreasing by construction. Kept as the one-link oracle of the
+    lock-step covariance ascent inside :func:`sse_pairs`.
     """
     n = link.h_rx.shape[1]
     if q0 is None:
@@ -234,7 +241,11 @@ class SseResult:
 def optimize_sse(
     scene: Scene, point, point_index: int = 0, draw: int = 0, outer_rounds: int = 5
 ) -> SseResult:
-    """Alternating covariance / surface-phase ascent on the secrecy rate."""
+    """Alternating covariance / surface-phase ascent on the secrecy rate.
+
+    Kept as the per-point oracle of :func:`sse_pairs`, which must give the
+    same bits for every point; maps never call it.
+    """
     channels = secrecy_link(scene, point, point_index, draw)
     q_wo, val_wo, _ = optimize_q(channels.link(None))
     sse_without = max(val_wo, 0.0)
@@ -287,12 +298,251 @@ def optimize_sse(
 
 
 def sse_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
-    """(without, with) secrecy rate, averaged over the scene's fading draws."""
+    """(without, with) secrecy rate at one point: a one-row view of :func:`sse_pairs`."""
+    return sse_pairs(scene, [point], [point_index])[0]
+
+
+# ---------------------------------------------------------------------------
+# grid-batched ascent: the per-cell algorithm above, on a block of cells in
+# lock-step, every loop level masked per cell
+
+# Memory held by one block's candidate cascades (complex, lookup levels x
+# M x N_bs per cell). It bounds the working set, never the result, which
+# is the same for any block size.
+_BLOCK_BYTES = 4 * 2**20
+
+
+def _cell_block(scene: Scene) -> int:
+    per_cell = sum(bs.antenna_count for bs in scene.bs)
+    if scene.ris is not None:
+        per_cell *= len(scene.ris.phase_lookup_rad) * scene.ris.element_count
+    return max(1, _BLOCK_BYTES // (16 * per_cell))
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    return np.conj(a).swapaxes(-1, -2)
+
+
+_MATRICES = ("direct_rx", "direct_eve", "bs_to_ris", "ris_to_rx", "ris_to_eve")
+
+
+def _stack(channels: list[SecrecyChannels]) -> SecrecyChannels:
+    """Cells' channels stacked on a leading axis."""
+    first = channels[0]
+    return replace(first, **{
+        name: None if getattr(first, name) is None
+        else np.stack([getattr(c, name) for c in channels])
+        for name in _MATRICES
+    })
+
+
+def _rows(ch: SecrecyChannels, rows: np.ndarray) -> SecrecyChannels:
+    """Some cells of stacked channels."""
+    return replace(ch, **{
+        name: None if getattr(ch, name) is None else getattr(ch, name)[rows]
+        for name in _MATRICES
+    })
+
+
+def _realize(ch: SecrecyChannels, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``SecrecyChannels.link``: (h_rx, h_eve) for phases (K, M) or (K, L, M)."""
+    lead = (slice(None),) + (None,) * (phases.ndim - 2)
+    cascade = ch.bs_to_ris[lead] * np.exp(1j * phases)[..., None]
+    return (
+        ch.direct_rx[lead] + ch.ris_to_rx[lead] @ cascade,
+        ch.direct_eve[lead] + ch.ris_to_eve[lead] @ cascade,
+    )
+
+
+def _rate_differences(h_rx, h_eve, q, noise_w: float) -> np.ndarray:
+    """Stacked :func:`rate_difference` over any leading shape."""
+    def rates(h):
+        gram = np.eye(h.shape[-2]) + h @ q @ _hermitian(h) / noise_w
+        sign, logdet = np.linalg.slogdet(gram)
+        return np.where(sign.real <= 0, 0.0, logdet / LN2)
+
+    return rates(h_rx) - rates(h_eve)
+
+
+def _project_trace_balls(q: np.ndarray, power_w: float) -> np.ndarray:
+    """Stacked :func:`_project_trace_ball`, the simplex step row by row."""
+    herm = (q + _hermitian(q)) / 2.0
+    w, v = np.linalg.eigh(herm)
+    w = np.maximum(w, 0.0)
+    over = np.flatnonzero(np.sum(w, axis=-1) > power_w)
+    if over.size:
+        drop = np.sort(w[over], axis=-1)[:, ::-1]
+        cum = np.cumsum(drop, axis=-1)
+        k = np.arange(1, w.shape[-1] + 1)
+        valid = drop - (cum - power_w) / k > 0
+        rho = w.shape[-1] - np.argmax(valid[:, ::-1], axis=-1)  # last valid index + 1
+        theta = (cum[np.arange(over.size), rho - 1] - power_w) / rho
+        w[over] = np.maximum(w[over] - theta[:, None], 0.0)
+    return (v * w[..., None, :]) @ _hermitian(v)
+
+
+def _gradients(h_rx, h_eve, q, noise_w: float) -> np.ndarray:
+    def half(h):
+        hh = _hermitian(h)
+        mid = noise_w * np.eye(h.shape[-2]) + h @ q @ hh
+        return hh @ np.linalg.solve(mid, h)
+
+    return (half(h_rx) - half(h_eve)) / LN2
+
+
+def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float,
+              max_iters: int = 100, rel_tol: float = 1e-5):
+    """:func:`optimize_q` on a block of K cells; returns q (K, n, n) and values (K,).
+
+    ``q0`` is None for the isotropic start. A cell leaves the gradient loop,
+    and the step-halving loop, exactly where it would alone.
+    """
+    k, n = h_rx.shape[0], h_rx.shape[-1]
+    if q0 is None:
+        q = np.repeat((power_w / n * np.eye(n, dtype=np.complex128))[None], k, axis=0)
+    else:
+        q = _project_trace_balls(q0, power_w)
+    val = _rate_differences(h_rx, h_eve, q, noise_w)
+    live = np.arange(k)
+    for _ in range(max_iters):
+        grad = _gradients(h_rx[live], h_eve[live], q[live], noise_w)
+        # one norm per cell: a stacked Frobenius norm sums in another order
+        scale = np.array([float(np.linalg.norm(g)) for g in grad])
+        moving = scale != 0.0
+        live, grad, step = live[moving], grad[moving], power_w / scale[moving]
+        prev = val[live]
+        pending = np.arange(live.size)  # positions in ``live`` still halving
+        for _ in range(40):
+            if not pending.size:
+                break
+            rows = live[pending]
+            cand = _project_trace_balls(q[rows] + step[pending, None, None] * grad[pending], power_w)
+            cand_val = _rate_differences(h_rx[rows], h_eve[rows], cand, noise_w)
+            up = cand_val > val[rows]
+            q[rows[up]] = cand[up]
+            val[rows[up]] = cand_val[up]
+            pending = pending[~up]
+            step[pending] /= 2.0
+        improved = np.ones(live.size, dtype=bool)
+        improved[pending] = False
+        stalled = val[live] - prev < rel_tol * np.maximum(np.abs(prev), 1e-12)
+        live = live[improved & ~stalled]
+        if not live.size:
+            break
+    return q, val
+
+
+def _ascend_phases(ch: SecrecyChannels, q, phases, val, lookup,
+                   max_rounds: int = 20, rel_tol: float = 1e-6) -> None:
+    """:func:`beamforming.coordinate_ascent` on the rate difference, K cells at once.
+
+    ``phases`` (K, M) and ``val`` (K,) hold each cell's configuration and its
+    value under ``q`` (K, n, n); both are updated in place. All lookup
+    candidates of one element go through one stacked evaluation, then are
+    compared in lookup order with strict improvement, as one cell alone.
+    """
+    lookup = np.asarray(lookup, dtype=float)
+    live = np.arange(len(val))
+    for _ in range(max_rounds):
+        sub = _rows(ch, live)
+        q_live = q[live][:, None]
+        before = val[live]
+        for m in range(phases.shape[1]):
+            trial = np.repeat(phases[live][:, None, :], lookup.size, axis=1)
+            trial[:, :, m] = lookup
+            cand = _rate_differences(*_realize(sub, trial), q_live, ch.noise_w)
+            current = phases[live, m]
+            best, best_phase = val[live], current.copy()
+            for level, phase in enumerate(lookup):
+                up = (phase != current) & (cand[:, level] > best)
+                best = np.where(up, cand[:, level], best)
+                best_phase = np.where(up, phase, best_phase)
+            switch = best > val[live]
+            phases[live[switch], m] = best_phase[switch]
+            val[live[switch]] = best[switch]
+        stalled = val[live] - before < rel_tol * np.maximum(np.abs(before), 1.0)
+        live = live[~stalled]
+        if not live.size:
+            break
+
+
+def _sse_block(ch: SecrecyChannels, lookup, outer_rounds: int = 5) -> list[tuple[float, float]]:
+    """:func:`optimize_sse`'s (without, with) for a stack of cells' channels."""
+    _, val_wo = _ascend_q(ch.direct_rx, ch.direct_eve, None, ch.noise_w, ch.power_w)
+    without = [max(v, 0.0) for v in val_wo.tolist()]
+    if ch.bs_to_ris is None:
+        return [(v, v) for v in without]
+
+    k, m = ch.bs_to_ris.shape[:2]
+    phases = np.zeros((k, m))
+    val = np.full(k, -math.inf)
+    q = None
+    live = np.arange(k)
+    for _ in range(outer_rounds):
+        round_start = val[live]
+        sub = _rows(ch, live)
+        q_live, val_live = _ascend_q(
+            *_realize(sub, phases[live]), None if q is None else q[live], ch.noise_w, ch.power_w
+        )
+        phases_live = phases[live]
+        _ascend_phases(sub, q_live, phases_live, val_live, lookup)
+        if q is None:
+            q = q_live
+        else:
+            q[live] = q_live
+        phases[live] = phases_live
+        val[live] = val_live
+        stalled = np.isfinite(round_start) & (
+            val_live - round_start < 1e-5 * np.maximum(np.abs(round_start), 1e-12)
+        )
+        live = live[~stalled]
+        if not live.size:
+            break
+
+    pairs = []
+    for wo, v in zip(without, val.tolist()):
+        w = max(v, 0.0)
+        pairs.append((wo, wo if wo >= w else w))
+    return pairs
+
+
+def sse_pairs(scene: Scene, points, point_indices=None) -> list[tuple[float, float]]:
+    """(without, with) secrecy rate at each point, averaged over the scene's fading draws.
+
+    The grid-batched engine behind the ``sse_bps_hz`` map. Each point's
+    fading comes from its index (``point_indices``, by default its position
+    in ``points``) exactly as in :func:`optimize_sse`, and blocks of points
+    run the alternating covariance / phase ascent in lock-step (Dong & Wang,
+    IEEE WCL 2020), every loop masked per point, so each reading is the one
+    :func:`optimize_sse` gives for the point alone, whatever the block size.
+    Draws are accumulated in draw order. A point on a scene node
+    (``CoincidentNodeError``) gets a NaN pair.
+    """
+    if scene.eve is None:
+        raise RunError("secrecy metrics need an eavesdropper in the scene")
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    indices = range(len(points)) if point_indices is None else list(point_indices)
+    lookup = () if scene.ris is None else scene.ris.phase_lookup_rad
     draws = scene.secrecy.fading_draws
-    without = 0.0
-    with_ris = 0.0
-    for draw in range(draws):
-        result = optimize_sse(scene, point, point_index, draw)
-        without += result.sse_without
-        with_ris += result.sse_with
-    return without / draws, with_ris / draws
+    block = _cell_block(scene)
+    pairs: list[tuple[float, float]] = []
+    for start in range(0, len(points), block):
+        rows = list(range(start, min(start + block, len(points))))
+        sums = {i: (0.0, 0.0) for i in rows}
+        for draw in range(draws):
+            channels = []
+            for i in list(sums):
+                try:
+                    channels.append((i, secrecy_link(scene, points[i], indices[i], draw)))
+                except CoincidentNodeError:
+                    del sums[i]
+            if not channels:
+                break
+            block_pairs = _sse_block(_stack([c for _, c in channels]), lookup)
+            for (i, _), (wo, wi) in zip(channels, block_pairs):
+                sums[i] = (sums[i][0] + wo, sums[i][1] + wi)
+        pairs.extend(
+            (sums[i][0] / draws, sums[i][1] / draws) if i in sums else (math.nan, math.nan)
+            for i in rows
+        )
+    return pairs

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risplan import linkmetrics
+from risplan import influence, linkmetrics, secrecy
 from risplan.errors import ConfigError, RunError
 from risplan.influence import (
     LABEL_COLORS,
@@ -151,6 +151,11 @@ class TestSweep:
             without, with_ = sweep(scene, metric)
             assert math.isnan(without.values[7]) and math.isnan(with_.values[7]), metric
 
+    def test_per_cell_names_stay_bound(self):
+        # perfbench's CellTimer looks these up on the module and rebinds them
+        for name in ("gain_pair", "tx_power_pair", "se_pair", "peb_pair", "sse_pair"):
+            assert callable(getattr(influence, name)), name
+
     def test_unknown_metric(self):
         with pytest.raises(ConfigError, match="unknown metric"):
             sweep(small_scene(), "latency_ms")
@@ -167,7 +172,7 @@ def walled_street():
 
 
 class TestBatchedSweepInvariance:
-    """Gain-family maps do not depend on the cell block size or on ``jobs``."""
+    """Grid-batched maps do not depend on the cell block size or on ``jobs``."""
 
     @pytest.fixture(scope="class", params=["office_energy", "street_coexistence"])
     def scene(self, request):
@@ -185,6 +190,40 @@ class TestBatchedSweepInvariance:
         for without, with_ in runs:
             np.testing.assert_array_equal(without.values, reference[0].values)
             np.testing.assert_array_equal(with_.values, reference[1].values)
+
+    @pytest.fixture(scope="class")
+    def courtyard(self):
+        scene = load_scene(SCENES / "courtyard_secrecy.json")
+        return scene, sweep(scene, "sse_bps_hz", jobs=1)
+
+    @pytest.mark.parametrize("block", [None, 7, 1])
+    def test_secrecy_block_size_and_jobs(self, courtyard, block, monkeypatch):
+        scene, reference = courtyard
+        assert np.isfinite(reference[1].values).all()
+        assert np.any(np.array(reference[1].values) > np.array(reference[0].values))
+        if block is None:
+            run = sweep(scene, "sse_bps_hz", jobs=2)
+        else:
+            antennas = sum(bs.antenna_count for bs in scene.bs)
+            levels = len(scene.ris.phase_lookup_rad)
+            per_cell = 16 * levels * scene.ris.element_count * antennas
+            monkeypatch.setattr(secrecy, "_BLOCK_BYTES", per_cell * block)
+            assert secrecy._cell_block(scene) == block
+            run = sweep(scene, "sse_bps_hz", jobs=1)
+        for field, ref in zip(run, reference):
+            np.testing.assert_array_equal(field.values, ref.values)
+
+    def test_secrecy_walls_single_cell_blocks(self, monkeypatch):
+        doc = json.loads((SCENES / "courtyard_secrecy.json").read_text())
+        doc["ue_grid"]["resolution_m"] = 4
+        doc["walls"] = [{"p1_m": [5, 20], "p2_m": [5, 80], "penetration_loss_db": 20},
+                        {"p1_m": [12, 35], "p2_m": [18, 45], "penetration_loss_db": 7}]
+        scene = parse_scene(json.dumps(doc))
+        reference = sweep(scene, "sse_bps_hz")
+        monkeypatch.setattr(secrecy, "_BLOCK_BYTES", 1)
+        assert secrecy._cell_block(scene) == 1
+        for field, ref in zip(sweep(scene, "sse_bps_hz"), reference):
+            np.testing.assert_array_equal(field.values, ref.values)
 
     def test_walls_single_cell_blocks(self, monkeypatch):
         scene = walled_street()

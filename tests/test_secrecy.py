@@ -2,15 +2,17 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from risplan.beamforming import RisConfig
-from risplan.errors import RunError
+from risplan.errors import CoincidentNodeError, RunError
 from risplan.secrecy import (
     MimoLink,
     SecrecyChannels,
+    _ascend_q,
     _project_trace_ball,
     optimize_q,
     optimize_sse,
@@ -18,8 +20,11 @@ from risplan.secrecy import (
     secrecy_link,
     secrecy_rate,
     sse_pair,
+    sse_pairs,
 )
-from risplan.scene import parse_scene
+from risplan.scene import load_scene, parse_scene
+
+SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 
 SSE = {
     "spec_version": 1,
@@ -379,3 +384,137 @@ class TestTinyInstanceOracle:
         assert best > 0
         result = optimize_sse(scene, point)
         assert result.sse_with >= 0.95 * best
+
+
+def per_cell_map(scene):
+    """The oracle: :func:`optimize_sse` cell by cell, draws summed in draw order."""
+    pairs = []
+    for i, point in enumerate(scene.grid.points()):
+        without = with_ris = 0.0
+        try:
+            for draw in range(scene.secrecy.fading_draws):
+                result = optimize_sse(scene, point, point_index=i, draw=draw)
+                without += result.sse_without
+                with_ris += result.sse_with
+        except CoincidentNodeError:
+            pairs.append((math.nan, math.nan))
+            continue
+        draws = scene.secrecy.fading_draws
+        pairs.append((without / draws, with_ris / draws))
+    return pairs
+
+
+def assert_same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    differ = np.flatnonzero(np.any(got.view(np.uint64) != want.view(np.uint64), axis=-1))
+    assert differ.size == 0, f"cells {differ.tolist()}: {got[differ]} vs {want[differ]}"
+
+
+def courtyard_doc():
+    return json.loads((SCENES / "courtyard_secrecy.json").read_text())
+
+
+def coarse_courtyard(**changes):
+    """The bundled courtyard on a 6 x 6 grid, with top-level entries replaced."""
+    doc = courtyard_doc()
+    doc["ue_grid"]["resolution_m"] = 4
+    for key, value in changes.items():
+        doc[key] = value
+    return parse_scene(json.dumps(doc))
+
+
+def benchmark_courtyard():
+    """A 7 x 7 courtyard shaped like the benchmark's: M=16, 4/2/2 antennas, 4 levels."""
+    return parse_scene(json.dumps({
+        "spec_version": 1,
+        "carrier_hz": 3.5e9,
+        "seed": 1234567,
+        "bs": [{"position_m": [-2.5, 0.0, 10.0], "antenna_count": 4}],
+        "ris": {"position_m": [14.5, 55.0, 5.0], "element_count": 16},
+        "eve": {"position_m": [11.0, 24.0, 1.5], "antenna_count": 2},
+        "ue_grid": {"x_min": 3.5, "x_max": 23.5, "y_min": 30.0, "y_max": 50.0,
+                    "resolution_m": 3.0, "fixed_height_m": 1.5},
+        "secrecy": {"rx_antenna_count": 2, "power_budget_dbm": 30.0},
+    }))
+
+
+class TestBatchedOracle:
+    """``sse_pairs`` reproduces per-cell ``optimize_sse`` bit for bit."""
+
+    def test_bundled_courtyard(self):
+        scene = load_scene(SCENES / "courtyard_secrecy.json")
+        assert_same_bits(sse_pairs(scene, scene.grid.points()), per_cell_map(scene))
+
+    def test_benchmark_shaped_courtyard(self):
+        scene = benchmark_courtyard()
+        assert scene.grid.cell_count == 49
+        assert_same_bits(sse_pairs(scene, scene.grid.points()), per_cell_map(scene))
+
+    @pytest.mark.parametrize("variant", [
+        "two_draws", "one_element", "one_level_lookup", "walled", "no_surface",
+    ])
+    def test_variants(self, variant):
+        doc = courtyard_doc()
+        changes = {
+            "two_draws": {"secrecy": {**doc["secrecy"], "fading_draws": 2}},
+            "one_element": {"ris": {**doc["ris"], "element_count": 1}},
+            "one_level_lookup": {"ris": {**doc["ris"], "phase_lookup_rad": [0.5]}},
+            "walled": {"walls": [
+                {"p1_m": [5, 20], "p2_m": [5, 80], "penetration_loss_db": 20},
+                {"p1_m": [12, 35], "p2_m": [18, 45], "penetration_loss_db": 7},
+            ]},
+            "no_surface": {"ris": None},
+        }[variant]
+        scene = coarse_courtyard(**changes)
+        got = sse_pairs(scene, scene.grid.points())
+        assert np.all(np.isfinite(got))
+        assert_same_bits(got, per_cell_map(scene))
+
+    def test_cells_on_nodes_are_nan_pairs(self):
+        # cell 7 sits on the station, cell 14 on the surface centre
+        doc = courtyard_doc()
+        scene = coarse_courtyard(
+            bs=[{"position_m": [4, 34, 1.5], "antenna_count": 4}],
+            ris={**doc["ris"], "position_m": [8, 38, 1.5]},
+        )
+        got = sse_pairs(scene, scene.grid.points())
+        assert [i for i, pair in enumerate(got) if math.isnan(pair[0])] == [7, 14]
+        assert all(math.isnan(pair[1]) for pair in (got[7], got[14]))
+        assert_same_bits(got, per_cell_map(scene))
+
+    def test_pair_is_one_row_view(self):
+        scene = coarse_courtyard()
+        points = scene.grid.points()
+        batched = sse_pairs(scene, points)
+        for i in (0, 13, 35):
+            assert_same_bits([sse_pair(scene, points[i], point_index=i)], [batched[i]])
+
+    def test_point_indices_seed_the_fading(self):
+        scene = coarse_courtyard()
+        points = scene.grid.points()[[3, 9]]
+        got = sse_pairs(scene, points, point_indices=[3, 9])
+        assert_same_bits(got, [sse_pair(scene, points[0], 3), sse_pair(scene, points[1], 9)])
+        assert got != sse_pairs(scene, points)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_covariance_ascent_matches_optimize_q(self, warm):
+        # a regime where cells need different numbers of step halvings
+        # (up to three here) and stop at different iterations
+        rng = np.random.default_rng(7)
+        links = [random_link(rng, n_rx=3, n_eve=1, n_bs=3, noise=0.1, power=1.0,
+                             eve_scale=scale)
+                 for scale in rng.uniform(0.3, 3.0, size=40)]
+        starts = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
+        h_rx = np.stack([link.h_rx for link in links])
+        h_eve = np.stack([link.h_eve for link in links])
+        q, val = _ascend_q(h_rx, h_eve, starts if warm else None, 0.1, 1.0)
+        for k, link in enumerate(links):
+            want_q, want_val, _ = optimize_q(link, q0=starts[k] if warm else None)
+            assert_same_bits(q[k].view(np.float64), want_q.view(np.float64))
+            assert_same_bits([val[k]], [want_val])
+
+    def test_requires_eavesdropper(self):
+        with pytest.raises(RunError):
+            sse_pairs(sse_scene(eve=None), [[10, 50, 1.5]])
