@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -108,6 +109,8 @@ def _parse_point(text: str, scene: Scene) -> np.ndarray:
         coords = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"--ue coordinates must be numbers, got {text!r}") from None
+    if not all(math.isfinite(c) for c in coords):
+        raise ConfigError(f"--ue coordinates must be finite, got {text!r}")
     if len(coords) == 2:
         coords.append(scene.grid.fixed_height_m)
     return np.array(coords)
@@ -155,6 +158,8 @@ def cmd_boi(args: argparse.Namespace) -> int:
 
 
 def cmd_aoi(args: argparse.Namespace) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     scene = _apply_seed(load_scene(args.scene), args.seed)
     out = _OutDir(args.out_dir, args.force)
     base = os.path.splitext(os.path.basename(args.scene))[0]
@@ -176,7 +181,7 @@ def cmd_aoi(args: argparse.Namespace) -> int:
         out,
         "aoi",
         args.scene,
-        {"metric": args.metric, "jobs": args.jobs if args.jobs else "auto"},
+        {"metric": args.metric, "jobs": "auto" if args.jobs is None else args.jobs},
         scene.seed,
     )
     desired = len(imap.desired_aoi_cells)

@@ -66,10 +66,10 @@ class CoexistConfig:
             raise ConfigError("switch_probability must lie in [0, 1]")
         if self.csi_delay_slots < 1:
             raise ConfigError("csi_delay_slots must be >= 1")
-        if self.mcs_gap_db < 0.0:
-            raise ConfigError("mcs_gap_db must be >= 0")
-        if self.snr_margin_db < 0.0:
-            raise ConfigError("snr_margin_db must be >= 0")
+        if not (math.isfinite(self.mcs_gap_db) and self.mcs_gap_db >= 0.0):
+            raise ConfigError("mcs_gap_db must be finite and >= 0")
+        if not (math.isfinite(self.snr_margin_db) and self.snr_margin_db >= 0.0):
+            raise ConfigError("snr_margin_db must be finite and >= 0")
         if self.codebook is not None:
             book = tuple(self.codebook)
             if not book:
@@ -92,7 +92,7 @@ class CoexistResult:
     selected_rate_bps_hz: np.ndarray  # NaN over the warm-up slots
     capacity_bps_hz: np.ndarray
     transmitting_slots: int
-    ris_direct_ratio_db: float  # see ris_direct_ratio_db()
+    ris_direct_ratio_db: float  # see _ratio_db()
 
 
 def _victim_link(scene: Scene, ue_point):
@@ -185,17 +185,13 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     )
 
 
-def ris_direct_ratio_db(scene: Scene, ue_point) -> float:
+def _ratio_db(link) -> float:
     """Peak surface ripple over the direct amplitude after combining, in dB.
 
     The numerator is the best-case coherent cascade (all element phases
     aligned), which bounds how far any configuration can move the combined
     channel; -inf when the scene has no surface.
     """
-    return _ratio_db(_victim_link(scene, ue_point))
-
-
-def _ratio_db(link) -> float:
     base, ch, steer_gain = link
     if ch is None:
         return -math.inf

@@ -84,12 +84,6 @@ class MetricField:
                 f"{len(self.values)} values for a {self.grid.cell_count}-cell grid"
             )
 
-    def as_array(self) -> np.ndarray:
-        """Values as an (ny, nx) array, rows south to north."""
-        return np.asarray(self.values, dtype=np.float64).reshape(
-            self.grid.ny, self.grid.nx
-        )
-
 
 @dataclass(frozen=True)
 class InfluenceMap:
@@ -100,11 +94,6 @@ class InfluenceMap:
     aoi_cells: frozenset[int]
     desired_aoi_cells: frozenset[int]
     undesired_aoi_cells: frozenset[int]
-
-    def cells_labeled(self, label: str) -> frozenset[int]:
-        if label not in LABELS:
-            raise ValueError(f"unknown label {label!r}, expected one of {LABELS}")
-        return frozenset(i for i, lab in enumerate(self.labels) if lab == label)
 
     def delta_field(self) -> MetricField:
         return MetricField(self.grid, self.metric_id, "delta", self.delta_db)
@@ -224,7 +213,6 @@ def classify(
     without: MetricField,
     with_: MetricField,
     thresholds: Thresholds | None = None,
-    sense: str | None = None,
 ) -> InfluenceMap:
     """Label every cell by how the surface changed the metric there."""
     if without.grid != with_.grid:
@@ -234,14 +222,7 @@ def classify(
             f"metric mismatch: {without.metric_id!r} vs {with_.metric_id!r}"
         )
     metric_id = without.metric_id
-    if sense is None:
-        higher_better = _require_metric(metric_id).higher_better
-    elif sense in ("higher_better", "lower_better"):
-        higher_better = sense == "higher_better"
-    else:
-        raise ValueError(
-            f"sense must be 'higher_better' or 'lower_better', got {sense!r}"
-        )
+    higher_better = _require_metric(metric_id).higher_better
     if thresholds is None:
         thresholds = Thresholds()
     boost, unchanged = thresholds.for_metric(metric_id)
@@ -292,40 +273,6 @@ def classify(
     )
 
 
-def aoi_threshold_mask(field: MetricField, q_th: float) -> frozenset[int]:
-    """Cells whose reading meets the quality threshold (NaN never does)."""
-    if not math.isfinite(q_th):
-        raise ValueError("q_th must be finite")
-    return frozenset(
-        i
-        for i, v in enumerate(field.values)
-        if not math.isnan(v) and v >= q_th
-    )
-
-
-def boosted_cells(imap: InfluenceMap) -> frozenset[int]:
-    return imap.cells_labeled("boosted")
-
-
-def _power_map_only(imap: InfluenceMap) -> None:
-    if imap.metric_id != "tx_power_dbm":
-        raise ValueError(
-            f"defined on the tx_power_dbm map, got {imap.metric_id!r}"
-        )
-
-
-def energy_efficiency_boosted(imap: InfluenceMap) -> frozenset[int]:
-    """Cells where uplink energy efficiency improves past the boost threshold.
-
-    Energy efficiency is rate over transmit power at a fixed target rate, so
-    it improves exactly where the required power falls: the boosted set of
-    the power map. Self-exposure scales with the same transmit power, so
-    this is also the set where self-exposure improves.
-    """
-    _power_map_only(imap)
-    return boosted_cells(imap)
-
-
 # ---------------------------------------------------------------------------
 # file export
 
@@ -346,57 +293,6 @@ def export_csv(field: MetricField, path: str) -> None:
         for i, v in enumerate(field.values):
             x, y = field.grid.cell_xy(i)
             fh.write(f"{x!r},{y!r},{float(v)!r}\n")
-
-
-def read_field_csv(
-    path: str,
-    metric_id: str = "gain_db",
-    kind: str = "without",
-    fixed_height_m: float = 0.0,
-) -> MetricField:
-    """Inverse of :func:`export_csv`; the grid is inferred from the coords."""
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "x_m,y_m,value":
-            raise ValueError(f"unexpected header {header!r}")
-        xs: list[float] = []
-        ys: list[float] = []
-        vals: list[float] = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sx, sy, sv = line.split(",")
-            xs.append(float(sx))
-            ys.append(float(sy))
-            vals.append(float(sv))
-    if not vals:
-        raise ValueError("no data rows")
-    ux = sorted(set(xs))
-    uy = sorted(set(ys))
-    if len(ux) > 1:
-        resolution = ux[1] - ux[0]
-    elif len(uy) > 1:
-        resolution = uy[1] - uy[0]
-    else:
-        resolution = 1.0
-    grid = Grid(
-        x_min=ux[0],
-        x_max=ux[-1],
-        y_min=uy[0],
-        y_max=uy[-1],
-        resolution_m=resolution,
-        fixed_height_m=fixed_height_m,
-    )
-    if grid.cell_count != len(vals):
-        raise ValueError(
-            f"{len(vals)} rows do not fill a {grid.nx} x {grid.ny} grid"
-        )
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        gx, gy = grid.cell_xy(i)
-        if abs(gx - x) > 1e-9 or abs(gy - y) > 1e-9:
-            raise ValueError(f"row {i + 2} out of grid order")
-    return MetricField(grid, metric_id, kind, tuple(vals))
 
 
 def _image_rows(grid: Grid) -> Iterable[range]:

@@ -78,7 +78,8 @@ def equivalent_gain(scene: Scene, bs_index: int, point, ris_mode: str = "optimiz
     """Mean-subcarrier power gain in dB at a given station, NaN when the point sits on a node.
 
     The optimized reading is the best quantized configuration, never worse
-    than leaving the surface off.
+    than leaving the surface off. Kept as a deliberate oracle of the
+    serving-station readings of :func:`gain_pair`, on no command-line path.
     """
     if ris_mode not in RIS_MODES:
         raise ValueError(f"ris_mode must be one of {RIS_MODES}, got {ris_mode!r}")

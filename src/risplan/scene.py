@@ -3,8 +3,7 @@
 A scene is a JSON document (``spec_version: 1``) describing base stations,
 an evaluation grid, optionally a surface, walls and an eavesdropper, plus
 the numeric knobs the metric engines need. Parsing applies documented
-defaults, rejects unknown keys with their key path, and can re-emit a
-canonical dump (sorted keys, defaults materialized) that round-trips.
+defaults and rejects unknown keys with their key path.
 
 Positions may be given as [x, y] or [x, y, z] metres; 2D inputs are stored
 with z = 0 so every distance is a plain 3D norm. Grid cells sit at
@@ -127,11 +126,6 @@ class Grid:
             raise IndexError(f"cell index {index} outside 0..{self.cell_count - 1}")
         iy, ix = divmod(index, self.nx)
         return (self.x_min + ix * self.resolution_m, self.y_min + iy * self.resolution_m)
-
-    def cell_index(self, ix: int, iy: int) -> int:
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            raise IndexError(f"cell ({ix}, {iy}) outside {self.nx} x {self.ny} grid")
-        return iy * self.nx + ix
 
     def points(self) -> np.ndarray:
         """All cell centres as an (n, 3) array, row-major."""
@@ -520,93 +514,3 @@ def load_scene(path) -> Scene:
     except SceneError as exc:
         raise SceneError("", f"{path}: {exc}") from None
 
-
-# ---------------------------------------------------------------------------
-# canonical dump
-# ---------------------------------------------------------------------------
-
-def canonical_dict(scene: Scene) -> dict:
-    """Scene as a plain dict with every default materialized."""
-    doc = {
-        "spec_version": 1,
-        "carrier_hz": scene.carrier_hz,
-        "subcarrier_count": scene.subcarrier_count,
-        "subcarrier_spacing_hz": scene.subcarrier_spacing_hz,
-        "noise_psd_dbm_hz": scene.noise_psd_dbm_hz,
-        "noise_figure_db": scene.noise_figure_db,
-        "seed": scene.seed,
-        "bs": [
-            {
-                "position_m": list(b.position_m),
-                "antenna_count": b.antenna_count,
-                "spacing_m": b.spacing_m,
-                "orientation_rad": b.orientation_rad,
-            }
-            for b in scene.bs
-        ],
-        "ue_grid": {
-            "x_min": scene.grid.x_min,
-            "x_max": scene.grid.x_max,
-            "y_min": scene.grid.y_min,
-            "y_max": scene.grid.y_max,
-            "resolution_m": scene.grid.resolution_m,
-            "fixed_height_m": scene.grid.fixed_height_m,
-        },
-        "walls": [
-            {
-                "p1_m": list(w.p1_m),
-                "p2_m": list(w.p2_m),
-                "penetration_loss_db": w.penetration_loss_db,
-            }
-            for w in scene.walls
-        ],
-        "link_budget": {
-            "target_snr_db": scene.link_budget.target_snr_db,
-            "max_tx_power_dbm": scene.link_budget.max_tx_power_dbm,
-            "min_tx_power_dbm": scene.link_budget.min_tx_power_dbm,
-            "se_max_bps_hz": scene.link_budget.se_max_bps_hz,
-        },
-        "localization": {
-            "pilot_count": scene.localization.pilot_count,
-            "tx_power_dbm": scene.localization.tx_power_dbm,
-        },
-        "secrecy": {
-            "rx_antenna_count": scene.secrecy.rx_antenna_count,
-            "power_budget_dbm": scene.secrecy.power_budget_dbm,
-            "fading_draws": scene.secrecy.fading_draws,
-        },
-        "thresholds": {
-            "boost_db": scene.thresholds.boost_db,
-            "unchanged_db": scene.thresholds.unchanged_db,
-            "change_floor_db": scene.thresholds.change_floor_db,
-            "peb_feasible_m": scene.thresholds.peb_feasible_m,
-            "qos_min": {mid: v for mid, v in scene.thresholds.qos_min},
-            "per_metric": {
-                mid: {"boost_db": pair[0], "unchanged_db": pair[1]}
-                for mid, pair in scene.thresholds.per_metric
-            },
-        },
-    }
-    doc["ris"] = (
-        None
-        if scene.ris is None
-        else {
-            "position_m": list(scene.ris.position_m),
-            "element_count": scene.ris.element_count,
-            "element_spacing_m": scene.ris.element_spacing_m,
-            "orientation_rad": scene.ris.orientation_rad,
-            "phase_lookup_rad": list(scene.ris.phase_lookup_rad),
-            "element_efficiency": scene.ris.element_efficiency,
-            "codebook_directions": scene.ris.codebook_directions,
-        }
-    )
-    doc["eve"] = (
-        None
-        if scene.eve is None
-        else {"position_m": list(scene.eve.position_m), "antenna_count": scene.eve.antenna_count}
-    )
-    return doc
-
-
-def canonical_json(scene: Scene) -> str:
-    return json.dumps(canonical_dict(scene), sort_keys=True, indent=2) + "\n"

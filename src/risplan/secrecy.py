@@ -126,21 +126,6 @@ def secrecy_link(scene: Scene, point, point_index: int = 0, draw: int = 0) -> Se
     )
 
 
-def _validate_q(q: np.ndarray, power_w: float) -> np.ndarray:
-    q = np.asarray(q, dtype=np.complex128)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"covariance must be square, got {q.shape}")
-    scale = max(float(np.max(np.abs(q))), 1.0)
-    if np.max(np.abs(q - q.conj().T)) > 1e-9 * scale:
-        raise ValueError("covariance must be Hermitian")
-    eig = np.linalg.eigvalsh(q)
-    if eig[0] < -1e-9 * scale:
-        raise ValueError("covariance must be positive semidefinite")
-    if float(np.real(np.trace(q))) > power_w * (1.0 + 1e-9):
-        raise ValueError("covariance exceeds the power budget")
-    return q
-
-
 def _log2det_rate(h: np.ndarray, q: np.ndarray, noise_w: float) -> float:
     gram = np.eye(h.shape[0]) + h @ q @ h.conj().T / noise_w
     sign, logdet = np.linalg.slogdet(gram)
@@ -154,12 +139,6 @@ def rate_difference(link: MimoLink, q: np.ndarray) -> float:
     return _log2det_rate(link.h_rx, q, link.noise_w) - _log2det_rate(
         link.h_eve, q, link.noise_w
     )
-
-
-def secrecy_rate(link: MimoLink, q) -> float:
-    """Clamped secrecy spectral efficiency for a validated covariance."""
-    q = _validate_q(q, link.power_w)
-    return max(rate_difference(link, q), 0.0)
 
 
 def _project_trace_ball(q: np.ndarray, power_w: float) -> np.ndarray:

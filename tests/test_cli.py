@@ -14,7 +14,7 @@ import pytest
 import risplan
 from risplan import __version__
 from risplan.cli import main
-from risplan.influence import read_field_csv, sweep
+from risplan.influence import classify, sweep
 from risplan.scene import parse_scene
 
 SCENE = {
@@ -40,6 +40,16 @@ COEX_SCENE = {
         "resolution_m": 1, "fixed_height_m": 1.5,
     },
 }
+
+
+def csv_columns(path):
+    """x, y and value columns of an exported field CSV, as uint64 bit patterns."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return rows.view(np.uint64).T
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def write_scene(tmp_path, doc, name="scene.json"):
@@ -169,12 +179,11 @@ class TestAoi:
         main(["aoi", scene_path, "--metric", "gain_db", "--out-dir", str(out), "--jobs", "1"])
         scene = parse_scene(json.dumps(SCENE))
         without, with_ = sweep(scene, "gain_db")
-        got = read_field_csv(out / "scene_gain_db_without.csv", "gain_db", "without",
-                             fixed_height_m=scene.grid.fixed_height_m)
-        np.testing.assert_array_equal(got.values, without.values)
-        got = read_field_csv(out / "scene_gain_db_with.csv", "gain_db", "with",
-                             fixed_height_m=scene.grid.fixed_height_m)
-        np.testing.assert_array_equal(got.values, with_.values)
+        xy = bits(scene.grid.points()[:, :2]).T
+        for field in (without, with_):
+            x, y, value = csv_columns(out / f"scene_gain_db_{field.kind}.csv")
+            np.testing.assert_array_equal([x, y], xy)
+            np.testing.assert_array_equal(value, bits(field.values))
 
     def test_manifest_records_run(self, tmp_path):
         scene_path = write_scene(tmp_path, SCENE)
@@ -234,9 +243,11 @@ class TestAoi:
         with pytest.warns(UserWarning, match="flat"):
             assert main(["aoi", scene_path, "--metric", "gain_db",
                          "--out-dir", str(out), "--jobs", "1"]) == 0
-        delta = read_field_csv(out / "bare_gain_db_delta.csv", "gain_db", "delta",
-                               fixed_height_m=1.5)
-        np.testing.assert_array_equal(delta.values, np.zeros(6))
+        _, _, delta = csv_columns(out / "bare_gain_db_delta.csv")
+        scene = parse_scene(json.dumps(scene_without(SCENE, "ris")))
+        imap = classify(*sweep(scene, "gain_db"), scene.thresholds)
+        np.testing.assert_array_equal(delta, bits(imap.delta_db))
+        np.testing.assert_array_equal(delta, bits(np.zeros(6)))
         labels = (out / "bare_gain_db_labels.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",unchanged") for line in labels)
 
@@ -250,15 +261,27 @@ class TestAoi:
         out = tmp_path / "out"
         assert main(["aoi", scene_path, "--metric", metric,
                      "--out-dir", str(out), "--jobs", "1"]) == 0
-        got = read_field_csv(out / f"scene_{metric}_with.csv", metric, "with",
-                             fixed_height_m=1.5)
-        assert math.isnan(got.values[0]) == (metric != "gain_db")
+        _, _, value = csv_columns(out / f"scene_{metric}_with.csv")
+        _, with_ = sweep(parse_scene(json.dumps(doc)), metric)
+        np.testing.assert_array_equal(value, bits(with_.values))
+        assert math.isnan(with_.values[0]) == (metric != "gain_db")
 
     def test_sse_without_eve_exits_3(self, tmp_path, capsys):
         scene_path = write_scene(tmp_path, SCENE)
         assert main(["aoi", scene_path, "--metric", "sse_bps_hz",
                      "--out-dir", str(tmp_path / "o")]) == 3
         assert "eavesdropper" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_2_writing_nothing(self, tmp_path, capsys, jobs):
+        scene_path = write_scene(tmp_path, SCENE)
+        out = tmp_path / "out"
+        assert main(["aoi", scene_path, "--metric", "gain_db",
+                     "--out-dir", str(out), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
 
     def test_missing_scene_exits_2(self, tmp_path, capsys):
         assert main(["aoi", str(tmp_path / "gone.json"), "--metric", "gain_db"]) == 2
@@ -323,6 +346,23 @@ class TestCoexist:
         assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", "10",
                      "--ue", "11", "--out", str(tmp_path / "o")]) == 2
         assert "--ue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ue", "nan,5", "--ue coordinates must be finite"),
+        ("--ue", "inf,5", "--ue coordinates must be finite"),
+        ("--margin-db", "nan", "snr_margin_db must be finite"),
+        ("--gap-db", "nan", "mcs_gap_db must be finite"),
+    ], ids=["ue-nan", "ue-inf", "margin-nan", "gap-nan"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, flag, value, message):
+        scene_path = write_scene(tmp_path, COEX_SCENE)
+        out = tmp_path / "out"
+        args = {"--ue": "11,19", flag: value}
+        argv = ["coexist", scene_path, "--switch-prob", "0.5", "--slots", "10",
+                "--out", str(out)] + [tok for item in args.items() for tok in item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         scene_path = write_scene(tmp_path, COEX_SCENE)

@@ -13,11 +13,11 @@ from risplan.coexistence import (
     _TRACE_CHUNK_ROWS,
     CoexistConfig,
     CoexistResult,
-    ris_direct_ratio_db,
     simulate,
     write_trace_csv,
 )
 from risplan.errors import ConfigError
+from risplan.linkmetrics import serving_bs
 from risplan.propagation import cascade, direct_channel, ris_channel
 from risplan.scene import load_scene, parse_scene
 from risplan.seeding import derived_rng
@@ -70,6 +70,16 @@ def write_curve_csv(rows, path):
             fh.write(f"{x!r},{y!r},{z!r},{row.ris_direct_ratio_db!r},{row.bler!r}\n")
 
 
+def ratio_from_definition(scene, point):
+    """Coherent surface ripple over the combined direct amplitude, in dB."""
+    bs_index = serving_bs(scene, point)
+    direct = direct_channel(scene, bs_index, point)
+    w = mrc_weights(direct.gains)
+    ch = ris_channel(scene, bs_index, point)
+    ripple = np.sum(np.abs(ch.hop_products)) * abs(np.vdot(w, ch.bs_steering))
+    return 20.0 * math.log10(ripple / abs(np.vdot(w, direct.gains)))
+
+
 def reference_trace(result):
     """The trace as a per-row loop formats it: the oracle for write_trace_csv."""
     lines = ["slot,snr_db,selected_rate,actual_capacity,error\n"]
@@ -117,6 +127,12 @@ class TestConfigValidation:
     def test_negative_margin_rejected(self):
         with pytest.raises(ConfigError, match="margin"):
             CoexistConfig(slots=10, switch_probability=0.5, snr_margin_db=-1.0)
+
+    @pytest.mark.parametrize("field", ["mcs_gap_db", "snr_margin_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_db_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            CoexistConfig(slots=10, switch_probability=0.5, **{field: value})
 
 
 class TestSimulate:
@@ -218,7 +234,6 @@ class TestSimulate:
         res = simulate(scene, NEAR, cfg)
 
         from risplan.beamforming import default_codebook
-        from risplan.linkmetrics import serving_bs
 
         bs_index = serving_bs(scene, NEAR)
         direct = direct_channel(scene, bs_index, NEAR)
@@ -252,7 +267,6 @@ class TestSimulate:
 class TestOverlapCurve:
     def test_ratio_negative_infinity_without_surface(self):
         scene = coex_scene(ris=None)
-        assert ris_direct_ratio_db(scene, NEAR) == -math.inf
         res = simulate(scene, NEAR, CoexistConfig(slots=50, switch_probability=0.5))
         assert res.ris_direct_ratio_db == -math.inf
 
@@ -260,13 +274,15 @@ class TestOverlapCurve:
     def test_simulate_carries_the_ratio(self, point):
         scene = load_scene(str(STREET))
         res = simulate(scene, point, CoexistConfig(slots=50, switch_probability=0.5))
-        assert res.ris_direct_ratio_db == ris_direct_ratio_db(scene, point)
+        assert res.ris_direct_ratio_db == ratio_from_definition(scene, point)
         assert math.isfinite(res.ris_direct_ratio_db)
 
     def test_ratio_decays_along_ray(self):
         scene = coex_scene()
+        config = CoexistConfig(slots=1, switch_probability=0.5)
         ratios = [
-            ris_direct_ratio_db(scene, [11.0, 19.0 - 2.5 * k, 1.5]) for k in range(6)
+            simulate(scene, [11.0, 19.0 - 2.5 * k, 1.5], config).ris_direct_ratio_db
+            for k in range(6)
         ]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
