@@ -305,6 +305,43 @@ class TestClassify:
         assert imap.labels == ("boosted", "marginal", "marginal", "unchanged",
                                "unchanged", "degraded", "degraded")
 
+    def test_lower_better_band_edges_inclusive(self):
+        # a power drop of exactly the boost or unchanged threshold lands in
+        # the higher band; a rise of exactly the unchanged threshold degrades
+        th = Thresholds(per_metric=(("tx_power_dbm", (3.0, 2.0)),))
+        wo = field_of([20.0] * 5, "tx_power_dbm")
+        wi = field_of([17.0, 18.0, 18.5, 21.5, 22.0], "tx_power_dbm", "with")
+        imap = classify(wo, wi, th)
+        assert imap.labels == ("boosted", "marginal", "unchanged", "unchanged",
+                               "degraded")
+        assert imap.delta_db == (3.0, 2.0, 1.5, -1.5, -2.0)
+
+    @given(
+        st.sampled_from(["gain_db", "tx_power_dbm", "peb_m"]),
+        st.data(),
+        st.floats(0.0, 10.0),
+        st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_raising_thresholds_never_grows_sets(self, metric_id, data, lo, step):
+        # a stricter unchanged band never adds to the AoI, and a stricter
+        # boost threshold never adds a boosted cell; values stay inside the
+        # feasible range so most cells reach the threshold comparison
+        value = st.floats(0.01, 0.1) if metric_id == "peb_m" else st.floats(0.0, 20.0)
+        reading = st.one_of(st.just(math.nan), value)
+        pairs = data.draw(st.lists(st.tuples(reading, reading), min_size=1, max_size=20))
+        hi = lo + step
+        wo = field_of([a for a, _ in pairs], metric_id)
+        wi = field_of([b for _, b in pairs], metric_id, "with")
+        loose = classify(wo, wi, Thresholds(per_metric=((metric_id, (lo + 1.0, lo)),)))
+        strict = classify(wo, wi, Thresholds(per_metric=((metric_id, (hi + 1.0, hi)),)))
+        assert strict.aoi_cells <= loose.aoi_cells
+        boosted = [
+            frozenset(i for i, lab in enumerate(imap.labels) if lab == "boosted")
+            for imap in (loose, strict)
+        ]
+        assert boosted[1] <= boosted[0]
+
     def test_grid_mismatch(self):
         wo = field_of([0.0, 1.0])
         wi = field_of([0.0], kind="with")
