@@ -33,6 +33,7 @@ from .influence import (
     field_filename,
     sweep,
 )
+from .propagation import ray_amplitudes
 from .scene import METRIC_IDS, Scene, load_scene
 from .touchstone import load_cell_manifest, read_touchstone
 from .unitcell import (
@@ -113,7 +114,18 @@ def _parse_point(text: str, scene: Scene) -> np.ndarray:
         raise ConfigError(f"--ue coordinates must be finite, got {text!r}")
     if len(coords) == 2:
         coords.append(scene.grid.fixed_height_m)
-    return np.array(coords)
+    point = np.array(coords)
+    nodes = [bs.position_m for bs in scene.bs]
+    if scene.ris is not None:
+        nodes.append(scene.ris.position_m)
+    with np.errstate(over="ignore"):
+        _, dists = ray_amplitudes(scene, np.array(nodes), point)
+    if not np.all(np.isfinite(dists)):
+        raise ConfigError(
+            f"--ue {text!r} is too far out: its distance to a base station "
+            "or to the surface is not a finite number"
+        )
+    return point
 
 
 def cmd_boi(args: argparse.Namespace) -> int:
@@ -164,7 +176,7 @@ def cmd_aoi(args: argparse.Namespace) -> int:
     out = _OutDir(args.out_dir, args.force)
     base = os.path.splitext(os.path.basename(args.scene))[0]
 
-    without, with_ = sweep(scene, args.metric, jobs=args.jobs)
+    without, with_ = sweep(scene, args.metric)
     imap = classify(without, with_, scene.thresholds)
 
     export_csv(without, out.path(field_filename(base, args.metric, "without", "csv")))
@@ -268,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     aoi.add_argument("--seed", type=int, default=None,
                      help="override the scene seed")
     aoi.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for the per-cell metric peb_m "
-                     "(default: all cores); every other map, sse_bps_hz "
-                     "included, runs grid-batched in-process")
+                     help="accepted for compatibility and recorded in the "
+                     "manifest, must be >= 1; every map runs grid-batched "
+                     "in one process")
     aoi.add_argument("--force", action="store_true",
                      help="overwrite existing output files")
     aoi.set_defaults(func=cmd_aoi)

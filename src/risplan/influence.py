@@ -26,29 +26,29 @@ every other metric compares in its native unit.  The sign convention is
 "improvement positive" regardless of whether the metric is higher-better
 or lower-better.
 
-Exports cover CSV (bit-exact round trip) and PPM with a blue/green/red
-three-stop colormap; label maps export with a fixed palette.
+Exports cover CSV (bit-exact round trip of every value but a NaN's sign)
+and PPM with a blue/green/red three-stop colormap; label maps export with
+a fixed palette.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CoincidentNodeError, ConfigError, RunError
+from .errors import ConfigError, RunError
 from .linkmetrics import gain_pairs, se_pairs, tx_power_pairs
-from .localization import peb_pair
+from .localization import peb_pairs
 from .scene import Grid, METRIC_IDS, Scene, Thresholds
 from .secrecy import sse_pairs
 # not called here, but perfbench's CellTimer looks these per-cell names up
 # on this module and rebinds them to time each cell, so they must stay bound
 from .linkmetrics import gain_pair, se_pair, tx_power_pair  # noqa: F401
+from .localization import peb_pair  # noqa: F401
 from .secrecy import sse_pair  # noqa: F401
 
 LABELS = ("unchanged", "boosted", "enabled", "degraded", "marginal", "infeasible_both")
@@ -101,23 +101,18 @@ class InfluenceMap:
 
 @dataclass(frozen=True)
 class _Metric:
-    """How a metric is swept: grid-batched (``pairs``) or cell by cell (``pair``)."""
+    """How a metric is swept: its grid-batched (without, with) engine."""
 
     higher_better: bool
-    pairs: Callable[[Scene, np.ndarray], list[tuple[float, float]]] | None = None
-    pair: Callable[[Scene, np.ndarray, int], tuple[float, float]] | None = None
+    pairs: Callable[[Scene, np.ndarray], list[tuple[float, float]]]
     needs_eve: bool = False
-
-
-def _peb_cell(scene: Scene, point: np.ndarray, index: int) -> tuple[float, float]:
-    return peb_pair(scene, point, point_index=index)
 
 
 METRICS: dict[str, _Metric] = {
     "gain_db": _Metric(higher_better=True, pairs=gain_pairs),
     "tx_power_dbm": _Metric(higher_better=False, pairs=tx_power_pairs),
     "se_bps_hz": _Metric(higher_better=True, pairs=se_pairs),
-    "peb_m": _Metric(higher_better=False, pair=_peb_cell),
+    "peb_m": _Metric(higher_better=False, pairs=peb_pairs),
     "sse_bps_hz": _Metric(higher_better=True, pairs=sse_pairs, needs_eve=True),
 }
 
@@ -133,50 +128,24 @@ def _require_metric(metric_id: str) -> _Metric:
         ) from None
 
 
-def _sweep_cell(args: tuple[Scene, str, int]) -> tuple[float, float]:
-    """One cell of a per-cell sweep; a cell on a scene node is a NaN pair."""
-    scene, metric_id, index = args
-    x, y = scene.grid.cell_xy(index)
-    point = np.array([x, y, scene.grid.fixed_height_m])
-    try:
-        return METRICS[metric_id].pair(scene, point, index)
-    except CoincidentNodeError:
-        return math.nan, math.nan
-
-
-def sweep(
-    scene: Scene, metric_id: str, jobs: int | None = 1
-) -> tuple[MetricField, MetricField]:
+def sweep(scene: Scene, metric_id: str) -> tuple[MetricField, MetricField]:
     """Evaluate a metric over the whole grid; returns (without, with) fields.
 
-    Every metric but ``peb_m`` runs grid-batched in this process and
-    ignores ``jobs``: the gain family (``gain_db``, ``tx_power_dbm``,
-    ``se_bps_hz``) through :func:`risplan.linkmetrics.gain_pairs`,
-    ``sse_bps_hz`` through :func:`risplan.secrecy.sse_pairs`. Only
-    ``peb_m`` runs cell by cell, and it alone fans cells out to a process
-    pool when ``jobs`` > 1; results come back in cell order either way,
-    and all randomness derives from the scene seed plus the cell index, so
-    the worker count never changes the output. A cell on a scene node
-    (``CoincidentNodeError``) is a NaN pair for ``peb_m`` and
-    ``sse_bps_hz``; the gain engine drops a station the cell sits on and
-    reads NaN only on a surface element or with no station left.
+    Every metric runs grid-batched in this process: the gain family
+    (``gain_db``, ``tx_power_dbm``, ``se_bps_hz``) through
+    :func:`risplan.linkmetrics.gain_pairs`, ``peb_m`` through
+    :func:`risplan.localization.peb_pairs` and ``sse_bps_hz`` through
+    :func:`risplan.secrecy.sse_pairs`. All randomness derives from the
+    scene seed plus the cell index, so neither the cell order nor the
+    block size changes the output. A cell on a scene node is a NaN pair
+    for ``peb_m`` and ``sse_bps_hz``; the gain engine drops a station the
+    cell sits on and reads NaN only on a surface element or with no
+    station left.
     """
     metric = _require_metric(metric_id)
     if metric.needs_eve and scene.eve is None:
         raise RunError("secrecy metrics need an eavesdropper in the scene")
-    n = scene.grid.cell_count
-    if metric.pairs is not None:
-        pairs = metric.pairs(scene, scene.grid.points())
-    else:
-        tasks = ((scene, metric_id, i) for i in range(n))
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs > 1 and n > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, n // (jobs * 4))
-                pairs = list(pool.map(_sweep_cell, tasks, chunksize=chunk))
-        else:
-            pairs = [_sweep_cell(t) for t in tasks]
+    pairs = metric.pairs(scene, scene.grid.points())
     without = MetricField(
         scene.grid, metric_id, "without", tuple(float(a) for a, _ in pairs)
     )
@@ -286,7 +255,9 @@ def field_filename(scene_name: str, metric_id: str, kind: str, ext: str) -> str:
 def export_csv(field: MetricField, path: str) -> None:
     """Header ``x_m,y_m,value``, then one row per cell in grid order.
 
-    Floats are written with ``repr`` so a re-import reproduces every bit.
+    Floats are written with ``repr``, so a re-import reproduces every bit
+    of every value except a NaN's: any NaN, a sign-bit one included, is
+    written ``nan`` and reads back as the canonical quiet NaN.
     """
     with open(path, "w", newline="") as fh:
         fh.write("x_m,y_m,value\n")
@@ -320,12 +291,12 @@ def _finite_range(values: Sequence[float], what: str) -> tuple[float, float] | N
     arr = np.asarray(values, dtype=np.float64)
     finite = arr[np.isfinite(arr)]
     if finite.size == 0:
-        warnings.warn(f"{what}: no finite values, image is flat", stacklevel=3)
+        print(f"note: {what}: no finite values, image is flat", file=sys.stderr)
         return None
     vmin = float(finite.min())
     vmax = float(finite.max())
     if vmin == vmax:
-        warnings.warn(f"{what}: flat value range, rendering mid-scale", stacklevel=3)
+        print(f"note: {what}: flat value range, rendering mid-scale", file=sys.stderr)
         return None
     return vmin, vmax
 

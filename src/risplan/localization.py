@@ -12,6 +12,15 @@ of observation rows, so switching the surface on adds a positive
 semidefinite term to the information matrix and can never worsen the
 bound. Base stations transmit orthogonally; the reflected path is
 carried only by the station nearest the surface.
+
+The gain nuisances are marginalized by projection (Shen & Win,
+"Fundamental limits of wideband localization, Part I", IEEE TIT 2010):
+a path's gain columns touch only that path's rows, so the equivalent
+position information is the sum over paths of Re(D⊥ᴴD⊥), where D⊥ is the
+path's position Jacobian with its gain direction projected out. Nothing
+is subtracted after the Gram product, so every term is symmetric positive
+semidefinite by construction. :func:`peb_pairs` evaluates this for blocks
+of grid points at once.
 """
 
 from __future__ import annotations
@@ -22,11 +31,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentNodeError
-from .propagation import C_LIGHT_M_S, dbm_to_watts, ray_amplitudes, ris_channel
+from .propagation import (
+    C_LIGHT_M_S,
+    BsLeg,
+    bs_leg,
+    dbm_to_watts,
+    ray_amplitudes,
+    ris_channels,
+    surface_legs,
+)
 from .scene import Scene
-from .seeding import derived_rng
+from .seeding import derived_integers, derived_rng
 
 PEB_CONDITION_LIMIT = 1e12
+
+# Memory held by one block's reflected-row operands (complex: the M x 3N
+# element terms and the K x 3N pilot rows per cell). It bounds the working
+# set, never the result, which is the same for any block size.
+_BLOCK_BYTES = 2 * 2**20
 
 
 def noise_variance_w(scene: Scene) -> float:
@@ -45,15 +67,21 @@ def pilot_amplitude(scene: Scene) -> float:
     return math.sqrt(total_w / scene.subcarrier_count)
 
 
+def _pilot_configs(scene: Scene, point_indices) -> np.ndarray:
+    """(n, pilot_count, element_count) lookup indices, one derived stream per point and pilot."""
+    return derived_integers(
+        scene.seed,
+        "loc-pilot",
+        np.asarray(point_indices, dtype=np.int64)[:, None],
+        np.arange(scene.localization.pilot_count)[None, :],
+        high=len(scene.ris.phase_lookup_rad),
+        size=scene.ris.element_count,
+    )
+
+
 def pilot_configs(scene: Scene, point_index: int) -> np.ndarray:
     """(pilot_count, element_count) lookup indices, one derived stream per pilot."""
-    level_count = len(scene.ris.phase_lookup_rad)
-    m = scene.ris.element_count
-    rows = [
-        derived_rng(scene.seed, "loc-pilot", point_index, k).integers(0, level_count, size=m)
-        for k in range(scene.localization.pilot_count)
-    ]
-    return np.asarray(rows, dtype=np.int64)
+    return _pilot_configs(scene, [point_index])[0]
 
 
 @dataclass(frozen=True)
@@ -74,59 +102,87 @@ class PathBlock:
     weight: float
 
 
-def _direct_block(scene: Scene, bs_index: int, point) -> PathBlock:
-    bs = scene.bs[bs_index]
-    p = np.asarray(point, dtype=float)
-    q = np.asarray(bs.position_m, dtype=float)
-    amp, d = (float(v) for v in ray_amplitudes(scene, p, q))
-    if d == 0.0:
-        raise CoincidentNodeError(f"point coincides with the base station at {bs.position_m}")
-    gamma = pilot_amplitude(scene) * amp * np.exp(-2j * math.pi * d / scene.wavelength_m)
-    tau = d / C_LIGHT_M_S
-    d_tau = (p - q)[:2] / (C_LIGHT_M_S * d)
+def _direct_rows(scene: Scene, bs_index: int, points: np.ndarray):
+    """A station's direct path at (n, 3) points.
+
+    Returns mu (n, N), d_pos (n, 2, N), basis (n, N) and the distance (n,).
+    A point on the station comes back with distance 0 and non-finite rows;
+    callers mask it or raise.
+    """
+    q = np.asarray(scene.bs[bs_index].position_m, dtype=float)
+    amp, d = ray_amplitudes(scene, points, q)
     n = np.arange(scene.subcarrier_count)
-    phi = np.exp(-2j * math.pi * n * scene.subcarrier_spacing_hz * tau)
-    slope = gamma * (-2j * math.pi * scene.subcarrier_spacing_hz) * n * phi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = pilot_amplitude(scene) * amp * np.exp(-2j * math.pi * d / scene.wavelength_m)
+        tau = d / C_LIGHT_M_S
+        d_tau = (points - q)[:, :2] / (C_LIGHT_M_S * d)[:, None]
+        phi = np.exp(-2j * math.pi * n * scene.subcarrier_spacing_hz * tau[:, None])
+        slope = gamma[:, None] * (-2j * math.pi * scene.subcarrier_spacing_hz) * n * phi
+        d_pos = slope[:, None, :] * d_tau[:, :, None]
+        return gamma[:, None] * phi, d_pos, phi, d
+
+
+def _reflected_rows(scene: Scene, leg: BsLeg, points: np.ndarray, configs: np.ndarray):
+    """The surface path at (n, 3) points under (n, K, M) pilot configs.
+
+    Returns mu (n, K N) and d_pos (n, 2, K N), rows pilot-major, and the
+    (n, M) point-to-element distances; a point on an element has distance
+    0 there and non-finite rows. Every pilot's rows come out of one
+    batched product of the pilot responses with the element terms.
+    """
+    gains, dists = surface_legs(scene, points)
+    ch = ris_channels(scene, leg, gains, dists)
+    count, m = dists.shape
+    n = np.arange(scene.subcarrier_count)
+    n_scale = -2j * math.pi * scene.subcarrier_spacing_hz * n
+    phasors = np.exp(1j * np.asarray(scene.ris.phase_lookup_rad, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = pilot_amplitude(scene) * ch.hop_products  # (n, M)
+        d2 = ch.element_to_point_m
+        d_dist = (points[:, None, :] - ch.element_positions_m[None])[..., :2] / d2[..., None]
+        dg = g[..., None] * (-1.0 / d2 - 2j * math.pi / scene.wavelength_m)[..., None] * d_dist
+        g_tau = g[..., None] * (d_dist / C_LIGHT_M_S)
+        # (n, M, N) subcarrier phasors of each element's two-leg delay
+        delays = scene.subcarrier_spacing_hz * ch.element_delays_s
+        eps = np.exp(-2j * math.pi * (delays[..., None] * n))
+        # d/dp splits into a gain part and a delay part, the latter n-scaled
+        terms = np.stack([
+            g[..., None] * eps,
+            (dg[..., 0, None] + g_tau[..., 0, None] * n_scale) * eps,
+            (dg[..., 1, None] + g_tau[..., 1, None] * n_scale) * eps,
+        ], axis=2).reshape(count, m, -1)  # (n, M, 3 N)
+        rows = (phasors[configs] @ terms).reshape(count, -1, 3, n.size)  # (n, K, 3, N)
+    mu = rows[:, :, 0].reshape(count, -1)
+    d_pos = np.moveaxis(rows[:, :, 1:], 2, 1).reshape(count, 2, -1)
+    return mu, d_pos, dists
+
+
+def _direct_block(scene: Scene, bs_index: int, point) -> PathBlock:
+    mu, d_pos, basis, dist = _direct_rows(scene, bs_index, np.asarray(point, dtype=float)[None, :])
+    if dist[0] == 0.0:
+        raise CoincidentNodeError(
+            f"point coincides with the base station at {scene.bs[bs_index].position_m}"
+        )
     return PathBlock(
-        mu=gamma * phi,
-        d_pos=slope[:, None] * d_tau[None, :],
-        basis=phi,
+        mu=mu[0],
+        d_pos=d_pos[0].T,
+        basis=basis[0],
         gain_slot=bs_index,
         weight=float(scene.localization.pilot_count),
     )
 
 
 def _reflected_block(scene: Scene, bs_index: int, point, configs: np.ndarray) -> PathBlock:
-    ch = ris_channel(scene, bs_index, point)
     p = np.asarray(point, dtype=float)
-    g = pilot_amplitude(scene) * ch.hop_products  # (M,)
-    d2 = ch.element_to_point_m
-    d_dist = (p[None, :] - ch.element_positions_m)[:, :2] / d2[:, None]  # (M, 2)
-    lam = scene.wavelength_m
-    dg = g[:, None] * (-1.0 / d2 - 2j * math.pi / lam)[:, None] * d_dist
-    taus = ch.element_delays_s
-    d_tau = d_dist / C_LIGHT_M_S
-
-    n = np.arange(scene.subcarrier_count)
-    eps = np.exp(-2j * math.pi * np.outer(n, scene.subcarrier_spacing_hz * taus))  # (N, M)
-    lookup = np.asarray(scene.ris.phase_lookup_rad, dtype=float)
-    resp = np.exp(1j * lookup[configs])  # (K, M)
-
-    mu = resp @ (eps * g[None, :]).T  # (K, N)
-    # d/dp splits into a gain part and a delay part, the latter n-scaled
-    gain_x = resp @ (eps * dg[:, 0][None, :]).T
-    gain_y = resp @ (eps * dg[:, 1][None, :]).T
-    phase_x = resp @ (eps * (g * d_tau[:, 0])[None, :]).T
-    phase_y = resp @ (eps * (g * d_tau[:, 1])[None, :]).T
-    n_scale = -2j * math.pi * scene.subcarrier_spacing_hz * n[None, :]
-    d_pos = np.stack(
-        [gain_x + n_scale * phase_x, gain_y + n_scale * phase_y], axis=-1
-    )  # (K, N, 2)
-    flat = mu.reshape(-1)
+    mu, d_pos, dists = _reflected_rows(scene, bs_leg(scene, bs_index), p[None, :], configs[None])
+    if np.any(dists == 0.0):
+        raise CoincidentNodeError(
+            f"point {p.tolist()} coincides with surface element {int(np.argmin(dists[0]))}"
+        )
     return PathBlock(
-        mu=flat,
-        d_pos=d_pos.reshape(-1, 2),
-        basis=flat.copy(),
+        mu=mu[0],
+        d_pos=d_pos[0].T,
+        basis=mu[0].copy(),
         gain_slot=len(scene.bs),
         weight=1.0,
     )
@@ -148,85 +204,118 @@ def observation_model(scene: Scene, bs_index: int, point, ris_configs=None):
     return tuple(blocks)
 
 
-def build_fim(scene: Scene, point, with_ris: bool, point_index: int = 0) -> np.ndarray:
-    """Stack all stations' path blocks into the full information matrix."""
-    bs_count = len(scene.bs)
-    use_ris = with_ris and scene.ris is not None
-    dim = 2 + 2 * bs_count + (2 if use_ris else 0)
-    configs = pilot_configs(scene, point_index) if use_ris else None
-    fim = np.zeros((dim, dim))
-    scale = 2.0 / noise_variance_w(scene)
-    for b in range(bs_count):
-        for blk in observation_model(scene, b, point, configs):
-            cols = [0, 1, 2 + 2 * blk.gain_slot, 3 + 2 * blk.gain_slot]
-            jac = np.column_stack([blk.d_pos, blk.basis, 1j * blk.basis])
-            fim[np.ix_(cols, cols)] += blk.weight * scale * np.real(jac.conj().T @ jac)
-    return fim
+def _path_information(d_pos: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(n, 2, 2) Re(D⊥ᴴD⊥) of one path: its position information, gain marginalized.
 
-
-def equivalent_position_fim(fim: np.ndarray) -> np.ndarray | None:
-    """Marginalize the gain nuisances; None flags a singular nuisance block.
-
-    The nuisance block is Jacobi-scaled before the condition test so the
-    verdict reflects collinearity between paths, not their wildly
-    different gain magnitudes. A path with exactly zero energy has no
-    rows at all and drops out instead of flagging.
+    ``d_pos`` (n, 2, R) holds the path's position columns, ``basis`` (n, R)
+    its gain column. The gain's real and imaginary columns span the complex
+    line of ``basis``, so projecting them out is the rank-one complex
+    projection D⊥ = D - v (vᴴD) / (vᴴv). A path with vᴴv == 0 carries no
+    energy and adds nothing.
     """
-    pos = fim[:2, :2]
-    if fim.shape[0] == 2:
-        return pos
-    diag = np.diag(fim)[2:]
-    keep = diag > 0.0
-    if not np.any(keep):
-        return pos
-    cross = fim[:2, 2:][:, keep]
-    nuis = fim[2:, 2:][np.ix_(keep, keep)]
-    d = 1.0 / np.sqrt(diag[keep])
-    nuis_scaled = nuis * d[:, None] * d[None, :]
-    eig = np.linalg.eigvalsh(nuis_scaled)
-    if eig[0] <= 0 or eig[-1] / eig[0] > PEB_CONDITION_LIMIT:
-        return None
-    cross_scaled = cross * d[None, :]
-    return pos - cross_scaled @ np.linalg.solve(nuis_scaled, cross_scaled.T)
+    energy = np.sum(basis.real**2 + basis.imag**2, axis=-1)
+    live = energy > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.sum(np.conj(basis)[:, None, :] * d_pos, axis=-1) / energy[:, None]
+    coef = np.where(live[:, None], coef, 0.0)
+    proj = d_pos - coef[..., None] * basis[:, None, :]
+    re, im = proj.real, proj.imag
+    xx = np.sum(re[:, 0] ** 2 + im[:, 0] ** 2, axis=-1)
+    yy = np.sum(re[:, 1] ** 2 + im[:, 1] ** 2, axis=-1)
+    xy = np.sum(re[:, 0] * re[:, 1] + im[:, 0] * im[:, 1], axis=-1)
+    info = np.stack([np.stack([xx, xy], axis=-1), np.stack([xy, yy], axis=-1)], axis=-2)
+    return np.where(live[:, None, None], info, 0.0)
 
 
 @dataclass(frozen=True)
 class PebResult:
-    peb_m: float
-    fim_condition: float
+    peb_m: float | np.ndarray
+    fim_condition: float | np.ndarray
 
 
 def peb(fim_2x2) -> PebResult:
-    """Root-trace of the inverse 2x2 position information."""
+    """Root-trace of the inverse 2x2 position information, for one matrix or a (..., 2, 2) stack.
+
+    A matrix that is not positive definite, or whose condition number
+    exceeds ``PEB_CONDITION_LIMIT``, has an infinite bound.
+    """
     f = np.asarray(fim_2x2, dtype=float)
-    if f.shape != (2, 2):
+    if f.ndim < 2 or f.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {f.shape}")
-    scale = np.max(np.abs(f))
-    if abs(f[0, 1] - f[1, 0]) > 1e-9 * max(scale, 1.0):
+    scale = np.max(np.abs(f), axis=(-2, -1))
+    if np.any(np.abs(f[..., 0, 1] - f[..., 1, 0]) > 1e-9 * np.maximum(scale, 1.0)):
         raise ValueError("position information matrix must be symmetric")
     eig = np.linalg.eigvalsh(f)
-    if eig[0] <= 0:
-        return PebResult(peb_m=math.inf, fim_condition=math.inf)
-    condition = eig[-1] / eig[0]
-    if condition > PEB_CONDITION_LIMIT:
-        return PebResult(peb_m=math.inf, fim_condition=condition)
-    det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-    return PebResult(peb_m=math.sqrt((f[0, 0] + f[1, 1]) / det), fim_condition=condition)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = np.where(eig[..., 0] > 0, eig[..., -1] / eig[..., 0], math.inf)
+        det = f[..., 0, 0] * f[..., 1, 1] - f[..., 0, 1] * f[..., 1, 0]
+        bound = np.where(
+            condition > PEB_CONDITION_LIMIT, math.inf, np.sqrt((f[..., 0, 0] + f[..., 1, 1]) / det)
+        )
+    return PebResult(peb_m=bound[()], fim_condition=condition[()])
 
 
-def peb_point(scene: Scene, point, with_ris: bool, point_index: int = 0) -> PebResult:
-    fim = build_fim(scene, point, with_ris, point_index)
-    pos = equivalent_position_fim(fim)
-    if pos is None:
-        return PebResult(peb_m=math.inf, fim_condition=math.inf)
-    return peb(pos)
+def _cell_block(scene: Scene) -> int:
+    per_cell = 3 * scene.subcarrier_count
+    if scene.ris is not None:
+        per_cell *= scene.ris.element_count + scene.localization.pilot_count
+    return max(1, _BLOCK_BYTES // (16 * per_cell))
+
+
+def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg | None):
+    """(2, n) without and with bounds at a block of points, NaN on a scene node."""
+    scale = 2.0 / noise_variance_w(scene)
+    weight = float(scene.localization.pilot_count)
+    on_node = np.zeros(len(points), dtype=bool)
+    without = np.zeros((len(points), 2, 2))
+    for b in range(len(scene.bs)):
+        _, d_pos, basis, dist = _direct_rows(scene, b, points)
+        on_node |= dist == 0.0
+        without += weight * scale * _path_information(d_pos, basis)
+    with_ = without
+    if leg is not None:
+        mu, d_pos, dists = _reflected_rows(scene, leg, points, _pilot_configs(scene, indices))
+        on_node |= np.any(dists == 0.0, axis=1)
+        with_ = without + scale * _path_information(d_pos, mu)
+    bounds = np.full((2, len(points)), math.nan)
+    ok = ~on_node
+    if np.any(ok):
+        bounds[:, ok] = peb(np.stack([without[ok], with_[ok]])).peb_m
+    return bounds
+
+
+def peb_pairs(scene: Scene, points, point_indices=None) -> list[tuple[float, float]]:
+    """(without, with) position error bound in metres at each point.
+
+    The grid-batched engine behind the ``peb_m`` map. Each point's pilot
+    configs derive from its index (``point_indices``, by default its
+    position in ``points``), and blocks of points are processed together,
+    sized so one block's reflected-row operands stay within a fixed memory
+    budget; every operation is per point, so the result does not depend on
+    the block size. A point on a base station or a surface element gets a
+    NaN pair, and so does every point when the surface leg of the station
+    nearest the surface is degenerate.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    indices = np.arange(len(points)) if point_indices is None else np.asarray(point_indices)
+    leg = None
+    if scene.ris is not None:
+        try:
+            leg = bs_leg(scene, scene.nearest_bs_to_ris())
+        except CoincidentNodeError:
+            return [(math.nan, math.nan)] * len(points)
+    block = _cell_block(scene)
+    pairs: list[tuple[float, float]] = []
+    for start in range(0, len(points), block):
+        stop = start + block
+        without, with_ = _peb_block(scene, points[start:stop], indices[start:stop], leg)
+        pairs.extend(zip(without.tolist(), with_.tolist()))
+    return pairs
 
 
 def peb_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
-    """(without, with) bound in metres for one grid point."""
-    without = peb_point(scene, point, with_ris=False, point_index=point_index).peb_m
-    with_ris = peb_point(scene, point, with_ris=True, point_index=point_index).peb_m
-    return without, with_ris
+    """(without, with) bound in metres for one grid point: a one-row view of :func:`peb_pairs`."""
+    return peb_pairs(scene, [point], [point_index])[0]
 
 
 def _stacked_observation(scene: Scene, point, with_ris: bool, point_index: int):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from peb_oracle import peb_point
 from risplan import cli
 from risplan.beamforming import (
     RisConfig,
@@ -30,7 +31,6 @@ from risplan.influence import classify, sweep
 from risplan.localization import (
     ml_position_rmse,
     observation_model,
-    peb_point,
     pilot_configs,
 )
 from risplan.scene import DEFAULT_PHASE_LOOKUP, load_scene, parse_scene

@@ -205,6 +205,19 @@ class TestAoi:
               "--seed", "7", "--jobs", "1"])
         assert load_manifest(out)["seed"] == 7
 
+    def test_jobs_changes_no_output(self, tmp_path):
+        # --jobs is validated and recorded, nothing else: every map runs in-process
+        scene_path = write_scene(tmp_path, SCENE)
+        digests = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["aoi", scene_path, "--metric", "peb_m",
+                         "--out-dir", str(out), "--jobs", jobs]) == 0
+            doc = load_manifest(out)
+            assert doc["config"]["jobs"] == int(jobs)
+            digests[jobs] = doc["outputs"]
+        assert digests["1"] == digests["2"]
+
     def test_default_jobs_recorded_as_auto(self, tmp_path):
         scene_path = write_scene(tmp_path, SCENE)
         out = tmp_path / "out"
@@ -237,12 +250,13 @@ class TestAoi:
         err = capsys.readouterr().err
         assert "invalid choice" in err and "gain_db" in err
 
-    def test_no_surface_delta_is_zero(self, tmp_path):
+    def test_no_surface_delta_is_zero(self, tmp_path, capsys):
         scene_path = write_scene(tmp_path, scene_without(SCENE, "ris"), "bare.json")
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="flat"):
-            assert main(["aoi", scene_path, "--metric", "gain_db",
-                         "--out-dir", str(out), "--jobs", "1"]) == 0
+        assert main(["aoi", scene_path, "--metric", "gain_db",
+                     "--out-dir", str(out), "--jobs", "1"]) == 0
+        assert capsys.readouterr().err == (
+            f"note: {out / 'bare_gain_db_delta.ppm'}: flat value range, rendering mid-scale\n")
         _, _, delta = csv_columns(out / "bare_gain_db_delta.csv")
         scene = parse_scene(json.dumps(scene_without(SCENE, "ris")))
         imap = classify(*sweep(scene, "gain_db"), scene.thresholds)
@@ -252,7 +266,6 @@ class TestAoi:
         assert all(line.endswith(",unchanged") for line in labels)
 
     @pytest.mark.parametrize("metric", ["gain_db", "peb_m", "sse_bps_hz"])
-    @pytest.mark.filterwarnings("ignore:.*image is flat")
     def test_cell_on_base_station_exits_0(self, tmp_path, metric):
         # grid cell (1, 1, 1.5) coincides with base station 0
         doc = dict(SCENE, bs=[{"position_m": [1, 1, 1.5]}, {"position_m": [5, 0, 3]}],
@@ -350,9 +363,12 @@ class TestCoexist:
     @pytest.mark.parametrize("flag, value, message", [
         ("--ue", "nan,5", "--ue coordinates must be finite"),
         ("--ue", "inf,5", "--ue coordinates must be finite"),
+        # finite, but the squared distance to every node overflows
+        ("--ue", "1e200,5", "--ue '1e200,5' is too far out"),
+        ("--ue", "5,-1e155,2", "--ue '5,-1e155,2' is too far out"),
         ("--margin-db", "nan", "snr_margin_db must be finite"),
         ("--gap-db", "nan", "mcs_gap_db must be finite"),
-    ], ids=["ue-nan", "ue-inf", "margin-nan", "gap-nan"])
+    ], ids=["ue-nan", "ue-inf", "ue-overflow", "ue-overflow-3d", "margin-nan", "gap-nan"])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, flag, value, message):
         scene_path = write_scene(tmp_path, COEX_SCENE)
         out = tmp_path / "out"
@@ -413,6 +429,28 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_starts_no_process_machinery():
+    # every map runs in-process; the CLI must not pay for a worker pool
+    code = ("import sys, risplan.cli; print(sorted(m for m in sys.modules "
+            "if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
+    done = fresh_interpreter("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_aoi_stderr_names_no_source_file(tmp_path):
+    # notes about flat images are plain lines, never a warning that quotes
+    # the installed source path and a line number
+    scene_path = write_scene(tmp_path, scene_without(SCENE, "ris"), "bare.json")
+    out = tmp_path / "out"
+    done = fresh_interpreter("-m", "risplan.cli", "aoi", scene_path, "--metric", "peb_m",
+                             "--out-dir", str(out))
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert lines and all(line.startswith("note: ") for line in lines)
+    assert ".py:" not in done.stderr
+
+
 @pytest.mark.parametrize("exc", [ValueError("cancelled"), np.linalg.LinAlgError("singular")])
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
     def failing_sweep(*args, **kwargs):
@@ -422,6 +460,27 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
     scene_path = write_scene(tmp_path, SCENE)
     assert main(["aoi", scene_path, "--metric", "peb_m", "--out-dir", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("name", ["office_energy", "street_coexistence"])
+def test_one_level_lookup_peb_writes_maps(tmp_path, name):
+    # with a single phase level every pilot repeats one configuration; the
+    # projection EFIM stays positive semidefinite, so every cell has a
+    # reading (finite, or infinite where the position is unidentifiable)
+    doc = json.loads((SCENES / f"{name}.json").read_text())
+    doc["ris"]["phase_lookup_rad"] = [0.0]
+    scene_path = write_scene(tmp_path, doc, f"{name}.json")
+    out = tmp_path / "out"
+    assert main(["aoi", scene_path, "--metric", "peb_m", "--out-dir", str(out)]) == 0
+    fields = {}
+    for kind in ("without", "with"):
+        rows = np.loadtxt(out / f"{name}_peb_m_{kind}.csv", delimiter=",", skiprows=1)
+        fields[kind] = rows[:, 2]
+    assert len(fields["with"]) == parse_scene(json.dumps(doc)).grid.cell_count
+    assert not np.isnan(fields["without"]).any() and not np.isnan(fields["with"]).any()
+    assert np.isfinite(fields["with"]).any()
+    finite = np.isfinite(fields["without"])
+    assert np.all(fields["with"][finite] <= fields["without"][finite] * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("name", ["office_energy", "street_coexistence"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risplan import influence, linkmetrics, secrecy
+from risplan import influence, linkmetrics, localization, secrecy
 from risplan.errors import ConfigError, RunError
 from risplan.influence import (
     LABEL_COLORS,
@@ -103,13 +103,6 @@ class TestSweep:
         assert without.values[idx] == wo
         assert with_.values[idx] == wi
 
-    def test_worker_pool_matches_serial(self):
-        scene = small_scene()
-        serial = sweep(scene, "gain_db", jobs=1)
-        pooled = sweep(scene, "gain_db", jobs=2)
-        assert serial[0].values == pooled[0].values
-        assert serial[1].values == pooled[1].values
-
     def test_cell_on_base_station_is_nan_pair_for_per_cell_metrics(self):
         # cell 6 sits at (2, 2, 1.5), exactly on base station 0
         scene = small_scene(
@@ -160,44 +153,50 @@ def walled_street():
 
 
 class TestBatchedSweepInvariance:
-    """Grid-batched maps do not depend on the cell block size or on ``jobs``."""
+    """Grid-batched maps do not depend on the cell block size."""
 
     @pytest.fixture(scope="class", params=["office_energy", "street_coexistence"])
     def scene(self, request):
         return load_scene(SCENES / f"{request.param}.json")
 
     @pytest.mark.parametrize("metric", ["gain_db", "tx_power_dbm", "se_bps_hz"])
-    def test_block_size_and_jobs(self, scene, metric, monkeypatch):
-        reference = sweep(scene, metric, jobs=1)
+    def test_block_size(self, scene, metric, monkeypatch):
+        reference = sweep(scene, metric)
         assert np.isfinite(reference[1].values).any()
-        runs = [sweep(scene, metric, jobs=2)]
         m = scene.ris.element_count
         monkeypatch.setattr(linkmetrics, "_BLOCK_BYTES", 16 * m * m * 7)
         assert linkmetrics._cell_block(scene) == 7
-        runs.append(sweep(scene, metric, jobs=1))
-        for without, with_ in runs:
-            np.testing.assert_array_equal(without.values, reference[0].values)
-            np.testing.assert_array_equal(with_.values, reference[1].values)
+        without, with_ = sweep(scene, metric)
+        np.testing.assert_array_equal(without.values, reference[0].values)
+        np.testing.assert_array_equal(with_.values, reference[1].values)
+
+    @pytest.mark.parametrize("block", [7, 1])
+    def test_peb_block_size(self, scene, block, monkeypatch):
+        reference = sweep(scene, "peb_m")
+        assert np.isfinite(reference[1].values).any()
+        per_cell = 3 * scene.subcarrier_count * (
+            scene.ris.element_count + scene.localization.pilot_count)
+        monkeypatch.setattr(localization, "_BLOCK_BYTES", 16 * per_cell * block)
+        assert localization._cell_block(scene) == block
+        for field, ref in zip(sweep(scene, "peb_m"), reference):
+            np.testing.assert_array_equal(field.values, ref.values)
 
     @pytest.fixture(scope="class")
     def courtyard(self):
         scene = load_scene(SCENES / "courtyard_secrecy.json")
-        return scene, sweep(scene, "sse_bps_hz", jobs=1)
+        return scene, sweep(scene, "sse_bps_hz")
 
-    @pytest.mark.parametrize("block", [None, 7, 1])
-    def test_secrecy_block_size_and_jobs(self, courtyard, block, monkeypatch):
+    @pytest.mark.parametrize("block", [7, 1])
+    def test_secrecy_block_size(self, courtyard, block, monkeypatch):
         scene, reference = courtyard
         assert np.isfinite(reference[1].values).all()
         assert np.any(np.array(reference[1].values) > np.array(reference[0].values))
-        if block is None:
-            run = sweep(scene, "sse_bps_hz", jobs=2)
-        else:
-            antennas = sum(bs.antenna_count for bs in scene.bs)
-            levels = len(scene.ris.phase_lookup_rad)
-            per_cell = 16 * levels * scene.ris.element_count * antennas
-            monkeypatch.setattr(secrecy, "_BLOCK_BYTES", per_cell * block)
-            assert secrecy._cell_block(scene) == block
-            run = sweep(scene, "sse_bps_hz", jobs=1)
+        antennas = sum(bs.antenna_count for bs in scene.bs)
+        levels = len(scene.ris.phase_lookup_rad)
+        per_cell = 16 * levels * scene.ris.element_count * antennas
+        monkeypatch.setattr(secrecy, "_BLOCK_BYTES", per_cell * block)
+        assert secrecy._cell_block(scene) == block
+        run = sweep(scene, "sse_bps_hz")
         for field, ref in zip(run, reference):
             np.testing.assert_array_equal(field.values, ref.values)
 
@@ -495,11 +494,12 @@ class TestPpmExport:
         assert pixels[6:9] == ["255", "0", "0"]
         assert pixels[9:12] == ["0", "0", "0"]
 
-    def test_flat_field_green_with_warning(self, tmp_path):
+    def test_flat_field_green_with_note(self, tmp_path, capsys):
         f = field_of([2.0, 2.0])
         path = tmp_path / "flat.ppm"
-        with pytest.warns(UserWarning, match="flat"):
-            export_ppm(f, path)
+        export_ppm(f, path)
+        assert capsys.readouterr().err == (
+            f"note: {path}: flat value range, rendering mid-scale\n")
         pixels = " ".join(path.read_text().splitlines()[3:]).split()
         assert pixels == ["0", "255", "0"] * 2
 
