@@ -196,8 +196,8 @@ def cmd_aoi(args: argparse.Namespace) -> int:
         {"metric": args.metric, "jobs": "auto" if args.jobs is None else args.jobs},
         scene.seed,
     )
-    desired = len(imap.desired_aoi_cells)
-    undesired = len(imap.undesired_aoi_cells)
+    desired = np.count_nonzero(imap.desired)
+    undesired = np.count_nonzero(imap.undesired)
     print(
         f"{scene.grid.cell_count} cells: {desired} desired, "
         f"{undesired} undesired; wrote {len(out.entries) + 1} files to {args.out_dir}"

@@ -66,6 +66,9 @@ class CoexistConfig:
             raise ConfigError("switch_probability must lie in [0, 1]")
         if self.csi_delay_slots < 1:
             raise ConfigError("csi_delay_slots must be >= 1")
+        if self.csi_delay_slots >= self.slots:
+            raise ConfigError(f"csi_delay_slots ({self.csi_delay_slots}) must be below "
+                              f"slots ({self.slots}), or no slot transmits")
         if not (math.isfinite(self.mcs_gap_db) and self.mcs_gap_db >= 0.0):
             raise ConfigError("mcs_gap_db must be finite and >= 0")
         if not (math.isfinite(self.snr_margin_db) and self.snr_margin_db >= 0.0):
@@ -162,18 +165,17 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     d = config.csi_delay_slots
     selected = np.full(n, math.nan)
     errors = np.zeros(n, dtype=bool)
-    if n > d:
-        selected[d:] = _select_rates(capacity[:-d], config.rate_table)
-        margin = db_to_linear(-config.snr_margin_db)
-        if config.rate_table is None:
-            # shannon selection: rate exceeds capacity iff the SNR dropped
-            errors[d:] = snr_lin[d:] < snr_lin[:-d] * margin
-        else:
-            errors[d:] = capacity[d:] < selected[d:] * (1.0 - 1e-12)
+    selected[d:] = _select_rates(capacity[:-d], config.rate_table)
+    margin = db_to_linear(-config.snr_margin_db)
+    if config.rate_table is None:
+        # shannon selection: rate exceeds capacity iff the SNR dropped
+        errors[d:] = snr_lin[d:] < snr_lin[:-d] * margin
+    else:
+        errors[d:] = capacity[d:] < selected[d:] * (1.0 - 1e-12)
 
-    tx = max(n - d, 0)
+    tx = n - d
     error_slots = tuple(np.flatnonzero(errors).tolist())
-    bler = len(error_slots) / tx if tx > 0 else 0.0
+    bler = len(error_slots) / tx
     return CoexistResult(
         bler=bler,
         snr_trace_db=snr_db,

@@ -1,9 +1,9 @@
 """Grid sweeps, with/without differencing, and area-of-influence maps.
 
 A sweep evaluates one link metric on every grid cell twice, once with the
-surface absent and once with it active, and the pair of fields is then
-classified cell by cell into influence labels.  Six labels partition the
-grid:
+surface absent and once with it active: each metric's engine returns one
+``(2, n)`` array, row 0 without the surface and row 1 with it, and
+:func:`classify` labels all cells at once.  Six labels partition the grid:
 
 ``unchanged``
     both readings in coverage, difference below the unchanged threshold
@@ -26,6 +26,10 @@ every other metric compares in its native unit.  The sign convention is
 "improvement positive" regardless of whether the metric is higher-better
 or lower-better.
 
+An :class:`InfluenceMap` holds ``grid``, ``metric_id``, ``labels`` (codes
+into :data:`LABELS`) and ``delta``, the improvement in dB, or in bps/Hz for
+the rates, NaN unless both readings are in coverage.
+
 Exports cover CSV (bit-exact round trip of every value but a NaN's sign)
 and PPM with a blue/green/red three-stop colormap; label maps export with
 a fixed palette.
@@ -36,7 +40,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -65,46 +70,60 @@ LABEL_COLORS = {
 
 FIELD_KINDS = ("without", "with", "delta", "labels")
 
-_INFLUENCED = frozenset({"enabled", "boosted", "degraded", "marginal"})
-_DESIRED = frozenset({"enabled", "boosted"})
+_CODE = {label: code for code, label in enumerate(LABELS)}
+_DESIRED = [_CODE["enabled"], _CODE["boosted"]]
+_UNDESIRED = [_CODE["degraded"], _CODE["marginal"]]
+_PALETTE = np.array([LABEL_COLORS[label] for label in LABELS])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricField:
-    """One metric evaluated over a grid, row-major, NaN = out of coverage."""
+    """One metric over a grid, row-major, NaN = out of coverage; ``values`` is read-only."""
 
     grid: Grid
     metric_id: str
     kind: str
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.grid.cell_count:
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (self.grid.cell_count,):
             raise ValueError(
-                f"{len(self.values)} values for a {self.grid.cell_count}-cell grid"
+                f"{values.size} values for a {self.grid.cell_count}-cell grid"
             )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceMap:
+    """Read-only per-cell labels, as codes into :data:`LABELS`, and improvements."""
+
     grid: Grid
     metric_id: str
-    labels: tuple[str, ...]
-    delta_db: tuple[float, ...]
-    aoi_cells: frozenset[int]
-    desired_aoi_cells: frozenset[int]
-    undesired_aoi_cells: frozenset[int]
+    labels: np.ndarray
+    delta: np.ndarray
+
+    @property
+    def desired(self) -> np.ndarray:
+        """Mask of the enabled and boosted cells."""
+        return np.isin(self.labels, _DESIRED)
+
+    @property
+    def undesired(self) -> np.ndarray:
+        """Mask of the degraded and marginal cells: the rest of the area of influence."""
+        return np.isin(self.labels, _UNDESIRED)
 
     def delta_field(self) -> MetricField:
-        return MetricField(self.grid, self.metric_id, "delta", self.delta_db)
+        return MetricField(self.grid, self.metric_id, "delta", self.delta)
 
 
 @dataclass(frozen=True)
 class _Metric:
-    """How a metric is swept: its grid-batched (without, with) engine."""
+    """How a metric is swept: its grid-batched (2, n) without/with engine."""
 
     higher_better: bool
-    pairs: Callable[[Scene, np.ndarray], list[tuple[float, float]]]
+    pairs: Callable[[Scene, np.ndarray], np.ndarray]
     needs_eve: bool = False
 
 
@@ -145,12 +164,11 @@ def sweep(scene: Scene, metric_id: str) -> tuple[MetricField, MetricField]:
     metric = _require_metric(metric_id)
     if metric.needs_eve and scene.eve is None:
         raise RunError("secrecy metrics need an eavesdropper in the scene")
-    pairs = metric.pairs(scene, scene.grid.points())
-    without = MetricField(
-        scene.grid, metric_id, "without", tuple(float(a) for a, _ in pairs)
+    without, with_ = metric.pairs(scene, scene.grid.points())
+    return (
+        MetricField(scene.grid, metric_id, "without", without),
+        MetricField(scene.grid, metric_id, "with", with_),
     )
-    with_ = MetricField(scene.grid, metric_id, "with", tuple(float(b) for _, b in pairs))
-    return without, with_
 
 
 def comparison_value(metric_id: str, value: float) -> float:
@@ -164,18 +182,18 @@ def comparison_value(metric_id: str, value: float) -> float:
     return 20.0 * math.log10(value)
 
 
-def in_coverage(metric_id: str, value: float, thresholds: Thresholds) -> bool:
-    """Finite reading passing the metric's quality gate, if it has one."""
-    if not math.isfinite(value):
-        return False
+def in_coverage(metric_id: str, values, thresholds: Thresholds) -> np.ndarray:
+    """Finite readings passing the metric's quality gate, if it has one; elementwise."""
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
     if metric_id == "peb_m":
-        return value <= thresholds.peb_feasible_m
+        return finite & (values <= thresholds.peb_feasible_m)
     floor = thresholds.qos_for(metric_id)
     if floor is None:
-        return True
+        return finite
     if _require_metric(metric_id).higher_better:
-        return value >= floor
-    return value <= floor
+        return finite & (values >= floor)
+    return finite & (values <= floor)
 
 
 def classify(
@@ -196,60 +214,77 @@ def classify(
         thresholds = Thresholds()
     boost, unchanged = thresholds.for_metric(metric_id)
 
-    labels: list[str] = []
-    deltas: list[float] = []
-    for a_raw, b_raw in zip(without.values, with_.values):
-        cov_a = in_coverage(metric_id, a_raw, thresholds)
-        cov_b = in_coverage(metric_id, b_raw, thresholds)
-        if not cov_a and not cov_b:
-            labels.append("infeasible_both")
-            deltas.append(math.nan)
-            continue
-        if not cov_a:
-            labels.append("enabled")
-            deltas.append(math.nan)
-            continue
-        if not cov_b:
-            labels.append("degraded")
-            deltas.append(math.nan)
-            continue
-        a = comparison_value(metric_id, a_raw)
-        b = comparison_value(metric_id, b_raw)
+    cov_a = in_coverage(metric_id, without.values, thresholds)
+    cov_b = in_coverage(metric_id, with_.values, thresholds)
+    both = cov_a & cov_b
+    a, b = without.values[both], with_.values[both]
+    if metric_id == "peb_m":
+        # math.log10 per value: numpy's log10 rounds differently on some inputs
+        to_db = partial(comparison_value, metric_id)
+        a, b = (np.fromiter(map(to_db, v.tolist()), float, v.size) for v in (a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
         improvement = (b - a) if higher_better else (a - b)
-        if math.isnan(improvement):
-            # both readings pinned at the same scale extreme
-            improvement = 0.0
-        if improvement >= boost:
-            labels.append("boosted")
-        elif improvement <= -unchanged:
-            labels.append("degraded")
-        elif improvement >= unchanged:
-            labels.append("marginal")
-        else:
-            labels.append("unchanged")
-        deltas.append(improvement)
+    # both readings pinned at the same scale extreme
+    improvement[np.isnan(improvement)] = 0.0
 
-    aoi = frozenset(i for i, lab in enumerate(labels) if lab in _INFLUENCED)
-    desired = frozenset(i for i, lab in enumerate(labels) if lab in _DESIRED)
-    return InfluenceMap(
-        grid=without.grid,
-        metric_id=metric_id,
-        labels=tuple(labels),
-        delta_db=tuple(deltas),
-        aoi_cells=aoi,
-        desired_aoi_cells=desired,
-        undesired_aoi_cells=aoi - desired,
+    labels = np.full(without.values.shape, _CODE["infeasible_both"], dtype=np.uint8)
+    labels[cov_b & ~cov_a] = _CODE["enabled"]
+    labels[cov_a & ~cov_b] = _CODE["degraded"]
+    labels[both] = np.select(
+        [improvement >= boost, improvement <= -unchanged, improvement >= unchanged],
+        [_CODE["boosted"], _CODE["degraded"], _CODE["marginal"]],
+        _CODE["unchanged"],
     )
+    delta = np.full(without.values.shape, math.nan)
+    delta[both] = improvement
+    labels.flags.writeable = delta.flags.writeable = False
+    return InfluenceMap(grid=without.grid, metric_id=metric_id, labels=labels, delta=delta)
 
 
 # ---------------------------------------------------------------------------
 # file export
+
+_PPM_LINE = 68  # characters
 
 
 def field_filename(scene_name: str, metric_id: str, kind: str, ext: str) -> str:
     if kind not in FIELD_KINDS:
         raise ValueError(f"kind must be one of {FIELD_KINDS}, got {kind!r}")
     return f"{scene_name}_{metric_id}_{kind}.{ext}"
+
+
+def _write_csv(path: str, grid: Grid, column: str, texts: Iterable[str]) -> None:
+    """Header ``x_m,y_m,<column>``, then one row per cell in grid order."""
+    xy = grid.points()
+    with open(path, "w", newline="") as fh:
+        fh.write(f"x_m,y_m,{column}\n")
+        fh.writelines(map(
+            "{},{},{}\n".format,
+            map(repr, xy[:, 0].tolist()),
+            map(repr, xy[:, 1].tolist()),
+            texts,
+        ))
+
+
+def _write_ppm(path: str, grid: Grid, rgb: np.ndarray) -> None:
+    """Plain-text image of (n, 3) colours in grid order.
+
+    The top image row is the northernmost grid row, so files view like a
+    map. Lines are filled greedily with whole tokens, none longer than
+    ``_PPM_LINE`` characters.
+    """
+    rows = rgb.reshape(grid.ny, 3 * grid.nx)[::-1]
+    # running width of each row's tokens, one separator counted after each
+    ends = np.cumsum(2 + (rows >= 10) + (rows >= 100), axis=1)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"P3\n{grid.nx} {grid.ny}\n255\n")
+        for row, end in zip(rows.tolist(), ends):
+            tokens = list(map(str, row))
+            start = used = 0
+            while start < len(tokens):
+                stop = int(np.searchsorted(end, used + _PPM_LINE + 1, side="right"))
+                fh.write(" ".join(tokens[start:stop]) + "\n")
+                start, used = stop, end[stop - 1]
 
 
 def export_csv(field: MetricField, path: str) -> None:
@@ -259,37 +294,11 @@ def export_csv(field: MetricField, path: str) -> None:
     of every value except a NaN's: any NaN, a sign-bit one included, is
     written ``nan`` and reads back as the canonical quiet NaN.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write("x_m,y_m,value\n")
-        for i, v in enumerate(field.values):
-            x, y = field.grid.cell_xy(i)
-            fh.write(f"{x!r},{y!r},{float(v)!r}\n")
+    _write_csv(path, field.grid, "value", map(repr, field.values.tolist()))
 
 
-def _image_rows(grid: Grid) -> Iterable[range]:
-    # top image row is the northernmost grid row, so files view like a map
-    for iy in range(grid.ny - 1, -1, -1):
-        start = iy * grid.nx
-        yield range(start, start + grid.nx)
-
-
-def _write_tokens(fh, tokens: Iterable[str], width: int = 68) -> None:
-    line: list[str] = []
-    used = 0
-    for tok in tokens:
-        if used and used + 1 + len(tok) > width:
-            fh.write(" ".join(line) + "\n")
-            line = []
-            used = 0
-        line.append(tok)
-        used += len(tok) + (1 if used else 0)
-    if line:
-        fh.write(" ".join(line) + "\n")
-
-
-def _finite_range(values: Sequence[float], what: str) -> tuple[float, float] | None:
-    arr = np.asarray(values, dtype=np.float64)
-    finite = arr[np.isfinite(arr)]
+def _finite_range(values: np.ndarray, what: str) -> tuple[float, float] | None:
+    finite = values[np.isfinite(values)]
     if finite.size == 0:
         print(f"note: {what}: no finite values, image is flat", file=sys.stderr)
         return None
@@ -301,49 +310,41 @@ def _finite_range(values: Sequence[float], what: str) -> tuple[float, float] | N
     return vmin, vmax
 
 
-def colormap_rgb(t: float) -> tuple[int, int, int]:
-    """Three-stop map: 0 = blue, 1/2 = green, 1 = red, linear between."""
-    t = min(max(t, 0.0), 1.0)
-    if t <= 0.5:
-        s = 2.0 * t
-        return (0, int(round(255.0 * s)), int(round(255.0 * (1.0 - s))))
-    s = 2.0 * t - 1.0
-    return (int(round(255.0 * s)), int(round(255.0 * (1.0 - s))), 0)
+def colormap_rgb(t) -> np.ndarray:
+    """Three-stop map: 0 = blue, 1/2 = green, 1 = red, linear between.
+
+    Elementwise: ``t`` of any shape gives integer colours of shape (..., 3).
+    """
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    low = t <= 0.5
+    s = np.where(low, 2.0 * t, 2.0 * t - 1.0)
+    rise = np.rint(255.0 * s).astype(int)
+    fall = np.rint(255.0 * (1.0 - s)).astype(int)
+    return np.stack(
+        [np.where(low, 0, rise), np.where(low, rise, fall), np.where(low, fall, 0)], axis=-1
+    )
 
 
 def export_ppm(field: MetricField, path: str) -> None:
     """Plain-text colour image on the blue/green/red map, NaN = black."""
-    rng = _finite_range(field.values, path)
-
-    def pixel(v: float) -> tuple[int, int, int]:
-        if math.isnan(v):
-            return (0, 0, 0)
-        if rng is None:
-            return colormap_rgb(0.5)
-        return colormap_rgb((v - rng[0]) / (rng[1] - rng[0]))
-
-    with open(path, "w", newline="") as fh:
-        fh.write(f"P3\n{field.grid.nx} {field.grid.ny}\n255\n")
-        for row in _image_rows(field.grid):
-            tokens = (
-                str(c) for i in row for c in pixel(field.values[i])
-            )
-            _write_tokens(fh, tokens)
+    values = field.values
+    rng = _finite_range(values, path)
+    missing = np.isnan(values)
+    if rng is None:
+        t = np.full(values.shape, 0.5)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (values - rng[0]) / (rng[1] - rng[0])
+        if np.any(np.isnan(t) & ~missing):
+            raise ValueError(f"{path}: the value range overflows float64")
+    rgb = colormap_rgb(np.where(missing, 0.5, t))
+    rgb[missing] = 0
+    _write_ppm(path, field.grid, rgb)
 
 
 def export_labels_csv(imap: InfluenceMap, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("x_m,y_m,label\n")
-        for i, lab in enumerate(imap.labels):
-            x, y = imap.grid.cell_xy(i)
-            fh.write(f"{x!r},{y!r},{lab}\n")
+    _write_csv(path, imap.grid, "label", map(LABELS.__getitem__, imap.labels.tolist()))
 
 
 def export_labels_ppm(imap: InfluenceMap, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"P3\n{imap.grid.nx} {imap.grid.ny}\n255\n")
-        for row in _image_rows(imap.grid):
-            tokens = (
-                str(c) for i in row for c in LABEL_COLORS[imap.labels[i]]
-            )
-            _write_tokens(fh, tokens)
+    _write_ppm(path, imap.grid, _PALETTE[imap.labels])

@@ -10,8 +10,9 @@ Grid maps go through one engine, :func:`gain_pairs`, which works on
 arrays of points: direct channels per base station for a whole block at
 once, the base station to surface leg once per map, the surface to point
 legs once per block, and the quadratic-form ascent over all points of a
-block served by the same station. ``gain_pair``, ``tx_power_pair`` and
-``se_pair`` are one-row views of it.
+block served by the same station. It and the two maps derived from it
+return one ``(2, n)`` array: row 0 without the surface, row 1 with it.
+``gain_pair``, ``tx_power_pair`` and ``se_pair`` are one-row views.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ def _to_db(power_linear: float) -> float:
     if power_linear > 0.0:
         return 10.0 * math.log10(power_linear)
     return math.nan if math.isnan(power_linear) else -math.inf
+
+
+def _per_value(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` on every value as a Python float.
+
+    For the steps that must stay on ``math``: numpy's ``log10`` and
+    ``log2`` round differently from it on some inputs.
+    """
+    out = np.fromiter(map(fn, values.ravel().tolist()), dtype=np.float64, count=values.size)
+    return out.reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -92,19 +103,17 @@ def equivalent_gain(scene: Scene, bs_index: int, point, ris_mode: str = "optimiz
     return _to_db(max(optimize_gain(terms, scene.ris.phase_lookup_rad).gain, terms.c0))
 
 
-def required_tx_power(gain_db: float, budget: LinkBudget) -> float:
+def required_tx_power(gain_db, budget: LinkBudget):
     """Transmit power meeting the voice SNR target, NaN when out of coverage.
 
     The unclamped solution is pure dB arithmetic; a device cannot go below
     its minimum power, so low demands clamp up, while demands beyond the
-    maximum mean the target is unattainable.
+    maximum mean the target is unattainable. Elementwise on an array.
     """
-    if math.isnan(gain_db):
-        return math.nan
-    p = budget.target_snr_db + budget.noise_power_dbm - gain_db
-    if p > budget.max_tx_power_dbm:
-        return math.nan
-    return max(p, budget.min_tx_power_dbm)
+    p = budget.target_snr_db + budget.noise_power_dbm - np.asarray(gain_db, dtype=float)
+    # the clamp keeps p unless the floor is strictly above it, as max(p, floor)
+    floor = budget.min_tx_power_dbm
+    return np.where(p > budget.max_tx_power_dbm, math.nan, np.where(floor > p, floor, p))[()]
 
 
 def spectral_efficiency_from_gain(gain_db: float, budget: LinkBudget) -> float:
@@ -151,12 +160,11 @@ def _serving(scene: Scene, directs: list[DirectChannel], legs: list) -> np.ndarr
     return np.where(usable[best, np.arange(best.size)], best, -1)
 
 
-def _gain_block(scene: Scene, points: np.ndarray, legs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Linear (without, with) gains at the serving station of each point."""
+def _gain_block(scene: Scene, points: np.ndarray, legs: list) -> np.ndarray:
+    """(2, n) linear without and with gains at the serving station of each point."""
     directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
     serving = _serving(scene, directs, legs)
-    off = np.full(len(points), math.nan)
-    best = np.full(len(points), math.nan)
+    gains = np.full((2, len(points)), math.nan)
     if scene.ris is not None:
         point_gains, point_dists = surface_legs(scene, points)
         serving = np.where(np.all(point_dists > 0.0, axis=1), serving, -1)
@@ -175,49 +183,41 @@ def _gain_block(scene: Scene, points: np.ndarray, legs: list) -> tuple[np.ndarra
             else None
         )
         terms = gain_terms(sub, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
-        off[rows] = terms.c0
-        if ris_ch is None:
-            best[rows] = terms.c0
-        else:
+        gains[:, rows] = terms.c0
+        if ris_ch is not None:
             _, ascended = optimize_gains(terms, scene.ris.phase_lookup_rad)
-            best[rows] = np.maximum(ascended, terms.c0)
-    return off, best
+            gains[1, rows] = np.maximum(ascended, terms.c0)
+    return gains
 
 
-def gain_pairs(scene: Scene, points) -> list[tuple[float, float]]:
-    """(without, with) equivalent gain in dB at each point's serving station.
+def gain_pairs(scene: Scene, points) -> np.ndarray:
+    """(2, n) without and with equivalent gain in dB at each point's serving station.
 
     The grid-batched engine behind every gain-family map. Points are
     processed in blocks sized so one block's V matrices stay within a
     fixed memory budget; every operation is per point, so the result does
     not depend on the block size. A point on a base station drops that
     station from the choice; a point with no usable station, or on a
-    surface element, gets a NaN pair.
+    surface element, reads NaN in both rows.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     legs = _station_legs(scene)
     block = _cell_block(scene)
-    pairs = []
+    gains = np.empty((2, len(points)))
     for start in range(0, len(points), block):
-        off, best = _gain_block(scene, points[start:start + block], legs)
-        pairs.extend((_to_db(a), _to_db(b)) for a, b in zip(off.tolist(), best.tolist()))
-    return pairs
+        gains[:, start:start + block] = _gain_block(scene, points[start:start + block], legs)
+    return _per_value(_to_db, gains)
 
 
-def tx_power_pairs(scene: Scene, points) -> list[tuple[float, float]]:
+def tx_power_pairs(scene: Scene, points) -> np.ndarray:
+    return required_tx_power(gain_pairs(scene, points), link_budget(scene))
+
+
+def se_pairs(scene: Scene, points) -> np.ndarray:
     budget = link_budget(scene)
-    return [
-        (required_tx_power(a, budget), required_tx_power(b, budget))
-        for a, b in gain_pairs(scene, points)
-    ]
-
-
-def se_pairs(scene: Scene, points) -> list[tuple[float, float]]:
-    budget = link_budget(scene)
-    return [
-        (spectral_efficiency_from_gain(a, budget), spectral_efficiency_from_gain(b, budget))
-        for a, b in gain_pairs(scene, points)
-    ]
+    return _per_value(
+        lambda g: spectral_efficiency_from_gain(g, budget), gain_pairs(scene, points)
+    )
 
 
 def serving_bs(scene: Scene, point) -> int:
@@ -238,14 +238,14 @@ def gain_pair(scene: Scene, point) -> tuple[float, float]:
 
     One-row view of :func:`gain_pairs`, kept as the per-point oracle.
     """
-    return gain_pairs(scene, [point])[0]
+    return tuple(gain_pairs(scene, [point])[:, 0].tolist())
 
 
 def tx_power_pair(scene: Scene, point) -> tuple[float, float]:
     """One-row view of :func:`tx_power_pairs`, kept as the per-point oracle."""
-    return tx_power_pairs(scene, [point])[0]
+    return tuple(tx_power_pairs(scene, [point])[:, 0].tolist())
 
 
 def se_pair(scene: Scene, point) -> tuple[float, float]:
     """One-row view of :func:`se_pairs`, kept as the per-point oracle."""
-    return se_pairs(scene, [point])[0]
+    return tuple(se_pairs(scene, [point])[:, 0].tolist())

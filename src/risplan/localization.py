@@ -284,38 +284,37 @@ def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg
     return bounds
 
 
-def peb_pairs(scene: Scene, points, point_indices=None) -> list[tuple[float, float]]:
-    """(without, with) position error bound in metres at each point.
+def peb_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
+    """(2, n) without and with position error bound in metres at each point.
 
     The grid-batched engine behind the ``peb_m`` map. Each point's pilot
     configs derive from its index (``point_indices``, by default its
     position in ``points``), and blocks of points are processed together,
     sized so one block's reflected-row operands stay within a fixed memory
     budget; every operation is per point, so the result does not depend on
-    the block size. A point on a base station or a surface element gets a
-    NaN pair, and so does every point when the surface leg of the station
-    nearest the surface is degenerate.
+    the block size. A point on a base station or a surface element reads
+    NaN in both rows, and so does every point when the surface leg of the
+    station nearest the surface is degenerate.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     indices = np.arange(len(points)) if point_indices is None else np.asarray(point_indices)
+    bounds = np.full((2, len(points)), math.nan)
     leg = None
     if scene.ris is not None:
         try:
             leg = bs_leg(scene, scene.nearest_bs_to_ris())
         except CoincidentNodeError:
-            return [(math.nan, math.nan)] * len(points)
+            return bounds
     block = _cell_block(scene)
-    pairs: list[tuple[float, float]] = []
     for start in range(0, len(points), block):
         stop = start + block
-        without, with_ = _peb_block(scene, points[start:stop], indices[start:stop], leg)
-        pairs.extend(zip(without.tolist(), with_.tolist()))
-    return pairs
+        bounds[:, start:stop] = _peb_block(scene, points[start:stop], indices[start:stop], leg)
+    return bounds
 
 
 def peb_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
     """(without, with) bound in metres for one grid point: a one-row view of :func:`peb_pairs`."""
-    return peb_pairs(scene, [point], [point_index])[0]
+    return tuple(peb_pairs(scene, [point], [point_index])[:, 0].tolist())
 
 
 def _stacked_observation(scene: Scene, point, with_ris: bool, point_index: int):

@@ -162,11 +162,6 @@ class DirectChannel:
     def antenna_count(self) -> int:
         return self.gains.shape[-1]
 
-    def at_subcarriers(self, count: int, spacing_hz: float) -> np.ndarray:
-        """(count, A) frequency-domain response of a one-point channel."""
-        phases = np.exp(-2j * math.pi * spacing_hz * self.delay_s * np.arange(count))
-        return self.gains[None, :] * phases[:, None]
-
 
 @dataclass(frozen=True)
 class RisChannel:

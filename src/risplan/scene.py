@@ -121,12 +121,6 @@ class Grid:
     def cell_count(self) -> int:
         return self.nx * self.ny
 
-    def cell_xy(self, index: int) -> tuple[float, float]:
-        if not 0 <= index < self.cell_count:
-            raise IndexError(f"cell index {index} outside 0..{self.cell_count - 1}")
-        iy, ix = divmod(index, self.nx)
-        return (self.x_min + ix * self.resolution_m, self.y_min + iy * self.resolution_m)
-
     def points(self) -> np.ndarray:
         """All cell centres as an (n, 3) array, row-major."""
         xs = self.x_min + self.resolution_m * np.arange(self.nx)

@@ -278,7 +278,7 @@ def optimize_sse(
 
 def sse_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
     """(without, with) secrecy rate at one point: a one-row view of :func:`sse_pairs`."""
-    return sse_pairs(scene, [point], [point_index])[0]
+    return tuple(sse_pairs(scene, [point], [point_index])[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +445,13 @@ def _ascend_phases(ch: SecrecyChannels, q, phases, val, lookup,
             break
 
 
-def _sse_block(ch: SecrecyChannels, lookup, outer_rounds: int = 5) -> list[tuple[float, float]]:
-    """:func:`optimize_sse`'s (without, with) for a stack of cells' channels."""
+def _sse_block(ch: SecrecyChannels, lookup, outer_rounds: int = 5) -> np.ndarray:
+    """:func:`optimize_sse`'s (2, K) without and with rates for a stack of cells' channels."""
     _, val_wo = _ascend_q(ch.direct_rx, ch.direct_eve, None, ch.noise_w, ch.power_w)
-    without = [max(v, 0.0) for v in val_wo.tolist()]
+    # each clamp keeps the value unless 0.0 is strictly above it, as max(v, 0.0)
+    without = np.where(val_wo < 0.0, 0.0, val_wo)
     if ch.bs_to_ris is None:
-        return [(v, v) for v in without]
+        return np.stack([without, without])
 
     k, m = ch.bs_to_ris.shape[:2]
     phases = np.zeros((k, m))
@@ -478,15 +479,12 @@ def _sse_block(ch: SecrecyChannels, lookup, outer_rounds: int = 5) -> list[tuple
         if not live.size:
             break
 
-    pairs = []
-    for wo, v in zip(without, val.tolist()):
-        w = max(v, 0.0)
-        pairs.append((wo, wo if wo >= w else w))
-    return pairs
+    with_ = np.where(val < 0.0, 0.0, val)
+    return np.stack([without, np.where(without >= with_, without, with_)])
 
 
-def sse_pairs(scene: Scene, points, point_indices=None) -> list[tuple[float, float]]:
-    """(without, with) secrecy rate at each point, averaged over the scene's fading draws.
+def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
+    """(2, n) without and with secrecy rate at each point, averaged over the scene's fading draws.
 
     The grid-batched engine behind the ``sse_bps_hz`` map. Each point's
     fading comes from its index (``point_indices``, by default its position
@@ -495,7 +493,7 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> list[tuple[float, flo
     IEEE WCL 2020), every loop masked per point, so each reading is the one
     :func:`optimize_sse` gives for the point alone, whatever the block size.
     Draws are accumulated in draw order. A point on a scene node
-    (``CoincidentNodeError``) gets a NaN pair.
+    (``CoincidentNodeError``) reads NaN in both rows.
     """
     if scene.eve is None:
         raise RunError("secrecy metrics need an eavesdropper in the scene")
@@ -504,24 +502,23 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> list[tuple[float, flo
     lookup = () if scene.ris is None else scene.ris.phase_lookup_rad
     draws = scene.secrecy.fading_draws
     block = _cell_block(scene)
-    pairs: list[tuple[float, float]] = []
+    sums = np.zeros((2, len(points)))
+    on_node = np.zeros(len(points), dtype=bool)
     for start in range(0, len(points), block):
-        rows = list(range(start, min(start + block, len(points))))
-        sums = {i: (0.0, 0.0) for i in rows}
+        rows = range(start, min(start + block, len(points)))
         for draw in range(draws):
-            channels = []
-            for i in list(sums):
+            cells, channels = [], []
+            for i in rows:
+                if on_node[i]:
+                    continue
                 try:
-                    channels.append((i, secrecy_link(scene, points[i], indices[i], draw)))
+                    channels.append(secrecy_link(scene, points[i], indices[i], draw))
+                    cells.append(i)
                 except CoincidentNodeError:
-                    del sums[i]
-            if not channels:
+                    on_node[i] = True
+            if not cells:
                 break
-            block_pairs = _sse_block(_stack([c for _, c in channels]), lookup)
-            for (i, _), (wo, wi) in zip(channels, block_pairs):
-                sums[i] = (sums[i][0] + wo, sums[i][1] + wi)
-        pairs.extend(
-            (sums[i][0] / draws, sums[i][1] / draws) if i in sums else (math.nan, math.nan)
-            for i in rows
-        )
-    return pairs
+            sums[:, cells] += _sse_block(_stack(channels), lookup)
+    rates = sums / draws
+    rates[:, on_node] = math.nan
+    return rates

@@ -63,10 +63,6 @@ class ContrastCurve:
         if self.kind not in ("reflection", "transmission"):
             raise ConfigError(f"contrast kind must be reflection or transmission, got '{self.kind}'")
 
-    def at(self, f_hz: float) -> float:
-        """Piecewise-linear contrast at f_hz (inside the sampled range)."""
-        return float(np.interp(f_hz, self.frequencies_hz, self.contrast))
-
 
 @dataclass(frozen=True)
 class BandOfInfluence:

@@ -1,0 +1,16 @@
+"""Small evaluations that only tests need, kept out of the package API."""
+
+import math
+
+import numpy as np
+
+
+def at_subcarriers(direct, count, spacing_hz):
+    """(count, A) frequency-domain response of a one-point ``DirectChannel``."""
+    phases = np.exp(-2j * math.pi * spacing_hz * direct.delay_s * np.arange(count))
+    return direct.gains[None, :] * phases[:, None]
+
+
+def contrast_at(curve, f_hz):
+    """Piecewise-linear contrast of a ``ContrastCurve`` at f_hz (inside the sampled range)."""
+    return float(np.interp(f_hz, curve.frequencies_hz, curve.contrast))

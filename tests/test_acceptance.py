@@ -27,7 +27,7 @@ from risplan.beamforming import (
     wrap_phase,
 )
 from risplan.coexistence import CoexistConfig, simulate
-from risplan.influence import classify, sweep
+from risplan.influence import LABELS, classify, sweep
 from risplan.localization import (
     ml_position_rmse,
     observation_model,
@@ -255,13 +255,11 @@ class TestLocalizationMaps:
         imap = classify(without, with_, indoor_scene.thresholds)
         grid = imap.grid
 
-        enabled = frozenset(i for i, lab in enumerate(imap.labels) if lab == "enabled")
-        assert enabled
+        xy = grid.points()[:, :2]
+        enabled = imap.labels == LABELS.index("enabled")
+        assert np.any(enabled)
         ris_xy = np.asarray(indoor_scene.ris.position_m[:2])
-        nearest = min(
-            float(np.hypot(*(np.asarray(grid.cell_xy(i)) - ris_xy)))
-            for i in enabled
-        )
+        nearest = np.min(np.hypot(*(xy[enabled] - ris_xy).T))
         assert nearest <= 1.5
 
         # the region framed by the three base stations is already well
@@ -276,9 +274,9 @@ class TestLocalizationMaps:
                 signs.append((bx - ax) * (y - ay) - (by - ay) * (x - ax))
             return min(signs) >= 0 or max(signs) <= 0
 
-        inner = [i for i in range(grid.cell_count) if inside(*grid.cell_xy(i))]
+        inner = [i for i in range(grid.cell_count) if inside(*xy[i])]
         assert inner
-        unchanged = sum(1 for i in inner if imap.labels[i] == "unchanged")
+        unchanged = sum(1 for i in inner if LABELS[imap.labels[i]] == "unchanged")
         share = unchanged / len(inner)
         assert share > 0.60
         _report(
@@ -457,8 +455,8 @@ class TestCoverageMaps:
         imap = classify(pw_without, pw_with, scene.thresholds)
         # energy efficiency at a fixed rate improves exactly where the
         # required power falls: the boosted cells of the power map
-        efficient = [i for i, lab in enumerate(imap.labels) if lab == "boosted"]
-        assert efficient
+        efficient = np.flatnonzero(imap.labels == LABELS.index("boosted"))
+        assert efficient.size
         _report(
             "coverage maps",
             f"power/rate pointwise ordered, {len(efficient)} energy-efficiency boosted cells",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import at_subcarriers
 from risplan import kernels
 from risplan.beamforming import (
     GainTerms,
@@ -185,7 +186,7 @@ def brute_force_gain(scene, bs_index, point, z):
     """Explicit per-subcarrier, per-antenna evaluation of the mean gain."""
     n, df = scene.subcarrier_count, scene.subcarrier_spacing_hz
     direct = direct_channel(scene, bs_index, point)
-    d = direct.at_subcarriers(n, df)  # (n, A)
+    d = at_subcarriers(direct, n, df)  # (n, A)
     ch = ris_channel(scene, bs_index, point)
     sub = np.exp(
         -2j * math.pi * df * np.arange(n)[:, None] * ch.element_delays_s[None, :]

@@ -260,7 +260,7 @@ class TestAoi:
         _, _, delta = csv_columns(out / "bare_gain_db_delta.csv")
         scene = parse_scene(json.dumps(scene_without(SCENE, "ris")))
         imap = classify(*sweep(scene, "gain_db"), scene.thresholds)
-        np.testing.assert_array_equal(delta, bits(imap.delta_db))
+        np.testing.assert_array_equal(delta, bits(imap.delta))
         np.testing.assert_array_equal(delta, bits(np.zeros(6)))
         labels = (out / "bare_gain_db_labels.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",unchanged") for line in labels)
@@ -353,6 +353,17 @@ class TestCoexist:
         assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", "0",
                      "--ue", "11,19", "--out", str(tmp_path / "o")]) == 2
         assert "slots" in capsys.readouterr().err
+
+    def test_delay_not_below_slots_exits_2_writing_nothing(self, tmp_path, capsys):
+        scene_path = write_scene(tmp_path, COEX_SCENE)
+        out = tmp_path / "out"
+        assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", "10",
+                     "--csi-delay", "100000", "--ue", "11,19", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: csi_delay_slots (100000) must be below slots (10), or no slot transmits\n")
+        assert not out.exists()
 
     def test_bad_ue_exits_2(self, tmp_path, capsys):
         scene_path = write_scene(tmp_path, COEX_SCENE)

@@ -192,12 +192,19 @@ class TestSimulate:
         moved_there = set(np.nonzero(np.diff(there.snr_trace_db))[0])
         assert moved_here == moved_there
 
-    def test_short_run_has_no_transmitting_slots(self):
-        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=2, switch_probability=1.0,
+    @pytest.mark.parametrize("slots, delay", [(2, 5), (10, 10), (10, 100_000)])
+    def test_delay_must_leave_a_transmitting_slot(self, slots, delay):
+        # with no slot after the delay there is no block error rate to report
+        with pytest.raises(ConfigError, match=r"csi_delay_slots \(\d+\) must be below slots \(\d+\)"):
+            CoexistConfig(slots=slots, switch_probability=1.0, csi_delay_slots=delay)
+
+    def test_one_transmitting_slot(self):
+        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=6, switch_probability=1.0,
                                                          csi_delay_slots=5))
-        assert res.transmitting_slots == 0
-        assert res.bler == 0.0
-        assert np.all(np.isnan(res.selected_rate_bps_hz))
+        assert res.transmitting_slots == 1
+        assert res.bler in (0.0, 1.0)
+        assert np.all(np.isnan(res.selected_rate_bps_hz[:5]))
+        assert np.isfinite(res.selected_rate_bps_hz[5])
 
     def test_capacity_column_follows_gap(self):
         cfg = CoexistConfig(slots=50, switch_probability=0.0, mcs_gap_db=3.0)
@@ -279,7 +286,7 @@ class TestOverlapCurve:
 
     def test_ratio_decays_along_ray(self):
         scene = coex_scene()
-        config = CoexistConfig(slots=1, switch_probability=0.5)
+        config = CoexistConfig(slots=2, switch_probability=0.5)
         ratios = [
             simulate(scene, [11.0, 19.0 - 2.5 * k, 1.5], config).ris_direct_ratio_db
             for k in range(6)
@@ -360,10 +367,10 @@ class TestTraceWriterOracle:
             ({}, CoexistConfig(slots=20_000, switch_probability=0.5,
                                rate_table=(0.5, 2.0, 4.0, 6.0, 8.0))),
             ({}, CoexistConfig(slots=20_000, switch_probability=0.5, csi_delay_slots=3)),
-            ({}, CoexistConfig(slots=3, switch_probability=1.0, csi_delay_slots=3)),
+            ({}, CoexistConfig(slots=4, switch_probability=1.0, csi_delay_slots=3)),
             ({"ris": None}, CoexistConfig(slots=20_000, switch_probability=0.5)),
         ],
-        ids=["default", "rate_table", "csi_delay_3", "all_warmup", "no_surface"],
+        ids=["default", "rate_table", "csi_delay_3", "warmup_then_one_slot", "no_surface"],
     )
     def test_simulated_trace(self, tmp_path, scene_kwargs, config):
         res = simulate(coex_scene(**scene_kwargs), NEAR, config)

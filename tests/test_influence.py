@@ -1,14 +1,18 @@
 """Sweep orchestration, cell labelling, AoI sets, and file export."""
 
+import contextlib
+import io
 import json
 import math
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import influence_oracle as oracle
 from risplan import influence, linkmetrics, localization, secrecy
 from risplan.errors import ConfigError, RunError
 from risplan.influence import (
@@ -29,7 +33,7 @@ from risplan.influence import (
 )
 from risplan.linkmetrics import gain_pair
 from risplan.localization import peb_pair
-from risplan.scene import Grid, Thresholds, load_scene, parse_scene
+from risplan.scene import METRIC_IDS, Grid, Thresholds, load_scene, parse_scene
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 
@@ -54,7 +58,16 @@ def line_grid(n):
 
 
 def field_of(values, metric_id="gain_db", kind="without"):
-    return MetricField(line_grid(len(values)), metric_id, kind, tuple(values))
+    return MetricField(line_grid(len(values)), metric_id, kind, values)
+
+
+def names(imap):
+    """The map's labels as a tuple of names."""
+    return tuple(LABELS[code] for code in imap.labels)
+
+
+def cells(mask):
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 class TestMetricField:
@@ -62,12 +75,20 @@ class TestMetricField:
         with pytest.raises(ValueError, match="values"):
             MetricField(line_grid(3), "gain_db", "without", (1.0, 2.0))
 
+    def test_values_are_a_read_only_copy(self):
+        given = np.array([1.0, 2.0, 3.0])
+        field = MetricField(line_grid(3), "gain_db", "without", given)
+        given[0] = 9.0
+        assert field.values.dtype == np.float64 and field.values[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[0] = 5.0
+
 
 class TestSweep:
     def test_no_surface_fields_identical(self):
         scene = small_scene(ris=None)
         without, with_ = sweep(scene, "gain_db")
-        assert without.values == with_.values
+        np.testing.assert_array_equal(without.values, with_.values)
         assert without.kind == "without" and with_.kind == "with"
 
     def test_cell_count(self):
@@ -80,15 +101,14 @@ class TestSweep:
     def test_deterministic(self):
         a = sweep(small_scene(), "gain_db")
         b = sweep(small_scene(), "gain_db")
-        assert a[0].values == b[0].values
-        assert a[1].values == b[1].values
+        np.testing.assert_array_equal(a[0].values, b[0].values)
+        np.testing.assert_array_equal(a[1].values, b[1].values)
 
     def test_matches_single_point_calls(self):
         scene = small_scene()
         without, with_ = sweep(scene, "gain_db")
         for idx in (0, 7, 14):
-            x, y = scene.grid.cell_xy(idx)
-            wo, wi = gain_pair(scene, [x, y, 1.5])
+            wo, wi = gain_pair(scene, scene.grid.points()[idx])
             assert without.values[idx] == wo
             assert with_.values[idx] == wi
 
@@ -98,8 +118,7 @@ class TestSweep:
                                 {"position_m": [3, 5, 3]}])
         without, with_ = sweep(scene, "peb_m")
         idx = 4
-        x, y = scene.grid.cell_xy(idx)
-        wo, wi = peb_pair(scene, [x, y, 1.5], point_index=idx)
+        wo, wi = peb_pair(scene, scene.grid.points()[idx], point_index=idx)
         assert without.values[idx] == wo
         assert with_.values[idx] == wi
 
@@ -218,8 +237,7 @@ class TestBatchedSweepInvariance:
         monkeypatch.setattr(linkmetrics, "_BLOCK_BYTES", 1)
         assert linkmetrics._cell_block(scene) == 1
         for idx in (0, 200, 650):
-            x, y = scene.grid.cell_xy(idx)
-            assert gain_pair(scene, [x, y, 1.5]) == (
+            assert gain_pair(scene, scene.grid.points()[idx]) == (
                 reference[0].values[idx], reference[1].values[idx])
 
 
@@ -262,46 +280,46 @@ class TestClassify:
         f = field_of([3.0, 4.0, 5.0])
         g = MetricField(f.grid, f.metric_id, "with", f.values)
         imap = classify(f, g)
-        assert set(imap.labels) == {"unchanged"}
-        assert imap.aoi_cells == frozenset()
+        assert set(names(imap)) == {"unchanged"}
+        assert not np.any(imap.desired | imap.undesired)
 
     def test_power_reduction_boosted_at_explicit_threshold(self):
         th = Thresholds(per_metric=(("tx_power_dbm", (3.0, 2.0)),))
         wo = field_of([20.0], "tx_power_dbm")
         wi = field_of([14.0], "tx_power_dbm", "with")
         imap = classify(wo, wi, th)
-        assert imap.labels == ("boosted",)
-        assert imap.delta_db[0] == pytest.approx(6.0)
+        assert names(imap) == ("boosted",)
+        assert imap.delta[0] == pytest.approx(6.0)
 
     def test_power_change_floor_default(self):
         # any reduction past the floor counts; a hair under it does not
         wo = field_of([20.0, 20.0], "tx_power_dbm")
         wi = field_of([19.8, 19.95], "tx_power_dbm", "with")
         imap = classify(wo, wi)
-        assert imap.labels == ("boosted", "unchanged")
+        assert names(imap) == ("boosted", "unchanged")
 
     def test_outage_to_coverage_enabled(self):
         wo = field_of([math.nan], "tx_power_dbm")
         wi = field_of([10.0], "tx_power_dbm", "with")
-        assert classify(wo, wi).labels == ("enabled",)
+        assert names(classify(wo, wi)) == ("enabled",)
 
     def test_coverage_to_outage_degraded(self):
         wo = field_of([10.0])
         wi = field_of([math.nan], kind="with")
-        assert classify(wo, wi).labels == ("degraded",)
+        assert names(classify(wo, wi)) == ("degraded",)
 
     def test_outage_both_infeasible(self):
         wo = field_of([math.nan])
         wi = field_of([math.nan], kind="with")
         imap = classify(wo, wi)
-        assert imap.labels == ("infeasible_both",)
-        assert imap.aoi_cells == frozenset()
+        assert names(imap) == ("infeasible_both",)
+        assert not np.any(imap.desired | imap.undesired)
 
     def test_higher_better_bands(self):
         wo = field_of([0.0] * 7)
         wi = field_of([3.0, 2.5, 2.0, 1.9, -1.9, -2.0, -5.0], kind="with")
         imap = classify(wo, wi)
-        assert imap.labels == ("boosted", "marginal", "marginal", "unchanged",
+        assert names(imap) == ("boosted", "marginal", "marginal", "unchanged",
                                "unchanged", "degraded", "degraded")
 
     def test_lower_better_band_edges_inclusive(self):
@@ -311,9 +329,9 @@ class TestClassify:
         wo = field_of([20.0] * 5, "tx_power_dbm")
         wi = field_of([17.0, 18.0, 18.5, 21.5, 22.0], "tx_power_dbm", "with")
         imap = classify(wo, wi, th)
-        assert imap.labels == ("boosted", "marginal", "unchanged", "unchanged",
+        assert names(imap) == ("boosted", "marginal", "unchanged", "unchanged",
                                "degraded")
-        assert imap.delta_db == (3.0, 2.0, 1.5, -1.5, -2.0)
+        assert imap.delta.tolist() == [3.0, 2.0, 1.5, -1.5, -2.0]
 
     @given(
         st.sampled_from(["gain_db", "tx_power_dbm", "peb_m"]),
@@ -334,11 +352,9 @@ class TestClassify:
         wi = field_of([b for _, b in pairs], metric_id, "with")
         loose = classify(wo, wi, Thresholds(per_metric=((metric_id, (lo + 1.0, lo)),)))
         strict = classify(wo, wi, Thresholds(per_metric=((metric_id, (hi + 1.0, hi)),)))
-        assert strict.aoi_cells <= loose.aoi_cells
-        boosted = [
-            frozenset(i for i, lab in enumerate(imap.labels) if lab == "boosted")
-            for imap in (loose, strict)
-        ]
+        aoi = [cells(imap.desired | imap.undesired) for imap in (loose, strict)]
+        assert aoi[1] <= aoi[0]
+        boosted = [cells(imap.labels == LABELS.index("boosted")) for imap in (loose, strict)]
         assert boosted[1] <= boosted[0]
 
     def test_grid_mismatch(self):
@@ -357,31 +373,30 @@ class TestClassify:
         wo = field_of([0.1, 0.1], "peb_m")
         wi = field_of([0.05, 0.09], "peb_m", "with")
         imap = classify(wo, wi)
-        assert imap.labels == ("boosted", "unchanged")
-        assert imap.delta_db[0] == pytest.approx(20 * math.log10(2), rel=1e-12)
+        assert names(imap) == ("boosted", "unchanged")
+        assert imap.delta[0] == pytest.approx(20 * math.log10(2), rel=1e-12)
 
     def test_peb_feasibility_gates(self):
         wo = field_of([0.2, 0.2, 0.1, 0.05], "peb_m")
         wi = field_of([0.05, 0.2, 0.2, 0.0], "peb_m", "with")
         imap = classify(wo, wi)
-        assert imap.labels == ("enabled", "infeasible_both", "degraded", "boosted")
+        assert names(imap) == ("enabled", "infeasible_both", "degraded", "boosted")
 
     def test_qos_floor_enables(self):
         th = Thresholds(qos_min=(("sse_bps_hz", 26.0),))
         wo = field_of([20.0, 27.0], "sse_bps_hz")
         wi = field_of([30.0, 30.0], "sse_bps_hz", "with")
         imap = classify(wo, wi, th)
-        assert imap.labels == ("enabled", "boosted")
+        assert names(imap) == ("enabled", "boosted")
 
     def test_desired_undesired_split(self):
         wo = field_of([0.0, 0.0, 0.0, math.nan, 5.0])
         wi = field_of([5.0, 2.5, -5.0, 1.0, math.nan], kind="with")
         imap = classify(wo, wi)
-        assert imap.labels == ("boosted", "marginal", "degraded", "enabled",
+        assert names(imap) == ("boosted", "marginal", "degraded", "enabled",
                                "degraded")
-        assert imap.desired_aoi_cells == frozenset({0, 3})
-        assert imap.undesired_aoi_cells == frozenset({1, 2, 4})
-        assert imap.aoi_cells == imap.desired_aoi_cells | imap.undesired_aoi_cells
+        assert cells(imap.desired) == frozenset({0, 3})
+        assert cells(imap.undesired) == frozenset({1, 2, 4})
 
     @given(
         st.lists(
@@ -398,13 +413,12 @@ class TestClassify:
         wo = field_of([a for a, _ in pairs])
         wi = field_of([b for _, b in pairs], kind="with")
         imap = classify(wo, wi)
-        assert all(lab in LABELS for lab in imap.labels)
+        assert all(0 <= code < len(LABELS) for code in imap.labels)
         assert len(imap.labels) == len(pairs)
-        assert imap.desired_aoi_cells | imap.undesired_aoi_cells == imap.aoi_cells
-        assert imap.desired_aoi_cells & imap.undesired_aoi_cells == frozenset()
-        uninfluenced = frozenset(range(len(pairs))) - imap.aoi_cells
-        for i in uninfluenced:
-            assert imap.labels[i] in ("unchanged", "infeasible_both")
+        assert not np.any(imap.desired & imap.undesired)
+        uninfluenced = ~(imap.desired | imap.undesired)
+        assert set(np.asarray(LABELS)[imap.labels[uninfluenced]]) <= {
+            "unchanged", "infeasible_both"}
 
     def test_delta_field_round_trip(self):
         wo = field_of([0.0, 1.0])
@@ -412,7 +426,7 @@ class TestClassify:
         imap = classify(wo, wi)
         delta = imap.delta_field()
         assert delta.kind == "delta"
-        assert delta.values == imap.delta_db
+        np.testing.assert_array_equal(delta.values, imap.delta)
 
 
 class TestPowerMap:
@@ -421,8 +435,8 @@ class TestPowerMap:
         wo = field_of([20.0, 20.0, math.nan, 14.0], "tx_power_dbm")
         wi = field_of([14.0, 19.99, 10.0, 20.0], "tx_power_dbm", "with")
         imap = classify(wo, wi)
-        assert imap.labels == ("boosted", "unchanged", "enabled", "degraded")
-        assert imap.desired_aoi_cells == frozenset({0, 2})
+        assert names(imap) == ("boosted", "unchanged", "enabled", "degraded")
+        assert cells(imap.desired) == frozenset({0, 2})
 
 
 def load_field_csv(path):
@@ -476,10 +490,11 @@ class TestCsvExport:
 
 class TestPpmExport:
     def test_colormap_stops(self):
-        assert colormap_rgb(0.0) == (0, 0, 255)
-        assert colormap_rgb(0.5) == (0, 255, 0)
-        assert colormap_rgb(1.0) == (255, 0, 0)
-        assert colormap_rgb(0.25) == (0, 128, 128)
+        assert colormap_rgb(0.0).tolist() == [0, 0, 255]
+        assert colormap_rgb(0.5).tolist() == [0, 255, 0]
+        assert colormap_rgb(1.0).tolist() == [255, 0, 0]
+        assert colormap_rgb(0.25).tolist() == [0, 128, 128]
+        assert colormap_rgb([[0.0, 1.0]]).tolist() == [[[0, 0, 255], [255, 0, 0]]]
 
     def test_field_maps_to_stops(self, tmp_path):
         f = field_of([0.0, 5.0, 10.0, math.nan])
@@ -562,3 +577,105 @@ class TestNaming:
     def test_bad_kind(self):
         with pytest.raises(ValueError, match="kind"):
             field_filename("demo", "gain_db", "optimum", "csv")
+
+
+QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A grid, two fields and thresholds, with readings on every edge the classifier has."""
+    metric_id = draw(st.sampled_from(METRIC_IDS))
+    unchanged = draw(st.integers(0, 12)) / 4
+    boost = unchanged + draw(st.integers(0, 12)) / 4
+    cap = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    qos = None if metric_id == "peb_m" else draw(st.none() | QUARTERS)
+    thresholds = Thresholds(
+        peb_feasible_m=cap,
+        per_metric=((metric_id, (boost, unchanged)),),
+        qos_min=() if qos is None else ((metric_id, qos),),
+    )
+    # rows of 20 cells and more wrap over several image lines
+    nx, ny = draw(st.integers(1, 6) | st.integers(20, 40)), draw(st.integers(1, 6))
+    x0, y0 = draw(st.sampled_from([0.0, -2.5, 3.0, 0.1])), draw(st.sampled_from([0.0, 1.5, -0.3]))
+    res = draw(st.sampled_from([1.0, 0.25, 0.1, 2.5]))
+    grid = Grid(x_min=x0, x_max=x0 + (nx - 1) * res, y_min=y0, y_max=y0 + (ny - 1) * res,
+                resolution_m=res)
+
+    edges = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    if metric_id == "peb_m":
+        # a bound is never negative; 0.0 reads -inf on the dB scale
+        reading = st.sampled_from(edges + [cap]) | st.floats(0.0, 3 * cap)
+        offset = st.sampled_from([1.0, 0.5, 2.0, 10.0]).map(lambda f: lambda a: a * f)
+    else:
+        # magnitudes stay below 1e300, so no image's value range overflows
+        reading = (st.sampled_from(edges + ([] if qos is None else [qos]))
+                   | QUARTERS | st.floats(-50, 50) | st.floats(-1e300, 1e300))
+        offset = st.sampled_from([0.0, unchanged, -unchanged, boost, -boost]).map(
+            lambda d: lambda a: a + d)
+
+    def field(partner=None):
+        fill = draw(st.sampled_from(["cells", "cells", "nan", "flat"]))
+        if fill == "nan":
+            return [math.nan] * grid.cell_count
+        if fill == "flat":
+            return [draw(reading)] * grid.cell_count
+        if partner is None:
+            return [draw(reading) for _ in range(grid.cell_count)]
+        return [draw(reading | offset.map(lambda f, a=a: f(a))) for a in partner]
+
+    without = field()
+    return metric_id, thresholds, grid, without, field(without)
+
+
+def write_maps(directory, writers, without, with_, delta, labels):
+    """Every file of one aoi run: {name: bytes} and the notes printed."""
+    export_values, export_image, export_labels, export_label_image = writers
+    notes = io.StringIO()
+    with contextlib.redirect_stderr(notes):
+        for kind, values in (("without", without), ("with", with_), ("delta", delta)):
+            export_values(values, f"{directory}/{kind}.csv")
+            export_image(values, f"{directory}/{kind}.ppm")
+        export_labels(labels, f"{directory}/labels.csv")
+        export_label_image(labels, f"{directory}/labels.ppm")
+    files = {path.name: path.read_bytes() for path in pathlib.Path(directory).iterdir()}
+    assert len(files) == 8
+    return files, notes.getvalue()
+
+
+class TestMatchesOracle:
+    """classify and the writers against the per-cell oracle, bit for bit and byte for byte."""
+
+    @given(oracle_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_labels_delta_and_files(self, case):
+        metric_id, thresholds, grid, a, b = case
+        without = MetricField(grid, metric_id, "without", a)
+        with_ = MetricField(grid, metric_id, "with", b)
+        imap = classify(without, with_, thresholds)
+        labels, deltas = oracle.classify(metric_id, a, b, thresholds)
+        assert names(imap) == labels
+        assert bits(imap.delta).tolist() == bits(deltas).tolist()
+
+        with tempfile.TemporaryDirectory() as directory:
+            new = write_maps(
+                directory,
+                (export_csv, export_ppm, export_labels_csv, export_labels_ppm),
+                without, with_, imap.delta_field(), imap,
+            )
+            old = write_maps(
+                directory,
+                tuple(lambda values, path, write=write: write(grid, values, path)
+                      for write in (oracle.export_csv, oracle.export_ppm,
+                                    oracle.export_labels_csv, oracle.export_labels_ppm)),
+                a, b, deltas, labels,
+            )
+        assert new == old
+
+    def test_overflowing_value_range_fails_as_before(self, tmp_path):
+        # the span of these values exceeds the largest float64
+        values = (-1e308, 1e308, 0.0)
+        with pytest.raises(ValueError):
+            oracle.export_ppm(line_grid(3), values, tmp_path / "old.ppm")
+        with pytest.raises(ValueError, match="overflows"):
+            export_ppm(field_of(values), tmp_path / "new.ppm")

@@ -23,7 +23,7 @@ from risplan.localization import (
     peb_pairs,
     pilot_configs,
 )
-from risplan.influence import MetricField, classify
+from risplan.influence import LABELS, MetricField, classify
 from risplan.scene import Grid, Thresholds, load_scene, parse_scene
 from risplan.seeding import derived_rng
 
@@ -333,7 +333,7 @@ def peb_label(peb_without, peb_with, thresholds=None):
     grid = Grid(x_min=0, x_max=0, y_min=0, y_max=0, resolution_m=1.0)
     without = MetricField(grid, "peb_m", "without", (peb_without,))
     with_ = MetricField(grid, "peb_m", "with", (peb_with,))
-    return classify(without, with_, thresholds).labels[0]
+    return LABELS[classify(without, with_, thresholds).labels[0]]
 
 
 class TestClassifyPeb:
@@ -412,7 +412,8 @@ class TestPebPairs:
     def test_matches_schur_oracle(self):
         scene = loc_scene()
         pairs = peb_pairs(scene, self.POINTS, self.INDICES)
-        for point, idx, (wo, wi) in zip(self.POINTS, self.INDICES, pairs):
+        assert pairs.shape == (2, len(self.POINTS))
+        for point, idx, (wo, wi) in zip(self.POINTS, self.INDICES, pairs.T):
             assert wo == pytest.approx(peb_point(scene, point, False, idx).peb_m,
                                        rel=ORACLE_RTOL)
             assert wi == pytest.approx(peb_point(scene, point, True, idx).peb_m,
@@ -425,7 +426,7 @@ class TestPebPairs:
         cells = np.arange(0, scene.grid.cell_count, scene.grid.cell_count // 10)
         points = scene.grid.points()[cells]
         finite = 0
-        for i, point, pair in zip(cells, points, peb_pairs(scene, points, cells)):
+        for i, point, pair in zip(cells, points, peb_pairs(scene, points, cells).T):
             for value, with_ris in zip(pair, (False, True)):
                 ref = peb_point(scene, point, with_ris, int(i)).peb_m
                 if math.isinf(ref):
@@ -440,37 +441,38 @@ class TestPebPairs:
         reference = peb_pairs(scene, self.POINTS, self.INDICES)
         monkeypatch.setattr(localization, "_BLOCK_BYTES", 1)
         assert localization._cell_block(scene) == 1
-        assert peb_pairs(scene, self.POINTS, self.INDICES) == reference
-        assert [peb_pair(scene, p, i) for p, i in zip(self.POINTS, self.INDICES)] == reference
+        np.testing.assert_array_equal(peb_pairs(scene, self.POINTS, self.INDICES), reference)
+        rows = [peb_pair(scene, p, i) for p, i in zip(self.POINTS, self.INDICES)]
+        assert rows == list(zip(*reference.tolist()))
 
     def test_point_on_a_node_is_nan_pair(self):
         scene = loc_scene(ris={"position_m": [4, 0], "element_count": 1})
         pairs = peb_pairs(scene, [[0.5, 1, 0], [4, 0, 0], [2, 2, 0]])
-        assert all(math.isnan(v) for v in pairs[0] + pairs[1])
-        assert all(math.isfinite(v) for v in pairs[2])
+        assert np.all(np.isnan(pairs[:, :2]))
+        assert np.all(np.isfinite(pairs[:, 2]))
 
     def test_station_on_surface_centre_nans_every_cell(self):
         # the nearest station's surface leg has no direction
         scene = loc_scene(bs=[{"position_m": [4, 0]}, {"position_m": [4.8, 4.8]},
                               {"position_m": [1, 4.8]}])
         pairs = peb_pairs(scene, self.POINTS)
-        assert all(math.isnan(v) for pair in pairs for v in pair)
+        assert pairs.shape == (2, len(self.POINTS)) and np.all(np.isnan(pairs))
 
     def test_dark_surface_adds_nothing(self):
         scene = loc_scene(
             ris={"position_m": [4, 0], "element_count": 16, "element_efficiency": 0.0}
         )
-        for without, with_ris in peb_pairs(scene, self.POINTS):
-            assert with_ris == without
+        without, with_ris = peb_pairs(scene, self.POINTS)
+        assert np.array_equal(with_ris, without)
 
     def test_one_level_lookup_is_finite_and_never_worse(self):
         scene = loc_scene(ris={"position_m": [4, 0], "element_count": 16,
                                "phase_lookup_rad": [0.0]})
         points = scene.grid.points()
-        pairs = np.array(peb_pairs(scene, points))
+        pairs = peb_pairs(scene, points)
         on_station = np.all(points[:, :2] == [0.5, 1.0], axis=1)
-        assert np.all(np.isnan(pairs[on_station])) and on_station.sum() == 1
-        without, with_ris = pairs[~on_station].T
+        assert np.all(np.isnan(pairs[:, on_station])) and on_station.sum() == 1
+        without, with_ris = pairs[:, ~on_station]
         assert np.all(np.isfinite(without)) and np.all(np.isfinite(with_ris))
         assert np.all(with_ris <= without * (1 + 1e-12))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import at_subcarriers
 from risplan.errors import CoincidentNodeError, RunError
 from risplan.propagation import (
     C_LIGHT_M_S,
@@ -278,7 +279,7 @@ class TestDirectChannel:
     def test_subcarrier_phase_slope(self):
         scene = scene_with(subcarrier_count=64, subcarrier_spacing_hz=240e3)
         ch = direct_channel(scene, 0, [40, 9, 0])
-        resp = ch.at_subcarriers(64, 240e3)[:, 0]
+        resp = at_subcarriers(ch, 64, 240e3)[:, 0]
         slope = np.polyfit(np.arange(64), np.unwrap(np.angle(resp)), 1)[0]
         assert slope == pytest.approx(-2 * math.pi * 240e3 * ch.delay_s, abs=1e-9)
 

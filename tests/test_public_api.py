@@ -1,11 +1,14 @@
-"""Every public top-level function of the package is reached by package code.
+"""Every public function and method of the package is reached by package code.
 
-A function counts as reached when package code imports it with a relative
-``from .mod import name``, reads it as ``mod.name`` on a risplan module
-imported with ``from . import mod``, or loads its bare name in its own
-module. The only unreached functions allowed are the deliberate oracles in
-``ORACLES``, and each of them says so in its docstring. Anything else that
-only tests call is dead weight in the public API.
+A top-level function counts as reached when package code imports it with
+a relative ``from .mod import name``, reads it as ``mod.name`` on a
+risplan module imported with ``from . import mod``, or loads its bare name
+in its own module. A public method or property of a public class counts
+as reached when any package module loads an attribute of that name. The
+only unreached functions allowed are the deliberate oracles in
+``ORACLES``, and each of them says so in its docstring; no method is
+exempt. Anything else that only tests call is dead weight in the public
+API.
 """
 
 import ast
@@ -42,6 +45,27 @@ def public_functions(trees: dict[str, ast.Module]) -> dict[str, ast.FunctionDef]
     }
 
 
+def public_methods(trees: dict[str, ast.Module]) -> dict[str, ast.FunctionDef]:
+    return {
+        f"{module}.{cls.name}.{node.name}": node
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+
+
+def loaded_attributes(trees: dict[str, ast.Module]) -> set[str]:
+    return {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def reached_names(trees: dict[str, ast.Module]) -> set[str]:
     reached: set[str] = set()
     for module, tree in trees.items():
@@ -69,7 +93,9 @@ def reached_names(trees: dict[str, ast.Module]) -> set[str]:
 
 
 def unreached(trees: dict[str, ast.Module]) -> set[str]:
-    return set(public_functions(trees)) - reached_names(trees)
+    loaded = loaded_attributes(trees)
+    methods = {name for name in public_methods(trees) if name.rsplit(".", 1)[1] not in loaded}
+    return (set(public_functions(trees)) - reached_names(trees)) | methods
 
 
 def test_only_the_oracles_are_unreached():
@@ -96,6 +122,17 @@ def test_each_reach_rule_counts():
              "local()\n",
         "b": "from .a import imported\n",
         "c": "from . import a as mod\nmod.attribute()\n",
+        "d": "class Thing:\n"
+             "    def called(self): pass\n"
+             "    @property\n"
+             "    def read(self): pass\n"
+             "    def lonely(self): pass\n"
+             "    def _private(self): pass\n"
+             "class _Hidden:\n"
+             "    def lonely(self): pass\n"
+             "def _use(thing):\n"
+             "    thing.called()\n"
+             "    return thing.read\n",
     }
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    assert unreached(trees) == {"a.orphan"}
+    assert unreached(trees) == {"a.orphan", "d.Thing.lonely"}

@@ -200,21 +200,16 @@ class TestGrid:
 
     def test_row_major_order(self):
         grid = Grid(x_min=0, x_max=2, y_min=10, y_max=11, resolution_m=1)
-        assert grid.cell_xy(0) == (0, 10)
-        assert grid.cell_xy(1) == (1, 10)
-        assert grid.cell_xy(3) == (0, 11)
         pts = grid.points()
         assert pts.shape == (6, 3)
+        assert pts[0, :2].tolist() == [0, 10]
+        assert pts[1, :2].tolist() == [1, 10]
+        assert pts[3, :2].tolist() == [0, 11]
         np.testing.assert_allclose(pts[4], [1, 11, 0])
 
     def test_points_height(self):
         grid = Grid(x_min=0, x_max=1, y_min=0, y_max=1, resolution_m=1, fixed_height_m=1.5)
         assert set(grid.points()[:, 2]) == {1.5}
-
-    def test_index_out_of_range(self):
-        grid = Grid(x_min=0, x_max=1, y_min=0, y_max=1, resolution_m=1)
-        with pytest.raises(IndexError):
-            grid.cell_xy(4)
 
     @given(
         nx=st.integers(1, 40),
@@ -226,8 +221,9 @@ class TestGrid:
             x_min=0.0, x_max=(nx - 1) * res, y_min=0.0, y_max=(ny - 1) * res, resolution_m=res
         )
         assert (grid.nx, grid.ny) == (nx, ny)
+        pts = grid.points()
         for idx in range(0, grid.cell_count, max(1, grid.cell_count // 7)):
-            x, y = grid.cell_xy(idx)
+            x, y = pts[idx, :2]
             ix = round((x - grid.x_min) / res)
             iy = round((y - grid.y_min) / res)
             assert 0 <= ix < grid.nx and 0 <= iy < grid.ny

@@ -425,12 +425,12 @@ class TestBatchedOracle:
 
     def test_bundled_courtyard(self):
         scene = load_scene(SCENES / "courtyard_secrecy.json")
-        assert_same_bits(sse_pairs(scene, scene.grid.points()), per_cell_map(scene))
+        assert_same_bits(sse_pairs(scene, scene.grid.points()).T, per_cell_map(scene))
 
     def test_benchmark_shaped_courtyard(self):
         scene = benchmark_courtyard()
         assert scene.grid.cell_count == 49
-        assert_same_bits(sse_pairs(scene, scene.grid.points()), per_cell_map(scene))
+        assert_same_bits(sse_pairs(scene, scene.grid.points()).T, per_cell_map(scene))
 
     @pytest.mark.parametrize("variant", [
         "two_draws", "one_element", "one_level_lookup", "walled", "no_surface",
@@ -448,7 +448,7 @@ class TestBatchedOracle:
             "no_surface": {"ris": None},
         }[variant]
         scene = coarse_courtyard(**changes)
-        got = sse_pairs(scene, scene.grid.points())
+        got = sse_pairs(scene, scene.grid.points()).T
         assert np.all(np.isfinite(got))
         assert_same_bits(got, per_cell_map(scene))
 
@@ -459,7 +459,7 @@ class TestBatchedOracle:
             bs=[{"position_m": [4, 34, 1.5], "antenna_count": 4}],
             ris={**doc["ris"], "position_m": [8, 38, 1.5]},
         )
-        got = sse_pairs(scene, scene.grid.points())
+        got = sse_pairs(scene, scene.grid.points()).T
         assert [i for i, pair in enumerate(got) if math.isnan(pair[0])] == [7, 14]
         assert all(math.isnan(pair[1]) for pair in (got[7], got[14]))
         assert_same_bits(got, per_cell_map(scene))
@@ -467,16 +467,16 @@ class TestBatchedOracle:
     def test_pair_is_one_row_view(self):
         scene = coarse_courtyard()
         points = scene.grid.points()
-        batched = sse_pairs(scene, points)
+        batched = sse_pairs(scene, points).T
         for i in (0, 13, 35):
             assert_same_bits([sse_pair(scene, points[i], point_index=i)], [batched[i]])
 
     def test_point_indices_seed_the_fading(self):
         scene = coarse_courtyard()
         points = scene.grid.points()[[3, 9]]
-        got = sse_pairs(scene, points, point_indices=[3, 9])
+        got = sse_pairs(scene, points, point_indices=[3, 9]).T
         assert_same_bits(got, [sse_pair(scene, points[0], 3), sse_pair(scene, points[1], 9)])
-        assert got != sse_pairs(scene, points)
+        assert not np.array_equal(got, sse_pairs(scene, points).T)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_covariance_ascent_matches_optimize_q(self, warm):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import contrast_at
 from risplan.errors import ConfigError
 from risplan.touchstone import StateRecord, parse_touchstone
 from risplan.unitcell import (
@@ -263,7 +264,7 @@ def test_interval_edges_evaluate_to_threshold(seed):
     for f1, f2 in boi.intervals:
         for edge in (f1, f2):
             if edge != f[0] and edge != f[-1]:
-                assert curve.at(edge) == pytest.approx(1.0, abs=1e-9)
+                assert contrast_at(curve, edge) == pytest.approx(1.0, abs=1e-9)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
