@@ -193,7 +193,7 @@ def cmd_aoi(args: argparse.Namespace) -> int:
         out,
         "aoi",
         args.scene,
-        {"metric": args.metric, "jobs": "auto" if args.jobs is None else args.jobs},
+        {"metric": args.metric},
         scene.seed,
     )
     desired = np.count_nonzero(imap.desired)
@@ -280,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     aoi.add_argument("--seed", type=int, default=None,
                      help="override the scene seed")
     aoi.add_argument("--jobs", type=int, default=None,
-                     help="accepted for compatibility and recorded in the "
-                     "manifest, must be >= 1; every map runs grid-batched "
-                     "in one process")
+                     help="accepted for compatibility, must be >= 1; every "
+                     "map runs grid-batched in one process")
     aoi.add_argument("--force", action="store_true",
                      help="overwrite existing output files")
     aoi.set_defaults(func=cmd_aoi)

@@ -9,8 +9,7 @@ overshoots what the channel now carries and the block is lost.
 
 The victim combines with maximum-ratio weights matched to the direct
 channel only: it has no way to sound a surface it does not control.
-Rate adaptation is idealized Shannon-with-gap; plug a discrete rate table
-into ``rate_table`` to quantize it.
+Rate adaptation is idealized Shannon-with-gap.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class CoexistConfig:
     mcs_gap_db: float = 3.0
     snr_margin_db: float = 0.1
     codebook: tuple[RisConfig, ...] | None = None
-    rate_table: tuple[float, ...] | None = None
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -78,13 +76,6 @@ class CoexistConfig:
             if not book:
                 raise ConfigError("codebook must not be empty")
             object.__setattr__(self, "codebook", book)
-        if self.rate_table is not None:
-            table = tuple(sorted(float(r) for r in self.rate_table))
-            if not table:
-                raise ConfigError("rate_table must not be empty")
-            if table[0] < 0.0:
-                raise ConfigError("rates must be >= 0")
-            object.__setattr__(self, "rate_table", table)
 
 
 @dataclass(frozen=True)
@@ -128,15 +119,6 @@ def _combined_amplitudes(scene: Scene, link, config: CoexistConfig) -> np.ndarra
     return out
 
 
-def _select_rates(capacity: np.ndarray, table: tuple[float, ...] | None) -> np.ndarray:
-    if table is None:
-        return capacity
-    # highest table rate not above the predicted capacity; idle below the floor
-    rates = np.asarray(table)
-    idx = np.searchsorted(rates, capacity, side="right") - 1
-    return np.where(idx >= 0, rates[np.maximum(idx, 0)], 0.0)
-
-
 def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     """Run the slot recursion; deterministic in ``config.seed``.
 
@@ -165,13 +147,9 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     d = config.csi_delay_slots
     selected = np.full(n, math.nan)
     errors = np.zeros(n, dtype=bool)
-    selected[d:] = _select_rates(capacity[:-d], config.rate_table)
-    margin = db_to_linear(-config.snr_margin_db)
-    if config.rate_table is None:
-        # shannon selection: rate exceeds capacity iff the SNR dropped
-        errors[d:] = snr_lin[d:] < snr_lin[:-d] * margin
-    else:
-        errors[d:] = capacity[d:] < selected[d:] * (1.0 - 1e-12)
+    selected[d:] = capacity[:-d]
+    # shannon selection: rate exceeds capacity iff the SNR dropped
+    errors[d:] = snr_lin[d:] < snr_lin[:-d] * db_to_linear(-config.snr_margin_db)
 
     tx = n - d
     error_slots = tuple(np.flatnonzero(errors).tolist())

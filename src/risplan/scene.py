@@ -2,8 +2,9 @@
 
 A scene is a JSON document (``spec_version: 1``) describing base stations,
 an evaluation grid, optionally a surface, walls and an eavesdropper, plus
-the numeric knobs the metric engines need. Parsing applies documented
-defaults and rejects unknown keys with their key path.
+the numeric knobs the metric engines need. Each block is read through one
+table of key readers (see ``_SCENE``); absent keys take the dataclass
+defaults, and unknown keys are rejected with their key path.
 
 Positions may be given as [x, y] or [x, y, z] metres; 2D inputs are stored
 with z = 0 so every distance is a plain 3D norm. Grid cells sit at
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,20 +29,8 @@ METRIC_IDS = ("gain_db", "tx_power_dbm", "se_bps_hz", "peb_m", "sse_bps_hz")
 DEFAULT_PHASE_LOOKUP = (0.0, math.pi / 2, math.pi, -math.pi / 2)
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SceneError(_join(path, key), "missing required key")
-    return obj[key]
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
-
-
-def _check_unknown(obj: dict, allowed: set, path: str):
-    for key in obj:
-        if key not in allowed:
-            raise SceneError(_join(path, key), "unknown key")
 
 
 def _as_number(value, path: str) -> float:
@@ -229,211 +219,171 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: one reader per JSON key, one table per dataclass
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "spec_version",
-    "carrier_hz",
-    "subcarrier_count",
-    "subcarrier_spacing_hz",
-    "noise_psd_dbm_hz",
-    "noise_figure_db",
-    "seed",
-    "bs",
-    "ue_grid",
-    "ris",
-    "walls",
-    "eve",
-    "link_budget",
-    "localization",
-    "secrecy",
-    "thresholds",
-}
+_Reader = Callable[[Any, str], Any]
 
 
-def _parse_bs(obj, path) -> BaseStation:
-    if not isinstance(obj, dict):
-        raise SceneError(path, "expected an object")
-    _check_unknown(obj, {"position_m", "antenna_count", "spacing_m", "orientation_rad"}, path)
-    pos = _as_position(_require(obj, "position_m", path), _join(path, "position_m"))
-    count = _as_int(obj.get("antenna_count", 1), _join(path, "antenna_count"))
-    if count < 1:
-        raise SceneError(_join(path, "antenna_count"), "must be >= 1")
-    spacing = obj.get("spacing_m")
-    if spacing is not None:
-        spacing = _as_number(spacing, _join(path, "spacing_m"))
-        if spacing <= 0:
-            raise SceneError(_join(path, "spacing_m"), "must be > 0")
-    orient = _as_number(obj.get("orientation_rad", 0.0), _join(path, "orientation_rad"))
-    return BaseStation(pos, count, spacing, orient)
+def _bounded(read: _Reader, ok: Callable[[Any], bool], rule: str) -> _Reader:
+    """``read``, then reject a value outside the bound with ``must <rule>``."""
+
+    def reader(value, path):
+        value = read(value, path)
+        if not ok(value):
+            raise SceneError(path, f"must {rule}")
+        return value
+
+    return reader
 
 
-def _parse_ris(obj, path) -> Surface:
-    if not isinstance(obj, dict):
-        raise SceneError(path, "expected an object")
-    allowed = {
-        "position_m",
-        "element_count",
-        "element_spacing_m",
-        "orientation_rad",
-        "phase_lookup_rad",
-        "element_efficiency",
-        "codebook_directions",
-    }
-    _check_unknown(obj, allowed, path)
-    pos = _as_position(_require(obj, "position_m", path), _join(path, "position_m"))
-    count = _as_int(_require(obj, "element_count", path), _join(path, "element_count"))
-    if count < 1:
-        raise SceneError(_join(path, "element_count"), "must be >= 1")
-    spacing = obj.get("element_spacing_m")
-    if spacing is not None:
-        spacing = _as_number(spacing, _join(path, "element_spacing_m"))
-        if spacing <= 0:
-            raise SceneError(_join(path, "element_spacing_m"), "must be > 0")
-    lookup = obj.get("phase_lookup_rad", list(DEFAULT_PHASE_LOOKUP))
-    if not isinstance(lookup, (list, tuple)) or not lookup:
-        raise SceneError(_join(path, "phase_lookup_rad"), "expected a non-empty list of radians")
-    lookup = tuple(
-        _as_number(v, f"{_join(path, 'phase_lookup_rad')}[{i}]") for i, v in enumerate(lookup)
-    )
-    eff = _as_number(obj.get("element_efficiency", 1.0), _join(path, "element_efficiency"))
-    # zero is allowed: a fully lossy (dark) surface is a useful degenerate case
-    if not 0.0 <= eff <= 1.0:
-        raise SceneError(_join(path, "element_efficiency"), "must lie in [0, 1]")
-    directions = _as_int(obj.get("codebook_directions", 16), _join(path, "codebook_directions"))
-    if directions < 1:
-        raise SceneError(_join(path, "codebook_directions"), "must be >= 1")
-    return Surface(
-        position_m=pos,
-        element_count=count,
-        element_spacing_m=spacing,
-        orientation_rad=_as_number(obj.get("orientation_rad", 0.0), _join(path, "orientation_rad")),
-        phase_lookup_rad=lookup,
-        element_efficiency=eff,
-        codebook_directions=directions,
-    )
+_POSITIVE = _bounded(_as_number, lambda v: v > 0, "be > 0")
+_NON_NEGATIVE = _bounded(_as_number, lambda v: v >= 0, "be >= 0")
+# zero is allowed: a fully lossy (dark) surface is a useful degenerate case
+_FRACTION = _bounded(_as_number, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_COUNT = _bounded(_as_int, lambda v: v >= 1, "be >= 1")
+_POSITIVE_INT = _bounded(_as_int, lambda v: v > 0, "be > 0")
 
 
-def _parse_grid(obj, path) -> Grid:
-    if not isinstance(obj, dict):
-        raise SceneError(path, "expected an object")
-    allowed = {"x_min", "x_max", "y_min", "y_max", "resolution_m", "fixed_height_m"}
-    _check_unknown(obj, allowed, path)
-    vals = {k: _as_number(_require(obj, k, path), _join(path, k)) for k in
-            ("x_min", "x_max", "y_min", "y_max", "resolution_m")}
-    if vals["resolution_m"] <= 0:
-        raise SceneError(_join(path, "resolution_m"), "must be > 0")
-    if vals["x_max"] < vals["x_min"]:
+def _list_of(read: _Reader, what: str, non_empty: bool = False) -> _Reader:
+    """A JSON list read item by item into a tuple; items report ``path[i]``."""
+
+    def reader(value, path):
+        if not isinstance(value, list) or (non_empty and not value):
+            raise SceneError(path, f"expected a {'non-empty ' if non_empty else ''}list of {what}")
+        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return reader
+
+
+def _per_metric(read: _Reader, what: str) -> _Reader:
+    """An object keyed by metric id, read into sorted (metric, value) pairs."""
+
+    def reader(value, path):
+        if not isinstance(value, dict):
+            raise SceneError(path, f"expected an object of metric: {what}")
+        for mid in value:
+            if mid not in METRIC_IDS:
+                raise SceneError(f"{path}.{mid}", f"unknown metric, expected one of {METRIC_IDS}")
+        return tuple(sorted((mid, read(item, f"{path}.{mid}")) for mid, item in value.items()))
+
+    return reader
+
+
+def _object(cls, table: dict, check=None, rename=None) -> _Reader:
+    """Reader of a JSON object into ``cls``, with one reader per allowed key.
+
+    ``cls`` is a dataclass, or ``dict`` for just the keys present. A key
+    fills the field of its name, or of ``rename[key]``. Absent keys keep the
+    dataclass default; a key whose field has none is required, and a null
+    counts as absent only where the default is None. ``check(obj, path)``
+    applies the cross-field rules and returns the object.
+    """
+    rename = rename or {}
+    specs = {f.name: f for f in fields(cls)} if is_dataclass(cls) else {}
+    keyed = {k: specs[rename.get(k, k)] for k in table if rename.get(k, k) in specs}
+    required = {k for k, f in keyed.items() if f.default is MISSING and f.default_factory is MISSING}
+    nullable = {k for k, f in keyed.items() if f.default is None}
+
+    def reader(value, path):
+        if not isinstance(value, dict):
+            raise SceneError(path, "expected an object")
+        for key in value:
+            if key not in table:
+                raise SceneError(_join(path, key), "unknown key")
+        kwargs = {}
+        for key, read in table.items():
+            if key not in value or (value[key] is None and key in nullable):
+                if key in required:
+                    raise SceneError(_join(path, key), "missing required key")
+                continue
+            kwargs[rename.get(key, key)] = read(value[key], _join(path, key))
+        obj = cls(**kwargs)
+        return check(obj, path) if check is not None else obj
+
+    return reader
+
+
+def _check_grid(grid: Grid, path: str) -> Grid:
+    if grid.x_max < grid.x_min:
         raise SceneError(_join(path, "x_max"), "must be >= x_min")
-    if vals["y_max"] < vals["y_min"]:
+    if grid.y_max < grid.y_min:
         raise SceneError(_join(path, "y_max"), "must be >= y_min")
-    height = _as_number(obj.get("fixed_height_m", 0.0), _join(path, "fixed_height_m"))
-    return Grid(
-        x_min=vals["x_min"],
-        x_max=vals["x_max"],
-        y_min=vals["y_min"],
-        y_max=vals["y_max"],
-        resolution_m=vals["resolution_m"],
-        fixed_height_m=height,
+    return grid
+
+
+def _check_wall(wall: Wall, path: str) -> Wall:
+    if wall.p1_m[:2] == wall.p2_m[:2]:
+        raise SceneError(path, "wall endpoints coincide in the plane")
+    return wall
+
+
+def _check_thresholds(t: Thresholds, path: str) -> Thresholds:
+    """Resolve the per-metric bands; reject inverted bands and qos_min.peb_m.
+
+    Each override arrives as (metric, {key: value}) with only the keys the
+    document sets; the top-level values fill the rest.
+    """
+    if t.qos_for("peb_m") is not None:
+        raise SceneError(f"{path}.qos_min.peb_m", f"not a QoS floor; set {path}.peb_feasible_m instead")
+    per_metric = tuple(
+        (mid, (band.get("boost_db", t.boost_db), band.get("unchanged_db", t.unchanged_db)))
+        for mid, band in t.per_metric
     )
+    bands = [(path, (t.boost_db, t.unchanged_db))]
+    bands += [(f"{path}.per_metric.{mid}", pair) for mid, pair in per_metric]
+    for band_path, (boost, unchanged) in bands:
+        if boost < unchanged:
+            raise SceneError(band_path, f"boost_db ({boost!r}) must be >= unchanged_db ({unchanged!r})")
+    return replace(t, per_metric=per_metric)
 
 
-def _parse_walls(obj, path) -> tuple[Wall, ...]:
-    if not isinstance(obj, list):
-        raise SceneError(path, "expected a list of wall segments")
-    walls = []
-    for i, w in enumerate(obj):
-        wpath = f"{path}[{i}]"
-        if not isinstance(w, dict):
-            raise SceneError(wpath, "expected an object")
-        _check_unknown(w, {"p1_m", "p2_m", "penetration_loss_db"}, wpath)
-        p1 = _as_position(_require(w, "p1_m", wpath), _join(wpath, "p1_m"))
-        p2 = _as_position(_require(w, "p2_m", wpath), _join(wpath, "p2_m"))
-        loss = _as_number(_require(w, "penetration_loss_db", wpath), _join(wpath, "penetration_loss_db"))
-        if loss < 0:
-            raise SceneError(_join(wpath, "penetration_loss_db"), "must be >= 0")
-        if p1[:2] == p2[:2]:
-            raise SceneError(wpath, "wall endpoints coincide in the plane")
-        walls.append(Wall(p1, p2, loss))
-    return tuple(walls)
-
-
-def _parse_eve(obj, path) -> Eavesdropper:
-    if not isinstance(obj, dict):
-        raise SceneError(path, "expected an object")
-    _check_unknown(obj, {"position_m", "antenna_count"}, path)
-    pos = _as_position(_require(obj, "position_m", path), _join(path, "position_m"))
-    count = _as_int(obj.get("antenna_count", 1), _join(path, "antenna_count"))
-    if count < 1:
-        raise SceneError(_join(path, "antenna_count"), "must be >= 1")
-    return Eavesdropper(pos, count)
-
-
-def _parse_simple(obj, path, cls, positive_fields=(), int_fields=()):
-    """Flat sub-object sharing field names with a defaults dataclass."""
-    if not isinstance(obj, dict):
-        raise SceneError(path, "expected an object")
-    names = [f.name for f in fields(cls)]
-    _check_unknown(obj, set(names), path)
-    kwargs = {}
-    for name in names:
-        if name not in obj:
-            continue
-        p = _join(path, name)
-        if name in int_fields:
-            value = _as_int(obj[name], p)
-        else:
-            value = _as_number(obj[name], p)
-        if name in positive_fields and value <= 0:
-            raise SceneError(p, "must be > 0")
-        kwargs[name] = value
-    return cls(**kwargs)
-
-
-def _parse_thresholds(obj, path) -> Thresholds:
-    if not isinstance(obj, dict):
-        raise SceneError(path, "expected an object")
-    allowed = {"boost_db", "unchanged_db", "change_floor_db", "peb_feasible_m", "qos_min", "per_metric"}
-    _check_unknown(obj, allowed, path)
-    kwargs = {}
-    for name in ("boost_db", "unchanged_db", "change_floor_db", "peb_feasible_m"):
-        if name in obj:
-            value = _as_number(obj[name], _join(path, name))
-            if name == "peb_feasible_m" and value <= 0:
-                raise SceneError(_join(path, name), "must be > 0")
-            if name != "peb_feasible_m" and value < 0:
-                raise SceneError(_join(path, name), "must be >= 0")
-            kwargs[name] = value
-    qos = obj.get("qos_min", {})
-    if not isinstance(qos, dict):
-        raise SceneError(_join(path, "qos_min"), "expected an object of metric: threshold")
-    qos_pairs = []
-    for mid, value in qos.items():
-        if mid not in METRIC_IDS:
-            raise SceneError(f"{_join(path, 'qos_min')}.{mid}", f"unknown metric, expected one of {METRIC_IDS}")
-        qos_pairs.append((mid, _as_number(value, f"{_join(path, 'qos_min')}.{mid}")))
-    per = obj.get("per_metric", {})
-    if not isinstance(per, dict):
-        raise SceneError(_join(path, "per_metric"), "expected an object of metric: {boost_db, unchanged_db}")
-    per_pairs = []
-    for mid, sub in per.items():
-        mpath = f"{_join(path, 'per_metric')}.{mid}"
-        if mid not in METRIC_IDS:
-            raise SceneError(mpath, f"unknown metric, expected one of {METRIC_IDS}")
-        if not isinstance(sub, dict):
-            raise SceneError(mpath, "expected an object")
-        _check_unknown(sub, {"boost_db", "unchanged_db"}, mpath)
-        boost = _as_number(sub.get("boost_db", kwargs.get("boost_db", 3.0)), _join(mpath, "boost_db"))
-        unchanged = _as_number(
-            sub.get("unchanged_db", kwargs.get("unchanged_db", 2.0)), _join(mpath, "unchanged_db")
-        )
-        per_pairs.append((mid, (boost, unchanged)))
-    if qos_pairs:
-        kwargs["qos_min"] = tuple(sorted(qos_pairs))
-    if per_pairs:
-        kwargs["per_metric"] = tuple(sorted(per_pairs))
-    return Thresholds(**kwargs)
+_SCENE = _object(Scene, {
+    "carrier_hz": _POSITIVE,
+    "subcarrier_count": _COUNT,
+    "subcarrier_spacing_hz": _POSITIVE,
+    "noise_psd_dbm_hz": _as_number,
+    "noise_figure_db": _as_number,
+    "seed": _as_int,
+    "bs": _list_of(_object(BaseStation, {
+        "position_m": _as_position, "antenna_count": _COUNT,
+        "spacing_m": _POSITIVE, "orientation_rad": _as_number,
+    }), "base stations", non_empty=True),
+    "ue_grid": _object(Grid, {
+        "x_min": _as_number, "x_max": _as_number, "y_min": _as_number, "y_max": _as_number,
+        "resolution_m": _POSITIVE, "fixed_height_m": _as_number,
+    }, _check_grid),
+    "ris": _object(Surface, {
+        "position_m": _as_position, "element_count": _COUNT,
+        "element_spacing_m": _POSITIVE, "orientation_rad": _as_number,
+        "phase_lookup_rad": _list_of(_as_number, "radians", non_empty=True),
+        "element_efficiency": _FRACTION, "codebook_directions": _COUNT,
+    }),
+    "walls": _list_of(_object(Wall, {
+        "p1_m": _as_position, "p2_m": _as_position, "penetration_loss_db": _NON_NEGATIVE,
+    }, _check_wall), "wall segments"),
+    "eve": _object(Eavesdropper, {"position_m": _as_position, "antenna_count": _COUNT}),
+    "link_budget": _object(LinkBudgetSpec, {
+        "target_snr_db": _as_number, "max_tx_power_dbm": _as_number,
+        "min_tx_power_dbm": _as_number, "se_max_bps_hz": _as_number,
+    }),
+    "localization": _object(LocalizationSpec, {
+        "pilot_count": _POSITIVE_INT, "tx_power_dbm": _as_number,
+    }),
+    "secrecy": _object(SecrecySpec, {
+        "rx_antenna_count": _POSITIVE_INT, "power_budget_dbm": _as_number,
+        "fading_draws": _POSITIVE_INT,
+    }),
+    "thresholds": _object(Thresholds, {
+        "boost_db": _NON_NEGATIVE, "unchanged_db": _NON_NEGATIVE,
+        "change_floor_db": _NON_NEGATIVE, "peb_feasible_m": _POSITIVE,
+        "qos_min": _per_metric(_as_number, "threshold"),
+        "per_metric": _per_metric(
+            _object(dict, {"boost_db": _NON_NEGATIVE, "unchanged_db": _NON_NEGATIVE}),
+            "{boost_db, unchanged_db}",
+        ),
+    }, _check_thresholds),
+}, rename={"ue_grid": "grid"})
 
 
 def parse_scene(text: str) -> Scene:
@@ -444,57 +394,12 @@ def parse_scene(text: str) -> Scene:
         raise SceneError("", f"not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise SceneError("", "scene must be a JSON object")
-    _check_unknown(doc, _TOP_KEYS, "")
-    version = _require(doc, "spec_version", "")
+    if "spec_version" not in doc:
+        raise SceneError("spec_version", "missing required key")
+    version = doc.pop("spec_version")
     if version != 1:
         raise SceneError("spec_version", f"unsupported version {version!r}, expected 1")
-    carrier = _as_number(_require(doc, "carrier_hz", ""), "carrier_hz")
-    if carrier <= 0:
-        raise SceneError("carrier_hz", "must be > 0")
-    sub_count = _as_int(doc.get("subcarrier_count", 1), "subcarrier_count")
-    if sub_count < 1:
-        raise SceneError("subcarrier_count", "must be >= 1")
-    sub_spacing = _as_number(doc.get("subcarrier_spacing_hz", 240e3), "subcarrier_spacing_hz")
-    if sub_spacing <= 0:
-        raise SceneError("subcarrier_spacing_hz", "must be > 0")
-    bs_raw = _require(doc, "bs", "")
-    if not isinstance(bs_raw, list) or not bs_raw:
-        raise SceneError("bs", "expected a non-empty list of base stations")
-    bs = tuple(_parse_bs(b, f"bs[{i}]") for i, b in enumerate(bs_raw))
-    grid = _parse_grid(_require(doc, "ue_grid", ""), "ue_grid")
-    ris = _parse_ris(doc["ris"], "ris") if doc.get("ris") is not None else None
-    walls = _parse_walls(doc.get("walls", []), "walls")
-    eve = _parse_eve(doc["eve"], "eve") if doc.get("eve") is not None else None
-    scene = Scene(
-        carrier_hz=carrier,
-        grid=grid,
-        bs=bs,
-        subcarrier_count=sub_count,
-        subcarrier_spacing_hz=sub_spacing,
-        noise_psd_dbm_hz=_as_number(doc.get("noise_psd_dbm_hz", -174.0), "noise_psd_dbm_hz"),
-        noise_figure_db=_as_number(doc.get("noise_figure_db", 9.0), "noise_figure_db"),
-        seed=_as_int(doc.get("seed", 1), "seed"),
-        ris=ris,
-        walls=walls,
-        eve=eve,
-        link_budget=_parse_simple(doc.get("link_budget", {}), "link_budget", LinkBudgetSpec),
-        localization=_parse_simple(
-            doc.get("localization", {}),
-            "localization",
-            LocalizationSpec,
-            positive_fields={"pilot_count"},
-            int_fields={"pilot_count"},
-        ),
-        secrecy=_parse_simple(
-            doc.get("secrecy", {}),
-            "secrecy",
-            SecrecySpec,
-            positive_fields={"rx_antenna_count", "fading_draws"},
-            int_fields={"rx_antenna_count", "fading_draws"},
-        ),
-        thresholds=_parse_thresholds(doc.get("thresholds", {}), "thresholds"),
-    )
-    return scene
+    return _SCENE(doc, "")
 
 
 def load_scene(path) -> Scene:

@@ -193,7 +193,7 @@ class TestAoi:
         assert doc["command"] == "aoi"
         assert doc["scene"] == scene_path
         assert doc["seed"] == 1
-        assert doc["config"] == {"metric": "gain_db", "jobs": 1}
+        assert doc["config"] == {"metric": "gain_db"}
         assert len(doc["outputs"]) == 8
         for entry in doc["outputs"]:
             assert entry["sha256"] == sha(out / entry["path"])
@@ -206,23 +206,17 @@ class TestAoi:
         assert load_manifest(out)["seed"] == 7
 
     def test_jobs_changes_no_output(self, tmp_path):
-        # --jobs is validated and recorded, nothing else: every map runs in-process
+        # --jobs is validated, nothing else: every map runs in-process and
+        # the manifest does not record it
         scene_path = write_scene(tmp_path, SCENE)
-        digests = {}
-        for jobs in ("1", "2"):
-            out = tmp_path / jobs
-            assert main(["aoi", scene_path, "--metric", "peb_m",
-                         "--out-dir", str(out), "--jobs", jobs]) == 0
-            doc = load_manifest(out)
-            assert doc["config"]["jobs"] == int(jobs)
-            digests[jobs] = doc["outputs"]
-        assert digests["1"] == digests["2"]
-
-    def test_default_jobs_recorded_as_auto(self, tmp_path):
-        scene_path = write_scene(tmp_path, SCENE)
-        out = tmp_path / "out"
-        main(["aoi", scene_path, "--metric", "gain_db", "--out-dir", str(out)])
-        assert load_manifest(out)["config"]["jobs"] == "auto"
+        files = {}
+        for jobs in ("1", "2", None):
+            out = tmp_path / str(jobs)
+            argv = ["aoi", scene_path, "--metric", "peb_m", "--out-dir", str(out)]
+            assert main(argv + (["--jobs", jobs] if jobs else [])) == 0
+            files[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in files["1"]
+        assert files["1"] == files["2"] == files[None]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         scene_path = write_scene(tmp_path, SCENE)

@@ -221,18 +221,6 @@ class TestSimulate:
             res.selected_rate_bps_hz[2:], res.capacity_bps_hz[:-2]
         )
 
-    def test_coarse_rate_table_absorbs_ripple(self):
-        # one conservative rate far below capacity: dips never cross it
-        scene = coex_scene()
-        shannon = simulate(scene, NEAR, CoexistConfig(slots=3000, switch_probability=0.5))
-        tabled = simulate(
-            scene, NEAR,
-            CoexistConfig(slots=3000, switch_probability=0.5, rate_table=[0.5]),
-        )
-        assert shannon.bler > 0.0
-        assert tabled.bler == 0.0
-        assert np.all(tabled.selected_rate_bps_hz[1:] == 0.5)
-
     def test_replayed_stream_oracle(self):
         # rebuild the slot recursion from the documented stream layout
         scene = coex_scene()
@@ -364,13 +352,11 @@ class TestTraceWriterOracle:
         "scene_kwargs, config",
         [
             ({}, CoexistConfig(slots=20_000, switch_probability=0.5)),
-            ({}, CoexistConfig(slots=20_000, switch_probability=0.5,
-                               rate_table=(0.5, 2.0, 4.0, 6.0, 8.0))),
             ({}, CoexistConfig(slots=20_000, switch_probability=0.5, csi_delay_slots=3)),
             ({}, CoexistConfig(slots=4, switch_probability=1.0, csi_delay_slots=3)),
             ({"ris": None}, CoexistConfig(slots=20_000, switch_probability=0.5)),
         ],
-        ids=["default", "rate_table", "csi_delay_3", "warmup_then_one_slot", "no_surface"],
+        ids=["default", "csi_delay_3", "warmup_then_one_slot", "no_surface"],
     )
     def test_simulated_trace(self, tmp_path, scene_kwargs, config):
         res = simulate(coex_scene(**scene_kwargs), NEAR, config)

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from risplan.errors import SceneError
 from risplan.scene import (
     DEFAULT_PHASE_LOOKUP,
+    BaseStation,
     Grid,
     Scene,
     load_scene,
@@ -109,14 +110,41 @@ class TestParsing:
                 thresholds={
                     "boost_db": 4.0,
                     "qos_min": {"se_bps_hz": 2.0},
-                    "per_metric": {"sse_bps_hz": {"boost_db": 1.0, "unchanged_db": 0.5}},
+                    "per_metric": {
+                        "sse_bps_hz": {"boost_db": 1.0, "unchanged_db": 0.5},
+                        "peb_m": {"unchanged_db": 1.0},
+                    },
                 }
             )
         )
         assert scene.thresholds.for_metric("gain_db") == (4.0, 2.0)
         assert scene.thresholds.for_metric("sse_bps_hz") == (1.0, 0.5)
+        # an override takes the keys it omits from the top level
+        assert scene.thresholds.for_metric("peb_m") == (4.0, 1.0)
         assert scene.thresholds.qos_for("se_bps_hz") == 2.0
         assert scene.thresholds.qos_for("gain_db") is None
+
+    def test_empty_optional_blocks_take_dataclass_defaults(self):
+        # defaults live only in the dataclasses: a document with the required
+        # keys and every optional block empty equals the bare constructor call
+        scene = parse_scene(
+            make(
+                ris=None,
+                eve=None,
+                walls=[],
+                link_budget={},
+                localization={},
+                secrecy={},
+                thresholds={"qos_min": {}, "per_metric": {}},
+                bs=[{"position_m": [0, 0, 3], "spacing_m": None}],
+            )
+        )
+        expected = Scene(
+            carrier_hz=3.5e9,
+            grid=Grid(x_min=0.0, x_max=9.0, y_min=0.0, y_max=9.0, resolution_m=1.0),
+            bs=(BaseStation(position_m=(0.0, 0.0, 3.0)),),
+        )
+        assert scene == expected
 
 
 class TestValidation:
@@ -154,6 +182,22 @@ class TestValidation:
             (make(localization={"pilot_count": 2.5}), "localization.pilot_count: expected an integer"),
             (make(seed="abc"), "seed: expected an integer"),
             (make({"carrier_hz": True}), "carrier_hz: expected a number"),
+            (make({"carrier_hz": None}), "carrier_hz: expected a number, got NoneType"),
+            (make(bs=[{"position_m": [0, 0], "antenna_count": None}]),
+             "bs[0].antenna_count: expected an integer"),
+            (make(walls=None), "walls: expected a list of wall segments"),
+            (make(thresholds={"per_metric": {"gain_db": {"boost_db": -1, "unchanged_db": -2}}}),
+             "thresholds.per_metric.gain_db.boost_db: must be >= 0"),
+            (make(thresholds={"per_metric": {"se_bps_hz": {"unchanged_db": -0.5}}}),
+             "thresholds.per_metric.se_bps_hz.unchanged_db: must be >= 0"),
+            (make(thresholds={"boost_db": 1.0}),
+             "thresholds: boost_db (1.0) must be >= unchanged_db (2.0)"),
+            (make(thresholds={"per_metric": {"gain_db": {"boost_db": 1.0, "unchanged_db": 1.5}}}),
+             "thresholds.per_metric.gain_db: boost_db (1.0) must be >= unchanged_db (1.5)"),
+            (make(thresholds={"per_metric": {"sse_bps_hz": {"unchanged_db": 4.0}}}),
+             "thresholds.per_metric.sse_bps_hz: boost_db (3.0) must be >= unchanged_db (4.0)"),
+            (make(thresholds={"qos_min": {"peb_m": 0.05}}),
+             "thresholds.qos_min.peb_m: not a QoS floor; set thresholds.peb_feasible_m instead"),
         ],
     )
     def test_rejects_with_key_path(self, doc, fragment):
