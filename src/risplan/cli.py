@@ -159,8 +159,8 @@ def cmd_boi(args: argparse.Namespace) -> int:
 
     write_boi_summary_csv(summary, out.path("boi_summary.csv"))
     if len(cells) > 1:
-        rows = normalized_contrast_table(normalized_entries)
-        write_normalized_csv(rows, out.path("normalized_contrast.csv"))
+        normalized = normalized_contrast_table(normalized_entries)
+        write_normalized_csv(normalized, out.path("normalized_contrast.csv"))
 
     _write_manifest(
         out, "boi", args.manifest, {"cmin": args.cmin, "kind": args.kind}, None

@@ -322,14 +322,16 @@ def _check_thresholds(t: Thresholds, path: str) -> Thresholds:
     """Resolve the per-metric bands; reject inverted bands and qos_min.peb_m.
 
     Each override arrives as (metric, {key: value}) with only the keys the
-    document sets; the top-level values fill the rest.
+    document sets; that metric's own default band fills the rest.
     """
     if t.qos_for("peb_m") is not None:
         raise SceneError(f"{path}.qos_min.peb_m", f"not a QoS floor; set {path}.peb_feasible_m instead")
-    per_metric = tuple(
-        (mid, (band.get("boost_db", t.boost_db), band.get("unchanged_db", t.unchanged_db)))
-        for mid, band in t.per_metric
-    )
+    defaults = replace(t, per_metric=())
+    per_metric = []
+    for mid, band in t.per_metric:
+        boost, unchanged = defaults.for_metric(mid)
+        per_metric.append((mid, (band.get("boost_db", boost), band.get("unchanged_db", unchanged))))
+    per_metric = tuple(per_metric)
     bands = [(path, (t.boost_db, t.unchanged_db))]
     bands += [(f"{path}.per_metric.{mid}", pair) for mid, pair in per_metric]
     for band_path, (boost, unchanged) in bands:

@@ -2,7 +2,13 @@
 
 Supports .s1p (3 columns: f, S11 pair) and .s2p (9 columns: f, then
 S11 S21 S12 S22 pairs, standard column order) with RI, MA and DB value
-formats. Every parse error carries the 1-based line number.
+formats. The data lines are read as one array by ``np.loadtxt``, so a
+number follows its grammar: ASCII decimal floats with an optional
+exponent, no digit-group underscores (``1_000`` is rejected, although
+Python's ``float`` takes it). A row holding ``nan`` or ``inf``, a
+frequency that overflows once scaled to Hz, or a DB magnitude whose
+linear value overflows is rejected. Every parse error carries the
+1-based line number.
 
 A cell manifest is a JSON file naming one or more cells and, per cell, the
 state id -> Touchstone path map (paths relative to the manifest):
@@ -21,7 +27,6 @@ state id -> Touchstone path map (paths relative to the manifest):
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -34,11 +39,7 @@ from .errors import ConfigError, TouchstoneError
 
 _FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 
-_CONVERTERS = {
-    "RI": lambda a, b: complex(a, b),
-    "MA": lambda a, b: a * cmath.exp(1j * math.radians(b)),
-    "DB": lambda a, b: 10.0 ** (a / 20.0) * cmath.exp(1j * math.radians(b)),
-}
+_FORMATS = ("RI", "MA", "DB")
 
 _PASSIVITY_SLACK = 1e-6
 
@@ -67,7 +68,7 @@ def _parse_option_line(tokens, line_no):
         tok = tokens[i].upper()
         if tok in _FREQ_UNITS:
             unit = tok
-        elif tok in _CONVERTERS:
+        elif tok in _FORMATS:
             fmt = tok
         elif tok == "S":
             pass
@@ -87,70 +88,119 @@ def _parse_option_line(tokens, line_no):
     return unit, fmt, reference
 
 
+def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One column pair in ``fmt`` as complex values, bit-equal to scalar Python.
+
+    DB magnitudes stay on Python's ``10.0 ** x`` (numpy's ``power`` rounds
+    differently from libm's ``pow`` on some inputs), which raises
+    OverflowError past the float range. The rest keeps the signs of zeros
+    of ``m * cmath.exp(1j * math.radians(b))``: ``1j * r`` has imaginary
+    part ``0.0 + r``, and ``m * z`` multiplies by ``m + 0j``.
+    """
+    out = np.empty(len(a), dtype=np.complex128)
+    if fmt == "RI":
+        out.real, out.imag = a, b
+        return out
+    if fmt == "DB":
+        a = np.array([10.0 ** x for x in (a / 20.0).tolist()])
+    rad = b * (math.pi / 180) + 0.0
+    c, s = np.cos(rad), np.sin(rad)
+    out.real = a * c - 0.0 * s
+    out.imag = a * s + 0.0 * c
+    return out
+
+
 def parse_touchstone(data, state_id: str) -> StateRecord:
     """Parse Touchstone v1 text (str or bytes) into a StateRecord.
 
     The port count is inferred from the data row arity: 3 columns for a
-    1-port file, 9 for a 2-port file.
+    1-port file, 9 for a 2-port file. One ``np.loadtxt`` call reads the
+    data lines and every check runs on whole columns; only a file that
+    fails one is scanned line by line, for the line to report.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
-    unit = fmt = None
-    reference = 50.0
-    freqs: list[float] = []
-    rows: list[list[float]] = []
-    arity = None
-    for line_no, raw in enumerate(data.splitlines(), start=1):
+    lines = data.splitlines()
+    # only comment and blank lines may precede the option line
+    for start, raw in enumerate(lines, start=1):
+        line = raw.split("!", 1)[0].strip()
+        if line:
+            break
+    else:
+        raise TouchstoneError("no option line found")
+    if not line.startswith("#"):
+        raise TouchstoneError("data before option line", start)
+    unit, fmt, reference = _parse_option_line(line[1:].split(), start)
+    body = lines[start:]
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on an empty body; the scan reports it instead
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(body, comments="!", ndmin=2)
+        with np.errstate(over="ignore"):
+            freqs = table[:, 0] * _FREQ_UNITS[unit]
+        if not (
+            len(table)
+            and table.shape[1] in (3, 9)
+            and np.isfinite(freqs).all()
+            and np.isfinite(table).all()
+            and np.all(np.diff(freqs) > 0)
+        ):
+            raise ValueError
+        s11 = _to_complex(fmt, table[:, 1], table[:, 2])
+        s21 = _to_complex(fmt, table[:, 3], table[:, 4]) if table.shape[1] == 9 else None
+    except (ValueError, OverflowError):
+        # a failed check, a token that is no number, rows of unequal arity
+        # or a DB magnitude past the float range
+        _raise_at_bad_line(body, start, unit, fmt)
+    record = StateRecord(state_id, freqs, s11, s21, reference)
+    _warn_if_active(record)
+    return record
+
+
+def _raise_at_bad_line(body, start: int, unit: str, fmt: str):
+    """Raise the error of the first line in ``body`` that ``parse_touchstone`` rejects.
+
+    ``body`` holds the lines after the option line, which is line ``start``.
+    A token must be ASCII and free of underscores: that is the number
+    grammar of ``np.loadtxt``, which ``float`` alone would widen.
+    """
+    arity = prev = None
+    for line_no, raw in enumerate(body, start=start + 1):
         line = raw.split("!", 1)[0].strip()
         if not line:
             continue
         if line.startswith("#"):
-            if unit is not None:
-                raise TouchstoneError("multiple option lines", line_no)
-            unit, fmt, reference = _parse_option_line(line[1:].split(), line_no)
-            continue
-        if unit is None:
-            raise TouchstoneError("data before option line", line_no)
+            raise TouchstoneError("multiple option lines", line_no)
         parts = line.split()
         if arity is None:
-            if len(parts) == 3:
-                arity = 3
-            elif len(parts) == 9:
-                arity = 9
-            else:
+            if len(parts) not in (3, 9):
                 raise TouchstoneError(
                     f"expected 3 (.s1p) or 9 (.s2p) columns, got {len(parts)}", line_no
                 )
+            arity = len(parts)
         elif len(parts) != arity:
             raise TouchstoneError(f"expected {arity} columns, got {len(parts)}", line_no)
         try:
+            if not all(p.isascii() and "_" not in p for p in parts):
+                raise ValueError
             values = [float(p) for p in parts]
         except ValueError:
             raise TouchstoneError(f"non-numeric value in data row: '{line}'", line_no) from None
         f_hz = values[0] * _FREQ_UNITS[unit]
-        if freqs and f_hz <= freqs[-1]:
+        if not all(map(math.isfinite, [f_hz, *values])):
+            raise TouchstoneError(f"non-finite value in data row: '{line}'", line_no)
+        if prev is not None and f_hz <= prev:
             raise TouchstoneError(
-                f"frequencies must be strictly increasing ({f_hz:g} Hz after {freqs[-1]:g} Hz)",
+                f"frequencies must be strictly increasing ({f_hz:g} Hz after {prev:g} Hz)",
                 line_no,
             )
-        freqs.append(f_hz)
-        rows.append(values[1:])
-    if unit is None:
-        raise TouchstoneError("no option line found")
-    if not rows:
-        raise TouchstoneError("no data rows found")
-    convert = _CONVERTERS[fmt]
-    s11 = np.array([convert(r[0], r[1]) for r in rows])
-    s21 = np.array([convert(r[2], r[3]) for r in rows]) if arity == 9 else None
-    record = StateRecord(
-        state_id=state_id,
-        frequencies_hz=np.array(freqs),
-        s11=s11,
-        s21=s21,
-        reference_ohm=reference,
-    )
-    _warn_if_active(record)
-    return record
+        prev = f_hz
+        try:
+            _to_complex(fmt, np.array(values[1::2]), np.array(values[2::2]))
+        except OverflowError:
+            raise TouchstoneError(f"DB magnitude out of range in data row: '{line}'", line_no) from None
+    raise TouchstoneError("no data rows found")
 
 
 def _warn_if_active(record: StateRecord):

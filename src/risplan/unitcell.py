@@ -200,15 +200,26 @@ def extract_boi(curve: ContrastCurve, c_min: float = DEFAULT_CONTRAST_THRESHOLD)
 
 def normalized_contrast_table(
     entries: list[tuple[str, ContrastCurve, float]],
-) -> list[tuple[str, float, float]]:
-    """Long-format rows (name, f/f0, contrast) for cross-design comparison."""
-    rows = []
-    for name, curve, f0_hz in entries:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Long-format columns (name, f/f0, contrast) for cross-design comparison.
+
+    The names come as one object array with a name per row; f/f0 and the
+    contrast as float64 arrays of the same length.
+    """
+    for name, _, f0_hz in entries:
         if not f0_hz or f0_hz <= 0:
             raise ConfigError(f"design '{name}': normalization needs f0 > 0, got {f0_hz}")
-        for f, c in zip(curve.frequencies_hz, curve.contrast):
-            rows.append((name, float(f / f0_hz), float(c)))
-    return rows
+    if not entries:
+        return np.empty(0, dtype=object), np.empty(0), np.empty(0)
+    names = np.repeat(
+        np.array([name for name, _, _ in entries], dtype=object),
+        [len(curve.frequencies_hz) for _, curve, _ in entries],
+    )
+    ratios = np.concatenate(
+        [curve.frequencies_hz / f0_hz for _, curve, f0_hz in entries], dtype=np.float64
+    )
+    contrast = np.concatenate([curve.contrast for _, curve, _ in entries], dtype=np.float64)
+    return names, ratios, contrast
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +249,15 @@ def write_boi_summary_csv(rows: list[tuple[str, BandOfInfluence]], path):
                 )
 
 
-def write_normalized_csv(rows: list[tuple[str, float, float]], path):
-    names = {name: _csv_field(name) for name in {row[0] for row in rows}}
+def write_normalized_csv(table: tuple[np.ndarray, np.ndarray, np.ndarray], path):
+    """The columns of ``normalized_contrast_table`` as name,f_over_f0,contrast rows."""
+    names, ratios, contrast = (column.tolist() for column in table)
+    fields = {name: _csv_field(name) for name in set(names)}
     with open(path, "w", newline="") as fh:
         fh.write("name,f_over_f0,contrast\r\n")
-        _write_chunked(fh, (f"{names[name]},{x!r},{c!r}\r\n" for name, x, c in rows))
+        _write_chunked(
+            fh, (f"{fields[name]},{x!r},{c!r}\r\n" for name, x, c in zip(names, ratios, contrast))
+        )
 
 
 def _csv_field(value) -> str:

@@ -90,7 +90,47 @@ def load_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+# sha256 of every file `boi scenes/cells.json` writes, run from the repository
+# root; both kinds were recorded with the line-by-line Touchstone reader, so
+# they pin the bytes the array reader and the column-wise normalized table
+# must keep.
+BUNDLED_CELL_DIGESTS = {
+    "manifest": {
+        "boi_summary.csv": "b74245495ceb6d79b32ba308e508ff075f17bffbf1a107f8a6d7fbb454353354",
+        "ka_switch_contrast.csv": "e8c555e823d5ec2a18516c073d5c2d112485a7d9f6677bc751b3207abac2199c",
+        "manifest.json": "13b62875a14e5259d51ecd4a40530e0fb0514ec7980dd18b918e0c6fbbd04905",
+        "normalized_contrast.csv": "8c9f9842df1e91d21c1b917934d70d2c384cc14896ab1733eff06010c7008a5f",
+        "pin_tshift_contrast.csv": "1d523a4e405a6ad5a991992beb9a0495d872cd6a3e9c7cae08609954929ed71d",
+    },
+    "effective": {
+        "boi_summary.csv": "4fef5f08ad757fd97f090ef78ad593af06656ea8838ac4c4b30e9fc5f9054e58",
+        "ka_switch_contrast.csv": "300b7f7b026b7ebd9ed4e702ac63b5072c4958220560c9e582f438f3e3e218cc",
+        "manifest.json": "49730086c8568cb428a1c310b39e50f5ad1ce0d876b1ea85f2ea731f3eb2f963",
+        "normalized_contrast.csv": "3fe5ebffe49126de2e5f1d633ad9c9c38304610f149af5eef2b30e7a5a1a045e",
+        "pin_tshift_contrast.csv": "d9af92be464b8fd1f9bb16f23cc8029f9d65849957613941451e147c21290c8a",
+    },
+}
+
+
 class TestBoi:
+    @pytest.mark.parametrize("kind", sorted(BUNDLED_CELL_DIGESTS))
+    def test_bundled_cells_match_pinned_digests(self, tmp_path, monkeypatch, capsys, kind):
+        # manifest.json records the manifest path as given, so run from the root
+        monkeypatch.chdir(SCENES.parent)
+        out = tmp_path / kind
+        assert main(["boi", "scenes/cells.json", "--kind", kind, "--out", str(out)]) == 0
+        assert {p.name: sha(p) for p in out.iterdir()} == BUNDLED_CELL_DIGESTS[kind]
+
+    @pytest.mark.parametrize("row", ["2 nan 0", "nan 0.5 0", "2 inf 0", "2_000 0.5 0"])
+    def test_non_finite_or_malformed_cell_value_exits_2(self, tmp_path, capsys, row):
+        manifest = write_cells(tmp_path)
+        path = tmp_path / "split_on.s1p"
+        path.write_text(path.read_text().replace("2.0 0.9 0", row))
+        assert main(["boi", manifest, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: line 3: ")
+
     def test_two_cell_run(self, tmp_path, capsys):
         manifest = write_cells(tmp_path)
         out = tmp_path / "out"

@@ -124,6 +124,16 @@ class TestParsing:
         assert scene.thresholds.qos_for("se_bps_hz") == 2.0
         assert scene.thresholds.qos_for("gain_db") is None
 
+    def test_override_inherits_the_metrics_own_band(self):
+        # tx_power_dbm defaults to (change_floor_db, change_floor_db), not to
+        # the top-level boost/unchanged pair, so the omitted key is 0.1
+        scene = parse_scene(make(thresholds={"per_metric": {"tx_power_dbm": {"boost_db": 0.5}}}))
+        assert scene.thresholds.for_metric("tx_power_dbm") == (0.5, 0.1)
+        scene = parse_scene(
+            make(thresholds={"change_floor_db": 0.3, "per_metric": {"tx_power_dbm": {"unchanged_db": 0.2}}})
+        )
+        assert scene.thresholds.for_metric("tx_power_dbm") == (0.3, 0.2)
+
     def test_empty_optional_blocks_take_dataclass_defaults(self):
         # defaults live only in the dataclasses: a document with the required
         # keys and every optional block empty equals the bare constructor call

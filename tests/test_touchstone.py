@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import touchstone_oracle
 from risplan.errors import ConfigError, TouchstoneError
 from risplan.touchstone import load_cell_manifest, parse_touchstone, read_touchstone
 
@@ -63,6 +67,16 @@ def test_mid_line_comments_stripped():
         ("# GHZ S RI R 50\n2.0 0 0\n2.0 0 0\n", "strictly increasing"),
         ("# GHZ S RI R 50\n", "no data rows"),
         ("! only a comment\n", "no option line"),
+        ("# GHZ S RI R 50\n1 0 0\n2 nan 0\n", "line 3: non-finite value in data row: '2 nan 0'"),
+        ("# GHZ S RI R 50\nnan 0 0\n", "line 2: non-finite value"),
+        ("# GHZ S RI R 50\n1 0 0\nNaN 0 0\n", "line 3: non-finite value"),
+        ("# GHZ S DB R 50\n1 inf 0\n", "line 2: non-finite value"),
+        ("# GHZ S MA R 50\n1 0.5 -Infinity\n", "line 2: non-finite value"),
+        ("# GHZ S RI R 50\n1 0 0 0 0 0 0 0 0\n2 0 0 0 0 0 0 inf 0\n", "line 3: non-finite value"),
+        ("# GHZ S RI R 50\n1e300 0 0\n", "line 2: non-finite value"),
+        ("# HZ S RI R 50\n1_000 0 0\n", "line 2: non-numeric value in data row: '1_000 0 0'"),
+        ("# HZ S RI R 50\n1 0 0\n2 0.1_5 0\n", "line 3: non-numeric value"),
+        ("# GHZ S DB R 50\n1 -3 0\n2 7000 0\n", "line 3: DB magnitude out of range"),
     ],
 )
 def test_parse_errors(body, fragment):
@@ -127,3 +141,111 @@ def test_manifest_errors(tmp_path, doc, fragment):
     with pytest.raises(ConfigError) as err:
         load_cell_manifest(p)
     assert fragment in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the array reader against the line-by-line oracle
+# ---------------------------------------------------------------------------
+
+MUTATIONS = (
+    "short_row", "long_row", "non_numeric", "repeated_frequency",
+    "decreasing_frequency", "second_option_line", "data_before_option", "empty_body",
+)
+
+
+def _value(fmt):
+    """One value pair of a passive S-parameter in ``fmt``."""
+    zero = st.sampled_from([0.0, -0.0])
+    angle = st.one_of(zero, st.floats(-360.0, 360.0))
+    if fmt == "RI":
+        part = st.one_of(zero, st.floats(-0.7, 0.7))
+        return st.tuples(part, part)
+    if fmt == "MA":
+        return st.tuples(st.one_of(zero, st.floats(-1.0, 1.0)), angle)
+    return st.tuples(st.one_of(zero, st.floats(-120.0, 0.0)), angle)
+
+
+@st.composite
+def touchstone_files(draw, mutation=None):
+    """Touchstone text with free layout and, optionally, one defect."""
+    fmt = draw(st.sampled_from(["RI", "MA", "DB"]))
+    unit = draw(st.sampled_from(["HZ", "KHZ", "MHZ", "GHZ"]))
+    ports = draw(st.sampled_from([1, 2]))
+    groups = [["S"], [fmt], [unit]]
+    if draw(st.booleans()):
+        groups.append(["R", repr(draw(st.floats(1.0, 200.0)))])
+    option = [tok.lower() if draw(st.booleans()) else tok
+              for group in draw(st.permutations(groups)) for tok in group]
+    number = draw(st.sampled_from([repr, "{:.9g}".format, "{:.6e}".format, "{:.4E}".format]))
+
+    n_rows = draw(st.integers(2 if "frequency" in (mutation or "") else 1, 12))
+    freq = draw(st.floats(1e-3, 100.0))
+    rows = []
+    for _ in range(n_rows):
+        pairs = [draw(_value(fmt)) for _ in range(1 if ports == 1 else 4)]
+        rows.append([repr(freq)] + [number(v) for pair in pairs for v in pair])
+        freq += draw(st.floats(1e-3, 10.0))
+
+    i = draw(st.integers(1, n_rows - 1)) if n_rows > 1 else 0
+    extra_after = {}
+    before_option = []
+    if mutation == "short_row":
+        rows[i] = rows[i][:-1]
+    elif mutation == "long_row":
+        rows[i] = rows[i] + ["0.5"]
+    elif mutation == "non_numeric":
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.sampled_from(["abc", "1.2.3", "--1", "0x10", "1e", "+-2", "1,5"]))
+    elif mutation == "repeated_frequency":
+        rows[i][0] = rows[i - 1][0]
+    elif mutation == "decreasing_frequency":
+        rows[i][0] = repr(float(rows[i - 1][0]) / 2)
+    elif mutation == "second_option_line":
+        extra_after[i] = "# GHZ S RI R 50"
+    elif mutation == "data_before_option":
+        before_option.append(" ".join(rows[0]))
+    elif mutation == "empty_body":
+        rows = []
+
+    filler = st.sampled_from(["", "   ", "\t", "! comment", "  ! indented comment", "!"])
+    lines = [draw(filler) for _ in range(draw(st.integers(0, 3)))] + before_option
+    lines.append(draw(st.sampled_from(["#", "# ", " \t#"])) + " ".join(option)
+                 + draw(st.sampled_from(["", " ! options", "!x"])))
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    for k, tokens in enumerate(rows):
+        if draw(st.booleans()):
+            lines.append(draw(filler))
+        text = tokens[0] + "".join(draw(gap) + tok for tok in tokens[1:])
+        lines.append(draw(st.sampled_from(["", " ", "\t", "  "])) + text
+                     + draw(st.sampled_from(["", " ", " ! note", "! x", "\t!"])))
+        if k in extra_after:
+            lines.append(extra_after[k])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode("ascii") if draw(st.booleans()) else text
+
+
+def outcome(parse, text):
+    """A record as uint64 bit patterns, or the error text when parsing fails."""
+    try:
+        rec = parse(text, "s")
+    except TouchstoneError as exc:
+        return str(exc)
+    fields = [rec.frequencies_hz, rec.s11] + ([] if rec.s21 is None else [rec.s21])
+    return rec.state_id, rec.reference_ohm, [f.view(np.uint64).tolist() for f in fields]
+
+
+@given(touchstone_files())
+@settings(max_examples=40, deadline=None)
+def test_records_match_oracle_bit_for_bit(text):
+    expected = outcome(touchstone_oracle.parse_touchstone, text)
+    assert not isinstance(expected, str), expected
+    assert outcome(parse_touchstone, text) == expected
+
+
+@given(st.sampled_from(MUTATIONS).flatmap(lambda m: touchstone_files(m)))
+@settings(max_examples=60, deadline=None)
+def test_malformed_files_fail_like_oracle(text):
+    expected = outcome(touchstone_oracle.parse_touchstone, text)
+    assert isinstance(expected, str)
+    assert outcome(parse_touchstone, text) == expected

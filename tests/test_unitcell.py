@@ -323,17 +323,31 @@ def test_build_table_mixed_ports_rejected():
 def test_normalized_axis_example():
     f = np.array([4.5e9, 5.0e9, 5.5e9])
     curve = ContrastCurve(f, np.array([0.5, 1.5, 0.5]), "reflection")
-    rows = normalized_contrast_table([("d", curve, 5.0e9)])
-    assert [x for _, x, _ in rows] == pytest.approx([0.9, 1.0, 1.1])
+    names, ratios, contrast = normalized_contrast_table([("d", curve, 5.0e9)])
+    assert ratios.tolist() == pytest.approx([0.9, 1.0, 1.1])
+    assert names.tolist() == ["d", "d", "d"]
+    assert contrast.tolist() == [0.5, 1.5, 0.5]
 
 
 def test_normalized_reference_points():
     # widest-band design: edges 4.4 and 5.6 GHz around centre 5.05 GHz
     f = np.array([4.4e9, 5.6e9])
     curve = ContrastCurve(f, np.array([1.0, 1.0]), "reflection")
-    rows = normalized_contrast_table([("pin", curve, 5.05e9)])
-    assert rows[0][1] == pytest.approx(0.871, abs=5e-4)
-    assert rows[1][1] == pytest.approx(1.109, abs=5e-4)
+    _, ratios, _ = normalized_contrast_table([("pin", curve, 5.05e9)])
+    assert ratios[0] == pytest.approx(0.871, abs=5e-4)
+    assert ratios[1] == pytest.approx(1.109, abs=5e-4)
+
+
+def test_normalized_columns_follow_entry_order():
+    a = ContrastCurve(np.array([1e9, 2e9]), np.array([0.5, 1.5]), "reflection")
+    b = ContrastCurve(np.array([3e9, 4e9, 5e9]), np.array([1.2, 1.4, 0.2]), "reflection")
+    names, ratios, contrast = normalized_contrast_table([("a", a, 2e9), ("b", b, 4e9)])
+    assert names.tolist() == ["a", "a", "b", "b", "b"]
+    assert ratios.tolist() == [0.5, 1.0, 0.75, 1.0, 1.25]
+    assert contrast.tolist() == [0.5, 1.5, 1.2, 1.4, 0.2]
+    assert ratios.dtype == contrast.dtype == np.float64
+    names, ratios, contrast = normalized_contrast_table([])
+    assert names.size == ratios.size == contrast.size == 0
 
 
 def test_normalized_requires_positive_f0():
@@ -384,7 +398,8 @@ def test_normalized_csv_matches_csv_writer(tmp_path):
     rows[: len(SPECIAL_FLOATS)] = [
         (names[i % len(names)], v, -v) for i, v in enumerate(SPECIAL_FLOATS)
     ]
-    write_normalized_csv(rows, tmp_path / "new.csv")
+    columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), (object, float, float))]
+    write_normalized_csv(tuple(columns), tmp_path / "new.csv")
     csv_reference(
         tmp_path / "ref.csv",
         ["name", "f_over_f0", "contrast"],
