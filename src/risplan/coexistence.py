@@ -33,9 +33,9 @@ from .propagation import (
 from .scene import Scene
 from .seeding import derived_rng
 
-# Rows per chunk of the trace writer. It bounds the text held at once (about
-# 0.5 MB at 8192 rows), never the bytes written, which are the same for any
-# chunk size.
+# Rows per chunk of the trace writer: one ``%`` format call writes a chunk.
+# It bounds the text held at once (about 0.5 MB at 8192 rows), never the
+# bytes written, which are the same for any chunk size.
 _TRACE_CHUNK_ROWS = 8192
 
 
@@ -80,11 +80,18 @@ class CoexistConfig:
 
 @dataclass(frozen=True)
 class CoexistResult:
+    """One run. Slot t sees codebook entry ``config_index[t]``: its SNR is
+    ``snr_db[config_index[t]]`` and its capacity ``capacity[config_index[t]]``.
+    The rate selected at slot t is the capacity of slot t - d, where
+    d = ``len(config_index) - transmitting_slots`` is the CSI delay; the
+    first d slots select no rate (NaN in the trace).
+    """
+
     bler: float
-    snr_trace_db: np.ndarray
+    config_index: np.ndarray  # (slots,) int64, the entry each slot sees
+    snr_db: np.ndarray  # (C,) 10 log10 of each entry's SNR
+    capacity: np.ndarray  # (C,) Shannon-with-gap capacity per entry, bps/Hz
     error_slots: tuple[int, ...]
-    selected_rate_bps_hz: np.ndarray  # NaN over the warm-up slots
-    capacity_bps_hz: np.ndarray
     transmitting_slots: int
     ris_direct_ratio_db: float  # see _ratio_db()
 
@@ -138,28 +145,23 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     draws = rng.integers(0, snr_per_config.shape[0], n)
     indices = forward_fill(switch, draws.astype(np.int64))
 
-    snr_lin = snr_per_config[indices]
     with np.errstate(divide="ignore"):
-        snr_db = 10.0 * np.log10(snr_lin)
-    gap = db_to_linear(config.mcs_gap_db)
-    capacity = np.log2(1.0 + snr_lin / gap)
+        snr_db = 10.0 * np.log10(snr_per_config)
+    capacity = np.log2(1.0 + snr_per_config / db_to_linear(config.mcs_gap_db))
 
     d = config.csi_delay_slots
-    selected = np.full(n, math.nan)
-    errors = np.zeros(n, dtype=bool)
-    selected[d:] = capacity[:-d]
     # shannon selection: rate exceeds capacity iff the SNR dropped
-    errors[d:] = snr_lin[d:] < snr_lin[:-d] * db_to_linear(-config.snr_margin_db)
+    tolerated = snr_per_config * db_to_linear(-config.snr_margin_db)
+    errors = snr_per_config[indices[d:]] < tolerated[indices[:-d]]
 
     tx = n - d
-    error_slots = tuple(np.flatnonzero(errors).tolist())
-    bler = len(error_slots) / tx
+    error_slots = tuple((np.flatnonzero(errors) + d).tolist())
     return CoexistResult(
-        bler=bler,
-        snr_trace_db=snr_db,
+        bler=len(error_slots) / tx,
+        config_index=indices,
+        snr_db=snr_db,
+        capacity=capacity,
         error_slots=error_slots,
-        selected_rate_bps_hz=selected,
-        capacity_bps_hz=capacity,
         transmitting_slots=tx,
         ris_direct_ratio_db=_ratio_db(link),
     )
@@ -181,38 +183,52 @@ def _ratio_db(link) -> float:
     return 20.0 * math.log10(ripple / abs(base))
 
 
+class _RowTails(dict):
+    """Row text after the slot number, keyed ``(now * (C + 1) + before) * 2 + error``.
+
+    ``now`` is the slot's codebook entry, ``before`` the entry its rate was
+    selected from (C over the warm-up slots, whose selected rate is NaN).
+    A tail is formatted on first use, so only keys that occur are built.
+    """
+
+    def __init__(self, result: CoexistResult):
+        super().__init__()
+        self.snr = [repr(v) for v in result.snr_db.tolist()]
+        self.capacity = [repr(v) for v in result.capacity.tolist()]
+        self.selected = self.capacity + [repr(math.nan)]
+
+    def __missing__(self, key: int) -> str:
+        pair, error = divmod(key, 2)
+        now, before = divmod(pair, len(self.selected))
+        tail = self[key] = (
+            f",{self.snr[now]},{self.selected[before]},{self.capacity[now]},{error}\n"
+        )
+        return tail
+
+
 def write_trace_csv(result: CoexistResult, path: str) -> None:
     """Per-slot log; floats via repr, so -inf and nan survive a round trip.
 
-    Rows are formatted from per-chunk string tables: within a chunk each
-    float column is coded by its float64 bit pattern, so ``-0.0`` and
-    ``0.0`` stay apart; each distinct value goes through ``repr`` once and
-    each distinct row tail is formatted once. The output is byte-identical
-    to formatting every row with ``repr``.
+    A row is fixed by its slot, its codebook entry, the entry one CSI delay
+    earlier and its error flag, so each distinct row tail is formatted once
+    (see ``_RowTails``) and each chunk is written by one ``%`` format call.
+    The output is byte-identical to formatting every row with ``repr``.
     """
-    n = result.snr_trace_db.shape[0]
-    err = np.zeros(n, dtype=bool)
-    err[np.asarray(result.error_slots, dtype=np.intp)] = True
-    columns = (result.snr_trace_db, result.selected_rate_bps_hz, result.capacity_bps_hz)
+    now = result.config_index
+    n = now.shape[0]
+    d = n - result.transmitting_slots
+    tails = _RowTails(result)
+    key = np.full(n, result.snr_db.shape[0], dtype=np.int64)
+    key[d:] = now[:-d]
+    key += now * len(tails.selected)
+    key *= 2
+    key[np.asarray(result.error_slots, dtype=np.intp)] += 1
     with open(path, "w", newline="") as fh:
         fh.write("slot,snr_db,selected_rate,actual_capacity,error\n")
+        row_format = "%d%s" * _TRACE_CHUNK_ROWS
         for start in range(0, n, _TRACE_CHUNK_ROWS):
             stop = min(start + _TRACE_CHUNK_ROWS, n)
-            key = flags = err[start:stop].astype(np.int64)
-            codes, texts = [], []
-            for column in columns:
-                bits = np.ascontiguousarray(column[start:stop], dtype=np.float64)
-                values, code = np.unique(bits.view(np.uint64), return_inverse=True)
-                key = key * values.shape[0] + code
-                codes.append(code)
-                texts.append([repr(v) for v in values.view(np.float64).tolist()])
-            _, first, rows = np.unique(key, return_index=True, return_inverse=True)
-            snr, sel, cap = texts
-            tails = [
-                f",{snr[a]},{sel[b]},{cap[c]},{e}\n"
-                for a, b, c, e in zip(
-                    *(code[first].tolist() for code in codes), flags[first].tolist()
-                )
-            ]
-            lines = zip(range(start, stop), rows.tolist())
-            fh.write("".join(f"{t}{tails[r]}" for t, r in lines))
+            rows = [None] * (2 * (stop - start))
+            rows[0::2] = range(start, stop)
+            rows[1::2] = map(tails.__getitem__, key[start:stop].tolist())
+            fh.write(row_format[: 4 * (stop - start)] % tuple(rows))

@@ -7,8 +7,9 @@ evaluated in any order or in blocks of any size without changing results.
 
 :func:`derived_integers` draws the same integers as :func:`derived_rng`
 for many key tuples at once. It replays numpy's ``SeedSequence`` pool
-mixing, PCG64 seeding and Lemire's bounded draw (``bit_generator.pyx``,
-``pcg64.h``, ``distributions.c``), vectorized over the streams; a stream
+mixing, PCG64 seeding and output (a 128-bit LCG with XSL-RR output) and
+Lemire's bounded draw (``bit_generator.pyx``, ``pcg64.h``,
+``distributions.c``), vectorized over the streams and their draws; a stream
 whose draw would be rejected is recomputed through :func:`derived_rng`.
 """
 
@@ -34,6 +35,7 @@ def derived_rng(seed, *keys) -> np.random.Generator:
 
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
@@ -82,6 +84,60 @@ def _pcg64_words(entropy: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
+def _words(values) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit Python ints as a (high, low) pair of (1, len) uint64 rows."""
+    return (np.array([[v >> 64 for v in values]], dtype=np.uint64),
+            np.array([[v & _MASK64 for v in values]], dtype=np.uint64))
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of each 128-bit product ``a * b`` of uint64 arrays."""
+    low, shift = np.uint64(_MASK32), np.uint64(32)
+    a0, a1, b0, b1 = a & low, a >> shift, b & low, b >> shift
+    cross_a, cross_b = a0 * b1, a1 * b0
+    middle = ((a0 * b0) >> shift) + (cross_a & low) + (cross_b & low)
+    return a1 * b1 + (cross_a >> shift) + (cross_b >> shift) + (middle >> shift)
+
+
+def _mul128(a, b):
+    """``a * b`` mod 2**128 on (high, low) uint64 word pairs, broadcasting."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    return _mulhi64(a_lo, b_lo) + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _add128(a, b):
+    """``a + b`` mod 2**128 on (high, low) uint64 word pairs, broadcasting."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _pcg64_raws(words: np.ndarray, count: int) -> np.ndarray:
+    """(n, count) ``PCG64.random_raw`` outputs of generators seeded with (n, 4) uint64 words.
+
+    The words are ``generate_state(4, uint64)``: state high and low, then
+    stream high and low. pcg64_set_seed makes ``inc = stream << 1 | 1`` and
+    ``s = (inc + state) * MULT + inc``. Draw k is the XSL-RR output of the
+    state after k + 1 more LCG steps, ``s * MULT**j + inc * (1 + ... +
+    MULT**(j-1))`` with j = k + 1, so every draw of every stream is one
+    broadcast 128-bit multiply-add.
+    """
+    s_hi, s_lo, i_hi, i_lo = (words[:, j:j + 1] for j in range(4))
+    one = np.uint64(1)
+    inc = ((i_hi << one) | (i_lo >> np.uint64(63)), (i_lo << one) | one)
+    state = _add128(_mul128(_add128(inc, (s_hi, s_lo)), _words([_PCG_MULT])), inc)
+    powers, sums = [], []
+    power, total = 1, 0
+    for _ in range(count):
+        total = (total + power) & _MASK128
+        power = (power * _PCG_MULT) & _MASK128
+        powers.append(power)
+        sums.append(total)
+    hi, lo = _add128(_mul128(state, _words(powers)), _mul128(inc, _words(sums)))
+    mixed = hi ^ lo
+    rot = hi >> np.uint64(58)
+    return (mixed >> rot) | (mixed << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
 def derived_integers(seed, *keys, high: int, size: int) -> np.ndarray:
     """``derived_rng(seed, *key).integers(0, high, size=size)`` for many keys at once.
 
@@ -115,28 +171,20 @@ def derived_integers(seed, *keys, high: int, size: int) -> np.ndarray:
         return out.reshape(*shape, size)
 
     # numpy coerces a key below 2**32 (zero included) to one uint32 word, a
-    # larger one to two, low word first; streams are grouped by that layout
-    wide = np.stack([c >> np.uint64(32) != 0 for c in columns], axis=1)
-    layouts, layout_of = np.unique(wide, axis=0, return_inverse=True)
+    # larger one to two, low word first; streams are grouped by that layout,
+    # coded with bit j set when key j takes two words
+    layout_of = sum((c >> np.uint64(32) != 0).astype(np.int64) << j
+                    for j, c in enumerate(columns))
     words = np.zeros((n, 4), dtype=np.uint64)
-    for k, layout in enumerate(layouts):
-        rows = np.flatnonzero(layout_of.reshape(-1) == k)
+    for layout in np.unique(layout_of).tolist():
+        rows = np.flatnonzero(layout_of == layout)
         entropy = []
-        for c, two_words in zip(columns, layout):
+        for j, c in enumerate(columns):
             entropy.append((c[rows] & np.uint64(_MASK32)).astype(np.uint32))
-            if two_words:
+            if layout >> j & 1:
                 entropy.append((c[rows] >> np.uint64(32)).astype(np.uint32))
         words[rows] = _pcg64_words(np.stack(entropy, axis=1))
-
-    # PCG64 seeding (pcg64_set_seed): state 0, step, add the seed, step
-    pcg = np.random.PCG64()
-    raws = np.empty((n, (size + 1) // 2), dtype=np.uint64)
-    for row, (s_hi, s_lo, i_hi, i_lo) in enumerate(words.tolist()):
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        pcg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                     "has_uint32": 0, "uinteger": 0}
-        raws[row] = pcg.random_raw(raws.shape[1])
+    raws = _pcg64_raws(words, (size + 1) // 2)
 
     # Lemire's bounded draw on the 32-bit halves, low half first
     draws = np.stack([raws & np.uint64(_MASK32), raws >> np.uint64(32)], axis=-1)

@@ -341,7 +341,39 @@ class TestAoi:
         assert capsys.readouterr().err.startswith("error:")
 
 
+# sha256 of every file `coexist scenes/street_coexistence.json --switch-prob 0.5
+# --ue 11,19` writes, run from the repository root; recorded with the per-slot
+# simulator and trace writer, so they pin the bytes the codebook-indexed
+# trace must keep.
+STREET_COEXIST_DIGESTS = {
+    ("--slots", "100000"): {
+        "manifest.json": "0cd417b14826b50c1c569e09206cf3b9c388763445143302062c180100cc0fd4",
+        "street_coexistence_coexist_summary.csv":
+            "d8c8df99c2c9d7fb439516c47de769c95ee37991b14b682af9868fce3e03d554",
+        "street_coexistence_coexist_trace.csv":
+            "15439c861656cd81ac87e5692cf0fd6fd24a22480e9f13b35557ac77151c2e24",
+    },
+    ("--slots", "5000", "--csi-delay", "3"): {
+        "manifest.json": "c599e7b6f2db80f79930464f70e0fcc6847c9b0441c13e2a5c0e13398be49891",
+        "street_coexistence_coexist_summary.csv":
+            "a0dac5defbbfb71003ad626be529886a0ecb2bbba0c4dc92bf900743bf431745",
+        "street_coexistence_coexist_trace.csv":
+            "94c2f47043aaaa25222639a9b3d236a2ad29eb365aaf6937f7c602dc91ae409d",
+    },
+}
+
+
 class TestCoexist:
+    @pytest.mark.parametrize("args", sorted(STREET_COEXIST_DIGESTS),
+                             ids=["slots_100000", "slots_5000_csi_delay_3"])
+    def test_bundled_street_matches_pinned_digests(self, tmp_path, monkeypatch, capsys, args):
+        # manifest.json records the scene path as given, so run from the root
+        monkeypatch.chdir(SCENES.parent)
+        out = tmp_path / "out"
+        assert main(["coexist", "scenes/street_coexistence.json", "--switch-prob", "0.5",
+                     "--ue", "11,19", *args, "--out", str(out)]) == 0
+        assert {p.name: sha(p) for p in out.iterdir()} == STREET_COEXIST_DIGESTS[args]
+
     def test_run_emits_trace_summary_manifest(self, tmp_path):
         scene_path = write_scene(tmp_path, COEX_SCENE)
         out = tmp_path / "out"

@@ -3,11 +3,18 @@
 import json
 import math
 import pathlib
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from coexist_oracle import reference_summary, reference_trace
+from coexist_oracle import simulate as slot_simulate
+from helpers import trace_columns
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from risplan import cli
 from risplan.beamforming import RisConfig, mrc_weights
 from risplan.coexistence import (
     _TRACE_CHUNK_ROWS,
@@ -80,19 +87,6 @@ def ratio_from_definition(scene, point):
     return 20.0 * math.log10(ripple / abs(np.vdot(w, direct.gains)))
 
 
-def reference_trace(result):
-    """The trace as a per-row loop formats it: the oracle for write_trace_csv."""
-    lines = ["slot,snr_db,selected_rate,actual_capacity,error\n"]
-    err = set(result.error_slots)
-    for t in range(result.snr_trace_db.shape[0]):
-        lines.append(
-            f"{t},{float(result.snr_trace_db[t])!r},"
-            f"{float(result.selected_rate_bps_hz[t])!r},"
-            f"{float(result.capacity_bps_hz[t])!r},{int(t in err)}\n"
-        )
-    return "".join(lines).encode()
-
-
 class TestConfigValidation:
     def test_good_config(self):
         cfg = CoexistConfig(slots=10, switch_probability=0.5)
@@ -145,7 +139,8 @@ class TestSimulate:
         scene = coex_scene(ris=None)
         res = simulate(scene, NEAR, CoexistConfig(slots=5000, switch_probability=1.0))
         assert res.bler == 0.0
-        assert np.all(np.diff(res.snr_trace_db) == 0.0)
+        snr, _, _ = trace_columns(res)
+        assert np.all(np.diff(snr) == 0.0)
 
     def test_far_point_never_errs(self):
         res = simulate(coex_scene(), FAR, CoexistConfig(slots=5000, switch_probability=1.0))
@@ -178,7 +173,7 @@ class TestSimulate:
         a = simulate(scene, NEAR, cfg)
         b = simulate(scene, NEAR, cfg)
         assert a.error_slots == b.error_slots
-        np.testing.assert_array_equal(a.snr_trace_db, b.snr_trace_db)
+        np.testing.assert_array_equal(trace_columns(a)[0], trace_columns(b)[0])
         other = simulate(scene, NEAR, CoexistConfig(slots=4000, switch_probability=0.3, seed=8))
         assert a.error_slots != other.error_slots
 
@@ -188,8 +183,8 @@ class TestSimulate:
         cfg = CoexistConfig(slots=2000, switch_probability=0.3)
         here = simulate(scene, NEAR, cfg)
         there = simulate(scene, [13.0, 17.0, 1.5], cfg)
-        moved_here = set(np.nonzero(np.diff(here.snr_trace_db))[0])
-        moved_there = set(np.nonzero(np.diff(there.snr_trace_db))[0])
+        moved_here = set(np.nonzero(np.diff(trace_columns(here)[0]))[0])
+        moved_there = set(np.nonzero(np.diff(trace_columns(there)[0]))[0])
         assert moved_here == moved_there
 
     @pytest.mark.parametrize("slots, delay", [(2, 5), (10, 10), (10, 100_000)])
@@ -203,23 +198,24 @@ class TestSimulate:
                                                          csi_delay_slots=5))
         assert res.transmitting_slots == 1
         assert res.bler in (0.0, 1.0)
-        assert np.all(np.isnan(res.selected_rate_bps_hz[:5]))
-        assert np.isfinite(res.selected_rate_bps_hz[5])
+        _, selected, _ = trace_columns(res)
+        assert np.all(np.isnan(selected[:5]))
+        assert np.isfinite(selected[5])
 
     def test_capacity_column_follows_gap(self):
         cfg = CoexistConfig(slots=50, switch_probability=0.0, mcs_gap_db=3.0)
         res = simulate(coex_scene(), NEAR, cfg)
-        snr_lin = 10.0 ** (res.snr_trace_db / 10.0)
+        snr, _, capacity = trace_columns(res)
+        snr_lin = 10.0 ** (snr / 10.0)
         expected = np.log2(1.0 + snr_lin / 10.0 ** 0.3)
-        np.testing.assert_allclose(res.capacity_bps_hz, expected, rtol=1e-12)
+        np.testing.assert_allclose(capacity, expected, rtol=1e-12)
 
     def test_selected_rate_is_delayed_capacity(self):
         cfg = CoexistConfig(slots=200, switch_probability=0.5, csi_delay_slots=2)
         res = simulate(coex_scene(), NEAR, cfg)
-        assert np.all(np.isnan(res.selected_rate_bps_hz[:2]))
-        np.testing.assert_array_equal(
-            res.selected_rate_bps_hz[2:], res.capacity_bps_hz[:-2]
-        )
+        _, selected, capacity = trace_columns(res)
+        assert np.all(np.isnan(selected[:2]))
+        np.testing.assert_array_equal(selected[2:], capacity[:-2])
 
     def test_replayed_stream_oracle(self):
         # rebuild the slot recursion from the documented stream layout
@@ -322,7 +318,7 @@ class TestCsvWriters:
         }
         assert flagged == set(res.error_slots)
         first = lines[1].split(",")
-        assert float(first[1]) == res.snr_trace_db[0]
+        assert float(first[1]) == trace_columns(res)[0][0]
         assert math.isnan(float(first[2]))
 
     def test_curve_formats_minus_inf(self, tmp_path):
@@ -362,28 +358,92 @@ class TestTraceWriterOracle:
         res = simulate(coex_scene(**scene_kwargs), NEAR, config)
         path = tmp_path / "trace.csv"
         write_trace_csv(res, path)
-        assert path.read_bytes() == reference_trace(res)
+        assert path.read_bytes() == reference_trace(*trace_columns(res), res.error_slots)
 
     def test_signed_zeros_and_non_finite_across_chunks(self, tmp_path):
+        # per-entry tables of signed zeros, both NaN sign bits, infinities and
+        # a subnormal: every tail must keep the exact repr of its entries
         n = 2 * _TRACE_CHUNK_ROWS + 37
         rng = np.random.default_rng(5)
         negative_nan = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
-        pool = np.array([np.nan, negative_nan, -np.inf, np.inf, 0.0, -0.0, 1.5, 5e-324])
-        snr, sel, cap = (pool[rng.integers(0, pool.size, n)] for _ in range(3))
-        snr[:2], sel[:2], cap[:2] = (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)
+        pool = np.array([np.nan, negative_nan, -np.inf, np.inf, 0.0, -0.0, 5e-324])
+        entries = 9
+        snr, cap = (pool[rng.integers(0, pool.size, entries)] for _ in range(2))
+        snr[:3], cap[:3] = (0.0, -0.0, -np.inf), (-0.0, 0.0, np.nan)
+        index = rng.integers(0, entries, n)
+        index[:3] = (0, 0, 1)
         errors = np.flatnonzero(rng.random(n) < 0.3)
         res = CoexistResult(
             bler=0.0,
-            snr_trace_db=snr,
+            config_index=index,
+            snr_db=snr,
+            capacity=cap,
             error_slots=tuple(errors.tolist()),
-            selected_rate_bps_hz=sel,
-            capacity_bps_hz=cap,
-            transmitting_slots=n,
+            transmitting_slots=n - 1,
             ris_direct_ratio_db=-math.inf,
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(res, path)
-        expected = reference_trace(res)
+        expected = reference_trace(*trace_columns(res), res.error_slots)
         assert path.read_bytes() == expected
-        assert b"\n0,0.0,-0.0,-0.0," in expected
+        assert b"\n1,0.0,-0.0,-0.0," in expected
+        assert b"\n2,-0.0,-0.0,0.0," in expected
         assert b",-inf," in expected and b",nan," in expected
+
+
+CHUNK_EDGES = st.builds(
+    lambda k, offset: k * _TRACE_CHUNK_ROWS + offset, st.integers(1, 2), st.integers(-2, 2)
+)
+
+
+@st.composite
+def coexist_runs(draw):
+    delay = draw(st.integers(1, 5))
+    slots = draw(st.one_of(st.just(delay + 1), st.integers(delay + 1, 300), CHUNK_EDGES))
+    return {
+        "delay": delay,
+        "slots": slots,
+        "probability": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "margin_db": draw(st.sampled_from([0.0, 0.1])),
+        # None drops the surface; 200 directions make C * C far exceed the rows
+        "directions": draw(st.sampled_from([None, 1, 16, 200])),
+        "seed": draw(st.integers(0, 2**32)),
+        "ue": draw(st.sampled_from([NEAR, FAR])),
+    }
+
+
+@given(coexist_runs())
+@settings(max_examples=30, deadline=None)
+def test_cli_files_match_slot_oracle(run):
+    # the codebook-indexed path against the per-slot simulator and the
+    # per-row formatter: same columns bit for bit, same trace and summary bytes
+    doc = json.loads(json.dumps(COEX))
+    if run["directions"] is None:
+        del doc["ris"]
+    else:
+        doc["ris"]["codebook_directions"] = run["directions"]
+    doc["seed"] = run["seed"]
+    scene = parse_scene(json.dumps(doc))
+    config = CoexistConfig(slots=run["slots"], switch_probability=run["probability"],
+                           csi_delay_slots=run["delay"], snr_margin_db=run["margin_db"],
+                           seed=run["seed"])
+    oracle = slot_simulate(scene, run["ue"], config)
+    res = simulate(scene, run["ue"], config)
+    columns = (oracle.snr_trace_db, oracle.selected_rate_bps_hz, oracle.capacity_bps_hz)
+    for got, want in zip(trace_columns(res), columns):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert res.error_slots == oracle.error_slots
+
+    with tempfile.TemporaryDirectory() as tmp:
+        scene_path = pathlib.Path(tmp) / "scene.json"
+        scene_path.write_text(json.dumps(doc))
+        out = pathlib.Path(tmp) / "out"
+        argv = ["coexist", str(scene_path), "--switch-prob", repr(run["probability"]),
+                "--slots", str(run["slots"]), "--csi-delay", str(run["delay"]),
+                "--margin-db", repr(run["margin_db"]), "--ue", ",".join(map(repr, run["ue"])),
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert (out / "scene_coexist_trace.csv").read_bytes() == reference_trace(
+            *columns, oracle.error_slots)
+        assert (out / "scene_coexist_summary.csv").read_bytes() == reference_summary(
+            run["slots"], oracle)

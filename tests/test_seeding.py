@@ -1,5 +1,7 @@
 """Many-stream integer draws against one ``derived_rng`` stream per key tuple."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,38 @@ def test_mixed_key_widths_and_negative_keys():
     for row, cell in zip(got, cells):
         np.testing.assert_array_equal(
             row, derived_rng(-3, "tag", int(cell)).integers(0, 6, size=7))
+
+
+EDGE_WORDS = [0, 2**64 - 1, 2**63]
+
+
+def test_raw_outputs_match_pcg64_at_edge_words():
+    # every seed word at zero, all ones and the top bit alone drives each
+    # carry of the 128-bit seeding, multiply-add and rotation
+    words = np.array(list(itertools.product(EDGE_WORDS, repeat=4)), dtype=np.uint64)
+    got = seeding._pcg64_raws(words, 7)
+    pcg = np.random.PCG64()
+    mask = (1 << 128) - 1
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(got, words.tolist()):
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & mask
+        state = ((inc + ((s_hi << 64) | s_lo)) * seeding._PCG_MULT + inc) & mask
+        pcg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+        np.testing.assert_array_equal(row, pcg.random_raw(7))
+
+
+def test_wide_keys_in_every_layout():
+    # a seed and two keys at or above 2**32, each independently one or two
+    # words wide, so several layout codes share one call
+    cells = np.array([0, 2**32, 2**64 - 1, 2**63, 7], dtype=np.uint64)
+    pilots = np.array([1, 2**32 + 3, 2**63], dtype=np.uint64)
+    for seed in (5, 2**32, 2**64 - 1):
+        got = derived_integers(seed, "loc-pilot", cells[:, None], pilots[None, :],
+                               high=5, size=9)
+        for i, cell in enumerate(cells.tolist()):
+            for k, pilot in enumerate(pilots.tolist()):
+                np.testing.assert_array_equal(
+                    got[i, k], derived_rng(seed, "loc-pilot", cell, pilot).integers(0, 5, size=9))
 
 
 def test_rejected_draws_fall_back_to_derived_rng(monkeypatch):
