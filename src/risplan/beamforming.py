@@ -8,13 +8,15 @@ z_m = exp(j phi_m):
 
 c0 is the direct-only gain, b couples each element to the direct path and
 V couples element pairs, both weighted by the Dirichlet phasor that a
-uniform subcarrier comb produces for a delay offset. Optimizers work on
-(b, V, c0) so one grid point costs one channel synthesis regardless of
-how many configurations get probed.
+uniform subcarrier comb produces for a delay offset. The ascent,
+:func:`optimize_gains`, works on (b, V, c0) for a block of grid points at
+once, so one point costs one channel synthesis regardless of how many
+configurations get probed. The tests keep the one-point evaluation and the
+generic coordinate ascent it is checked against.
 
 Discrete phases come from the scene's lookup. Conventions used
 throughout: snapping to the lookup breaks ties toward the smaller index,
-and every sweep switches only on strict improvement, so results are
+and the ascent switches only on strict improvement, so results are
 deterministic and order-independent across runs.
 """
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import RunError
-from .propagation import DirectChannel, RisChannel, direct_channel, ris_channel
+from .propagation import DirectChannel, RisChannel
 from .scene import Scene
 
 
@@ -46,12 +48,6 @@ class RisConfig:
     @property
     def element_count(self) -> int:
         return len(self.phases_rad)
-
-    def response(self) -> np.ndarray:
-        """(M,) complex element phasors."""
-        if not self.active:
-            return np.zeros(len(self.phases_rad), dtype=np.complex128)
-        return np.exp(1j * np.asarray(self.phases_rad))
 
     @classmethod
     def uniform(cls, count: int, phase: float = 0.0) -> "RisConfig":
@@ -91,20 +87,6 @@ def mrc_weights(h: np.ndarray) -> np.ndarray:
     return h / norm
 
 
-def optimal_phases_continuous(ris_ch: RisChannel, direct: complex) -> RisConfig:
-    """Coherent alignment of every cascade hop with the direct path.
-
-    phi_m = arg(direct) - arg(hop_m), so |direct + cascade| becomes
-    |direct| + sum_m |hop_m| (the triangle bound with equality). A zero
-    direct path aligns the hops with each other (arg 0 by convention).
-    Kept as a deliberate oracle (the unquantized optimum), on no
-    command-line path.
-    """
-    hops = ris_ch.hop_products
-    phases = wrap_phase(np.angle(complex(direct)) - np.angle(hops))
-    return RisConfig(phases_rad=tuple(float(p) for p in phases))
-
-
 def mean_subcarrier_phasor(tau_s, count: int, spacing_hz: float):
     """Mean over n = 0..count-1 of exp(j 2 pi n spacing tau).
 
@@ -128,12 +110,6 @@ class GainTerms:
     b: np.ndarray  # (M,) or (K, M) complex
     V: np.ndarray  # (M, M) or (K, M, M) complex Hermitian
     c0: float | np.ndarray  # direct-only gain
-
-    def gain(self, z) -> float:
-        return kernels.eval_quadratic_gain(self.b, self.V, self.c0, z)
-
-    def gain_config(self, config: RisConfig) -> float:
-        return self.gain(config.response())
 
 
 def direct_gain(direct: DirectChannel):
@@ -180,20 +156,6 @@ def gain_terms(
     return GainTerms(b=np.ascontiguousarray(b), V=np.ascontiguousarray(V), c0=c0)
 
 
-def point_gain_terms(scene: Scene, bs_index: int, point) -> GainTerms:
-    """Terms for a grid point, using the scene's surface when present."""
-    direct = direct_channel(scene, bs_index, point)
-    ris_ch = ris_channel(scene, bs_index, point) if scene.ris is not None else None
-    return gain_terms(direct, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
-
-
-@dataclass(frozen=True)
-class AscentResult:
-    config: RisConfig
-    indices: tuple[int, ...]
-    gain: float
-
-
 def optimize_gains(
     terms: GainTerms,
     lookup_rad,
@@ -229,83 +191,8 @@ def optimize_gains(
     )
 
 
-def optimize_gain(
-    terms: GainTerms,
-    lookup_rad,
-    init_indices=None,
-    max_rounds: int = 20,
-    rel_tol: float = 1e-6,
-) -> AscentResult:
-    """One-point view of :func:`optimize_gains`, with the configuration spelled out."""
-    lookup = np.asarray(lookup_rad, dtype=float)
-    m_count = terms.b.shape[0]
-    if m_count == 0:
-        return AscentResult(config=RisConfig(phases_rad=()), indices=(), gain=terms.c0)
-    if init_indices is not None:
-        init_indices = np.asarray(init_indices, dtype=np.int64)
-        if init_indices.shape != (m_count,):
-            raise ValueError(
-                f"expected {m_count} initial indices, got {init_indices.shape}"
-            )
-        init_indices = init_indices[None, :]
-    block = GainTerms(b=terms.b[None, :], V=terms.V[None, :, :], c0=np.array([terms.c0]))
-    idx, gain = optimize_gains(block, lookup, init_indices, max_rounds, rel_tol)
-    config = RisConfig(phases_rad=tuple(float(lookup[i]) for i in idx[0]))
-    return AscentResult(config=config, indices=tuple(int(i) for i in idx[0]), gain=float(gain[0]))
-
-
-def coordinate_ascent(
-    objective,
-    element_count: int,
-    lookup_rad,
-    init: RisConfig | None = None,
-    max_rounds: int = 20,
-    rel_tol: float = 1e-6,
-):
-    """Generic element-by-element best-response sweep over the lookup.
-
-    ``objective(config) -> float`` may be any deterministic function.
-    Returns (best_config, best_value, trace) where trace holds the value
-    after each completed round; the trace is non-decreasing because every
-    switch requires strict improvement. Kept as a deliberate oracle, on no
-    command-line path: ``kernels.ascent_quadratic`` and the batched phase
-    search of ``secrecy.sse_pairs`` are tested against it.
-    """
-    lookup = [float(p) for p in np.asarray(lookup_rad, dtype=float)]
-    if init is None:
-        config = RisConfig(phases_rad=(lookup[0],) * element_count)
-    else:
-        if init.element_count != element_count:
-            raise ValueError("initial config does not match element count")
-        config = init
-    phases = list(config.phases_rad)
-    value = float(objective(config))
-    trace = [value]
-    for _ in range(max_rounds):
-        before = value
-        for m in range(element_count):
-            best_phase = phases[m]
-            best_value = value
-            for cand in lookup:
-                if cand == phases[m]:
-                    continue
-                trial = phases.copy()
-                trial[m] = cand
-                v = float(objective(RisConfig(phases_rad=tuple(trial), active=config.active)))
-                if v > best_value:
-                    best_value = v
-                    best_phase = cand
-            if best_value > value:
-                phases[m] = best_phase
-                value = best_value
-        trace.append(value)
-        if value - before < rel_tol * max(abs(before), 1.0):
-            break
-    return RisConfig(phases_rad=tuple(phases), active=config.active), value, tuple(trace)
-
-
 # ---------------------------------------------------------------------------
-# codebooks and the sounding sweep
+# codebooks
 # ---------------------------------------------------------------------------
 
 def steering_config(scene: Scene, angle_rad: float) -> RisConfig:
@@ -336,23 +223,3 @@ def default_codebook(scene: Scene) -> tuple[RisConfig, ...]:
         angles = list(np.linspace(-limit, limit, k))
     entries.extend(steering_config(scene, a) for a in angles)
     return tuple(entries)
-
-
-def codebook_sweep(scene: Scene, bs_index: int, point, codebook=None):
-    """(best_config, best_gain): post-combining gain argmax, ties -> first.
-
-    Kept as a deliberate oracle of the codebook, on no command-line path.
-    """
-    if codebook is None:
-        codebook = default_codebook(scene)
-    if not codebook:
-        raise ValueError("codebook is empty")
-    terms = point_gain_terms(scene, bs_index, point)
-    best_config = codebook[0]
-    best_gain = terms.gain_config(best_config)
-    for config in codebook[1:]:
-        g = terms.gain_config(config)
-        if g > best_gain:
-            best_gain = g
-            best_config = config
-    return best_config, best_gain

@@ -34,7 +34,7 @@ from .influence import (
     sweep,
 )
 from .propagation import ray_amplitudes
-from .scene import METRIC_IDS, Scene, load_scene
+from .scene import METRIC_IDS, Scene, load_scene, read_seed
 from .touchstone import load_cell_manifest, read_touchstone
 from .unitcell import (
     build_table,
@@ -99,7 +99,7 @@ def _write_manifest(out: _OutDir, command: str, input_path: str, config: dict, s
 def _apply_seed(scene: Scene, seed: int | None) -> Scene:
     if seed is None:
         return scene
-    return dataclasses.replace(scene, seed=seed)
+    return dataclasses.replace(scene, seed=read_seed(seed, "--seed"))
 
 
 def _parse_point(text: str, scene: Scene) -> np.ndarray:
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     aoi.add_argument("--metric", required=True, choices=METRIC_IDS)
     aoi.add_argument("--out-dir", default=".", help="output directory")
     aoi.add_argument("--seed", type=int, default=None,
-                     help="override the scene seed")
+                     help="override the scene seed, in [0, 2**64)")
     aoi.add_argument("--jobs", type=int, default=None,
                      help="accepted for compatibility, must be >= 1; every "
                      "map runs grid-batched in one process")
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SNR drop absorbed before a block fails (default 0.1)")
     coexist.add_argument("--out", default=".", help="output directory")
     coexist.add_argument("--seed", type=int, default=None,
-                         help="override the scene seed")
+                         help="override the scene seed, in [0, 2**64)")
     coexist.add_argument("--force", action="store_true",
                          help="overwrite existing output files")
     coexist.set_defaults(func=cmd_coexist)

@@ -127,12 +127,6 @@ def ascent_quadratic(b, V, c0, lookup, init_idx, max_rounds, rel_tol):
     return idx, _sequential_gain(br, bi, c0, zr, zi, sr, si)
 
 
-def eval_quadratic_gain(b, V, c0, z):
-    """G(z) for explicit phasors z (not restricted to a lookup)."""
-    z = np.asarray(z, dtype=np.complex128)
-    return float(c0 + 2.0 * np.sum(np.conj(b) * z).real + np.vdot(z, V @ z).real)
-
-
 # ---------------------------------------------------------------------------
 # coexistence switching chain: forward-fill the per-slot config index
 # ---------------------------------------------------------------------------

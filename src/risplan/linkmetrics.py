@@ -1,8 +1,8 @@
 """Link metrics: equivalent gain, voice transmit power, spectral efficiency.
 
 All three metrics share one channel evaluation per (base station, point)
-pair. `equivalent_gain` reports the post-combining power gain averaged
-over subcarriers; `required_tx_power` inverts the uplink voice budget;
+pair. The equivalent gain is the post-combining power gain averaged over
+subcarriers; `required_tx_power` inverts the uplink voice budget;
 `spectral_efficiency_from_gain` rate-adapts at full power. Out-of-coverage
 points are reported as NaN so the mapping layer can treat them uniformly.
 
@@ -12,7 +12,7 @@ once, the base station to surface leg once per map, the surface to point
 legs once per block, and the quadratic-form ascent over all points of a
 block served by the same station. It and the two maps derived from it
 return one ``(2, n)`` array: row 0 without the surface, row 1 with it.
-``gain_pair``, ``tx_power_pair`` and ``se_pair`` are one-row views.
+``gain_pair``, ``tx_power_pair`` and ``se_pair`` are one-row views of it.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import (
-    direct_gain,
-    gain_terms,
-    optimize_gain,
-    optimize_gains,
-    point_gain_terms,
-)
+from .beamforming import direct_gain, gain_terms, optimize_gains
 from .errors import CoincidentNodeError
 from .propagation import (
     DirectChannel,
@@ -38,8 +32,6 @@ from .propagation import (
     surface_legs,
 )
 from .scene import Scene
-
-RIS_MODES = ("off", "optimized")
 
 # Memory held by one block's V matrices (complex, M x M per point). The
 # block size follows from the element count; it bounds the working set,
@@ -83,24 +75,6 @@ def link_budget(scene: Scene) -> LinkBudget:
         noise_power_dbm=scene.noise_power_dbm,
         se_max_bps_hz=lb.se_max_bps_hz,
     )
-
-
-def equivalent_gain(scene: Scene, bs_index: int, point, ris_mode: str = "optimized") -> float:
-    """Mean-subcarrier power gain in dB at a given station, NaN when the point sits on a node.
-
-    The optimized reading is the best quantized configuration, never worse
-    than leaving the surface off. Kept as a deliberate oracle of the
-    serving-station readings of :func:`gain_pair`, on no command-line path.
-    """
-    if ris_mode not in RIS_MODES:
-        raise ValueError(f"ris_mode must be one of {RIS_MODES}, got {ris_mode!r}")
-    try:
-        terms = point_gain_terms(scene, bs_index, point)
-    except CoincidentNodeError:
-        return math.nan
-    if ris_mode == "off" or terms.b.shape[0] == 0:
-        return _to_db(terms.c0)
-    return _to_db(max(optimize_gain(terms, scene.ris.phase_lookup_rad).gain, terms.c0))
 
 
 def required_tx_power(gain_db, budget: LinkBudget):
@@ -236,16 +210,18 @@ def serving_bs(scene: Scene, point) -> int:
 def gain_pair(scene: Scene, point) -> tuple[float, float]:
     """(without, with) equivalent gain in dB at the serving base station.
 
-    One-row view of :func:`gain_pairs`, kept as the per-point oracle.
+    One-row view of :func:`gain_pairs`. ``influence`` binds it with the other
+    ``*_pair`` views because perfbench's per-cell timer looks them up there
+    and rebinds them; no command calls them.
     """
     return tuple(gain_pairs(scene, [point])[:, 0].tolist())
 
 
 def tx_power_pair(scene: Scene, point) -> tuple[float, float]:
-    """One-row view of :func:`tx_power_pairs`, kept as the per-point oracle."""
+    """One-row view of :func:`tx_power_pairs`, bound for the per-cell timer like :func:`gain_pair`."""
     return tuple(tx_power_pairs(scene, [point])[:, 0].tolist())
 
 
 def se_pair(scene: Scene, point) -> tuple[float, float]:
-    """One-row view of :func:`se_pairs`, kept as the per-point oracle."""
+    """One-row view of :func:`se_pairs`, bound for the per-cell timer like :func:`gain_pair`."""
     return tuple(se_pairs(scene, [point])[:, 0].tolist())

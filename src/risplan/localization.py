@@ -20,7 +20,9 @@ position information is the sum over paths of Re(D⊥ᴴD⊥), where D⊥ is the
 path's position Jacobian with its gain direction projected out. Nothing
 is subtracted after the Gram product, so every term is symmetric positive
 semidefinite by construction. :func:`peb_pairs` evaluates this for blocks
-of grid points at once.
+of grid points at once; the tests keep the per-point observation model,
+the bound by Schur subtraction and a maximum-likelihood position estimate
+it is checked against.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .propagation import (
     surface_legs,
 )
 from .scene import Scene
-from .seeding import derived_integers, derived_rng
+from .seeding import derived_integers
 
 PEB_CONDITION_LIMIT = 1e12
 
@@ -77,29 +79,6 @@ def _pilot_configs(scene: Scene, point_indices) -> np.ndarray:
         high=len(scene.ris.phase_lookup_rad),
         size=scene.ris.element_count,
     )
-
-
-def pilot_configs(scene: Scene, point_index: int) -> np.ndarray:
-    """(pilot_count, element_count) lookup indices, one derived stream per pilot."""
-    return _pilot_configs(scene, [point_index])[0]
-
-
-@dataclass(frozen=True)
-class PathBlock:
-    """Observation rows of one path with their position Jacobian.
-
-    ``weight`` is the pilot multiplicity: direct-path rows repeat
-    unchanged every pilot, so they are stored once. ``gain_slot`` says
-    which complex-gain nuisance the rows belong to (base station index,
-    or the station count for the reflected path); ``basis`` is the
-    derivative of the rows with respect to that gain's real part.
-    """
-
-    mu: np.ndarray  # (rows,) complex, noise-free
-    d_pos: np.ndarray  # (rows, 2) complex
-    basis: np.ndarray  # (rows,) complex
-    gain_slot: int
-    weight: float
 
 
 def _direct_rows(scene: Scene, bs_index: int, points: np.ndarray):
@@ -155,53 +134,6 @@ def _reflected_rows(scene: Scene, leg: BsLeg, points: np.ndarray, configs: np.nd
     mu = rows[:, :, 0].reshape(count, -1)
     d_pos = np.moveaxis(rows[:, :, 1:], 2, 1).reshape(count, 2, -1)
     return mu, d_pos, dists
-
-
-def _direct_block(scene: Scene, bs_index: int, point) -> PathBlock:
-    mu, d_pos, basis, dist = _direct_rows(scene, bs_index, np.asarray(point, dtype=float)[None, :])
-    if dist[0] == 0.0:
-        raise CoincidentNodeError(
-            f"point coincides with the base station at {scene.bs[bs_index].position_m}"
-        )
-    return PathBlock(
-        mu=mu[0],
-        d_pos=d_pos[0].T,
-        basis=basis[0],
-        gain_slot=bs_index,
-        weight=float(scene.localization.pilot_count),
-    )
-
-
-def _reflected_block(scene: Scene, bs_index: int, point, configs: np.ndarray) -> PathBlock:
-    p = np.asarray(point, dtype=float)
-    mu, d_pos, dists = _reflected_rows(scene, bs_leg(scene, bs_index), p[None, :], configs[None])
-    if np.any(dists == 0.0):
-        raise CoincidentNodeError(
-            f"point {p.tolist()} coincides with surface element {int(np.argmin(dists[0]))}"
-        )
-    return PathBlock(
-        mu=mu[0],
-        d_pos=d_pos[0].T,
-        basis=mu[0].copy(),
-        gain_slot=len(scene.bs),
-        weight=1.0,
-    )
-
-
-def observation_model(scene: Scene, bs_index: int, point, ris_configs=None):
-    """Path blocks for one transmitting base station.
-
-    ``ris_configs`` (pilot-indexed lookup rows) activates the reflected
-    path, which only the station nearest the surface carries.
-    """
-    blocks = [_direct_block(scene, bs_index, point)]
-    if (
-        ris_configs is not None
-        and scene.ris is not None
-        and bs_index == scene.nearest_bs_to_ris()
-    ):
-        blocks.append(_reflected_block(scene, bs_index, point, np.asarray(ris_configs)))
-    return tuple(blocks)
 
 
 def _path_information(d_pos: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -313,96 +245,9 @@ def peb_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
 
 
 def peb_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
-    """(without, with) bound in metres for one grid point: a one-row view of :func:`peb_pairs`."""
-    return tuple(peb_pairs(scene, [point], [point_index])[:, 0].tolist())
+    """(without, with) bound in metres for one grid point: a one-row view of :func:`peb_pairs`.
 
-
-def _stacked_observation(scene: Scene, point, with_ris: bool, point_index: int):
-    """Blocks with direct rows expanded to per-pilot copies (for simulation)."""
-    use_ris = with_ris and scene.ris is not None
-    configs = pilot_configs(scene, point_index) if use_ris else None
-    expanded = []
-    for b in range(len(scene.bs)):
-        for blk in observation_model(scene, b, point, configs):
-            reps = int(round(blk.weight))
-            expanded.append(np.tile(blk.mu, reps))
-    return expanded
-
-
-def _concentrated_cost(scene: Scene, xy, fixed_z, observations, with_ris, point_index):
-    """Negative log-likelihood with per-path gains profiled out."""
-    point = [float(xy[0]), float(xy[1]), fixed_z]
-    try:
-        blocks = _stacked_observation(scene, point, with_ris, point_index)
-    except CoincidentNodeError:
-        return math.inf
-    cost = 0.0
-    for y, mu in zip(observations, blocks):
-        energy = float(np.vdot(mu, mu).real)
-        if energy == 0.0:
-            cost += float(np.vdot(y, y).real)
-            continue
-        cost += float(np.vdot(y, y).real) - abs(np.vdot(mu, y)) ** 2 / energy
-    return cost
-
-
-def ml_position_rmse(
-    scene: Scene,
-    point,
-    draws: int = 200,
-    with_ris: bool = False,
-    point_index: int = 0,
-    grid_half_span_m: float = 1.0,
-    grid_steps: int = 21,
-) -> float:
-    """Monte-Carlo RMSE of the concentrated least-squares position estimate.
-
-    A local grid around the true point picks the likelihood basin, a
-    simplex polish finds the minimum. Intended for high-SNR sanity runs
-    against the bound, not as a practical estimator: kept as a deliberate
-    oracle for the tests, on no command-line path, so scipy loads only
-    when it runs.
+    Bound in ``influence`` for perfbench's per-cell timer, like
+    :func:`risplan.linkmetrics.gain_pair`; no command calls it.
     """
-    from scipy.optimize import minimize
-
-    p_true = np.asarray(point, dtype=float)
-    clean = _stacked_observation(scene, p_true, with_ris, point_index)
-    sigma = math.sqrt(noise_variance_w(scene))
-
-    offsets = np.linspace(-grid_half_span_m, grid_half_span_m, grid_steps)
-    gx, gy = np.meshgrid(p_true[0] + offsets, p_true[1] + offsets, indexing="ij")
-    candidates = np.column_stack([gx.ravel(), gy.ravel()])
-    cand_blocks = []
-    for xy in candidates:
-        blocks = _stacked_observation(
-            scene, [xy[0], xy[1], p_true[2]], with_ris, point_index
-        )
-        cand_blocks.append([mu / max(np.linalg.norm(mu), 1e-300) for mu in blocks])
-
-    rng = derived_rng(scene.seed, "ml-noise", point_index)
-    errors = np.empty(draws)
-    for t in range(draws):
-        obs = [
-            mu
-            + sigma
-            / math.sqrt(2)
-            * (rng.standard_normal(mu.shape) + 1j * rng.standard_normal(mu.shape))
-            for mu in clean
-        ]
-        scores = np.empty(len(candidates))
-        for i, unit_blocks in enumerate(cand_blocks):
-            s = 0.0
-            for u, y in zip(unit_blocks, obs):
-                s += abs(np.vdot(u, y)) ** 2
-            scores[i] = s
-        start = candidates[int(np.argmax(scores))]
-        res = minimize(
-            lambda xy: _concentrated_cost(
-                scene, xy, p_true[2], obs, with_ris, point_index
-            ),
-            x0=start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400},
-        )
-        errors[t] = np.linalg.norm(res.x - p_true[:2])
-    return float(np.sqrt(np.mean(errors**2)))
+    return tuple(peb_pairs(scene, [point], [point_index])[:, 0].tolist())

@@ -243,6 +243,10 @@ _NON_NEGATIVE = _bounded(_as_number, lambda v: v >= 0, "be >= 0")
 _FRACTION = _bounded(_as_number, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _COUNT = _bounded(_as_int, lambda v: v >= 1, "be >= 1")
 _POSITIVE_INT = _bounded(_as_int, lambda v: v > 0, "be > 0")
+# random streams take the seed as one 64-bit word (``seeding``): any other
+# integer would alias one inside the range. The ``--seed`` option reads
+# through this too.
+read_seed = _bounded(_as_int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)")
 
 
 def _list_of(read: _Reader, what: str, non_empty: bool = False) -> _Reader:
@@ -346,7 +350,7 @@ _SCENE = _object(Scene, {
     "subcarrier_spacing_hz": _POSITIVE,
     "noise_psd_dbm_hz": _as_number,
     "noise_figure_db": _as_number,
-    "seed": _as_int,
+    "seed": read_seed,
     "bs": _list_of(_object(BaseStation, {
         "position_m": _as_position, "antenna_count": _COUNT,
         "spacing_m": _POSITIVE, "orientation_rad": _as_number,

@@ -9,10 +9,10 @@ ascent on the secrecy rate. Neither side can lose to switching the
 surface dark, because the dark configuration is always compared in.
 
 Maps go through one engine, :func:`sse_pairs`, which runs that
-alternating ascent on blocks of points in lock-step; ``sse_pair`` is a
-one-row view of it. The per-point :func:`optimize_sse` and
-:func:`optimize_q` are on no command-line path: they are kept as the
-deliberate oracles the engine is tested against, bit for bit.
+alternating ascent on blocks of points in lock-step, every loop masked per
+point, so each point ends exactly where the ascent would leave it alone;
+``sse_pair`` is a one-row view of it. The tests keep the one-point ascent
+and check the engine against it bit for bit.
 """
 
 from __future__ import annotations
@@ -22,23 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import RisConfig, coordinate_ascent
 from .errors import CoincidentNodeError, RunError
 from .propagation import dbm_to_watts, ray_amplitudes
 from .scene import Scene
 from .seeding import derived_rng
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class MimoLink:
-    """Realized channel matrices for one surface configuration."""
-
-    h_rx: np.ndarray  # (N_rx, N_bs)
-    h_eve: np.ndarray  # (N_eve, N_bs)
-    noise_w: float
-    power_w: float
 
 
 @dataclass(frozen=True)
@@ -56,18 +45,6 @@ class SecrecyChannels:
     @property
     def element_count(self) -> int:
         return 0 if self.bs_to_ris is None else self.bs_to_ris.shape[0]
-
-    def link(self, config: RisConfig | None) -> MimoLink:
-        if config is None or self.bs_to_ris is None:
-            return MimoLink(self.direct_rx, self.direct_eve, self.noise_w, self.power_w)
-        resp = config.response()
-        cascade = self.bs_to_ris * resp[:, None]  # diag(resp) @ G
-        return MimoLink(
-            h_rx=self.direct_rx + self.ris_to_rx @ cascade,
-            h_eve=self.direct_eve + self.ris_to_eve @ cascade,
-            noise_w=self.noise_w,
-            power_w=self.power_w,
-        )
 
 
 def _fading(rng, rows: int, cols: int) -> np.ndarray:
@@ -126,163 +103,8 @@ def secrecy_link(scene: Scene, point, point_index: int = 0, draw: int = 0) -> Se
     )
 
 
-def _log2det_rate(h: np.ndarray, q: np.ndarray, noise_w: float) -> float:
-    gram = np.eye(h.shape[0]) + h @ q @ h.conj().T / noise_w
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign.real <= 0:
-        return 0.0
-    return float(logdet) / LN2
-
-
-def rate_difference(link: MimoLink, q: np.ndarray) -> float:
-    """RX rate minus Eve rate, unclamped (the optimizer's objective)."""
-    return _log2det_rate(link.h_rx, q, link.noise_w) - _log2det_rate(
-        link.h_eve, q, link.noise_w
-    )
-
-
-def _project_trace_ball(q: np.ndarray, power_w: float) -> np.ndarray:
-    """Euclidean projection onto {Q >= 0, trace(Q) <= P}."""
-    herm = (q + q.conj().T) / 2.0
-    w, v = np.linalg.eigh(herm)
-    w = np.maximum(w, 0.0)
-    total = float(np.sum(w))
-    if total > power_w:
-        # project eigenvalues onto the simplex {w >= 0, sum w = P}
-        drop = np.sort(w)[::-1]
-        cum = np.cumsum(drop)
-        k = np.arange(1, w.size + 1)
-        valid = drop - (cum - power_w) / k > 0
-        rho = int(np.max(np.nonzero(valid)[0])) + 1
-        theta = (cum[rho - 1] - power_w) / rho
-        w = np.maximum(w - theta, 0.0)
-    return (v * w[None, :]) @ v.conj().T
-
-
-def _gradient(link: MimoLink, q: np.ndarray) -> np.ndarray:
-    def half(h):
-        mid = link.noise_w * np.eye(h.shape[0]) + h @ q @ h.conj().T
-        return h.conj().T @ np.linalg.solve(mid, h)
-
-    return (half(link.h_rx) - half(link.h_eve)) / LN2
-
-
-def optimize_q(
-    link: MimoLink, q0=None, max_iters: int = 100, rel_tol: float = 1e-5
-):
-    """Projected gradient ascent with step halving on the trace ball.
-
-    Returns (q, unclamped rate difference, clamped objective trace).
-    Steps are only taken on strict improvement, so the trace is
-    non-decreasing by construction. Kept as the one-link oracle of the
-    lock-step covariance ascent inside :func:`sse_pairs`.
-    """
-    n = link.h_rx.shape[1]
-    if q0 is None:
-        q = link.power_w / n * np.eye(n, dtype=np.complex128)
-    else:
-        q = _project_trace_ball(np.asarray(q0, dtype=np.complex128), link.power_w)
-    val = rate_difference(link, q)
-    trace = [max(val, 0.0)]
-    for _ in range(max_iters):
-        grad = _gradient(link, q)
-        scale = float(np.linalg.norm(grad))
-        if scale == 0.0:
-            break
-        step = link.power_w / scale
-        prev = val
-        improved = False
-        for _ in range(40):
-            cand = _project_trace_ball(q + step * grad, link.power_w)
-            cand_val = rate_difference(link, cand)
-            if cand_val > val:
-                q, val = cand, cand_val
-                improved = True
-                break
-            step /= 2.0
-        if not improved:
-            break
-        trace.append(max(val, 0.0))
-        if val - prev < rel_tol * max(abs(prev), 1e-12):
-            break
-    return q, val, tuple(trace)
-
-
-@dataclass(frozen=True)
-class SseResult:
-    sse_with: float
-    sse_without: float
-    q: np.ndarray
-    config: RisConfig
-    trace: tuple[float, ...]
-
-
-def optimize_sse(
-    scene: Scene, point, point_index: int = 0, draw: int = 0, outer_rounds: int = 5
-) -> SseResult:
-    """Alternating covariance / surface-phase ascent on the secrecy rate.
-
-    Kept as the per-point oracle of :func:`sse_pairs`, which must give the
-    same bits for every point; maps never call it.
-    """
-    channels = secrecy_link(scene, point, point_index, draw)
-    q_wo, val_wo, _ = optimize_q(channels.link(None))
-    sse_without = max(val_wo, 0.0)
-
-    m = channels.element_count
-    if m == 0:
-        return SseResult(
-            sse_with=sse_without,
-            sse_without=sse_without,
-            q=q_wo,
-            config=RisConfig(phases_rad=(), active=False),
-            trace=(sse_without,),
-        )
-
-    lookup = scene.ris.phase_lookup_rad
-    config = RisConfig.uniform(m)
-    q = None
-    val = -math.inf
-    trace: list[float] = []
-    for _ in range(outer_rounds):
-        round_start = val
-        q, val, q_trace = optimize_q(channels.link(config), q0=q)
-        trace.extend(q_trace)
-
-        def objective(cand: RisConfig, _q=q) -> float:
-            return rate_difference(channels.link(cand), _q)
-
-        config, val, ris_trace = coordinate_ascent(objective, m, lookup, init=config)
-        trace.extend(max(v, 0.0) for v in ris_trace)
-        if math.isfinite(round_start) and val - round_start < 1e-5 * max(
-            abs(round_start), 1e-12
-        ):
-            break
-
-    if sse_without >= max(val, 0.0):
-        return SseResult(
-            sse_with=sse_without,
-            sse_without=sse_without,
-            q=q_wo,
-            config=RisConfig.off(m),
-            trace=tuple(trace + [sse_without]),
-        )
-    return SseResult(
-        sse_with=max(val, 0.0),
-        sse_without=sse_without,
-        q=q,
-        config=config,
-        trace=tuple(trace),
-    )
-
-
-def sse_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
-    """(without, with) secrecy rate at one point: a one-row view of :func:`sse_pairs`."""
-    return tuple(sse_pairs(scene, [point], [point_index])[:, 0].tolist())
-
-
 # ---------------------------------------------------------------------------
-# grid-batched ascent: the per-cell algorithm above, on a block of cells in
+# grid-batched ascent: the alternating ascent on a block of cells in
 # lock-step, every loop level masked per cell
 
 # Memory held by one block's candidate cascades (complex, lookup levels x
@@ -324,7 +146,7 @@ def _rows(ch: SecrecyChannels, rows: np.ndarray) -> SecrecyChannels:
 
 
 def _realize(ch: SecrecyChannels, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``SecrecyChannels.link``: (h_rx, h_eve) for phases (K, M) or (K, L, M)."""
+    """(h_rx, h_eve) with the surface at phases (K, M) or (K, L, M): H_d + H_r diag(e^{j phi}) G."""
     lead = (slice(None),) + (None,) * (phases.ndim - 2)
     cascade = ch.bs_to_ris[lead] * np.exp(1j * phases)[..., None]
     return (
@@ -334,7 +156,10 @@ def _realize(ch: SecrecyChannels, phases: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _rate_differences(h_rx, h_eve, q, noise_w: float) -> np.ndarray:
-    """Stacked :func:`rate_difference` over any leading shape."""
+    """RX rate minus Eve rate, log2 det(I + H Q H^H / N0) each, unclamped, over any leading shape.
+
+    A determinant whose sign is not positive reads rate 0.
+    """
     def rates(h):
         gram = np.eye(h.shape[-2]) + h @ q @ _hermitian(h) / noise_w
         sign, logdet = np.linalg.slogdet(gram)
@@ -344,7 +169,11 @@ def _rate_differences(h_rx, h_eve, q, noise_w: float) -> np.ndarray:
 
 
 def _project_trace_balls(q: np.ndarray, power_w: float) -> np.ndarray:
-    """Stacked :func:`_project_trace_ball`, the simplex step row by row."""
+    """Euclidean projection of each Q onto {Q >= 0, trace(Q) <= P}.
+
+    Negative eigenvalues clip to 0; where the rest sum past P they are
+    projected onto the simplex {w >= 0, sum w = P}.
+    """
     herm = (q + _hermitian(q)) / 2.0
     w, v = np.linalg.eigh(herm)
     w = np.maximum(w, 0.0)
@@ -371,10 +200,14 @@ def _gradients(h_rx, h_eve, q, noise_w: float) -> np.ndarray:
 
 def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float,
               max_iters: int = 100, rel_tol: float = 1e-5):
-    """:func:`optimize_q` on a block of K cells; returns q (K, n, n) and values (K,).
+    """Projected gradient ascent of the covariance on a block of K cells.
 
-    ``q0`` is None for the isotropic start. A cell leaves the gradient loop,
-    and the step-halving loop, exactly where it would alone.
+    Returns q (K, n, n) and the unclamped rate differences (K,). ``q0`` is
+    None for the isotropic start. Each step starts at P over the gradient
+    norm and halves until the value strictly improves, at most 40 times; a
+    cell stops when its gradient vanishes, when no step improves it or when
+    it gains less than ``rel_tol`` relative, and so leaves both loops
+    exactly where it would alone.
     """
     k, n = h_rx.shape[0], h_rx.shape[-1]
     if q0 is None:
@@ -413,12 +246,13 @@ def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float,
 
 def _ascend_phases(ch: SecrecyChannels, q, phases, val, lookup,
                    max_rounds: int = 20, rel_tol: float = 1e-6) -> None:
-    """:func:`beamforming.coordinate_ascent` on the rate difference, K cells at once.
+    """Element-by-element best response over the lookup on the rate difference, K cells at once.
 
     ``phases`` (K, M) and ``val`` (K,) hold each cell's configuration and its
     value under ``q`` (K, n, n); both are updated in place. All lookup
     candidates of one element go through one stacked evaluation, then are
-    compared in lookup order with strict improvement, as one cell alone.
+    compared in lookup order with strict improvement, as one cell alone. A
+    cell stops once a round gains less than ``rel_tol`` relative.
     """
     lookup = np.asarray(lookup, dtype=float)
     live = np.arange(len(val))
@@ -446,7 +280,13 @@ def _ascend_phases(ch: SecrecyChannels, q, phases, val, lookup,
 
 
 def _sse_block(ch: SecrecyChannels, lookup, outer_rounds: int = 5) -> np.ndarray:
-    """:func:`optimize_sse`'s (2, K) without and with rates for a stack of cells' channels."""
+    """(2, K) without and with secrecy rates for a stack of cells' channels.
+
+    Without the surface the covariance ascent runs once; with it, up to
+    ``outer_rounds`` rounds alternate the covariance and the phases from the
+    all-zero phases. Rates clamp at 0, and the with-surface rate never falls
+    below the without one, because switching the surface dark is compared in.
+    """
     _, val_wo = _ascend_q(ch.direct_rx, ch.direct_eve, None, ch.noise_w, ch.power_w)
     # each clamp keeps the value unless 0.0 is strictly above it, as max(v, 0.0)
     without = np.where(val_wo < 0.0, 0.0, val_wo)
@@ -488,10 +328,10 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
 
     The grid-batched engine behind the ``sse_bps_hz`` map. Each point's
     fading comes from its index (``point_indices``, by default its position
-    in ``points``) exactly as in :func:`optimize_sse`, and blocks of points
-    run the alternating covariance / phase ascent in lock-step (Dong & Wang,
-    IEEE WCL 2020), every loop masked per point, so each reading is the one
-    :func:`optimize_sse` gives for the point alone, whatever the block size.
+    in ``points``), and blocks of points run the alternating covariance /
+    phase ascent in lock-step (Dong & Wang, IEEE WCL 2020), every loop
+    masked per point, so each reading is the one the point gets alone,
+    whatever the block size.
     Draws are accumulated in draw order. A point on a scene node
     (``CoincidentNodeError``) reads NaN in both rows.
     """
@@ -522,3 +362,12 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
     rates = sums / draws
     rates[:, on_node] = math.nan
     return rates
+
+
+def sse_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
+    """(without, with) secrecy rate at one point: a one-row view of :func:`sse_pairs`.
+
+    Bound in ``influence`` for perfbench's per-cell timer, like
+    :func:`risplan.linkmetrics.gain_pair`; no command calls it.
+    """
+    return tuple(sse_pairs(scene, [point], [point_index])[:, 0].tolist())

@@ -1,0 +1,188 @@
+"""Per-point gain paths: the oracles of the grid-batched gain engine and ascent kernel.
+
+The package evaluates gains only on blocks of grid cells
+(:func:`risplan.linkmetrics.gain_pairs`,
+:func:`risplan.beamforming.optimize_gains`,
+:func:`risplan.kernels.ascent_quadratic`). These are the one-point paths it
+used to carry next to them: a quadratic form evaluated at explicit phasors,
+the generic element-by-element coordinate ascent over any objective, the
+codebook sweep, the unquantized coherent alignment, and the equivalent gain
+at one point and station. Their arithmetic is unchanged, so the bit-for-bit
+comparisons against the batched engines keep their meaning.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from risplan.beamforming import (
+    GainTerms,
+    RisConfig,
+    default_codebook,
+    gain_terms,
+    optimize_gains,
+    wrap_phase,
+)
+from risplan.errors import CoincidentNodeError
+from risplan.linkmetrics import _to_db
+from risplan.propagation import RisChannel, direct_channel, ris_channel
+
+RIS_MODES = ("off", "optimized")
+
+
+def response(config: RisConfig) -> np.ndarray:
+    """(M,) complex element phasors of a configuration; zero when dark."""
+    if not config.active:
+        return np.zeros(len(config.phases_rad), dtype=np.complex128)
+    return np.exp(1j * np.asarray(config.phases_rad))
+
+
+def eval_quadratic_gain(b, V, c0, z):
+    """G(z) for explicit phasors z (not restricted to a lookup)."""
+    z = np.asarray(z, dtype=np.complex128)
+    return float(c0 + 2.0 * np.sum(np.conj(b) * z).real + np.vdot(z, V @ z).real)
+
+
+def gain(terms: GainTerms, z) -> float:
+    """One point's quadratic form at phasors z."""
+    return eval_quadratic_gain(terms.b, terms.V, terms.c0, z)
+
+
+def gain_config(terms: GainTerms, config: RisConfig) -> float:
+    return gain(terms, response(config))
+
+
+def optimal_phases_continuous(ris_ch: RisChannel, direct: complex) -> RisConfig:
+    """Coherent alignment of every cascade hop with the direct path.
+
+    phi_m = arg(direct) - arg(hop_m), so |direct + cascade| becomes
+    |direct| + sum_m |hop_m| (the triangle bound with equality). A zero
+    direct path aligns the hops with each other (arg 0 by convention).
+    """
+    hops = ris_ch.hop_products
+    phases = wrap_phase(np.angle(complex(direct)) - np.angle(hops))
+    return RisConfig(phases_rad=tuple(float(p) for p in phases))
+
+
+def point_gain_terms(scene, bs_index: int, point) -> GainTerms:
+    """Terms for a grid point, using the scene's surface when present."""
+    direct = direct_channel(scene, bs_index, point)
+    ris_ch = ris_channel(scene, bs_index, point) if scene.ris is not None else None
+    return gain_terms(direct, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
+
+
+@dataclass(frozen=True)
+class AscentResult:
+    config: RisConfig
+    indices: tuple[int, ...]
+    gain: float
+
+
+def optimize_gain(
+    terms: GainTerms,
+    lookup_rad,
+    init_indices=None,
+    max_rounds: int = 20,
+    rel_tol: float = 1e-6,
+) -> AscentResult:
+    """One-point view of :func:`optimize_gains`, with the configuration spelled out."""
+    lookup = np.asarray(lookup_rad, dtype=float)
+    m_count = terms.b.shape[0]
+    if m_count == 0:
+        return AscentResult(config=RisConfig(phases_rad=()), indices=(), gain=terms.c0)
+    if init_indices is not None:
+        init_indices = np.asarray(init_indices, dtype=np.int64)
+        if init_indices.shape != (m_count,):
+            raise ValueError(
+                f"expected {m_count} initial indices, got {init_indices.shape}"
+            )
+        init_indices = init_indices[None, :]
+    block = GainTerms(b=terms.b[None, :], V=terms.V[None, :, :], c0=np.array([terms.c0]))
+    idx, gains = optimize_gains(block, lookup, init_indices, max_rounds, rel_tol)
+    config = RisConfig(phases_rad=tuple(float(lookup[i]) for i in idx[0]))
+    return AscentResult(config=config, indices=tuple(int(i) for i in idx[0]), gain=float(gains[0]))
+
+
+def coordinate_ascent(
+    objective,
+    element_count: int,
+    lookup_rad,
+    init: RisConfig | None = None,
+    max_rounds: int = 20,
+    rel_tol: float = 1e-6,
+):
+    """Generic element-by-element best-response sweep over the lookup.
+
+    ``objective(config) -> float`` may be any deterministic function.
+    Returns (best_config, best_value, trace) where trace holds the value
+    after each completed round; the trace is non-decreasing because every
+    switch requires strict improvement. ``kernels.ascent_quadratic`` and
+    the batched phase search of ``secrecy.sse_pairs`` are tested against it.
+    """
+    lookup = [float(p) for p in np.asarray(lookup_rad, dtype=float)]
+    if init is None:
+        config = RisConfig(phases_rad=(lookup[0],) * element_count)
+    else:
+        if init.element_count != element_count:
+            raise ValueError("initial config does not match element count")
+        config = init
+    phases = list(config.phases_rad)
+    value = float(objective(config))
+    trace = [value]
+    for _ in range(max_rounds):
+        before = value
+        for m in range(element_count):
+            best_phase = phases[m]
+            best_value = value
+            for cand in lookup:
+                if cand == phases[m]:
+                    continue
+                trial = phases.copy()
+                trial[m] = cand
+                v = float(objective(RisConfig(phases_rad=tuple(trial), active=config.active)))
+                if v > best_value:
+                    best_value = v
+                    best_phase = cand
+            if best_value > value:
+                phases[m] = best_phase
+                value = best_value
+        trace.append(value)
+        if value - before < rel_tol * max(abs(before), 1.0):
+            break
+    return RisConfig(phases_rad=tuple(phases), active=config.active), value, tuple(trace)
+
+
+def codebook_sweep(scene, bs_index: int, point, codebook=None):
+    """(best_config, best_gain): post-combining gain argmax, ties -> first."""
+    if codebook is None:
+        codebook = default_codebook(scene)
+    if not codebook:
+        raise ValueError("codebook is empty")
+    terms = point_gain_terms(scene, bs_index, point)
+    best_config = codebook[0]
+    best_gain = gain_config(terms, best_config)
+    for config in codebook[1:]:
+        g = gain_config(terms, config)
+        if g > best_gain:
+            best_gain = g
+            best_config = config
+    return best_config, best_gain
+
+
+def equivalent_gain(scene, bs_index: int, point, ris_mode: str = "optimized") -> float:
+    """Mean-subcarrier power gain in dB at a given station, NaN when the point sits on a node.
+
+    The optimized reading is the best quantized configuration, never worse
+    than leaving the surface off: the serving-station readings of
+    ``linkmetrics.gain_pairs`` one point at a time.
+    """
+    if ris_mode not in RIS_MODES:
+        raise ValueError(f"ris_mode must be one of {RIS_MODES}, got {ris_mode!r}")
+    try:
+        terms = point_gain_terms(scene, bs_index, point)
+    except CoincidentNodeError:
+        return math.nan
+    if ris_mode == "off" or terms.b.shape[0] == 0:
+        return _to_db(terms.c0)
+    return _to_db(max(optimize_gain(terms, scene.ris.phase_lookup_rad).gain, terms.c0))

@@ -1,25 +1,196 @@
-"""Per-cell position error bound by Schur subtraction: the oracle of ``peb_pairs``.
+"""Per-cell localization paths: the oracles of ``peb_pairs``.
 
-This is the bound the package computed before the projection EFIM: stack
-every path's Jacobian columns into one full information matrix over the
-position and all gain nuisances, then marginalize the nuisances by a
-Schur complement of the Jacobi-scaled nuisance block. On well-conditioned
-cells it agrees with :func:`risplan.localization.peb_pairs` to rounding,
-amplified by the cancellation in the subtraction.
+The package builds observation rows and position information only for
+blocks of grid cells (:func:`risplan.localization.peb_pairs`). This module
+keeps the per-cell paths it is checked against, with their arithmetic
+unchanged:
+
+* the observation model, one path block per station and pilot set;
+* the bound by Schur subtraction, which the package computed before the
+  projection EFIM: stack every path's Jacobian columns into one full
+  information matrix over the position and all gain nuisances, then
+  marginalize the nuisances by a Schur complement of the Jacobi-scaled
+  nuisance block. On well-conditioned cells it agrees with ``peb_pairs`` to
+  rounding, amplified by the cancellation in the subtraction;
+* a Monte-Carlo maximum-likelihood position estimate, whose RMSE the
+  acceptance test compares with the bound.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
+from risplan.errors import CoincidentNodeError
 from risplan.localization import (
     PEB_CONDITION_LIMIT,
     PebResult,
+    _direct_rows,
+    _pilot_configs,
+    _reflected_rows,
     noise_variance_w,
-    observation_model,
     peb,
-    pilot_configs,
 )
+from risplan.propagation import bs_leg
+from risplan.seeding import derived_rng
+
+
+def pilot_configs(scene, point_index: int) -> np.ndarray:
+    """(pilot_count, element_count) lookup indices, one derived stream per pilot."""
+    return _pilot_configs(scene, [point_index])[0]
+
+
+@dataclass(frozen=True)
+class PathBlock:
+    """Observation rows of one path with their position Jacobian.
+
+    ``weight`` is the pilot multiplicity: direct-path rows repeat
+    unchanged every pilot, so they are stored once. ``gain_slot`` says
+    which complex-gain nuisance the rows belong to (base station index,
+    or the station count for the reflected path); ``basis`` is the
+    derivative of the rows with respect to that gain's real part.
+    """
+
+    mu: np.ndarray  # (rows,) complex, noise-free
+    d_pos: np.ndarray  # (rows, 2) complex
+    basis: np.ndarray  # (rows,) complex
+    gain_slot: int
+    weight: float
+
+
+def _direct_block(scene, bs_index: int, point) -> PathBlock:
+    mu, d_pos, basis, dist = _direct_rows(scene, bs_index, np.asarray(point, dtype=float)[None, :])
+    if dist[0] == 0.0:
+        raise CoincidentNodeError(
+            f"point coincides with the base station at {scene.bs[bs_index].position_m}"
+        )
+    return PathBlock(
+        mu=mu[0],
+        d_pos=d_pos[0].T,
+        basis=basis[0],
+        gain_slot=bs_index,
+        weight=float(scene.localization.pilot_count),
+    )
+
+
+def _reflected_block(scene, bs_index: int, point, configs: np.ndarray) -> PathBlock:
+    p = np.asarray(point, dtype=float)
+    mu, d_pos, dists = _reflected_rows(scene, bs_leg(scene, bs_index), p[None, :], configs[None])
+    if np.any(dists == 0.0):
+        raise CoincidentNodeError(
+            f"point {p.tolist()} coincides with surface element {int(np.argmin(dists[0]))}"
+        )
+    return PathBlock(
+        mu=mu[0],
+        d_pos=d_pos[0].T,
+        basis=mu[0].copy(),
+        gain_slot=len(scene.bs),
+        weight=1.0,
+    )
+
+
+def observation_model(scene, bs_index: int, point, ris_configs=None):
+    """Path blocks for one transmitting base station.
+
+    ``ris_configs`` (pilot-indexed lookup rows) activates the reflected
+    path, which only the station nearest the surface carries.
+    """
+    blocks = [_direct_block(scene, bs_index, point)]
+    if (
+        ris_configs is not None
+        and scene.ris is not None
+        and bs_index == scene.nearest_bs_to_ris()
+    ):
+        blocks.append(_reflected_block(scene, bs_index, point, np.asarray(ris_configs)))
+    return tuple(blocks)
+
+
+def _stacked_observation(scene, point, with_ris: bool, point_index: int):
+    """Blocks with direct rows expanded to per-pilot copies (for simulation)."""
+    use_ris = with_ris and scene.ris is not None
+    configs = pilot_configs(scene, point_index) if use_ris else None
+    expanded = []
+    for b in range(len(scene.bs)):
+        for blk in observation_model(scene, b, point, configs):
+            reps = int(round(blk.weight))
+            expanded.append(np.tile(blk.mu, reps))
+    return expanded
+
+
+def _concentrated_cost(scene, xy, fixed_z, observations, with_ris, point_index):
+    """Negative log-likelihood with per-path gains profiled out."""
+    point = [float(xy[0]), float(xy[1]), fixed_z]
+    try:
+        blocks = _stacked_observation(scene, point, with_ris, point_index)
+    except CoincidentNodeError:
+        return math.inf
+    cost = 0.0
+    for y, mu in zip(observations, blocks):
+        energy = float(np.vdot(mu, mu).real)
+        if energy == 0.0:
+            cost += float(np.vdot(y, y).real)
+            continue
+        cost += float(np.vdot(y, y).real) - abs(np.vdot(mu, y)) ** 2 / energy
+    return cost
+
+
+def ml_position_rmse(
+    scene,
+    point,
+    draws: int = 200,
+    with_ris: bool = False,
+    point_index: int = 0,
+    grid_half_span_m: float = 1.0,
+    grid_steps: int = 21,
+) -> float:
+    """Monte-Carlo RMSE of the concentrated least-squares position estimate.
+
+    A local grid around the true point picks the likelihood basin, a
+    simplex polish finds the minimum. Intended for high-SNR sanity runs
+    against the bound, not as a practical estimator.
+    """
+    p_true = np.asarray(point, dtype=float)
+    clean = _stacked_observation(scene, p_true, with_ris, point_index)
+    sigma = math.sqrt(noise_variance_w(scene))
+
+    offsets = np.linspace(-grid_half_span_m, grid_half_span_m, grid_steps)
+    gx, gy = np.meshgrid(p_true[0] + offsets, p_true[1] + offsets, indexing="ij")
+    candidates = np.column_stack([gx.ravel(), gy.ravel()])
+    cand_blocks = []
+    for xy in candidates:
+        blocks = _stacked_observation(
+            scene, [xy[0], xy[1], p_true[2]], with_ris, point_index
+        )
+        cand_blocks.append([mu / max(np.linalg.norm(mu), 1e-300) for mu in blocks])
+
+    rng = derived_rng(scene.seed, "ml-noise", point_index)
+    errors = np.empty(draws)
+    for t in range(draws):
+        obs = [
+            mu
+            + sigma
+            / math.sqrt(2)
+            * (rng.standard_normal(mu.shape) + 1j * rng.standard_normal(mu.shape))
+            for mu in clean
+        ]
+        scores = np.empty(len(candidates))
+        for i, unit_blocks in enumerate(cand_blocks):
+            s = 0.0
+            for u, y in zip(unit_blocks, obs):
+                s += abs(np.vdot(u, y)) ** 2
+            scores[i] = s
+        start = candidates[int(np.argmax(scores))]
+        res = minimize(
+            lambda xy: _concentrated_cost(
+                scene, xy, p_true[2], obs, with_ris, point_index
+            ),
+            x0=start,
+            method="Nelder-Mead",
+            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400},
+        )
+        errors[t] = np.linalg.norm(res.x - p_true[:2])
+    return float(np.sqrt(np.mean(errors**2)))
 
 
 def build_fim(scene, point, with_ris, point_index=0):

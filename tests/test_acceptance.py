@@ -17,30 +17,14 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from peb_oracle import peb_point
+from gain_oracle import gain, optimize_gain, point_gain_terms, response
+from peb_oracle import ml_position_rmse, observation_model, peb_point, pilot_configs
 from risplan import cli
-from risplan.beamforming import (
-    RisConfig,
-    optimize_gain,
-    point_gain_terms,
-    quantize_config,
-    wrap_phase,
-)
+from risplan.beamforming import RisConfig, quantize_config, wrap_phase
 from risplan.coexistence import CoexistConfig, simulate
 from risplan.influence import LABELS, classify, sweep
-from risplan.localization import (
-    ml_position_rmse,
-    observation_model,
-    pilot_configs,
-)
 from risplan.scene import DEFAULT_PHASE_LOOKUP, load_scene, parse_scene
-from risplan.secrecy import (
-    MimoLink,
-    optimize_q,
-    optimize_sse,
-    rate_difference,
-    secrecy_link,
-)
+from risplan.secrecy import secrecy_link
 from risplan.seeding import derived_rng
 from risplan.unitcell import (
     ContrastCurve,
@@ -49,6 +33,7 @@ from risplan.unitcell import (
     extract_boi,
     max_contrast_effective,
 )
+from secrecy_oracle import MimoLink, optimize_q, optimize_sse, rate_difference, realize
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -327,7 +312,7 @@ class TestPhaseControl:
             aligned = wrap_phase(-np.angle(hops))
             config = quantize_config(aligned, DEFAULT_PHASE_LOOKUP)
             power_c = float(np.abs(np.sum(hops * np.exp(1j * aligned))) ** 2)
-            power_q = float(np.abs(np.sum(hops * config.response())) ** 2)
+            power_q = float(np.abs(np.sum(hops * response(config))) ** 2)
             ratio = power_q / power_c
             assert ratio >= floor * (1 - 1e-12)
             worst = min(worst, ratio)
@@ -359,7 +344,7 @@ class TestPhaseControl:
             best_combo = None
             for combo in itertools.product(range(4), repeat=4):
                 z = np.exp(1j * np.array([DEFAULT_PHASE_LOOKUP[c] for c in combo]))
-                g = terms.gain(z)
+                g = gain(terms, z)
                 if g > best_gain:
                     best_gain = g
                     best_combo = combo
@@ -424,11 +409,11 @@ class TestSecrecyMaps:
                 )
             return max(value, 0.0)
 
-        best = solved(channels.link(None))
+        best = solved(realize(channels, None))
         for i0 in range(4):
             for i1 in range(4):
                 config = RisConfig(phases_rad=(lookup[i0], lookup[i1]))
-                best = max(best, solved(channels.link(config)))
+                best = max(best, solved(realize(channels, config)))
         result = optimize_sse(tiny, point)
         assert result.sse_with >= 0.95 * best
         elapsed = time.perf_counter() - t0

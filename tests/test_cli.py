@@ -477,6 +477,44 @@ class TestCoexist:
         assert (a / "scene_coexist_trace.csv").read_text() != (b / "scene_coexist_trace.csv").read_text()
 
 
+def seeded_run(tmp_path, command, source, seed):
+    """argv and output directory of a small run whose seed comes from ``--seed`` or the scene."""
+    doc = dict(SCENE if command == "aoi" else COEX_SCENE)
+    if source == "scene":
+        doc["seed"] = seed
+    out = tmp_path / "out"
+    argv = [command, write_scene(tmp_path, doc)]
+    if command == "aoi":
+        argv += ["--metric", "gain_db", "--jobs", "1", "--out-dir", str(out)]
+    else:
+        argv += ["--switch-prob", "0.5", "--slots", "10", "--ue", "11,19", "--out", str(out)]
+    if source == "flag":
+        argv.append(f"--seed={seed}")
+    return argv, out
+
+
+@pytest.mark.parametrize("command", ["aoi", "coexist"])
+@pytest.mark.parametrize("source", ["flag", "scene"])
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-the-64"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, command, source, seed):
+    # streams take the seed as one 64-bit word, so -1 would alias 2**64 - 1
+    # and 2**64 would alias 0
+    argv, out = seeded_run(tmp_path, command, source, seed)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed: must lie in [0, 2**64)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["aoi", "coexist"])
+@pytest.mark.parametrize("source", ["flag", "scene"])
+def test_largest_seed_is_accepted(tmp_path, command, source):
+    argv, out = seeded_run(tmp_path, command, source, 2**64 - 1)
+    assert main(argv) == 0
+    assert load_manifest(out)["seed"] == 2**64 - 1
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -499,7 +537,7 @@ def fresh_interpreter(*args):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only a test oracle; a fresh interpreter must not pay for it
+    # scipy is a test dependency only; importing the CLI must not load it
     code = "import sys, risplan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = fresh_interpreter("-c", code)
     assert done.returncode == 0, done.stderr

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from gain_oracle import coordinate_ascent, eval_quadratic_gain
 from risplan import kernels
-from risplan.beamforming import RisConfig, coordinate_ascent
-from risplan.kernels import ascent_quadratic, eval_quadratic_gain, forward_fill, max_pair_contrast
+from risplan.beamforming import RisConfig
+from risplan.kernels import ascent_quadratic, forward_fill, max_pair_contrast
 
 
 def random_quadratic(rng, m_count=12, n_lookup=4, k_count=1):
@@ -60,7 +61,7 @@ def rounds_to_converge(b, V, c0, lookup, init, k):
 
 
 def ascend_alone(b, V, c0, lookup, init, max_rounds, rel_tol):
-    """beamforming.coordinate_ascent on G(z) for one cell; lookup positions stand in for phases."""
+    """gain_oracle.coordinate_ascent on G(z) for one cell; lookup positions stand in for phases."""
     labels = np.arange(len(lookup), dtype=float)
 
     def objective(config):

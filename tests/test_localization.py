@@ -8,20 +8,24 @@ import pathlib
 import numpy as np
 import pytest
 
-from peb_oracle import build_fim, equivalent_position_fim, peb_point
+from peb_oracle import (
+    _direct_block,
+    build_fim,
+    equivalent_position_fim,
+    ml_position_rmse,
+    observation_model,
+    peb_point,
+    pilot_configs,
+)
 from risplan import localization
 from risplan.errors import CoincidentNodeError
 from risplan.localization import (
     PebResult,
-    _direct_block,
     _path_information,
-    ml_position_rmse,
     noise_variance_w,
-    observation_model,
     peb,
     peb_pair,
     peb_pairs,
-    pilot_configs,
 )
 from risplan.influence import LABELS, MetricField, classify
 from risplan.scene import Grid, Thresholds, load_scene, parse_scene

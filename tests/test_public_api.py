@@ -1,31 +1,22 @@
-"""Every public function and method of the package is reached by package code.
+"""The package is what the commands run, on numpy and the standard library alone.
 
+Every public function and method of the package is reached by package code.
 A top-level function counts as reached when package code imports it with
 a relative ``from .mod import name``, reads it as ``mod.name`` on a
 risplan module imported with ``from . import mod``, or loads its bare name
 in its own module. A public method or property of a public class counts
-as reached when any package module loads an attribute of that name. The
-only unreached functions allowed are the deliberate oracles in
-``ORACLES``, and each of them says so in its docstring; no method is
-exempt. Anything else that only tests call is dead weight in the public
-API.
+as reached when any package module loads an attribute of that name. No
+function or method is exempt: a second code path that only tests call
+belongs in a ``tests/*_oracle.py`` module.
 """
 
 import ast
 import pathlib
-import re
-
-import pytest
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "risplan"
 
-ORACLES = frozenset({
-    "linkmetrics.equivalent_gain",
-    "beamforming.codebook_sweep",
-    "beamforming.optimal_phases_continuous",
-    "localization.ml_position_rmse",
-    "secrecy.optimize_sse",
-})
+RUNTIME_DEPENDENCIES = frozenset({"numpy"})
 
 
 def parse_package(directory: pathlib.Path) -> dict[str, ast.Module]:
@@ -98,18 +89,26 @@ def unreached(trees: dict[str, ast.Module]) -> set[str]:
     return (set(public_functions(trees)) - reached_names(trees)) | methods
 
 
-def test_only_the_oracles_are_unreached():
-    left = unreached(parse_package(PACKAGE))
-    assert sorted(left - ORACLES) == [], "public functions only tests call"
-    assert sorted(ORACLES - left) == [], "oracles now reached by package code"
+def absolute_imports(trees: dict[str, ast.Module]) -> set[str]:
+    """Top-level names of every absolute import, at any depth of any module."""
+    names: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
 
 
-@pytest.mark.parametrize("name", sorted(ORACLES))
-def test_oracle_exists_and_says_so(name):
-    functions = public_functions(parse_package(PACKAGE))
-    assert name in functions
-    doc = " ".join((ast.get_docstring(functions[name]) or "").split())
-    assert re.search(r"\bkept as\b[^.]*\boracle\b", doc, re.IGNORECASE), doc
+def test_every_public_function_and_method_is_reached():
+    assert sorted(unreached(parse_package(PACKAGE))) == [], "public names only tests call"
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    imported = absolute_imports(parse_package(PACKAGE))
+    assert "numpy" in imported
+    assert sorted(imported - set(sys.stdlib_module_names) - RUNTIME_DEPENDENCIES) == []
 
 
 def test_each_reach_rule_counts():

@@ -51,6 +51,10 @@ class TestParsing:
         assert scene.thresholds.boost_db == 3.0
         assert scene.thresholds.peb_feasible_m == 0.1
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_edges_accepted(self, seed):
+        assert parse_scene(make(seed=seed)).seed == seed
+
     def test_2d_positions_get_zero_height(self):
         scene = parse_scene(make(bs=[{"position_m": [1.5, 2.5]}]))
         assert scene.bs[0].position_m == (1.5, 2.5, 0.0)
@@ -191,6 +195,8 @@ class TestValidation:
             (make(localization={"pilot_count": 0}), "localization.pilot_count: must be > 0"),
             (make(localization={"pilot_count": 2.5}), "localization.pilot_count: expected an integer"),
             (make(seed="abc"), "seed: expected an integer"),
+            (make(seed=-1), "seed: must lie in [0, 2**64)"),
+            (make(seed=2**64), "seed: must lie in [0, 2**64)"),
             (make({"carrier_hz": True}), "carrier_hz: expected a number"),
             (make({"carrier_hz": None}), "carrier_hz: expected a number, got NoneType"),
             (make(bs=[{"position_m": [0, 0], "antenna_count": None}]),

