@@ -45,10 +45,6 @@ class RisConfig:
     phases_rad: tuple[float, ...]
     active: bool = True
 
-    @property
-    def element_count(self) -> int:
-        return len(self.phases_rad)
-
     @classmethod
     def uniform(cls, count: int, phase: float = 0.0) -> "RisConfig":
         return cls(phases_rad=(phase,) * count)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import RisConfig, default_codebook, mrc_weights
-from .errors import ConfigError
+from .errors import ConfigError, RunError
 from .kernels import forward_fill
 from .linkmetrics import serving_bs
 from .propagation import (
@@ -33,9 +33,9 @@ from .propagation import (
 from .scene import Scene
 from .seeding import derived_rng
 
-# Rows per chunk of the trace writer: one ``%`` format call writes a chunk.
-# It bounds the text held at once (about 0.5 MB at 8192 rows), never the
-# bytes written, which are the same for any chunk size.
+# Slots per chunk of the slot pass: one ``%`` format call writes a chunk.
+# It bounds the per-slot arrays and the text held at once (about 0.5 MB at
+# 8192 rows), never the bytes written, which are the same for any chunk size.
 _TRACE_CHUNK_ROWS = 8192
 
 
@@ -79,21 +79,31 @@ class CoexistConfig:
 
 
 @dataclass(frozen=True)
+class CoexistRun:
+    """One victim link under one switching configuration, ready to run.
+
+    Codebook entry c gives the victim the linear SNR ``snr[c]``, reported
+    as ``snr_db[c]``, and the Shannon-with-gap capacity ``capacity[c]``.
+    ``slot_chunks`` runs the slots; ``write_trace_csv`` writes them.
+    """
+
+    config: CoexistConfig
+    snr: np.ndarray  # (C,) linear SNR of each entry
+    snr_db: np.ndarray  # (C,) 10 log10 of each entry's SNR
+    capacity: np.ndarray  # (C,) Shannon-with-gap capacity per entry, bps/Hz
+    ris_direct_ratio_db: float  # see _ratio_db()
+
+
+@dataclass(frozen=True)
 class CoexistResult:
-    """One run. Slot t sees codebook entry ``config_index[t]``: its SNR is
-    ``snr_db[config_index[t]]`` and its capacity ``capacity[config_index[t]]``.
-    The rate selected at slot t is the capacity of slot t - d, where
-    d = ``len(config_index) - transmitting_slots`` is the CSI delay; the
-    first d slots select no rate (NaN in the trace).
+    """Counts of one pass over the slots. The first d = ``slots -
+    transmitting_slots`` slots, d the CSI delay, select no rate and never err.
     """
 
     bler: float
-    config_index: np.ndarray  # (slots,) int64, the entry each slot sees
-    snr_db: np.ndarray  # (C,) 10 log10 of each entry's SNR
-    capacity: np.ndarray  # (C,) Shannon-with-gap capacity per entry, bps/Hz
-    error_slots: tuple[int, ...]
+    error_count: int
     transmitting_slots: int
-    ris_direct_ratio_db: float  # see _ratio_db()
+    ris_direct_ratio_db: float
 
 
 def _victim_link(scene: Scene, ue_point):
@@ -126,8 +136,8 @@ def _combined_amplitudes(scene: Scene, link, config: CoexistConfig) -> np.ndarra
     return out
 
 
-def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
-    """Run the slot recursion; deterministic in ``config.seed``.
+def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistRun:
+    """The victim link's per-entry SNR and capacity; no slot runs yet.
 
     The switching process is exogenous (the other operator's controller),
     so its random stream depends on the seed alone, never on the victim's
@@ -137,34 +147,70 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     amps = _combined_amplitudes(scene, link, config)
     power_w = dbm_to_watts(scene.link_budget.max_tx_power_dbm)
     noise_w = dbm_to_watts(scene.noise_power_dbm)
-    snr_per_config = power_w * np.abs(amps) ** 2 / noise_w
-
-    n = config.slots
-    rng = derived_rng(config.seed, "coexist-switch")
-    switch = rng.random(n) < config.switch_probability
-    draws = rng.integers(0, snr_per_config.shape[0], n)
-    indices = forward_fill(switch, draws.astype(np.int64))
-
+    snr = power_w * np.abs(amps) ** 2 / noise_w
     with np.errstate(divide="ignore"):
-        snr_db = 10.0 * np.log10(snr_per_config)
-    capacity = np.log2(1.0 + snr_per_config / db_to_linear(config.mcs_gap_db))
-
-    d = config.csi_delay_slots
-    # shannon selection: rate exceeds capacity iff the SNR dropped
-    tolerated = snr_per_config * db_to_linear(-config.snr_margin_db)
-    errors = snr_per_config[indices[d:]] < tolerated[indices[:-d]]
-
-    tx = n - d
-    error_slots = tuple((np.flatnonzero(errors) + d).tolist())
-    return CoexistResult(
-        bler=len(error_slots) / tx,
-        config_index=indices,
+        snr_db = 10.0 * np.log10(snr)
+    return CoexistRun(
+        config=config,
+        snr=snr,
         snr_db=snr_db,
-        capacity=capacity,
-        error_slots=error_slots,
-        transmitting_slots=tx,
+        capacity=np.log2(1.0 + snr / db_to_linear(config.mcs_gap_db)),
         ris_direct_ratio_db=_ratio_db(link),
     )
+
+
+def _entry_draws(config: CoexistConfig, entries: int) -> np.ndarray:
+    """The entry drawn at every slot: ``integers(0, entries, slots)``, one call.
+
+    The stream holds ``slots`` uniforms (one 64-bit output each) and then
+    these draws. numpy's bounded fill buffers 32-bit halves, so chunked
+    calls would not reproduce one call; the draws come from a second copy
+    of the stream advanced past the uniforms. This (slots,) int64 vector is
+    the only allocation that grows with ``slots``.
+    """
+    n = config.slots
+    rng = derived_rng(config.seed, "coexist-switch")
+    rng.bit_generator.advance(n)
+    try:
+        return rng.integers(0, entries, n)
+    except MemoryError:
+        raise RunError(f"cannot allocate the switching draws of {n} slots "
+                       f"({8 * n} bytes)") from None
+
+
+def slot_chunks(run: CoexistRun):
+    """The slot recursion, ``_TRACE_CHUNK_ROWS`` slots at a time.
+
+    Yields ``(start, now, before, error)`` per chunk: each slot's codebook
+    entry, the entry one CSI delay d earlier (C over the first d slots,
+    which select no rate) and whether its block is lost, i.e. its SNR fell
+    below the delayed entry's by more than the margin. The switching draws
+    are taken when this is called, so an allocation failure comes before
+    the first chunk.
+    """
+    return _slot_pass(run, _entry_draws(run.config, run.snr.shape[0]))
+
+
+def _slot_pass(run: CoexistRun, entry: np.ndarray):
+    config = run.config
+    n, d = config.slots, config.csi_delay_slots
+    snr = run.snr
+    # shannon selection: rate exceeds capacity iff the SNR dropped; a
+    # warm-up slot's sentinel entry C tolerates any SNR
+    tolerated = np.append(snr * db_to_linear(-config.snr_margin_db), -math.inf)
+    rng = derived_rng(config.seed, "coexist-switch")
+    current = 0
+    for start in range(0, n, _TRACE_CHUNK_ROWS):
+        stop = min(start + _TRACE_CHUNK_ROWS, n)
+        switch = rng.random(stop - start) < config.switch_probability
+        # a chunk's draws, once filled, are overwritten by its slots' entries,
+        # which the delayed lookups read: the pass keeps no second array
+        now = entry[start:stop] = forward_fill(switch, entry[start:stop], current)
+        current = now[-1]
+        before = np.full(stop - start, snr.shape[0], dtype=np.int64)
+        warm = min(max(d - start, 0), stop - start)
+        before[warm:] = entry[start + warm - d:stop - d]
+        yield start, now, before, snr[now] < tolerated[before]
 
 
 def _ratio_db(link) -> float:
@@ -191,10 +237,10 @@ class _RowTails(dict):
     A tail is formatted on first use, so only keys that occur are built.
     """
 
-    def __init__(self, result: CoexistResult):
+    def __init__(self, run: CoexistRun):
         super().__init__()
-        self.snr = [repr(v) for v in result.snr_db.tolist()]
-        self.capacity = [repr(v) for v in result.capacity.tolist()]
+        self.snr = [repr(v) for v in run.snr_db.tolist()]
+        self.capacity = [repr(v) for v in run.capacity.tolist()]
         self.selected = self.capacity + [repr(math.nan)]
 
     def __missing__(self, key: int) -> str:
@@ -206,29 +252,34 @@ class _RowTails(dict):
         return tail
 
 
-def write_trace_csv(result: CoexistResult, path: str) -> None:
-    """Per-slot log; floats via repr, so -inf and nan survive a round trip.
+def write_trace_csv(run: CoexistRun, path: str) -> CoexistResult:
+    """Run the slots and log each one; floats via repr, so -inf and nan survive.
 
-    A row is fixed by its slot, its codebook entry, the entry one CSI delay
-    earlier and its error flag, so each distinct row tail is formatted once
-    (see ``_RowTails``) and each chunk is written by one ``%`` format call.
-    The output is byte-identical to formatting every row with ``repr``.
+    One pass over ``slot_chunks``: each chunk is written and its errors
+    counted before the next is drawn, so the pass holds the (slots,) int64
+    draws plus one chunk. A row is fixed by its slot, its codebook entry,
+    the entry one CSI delay earlier and its error flag, so each distinct
+    row tail is formatted once (see ``_RowTails``) and each chunk is
+    written by one ``%`` format call. The output is byte-identical to
+    formatting every row with ``repr``.
     """
-    now = result.config_index
-    n = now.shape[0]
-    d = n - result.transmitting_slots
-    tails = _RowTails(result)
-    key = np.full(n, result.snr_db.shape[0], dtype=np.int64)
-    key[d:] = now[:-d]
-    key += now * len(tails.selected)
-    key *= 2
-    key[np.asarray(result.error_slots, dtype=np.intp)] += 1
+    chunks = slot_chunks(run)
+    tails = _RowTails(run)
+    errors = 0
     with open(path, "w", newline="") as fh:
         fh.write("slot,snr_db,selected_rate,actual_capacity,error\n")
         row_format = "%d%s" * _TRACE_CHUNK_ROWS
-        for start in range(0, n, _TRACE_CHUNK_ROWS):
-            stop = min(start + _TRACE_CHUNK_ROWS, n)
-            rows = [None] * (2 * (stop - start))
-            rows[0::2] = range(start, stop)
-            rows[1::2] = map(tails.__getitem__, key[start:stop].tolist())
-            fh.write(row_format[: 4 * (stop - start)] % tuple(rows))
+        for start, now, before, error in chunks:
+            key = (now * len(tails.selected) + before) * 2 + error
+            errors += int(np.count_nonzero(error))
+            rows = [None] * (2 * key.shape[0])
+            rows[0::2] = range(start, start + key.shape[0])
+            rows[1::2] = map(tails.__getitem__, key.tolist())
+            fh.write(row_format[: 4 * key.shape[0]] % tuple(rows))
+    tx = run.config.slots - run.config.csi_delay_slots
+    return CoexistResult(
+        bler=errors / tx,
+        error_count=errors,
+        transmitting_slots=tx,
+        ris_direct_ratio_db=run.ris_direct_ratio_db,
+    )

@@ -131,12 +131,12 @@ def ascent_quadratic(b, V, c0, lookup, init_idx, max_rounds, rel_tol):
 # coexistence switching chain: forward-fill the per-slot config index
 # ---------------------------------------------------------------------------
 
-def forward_fill(switch, draws):
-    """Config index per slot: last drawn value, initial index 0."""
+def forward_fill(switch, draws, initial=0):
+    """Config index per slot: the draw at the last switch so far, else ``initial``."""
     n = switch.shape[0]
     marks = np.where(switch, np.arange(n), -1)
     last = np.maximum.accumulate(marks)
-    return np.where(last >= 0, np.asarray(draws, dtype=np.int64)[np.maximum(last, 0)], 0)
+    return np.where(last >= 0, np.asarray(draws, dtype=np.int64)[np.maximum(last, 0)], initial)
 
 
 # perfbench/run.py names the kernel backend by testing

@@ -42,10 +42,6 @@ class SecrecyChannels:
     noise_w: float
     power_w: float
 
-    @property
-    def element_count(self) -> int:
-        return 0 if self.bs_to_ris is None else self.bs_to_ris.shape[0]
-
 
 def _fading(rng, rows: int, cols: int) -> np.ndarray:
     re = rng.standard_normal((rows, cols))

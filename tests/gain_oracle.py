@@ -124,7 +124,7 @@ def coordinate_ascent(
     if init is None:
         config = RisConfig(phases_rad=(lookup[0],) * element_count)
     else:
-        if init.element_count != element_count:
+        if len(init.phases_rad) != element_count:
             raise ValueError("initial config does not match element count")
         config = init
     phases = list(config.phases_rad)

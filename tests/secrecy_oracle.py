@@ -146,7 +146,7 @@ def optimize_sse(
     q_wo, val_wo, _ = optimize_q(realize(channels, None))
     sse_without = max(val_wo, 0.0)
 
-    m = channels.element_count
+    m = 0 if channels.bs_to_ris is None else channels.bs_to_ris.shape[0]
     if m == 0:
         return SseResult(
             sse_with=sse_without,

@@ -431,6 +431,19 @@ class TestCoexist:
             "error: csi_delay_slots (100000) must be below slots (10), or no slot transmits\n")
         assert not out.exists()
 
+    def test_slots_past_the_address_space_exit_3_writing_no_output(self, tmp_path, capsys):
+        # 10^14 slots need 800 TB of switching draws: the allocation fails at
+        # once, before the trace file is opened
+        scene_path = write_scene(tmp_path, COEX_SCENE)
+        out = tmp_path / "out"
+        assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", str(10**14),
+                     "--ue", "11,19", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot allocate the switching draws of "
+                                "100000000000000 slots (800000000000000 bytes)\n")
+        assert list(out.iterdir()) == []
+
     def test_bad_ue_exits_2(self, tmp_path, capsys):
         scene_path = write_scene(tmp_path, COEX_SCENE)
         assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", "10",

@@ -2,15 +2,17 @@
 
 import json
 import math
+import os
 import pathlib
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from coexist_oracle import reference_summary, reference_trace
 from coexist_oracle import simulate as slot_simulate
-from helpers import trace_columns
+from helpers import coexist_result, error_slots, slot_columns, trace_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +21,9 @@ from risplan.beamforming import RisConfig, mrc_weights
 from risplan.coexistence import (
     _TRACE_CHUNK_ROWS,
     CoexistConfig,
-    CoexistResult,
+    CoexistRun,
     simulate,
+    slot_chunks,
     write_trace_csv,
 )
 from risplan.errors import ConfigError
@@ -63,7 +66,7 @@ def bler_vs_overlap_curve(scene, ue_points, config):
         raise ConfigError("need at least one point")
     rows = []
     for p in ue_points:
-        result = simulate(scene, p, config)
+        result = coexist_result(scene, p, config)
         point = tuple(float(c) for c in p)
         rows.append(OverlapRow(point, result.ris_direct_ratio_db, result.bler))
     return tuple(rows)
@@ -131,51 +134,54 @@ class TestConfigValidation:
 
 class TestSimulate:
     def test_static_surface_never_errs(self):
-        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=5000, switch_probability=0.0))
+        res = coexist_result(coex_scene(), NEAR, CoexistConfig(slots=5000, switch_probability=0.0))
         assert res.bler == 0.0
-        assert res.error_slots == ()
+        assert res.error_count == 0
 
     def test_no_surface_never_errs(self):
         scene = coex_scene(ris=None)
-        res = simulate(scene, NEAR, CoexistConfig(slots=5000, switch_probability=1.0))
-        assert res.bler == 0.0
-        snr, _, _ = trace_columns(res)
+        cfg = CoexistConfig(slots=5000, switch_probability=1.0)
+        assert coexist_result(scene, NEAR, cfg).bler == 0.0
+        snr, _, _ = trace_columns(simulate(scene, NEAR, cfg))
         assert np.all(np.diff(snr) == 0.0)
 
     def test_far_point_never_errs(self):
-        res = simulate(coex_scene(), FAR, CoexistConfig(slots=5000, switch_probability=1.0))
+        res = coexist_result(coex_scene(), FAR, CoexistConfig(slots=5000, switch_probability=1.0))
         assert res.bler == 0.0
 
     def test_near_point_errs_under_switching(self):
-        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=2000, switch_probability=0.5))
+        res = coexist_result(coex_scene(), NEAR, CoexistConfig(slots=2000, switch_probability=0.5))
         assert res.bler > 0.0
 
     def test_more_switching_more_errors(self):
         scene = coex_scene()
-        busy = simulate(scene, NEAR, CoexistConfig(slots=100_000, switch_probability=0.5))
-        calm = simulate(scene, NEAR, CoexistConfig(slots=100_000, switch_probability=0.05))
+        busy = coexist_result(scene, NEAR, CoexistConfig(slots=100_000, switch_probability=0.5))
+        calm = coexist_result(scene, NEAR, CoexistConfig(slots=100_000, switch_probability=0.05))
         assert busy.bler >= calm.bler
         assert calm.bler > 0.0
 
     def test_bler_definition(self):
-        res = simulate(
+        run = simulate(
             coex_scene(), NEAR, CoexistConfig(slots=3000, switch_probability=0.4,
                                               csi_delay_slots=3)
         )
+        res = write_trace_csv(run, os.devnull)
+        errors = error_slots(run)
         assert res.transmitting_slots == 2997
-        assert res.bler == len(res.error_slots) / 2997
+        assert res.error_count == len(errors)
+        assert res.bler == len(errors) / 2997
         assert 0.0 <= res.bler <= 1.0
-        assert all(t >= 3 for t in res.error_slots)
+        assert all(t >= 3 for t in errors)
 
     def test_deterministic_in_seed(self):
         scene = coex_scene()
         cfg = CoexistConfig(slots=4000, switch_probability=0.3, seed=7)
         a = simulate(scene, NEAR, cfg)
         b = simulate(scene, NEAR, cfg)
-        assert a.error_slots == b.error_slots
+        assert error_slots(a) == error_slots(b)
         np.testing.assert_array_equal(trace_columns(a)[0], trace_columns(b)[0])
         other = simulate(scene, NEAR, CoexistConfig(slots=4000, switch_probability=0.3, seed=8))
-        assert a.error_slots != other.error_slots
+        assert error_slots(a) != error_slots(other)
 
     def test_switching_history_shared_across_points(self):
         # the controller belongs to the other operator: one seed, one history
@@ -194,11 +200,12 @@ class TestSimulate:
             CoexistConfig(slots=slots, switch_probability=1.0, csi_delay_slots=delay)
 
     def test_one_transmitting_slot(self):
-        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=6, switch_probability=1.0,
+        run = simulate(coex_scene(), NEAR, CoexistConfig(slots=6, switch_probability=1.0,
                                                          csi_delay_slots=5))
+        res = write_trace_csv(run, os.devnull)
         assert res.transmitting_slots == 1
         assert res.bler in (0.0, 1.0)
-        _, selected, _ = trace_columns(res)
+        _, selected, _ = trace_columns(run)
         assert np.all(np.isnan(selected[:5]))
         assert np.isfinite(selected[5])
 
@@ -222,7 +229,7 @@ class TestSimulate:
         scene = coex_scene()
         cfg = CoexistConfig(slots=400, switch_probability=0.7, seed=11,
                             snr_margin_db=0.1)
-        res = simulate(scene, NEAR, cfg)
+        run = simulate(scene, NEAR, cfg)
 
         from risplan.beamforming import default_codebook
 
@@ -252,7 +259,7 @@ class TestSimulate:
             for t in range(1, 400)
             if snr[t] < snr[t - 1] * 10.0 ** (-0.1 / 10.0)
         ]
-        assert list(res.error_slots) == errors
+        assert list(error_slots(run)) == errors
 
 
 class TestOverlapCurve:
@@ -307,18 +314,19 @@ class TestOverlapCurve:
 
 class TestCsvWriters:
     def test_trace_layout(self, tmp_path):
-        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=50, switch_probability=0.5))
+        run = simulate(coex_scene(), NEAR, CoexistConfig(slots=50, switch_probability=0.5))
         path = tmp_path / "trace.csv"
-        write_trace_csv(res, path)
+        res = write_trace_csv(run, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "slot,snr_db,selected_rate,actual_capacity,error"
         assert len(lines) == 51
         flagged = {
             int(line.split(",")[0]) for line in lines[1:] if line.split(",")[4] == "1"
         }
-        assert flagged == set(res.error_slots)
+        assert flagged == set(error_slots(run))
+        assert res.error_count == len(flagged)
         first = lines[1].split(",")
-        assert float(first[1]) == trace_columns(res)[0][0]
+        assert float(first[1]) == trace_columns(run)[0][0]
         assert math.isnan(float(first[2]))
 
     def test_curve_formats_minus_inf(self, tmp_path):
@@ -334,11 +342,13 @@ class TestCsvWriters:
 
     def test_trace_reruns_byte_identical(self, tmp_path):
         scene = coex_scene()
-        cfg = CoexistConfig(slots=200, switch_probability=0.5)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg = CoexistConfig(slots=20_000, switch_probability=0.5)
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         write_trace_csv(simulate(scene, NEAR, cfg), a)
-        write_trace_csv(simulate(scene, NEAR, cfg), b)
-        assert a.read_bytes() == b.read_bytes()
+        run = simulate(scene, NEAR, cfg)
+        # a pass leaves its run as it found it
+        assert write_trace_csv(run, b) == write_trace_csv(run, c)
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 class TestTraceWriterOracle:
@@ -355,10 +365,10 @@ class TestTraceWriterOracle:
         ids=["default", "csi_delay_3", "warmup_then_one_slot", "no_surface"],
     )
     def test_simulated_trace(self, tmp_path, scene_kwargs, config):
-        res = simulate(coex_scene(**scene_kwargs), NEAR, config)
+        run = simulate(coex_scene(**scene_kwargs), NEAR, config)
         path = tmp_path / "trace.csv"
-        write_trace_csv(res, path)
-        assert path.read_bytes() == reference_trace(*trace_columns(res), res.error_slots)
+        write_trace_csv(run, path)
+        assert path.read_bytes() == reference_trace(*trace_columns(run), error_slots(run))
 
     def test_signed_zeros_and_non_finite_across_chunks(self, tmp_path):
         # per-entry tables of signed zeros, both NaN sign bits, infinities and
@@ -368,27 +378,85 @@ class TestTraceWriterOracle:
         negative_nan = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
         pool = np.array([np.nan, negative_nan, -np.inf, np.inf, 0.0, -0.0, 5e-324])
         entries = 9
-        snr, cap = (pool[rng.integers(0, pool.size, entries)] for _ in range(2))
-        snr[:3], cap[:3] = (0.0, -0.0, -np.inf), (-0.0, 0.0, np.nan)
-        index = rng.integers(0, entries, n)
-        index[:3] = (0, 0, 1)
-        errors = np.flatnonzero(rng.random(n) < 0.3)
-        res = CoexistResult(
-            bler=0.0,
-            config_index=index,
-            snr_db=snr,
+        snr_db, cap = (pool[rng.integers(0, pool.size, entries)] for _ in range(2))
+        snr_db[:3], cap[:3] = (0.0, -0.0, -np.inf), (-0.0, 0.0, np.nan)
+        run = CoexistRun(
+            config=CoexistConfig(slots=n, switch_probability=0.5, seed=5),
+            snr=rng.random(entries),
+            snr_db=snr_db,
             capacity=cap,
-            error_slots=tuple(errors.tolist()),
-            transmitting_slots=n - 1,
             ris_direct_ratio_db=-math.inf,
         )
         path = tmp_path / "trace.csv"
-        write_trace_csv(res, path)
-        expected = reference_trace(*trace_columns(res), res.error_slots)
+        write_trace_csv(run, path)
+        now, before, errors = slot_columns(run)
+        assert set(now.tolist()) == set(range(entries)) and 0 < errors.sum() < n
+        expected = reference_trace(*trace_columns(run), error_slots(run))
         assert path.read_bytes() == expected
-        assert b"\n1,0.0,-0.0,-0.0," in expected
-        assert b"\n2,-0.0,-0.0,0.0," in expected
+        assert b",0.0,-0.0," in expected and b",-0.0,0.0," in expected
         assert b",-inf," in expected and b",nan," in expected
+
+
+def assert_matches_slot_oracle(scene, ue_point, config, path):
+    oracle = slot_simulate(scene, ue_point, config)
+    res = write_trace_csv(simulate(scene, ue_point, config), path)
+    columns = (oracle.snr_trace_db, oracle.selected_rate_bps_hz, oracle.capacity_bps_hz)
+    assert path.read_bytes() == reference_trace(*columns, oracle.error_slots)
+    assert res.error_count == len(oracle.error_slots)
+    assert (res.bler, res.transmitting_slots, res.ris_direct_ratio_db) == (
+        oracle.bler, oracle.transmitting_slots, oracle.ris_direct_ratio_db)
+
+
+class TestChunkBoundaries:
+    """The pass carries each slot's entry across chunks, byte for byte."""
+
+    @pytest.mark.parametrize("slots, delay", [
+        (30_000, 9000),
+        (30_000, 20_000),
+        (_TRACE_CHUNK_ROWS + 1, _TRACE_CHUNK_ROWS),
+    ], ids=["delay_over_one_chunk", "delay_over_two_chunks", "one_slot_after_a_chunk"])
+    def test_delay_longer_than_a_chunk(self, tmp_path, slots, delay):
+        config = CoexistConfig(slots=slots, switch_probability=0.5, csi_delay_slots=delay)
+        assert_matches_slot_oracle(coex_scene(), NEAR, config, tmp_path / "trace.csv")
+
+    @pytest.mark.parametrize("slots", [
+        _TRACE_CHUNK_ROWS - 1, _TRACE_CHUNK_ROWS, _TRACE_CHUNK_ROWS + 1,
+        3 * _TRACE_CHUNK_ROWS + 1,
+    ])
+    @pytest.mark.parametrize("probability", [0.0, 0.5, 1.0])
+    def test_slots_at_chunk_edges(self, tmp_path, slots, probability):
+        config = CoexistConfig(slots=slots, switch_probability=probability)
+        assert_matches_slot_oracle(coex_scene(), NEAR, config, tmp_path / "trace.csv")
+
+
+def drain(chunks):
+    for _ in chunks:
+        pass
+
+
+@pytest.mark.parametrize("consume, small, large", [
+    (lambda run: drain(slot_chunks(run)), 50_000, 400_000),
+    # tracemalloc sees every Python object the formatting makes, which costs
+    # about 4 us a row, so the writer is run at smaller sizes
+    (lambda run: write_trace_csv(run, os.devnull), 20_000, 100_000),
+], ids=["slot_chunks", "write_trace_csv"])
+def test_pass_memory_grows_by_the_draws_alone(consume, small, large):
+    # the (slots,) int64 draws are the only allocation that grows with the
+    # slot count; every per-slot array of a chunk is dropped once it is used
+    scene = coex_scene()
+
+    def traced_peak(slots):
+        run = simulate(scene, NEAR, CoexistConfig(slots=slots, switch_probability=0.5))
+        tracemalloc.start()
+        try:
+            consume(run)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(2)  # lazy imports (numpy.random) land outside the measured runs
+    small_peak = traced_peak(small)
+    assert traced_peak(large) - small_peak <= 8 * (large - small) + 500_000
 
 
 CHUNK_EDGES = st.builds(
@@ -428,11 +496,11 @@ def test_cli_files_match_slot_oracle(run):
                            csi_delay_slots=run["delay"], snr_margin_db=run["margin_db"],
                            seed=run["seed"])
     oracle = slot_simulate(scene, run["ue"], config)
-    res = simulate(scene, run["ue"], config)
+    slots = simulate(scene, run["ue"], config)
     columns = (oracle.snr_trace_db, oracle.selected_rate_bps_hz, oracle.capacity_bps_hz)
-    for got, want in zip(trace_columns(res), columns):
+    for got, want in zip(trace_columns(slots), columns):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert res.error_slots == oracle.error_slots
+    assert error_slots(slots) == oracle.error_slots
 
     with tempfile.TemporaryDirectory() as tmp:
         scene_path = pathlib.Path(tmp) / "scene.json"

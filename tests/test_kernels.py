@@ -162,6 +162,12 @@ class TestForwardFill:
         out = forward_fill(np.zeros(10, dtype=bool), np.full(10, 5, dtype=np.int64))
         np.testing.assert_array_equal(out, np.zeros(10, dtype=np.int64))
 
+    def test_initial_entry_holds_until_the_first_switch(self):
+        # a chunk of the slot pass starts from the previous chunk's last entry
+        switch = np.array([False, False, True, False])
+        draws = np.array([9, 9, 3, 9], dtype=np.int64)
+        np.testing.assert_array_equal(forward_fill(switch, draws, 5), [5, 5, 3, 3])
+
     def test_hand_worked_chain(self):
         switch = np.array([False, True, False, False, True, False])
         draws = np.array([9, 3, 9, 9, 1, 9], dtype=np.int64)

@@ -191,7 +191,7 @@ class TestSecrecyLinkBuilder:
         scene = sse_scene(ris=None)
         ch = secrecy_link(scene, [10, 50, 1.5])
         assert ch.bs_to_ris is None
-        assert ch.element_count == 0
+        assert ch.ris_to_rx is None and ch.ris_to_eve is None
 
     def test_requires_eavesdropper(self):
         scene = sse_scene(eve=None)
