@@ -219,7 +219,8 @@ def cmd_coexist(args: argparse.Namespace) -> int:
     out = _OutDir(args.out, args.force)
     base = os.path.splitext(os.path.basename(args.scene))[0]
 
-    result = write_trace_csv(simulate(scene, ue, config), out.path(f"{base}_coexist_trace.csv"))
+    result = simulate(scene, ue, config)
+    write_trace_csv(result, out.path(f"{base}_coexist_trace.csv"))
     summary_path = out.path(f"{base}_coexist_summary.csv")
     with open(summary_path, "w", newline="") as fh:
         fh.write("slots,transmitting_slots,error_count,bler,ris_direct_ratio_db\n")

@@ -33,9 +33,10 @@ from .propagation import (
 from .scene import Scene
 from .seeding import derived_rng
 
-# Slots per chunk of the slot pass: one ``%`` format call writes a chunk.
-# It bounds the per-slot arrays and the text held at once (about 0.5 MB at
-# 8192 rows), never the bytes written, which are the same for any chunk size.
+# Slots per chunk of the slot recursion and of the trace writer, where one
+# ``%`` format call writes a chunk. It bounds the per-chunk arrays and the
+# text held at once (about 0.5 MB at 8192 rows), never the bytes written,
+# which are the same for any chunk size.
 _TRACE_CHUNK_ROWS = 8192
 
 
@@ -79,31 +80,24 @@ class CoexistConfig:
 
 
 @dataclass(frozen=True)
-class CoexistRun:
-    """One victim link under one switching configuration, ready to run.
-
-    Codebook entry c gives the victim the linear SNR ``snr[c]``, reported
-    as ``snr_db[c]``, and the Shannon-with-gap capacity ``capacity[c]``.
-    ``slot_chunks`` runs the slots; ``write_trace_csv`` writes them.
-    """
-
-    config: CoexistConfig
-    snr: np.ndarray  # (C,) linear SNR of each entry
-    snr_db: np.ndarray  # (C,) 10 log10 of each entry's SNR
-    capacity: np.ndarray  # (C,) Shannon-with-gap capacity per entry, bps/Hz
-    ris_direct_ratio_db: float  # see _ratio_db()
-
-
-@dataclass(frozen=True)
 class CoexistResult:
-    """Counts of one pass over the slots. The first d = ``slots -
-    transmitting_slots`` slots, d the CSI delay, select no rate and never err.
+    """One run. Slot t sees codebook entry ``config_index[t]``: its SNR is
+    ``snr_db[config_index[t]]`` and its capacity ``capacity[config_index[t]]``.
+    The rate selected at slot t is the capacity of slot t - d, where
+    d = ``len(config_index) - transmitting_slots`` is the CSI delay; the
+    first d slots select no rate (NaN in the trace). Slot t's block is lost
+    when ``snr[config_index[t]] < snr_floor[config_index[t - d]]``.
     """
 
     bler: float
     error_count: int
+    config_index: np.ndarray  # (slots,) int64, the entry each slot sees
+    snr: np.ndarray  # (C,) linear SNR of each entry
+    snr_floor: np.ndarray  # (C + 1,) lowest SNR a rate selected at entry c carries; -inf at C
+    snr_db: np.ndarray  # (C,) 10 log10 of each entry's SNR
+    capacity: np.ndarray  # (C,) Shannon-with-gap capacity per entry, bps/Hz
     transmitting_slots: int
-    ris_direct_ratio_db: float
+    ris_direct_ratio_db: float  # see _ratio_db()
 
 
 def _victim_link(scene: Scene, ue_point):
@@ -136,25 +130,49 @@ def _combined_amplitudes(scene: Scene, link, config: CoexistConfig) -> np.ndarra
     return out
 
 
-def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistRun:
-    """The victim link's per-entry SNR and capacity; no slot runs yet.
+def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
+    """Run the slot recursion; deterministic in ``config.seed``.
 
     The switching process is exogenous (the other operator's controller),
     so its random stream depends on the seed alone, never on the victim's
     position: two nearby UEs observe the same switching history.
+
+    The slots run in chunks of ``_TRACE_CHUNK_ROWS``: each chunk draws its
+    switching uniforms, forward-fills its entries from the previous
+    chunk's last entry and counts its errors. The entry draws, overwritten
+    in place by the entries, are the only per-slot array.
     """
     link = _victim_link(scene, ue_point)
     amps = _combined_amplitudes(scene, link, config)
     power_w = dbm_to_watts(scene.link_budget.max_tx_power_dbm)
     noise_w = dbm_to_watts(scene.noise_power_dbm)
     snr = power_w * np.abs(amps) ** 2 / noise_w
+    # shannon selection: rate exceeds capacity iff the SNR dropped; a
+    # warm-up slot's sentinel entry C selects no rate and tolerates any SNR
+    snr_floor = np.append(snr * db_to_linear(-config.snr_margin_db), -math.inf)
+
+    n, d = config.slots, config.csi_delay_slots
+    index = _entry_draws(config, snr.shape[0])
+    rng = derived_rng(config.seed, "coexist-switch")
+    current, errors = 0, 0
+    for start in range(0, n, _TRACE_CHUNK_ROWS):
+        stop = min(start + _TRACE_CHUNK_ROWS, n)
+        switch = rng.random(stop - start) < config.switch_probability
+        index[start:stop] = forward_fill(switch, index[start:stop], current)
+        current = index[stop - 1]
+        errors += int(np.count_nonzero(_chunk(index, snr, snr_floor, d, start, stop)[2]))
+
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(snr)
-    return CoexistRun(
-        config=config,
+    return CoexistResult(
+        bler=errors / (n - d),
+        error_count=errors,
+        config_index=index,
         snr=snr,
+        snr_floor=snr_floor,
         snr_db=snr_db,
         capacity=np.log2(1.0 + snr / db_to_linear(config.mcs_gap_db)),
+        transmitting_slots=n - d,
         ris_direct_ratio_db=_ratio_db(link),
     )
 
@@ -178,39 +196,14 @@ def _entry_draws(config: CoexistConfig, entries: int) -> np.ndarray:
                        f"({8 * n} bytes)") from None
 
 
-def slot_chunks(run: CoexistRun):
-    """The slot recursion, ``_TRACE_CHUNK_ROWS`` slots at a time.
-
-    Yields ``(start, now, before, error)`` per chunk: each slot's codebook
-    entry, the entry one CSI delay d earlier (C over the first d slots,
-    which select no rate) and whether its block is lost, i.e. its SNR fell
-    below the delayed entry's by more than the margin. The switching draws
-    are taken when this is called, so an allocation failure comes before
-    the first chunk.
-    """
-    return _slot_pass(run, _entry_draws(run.config, run.snr.shape[0]))
-
-
-def _slot_pass(run: CoexistRun, entry: np.ndarray):
-    config = run.config
-    n, d = config.slots, config.csi_delay_slots
-    snr = run.snr
-    # shannon selection: rate exceeds capacity iff the SNR dropped; a
-    # warm-up slot's sentinel entry C tolerates any SNR
-    tolerated = np.append(snr * db_to_linear(-config.snr_margin_db), -math.inf)
-    rng = derived_rng(config.seed, "coexist-switch")
-    current = 0
-    for start in range(0, n, _TRACE_CHUNK_ROWS):
-        stop = min(start + _TRACE_CHUNK_ROWS, n)
-        switch = rng.random(stop - start) < config.switch_probability
-        # a chunk's draws, once filled, are overwritten by its slots' entries,
-        # which the delayed lookups read: the pass keeps no second array
-        now = entry[start:stop] = forward_fill(switch, entry[start:stop], current)
-        current = now[-1]
-        before = np.full(stop - start, snr.shape[0], dtype=np.int64)
-        warm = min(max(d - start, 0), stop - start)
-        before[warm:] = entry[start + warm - d:stop - d]
-        yield start, now, before, snr[now] < tolerated[before]
+def _chunk(index, snr, snr_floor, d, start, stop):
+    """Slots ``start:stop``: each one's entry, the entry one CSI delay d
+    earlier (C over the first d slots) and whether its block is lost."""
+    now = index[start:stop]
+    before = np.full(stop - start, snr.shape[0], dtype=np.int64)
+    warm = min(max(d - start, 0), stop - start)
+    before[warm:] = index[start + warm - d:stop - d]
+    return now, before, snr[now] < snr_floor[before]
 
 
 def _ratio_db(link) -> float:
@@ -237,10 +230,10 @@ class _RowTails(dict):
     A tail is formatted on first use, so only keys that occur are built.
     """
 
-    def __init__(self, run: CoexistRun):
+    def __init__(self, result: CoexistResult):
         super().__init__()
-        self.snr = [repr(v) for v in run.snr_db.tolist()]
-        self.capacity = [repr(v) for v in run.capacity.tolist()]
+        self.snr = [repr(v) for v in result.snr_db.tolist()]
+        self.capacity = [repr(v) for v in result.capacity.tolist()]
         self.selected = self.capacity + [repr(math.nan)]
 
     def __missing__(self, key: int) -> str:
@@ -252,34 +245,27 @@ class _RowTails(dict):
         return tail
 
 
-def write_trace_csv(run: CoexistRun, path: str) -> CoexistResult:
-    """Run the slots and log each one; floats via repr, so -inf and nan survive.
+def write_trace_csv(result: CoexistResult, path: str) -> None:
+    """Per-slot log; floats via repr, so -inf and nan survive a round trip.
 
-    One pass over ``slot_chunks``: each chunk is written and its errors
-    counted before the next is drawn, so the pass holds the (slots,) int64
-    draws plus one chunk. A row is fixed by its slot, its codebook entry,
-    the entry one CSI delay earlier and its error flag, so each distinct
-    row tail is formatted once (see ``_RowTails``) and each chunk is
-    written by one ``%`` format call. The output is byte-identical to
-    formatting every row with ``repr``.
+    A row is fixed by its slot, its codebook entry, the entry one CSI delay
+    earlier and its error flag, so each distinct row tail is formatted once
+    (see ``_RowTails``) and each chunk is written by one ``%`` format call.
+    Keys and error flags are built chunk by chunk from ``config_index``.
+    The output is byte-identical to formatting every row with ``repr``.
     """
-    chunks = slot_chunks(run)
-    tails = _RowTails(run)
-    errors = 0
+    index = result.config_index
+    n = index.shape[0]
+    d = n - result.transmitting_slots
+    tails = _RowTails(result)
     with open(path, "w", newline="") as fh:
         fh.write("slot,snr_db,selected_rate,actual_capacity,error\n")
         row_format = "%d%s" * _TRACE_CHUNK_ROWS
-        for start, now, before, error in chunks:
-            key = (now * len(tails.selected) + before) * 2 + error
-            errors += int(np.count_nonzero(error))
-            rows = [None] * (2 * key.shape[0])
-            rows[0::2] = range(start, start + key.shape[0])
+        for start in range(0, n, _TRACE_CHUNK_ROWS):
+            stop = min(start + _TRACE_CHUNK_ROWS, n)
+            now, before, lost = _chunk(index, result.snr, result.snr_floor, d, start, stop)
+            key = (now * len(tails.selected) + before) * 2 + lost
+            rows = [None] * (2 * (stop - start))
+            rows[0::2] = range(start, stop)
             rows[1::2] = map(tails.__getitem__, key.tolist())
-            fh.write(row_format[: 4 * key.shape[0]] % tuple(rows))
-    tx = run.config.slots - run.config.csi_delay_slots
-    return CoexistResult(
-        bler=errors / tx,
-        error_count=errors,
-        transmitting_slots=tx,
-        ris_direct_ratio_db=run.ris_direct_ratio_db,
-    )
+            fh.write(row_format[: 4 * (stop - start)] % tuple(rows))

@@ -1,11 +1,8 @@
 """Small evaluations that only tests need, kept out of the package API."""
 
 import math
-import os
 
 import numpy as np
-
-from risplan.coexistence import simulate, slot_chunks, write_trace_csv
 
 
 def at_subcarriers(direct, count, spacing_hz):
@@ -19,28 +16,25 @@ def contrast_at(curve, f_hz):
     return float(np.interp(f_hz, curve.frequencies_hz, curve.contrast))
 
 
-def slot_columns(run):
-    """Each slot's codebook entry, delayed entry (C over the warm-up) and
-    error flag for a ``CoexistRun``, joined from ``slot_chunks``."""
-    chunks = list(slot_chunks(run))
-    return tuple(np.concatenate([chunk[k] for chunk in chunks]) for k in (1, 2, 3))
-
-
-def trace_columns(run):
-    """Per-slot SNR (dB), selected rate and capacity columns of a ``CoexistRun``.
+def trace_columns(result):
+    """Per-slot SNR (dB), selected rate and capacity columns of a ``CoexistResult``.
 
     The selected rate of slot t is the capacity of slot t - d, with d the
     CSI delay; the first d slots select none (NaN).
     """
-    now, before, _ = slot_columns(run)
-    return run.snr_db[now], np.append(run.capacity, math.nan)[before], run.capacity[now]
+    index = result.config_index
+    delay = index.shape[0] - result.transmitting_slots
+    capacity = result.capacity[index]
+    selected = np.full(index.shape[0], math.nan)
+    selected[delay:] = capacity[:-delay]
+    return result.snr_db[index], selected, capacity
 
 
-def error_slots(run):
-    """The slots of a ``CoexistRun`` whose block is lost."""
-    return tuple(np.flatnonzero(slot_columns(run)[2]).tolist())
-
-
-def coexist_result(scene, ue_point, config):
-    """The ``CoexistResult`` of one pass over the slots, trace discarded."""
-    return write_trace_csv(simulate(scene, ue_point, config), os.devnull)
+def error_slots(result):
+    """Slots of a ``CoexistResult`` whose block is lost: its SNR is below the
+    floor of the entry one CSI delay d earlier. The first d slots never err.
+    """
+    index = result.config_index
+    delay = index.shape[0] - result.transmitting_slots
+    lost = result.snr[index[delay:]] < result.snr_floor[index[:-delay]]
+    return tuple((np.flatnonzero(lost) + delay).tolist())

@@ -18,11 +18,10 @@ import pytest
 from scipy.stats import spearmanr
 
 from gain_oracle import gain, optimize_gain, point_gain_terms, response
-from helpers import coexist_result
 from peb_oracle import ml_position_rmse, observation_model, peb_point, pilot_configs
 from risplan import cli
 from risplan.beamforming import RisConfig, quantize_config, wrap_phase
-from risplan.coexistence import CoexistConfig
+from risplan.coexistence import CoexistConfig, simulate
 from risplan.influence import LABELS, classify, sweep
 from risplan.scene import DEFAULT_PHASE_LOOKUP, load_scene, parse_scene
 from risplan.secrecy import secrecy_link
@@ -455,11 +454,11 @@ class TestCoexistence:
         point = [11.0, 19.0, 1.5]
 
         # a surface that never reconfigures cannot invalidate the CSI
-        still = coexist_result(scene, point, CoexistConfig(slots=20_000, switch_probability=0.0))
+        still = simulate(scene, point, CoexistConfig(slots=20_000, switch_probability=0.0))
         assert still.bler == 0.0
 
         # next to the surface, half-rate switching must produce errors
-        near = coexist_result(scene, point, CoexistConfig(slots=100_000, switch_probability=0.5))
+        near = simulate(scene, point, CoexistConfig(slots=100_000, switch_probability=0.5))
         assert near.bler > 0.0
 
         # walking away from the surface, the error rate must track the
@@ -473,7 +472,7 @@ class TestCoexistence:
         )
         config = CoexistConfig(slots=100_000, switch_probability=0.5, codebook=book)
         ray = [[10.0 + 1.6 * k, 19.5 - 0.3 * k, 1.5] for k in range(10)]
-        rows = [coexist_result(scene, point, config) for point in ray]
+        rows = [simulate(scene, point, config) for point in ray]
         rho = spearmanr(
             [row.ris_direct_ratio_db for row in rows], [row.bler for row in rows]
         ).statistic

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from coexist_oracle import reference_summary, reference_trace
 from coexist_oracle import simulate as slot_simulate
-from helpers import coexist_result, error_slots, slot_columns, trace_columns
+from helpers import error_slots, trace_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +21,8 @@ from risplan.beamforming import RisConfig, mrc_weights
 from risplan.coexistence import (
     _TRACE_CHUNK_ROWS,
     CoexistConfig,
-    CoexistRun,
+    CoexistResult,
     simulate,
-    slot_chunks,
     write_trace_csv,
 )
 from risplan.errors import ConfigError
@@ -66,7 +65,7 @@ def bler_vs_overlap_curve(scene, ue_points, config):
         raise ConfigError("need at least one point")
     rows = []
     for p in ue_points:
-        result = coexist_result(scene, p, config)
+        result = simulate(scene, p, config)
         point = tuple(float(c) for c in p)
         rows.append(OverlapRow(point, result.ris_direct_ratio_db, result.bler))
     return tuple(rows)
@@ -134,44 +133,43 @@ class TestConfigValidation:
 
 class TestSimulate:
     def test_static_surface_never_errs(self):
-        res = coexist_result(coex_scene(), NEAR, CoexistConfig(slots=5000, switch_probability=0.0))
+        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=5000, switch_probability=0.0))
         assert res.bler == 0.0
         assert res.error_count == 0
+        assert error_slots(res) == ()
 
     def test_no_surface_never_errs(self):
         scene = coex_scene(ris=None)
-        cfg = CoexistConfig(slots=5000, switch_probability=1.0)
-        assert coexist_result(scene, NEAR, cfg).bler == 0.0
-        snr, _, _ = trace_columns(simulate(scene, NEAR, cfg))
+        res = simulate(scene, NEAR, CoexistConfig(slots=5000, switch_probability=1.0))
+        assert res.bler == 0.0
+        snr, _, _ = trace_columns(res)
         assert np.all(np.diff(snr) == 0.0)
 
     def test_far_point_never_errs(self):
-        res = coexist_result(coex_scene(), FAR, CoexistConfig(slots=5000, switch_probability=1.0))
+        res = simulate(coex_scene(), FAR, CoexistConfig(slots=5000, switch_probability=1.0))
         assert res.bler == 0.0
 
     def test_near_point_errs_under_switching(self):
-        res = coexist_result(coex_scene(), NEAR, CoexistConfig(slots=2000, switch_probability=0.5))
+        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=2000, switch_probability=0.5))
         assert res.bler > 0.0
 
     def test_more_switching_more_errors(self):
         scene = coex_scene()
-        busy = coexist_result(scene, NEAR, CoexistConfig(slots=100_000, switch_probability=0.5))
-        calm = coexist_result(scene, NEAR, CoexistConfig(slots=100_000, switch_probability=0.05))
+        busy = simulate(scene, NEAR, CoexistConfig(slots=100_000, switch_probability=0.5))
+        calm = simulate(scene, NEAR, CoexistConfig(slots=100_000, switch_probability=0.05))
         assert busy.bler >= calm.bler
         assert calm.bler > 0.0
 
     def test_bler_definition(self):
-        run = simulate(
+        res = simulate(
             coex_scene(), NEAR, CoexistConfig(slots=3000, switch_probability=0.4,
                                               csi_delay_slots=3)
         )
-        res = write_trace_csv(run, os.devnull)
-        errors = error_slots(run)
         assert res.transmitting_slots == 2997
-        assert res.error_count == len(errors)
-        assert res.bler == len(errors) / 2997
+        assert res.error_count == len(error_slots(res))
+        assert res.bler == len(error_slots(res)) / 2997
         assert 0.0 <= res.bler <= 1.0
-        assert all(t >= 3 for t in errors)
+        assert all(t >= 3 for t in error_slots(res))
 
     def test_deterministic_in_seed(self):
         scene = coex_scene()
@@ -200,12 +198,11 @@ class TestSimulate:
             CoexistConfig(slots=slots, switch_probability=1.0, csi_delay_slots=delay)
 
     def test_one_transmitting_slot(self):
-        run = simulate(coex_scene(), NEAR, CoexistConfig(slots=6, switch_probability=1.0,
+        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=6, switch_probability=1.0,
                                                          csi_delay_slots=5))
-        res = write_trace_csv(run, os.devnull)
         assert res.transmitting_slots == 1
         assert res.bler in (0.0, 1.0)
-        _, selected, _ = trace_columns(run)
+        _, selected, _ = trace_columns(res)
         assert np.all(np.isnan(selected[:5]))
         assert np.isfinite(selected[5])
 
@@ -229,7 +226,7 @@ class TestSimulate:
         scene = coex_scene()
         cfg = CoexistConfig(slots=400, switch_probability=0.7, seed=11,
                             snr_margin_db=0.1)
-        run = simulate(scene, NEAR, cfg)
+        res = simulate(scene, NEAR, cfg)
 
         from risplan.beamforming import default_codebook
 
@@ -259,7 +256,8 @@ class TestSimulate:
             for t in range(1, 400)
             if snr[t] < snr[t - 1] * 10.0 ** (-0.1 / 10.0)
         ]
-        assert list(error_slots(run)) == errors
+        assert list(error_slots(res)) == errors
+        assert res.error_count == len(errors)
 
 
 class TestOverlapCurve:
@@ -314,19 +312,19 @@ class TestOverlapCurve:
 
 class TestCsvWriters:
     def test_trace_layout(self, tmp_path):
-        run = simulate(coex_scene(), NEAR, CoexistConfig(slots=50, switch_probability=0.5))
+        res = simulate(coex_scene(), NEAR, CoexistConfig(slots=50, switch_probability=0.5))
         path = tmp_path / "trace.csv"
-        res = write_trace_csv(run, path)
+        write_trace_csv(res, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "slot,snr_db,selected_rate,actual_capacity,error"
         assert len(lines) == 51
         flagged = {
             int(line.split(",")[0]) for line in lines[1:] if line.split(",")[4] == "1"
         }
-        assert flagged == set(error_slots(run))
+        assert flagged == set(error_slots(res))
         assert res.error_count == len(flagged)
         first = lines[1].split(",")
-        assert float(first[1]) == trace_columns(run)[0][0]
+        assert float(first[1]) == trace_columns(res)[0][0]
         assert math.isnan(float(first[2]))
 
     def test_curve_formats_minus_inf(self, tmp_path):
@@ -342,13 +340,11 @@ class TestCsvWriters:
 
     def test_trace_reruns_byte_identical(self, tmp_path):
         scene = coex_scene()
-        cfg = CoexistConfig(slots=20_000, switch_probability=0.5)
-        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        cfg = CoexistConfig(slots=200, switch_probability=0.5)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trace_csv(simulate(scene, NEAR, cfg), a)
-        run = simulate(scene, NEAR, cfg)
-        # a pass leaves its run as it found it
-        assert write_trace_csv(run, b) == write_trace_csv(run, c)
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        write_trace_csv(simulate(scene, NEAR, cfg), b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestTraceWriterOracle:
@@ -365,10 +361,10 @@ class TestTraceWriterOracle:
         ids=["default", "csi_delay_3", "warmup_then_one_slot", "no_surface"],
     )
     def test_simulated_trace(self, tmp_path, scene_kwargs, config):
-        run = simulate(coex_scene(**scene_kwargs), NEAR, config)
+        res = simulate(coex_scene(**scene_kwargs), NEAR, config)
         path = tmp_path / "trace.csv"
-        write_trace_csv(run, path)
-        assert path.read_bytes() == reference_trace(*trace_columns(run), error_slots(run))
+        write_trace_csv(res, path)
+        assert path.read_bytes() == reference_trace(*trace_columns(res), error_slots(res))
 
     def test_signed_zeros_and_non_finite_across_chunks(self, tmp_path):
         # per-entry tables of signed zeros, both NaN sign bits, infinities and
@@ -380,35 +376,48 @@ class TestTraceWriterOracle:
         entries = 9
         snr_db, cap = (pool[rng.integers(0, pool.size, entries)] for _ in range(2))
         snr_db[:3], cap[:3] = (0.0, -0.0, -np.inf), (-0.0, 0.0, np.nan)
-        run = CoexistRun(
-            config=CoexistConfig(slots=n, switch_probability=0.5, seed=5),
-            snr=rng.random(entries),
+        index = rng.integers(0, entries, n)
+        index[:3] = (0, 0, 1)
+        # the strict rule on a random linear SNR table; entry 1 is below 0
+        snr = rng.random(entries)
+        snr[:2] = (1.0, 0.5)
+        res = CoexistResult(
+            bler=0.0,
+            error_count=0,
+            config_index=index,
+            snr=snr,
+            snr_floor=np.append(snr, -np.inf),
             snr_db=snr_db,
             capacity=cap,
+            transmitting_slots=n - 1,
             ris_direct_ratio_db=-math.inf,
         )
         path = tmp_path / "trace.csv"
-        write_trace_csv(run, path)
-        now, before, errors = slot_columns(run)
-        assert set(now.tolist()) == set(range(entries)) and 0 < errors.sum() < n
-        expected = reference_trace(*trace_columns(run), error_slots(run))
+        write_trace_csv(res, path)
+        errors = error_slots(res)
+        assert 0 < len(errors) < n - 1
+        expected = reference_trace(*trace_columns(res), errors)
         assert path.read_bytes() == expected
-        assert b",0.0,-0.0," in expected and b",-0.0,0.0," in expected
+        assert b"\n1,0.0,-0.0,-0.0,0\n" in expected
+        assert b"\n2,-0.0,-0.0,0.0,1\n" in expected
         assert b",-inf," in expected and b",nan," in expected
+
 
 
 def assert_matches_slot_oracle(scene, ue_point, config, path):
     oracle = slot_simulate(scene, ue_point, config)
-    res = write_trace_csv(simulate(scene, ue_point, config), path)
+    res = simulate(scene, ue_point, config)
+    write_trace_csv(res, path)
     columns = (oracle.snr_trace_db, oracle.selected_rate_bps_hz, oracle.capacity_bps_hz)
     assert path.read_bytes() == reference_trace(*columns, oracle.error_slots)
-    assert res.error_count == len(oracle.error_slots)
-    assert (res.bler, res.transmitting_slots, res.ris_direct_ratio_db) == (
-        oracle.bler, oracle.transmitting_slots, oracle.ris_direct_ratio_db)
+    assert error_slots(res) == oracle.error_slots
+    assert (res.error_count, res.bler, res.transmitting_slots, res.ris_direct_ratio_db) == (
+        len(oracle.error_slots), oracle.bler, oracle.transmitting_slots,
+        oracle.ris_direct_ratio_db)
 
 
 class TestChunkBoundaries:
-    """The pass carries each slot's entry across chunks, byte for byte."""
+    """The chunked recursion carries each slot's entry across chunks, byte for byte."""
 
     @pytest.mark.parametrize("slots, delay", [
         (30_000, 9000),
@@ -429,35 +438,38 @@ class TestChunkBoundaries:
         assert_matches_slot_oracle(coex_scene(), NEAR, config, tmp_path / "trace.csv")
 
 
-def drain(chunks):
-    for _ in chunks:
-        pass
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-@pytest.mark.parametrize("consume, small, large", [
-    (lambda run: drain(slot_chunks(run)), 50_000, 400_000),
-    # tracemalloc sees every Python object the formatting makes, which costs
-    # about 4 us a row, so the writer is run at smaller sizes
-    (lambda run: write_trace_csv(run, os.devnull), 20_000, 100_000),
-], ids=["slot_chunks", "write_trace_csv"])
-def test_pass_memory_grows_by_the_draws_alone(consume, small, large):
-    # the (slots,) int64 draws are the only allocation that grows with the
-    # slot count; every per-slot array of a chunk is dropped once it is used
+def switching(slots):
+    return CoexistConfig(slots=slots, switch_probability=0.5)
+
+
+def test_simulate_memory_grows_by_the_entries_alone():
+    # the (slots,) int64 entries are the only allocation that grows with the
+    # slot count; every other per-slot array lives for one chunk
     scene = coex_scene()
+    traced_peak(lambda: simulate(scene, NEAR, switching(2)))  # lazy imports land here
+    small = traced_peak(lambda: simulate(scene, NEAR, switching(50_000)))
+    large = traced_peak(lambda: simulate(scene, NEAR, switching(400_000)))
+    assert large - small <= 8 * 350_000 + 500_000
 
-    def traced_peak(slots):
-        run = simulate(scene, NEAR, CoexistConfig(slots=slots, switch_probability=0.5))
-        tracemalloc.start()
-        try:
-            consume(run)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    traced_peak(2)  # lazy imports (numpy.random) land outside the measured runs
-    small_peak = traced_peak(small)
-    assert traced_peak(large) - small_peak <= 8 * (large - small) + 500_000
-
+def test_trace_writer_memory_stays_one_chunk():
+    # tracemalloc sees every Python object the formatting makes, which costs
+    # about 4 us a row, so the writer runs at smaller sizes
+    scene = coex_scene()
+    small, large = (simulate(scene, NEAR, switching(n)) for n in (20_000, 100_000))
+    traced_peak(lambda: write_trace_csv(small, os.devnull))
+    growth = (traced_peak(lambda: write_trace_csv(large, os.devnull))
+              - traced_peak(lambda: write_trace_csv(small, os.devnull)))
+    assert growth <= 500_000
 
 CHUNK_EDGES = st.builds(
     lambda k, offset: k * _TRACE_CHUNK_ROWS + offset, st.integers(1, 2), st.integers(-2, 2)
@@ -496,11 +508,12 @@ def test_cli_files_match_slot_oracle(run):
                            csi_delay_slots=run["delay"], snr_margin_db=run["margin_db"],
                            seed=run["seed"])
     oracle = slot_simulate(scene, run["ue"], config)
-    slots = simulate(scene, run["ue"], config)
+    res = simulate(scene, run["ue"], config)
     columns = (oracle.snr_trace_db, oracle.selected_rate_bps_hz, oracle.capacity_bps_hz)
-    for got, want in zip(trace_columns(slots), columns):
+    for got, want in zip(trace_columns(res), columns):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert error_slots(slots) == oracle.error_slots
+    assert error_slots(res) == oracle.error_slots
+    assert res.error_count == len(oracle.error_slots)
 
     with tempfile.TemporaryDirectory() as tmp:
         scene_path = pathlib.Path(tmp) / "scene.json"
