@@ -28,30 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import RunError
 from .propagation import DirectChannel, RisChannel
 from .scene import Scene
-
-
-@dataclass(frozen=True)
-class RisConfig:
-    """One surface setting: per-element phases, or dark (absorbing).
-
-    An inactive config models the surface's contribution removed entirely
-    (matched absorption): its element response is zero, which is also how
-    "no surface deployed" enters every with/without comparison.
-    """
-
-    phases_rad: tuple[float, ...]
-    active: bool = True
-
-    @classmethod
-    def uniform(cls, count: int, phase: float = 0.0) -> "RisConfig":
-        return cls(phases_rad=(phase,) * count)
-
-    @classmethod
-    def off(cls, count: int) -> "RisConfig":
-        return cls(phases_rad=(0.0,) * count, active=False)
 
 
 def wrap_phase(x):
@@ -66,12 +44,6 @@ def quantize_indices(phases_rad, lookup_rad) -> np.ndarray:
     lookup = np.asarray(lookup_rad, dtype=float)
     dist = np.abs(wrap_phase(phases[..., None] - lookup))
     return np.argmin(dist, axis=-1)
-
-
-def quantize_config(phases_rad, lookup_rad) -> RisConfig:
-    lookup = np.asarray(lookup_rad, dtype=float)
-    idx = quantize_indices(phases_rad, lookup)
-    return RisConfig(phases_rad=tuple(float(p) for p in lookup[idx]))
 
 
 def mrc_weights(h: np.ndarray) -> np.ndarray:
@@ -109,9 +81,8 @@ class GainTerms:
 
 
 def direct_gain(direct: DirectChannel):
-    """Direct-only post-combining gain ||h||^2: float, or (n,) for a batch."""
-    c0 = np.sum(np.abs(direct.gains) ** 2, axis=-1)
-    return float(c0) if c0.ndim == 0 else c0
+    """Direct-only post-combining gain ||h||^2: (n,) for a batch, 0-d for one point."""
+    return np.sum(np.abs(direct.gains) ** 2, axis=-1)
 
 
 def gain_terms(
@@ -191,31 +162,21 @@ def optimize_gains(
 # codebooks
 # ---------------------------------------------------------------------------
 
-def steering_config(scene: Scene, angle_rad: float) -> RisConfig:
-    """Quantized plane-wave beam of the surface toward a broadside angle."""
-    if scene.ris is None:
-        raise RunError("scene has no surface")
-    m = scene.ris.element_count
-    offsets = (np.arange(m) - (m - 1) / 2.0) * scene.ris_spacing_m()
-    phases = -2.0 * math.pi * offsets * math.sin(angle_rad) / scene.wavelength_m
-    return quantize_config(wrap_phase(phases), scene.ris.phase_lookup_rad)
+def default_codebook(scene: Scene) -> np.ndarray:
+    """(C, M) element responses: dark, specular, then a fan of quantized beams.
 
-
-def default_codebook(scene: Scene) -> tuple[RisConfig, ...]:
-    """Dark entry, specular all-zero entry, then a fan of quantized beams.
-
-    The dark (absorbing) entry guarantees a sweep can never do worse than
-    no surface at all; the fan spans +-75 degrees off broadside.
+    Row 0 is the dark (absorbing) entry, all zeros, so a sweep can never do
+    worse than no surface at all; row 1 is the specular entry, all ones. The
+    fan spans +-75 degrees off broadside, each phase snapped to the lookup.
     """
-    if scene.ris is None:
-        raise RunError("scene has no surface")
     m = scene.ris.element_count
-    entries = [RisConfig.off(m), RisConfig.uniform(m)]
     k = scene.ris.codebook_directions
     limit = math.radians(75.0)
-    if k == 1:
-        angles = [0.0]
-    else:
-        angles = list(np.linspace(-limit, limit, k))
-    entries.extend(steering_config(scene, a) for a in angles)
-    return tuple(entries)
+    angles = [0.0] if k == 1 else np.linspace(-limit, limit, k).tolist()
+    # math.sin, not np.sin: numpy's vector sine may round differently
+    sines = np.array([math.sin(a) for a in angles])
+    offsets = (np.arange(m) - (m - 1) / 2.0) * scene.ris_spacing_m()
+    phases = -2.0 * math.pi * offsets * sines[:, None] / scene.wavelength_m
+    lookup = np.asarray(scene.ris.phase_lookup_rad, dtype=float)
+    beams = np.exp(1j * lookup[quantize_indices(wrap_phase(phases), lookup)])
+    return np.concatenate([np.zeros((1, m)), np.ones((1, m)), beams])

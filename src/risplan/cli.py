@@ -55,10 +55,15 @@ class _OutDir:
         self.directory = directory
         self.force = force
         self.entries: list[tuple[str, str]] = []
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {directory}: {exc.strerror}") from None
 
     def reserve(self, name: str) -> str:
         path = os.path.join(self.directory, name)
+        if os.path.isdir(path):
+            raise ConfigError(f"{path} is a directory")
         if os.path.exists(path) and not self.force:
             raise ConfigError(f"{path} exists; pass --force to overwrite")
         return path
@@ -173,11 +178,11 @@ def cmd_aoi(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     scene = _apply_seed(load_scene(args.scene), args.seed)
-    out = _OutDir(args.out_dir, args.force)
     base = os.path.splitext(os.path.basename(args.scene))[0]
 
     without, with_ = sweep(scene, args.metric)
     imap = classify(without, with_, scene.thresholds)
+    out = _OutDir(args.out_dir, args.force)
 
     export_csv(without, out.path(field_filename(base, args.metric, "without", "csv")))
     export_ppm(without, out.path(field_filename(base, args.metric, "without", "ppm")))
@@ -216,10 +221,10 @@ def cmd_coexist(args: argparse.Namespace) -> int:
         snr_margin_db=args.margin_db,
         seed=scene.seed,
     )
-    out = _OutDir(args.out, args.force)
     base = os.path.splitext(os.path.basename(args.scene))[0]
 
     result = simulate(scene, ue, config)
+    out = _OutDir(args.out, args.force)
     write_trace_csv(result, out.path(f"{base}_coexist_trace.csv"))
     summary_path = out.path(f"{base}_coexist_summary.csv")
     with open(summary_path, "w", newline="") as fh:

@@ -10,6 +10,8 @@ overshoots what the channel now carries and the block is lost.
 The victim combines with maximum-ratio weights matched to the direct
 channel only: it has no way to sound a surface it does not control.
 Rate adaptation is idealized Shannon-with-gap.
+The victim link is the grid maps' channel layer on a one-point batch; the
+surface draws from ``default_codebook``, one (C, M) array of responses.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import RisConfig, default_codebook, mrc_weights
-from .errors import ConfigError, RunError
+from .beamforming import default_codebook, mrc_weights
+from .errors import CoincidentNodeError, ConfigError, RunError
 from .kernels import forward_fill
-from .linkmetrics import serving_bs
+from .linkmetrics import serving_bs, station_legs
 from .propagation import (
-    cascade,
+    bs_leg,
     db_to_linear,
     dbm_to_watts,
-    direct_channel,
-    ris_channel,
+    direct_channels,
+    require_apart,
+    ris_channels,
+    surface_legs,
 )
 from .scene import Scene
 from .seeding import derived_rng
@@ -55,7 +59,6 @@ class CoexistConfig:
     csi_delay_slots: int = 1
     mcs_gap_db: float = 3.0
     snr_margin_db: float = 0.1
-    codebook: tuple[RisConfig, ...] | None = None
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -72,11 +75,6 @@ class CoexistConfig:
             raise ConfigError("mcs_gap_db must be finite and >= 0")
         if not (math.isfinite(self.snr_margin_db) and self.snr_margin_db >= 0.0):
             raise ConfigError("snr_margin_db must be finite and >= 0")
-        if self.codebook is not None:
-            book = tuple(self.codebook)
-            if not book:
-                raise ConfigError("codebook must not be empty")
-            object.__setattr__(self, "codebook", book)
 
 
 @dataclass(frozen=True)
@@ -103,31 +101,38 @@ class CoexistResult:
 def _victim_link(scene: Scene, ue_point):
     """The victim's serving link after direct-matched combining.
 
-    Returns the combined direct amplitude, the cascade channel of the
-    serving station (None without a surface) and the combining weights'
-    gain on that station's steering toward the surface.
+    Returns the combined direct amplitude, the (M,) cascade hop products of
+    the gain engine's serving station (None without a surface) and the
+    combining weights' gain on that station's steering toward the surface.
+    With no usable station, station 0's coincidence is the error.
     """
-    bs_index = serving_bs(scene, ue_point)
-    direct = direct_channel(scene, bs_index, ue_point)
-    w = mrc_weights(direct.gains)
-    base = complex(np.vdot(w, direct.gains))
+    point = np.asarray(ue_point, dtype=float)[None, :]
+    directs = [direct_channels(scene, i, point) for i in range(len(scene.bs))]
+    bs_index = max(int(serving_bs(scene, directs, station_legs(scene))[0]), 0)
+    direct = directs[bs_index]
+    if direct.distance_m[0] == 0.0:
+        raise CoincidentNodeError(
+            f"point coincides with the base station at {scene.bs[bs_index].position_m}"
+        )
+    w = mrc_weights(direct.gains[0])
+    base = complex(np.vdot(w, direct.gains[0]))
     if scene.ris is None:
         return base, None, 0j
-    ch = ris_channel(scene, bs_index, ue_point)
-    return base, ch, complex(np.vdot(w, ch.bs_steering))
+    leg = bs_leg(scene, bs_index)  # raises when the station's leg is degenerate
+    point_gains, point_dists = surface_legs(scene, point)
+    require_apart(point_dists[0], point[0].tolist())
+    hops = ris_channels(scene, leg, point_gains, point_dists).hop_products[0]
+    return base, hops, complex(np.vdot(w, leg.steering))
 
 
-def _combined_amplitudes(scene: Scene, link, config: CoexistConfig) -> np.ndarray:
-    """Post-combining channel amplitude for each codebook entry."""
-    base, ch, steer_gain = link
-    if ch is None:
+def _combined_amplitudes(scene: Scene, link) -> np.ndarray:
+    """Post-combining channel amplitude for each entry of the default codebook."""
+    base, hops, steer_gain = link
+    if hops is None:
         return np.array([base])
-    book = config.codebook if config.codebook is not None else default_codebook(scene)
-    out = np.empty(len(book), dtype=np.complex128)
-    for c, entry in enumerate(book):
-        ripple = cascade(ch, entry.phases_rad) if entry.active else 0.0
-        out[c] = base + ripple * steer_gain
-    return out
+    ripples = np.sum(hops * default_codebook(scene), axis=-1)
+    # Python complex products: numpy's vector multiply rounds some differently
+    return np.array([base + ripple * steer_gain for ripple in ripples.tolist()])
 
 
 def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
@@ -143,7 +148,7 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     in place by the entries, are the only per-slot array.
     """
     link = _victim_link(scene, ue_point)
-    amps = _combined_amplitudes(scene, link, config)
+    amps = _combined_amplitudes(scene, link)
     power_w = dbm_to_watts(scene.link_budget.max_tx_power_dbm)
     noise_w = dbm_to_watts(scene.noise_power_dbm)
     snr = power_w * np.abs(amps) ** 2 / noise_w
@@ -213,10 +218,10 @@ def _ratio_db(link) -> float:
     aligned), which bounds how far any configuration can move the combined
     channel; -inf when the scene has no surface.
     """
-    base, ch, steer_gain = link
-    if ch is None:
+    base, hops, steer_gain = link
+    if hops is None:
         return -math.inf
-    ripple = float(np.sum(np.abs(ch.hop_products))) * abs(steer_gain)
+    ripple = float(np.sum(np.abs(hops))) * abs(steer_gain)
     if ripple == 0.0:
         return -math.inf
     return 20.0 * math.log10(ripple / abs(base))

@@ -45,7 +45,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, RunError
+from .errors import ConfigError
 from .linkmetrics import gain_pairs, se_pairs, tx_power_pairs
 from .localization import peb_pairs
 from .scene import Grid, METRIC_IDS, Scene, Thresholds
@@ -124,7 +124,6 @@ class _Metric:
 
     higher_better: bool
     pairs: Callable[[Scene, np.ndarray], np.ndarray]
-    needs_eve: bool = False
 
 
 METRICS: dict[str, _Metric] = {
@@ -132,7 +131,7 @@ METRICS: dict[str, _Metric] = {
     "tx_power_dbm": _Metric(higher_better=False, pairs=tx_power_pairs),
     "se_bps_hz": _Metric(higher_better=True, pairs=se_pairs),
     "peb_m": _Metric(higher_better=False, pairs=peb_pairs),
-    "sse_bps_hz": _Metric(higher_better=True, pairs=sse_pairs, needs_eve=True),
+    "sse_bps_hz": _Metric(higher_better=True, pairs=sse_pairs),
 }
 
 assert set(METRICS) == set(METRIC_IDS)
@@ -162,8 +161,6 @@ def sweep(scene: Scene, metric_id: str) -> tuple[MetricField, MetricField]:
     station left.
     """
     metric = _require_metric(metric_id)
-    if metric.needs_eve and scene.eve is None:
-        raise RunError("secrecy metrics need an eavesdropper in the scene")
     without, with_ = metric.pairs(scene, scene.grid.points())
     return (
         MetricField(scene.grid, metric_id, "without", without),

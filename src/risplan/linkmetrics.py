@@ -13,6 +13,7 @@ legs once per block, and the quadratic-form ascent over all points of a
 block served by the same station. It and the two maps derived from it
 return one ``(2, n)`` array: row 0 without the surface, row 1 with it.
 ``gain_pair``, ``tx_power_pair`` and ``se_pair`` are one-row views of it.
+``coexistence`` picks the victim's station with the same :func:`serving_bs`.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _cell_block(scene: Scene) -> int:
     return max(1, _BLOCK_BYTES // (16 * m * m))
 
 
-def _station_legs(scene: Scene) -> list:
+def station_legs(scene: Scene) -> list:
     """Each station's surface leg, None where the station sits on the surface."""
     if scene.ris is None:
         return [None] * len(scene.bs)
@@ -119,11 +120,13 @@ def _station_legs(scene: Scene) -> list:
     return legs
 
 
-def _serving(scene: Scene, directs: list[DirectChannel], legs: list) -> np.ndarray:
+def serving_bs(scene: Scene, directs: list[DirectChannel], legs: list) -> np.ndarray:
     """Serving station per point by strongest direct link (c0), -1 for none.
 
-    Ties go to the lowest index. A station the point coincides with, or
-    whose surface leg is degenerate, drops out of the choice.
+    ``directs`` are the stations' channels at the points. Ties go to the
+    lowest index. A station the point coincides with, or whose surface leg
+    is degenerate, drops out. The surface is left out on purpose: a UE
+    picks its cell from reference signals, before any surface optimization.
     """
     c0 = np.stack([direct_gain(d) for d in directs])
     usable = np.stack([d.distance_m > 0.0 for d in directs])
@@ -137,7 +140,7 @@ def _serving(scene: Scene, directs: list[DirectChannel], legs: list) -> np.ndarr
 def _gain_block(scene: Scene, points: np.ndarray, legs: list) -> np.ndarray:
     """(2, n) linear without and with gains at the serving station of each point."""
     directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
-    serving = _serving(scene, directs, legs)
+    serving = serving_bs(scene, directs, legs)
     gains = np.full((2, len(points)), math.nan)
     if scene.ris is not None:
         point_gains, point_dists = surface_legs(scene, points)
@@ -175,7 +178,7 @@ def gain_pairs(scene: Scene, points) -> np.ndarray:
     surface element, reads NaN in both rows.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    legs = _station_legs(scene)
+    legs = station_legs(scene)
     block = _cell_block(scene)
     gains = np.empty((2, len(points)))
     for start in range(0, len(points), block):
@@ -192,19 +195,6 @@ def se_pairs(scene: Scene, points) -> np.ndarray:
     return _per_value(
         lambda g: spectral_efficiency_from_gain(g, budget), gain_pairs(scene, points)
     )
-
-
-def serving_bs(scene: Scene, point) -> int:
-    """Association by strongest direct link; ties go to the lowest index.
-
-    The surface is excluded on purpose: a UE picks its cell from ordinary
-    reference signals, before any surface optimization happens for it.
-    One-row view of the engine's choice; a point with no usable station
-    gets station 0.
-    """
-    points = np.asarray(point, dtype=float)[None, :]
-    directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
-    return max(int(_serving(scene, directs, _station_legs(scene))[0]), 0)
 
 
 def gain_pair(scene: Scene, point) -> tuple[float, float]:

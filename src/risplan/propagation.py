@@ -146,21 +146,16 @@ def ray_amplitudes(scene: Scene, a, b) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DirectChannel:
-    """Far-field view of one base station array from one point, or from many.
+    """Far-field view of one base station array from a batch of points.
 
     All antennas share one delay; gains fold amplitude, wall factor,
-    carrier phase and the plane-wave steering phasor. A batch over points
-    (from :func:`direct_channels`) carries a leading point axis on every
-    field.
+    carrier phase and the plane-wave steering phasor. Every field carries
+    the leading point axis of :func:`direct_channels`; one-point views drop it.
     """
 
-    gains: np.ndarray  # (A,) or (n, A) complex
-    delay_s: float | np.ndarray  # scalar or (n,)
-    distance_m: float | np.ndarray  # scalar or (n,)
-
-    @property
-    def antenna_count(self) -> int:
-        return self.gains.shape[-1]
+    gains: np.ndarray  # (n, A) or (A,) complex
+    delay_s: float | np.ndarray  # (n,) or scalar
+    distance_m: float | np.ndarray  # (n,) or scalar
 
 
 @dataclass(frozen=True)
@@ -170,8 +165,8 @@ class RisChannel:
     ``bs_to_elements[m]`` and ``elements_to_point[m]`` are the two Friis
     legs with exact per-element distances (near-field: no plane-wave
     shortcut across the aperture). ``bs_steering`` extends the cascade to
-    a multi-antenna base station: the full per-antenna cascade is
-    ``cascade(ch, phases) * bs_steering``. A batch over points carries a
+    a multi-antenna base station: the per-antenna cascade is
+    ``(hop_products @ response) * bs_steering``. A batch over points carries a
     leading point axis on the point-side fields; the base-station leg is
     shared by every point.
     """
@@ -183,10 +178,6 @@ class RisChannel:
     element_to_point_m: np.ndarray  # (M,) or (n, M) second-leg distances
     bs_steering: np.ndarray  # (A,) unit-magnitude phasors toward the surface
     efficiency: float
-
-    @property
-    def element_count(self) -> int:
-        return self.bs_to_elements.shape[0]
 
     @property
     def hop_products(self) -> np.ndarray:
@@ -229,20 +220,6 @@ def direct_channels(scene: Scene, bs_index: int, points) -> DirectChannel:
     return DirectChannel(gains=gains, delay_s=dist / C_LIGHT_M_S, distance_m=dist)
 
 
-def direct_channel(scene: Scene, bs_index: int, point) -> DirectChannel:
-    """One-point view of :func:`direct_channels`."""
-    batch = direct_channels(scene, bs_index, np.asarray(point, dtype=float)[None, :])
-    if batch.distance_m[0] == 0.0:
-        raise CoincidentNodeError(
-            f"point coincides with the base station at {scene.bs[bs_index].position_m}"
-        )
-    return DirectChannel(
-        gains=batch.gains[0],
-        delay_s=float(batch.delay_s[0]),
-        distance_m=float(batch.distance_m[0]),
-    )
-
-
 def _legs(scene: Scene, elems: np.ndarray, endpoints: np.ndarray):
     amps, dists = ray_amplitudes(scene, elems[None, :, :], endpoints[:, None, :])
     with np.errstate(invalid="ignore"):
@@ -275,7 +252,7 @@ def bs_leg(scene: Scene, bs_index: int) -> BsLeg:
     elems = surface_element_positions(scene)
     bs = scene.bs[bs_index]
     gains, dists = _legs(scene, elems, np.asarray(bs.position_m, dtype=float)[None, :])
-    _require_apart(dists[0], bs.position_m)
+    require_apart(dists[0], bs.position_m)
     steering = _steering(scene, bs, scene.ris.position_m)
     if np.isnan(steering[0]):
         raise CoincidentNodeError(
@@ -284,7 +261,8 @@ def bs_leg(scene: Scene, bs_index: int) -> BsLeg:
     return BsLeg(gains=gains[0], distances_m=dists[0], steering=steering, element_positions_m=elems)
 
 
-def _require_apart(dists: np.ndarray, endpoint) -> None:
+def require_apart(dists: np.ndarray, endpoint) -> None:
+    """Raise when an endpoint sits on a surface element: some leg distance is 0."""
     if np.any(dists == 0.0):
         m = int(np.argmin(dists))
         raise CoincidentNodeError(
@@ -305,22 +283,3 @@ def ris_channels(
         bs_steering=leg.steering,
         efficiency=scene.ris.element_efficiency,
     )
-
-
-def ris_channel(scene: Scene, bs_index: int, point) -> RisChannel:
-    """One-point cascade channel; raises when the point sits on an element."""
-    leg = bs_leg(scene, bs_index)
-    point = np.asarray(point, dtype=float)
-    gains, dists = _legs(scene, leg.element_positions_m, point[None, :])
-    _require_apart(dists[0], point.tolist())
-    return ris_channels(scene, leg, gains[0], dists[0])
-
-
-def cascade(ris_ch: RisChannel, phases) -> complex:
-    """Scalar cascade sum_m hop_m exp(j phi_m); linear in every hop."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (ris_ch.element_count,):
-        raise ValueError(
-            f"expected {ris_ch.element_count} phases, got shape {phases.shape}"
-        )
-    return complex(np.sum(ris_ch.hop_products * np.exp(1j * phases)))

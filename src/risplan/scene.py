@@ -211,8 +211,6 @@ class Scene:
 
     def nearest_bs_to_ris(self) -> int:
         """Index of the base station closest to the surface (ties: lowest index)."""
-        if self.ris is None:
-            raise SceneError("ris", "scene has no surface")
         rp = np.array(self.ris.position_m)
         dists = [float(np.linalg.norm(np.array(b.position_m) - rp)) for b in self.bs]
         return int(np.argmin(dists))

@@ -215,8 +215,11 @@ def _warn_if_active(record: StateRecord):
 
 
 def read_touchstone(path, state_id: str | None = None) -> StateRecord:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise TouchstoneError(f"{path}: {exc.strerror}") from None
     if state_id is None:
         state_id = os.path.splitext(os.path.basename(path))[0]
     try:

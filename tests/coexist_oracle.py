@@ -1,10 +1,16 @@
 """The per-slot coexistence simulator and per-row trace formatter, kept as oracles.
 
-``simulate`` evaluates ``log10`` and ``log2`` on every slot and carries
-three per-slot float columns; ``reference_trace`` formats each trace row
-with ``repr``; ``reference_summary`` is the summary line of
-``risplan coexist``. ``risplan.coexistence`` works from one SNR and
-capacity per codebook entry and must reproduce these bytes exactly.
+``simulate`` builds the victim link from the one-point channel views of
+``gain_oracle``, sums the cascade entry by entry over a tuple of
+:class:`~gain_oracle.RisConfig` codebook entries, evaluates ``log10`` and
+``log2`` on every slot and carries three per-slot float columns;
+``reference_trace`` formats each trace row with ``repr``;
+``reference_summary`` is the summary line of ``risplan coexist``.
+``risplan.coexistence`` works from one (C, M) response array and one SNR
+and capacity per codebook entry and must reproduce these bytes exactly.
+
+``neighbour_codebook`` is a random-phase codebook: the neighbour serving
+its own moving users rather than sweeping beams.
 """
 
 import math
@@ -12,10 +18,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from risplan.coexistence import _combined_amplitudes, _ratio_db, _victim_link
+from gain_oracle import RisConfig, cascade, codebook, direct_channel, ris_channel, serving_station
+from risplan.beamforming import mrc_weights
 from risplan.kernels import forward_fill
 from risplan.propagation import db_to_linear, dbm_to_watts
 from risplan.seeding import derived_rng
+
+
+def neighbour_codebook(scene, entries: int = 16, seed: int = 1) -> tuple[RisConfig, ...]:
+    """``entries`` configurations of uniform random phases, one stream."""
+    rng = derived_rng(seed, "coexist-codebook")
+    m = scene.ris.element_count
+    return tuple(
+        RisConfig(phases_rad=tuple(float(p) for p in rng.uniform(-np.pi, np.pi, m)))
+        for _ in range(entries)
+    )
+
+
+def victim_link(scene, ue_point):
+    """(combined direct amplitude, cascade channel or None, steering gain)."""
+    bs_index = serving_station(scene, ue_point)
+    direct = direct_channel(scene, bs_index, ue_point)
+    w = mrc_weights(direct.gains)
+    base = complex(np.vdot(w, direct.gains))
+    if scene.ris is None:
+        return base, None, 0j
+    ch = ris_channel(scene, bs_index, ue_point)
+    return base, ch, complex(np.vdot(w, ch.bs_steering))
+
+
+def combined_amplitudes(link, book) -> np.ndarray:
+    """Post-combining channel amplitude for each codebook entry, one at a time."""
+    base, ch, steer_gain = link
+    if ch is None:
+        return np.array([base])
+    out = np.empty(len(book), dtype=np.complex128)
+    for c, entry in enumerate(book):
+        ripple = cascade(ch, entry.phases_rad) if entry.active else 0.0
+        out[c] = base + ripple * steer_gain
+    return out
+
+
+def ratio_db(link) -> float:
+    """Coherent surface ripple over the combined direct amplitude, in dB."""
+    base, ch, steer_gain = link
+    if ch is None:
+        return -math.inf
+    ripple = float(np.sum(np.abs(ch.hop_products))) * abs(steer_gain)
+    if ripple == 0.0:
+        return -math.inf
+    return 20.0 * math.log10(ripple / abs(base))
 
 
 @dataclass(frozen=True)
@@ -29,10 +81,15 @@ class SlotTrace:
     ris_direct_ratio_db: float
 
 
-def simulate(scene, ue_point, config) -> SlotTrace:
-    """The slot recursion with every quantity held per slot."""
-    link = _victim_link(scene, ue_point)
-    amps = _combined_amplitudes(scene, link, config)
+def simulate(scene, ue_point, config, book=None) -> SlotTrace:
+    """The slot recursion with every quantity held per slot.
+
+    ``book`` is a tuple of codebook entries, by default the scene's beams.
+    """
+    link = victim_link(scene, ue_point)
+    if book is None and scene.ris is not None:
+        book = codebook(scene)
+    amps = combined_amplitudes(link, book)
     power_w = dbm_to_watts(scene.link_budget.max_tx_power_dbm)
     noise_w = dbm_to_watts(scene.noise_power_dbm)
     snr_per_config = power_w * np.abs(amps) ** 2 / noise_w
@@ -64,7 +121,7 @@ def simulate(scene, ue_point, config) -> SlotTrace:
         selected_rate_bps_hz=selected,
         capacity_bps_hz=capacity,
         transmitting_slots=tx,
-        ris_direct_ratio_db=_ratio_db(link),
+        ris_direct_ratio_db=ratio_db(link),
     )
 
 

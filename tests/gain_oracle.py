@@ -3,12 +3,16 @@
 The package evaluates gains only on blocks of grid cells
 (:func:`risplan.linkmetrics.gain_pairs`,
 :func:`risplan.beamforming.optimize_gains`,
-:func:`risplan.kernels.ascent_quadratic`). These are the one-point paths it
-used to carry next to them: a quadratic form evaluated at explicit phasors,
-the generic element-by-element coordinate ascent over any objective, the
-codebook sweep, the unquantized coherent alignment, and the equivalent gain
-at one point and station. Their arithmetic is unchanged, so the bit-for-bit
-comparisons against the batched engines keep their meaning.
+:func:`risplan.kernels.ascent_quadratic`) and describes a surface setting
+only as an array of element responses. These are the one-point paths it
+used to carry next to them: the one-point channel views and the per-entry
+cascade, the one-row station choice, a surface setting as a
+:class:`RisConfig` of phases, the per-angle beam codebook, a quadratic form
+evaluated at explicit phasors, the generic element-by-element coordinate
+ascent over any objective, the codebook sweep, the unquantized coherent
+alignment, and the equivalent gain at one point and station. Their
+arithmetic is unchanged, so the bit-for-bit comparisons against the batched
+engines keep their meaning.
 """
 
 import math
@@ -18,15 +22,119 @@ import numpy as np
 
 from risplan.beamforming import (
     GainTerms,
-    RisConfig,
-    default_codebook,
     gain_terms,
     optimize_gains,
+    quantize_indices,
     wrap_phase,
 )
-from risplan.errors import CoincidentNodeError
-from risplan.linkmetrics import _to_db
-from risplan.propagation import RisChannel, direct_channel, ris_channel
+from risplan.errors import CoincidentNodeError, RunError
+from risplan.linkmetrics import _to_db, serving_bs, station_legs
+from risplan.propagation import (
+    DirectChannel,
+    RisChannel,
+    bs_leg,
+    direct_channels,
+    require_apart,
+    ris_channels,
+    surface_legs,
+)
+
+
+@dataclass(frozen=True)
+class RisConfig:
+    """One surface setting: per-element phases, or dark (absorbing).
+
+    An inactive config models the surface's contribution removed entirely
+    (matched absorption): its element response is zero, which is also how
+    "no surface deployed" enters every with/without comparison.
+    """
+
+    phases_rad: tuple[float, ...]
+    active: bool = True
+
+    @classmethod
+    def uniform(cls, count: int, phase: float = 0.0) -> "RisConfig":
+        return cls(phases_rad=(phase,) * count)
+
+    @classmethod
+    def off(cls, count: int) -> "RisConfig":
+        return cls(phases_rad=(0.0,) * count, active=False)
+
+
+def quantize_config(phases_rad, lookup_rad) -> RisConfig:
+    lookup = np.asarray(lookup_rad, dtype=float)
+    idx = quantize_indices(phases_rad, lookup)
+    return RisConfig(phases_rad=tuple(float(p) for p in lookup[idx]))
+
+
+def steering_config(scene, angle_rad: float) -> RisConfig:
+    """Quantized plane-wave beam of the surface toward a broadside angle."""
+    if scene.ris is None:
+        raise RunError("scene has no surface")
+    m = scene.ris.element_count
+    offsets = (np.arange(m) - (m - 1) / 2.0) * scene.ris_spacing_m()
+    phases = -2.0 * math.pi * offsets * math.sin(angle_rad) / scene.wavelength_m
+    return quantize_config(wrap_phase(phases), scene.ris.phase_lookup_rad)
+
+
+def codebook(scene) -> tuple[RisConfig, ...]:
+    """Dark entry, specular all-zero entry, then a fan of quantized beams, one angle at a time.
+
+    The entries of :func:`risplan.beamforming.default_codebook`, whose rows
+    are their responses.
+    """
+    if scene.ris is None:
+        raise RunError("scene has no surface")
+    m = scene.ris.element_count
+    entries = [RisConfig.off(m), RisConfig.uniform(m)]
+    k = scene.ris.codebook_directions
+    limit = math.radians(75.0)
+    if k == 1:
+        angles = [0.0]
+    else:
+        angles = list(np.linspace(-limit, limit, k))
+    entries.extend(steering_config(scene, a) for a in angles)
+    return tuple(entries)
+
+
+def direct_channel(scene, bs_index: int, point) -> DirectChannel:
+    """One-point view of :func:`risplan.propagation.direct_channels`; raises on the station."""
+    batch = direct_channels(scene, bs_index, np.asarray(point, dtype=float)[None, :])
+    if batch.distance_m[0] == 0.0:
+        raise CoincidentNodeError(
+            f"point coincides with the base station at {scene.bs[bs_index].position_m}"
+        )
+    return DirectChannel(
+        gains=batch.gains[0],
+        delay_s=float(batch.delay_s[0]),
+        distance_m=float(batch.distance_m[0]),
+    )
+
+
+def ris_channel(scene, bs_index: int, point) -> RisChannel:
+    """One-point cascade channel; raises when the point sits on an element."""
+    leg = bs_leg(scene, bs_index)
+    point = np.asarray(point, dtype=float)
+    gains, dists = surface_legs(scene, point[None, :])
+    require_apart(dists[0], point.tolist())
+    return ris_channels(scene, leg, gains[0], dists[0])
+
+
+def cascade(ris_ch: RisChannel, phases) -> complex:
+    """Scalar cascade sum_m hop_m exp(j phi_m); linear in every hop."""
+    phases = np.asarray(phases, dtype=float)
+    m = ris_ch.bs_to_elements.shape[0]
+    if phases.shape != (m,):
+        raise ValueError(f"expected {m} phases, got shape {phases.shape}")
+    return complex(np.sum(ris_ch.hop_products * np.exp(1j * phases)))
+
+
+def serving_station(scene, point) -> int:
+    """One-row view of :func:`risplan.linkmetrics.serving_bs`; station 0 when none is usable."""
+    points = np.asarray(point, dtype=float)[None, :]
+    directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
+    return max(int(serving_bs(scene, directs, station_legs(scene))[0]), 0)
+
 
 RIS_MODES = ("off", "optimized")
 
@@ -153,16 +261,16 @@ def coordinate_ascent(
     return RisConfig(phases_rad=tuple(phases), active=config.active), value, tuple(trace)
 
 
-def codebook_sweep(scene, bs_index: int, point, codebook=None):
+def codebook_sweep(scene, bs_index: int, point, book=None):
     """(best_config, best_gain): post-combining gain argmax, ties -> first."""
-    if codebook is None:
-        codebook = default_codebook(scene)
-    if not codebook:
+    if book is None:
+        book = codebook(scene)
+    if not book:
         raise ValueError("codebook is empty")
     terms = point_gain_terms(scene, bs_index, point)
-    best_config = codebook[0]
+    best_config = book[0]
     best_gain = gain_config(terms, best_config)
-    for config in codebook[1:]:
+    for config in book[1:]:
         g = gain_config(terms, config)
         if g > best_gain:
             best_gain = g

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gain_oracle import coordinate_ascent, response
-from risplan.beamforming import RisConfig
+from gain_oracle import RisConfig, coordinate_ascent, response
 from risplan.secrecy import LN2, SecrecyChannels, secrecy_link
 
 

@@ -17,15 +17,16 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from gain_oracle import gain, optimize_gain, point_gain_terms, response
+from coexist_oracle import neighbour_codebook
+from coexist_oracle import simulate as slot_simulate
+from gain_oracle import RisConfig, gain, optimize_gain, point_gain_terms, quantize_config, response
 from peb_oracle import ml_position_rmse, observation_model, peb_point, pilot_configs
 from risplan import cli
-from risplan.beamforming import RisConfig, quantize_config, wrap_phase
+from risplan.beamforming import wrap_phase
 from risplan.coexistence import CoexistConfig, simulate
 from risplan.influence import LABELS, classify, sweep
 from risplan.scene import DEFAULT_PHASE_LOOKUP, load_scene, parse_scene
 from risplan.secrecy import secrecy_link
-from risplan.seeding import derived_rng
 from risplan.unitcell import (
     ContrastCurve,
     SParameterTable,
@@ -463,16 +464,12 @@ class TestCoexistence:
 
         # walking away from the surface, the error rate must track the
         # cascade-to-direct power ratio; the neighbour serves its own
-        # moving users, modelled as a random-phase codebook
-        rng = derived_rng(1, "coexist-codebook")
-        m = scene.ris.element_count
-        book = tuple(
-            RisConfig(phases_rad=tuple(float(p) for p in rng.uniform(-np.pi, np.pi, m)))
-            for _ in range(16)
-        )
-        config = CoexistConfig(slots=100_000, switch_probability=0.5, codebook=book)
+        # moving users, modelled as a random-phase codebook that only the
+        # per-slot oracle takes
+        book = neighbour_codebook(scene)
+        config = CoexistConfig(slots=100_000, switch_probability=0.5)
         ray = [[10.0 + 1.6 * k, 19.5 - 0.3 * k, 1.5] for k in range(10)]
-        rows = [simulate(scene, point, config) for point in ray]
+        rows = [slot_simulate(scene, point, config, book) for point in ray]
         rho = spearmanr(
             [row.ris_direct_ratio_db for row in rows], [row.bler for row in rows]
         ).statistic

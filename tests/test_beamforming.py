@@ -9,28 +9,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gain_oracle import (
+    RisConfig,
+    codebook,
     codebook_sweep,
     coordinate_ascent,
+    direct_channel,
     gain,
     gain_config,
     optimal_phases_continuous,
     optimize_gain,
     point_gain_terms,
+    quantize_config,
     response,
+    ris_channel,
+    steering_config,
 )
 from helpers import at_subcarriers
 from risplan.beamforming import (
     GainTerms,
-    RisConfig,
     default_codebook,
     mean_subcarrier_phasor,
     mrc_weights,
-    quantize_config,
     quantize_indices,
-    steering_config,
     wrap_phase,
 )
-from risplan.propagation import direct_channel, ris_channel
 from risplan.scene import DEFAULT_PHASE_LOOKUP, parse_scene
 
 TWO_BIT = DEFAULT_PHASE_LOOKUP
@@ -357,24 +359,49 @@ class TestCodebook:
     def test_structure(self):
         scene = ris_scene(m=8)
         book = default_codebook(scene)
-        assert len(book) == 2 + 16
-        assert not book[0].active
-        assert book[1] == RisConfig.uniform(8)
-        lookup = set(TWO_BIT)
-        for entry in book[2:]:
-            assert set(entry.phases_rad) <= lookup
+        assert book.shape == (2 + 16, 8)
+        np.testing.assert_array_equal(book[0], np.zeros(8))
+        np.testing.assert_array_equal(book[1], np.ones(8))
+        phasors = np.exp(1j * np.asarray(TWO_BIT))
+        assert np.all(np.isin(book[2:], phasors))
 
     def test_single_direction(self):
         scene = scene_with(
             ris={"position_m": [4, 0], "element_count": 4, "codebook_directions": 1}
         )
         book = default_codebook(scene)
-        assert len(book) == 3
-        assert book[2] == steering_config(scene, 0.0)
+        assert book.shape == (3, 4)
+        np.testing.assert_array_equal(book[2], response(steering_config(scene, 0.0)))
 
     def test_broadside_beam_is_uniform(self):
-        scene = ris_scene(m=6)
+        scene = scene_with(
+            ris={"position_m": [4, 0], "element_count": 6, "codebook_directions": 1}
+        )
+        np.testing.assert_array_equal(default_codebook(scene)[2], np.ones(6))
         assert steering_config(scene, 0.0).phases_rad == (0.0,) * 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 129),
+        directions=st.integers(1, 19),
+        lookup=st.one_of(
+            st.none(),
+            st.lists(st.floats(-3.1, 3.1), min_size=1, max_size=8, unique=True).map(sorted),
+        ),
+        spacing=st.sampled_from([None, 0.1, 0.37]),
+    )
+    def test_rows_are_the_per_angle_responses(self, m, directions, lookup, spacing):
+        # the vectorized fan against the per-angle beams, bit for bit
+        ris = {"position_m": [4, 0], "element_count": m, "codebook_directions": directions}
+        if lookup is not None:
+            ris["phase_lookup_rad"] = lookup
+        if spacing is not None:
+            ris["element_spacing_m"] = spacing
+        scene = scene_with(ris=ris)
+        want = np.array([response(entry) for entry in codebook(scene)])
+        got = default_codebook(scene)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_sweep_never_below_dark_entry(self):
         scene = ris_scene(m=8)
@@ -385,7 +412,7 @@ class TestCodebook:
 
     def test_sweep_matches_brute_force(self):
         scene = ris_scene(m=8)
-        book = default_codebook(scene)
+        book = codebook(scene)
         point = [3, 1, 0]
         terms = point_gain_terms(scene, 0, point)
         gains = [gain_config(terms, c) for c in book]

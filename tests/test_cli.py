@@ -15,6 +15,7 @@ import risplan
 from risplan import __version__
 from risplan.cli import main
 from risplan.influence import classify, sweep
+from risplan.propagation import surface_element_positions
 from risplan.scene import parse_scene
 
 SCENE = {
@@ -187,6 +188,14 @@ class TestBoi:
         assert main(["boi", manifest, "--cmin", "2.5", "--out", str(tmp_path / "o")]) == 2
         assert "cmin" in capsys.readouterr().err
 
+    def test_state_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        manifest = write_cells(tmp_path, names=("split",))
+        state = tmp_path / "split_off.s1p"
+        state.unlink()
+        state.mkdir()
+        assert main(["boi", manifest, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {state}: Is a directory\n"
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         assert main(["boi", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
         assert "cell manifest" in capsys.readouterr().err
@@ -315,9 +324,11 @@ class TestAoi:
 
     def test_sse_without_eve_exits_3(self, tmp_path, capsys):
         scene_path = write_scene(tmp_path, SCENE)
+        out = tmp_path / "o"
         assert main(["aoi", scene_path, "--metric", "sse_bps_hz",
-                     "--out-dir", str(tmp_path / "o")]) == 3
+                     "--out-dir", str(out)]) == 3
         assert "eavesdropper" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exits_2_writing_nothing(self, tmp_path, capsys, jobs):
@@ -442,7 +453,37 @@ class TestCoexist:
         assert captured.out == ""
         assert captured.err == ("error: cannot allocate the switching draws of "
                                 "100000000000000 slots (800000000000000 bytes)\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_ue_on_the_only_station_exits_3(self, tmp_path, capsys):
+        scene_path = write_scene(tmp_path, COEX_SCENE)
+        out = tmp_path / "out"
+        assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", "10",
+                     "--ue", "0,0,10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: point coincides with the base station at (0.0, 0.0, 10.0)\n")
+
+    def test_ue_on_a_surface_element_exits_3(self, tmp_path, capsys):
+        scene_path = write_scene(tmp_path, COEX_SCENE)
+        element = surface_element_positions(parse_scene(json.dumps(COEX_SCENE)))[5].tolist()
+        assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", "10",
+                     "--ue", ",".join(map(repr, element)), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: point {element} coincides with surface element 5\n")
+
+    def test_ue_on_station_0_of_two_is_served_by_station_1(self, tmp_path, capsys):
+        # station 0 drops out of the choice: the run is the one without it
+        far = {"position_m": [30, 25, 8], "antenna_count": 2}
+        runs = {}
+        for name, stations in (("both", [COEX_SCENE["bs"][0], far]), ("far", [far])):
+            scene_path = write_scene(tmp_path, dict(COEX_SCENE, bs=stations), f"{name}.json")
+            out = tmp_path / name
+            assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", "300",
+                         "--ue", "0,0,10", "--out", str(out)]) == 0
+            runs[name] = [(out / f"{name}_coexist_{kind}.csv").read_bytes()
+                          for kind in ("trace", "summary")]
+        assert capsys.readouterr().err == ""
+        assert runs["both"] == runs["far"]
 
     def test_bad_ue_exits_2(self, tmp_path, capsys):
         scene_path = write_scene(tmp_path, COEX_SCENE)
@@ -526,6 +567,36 @@ def test_largest_seed_is_accepted(tmp_path, command, source):
     argv, out = seeded_run(tmp_path, command, source, 2**64 - 1)
     assert main(argv) == 0
     assert load_manifest(out)["seed"] == 2**64 - 1
+
+
+def small_run(tmp_path, command, out):
+    """argv of a small run of ``command`` that writes to ``out``."""
+    if command == "boi":
+        return ["boi", write_cells(tmp_path, names=("split",)), "--out", str(out)]
+    if command == "aoi":
+        return ["aoi", write_scene(tmp_path, SCENE), "--metric", "gain_db", "--jobs", "1",
+                "--out-dir", str(out)]
+    return ["coexist", write_scene(tmp_path, COEX_SCENE), "--switch-prob", "0.5",
+            "--slots", "10", "--ue", "11,19", "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["boi", "aoi", "coexist"])
+@pytest.mark.parametrize("fault", ["out_is_a_file", "out_under_a_file", "output_is_a_directory"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, fault):
+    # a bad output path is an input problem: one error line, never a traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if fault == "out_is_a_file":
+        out, message = blocker, f"cannot create output directory {blocker}: File exists"
+    elif fault == "out_under_a_file":
+        out = blocker / "out"
+        message = f"cannot create output directory {out}: Not a directory"
+    else:
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        message = f"{out / 'manifest.json'} is a directory"
+    assert main(small_run(tmp_path, command, out) + ["--force"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_version_flag(capsys):

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from coexist_oracle import reference_summary, reference_trace
 from coexist_oracle import simulate as slot_simulate
+from gain_oracle import cascade, codebook, direct_channel, ris_channel, serving_station
 from helpers import error_slots, trace_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risplan import cli
-from risplan.beamforming import RisConfig, mrc_weights
+from risplan.beamforming import mrc_weights
 from risplan.coexistence import (
     _TRACE_CHUNK_ROWS,
     CoexistConfig,
@@ -26,8 +27,6 @@ from risplan.coexistence import (
     write_trace_csv,
 )
 from risplan.errors import ConfigError
-from risplan.linkmetrics import serving_bs
-from risplan.propagation import cascade, direct_channel, ris_channel
 from risplan.scene import load_scene, parse_scene
 from risplan.seeding import derived_rng
 
@@ -81,7 +80,7 @@ def write_curve_csv(rows, path):
 
 def ratio_from_definition(scene, point):
     """Coherent surface ripple over the combined direct amplitude, in dB."""
-    bs_index = serving_bs(scene, point)
+    bs_index = serving_station(scene, point)
     direct = direct_channel(scene, bs_index, point)
     w = mrc_weights(direct.gains)
     ch = ris_channel(scene, bs_index, point)
@@ -109,16 +108,6 @@ class TestConfigValidation:
     def test_delay_floor(self):
         with pytest.raises(ConfigError, match="csi_delay"):
             CoexistConfig(slots=10, switch_probability=0.5, csi_delay_slots=0)
-
-    def test_empty_codebook_rejected(self):
-        with pytest.raises(ConfigError, match="codebook"):
-            CoexistConfig(slots=10, switch_probability=0.5, codebook=[])
-
-    def test_codebook_list_coerced(self):
-        cfg = CoexistConfig(
-            slots=10, switch_probability=0.5, codebook=[RisConfig.uniform(4)]
-        )
-        assert isinstance(cfg.codebook, tuple)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ConfigError, match="margin"):
@@ -228,14 +217,12 @@ class TestSimulate:
                             snr_margin_db=0.1)
         res = simulate(scene, NEAR, cfg)
 
-        from risplan.beamforming import default_codebook
-
-        bs_index = serving_bs(scene, NEAR)
+        bs_index = serving_station(scene, NEAR)
         direct = direct_channel(scene, bs_index, NEAR)
         w = mrc_weights(direct.gains)
         ch = ris_channel(scene, bs_index, NEAR)
         steer = complex(np.vdot(w, ch.bs_steering))
-        book = default_codebook(scene)
+        book = codebook(scene)
         amps = [
             complex(np.vdot(w, direct.gains))
             + (cascade(ch, c.phases_rad) if c.active else 0.0) * steer
@@ -471,6 +458,13 @@ def test_trace_writer_memory_stays_one_chunk():
               - traced_peak(lambda: write_trace_csv(small, os.devnull)))
     assert growth <= 500_000
 
+STATIONS = (
+    {"position_m": [0, 0, 10], "antenna_count": 4},
+    {"position_m": [20, 30, 8], "antenna_count": 2, "orientation_rad": 0.5},
+    {"position_m": [18, 2, 6]},
+)
+WALL = {"p1_m": [5, 12], "p2_m": [16, 12], "penetration_loss_db": 7.5}
+
 CHUNK_EDGES = st.builds(
     lambda k, offset: k * _TRACE_CHUNK_ROWS + offset, st.integers(1, 2), st.integers(-2, 2)
 )
@@ -489,19 +483,31 @@ def coexist_runs(draw):
         "directions": draw(st.sampled_from([None, 1, 16, 200])),
         "seed": draw(st.integers(0, 2**32)),
         "ue": draw(st.sampled_from([NEAR, FAR])),
+        "stations": draw(st.integers(1, 3)),
+        "wall": draw(st.booleans()),
+        "lookup": draw(st.sampled_from([None, [0.0, math.pi], [-2.5, -0.4, 1.0, 2.2, 3.0]])),
+        "efficiency": draw(st.sampled_from([None, 0.7])),
     }
 
 
 @given(coexist_runs())
 @settings(max_examples=30, deadline=None)
 def test_cli_files_match_slot_oracle(run):
-    # the codebook-indexed path against the per-slot simulator and the
-    # per-row formatter: same columns bit for bit, same trace and summary bytes
+    # the codebook-indexed path against the per-slot simulator, its one-point
+    # channels and per-entry cascade, and the per-row formatter: same columns
+    # bit for bit, same trace and summary bytes
     doc = json.loads(json.dumps(COEX))
+    doc["bs"] = list(STATIONS[:run["stations"]])
+    if run["wall"]:
+        doc["walls"] = [WALL]
     if run["directions"] is None:
         del doc["ris"]
     else:
         doc["ris"]["codebook_directions"] = run["directions"]
+        if run["lookup"] is not None:
+            doc["ris"]["phase_lookup_rad"] = run["lookup"]
+        if run["efficiency"] is not None:
+            doc["ris"]["element_efficiency"] = run["efficiency"]
     doc["seed"] = run["seed"]
     scene = parse_scene(json.dumps(doc))
     config = CoexistConfig(slots=run["slots"], switch_probability=run["probability"],

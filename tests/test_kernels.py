@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from gain_oracle import coordinate_ascent, eval_quadratic_gain
+from gain_oracle import RisConfig, coordinate_ascent, eval_quadratic_gain
 from risplan import kernels
-from risplan.beamforming import RisConfig
 from risplan.kernels import ascent_quadratic, forward_fill, max_pair_contrast
 
 

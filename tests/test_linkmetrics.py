@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gain_oracle import equivalent_gain, gain_config, point_gain_terms
-from risplan.beamforming import RisConfig
+from gain_oracle import RisConfig, equivalent_gain, gain_config, point_gain_terms
 from risplan.linkmetrics import (
     LinkBudget,
     gain_pair,
@@ -18,9 +17,10 @@ from risplan.linkmetrics import (
     se_pair,
     serving_bs,
     spectral_efficiency_from_gain,
+    station_legs,
     tx_power_pair,
 )
-from risplan.propagation import C_LIGHT_M_S
+from risplan.propagation import C_LIGHT_M_S, direct_channels
 from risplan.scene import parse_scene
 
 BASE = {
@@ -180,33 +180,48 @@ class TestLinkBudgetFromScene:
         assert b.max_tx_power_dbm == 20.0
 
 
+def served(scene, points):
+    """The engine's station choice at each of the (n, 3) points, -1 for none."""
+    points = np.asarray(points, dtype=float)
+    directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
+    return serving_bs(scene, directs, station_legs(scene)).tolist()
+
+
+def serving_bs_at(scene, point):
+    return served(scene, [point])[0]
+
+
 class TestServingBs:
     def test_nearest_direct_wins(self):
         scene = scene_with(bs=[{"position_m": [0, 0]}, {"position_m": [9, 9]}])
-        assert serving_bs(scene, [1, 1, 0]) == 0
-        assert serving_bs(scene, [8, 8, 0]) == 1
+        assert serving_bs_at(scene, [1, 1, 0]) == 0
+        assert serving_bs_at(scene, [8, 8, 0]) == 1
 
     def test_tie_goes_low(self):
         scene = scene_with(bs=[{"position_m": [0, 0]}, {"position_m": [9, 0]}])
-        assert serving_bs(scene, [4.5, 2, 0]) == 0
+        assert serving_bs_at(scene, [4.5, 2, 0]) == 0
 
     def test_more_antennas_beat_distance(self):
         scene = scene_with(
             bs=[{"position_m": [0, 0]}, {"position_m": [3, 0], "antenna_count": 16}]
         )
         # 16x combining gain outweighs a modest path loss difference
-        assert serving_bs(scene, [1, 0.5, 0]) == 1
+        assert serving_bs_at(scene, [1, 0.5, 0]) == 1
 
     def test_point_on_one_bs(self):
         scene = scene_with(bs=[{"position_m": [0, 0]}, {"position_m": [9, 9]}])
-        assert serving_bs(scene, [0, 0, 0]) == 1
+        assert serving_bs_at(scene, [0, 0, 0]) == 1
+
+    def test_point_on_the_only_bs_has_none(self):
+        # per point of a batch: the point on the station reads -1, its neighbour 0
+        assert served(scene_with(), [[0, 0, 0], [1, 1, 0]]) == [-1, 0]
 
     def test_station_on_a_surface_element_is_never_served(self):
         # the one-element surface sits on station 0, so its cascade is undefined
         scene = scene_with(bs=[{"position_m": [4, 0]}, {"position_m": [9, 9]}],
                            ris={"position_m": [4, 0], "element_count": 1})
         point = [3, 1, 0]
-        assert serving_bs(scene, point) == 1
+        assert serving_bs_at(scene, point) == 1
         assert gain_pair(scene, point) == (
             equivalent_gain(scene, 1, point, "off"), equivalent_gain(scene, 1, point))
 

@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gain_oracle import cascade, direct_channel, ris_channel
 from helpers import at_subcarriers
 from risplan.errors import CoincidentNodeError, RunError
 from risplan.propagation import (
     C_LIGHT_M_S,
-    cascade,
-    direct_channel,
     direct_channels,
     element_positions,
     ray_amplitudes,
-    ris_channel,
     surface_element_positions,
     surface_legs,
     wall_factors,

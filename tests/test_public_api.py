@@ -8,6 +8,10 @@ in its own module. A public method or property of a public class counts
 as reached when any package module loads an attribute of that name. No
 function or method is exempt: a second code path that only tests call
 belongs in a ``tests/*_oracle.py`` module.
+
+No package module takes another module's private name, by import or as
+``mod._name``: what one module shares with another is public, and so falls
+under the reach rule.
 """
 
 import ast
@@ -89,6 +93,34 @@ def unreached(trees: dict[str, ast.Module]) -> set[str]:
     return (set(public_functions(trees)) - reached_names(trees)) | methods
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(trees: dict[str, ast.Module]) -> set[str]:
+    """``module: owner.name`` for each private name a module takes from another module."""
+    found: set[str] = set()
+    for module, tree in trees.items():
+        module_aliases: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            for alias in node.names:
+                if node.module is None and alias.name in trees:
+                    module_aliases[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.add(f"{module}: {node.module or '__init__'}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in module_aliases
+                and _private(node.attr)
+            ):
+                found.add(f"{module}: {module_aliases[node.value.id]}.{node.attr}")
+    return found
+
+
 def absolute_imports(trees: dict[str, ast.Module]) -> set[str]:
     """Top-level names of every absolute import, at any depth of any module."""
     names: set[str] = set()
@@ -103,6 +135,21 @@ def absolute_imports(trees: dict[str, ast.Module]) -> set[str]:
 
 def test_every_public_function_and_method_is_reached():
     assert sorted(unreached(parse_package(PACKAGE))) == [], "public names only tests call"
+
+
+def test_no_module_takes_another_modules_private_name():
+    assert sorted(private_imports(parse_package(PACKAGE))) == []
+
+
+def test_each_private_import_rule_counts():
+    sources = {
+        "a": "def _helper(): pass\n_TABLE = ()\ndef shared(): pass\n",
+        "b": "from .a import _helper, shared\n",
+        "c": "from . import a as mod\nmod._TABLE\nmod.shared()\n",
+        "d": "from . import __version__\n_own = 1\n_own\n",
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert private_imports(trees) == {"b: a._helper", "c: a._TABLE"}
 
 
 def test_runtime_imports_are_stdlib_or_numpy():

@@ -7,8 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from gain_oracle import response
-from risplan.beamforming import RisConfig
+from gain_oracle import RisConfig, response
 from risplan.errors import CoincidentNodeError, RunError
 from risplan.secrecy import SecrecyChannels, _ascend_q, secrecy_link, sse_pair, sse_pairs
 from risplan.scene import load_scene, parse_scene
