@@ -140,10 +140,9 @@ def cmd_boi(args: argparse.Namespace) -> int:
         cells = load_cell_manifest(args.manifest)
     except OSError as exc:
         raise ConfigError(f"cannot read cell manifest: {exc}") from None
-    out = _OutDir(args.out, args.force)
 
-    summary = []
-    normalized_entries = []
+    # every curve and band first, so a bad cell leaves no output behind
+    bands = []
     for cell in cells:
         records = [read_touchstone(path, sid) for sid, path in cell.states]
         table = build_table(cell.name, records)
@@ -153,16 +152,19 @@ def cmd_boi(args: argparse.Namespace) -> int:
             effective = args.kind == "effective"
             kind = "reflection" if effective else args.kind
         curve = max_contrast_effective(table) if effective else max_contrast(table, kind)
-        boi = extract_boi(curve, args.cmin)
-        write_contrast_csv(curve, out.path(f"{cell.name}_contrast.csv"))
-        summary.append((cell.name, boi))
+        bands.append((cell.name, curve, extract_boi(curve, args.cmin)))
+
+    out = _OutDir(args.out, args.force)
+    normalized_entries = []
+    for name, curve, boi in bands:
+        write_contrast_csv(curve, out.path(f"{name}_contrast.csv"))
         if boi.f0_hz:
-            normalized_entries.append((cell.name, curve, boi.f0_hz))
+            normalized_entries.append((name, curve, boi.f0_hz))
         else:
-            print(f"note: cell '{cell.name}' has no band at cmin={args.cmin}, "
+            print(f"note: cell '{name}' has no band at cmin={args.cmin}, "
                   "left out of the normalized comparison", file=sys.stderr)
 
-    write_boi_summary_csv(summary, out.path("boi_summary.csv"))
+    write_boi_summary_csv([(name, boi) for name, _, boi in bands], out.path("boi_summary.csv"))
     if len(cells) > 1:
         normalized = normalized_contrast_table(normalized_entries)
         write_normalized_csv(normalized, out.path("normalized_contrast.csv"))

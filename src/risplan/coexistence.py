@@ -38,9 +38,10 @@ from .scene import Scene
 from .seeding import derived_rng
 
 # Slots per chunk of the slot recursion and of the trace writer, where one
-# ``%`` format call writes a chunk. It bounds the per-chunk arrays and the
-# text held at once (about 0.5 MB at 8192 rows), never the bytes written,
-# which are the same for any chunk size.
+# ``%`` format call writes a chunk. It bounds the per-chunk arrays (the
+# switching uniforms, the entry draws and the intp indices) and the text
+# held at once (about 0.5 MB at 8192 rows), never the bytes written or the
+# random stream, which are the same for any chunk size.
 _TRACE_CHUNK_ROWS = 8192
 
 
@@ -89,7 +90,8 @@ class CoexistResult:
 
     bler: float
     error_count: int
-    config_index: np.ndarray  # (slots,) int64, the entry each slot sees
+    config_index: np.ndarray  # (slots,) the entry each slot sees, in the
+    # smallest unsigned dtype that holds C - 1 (uint8 up to 256 entries)
     snr: np.ndarray  # (C,) linear SNR of each entry
     snr_floor: np.ndarray  # (C + 1,) lowest SNR a rate selected at entry c carries; -inf at C
     snr_db: np.ndarray  # (C,) 10 log10 of each entry's SNR
@@ -143,9 +145,10 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     position: two nearby UEs observe the same switching history.
 
     The slots run in chunks of ``_TRACE_CHUNK_ROWS``: each chunk draws its
-    switching uniforms, forward-fills its entries from the previous
-    chunk's last entry and counts its errors. The entry draws, overwritten
-    in place by the entries, are the only per-slot array.
+    switching uniforms and its entry draws, forward-fills its entries from
+    the previous chunk's last entry and counts its errors. The entries,
+    one byte per slot up to 256 codebook entries, are the only per-slot
+    array.
     """
     link = _victim_link(scene, ue_point)
     amps = _combined_amplitudes(scene, link)
@@ -156,15 +159,21 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     # warm-up slot's sentinel entry C selects no rate and tolerates any SNR
     snr_floor = np.append(snr * db_to_linear(-config.snr_margin_db), -math.inf)
 
-    n, d = config.slots, config.csi_delay_slots
-    index = _entry_draws(config, snr.shape[0])
+    n, d, entries = config.slots, config.csi_delay_slots, snr.shape[0]
+    index = _entry_array(n, entries)
     rng = derived_rng(config.seed, "coexist-switch")
+    # the entry draws follow the n uniforms (one 64-bit output each) in the
+    # same stream; below 2**32 numpy keeps a draw's spare 32-bit half in the
+    # bit generator's state, so chunked calls give one call's values
+    draws = derived_rng(config.seed, "coexist-switch")
+    draws.bit_generator.advance(n)
     current, errors = 0, 0
     for start in range(0, n, _TRACE_CHUNK_ROWS):
         stop = min(start + _TRACE_CHUNK_ROWS, n)
         switch = rng.random(stop - start) < config.switch_probability
-        index[start:stop] = forward_fill(switch, index[start:stop], current)
-        current = index[stop - 1]
+        index[start:stop] = forward_fill(switch, draws.integers(0, entries, stop - start),
+                                         current)
+        current = int(index[stop - 1])
         errors += int(np.count_nonzero(_chunk(index, snr, snr_floor, d, start, stop)[2]))
 
     with np.errstate(divide="ignore"):
@@ -182,30 +191,24 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
     )
 
 
-def _entry_draws(config: CoexistConfig, entries: int) -> np.ndarray:
-    """The entry drawn at every slot: ``integers(0, entries, slots)``, one call.
-
-    The stream holds ``slots`` uniforms (one 64-bit output each) and then
-    these draws. numpy's bounded fill buffers 32-bit halves, so chunked
-    calls would not reproduce one call; the draws come from a second copy
-    of the stream advanced past the uniforms. This (slots,) int64 vector is
-    the only allocation that grows with ``slots``.
-    """
-    n = config.slots
-    rng = derived_rng(config.seed, "coexist-switch")
-    rng.bit_generator.advance(n)
+def _entry_array(slots: int, entries: int) -> np.ndarray:
+    """The uninitialized (slots,) entry array, one byte per slot up to 256
+    entries; the only allocation that grows with ``slots``."""
+    dtype = np.min_scalar_type(entries - 1)
     try:
-        return rng.integers(0, entries, n)
+        return np.empty(slots, dtype=dtype)
     except MemoryError:
-        raise RunError(f"cannot allocate the switching draws of {n} slots "
-                       f"({8 * n} bytes)") from None
+        raise RunError(f"cannot allocate the switching draws of {slots} slots "
+                       f"({dtype.itemsize * slots} bytes)") from None
 
 
 def _chunk(index, snr, snr_floor, d, start, stop):
     """Slots ``start:stop``: each one's entry, the entry one CSI delay d
     earlier (C over the first d slots) and whether its block is lost."""
-    now = index[start:stop]
-    before = np.full(stop - start, snr.shape[0], dtype=np.int64)
+    # the stored entries are as narrow as uint8, which keeps its dtype under
+    # arithmetic with Python ints; the writer's keys need intp
+    now = index[start:stop].astype(np.intp)
+    before = np.full(stop - start, snr.shape[0], dtype=np.intp)
     warm = min(max(d - start, 0), stop - start)
     before[warm:] = index[start + warm - d:stop - d]
     return now, before, snr[now] < snr_floor[before]
@@ -228,7 +231,7 @@ def _ratio_db(link) -> float:
 
 
 class _RowTails(dict):
-    """Row text after the slot number, keyed ``(now * (C + 1) + before) * 2 + error``.
+    """Row bytes after the slot number, keyed ``(now * (C + 1) + before) * 2 + error``.
 
     ``now`` is the slot's codebook entry, ``before`` the entry its rate was
     selected from (C over the warm-up slots, whose selected rate is NaN).
@@ -241,12 +244,12 @@ class _RowTails(dict):
         self.capacity = [repr(v) for v in result.capacity.tolist()]
         self.selected = self.capacity + [repr(math.nan)]
 
-    def __missing__(self, key: int) -> str:
+    def __missing__(self, key: int) -> bytes:
         pair, error = divmod(key, 2)
         now, before = divmod(pair, len(self.selected))
         tail = self[key] = (
             f",{self.snr[now]},{self.selected[before]},{self.capacity[now]},{error}\n"
-        )
+        ).encode()
         return tail
 
 
@@ -258,14 +261,17 @@ def write_trace_csv(result: CoexistResult, path: str) -> None:
     (see ``_RowTails``) and each chunk is written by one ``%`` format call.
     Keys and error flags are built chunk by chunk from ``config_index``.
     The output is byte-identical to formatting every row with ``repr``.
+
+    The chunks are formatted as bytes, which a text-mode write would
+    encode into a second copy of each chunk.
     """
     index = result.config_index
     n = index.shape[0]
     d = n - result.transmitting_slots
     tails = _RowTails(result)
-    with open(path, "w", newline="") as fh:
-        fh.write("slot,snr_db,selected_rate,actual_capacity,error\n")
-        row_format = "%d%s" * _TRACE_CHUNK_ROWS
+    with open(path, "wb") as fh:
+        fh.write(b"slot,snr_db,selected_rate,actual_capacity,error\n")
+        row_format = b"%d%s" * _TRACE_CHUNK_ROWS
         for start in range(0, n, _TRACE_CHUNK_ROWS):
             stop = min(start + _TRACE_CHUNK_ROWS, n)
             now, before, lost = _chunk(index, result.snr, result.snr_floor, d, start, stop)

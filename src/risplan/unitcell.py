@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .touchstone import StateRecord
 DEFAULT_CONTRAST_THRESHOLD = 1.0
 
 # Rows per write() of the contrast and normalized writers. It bounds the text
-# held at once, never the bytes written.
+# and the Python floats held at once, never the bytes written.
 _CSV_CHUNK_ROWS = 8192
 
 
@@ -227,11 +226,11 @@ def normalized_contrast_table(
 # ---------------------------------------------------------------------------
 
 def write_contrast_csv(curve: ContrastCurve, path):
-    freqs = np.asarray(curve.frequencies_hz, dtype=np.float64).tolist()
-    contrast = np.asarray(curve.contrast, dtype=np.float64).tolist()
+    freqs = np.asarray(curve.frequencies_hz, dtype=np.float64)
+    contrast = np.asarray(curve.contrast, dtype=np.float64)
     with open(path, "w", newline="") as fh:
         fh.write("frequency_hz,contrast\r\n")
-        _write_chunked(fh, (f"{f!r},{c!r}\r\n" for f, c in zip(freqs, contrast)))
+        _write_rows(fh, (freqs, contrast), lambda f, c: f"{f!r},{c!r}\r\n")
 
 
 def write_boi_summary_csv(rows: list[tuple[str, BandOfInfluence]], path):
@@ -250,14 +249,16 @@ def write_boi_summary_csv(rows: list[tuple[str, BandOfInfluence]], path):
 
 
 def write_normalized_csv(table: tuple[np.ndarray, np.ndarray, np.ndarray], path):
-    """The columns of ``normalized_contrast_table`` as name,f_over_f0,contrast rows."""
-    names, ratios, contrast = (column.tolist() for column in table)
-    fields = {name: _csv_field(name) for name in set(names)}
+    """The columns of ``normalized_contrast_table`` as name,f_over_f0,contrast rows.
+
+    Each distinct name is quoted once; the columns become Python objects
+    and text one ``_CSV_CHUNK_ROWS`` slice at a time, so the memory held
+    does not grow with the row count.
+    """
+    fields = {name: _csv_field(name) for name in set(table[0])}
     with open(path, "w", newline="") as fh:
         fh.write("name,f_over_f0,contrast\r\n")
-        _write_chunked(
-            fh, (f"{fields[name]},{x!r},{c!r}\r\n" for name, x, c in zip(names, ratios, contrast))
-        )
+        _write_rows(fh, table, lambda name, x, c: f"{fields[name]},{x!r},{c!r}\r\n")
 
 
 def _csv_field(value) -> str:
@@ -268,8 +269,9 @@ def _csv_field(value) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def _write_chunked(fh, lines) -> None:
-    """Write formatted lines with one ``write`` per chunk of rows."""
-    lines = iter(lines)
-    while chunk := "".join(itertools.islice(lines, _CSV_CHUNK_ROWS)):
-        fh.write(chunk)
+def _write_rows(fh, columns, row) -> None:
+    """Write ``row(*values)`` for each index of the equal-length array
+    ``columns``, converting and formatting one chunk of rows per ``write``."""
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = (column[start:start + _CSV_CHUNK_ROWS].tolist() for column in columns)
+        fh.write("".join(map(row, *chunk)))

@@ -132,6 +132,18 @@ class TestBoi:
         assert len(err) == 1
         assert err[0].startswith(f"error: {path}: line 3: ")
 
+    def test_malformed_later_cell_exits_2_writing_no_output(self, tmp_path, capsys):
+        # every cell's curve and band come before the output directory
+        manifest = write_cells(tmp_path)
+        path = tmp_path / "weak_on.s1p"
+        path.write_text("# GHZ S RI R 50\n1 0.2 0\n2 x 0\n5 0.2 0\n")
+        out = tmp_path / "out"
+        assert main(["boi", manifest, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: line 3: ")
+        assert not out.exists()
+
     def test_two_cell_run(self, tmp_path, capsys):
         manifest = write_cells(tmp_path)
         out = tmp_path / "out"
@@ -443,16 +455,17 @@ class TestCoexist:
         assert not out.exists()
 
     def test_slots_past_the_address_space_exit_3_writing_no_output(self, tmp_path, capsys):
-        # 10^14 slots need 800 TB of switching draws: the allocation fails at
-        # once, before the trace file is opened
+        # 10^15 slots need 10^15 bytes of entries, past the 128 TiB user
+        # address space: the allocation fails at once, before the trace file
+        # is opened
         scene_path = write_scene(tmp_path, COEX_SCENE)
         out = tmp_path / "out"
-        assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", str(10**14),
+        assert main(["coexist", scene_path, "--switch-prob", "0.5", "--slots", str(10**15),
                      "--ue", "11,19", "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: cannot allocate the switching draws of "
-                                "100000000000000 slots (800000000000000 bytes)\n")
+                                "1000000000000000 slots (1000000000000000 bytes)\n")
         assert not out.exists()
 
     def test_ue_on_the_only_station_exits_3(self, tmp_path, capsys):

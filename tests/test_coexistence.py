@@ -14,7 +14,7 @@ from coexist_oracle import reference_summary, reference_trace
 from coexist_oracle import simulate as slot_simulate
 from gain_oracle import cascade, codebook, direct_channel, ris_channel, serving_station
 from helpers import error_slots, trace_columns
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risplan import cli
@@ -425,6 +425,25 @@ class TestChunkBoundaries:
         assert_matches_slot_oracle(coex_scene(), NEAR, config, tmp_path / "trace.csv")
 
 
+@given(
+    entries=st.sampled_from([1, 2, 3, 255, 256, 257, 2**32 - 1, 2**32, 2**33]),
+    chunks=st.lists(st.one_of(st.sampled_from([1, _TRACE_CHUNK_ROWS]), st.integers(0, 100)),
+                    min_size=1, max_size=5),
+    seed=st.integers(0, 2**32),
+)
+@example(entries=257, chunks=[1, _TRACE_CHUNK_ROWS, 1], seed=1)
+@settings(max_examples=50, deadline=None)
+def test_chunked_integers_continue_one_call(entries, chunks, seed):
+    # simulate draws each chunk's entries with its own integers call; below
+    # 2**32 numpy keeps a draw's spare 32-bit half in the bit generator's
+    # state, so the calls give one call's values and leave its final state
+    whole, parts = (derived_rng(seed, "coexist-switch") for _ in range(2))
+    expected = whole.integers(0, entries, sum(chunks))
+    got = np.concatenate([parts.integers(0, entries, k) for k in chunks])
+    np.testing.assert_array_equal(got, expected)
+    assert parts.bit_generator.state == whole.bit_generator.state
+
+
 def traced_peak(call):
     tracemalloc.start()
     try:
@@ -439,13 +458,13 @@ def switching(slots):
 
 
 def test_simulate_memory_grows_by_the_entries_alone():
-    # the (slots,) int64 entries are the only allocation that grows with the
-    # slot count; every other per-slot array lives for one chunk
+    # the (slots,) entries, one byte each, are the only allocation that grows
+    # with the slot count; every other per-slot array lives for one chunk
     scene = coex_scene()
     traced_peak(lambda: simulate(scene, NEAR, switching(2)))  # lazy imports land here
     small = traced_peak(lambda: simulate(scene, NEAR, switching(50_000)))
     large = traced_peak(lambda: simulate(scene, NEAR, switching(400_000)))
-    assert large - small <= 8 * 350_000 + 500_000
+    assert large - small <= 350_000 + 500_000
 
 
 def test_trace_writer_memory_stays_one_chunk():

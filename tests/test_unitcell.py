@@ -1,4 +1,6 @@
 import csv
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,3 +410,23 @@ def test_normalized_csv_matches_csv_writer(tmp_path):
     expected = (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "new.csv").read_bytes() == expected
     assert b'"a,b",' in expected and b'"say ""hi""",' in expected
+
+
+def test_normalized_csv_memory_stays_one_chunk():
+    # the rows become Python objects and text one chunk at a time, so five
+    # times the rows hold no more memory
+    def columns(n):
+        names = np.array(["pin", "a,b", "line\nbreak"], dtype=object)[np.arange(n) % 3]
+        return names, np.linspace(0.5, 1.5, n), np.linspace(0.0, 2.0, n)
+
+    def traced_peak(table):
+        tracemalloc.start()
+        try:
+            write_normalized_csv(table, os.devnull)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = columns(20_000), columns(100_000)
+    traced_peak(small)  # lazy imports land here
+    assert traced_peak(large) - traced_peak(small) <= 200_000
