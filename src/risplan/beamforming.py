@@ -58,13 +58,29 @@ def mrc_weights(h: np.ndarray) -> np.ndarray:
 def mean_subcarrier_phasor(tau_s, count: int, spacing_hz: float):
     """Mean over n = 0..count-1 of exp(j 2 pi n spacing tau).
 
-    Closed form via the Dirichlet kernel; tau = 0 gives exactly 1.
+    Closed form via the Dirichlet kernel; tau = 0 gives exactly 1. The
+    formula runs in place over two float buffers and the complex result,
+    each step one ufunc, so it rounds as exp(j pi (count-1) x) *
+    sin(count pi x) / (count sin(pi x)) does out of place. Its in-place
+    complex product takes a float operand, which numpy casts through a
+    buffer, so a single element runs the same loop as many (see
+    :func:`gain_terms`); the tests check both bit for bit.
     """
-    x = np.asarray(spacing_hz * np.asarray(tau_s, dtype=float))
-    den = np.sin(math.pi * x)
-    safe = np.where(den == 0.0, 1.0, den)
-    val = np.exp(1j * math.pi * (count - 1) * x) * np.sin(count * math.pi * x) / (count * safe)
-    return np.where(den == 0.0, 1.0 + 0.0j, val)
+    tau = np.asarray(tau_s, dtype=float)
+    x = np.multiply(spacing_hz, tau, out=np.empty(tau.shape))
+    den = np.multiply(math.pi, x, out=np.empty(tau.shape))
+    np.sin(den, out=den)
+    zero = den == 0.0
+    np.copyto(den, 1.0, where=zero)
+    np.multiply(count, den, out=den)
+    val = np.multiply(1j * math.pi * (count - 1), x, out=np.empty(tau.shape, np.complex128))
+    np.exp(val, out=val)
+    np.multiply(count * math.pi, x, out=x)
+    np.sin(x, out=x)
+    np.multiply(val, x, out=val)
+    np.divide(val, den, out=val)
+    np.copyto(val, 1.0 + 0.0j, where=zero)
+    return val
 
 
 @dataclass(frozen=True)
@@ -112,14 +128,23 @@ def gain_terms(
     ant = ris_ch.bs_steering.shape[0]
     # the pair phasor is Hermitian: flipping a delay difference conjugates
     # it (sin is odd), so only the upper triangle is evaluated; the diagonal
-    # is exactly 1
+    # is exactly 1. V is allocated once, as the outer product, and then
+    # scaled a row of the upper triangle and a column of the lower one at a
+    # time. Each product goes through a small temporary: numpy takes an
+    # in-place multiply of one element for a reduction, whose scalar loop
+    # rounds differently from the vector loop every other product runs on
     m = taus.shape[-1]
     iu, ju = np.triu_indices(m, 1)
     upper = mean_subcarrier_phasor(taus[..., iu] - taus[..., ju], count, spacing_hz)
-    pair_phasor = np.ones((*taus.shape, m), dtype=np.complex128)
-    pair_phasor[..., iu, ju] = upper
-    pair_phasor[..., ju, iu] = np.conj(upper)
-    V = ant * np.conj(hops)[..., :, None] * hops[..., None, :] * pair_phasor
+    V = (ant * np.conj(hops))[..., :, None] * hops[..., None, :]
+    diag = np.einsum("...ii->...i", V)
+    diag[...] = diag * (1.0 + 0.0j)
+    start = 0
+    for i in range(m - 1):
+        row = upper[..., start:start + m - 1 - i]
+        start += m - 1 - i
+        V[..., i, i + 1:] = V[..., i, i + 1:] * row
+        V[..., i + 1:, i] = V[..., i + 1:, i] * np.conj(row)
     return GainTerms(b=np.ascontiguousarray(b), V=np.ascontiguousarray(V), c0=c0)
 
 

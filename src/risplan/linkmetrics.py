@@ -34,9 +34,12 @@ from .propagation import (
 )
 from .scene import Scene
 
-# Memory held by one block's V matrices (complex, M x M per point). The
-# block size follows from the element count; it bounds the working set,
-# never the result, which is the same for any block size.
+# Budget for one block's V matrices (complex, M x M per point), the
+# largest operand; the block size follows from the element count. A block
+# whose points one station serves peaks near twice this: the ascent kernel
+# holds V's real and imaginary parts again as column arrays, and building V
+# holds the upper-triangle pair phasors, half a V, next to it. The budget
+# bounds memory, never the result, which is the same for any block size.
 _BLOCK_BYTES = 4 * 2**20
 
 
@@ -137,33 +140,46 @@ def serving_bs(scene: Scene, directs: list[DirectChannel], legs: list) -> np.nda
     return np.where(usable[best, np.arange(best.size)], best, -1)
 
 
+def _served_gains(
+    scene: Scene, direct: DirectChannel, rows: np.ndarray, leg, point_legs
+) -> np.ndarray:
+    """(2, len(rows)) linear without and with gains of the points ``rows`` one station serves.
+
+    One station's channels and quadratic forms live only inside this call,
+    so they are gone before the next station's are built.
+    """
+    sub = DirectChannel(
+        gains=direct.gains[rows],
+        delay_s=direct.delay_s[rows],
+        distance_m=direct.distance_m[rows],
+    )
+    ris_ch = (
+        ris_channels(scene, leg, point_legs[0][rows], point_legs[1][rows])
+        if scene.ris is not None
+        else None
+    )
+    terms = gain_terms(sub, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
+    gains = np.empty((2, rows.size))
+    gains[:] = terms.c0
+    if ris_ch is not None:
+        _, ascended = optimize_gains(terms, scene.ris.phase_lookup_rad)
+        gains[1] = np.maximum(ascended, terms.c0)
+    return gains
+
+
 def _gain_block(scene: Scene, points: np.ndarray, legs: list) -> np.ndarray:
     """(2, n) linear without and with gains at the serving station of each point."""
     directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
     serving = serving_bs(scene, directs, legs)
     gains = np.full((2, len(points)), math.nan)
+    point_legs = None
     if scene.ris is not None:
-        point_gains, point_dists = surface_legs(scene, points)
-        serving = np.where(np.all(point_dists > 0.0, axis=1), serving, -1)
+        point_legs = surface_legs(scene, points)
+        serving = np.where(np.all(point_legs[1] > 0.0, axis=1), serving, -1)
     for i, direct in enumerate(directs):
         rows = np.flatnonzero(serving == i)
-        if rows.size == 0:
-            continue
-        sub = DirectChannel(
-            gains=direct.gains[rows],
-            delay_s=direct.delay_s[rows],
-            distance_m=direct.distance_m[rows],
-        )
-        ris_ch = (
-            ris_channels(scene, legs[i], point_gains[rows], point_dists[rows])
-            if scene.ris is not None
-            else None
-        )
-        terms = gain_terms(sub, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
-        gains[:, rows] = terms.c0
-        if ris_ch is not None:
-            _, ascended = optimize_gains(terms, scene.ris.phase_lookup_rad)
-            gains[1, rows] = np.maximum(ascended, terms.c0)
+        if rows.size:
+            gains[:, rows] = _served_gains(scene, direct, rows, legs[i], point_legs)
     return gains
 
 

@@ -47,9 +47,10 @@ from .seeding import derived_integers
 
 PEB_CONDITION_LIMIT = 1e12
 
-# Memory held by one block's reflected-row operands (complex: the M x 3N
-# element terms and the K x 3N pilot rows per cell). It bounds the working
-# set, never the result, which is the same for any block size.
+# Budget for the reflected-path operands one block holds at once, counted
+# per cell by :func:`_cell_bytes`: the element phasors and terms, the pilot
+# responses, the pilot rows and their mu and d_pos copies. It bounds
+# memory, never the result, which is the same for any block size.
 _BLOCK_BYTES = 2 * 2**20
 
 
@@ -124,13 +125,21 @@ def _reflected_rows(scene: Scene, leg: BsLeg, points: np.ndarray, configs: np.nd
         # (n, M, N) subcarrier phasors of each element's two-leg delay
         delays = scene.subcarrier_spacing_hz * ch.element_delays_s
         eps = np.exp(-2j * math.pi * (delays[..., None] * n))
-        # d/dp splits into a gain part and a delay part, the latter n-scaled
-        terms = np.stack([
-            g[..., None] * eps,
-            (dg[..., 0, None] + g_tau[..., 0, None] * n_scale) * eps,
-            (dg[..., 1, None] + g_tau[..., 1, None] * n_scale) * eps,
-        ], axis=2).reshape(count, m, -1)  # (n, M, 3 N)
-        rows = (phasors[configs] @ terms).reshape(count, -1, 3, n.size)  # (n, K, 3, N)
+        # d/dp splits into a gain part and a delay part, the latter n-scaled;
+        # the three parts go straight into one (n, M, 3, N) array. Each
+        # derivative part is summed in the gain part's slot, which is
+        # filled last, so no complex product runs in place: numpy takes an
+        # in-place multiply of one element for a reduction, whose scalar
+        # loop rounds differently from the vector loop
+        terms = np.empty((count, m, 3, n.size), dtype=np.complex128)
+        scratch = terms[:, :, 0]
+        for axis in (1, 0):
+            np.multiply(g_tau[..., axis, None], n_scale, out=scratch)
+            np.add(dg[..., axis, None], scratch, out=scratch)
+            np.multiply(scratch, eps, out=terms[:, :, 1 + axis])
+        np.multiply(g[..., None], eps, out=scratch)
+        del eps
+        rows = (phasors[configs] @ terms.reshape(count, m, -1)).reshape(count, -1, 3, n.size)
     mu = rows[:, :, 0].reshape(count, -1)
     d_pos = np.moveaxis(rows[:, :, 1:], 2, 1).reshape(count, 2, -1)
     return mu, d_pos, dists
@@ -187,11 +196,22 @@ def peb(fim_2x2) -> PebResult:
     return PebResult(peb_m=bound[()], fim_condition=condition[()])
 
 
+def _cell_bytes(scene: Scene) -> int:
+    """Bytes one cell adds to a block's largest operands, all complex.
+
+    With a surface: eps (M N), terms (M 3N), the pilot responses (K M),
+    rows (K 3N) and the mu and d_pos copies of rows (K 3N); without one,
+    a station's 3N direct-path rows.
+    """
+    n = scene.subcarrier_count
+    if scene.ris is None:
+        return 16 * 3 * n
+    m, k = scene.ris.element_count, scene.localization.pilot_count
+    return 16 * (4 * m * n + k * m + 6 * k * n)
+
+
 def _cell_block(scene: Scene) -> int:
-    per_cell = 3 * scene.subcarrier_count
-    if scene.ris is not None:
-        per_cell *= scene.ris.element_count + scene.localization.pilot_count
-    return max(1, _BLOCK_BYTES // (16 * per_cell))
+    return max(1, _BLOCK_BYTES // _cell_bytes(scene))
 
 
 def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg | None):

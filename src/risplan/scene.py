@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import SceneError
+from .errors import RunError, SceneError
 from .propagation import C_LIGHT_M_S
 
 METRIC_IDS = ("gain_db", "tx_power_dbm", "se_bps_hz", "peb_m", "sse_bps_hz")
@@ -112,13 +112,20 @@ class Grid:
         return self.nx * self.ny
 
     def points(self) -> np.ndarray:
-        """All cell centres as an (n, 3) array, row-major."""
-        xs = self.x_min + self.resolution_m * np.arange(self.nx)
-        ys = self.y_min + self.resolution_m * np.arange(self.ny)
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack(
-            [gx.ravel(), gy.ravel(), np.full(self.nx * self.ny, self.fixed_height_m)]
-        )
+        """All cell centres as an (n, 3) array, row-major.
+
+        A grid whose centres cannot be allocated is a run-time failure.
+        """
+        n = self.cell_count
+        try:
+            pts = np.empty((n, 3))
+        except MemoryError:
+            raise RunError(f"cannot allocate the centres of the {self.nx} x {self.ny} grid "
+                           f"({24 * n} bytes)") from None
+        cells = pts.reshape(self.ny, self.nx, 3)
+        cells[:, :, 0] = self.x_min + self.resolution_m * np.arange(self.nx)
+        cells[:, :, 1] = (self.y_min + self.resolution_m * np.arange(self.ny))[:, None]
+        pts[:, 2] = self.fixed_height_m
         return pts
 
 

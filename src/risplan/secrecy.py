@@ -103,9 +103,12 @@ def secrecy_link(scene: Scene, point, point_index: int = 0, draw: int = 0) -> Se
 # grid-batched ascent: the alternating ascent on a block of cells in
 # lock-step, every loop level masked per cell
 
-# Memory held by one block's candidate cascades (complex, lookup levels x
-# M x N_bs per cell). It bounds the working set, never the result, which
-# is the same for any block size.
+# Budget for one block's candidate cascades, the largest operand: the
+# phase ascent tries every lookup level of one element at once, so
+# ``_realize`` builds a (lookup levels x M x N_bs) complex cascade per cell,
+# N_bs the stations' summed antennas; its phasor factor, 1 / N_bs of that,
+# lives while it is built. The budget bounds memory, never the result,
+# which is the same for any block size.
 _BLOCK_BYTES = 4 * 2**20
 
 

@@ -10,7 +10,9 @@ cascade, the one-row station choice, a surface setting as a
 :class:`RisConfig` of phases, the per-angle beam codebook, a quadratic form
 evaluated at explicit phasors, the generic element-by-element coordinate
 ascent over any objective, the codebook sweep, the unquantized coherent
-alignment, and the equivalent gain at one point and station. Their
+alignment, and the equivalent gain at one point and station. The
+out-of-place Dirichlet formula and the dense pair-phasor construction of V
+check the in-place ones of :mod:`risplan.beamforming` bit for bit. Their
 arithmetic is unchanged, so the bit-for-bit comparisons against the batched
 engines keep their meaning.
 """
@@ -178,6 +180,38 @@ def point_gain_terms(scene, bs_index: int, point) -> GainTerms:
     direct = direct_channel(scene, bs_index, point)
     ris_ch = ris_channel(scene, bs_index, point) if scene.ris is not None else None
     return gain_terms(direct, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
+
+
+def dirichlet_phasor(tau_s, count: int, spacing_hz: float):
+    """Mean subcarrier phasor by the Dirichlet closed form, every step out of place.
+
+    :func:`risplan.beamforming.mean_subcarrier_phasor` runs the same
+    formula in place and must agree bit for bit.
+    """
+    x = np.asarray(spacing_hz * np.asarray(tau_s, dtype=float))
+    den = np.sin(math.pi * x)
+    safe = np.where(den == 0.0, 1.0, den)
+    val = np.exp(1j * math.pi * (count - 1) * x) * np.sin(count * math.pi * x) / (count * safe)
+    return np.where(den == 0.0, 1.0 + 0.0j, val)
+
+
+def dense_pair_matrix(ris_ch: RisChannel, count: int, spacing_hz: float) -> np.ndarray:
+    """V of :func:`risplan.beamforming.gain_terms` through a dense pair-phasor matrix.
+
+    The (..., M, M) pair phasors hold the upper triangle, its conjugate
+    below and exactly 1 on the diagonal; V is the outer product of the hops
+    scaled by the antenna count, times that matrix.
+    """
+    hops = ris_ch.hop_products
+    taus = ris_ch.element_delays_s
+    ant = ris_ch.bs_steering.shape[0]
+    m = taus.shape[-1]
+    iu, ju = np.triu_indices(m, 1)
+    upper = dirichlet_phasor(taus[..., iu] - taus[..., ju], count, spacing_hz)
+    pair_phasor = np.ones((*taus.shape, m), dtype=np.complex128)
+    pair_phasor[..., iu, ju] = upper
+    pair_phasor[..., ju, iu] = np.conj(upper)
+    return ant * np.conj(hops)[..., :, None] * hops[..., None, :] * pair_phasor
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Small evaluations that only tests need, kept out of the package API."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -38,3 +39,13 @@ def error_slots(result):
     delay = index.shape[0] - result.transmitting_slots
     lost = result.snr[index[delay:]] < result.snr_floor[index[:-delay]]
     return tuple((np.flatnonzero(lost) + delay).tolist())
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gain_oracle import (
     RisConfig,
     codebook,
     codebook_sweep,
     coordinate_ascent,
+    dense_pair_matrix,
+    dirichlet_phasor,
     direct_channel,
     gain,
     gain_config,
@@ -28,11 +31,13 @@ from helpers import at_subcarriers
 from risplan.beamforming import (
     GainTerms,
     default_codebook,
+    gain_terms,
     mean_subcarrier_phasor,
     mrc_weights,
     quantize_indices,
     wrap_phase,
 )
+from risplan.propagation import DirectChannel, RisChannel
 from risplan.scene import DEFAULT_PHASE_LOOKUP, parse_scene
 
 TWO_BIT = DEFAULT_PHASE_LOOKUP
@@ -185,6 +190,89 @@ class TestMeanSubcarrierPhasor:
     def test_magnitude_bounded(self):
         taus = np.linspace(-1e-5, 1e-5, 1001)
         assert np.all(np.abs(mean_subcarrier_phasor(taus, 16, 240e3)) <= 1 + 1e-12)
+
+
+def same_bits(got, want):
+    """Equal shapes and equal bit patterns, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(
+        np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64)
+    )
+
+
+# few distinct values, so delay differences of exactly zero, of either sign,
+# come up often; a subnormal delay overflows the complex division in both
+# forms, which the warnings-as-errors setting turns into a failure
+DELAYS = (st.sampled_from([0.0, -0.0, 1e-9, -2.5e-8, 4e-6])
+          | st.floats(-1e-5, 1e-5, allow_subnormal=False))
+PARTS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+class TestInPlaceBitForBit:
+    """The in-place phasor and V agree with their out-of-place oracles bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        taus=arrays(np.float64, st.integers(0, 12), elements=DELAYS),
+        count=st.integers(1, 64),
+        spacing=st.sampled_from([15e3, 30e3, 240e3]) | st.floats(1.0, 1e6),
+    )
+    def test_phasor_matches_oracle(self, taus, count, spacing):
+        want = dirichlet_phasor(taus, count, spacing)
+        same_bits(mean_subcarrier_phasor(taus, count, spacing), want)
+        for tau in taus[:3]:
+            for scalar in (float(tau), np.float64(tau), np.array(tau)):
+                got = mean_subcarrier_phasor(scalar, count, spacing)
+                assert np.ndim(got) == 0
+                same_bits(got, dirichlet_phasor(scalar, count, spacing))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), lead=st.sampled_from([(), (1,), (3,)]), m=st.integers(1, 9),
+           ant=st.integers(1, 4), count=st.integers(1, 64), efficiency=st.sampled_from([1.0, 0.7]))
+    def test_pair_matrix_matches_dense_oracle(self, data, lead, m, ant, count, efficiency):
+        def cplx(shape):
+            re = data.draw(arrays(np.float64, shape, elements=PARTS))
+            im = data.draw(arrays(np.float64, shape, elements=PARTS))
+            out = np.empty(shape, dtype=np.complex128)
+            out.real, out.imag = re, im
+            return out
+
+        ris_ch = RisChannel(
+            bs_to_elements=cplx((m,)),
+            elements_to_point=cplx((*lead, m)),
+            element_delays_s=data.draw(arrays(np.float64, (*lead, m), elements=DELAYS)),
+            element_positions_m=np.zeros((m, 3)),
+            element_to_point_m=np.ones((*lead, m)),
+            bs_steering=np.ones(ant, dtype=np.complex128),
+            efficiency=efficiency,
+        )
+        direct = DirectChannel(
+            gains=np.ones((*lead, ant), dtype=np.complex128),
+            delay_s=np.zeros(lead)[()],
+            distance_m=np.ones(lead)[()],
+        )
+        terms = gain_terms(direct, ris_ch, count, 240e3)
+        same_bits(terms.V, dense_pair_matrix(ris_ch, count, 240e3))
+
+    def test_signed_zero_hops_keep_their_signs(self):
+        # 1 + 0j on the diagonal turns (-0, -0) into (-0, +0) as the dense
+        # product did; a plain copy would keep (-0, -0)
+        ris_ch = RisChannel(
+            bs_to_elements=np.array([complex(-0.0, -0.0), 1.0, complex(0.0, -0.0)]),
+            elements_to_point=np.array([[1.0, complex(-0.0, 0.0), -1.0]]),
+            element_delays_s=np.array([[0.0, -0.0, 0.0]]),
+            element_positions_m=np.zeros((3, 3)),
+            element_to_point_m=np.ones((1, 3)),
+            bs_steering=np.ones(2, dtype=np.complex128),
+            efficiency=1.0,
+        )
+        direct = DirectChannel(gains=np.ones((1, 2), dtype=np.complex128),
+                               delay_s=np.zeros(1), distance_m=np.ones(1))
+        V = gain_terms(direct, ris_ch, 32, 240e3).V
+        want = dense_pair_matrix(ris_ch, 32, 240e3)
+        assert np.any(np.signbit(want.real) | np.signbit(want.imag))
+        same_bits(V, want)
 
 
 def brute_force_gain(scene, bs_index, point, z):

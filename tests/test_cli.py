@@ -353,6 +353,20 @@ class TestAoi:
         assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
 
+    def test_grid_past_the_address_space_exits_3_writing_no_output(self, tmp_path, capsys):
+        # 8 x 10^14 cell centres need 1.9 x 10^16 bytes, past the 128 TiB user
+        # address space: the allocation fails at once
+        doc = json.loads((SCENES / "minimal.json").read_text())
+        doc["ue_grid"]["resolution_m"] = 1e-7
+        out = tmp_path / "out"
+        assert main(["aoi", write_scene(tmp_path, doc), "--metric", "gain_db",
+                     "--out-dir", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot allocate the centres of the 40000001 x 20000001 "
+                                "grid (19200001440000024 bytes)\n")
+        assert not out.exists()
+
     def test_missing_scene_exits_2(self, tmp_path, capsys):
         assert main(["aoi", str(tmp_path / "gone.json"), "--metric", "gain_db"]) == 2
         assert "scene" in capsys.readouterr().err

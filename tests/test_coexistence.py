@@ -5,7 +5,6 @@ import math
 import os
 import pathlib
 import tempfile
-import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from coexist_oracle import reference_summary, reference_trace
 from coexist_oracle import simulate as slot_simulate
 from gain_oracle import cascade, codebook, direct_channel, ris_channel, serving_station
-from helpers import error_slots, trace_columns
+from helpers import error_slots, trace_columns, traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -442,15 +441,6 @@ def test_chunked_integers_continue_one_call(entries, chunks, seed):
     got = np.concatenate([parts.integers(0, entries, k) for k in chunks])
     np.testing.assert_array_equal(got, expected)
     assert parts.bit_generator.state == whole.bit_generator.state
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def switching(slots):

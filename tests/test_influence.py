@@ -193,9 +193,7 @@ class TestBatchedSweepInvariance:
     def test_peb_block_size(self, scene, block, monkeypatch):
         reference = sweep(scene, "peb_m")
         assert np.isfinite(reference[1].values).any()
-        per_cell = 3 * scene.subcarrier_count * (
-            scene.ris.element_count + scene.localization.pilot_count)
-        monkeypatch.setattr(localization, "_BLOCK_BYTES", 16 * per_cell * block)
+        monkeypatch.setattr(localization, "_BLOCK_BYTES", localization._cell_bytes(scene) * block)
         assert localization._cell_block(scene) == block
         for field, ref in zip(sweep(scene, "peb_m"), reference):
             np.testing.assert_array_equal(field.values, ref.values)

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gain_oracle import RisConfig, equivalent_gain, gain_config, point_gain_terms
+from helpers import traced_peak
+from risplan import linkmetrics
 from risplan.linkmetrics import (
     LinkBudget,
     gain_pair,
+    gain_pairs,
     link_budget,
     required_tx_power,
     se_pair,
@@ -264,3 +267,23 @@ class TestPairs:
         s_off, s_on = se_pair(scene, [4, 0.2, 0])
         assert math.isnan(s_off)
         assert not math.isnan(s_on)
+
+
+def test_gain_engine_memory_stays_near_two_block_budgets():
+    # one station serves all 128 cells, two blocks of 64, so each block
+    # builds one V of the full budget; the ascent kernel's real and
+    # imaginary column copy is the second budget. Building V out of a dense
+    # pair-phasor matrix and an outer-product temporary peaked at 2.67
+    # budgets
+    scene = parse_scene(json.dumps({
+        "spec_version": 1,
+        "carrier_hz": 3.5e9,
+        "bs": [{"position_m": [0, 0, 3], "antenna_count": 4}],
+        "ris": {"position_m": [6, 12, 2.5], "element_count": 64},
+        "ue_grid": {"x_min": 0.5, "x_max": 15.5, "y_min": 1, "y_max": 8,
+                    "resolution_m": 1, "fixed_height_m": 1.5},
+    }))
+    points = scene.grid.points()
+    assert len(points) == 2 * linkmetrics._cell_block(scene)
+    gain_pairs(scene, points[:2])  # lazy imports land here
+    assert traced_peak(lambda: gain_pairs(scene, points)) <= 2.4 * linkmetrics._BLOCK_BYTES

@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from peb_oracle import (
     _direct_block,
     build_fim,
@@ -525,3 +526,19 @@ class TestMlSanity:
         bound = peb_point(scene, point, with_ris=False).peb_m
         rmse = ml_position_rmse(scene, point, draws=60, with_ris=False)
         assert 0.9 * bound <= rmse <= 3 * bound
+
+
+def test_peb_engine_memory_stays_within_the_block_budget():
+    # six blocks of the 28 GHz benchmark room's shape (64 elements, 40
+    # pilots, 32 subcarriers); a block sized from the surface terms and
+    # pilot rows alone held 13 cells and peaked at 1.77 budgets
+    scene = loc_scene(
+        ris={"position_m": [3, 0, 1.2], "element_count": 64},
+        localization={"tx_power_dbm": 0.0},
+        ue_grid={"x_min": 0.1, "x_max": 4.9, "y_min": 0.5, "y_max": 4.9,
+                 "resolution_m": 0.8, "fixed_height_m": 1.0},
+    )
+    points = scene.grid.points()
+    assert len(points) == 6 * localization._cell_block(scene)
+    peb_pairs(scene, points[:2])  # lazy imports land here
+    assert traced_peak(lambda: peb_pairs(scene, points)) <= 1.2 * localization._BLOCK_BYTES

@@ -290,6 +290,21 @@ class TestGrid:
             assert iy * grid.nx + ix == idx
 
 
+@given(
+    x0=st.floats(-50.0, 50.0), y0=st.floats(-50.0, 50.0), height=st.floats(-5.0, 5.0),
+    nx=st.integers(1, 30), ny=st.integers(1, 30), res=st.floats(0.05, 3.0),
+)
+def test_points_match_meshgrid_bit_for_bit(x0, y0, height, nx, ny, res):
+    # the centres are written into one preallocated array; they must be the
+    # values the meshgrid and column-stack construction gives
+    grid = Grid(x_min=x0, x_max=x0 + (nx - 1) * res, y_min=y0, y_max=y0 + (ny - 1) * res,
+                resolution_m=res, fixed_height_m=height)
+    gx, gy = np.meshgrid(grid.x_min + res * np.arange(grid.nx),
+                         grid.y_min + res * np.arange(grid.ny))
+    want = np.column_stack([gx.ravel(), gy.ravel(), np.full(grid.cell_count, height)])
+    np.testing.assert_array_equal(grid.points().view(np.uint64), want.view(np.uint64))
+
+
 def test_scene_equality_and_hash():
     a = parse_scene(make())
     b = parse_scene(make())

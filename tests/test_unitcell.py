@@ -1,13 +1,12 @@
 import csv
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import contrast_at
+from helpers import contrast_at, traced_peak
 from risplan.errors import ConfigError
 from risplan.touchstone import StateRecord, parse_touchstone
 from risplan.unitcell import (
@@ -419,14 +418,9 @@ def test_normalized_csv_memory_stays_one_chunk():
         names = np.array(["pin", "a,b", "line\nbreak"], dtype=object)[np.arange(n) % 3]
         return names, np.linspace(0.5, 1.5, n), np.linspace(0.0, 2.0, n)
 
-    def traced_peak(table):
-        tracemalloc.start()
-        try:
-            write_normalized_csv(table, os.devnull)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def peak(table):
+        return traced_peak(lambda: write_normalized_csv(table, os.devnull))
 
     small, large = columns(20_000), columns(100_000)
-    traced_peak(small)  # lazy imports land here
-    assert traced_peak(large) - traced_peak(small) <= 200_000
+    peak(small)  # lazy imports land here
+    assert peak(large) - peak(small) <= 200_000
