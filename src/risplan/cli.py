@@ -5,6 +5,9 @@ the command, the resolved configuration, the seed and a sha256 digest per
 emitted file.  Nothing in the pipeline reads the clock or OS entropy, so a
 rerun with the same inputs reproduces every byte, digests included.
 
+Each ``cmd_*`` function imports its own layers when it runs, so a process
+loads and compiles only the modules of the command it was asked for.
+
 Exit codes: 0 success, 2 input or configuration problem, 3 runtime failure
 (a ``RunError``, or a ``ValueError`` or ``LinAlgError`` from the numerics).
 """
@@ -22,30 +25,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coexistence import CoexistConfig, simulate, write_trace_csv
 from .errors import ConfigError, RunError
-from .influence import (
-    classify,
-    export_csv,
-    export_labels_csv,
-    export_labels_ppm,
-    export_ppm,
-    field_filename,
-    sweep,
-)
 from .propagation import ray_amplitudes
 from .scene import METRIC_IDS, Scene, load_scene, read_seed
-from .touchstone import load_cell_manifest, read_touchstone
-from .unitcell import (
-    build_table,
-    extract_boi,
-    max_contrast,
-    max_contrast_effective,
-    normalized_contrast_table,
-    write_boi_summary_csv,
-    write_contrast_csv,
-    write_normalized_csv,
-)
 
 
 class _OutDir:
@@ -134,6 +116,18 @@ def _parse_point(text: str, scene: Scene) -> np.ndarray:
 
 
 def cmd_boi(args: argparse.Namespace) -> int:
+    from .touchstone import load_cell_manifest, read_touchstone
+    from .unitcell import (
+        build_table,
+        extract_boi,
+        max_contrast,
+        max_contrast_effective,
+        normalized_contrast_table,
+        write_boi_summary_csv,
+        write_contrast_csv,
+        write_normalized_csv,
+    )
+
     if not 0.0 < args.cmin <= 2.0:
         raise ConfigError(f"--cmin must lie in (0, 2], got {args.cmin}")
     try:
@@ -177,6 +171,16 @@ def cmd_boi(args: argparse.Namespace) -> int:
 
 
 def cmd_aoi(args: argparse.Namespace) -> int:
+    from .influence import (
+        classify,
+        export_csv,
+        export_labels_csv,
+        export_labels_ppm,
+        export_ppm,
+        field_filename,
+        sweep,
+    )
+
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     scene = _apply_seed(load_scene(args.scene), args.seed)
@@ -213,6 +217,8 @@ def cmd_aoi(args: argparse.Namespace) -> int:
 
 
 def cmd_coexist(args: argparse.Namespace) -> int:
+    from .coexistence import CoexistConfig, simulate, write_trace_csv
+
     scene = _apply_seed(load_scene(args.scene), args.seed)
     ue = _parse_point(args.ue, scene)
     config = CoexistConfig(

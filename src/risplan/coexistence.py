@@ -40,9 +40,9 @@ from .seeding import derived_rng
 # Slots per chunk of the slot recursion and of the trace writer, where one
 # ``%`` format call writes a chunk. It bounds the per-chunk arrays (the
 # switching uniforms, the entry draws and the intp indices) and the text
-# held at once (about 0.5 MB at 8192 rows), never the bytes written or the
+# held at once (about 0.13 MB at 2048 rows), never the bytes written or the
 # random stream, which are the same for any chunk size.
-_TRACE_CHUNK_ROWS = 8192
+_TRACE_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,13 @@
 
 Supports .s1p (3 columns: f, S11 pair) and .s2p (9 columns: f, then
 S11 S21 S12 S22 pairs, standard column order) with RI, MA and DB value
-formats. The data lines are read as one array by ``np.loadtxt``, so a
-number follows its grammar: ASCII decimal floats with an optional
-exponent, no digit-group underscores (``1_000`` is rejected, although
-Python's ``float`` takes it). A row holding ``nan`` or ``inf``, a
-frequency that overflows once scaled to Hz, or a DB magnitude whose
-linear value overflows is rejected. Every parse error carries the
-1-based line number.
+formats. The data lines stream from the file into ``np.loadtxt``, one
+chunk of rows per call, so a number follows its grammar: ASCII decimal
+floats with an optional exponent, no digit-group underscores (``1_000``
+is rejected, although Python's ``float`` takes it). A row holding
+``nan`` or ``inf``, a frequency that overflows once scaled to Hz, or a
+DB magnitude whose linear value overflows is rejected. Every parse error
+carries the 1-based line number.
 
 A cell manifest is a JSON file naming one or more cells and, per cell, the
 state id -> Touchstone path map (paths relative to the manifest):
@@ -27,9 +27,12 @@ state id -> Touchstone path map (paths relative to the manifest):
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +45,19 @@ _FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 _FORMATS = ("RI", "MA", "DB")
 
 _PASSIVITY_SLACK = 1e-6
+
+# Data rows per ``np.loadtxt`` call. It bounds the parsed table held at once
+# (about 150 kB of 9-column rows), never the values read, which are the same
+# for any chunk size.
+_BODY_CHUNK_ROWS = 2048
+
+# Bytes of a Touchstone file read and decoded at once.
+_READ_BYTES = 1 << 14
+
+# Everything up to the last line break ``str.splitlines`` knows in ASCII
+# text. A ``\r`` that ends the bytes read so far may be the first half of
+# ``\r\n``, so it is no break yet.
+_LAST_BREAK = re.compile(rb"(?s:.*)(?:[\n\v\f\x1c-\x1e]|\r(?=[^\n]))")
 
 
 @dataclass(frozen=True)
@@ -110,17 +126,46 @@ def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lines(source):
+    """An iterator over the lines of ``source`` from its start, split where
+    ``str.splitlines`` splits the ASCII-decoded text.
+
+    ``source`` is Touchstone text as str, or its bytes or a binary file,
+    which are decoded in blocks of whole lines (see ``_blocks``), so the
+    whole text is never held. Each block ends at a line break, so splitting
+    each one gives the lines of the whole text.
+    """
+    if isinstance(source, str):
+        return iter(source.splitlines())
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    source.seek(0)
+    return itertools.chain.from_iterable(map(str.splitlines, _blocks(source)))
+
+
+def _blocks(fh):
+    """The text of binary file ``fh`` from where it stands, decoded one
+    ``_READ_BYTES`` read at a time and cut after the read's last line break."""
+    tail = b""
+    while block := fh.read(_READ_BYTES):
+        data = tail + block
+        last = _LAST_BREAK.match(data)
+        cut = last.end() if last else 0
+        yield data[:cut].decode("ascii", errors="replace")
+        tail = data[cut:]
+    yield tail.decode("ascii", errors="replace")
+
+
 def parse_touchstone(data, state_id: str) -> StateRecord:
-    """Parse Touchstone v1 text (str or bytes) into a StateRecord.
+    """Parse Touchstone v1 text (str, bytes or a binary file) into a StateRecord.
 
     The port count is inferred from the data row arity: 3 columns for a
-    1-port file, 9 for a 2-port file. One ``np.loadtxt`` call reads the
-    data lines and every check runs on whole columns; only a file that
-    fails one is scanned line by line, for the line to report.
+    1-port file, 9 for a 2-port file. ``np.loadtxt`` reads the data lines
+    as they stream from ``data``, ``_BODY_CHUNK_ROWS`` rows per call, and
+    every check runs on whole columns of a chunk; only a file that fails
+    one is read again line by line, for the line to report.
     """
-    if isinstance(data, bytes):
-        data = data.decode("ascii", errors="replace")
-    lines = data.splitlines()
+    lines = _lines(data)
     # only comment and blank lines may precede the option line
     for start, raw in enumerate(lines, start=1):
         line = raw.split("!", 1)[0].strip()
@@ -131,28 +176,39 @@ def parse_touchstone(data, state_id: str) -> StateRecord:
     if not line.startswith("#"):
         raise TouchstoneError("data before option line", start)
     unit, fmt, reference = _parse_option_line(line[1:].split(), start)
-    body = lines[start:]
+    chunks = ([], [], [])  # frequencies, S11 and S21 of each chunk of rows
+    width, prev = None, -math.inf
     try:
         with warnings.catch_warnings():
-            # loadtxt warns on an empty body; the scan reports it instead
+            # loadtxt warns on an empty body, which the scan reports, and on
+            # blank lines under max_rows, which are no fault
             warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(body, comments="!", ndmin=2)
-        with np.errstate(over="ignore"):
-            freqs = table[:, 0] * _FREQ_UNITS[unit]
-        if not (
-            len(table)
-            and table.shape[1] in (3, 9)
-            and np.isfinite(freqs).all()
-            and np.isfinite(table).all()
-            and np.all(np.diff(freqs) > 0)
-        ):
+            while len(table := np.loadtxt(lines, comments="!", ndmin=2,
+                                          max_rows=_BODY_CHUNK_ROWS)):
+                width = width or table.shape[1]
+                with np.errstate(over="ignore"):
+                    freqs = table[:, 0] * _FREQ_UNITS[unit]
+                if not (
+                    width in (3, 9)
+                    and table.shape[1] == width
+                    and np.isfinite(freqs).all()
+                    and np.isfinite(table).all()
+                    and freqs[0] > prev
+                    and np.all(np.diff(freqs) > 0)
+                ):
+                    raise ValueError
+                prev = freqs[-1]
+                chunks[0].append(freqs)
+                chunks[1].append(_to_complex(fmt, table[:, 1], table[:, 2]))
+                if width == 9:
+                    chunks[2].append(_to_complex(fmt, table[:, 3], table[:, 4]))
+        if width is None:
             raise ValueError
-        s11 = _to_complex(fmt, table[:, 1], table[:, 2])
-        s21 = _to_complex(fmt, table[:, 3], table[:, 4]) if table.shape[1] == 9 else None
     except (ValueError, OverflowError):
-        # a failed check, a token that is no number, rows of unequal arity
-        # or a DB magnitude past the float range
-        _raise_at_bad_line(body, start, unit, fmt)
+        # a failed check, a token that is no number, rows of unequal arity,
+        # a DB magnitude past the float range or no data row at all
+        _raise_at_bad_line(itertools.islice(_lines(data), start, None), start, unit, fmt)
+    freqs, s11, s21 = (np.concatenate(c) if c else None for c in chunks)
     record = StateRecord(state_id, freqs, s11, s21, reference)
     _warn_if_active(record)
     return record
@@ -215,15 +271,13 @@ def _warn_if_active(record: StateRecord):
 
 
 def read_touchstone(path, state_id: str | None = None) -> StateRecord:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise TouchstoneError(f"{path}: {exc.strerror}") from None
     if state_id is None:
         state_id = os.path.splitext(os.path.basename(path))[0]
     try:
-        return parse_touchstone(data, state_id)
+        with open(path, "rb") as fh:
+            return parse_touchstone(fh, state_id)
+    except OSError as exc:
+        raise TouchstoneError(f"{path}: {exc.strerror}") from None
     except TouchstoneError as exc:
         raise TouchstoneError(f"{path}: {exc}") from None
 

@@ -30,7 +30,7 @@ DEFAULT_CONTRAST_THRESHOLD = 1.0
 
 # Rows per write() of the contrast and normalized writers. It bounds the text
 # and the Python floats held at once, never the bytes written.
-_CSV_CHUNK_ROWS = 8192
+_CSV_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
 """Small evaluations that only tests need, kept out of the package API."""
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
+
+import risplan
 
 
 def at_subcarriers(direct, count, spacing_hz):
@@ -49,3 +56,27 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def fresh_interpreter(*args):
+    """Run ``python *args`` in a new process that imports this checkout of risplan."""
+    src = str(pathlib.Path(risplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def loaded_modules(*argv):
+    """Short names of the ``risplan`` modules a fresh interpreter has loaded
+    after importing ``risplan.cli`` and, given ``argv``, running the command
+    ``risplan.cli.main(argv)``, which must succeed."""
+    code = (
+        "import json, sys, risplan.cli\n"
+        "code = risplan.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    done = fresh_interpreter("-c", code, *argv)
+    assert done.returncode == 0, done.stderr
+    names = json.loads(done.stdout.splitlines()[-1])
+    return {name.split(".", 1)[1] for name in names if name.startswith("risplan.")}

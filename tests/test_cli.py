@@ -3,15 +3,12 @@
 import hashlib
 import json
 import math
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from helpers import fresh_interpreter, loaded_modules
 
-import risplan
 from risplan import __version__
 from risplan.cli import main
 from risplan.influence import classify, sweep
@@ -639,17 +636,40 @@ def test_no_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def fresh_interpreter(*args):
-    """Run ``python *args`` in a new process that imports this checkout of risplan."""
-    src = str(pathlib.Path(risplan.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+AOI_LAYERS = {"influence", "linkmetrics", "localization", "secrecy", "beamforming"}
+BOI_LAYERS = {"touchstone", "unitcell"}
+
+
+@pytest.mark.parametrize(
+    "argv,needed,unneeded",
+    [
+        ([], set(), AOI_LAYERS | BOI_LAYERS | {"coexistence"}),
+        (["boi", str(SCENES / "cells.json")], BOI_LAYERS, AOI_LAYERS | {"coexistence"}),
+        (["aoi", str(SCENES / "minimal.json"), "--metric", "gain_db"],
+         {"influence"}, BOI_LAYERS | {"coexistence"}),
+        (["coexist", str(SCENES / "street_coexistence.json"), "--switch-prob", "0.3",
+          "--slots", "200", "--ue", "11,19"],
+         {"coexistence"}, BOI_LAYERS | {"influence", "localization", "secrecy"}),
+    ],
+    ids=["import", "boi", "aoi", "coexist"],
+)
+def test_each_command_loads_only_its_own_layers(tmp_path, argv, needed, unneeded):
+    # a one-shot process pays to compile and import every module it loads
+    if argv:
+        argv = [*argv, "--out-dir" if argv[0] == "aoi" else "--out", str(tmp_path / "out")]
+    loaded = loaded_modules(*argv)
+    assert needed <= loaded
+    assert not loaded & unneeded
+
+
+# every module a command may load, as the commands import them
+EVERY_LAYER = "risplan.cli, risplan.coexistence, risplan.influence, risplan.unitcell"
 
 
 def test_import_leaves_scipy_unloaded():
     # scipy is a test dependency only; importing the CLI must not load it
-    code = "import sys, risplan.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (f"import sys, {EVERY_LAYER}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = fresh_interpreter("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -657,7 +677,7 @@ def test_import_leaves_scipy_unloaded():
 
 def test_import_starts_no_process_machinery():
     # every map runs in-process; the CLI must not pay for a worker pool
-    code = ("import sys, risplan.cli; print(sorted(m for m in sys.modules "
+    code = (f"import sys, {EVERY_LAYER}; print(sorted(m for m in sys.modules "
             "if m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
     done = fresh_interpreter("-c", code)
     assert done.returncode == 0, done.stderr
@@ -682,7 +702,7 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
     def failing_sweep(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr("risplan.cli.sweep", failing_sweep)
+    monkeypatch.setattr("risplan.influence.sweep", failing_sweep)
     scene_path = write_scene(tmp_path, SCENE)
     assert main(["aoi", scene_path, "--metric", "peb_m", "--out-dir", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == f"error: {exc}\n"

@@ -467,6 +467,13 @@ def test_trace_writer_memory_stays_one_chunk():
               - traced_peak(lambda: write_trace_csv(small, os.devnull)))
     assert growth <= 500_000
 
+
+def test_trace_writer_peak_at_the_benchmark_slot_count():
+    # one chunk's text, row list and keys, whatever the slot count: about
+    # 0.4 MB at 2048 rows, where 8192-row chunks held 1.4 MB
+    result = simulate(coex_scene(), NEAR, switching(400_000))
+    assert traced_peak(lambda: write_trace_csv(result, os.devnull)) <= 600_000
+
 STATIONS = (
     {"position_m": [0, 0, 10], "antenna_count": 4},
     {"position_m": [20, 30, 8], "antenna_count": 2, "orientation_rad": 0.5},

@@ -1,11 +1,15 @@
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import touchstone_oracle
+from risplan import touchstone
 from risplan.errors import ConfigError, TouchstoneError
 from risplan.touchstone import load_cell_manifest, parse_touchstone, read_touchstone
 
@@ -220,7 +224,8 @@ def touchstone_files(draw, mutation=None):
                      + draw(st.sampled_from(["", " ", " ! note", "! x", "\t!"])))
         if k in extra_after:
             lines.append(extra_after[k])
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    # every line break of ASCII text that str.splitlines knows
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]))
     text = end.join(lines) + draw(st.sampled_from(["", end]))
     return text.encode("ascii") if draw(st.booleans()) else text
 
@@ -235,17 +240,88 @@ def outcome(parse, text):
     return rec.state_id, rec.reference_ohm, [f.view(np.uint64).tolist() for f in fields]
 
 
-@given(touchstone_files())
+def streamed(read_bytes, chunk_rows):
+    """``parse_touchstone`` on a binary file of the text, as ``read_touchstone``
+    reads one, with small reads and chunks so that their edges fall inside it."""
+    def parse(text, state_id):
+        data = text.encode("ascii") if isinstance(text, str) else text
+        with mock.patch.multiple(touchstone, _READ_BYTES=read_bytes,
+                                 _BODY_CHUNK_ROWS=chunk_rows):
+            return parse_touchstone(io.BytesIO(data), state_id)
+    return parse
+
+
+STREAMED_PARSERS = st.builds(streamed, st.integers(1, 64), st.integers(1, 4))
+
+
+@given(touchstone_files(), STREAMED_PARSERS)
 @settings(max_examples=40, deadline=None)
-def test_records_match_oracle_bit_for_bit(text):
+def test_records_match_oracle_bit_for_bit(text, parse_file):
     expected = outcome(touchstone_oracle.parse_touchstone, text)
     assert not isinstance(expected, str), expected
     assert outcome(parse_touchstone, text) == expected
+    assert outcome(parse_file, text) == expected
 
 
-@given(st.sampled_from(MUTATIONS).flatmap(lambda m: touchstone_files(m)))
+@given(st.sampled_from(MUTATIONS).flatmap(lambda m: touchstone_files(m)), STREAMED_PARSERS)
 @settings(max_examples=60, deadline=None)
-def test_malformed_files_fail_like_oracle(text):
+def test_malformed_files_fail_like_oracle(text, parse_file):
     expected = outcome(touchstone_oracle.parse_touchstone, text)
     assert isinstance(expected, str)
     assert outcome(parse_touchstone, text) == expected
+    assert outcome(parse_file, text) == expected
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0c"])
+def test_any_read_size_numbers_lines_alike(end):
+    # a read may end between the two bytes of "\r\n", which still break one line
+    text = end.join(["! c", "# GHZ S RI R 50", "1 0 0", "", "2 0 0", "2 0 0"]) + end
+    expected = outcome(touchstone_oracle.parse_touchstone, text)
+    assert expected.startswith("line 6: frequencies must be strictly increasing")
+    for size in range(1, len(text) + 1):
+        assert outcome(streamed(size, 1), text) == expected
+
+
+# ---------------------------------------------------------------------------
+# memory of a long file
+# ---------------------------------------------------------------------------
+
+LONG_ROWS = 24_000
+
+
+def write_long_s2p(path, end="\n", bad_row=None):
+    """A 2-port RI file of LONG_ROWS rows after a comment and the option line,
+    lines ended by ``end``; row ``bad_row`` (0-based), if given, holds a
+    token that is no number."""
+    rng = np.random.default_rng(11)
+    table = np.column_stack([np.linspace(1.0, 40.0, LONG_ROWS),
+                             rng.uniform(-0.6, 0.6, (LONG_ROWS, 8))])
+    text = io.StringIO()
+    np.savetxt(text, table, fmt="%.17g")  # round-trips every bit
+    lines = ["! generated", "# GHZ S RI R 50", *text.getvalue().splitlines()]
+    if bad_row is not None:
+        lines[2 + bad_row] = lines[2 + bad_row].replace(" ", " x", 1)
+    path.write_bytes(end.join(lines).encode("ascii") + end.encode("ascii"))
+    return table
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_long_file_memory_stays_near_its_table(tmp_path, end):
+    # the file streams into loadtxt one chunk of rows at a time, whatever
+    # its line breaks: no copy of its bytes, text or lines is held, and no
+    # table of every row
+    path = tmp_path / "long.s2p"
+    table = write_long_s2p(path, end)
+    traced_peak(lambda: read_touchstone(path))  # lazy imports land here
+    assert traced_peak(lambda: read_touchstone(path)) < 1.5 * table.nbytes
+    rec = read_touchstone(path)
+    assert rec.frequencies_hz.tolist() == (table[:, 0] * 1e9).tolist()
+    assert rec.s21.tolist() == (table[:, 3] + 1j * table[:, 4]).tolist()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r"])
+def test_bad_row_deep_in_a_long_file_reports_its_line(tmp_path, end):
+    path = tmp_path / "long.s2p"
+    write_long_s2p(path, end, bad_row=LONG_ROWS - 100)
+    with pytest.raises(TouchstoneError, match=f"line {LONG_ROWS - 100 + 3}: non-numeric"):
+        read_touchstone(path)

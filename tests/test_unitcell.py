@@ -10,6 +10,7 @@ from helpers import contrast_at, traced_peak
 from risplan.errors import ConfigError
 from risplan.touchstone import StateRecord, parse_touchstone
 from risplan.unitcell import (
+    _CSV_CHUNK_ROWS,
     BandOfInfluence,
     ContrastCurve,
     SParameterTable,
@@ -375,7 +376,7 @@ def csv_reference(path, header, rows):
 
 def test_contrast_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(3)
-    n = 2 * 8192 + 11
+    n = 2 * _CSV_CHUNK_ROWS + 11
     freqs = np.linspace(1e9, 2e9, n)
     contrast = rng.uniform(0.0, 2.0, n)
     contrast[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
@@ -394,7 +395,7 @@ def test_normalized_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(4)
     rows = [
         (names[i % len(names)], float(x), float(c))
-        for i, (x, c) in enumerate(rng.uniform(0.5, 1.5, (2 * 8192 + 5, 2)))
+        for i, (x, c) in enumerate(rng.uniform(0.5, 1.5, (2 * _CSV_CHUNK_ROWS + 5, 2)))
     ]
     rows[: len(SPECIAL_FLOATS)] = [
         (names[i % len(names)], v, -v) for i, v in enumerate(SPECIAL_FLOATS)
