@@ -6,7 +6,10 @@ emitted file.  Nothing in the pipeline reads the clock or OS entropy, so a
 rerun with the same inputs reproduces every byte, digests included.
 
 Each ``cmd_*`` function imports its own layers when it runs, so a process
-loads and compiles only the modules of the command it was asked for.
+loads and compiles only the modules of the command it was asked for. Each
+reads and checks its inputs before that import, so start-up, ``--help``,
+``--version`` and every input error found ahead of a computation run
+without numpy: only a command's numeric layer loads it.
 
 Exit codes: 0 success, 2 input or configuration problem, 3 runtime failure
 (a ``RunError``, or a ``ValueError`` or ``LinAlgError`` from the numerics).
@@ -21,13 +24,14 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, RunError
-from .propagation import ray_amplitudes
 from .scene import METRIC_IDS, Scene, load_scene, read_seed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _OutDir:
@@ -101,6 +105,10 @@ def _parse_point(text: str, scene: Scene) -> np.ndarray:
         raise ConfigError(f"--ue coordinates must be finite, got {text!r}")
     if len(coords) == 2:
         coords.append(scene.grid.fixed_height_m)
+    import numpy as np
+
+    from .propagation import ray_amplitudes
+
     point = np.array(coords)
     nodes = [bs.position_m for bs in scene.bs]
     if scene.ris is not None:
@@ -117,6 +125,14 @@ def _parse_point(text: str, scene: Scene) -> np.ndarray:
 
 def cmd_boi(args: argparse.Namespace) -> int:
     from .touchstone import load_cell_manifest, read_touchstone
+
+    if not 0.0 < args.cmin <= 2.0:
+        raise ConfigError(f"--cmin must lie in (0, 2], got {args.cmin}")
+    try:
+        cells = load_cell_manifest(args.manifest)
+    except OSError as exc:
+        raise ConfigError(f"cannot read cell manifest: {exc}") from None
+
     from .unitcell import (
         build_table,
         extract_boi,
@@ -127,13 +143,6 @@ def cmd_boi(args: argparse.Namespace) -> int:
         write_contrast_csv,
         write_normalized_csv,
     )
-
-    if not 0.0 < args.cmin <= 2.0:
-        raise ConfigError(f"--cmin must lie in (0, 2], got {args.cmin}")
-    try:
-        cells = load_cell_manifest(args.manifest)
-    except OSError as exc:
-        raise ConfigError(f"cannot read cell manifest: {exc}") from None
 
     # every curve and band first, so a bad cell leaves no output behind
     bands = []
@@ -171,6 +180,11 @@ def cmd_boi(args: argparse.Namespace) -> int:
 
 
 def cmd_aoi(args: argparse.Namespace) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    scene = _apply_seed(load_scene(args.scene), args.seed)
+    base = os.path.splitext(os.path.basename(args.scene))[0]
+
     from .influence import (
         classify,
         export_csv,
@@ -180,11 +194,6 @@ def cmd_aoi(args: argparse.Namespace) -> int:
         field_filename,
         sweep,
     )
-
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    scene = _apply_seed(load_scene(args.scene), args.seed)
-    base = os.path.splitext(os.path.basename(args.scene))[0]
 
     without, with_ = sweep(scene, args.metric)
     imap = classify(without, with_, scene.thresholds)
@@ -207,8 +216,8 @@ def cmd_aoi(args: argparse.Namespace) -> int:
         {"metric": args.metric},
         scene.seed,
     )
-    desired = np.count_nonzero(imap.desired)
-    undesired = np.count_nonzero(imap.undesired)
+    desired = int(imap.desired.sum())
+    undesired = int(imap.undesired.sum())
     print(
         f"{scene.grid.cell_count} cells: {desired} desired, "
         f"{undesired} undesired; wrote {len(out.entries) + 1} files to {args.out_dir}"
@@ -217,10 +226,11 @@ def cmd_aoi(args: argparse.Namespace) -> int:
 
 
 def cmd_coexist(args: argparse.Namespace) -> int:
-    from .coexistence import CoexistConfig, simulate, write_trace_csv
-
     scene = _apply_seed(load_scene(args.scene), args.seed)
     ue = _parse_point(args.ue, scene)
+
+    from .coexistence import CoexistConfig, simulate, write_trace_csv
+
     config = CoexistConfig(
         slots=args.slots,
         switch_probability=args.switch_prob,
@@ -323,6 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _linalg_errors() -> tuple[type[Exception], ...]:
+    """numpy's ``LinAlgError`` once numpy is loaded; nothing raises it before.
+
+    It subclasses ValueError in current numpy; looking it up keeps the catch
+    from resting on that for every numpy release the package accepts.
+    """
+    linalg = sys.modules.get("numpy.linalg")
+    return (linalg.LinAlgError,) if linalg is not None else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -330,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RunError, ValueError, np.linalg.LinAlgError) as exc:
+    except (RunError, ValueError, *_linalg_errors()) as exc:
         # any other ValueError, a CoincidentNodeError included, is a
         # numeric failure at run time, as is a singular linear system
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import CoincidentNodeError
 from .propagation import (
-    C_LIGHT_M_S,
     BsLeg,
     bs_leg,
     dbm_to_watts,
@@ -42,7 +41,7 @@ from .propagation import (
     ris_channels,
     surface_legs,
 )
-from .scene import Scene
+from .scene import C_LIGHT_M_S, Scene
 from .seeding import derived_integers
 
 PEB_CONDITION_LIMIT = 1e12

@@ -21,16 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CoincidentNodeError, RunError
-
-if TYPE_CHECKING:  # scene imports the speed of light from here
-    from .scene import BaseStation, Scene
-
-C_LIGHT_M_S = 299_792_458.0
+from .scene import C_LIGHT_M_S, BaseStation, Scene
 
 
 def db_to_linear(db: float) -> float:

@@ -9,6 +9,9 @@ defaults, and unknown keys are rejected with their key path.
 Positions may be given as [x, y] or [x, y, z] metres; 2D inputs are stored
 with z = 0 so every distance is a plain 3D norm. Grid cells sit at
 fixed_height_m and are enumerated row-major: index = iy * nx + ix.
+
+Reading and validating a scene loads no numpy: only the two methods that
+compute on arrays (``Grid.points``, ``Scene.nearest_bs_to_ris``) import it.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import RunError, SceneError
-from .propagation import C_LIGHT_M_S
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# speed of light in vacuum, exact by the SI definition of the metre
+C_LIGHT_M_S = 299_792_458.0
 
 METRIC_IDS = ("gain_db", "tx_power_dbm", "se_bps_hz", "peb_m", "sse_bps_hz")
 
@@ -116,6 +122,8 @@ class Grid:
 
         A grid whose centres cannot be allocated is a run-time failure.
         """
+        import numpy as np
+
         n = self.cell_count
         try:
             pts = np.empty((n, 3))
@@ -218,6 +226,8 @@ class Scene:
 
     def nearest_bs_to_ris(self) -> int:
         """Index of the base station closest to the surface (ties: lowest index)."""
+        import numpy as np
+
         rp = np.array(self.ris.position_m)
         dists = [float(np.linalg.norm(np.array(b.position_m) - rp)) for b in self.bs]
         return int(np.argmin(dists))

@@ -11,7 +11,9 @@ DB magnitude whose linear value overflows is rejected. Every parse error
 carries the 1-based line number.
 
 A cell manifest is a JSON file naming one or more cells and, per cell, the
-state id -> Touchstone path map (paths relative to the manifest):
+state id -> Touchstone path map (paths relative to the manifest). Each
+name is unique and one plain file-name component, since the ``boi``
+command writes ``<name>_contrast.csv``:
 
     {
       "cells": [
@@ -23,6 +25,8 @@ state id -> Touchstone path map (paths relative to the manifest):
         }
       ]
     }
+
+Only the Touchstone parser imports numpy, so reading a manifest loads none.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, TouchstoneError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 
@@ -113,6 +119,8 @@ def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of ``m * cmath.exp(1j * math.radians(b))``: ``1j * r`` has imaginary
     part ``0.0 + r``, and ``m * z`` multiplies by ``m + 0j``.
     """
+    import numpy as np
+
     out = np.empty(len(a), dtype=np.complex128)
     if fmt == "RI":
         out.real, out.imag = a, b
@@ -165,6 +173,8 @@ def parse_touchstone(data, state_id: str) -> StateRecord:
     every check runs on whole columns of a chunk; only a file that fails
     one is read again line by line, for the line to report.
     """
+    import numpy as np
+
     lines = _lines(data)
     # only comment and blank lines may precede the option line
     for start, raw in enumerate(lines, start=1):
@@ -221,6 +231,8 @@ def _raise_at_bad_line(body, start: int, unit: str, fmt: str):
     A token must be ASCII and free of underscores: that is the number
     grammar of ``np.loadtxt``, which ``float`` alone would widen.
     """
+    import numpy as np
+
     arity = prev = None
     for line_no, raw in enumerate(body, start=start + 1):
         line = raw.split("!", 1)[0].strip()
@@ -260,9 +272,9 @@ def _raise_at_bad_line(body, start: int, unit: str, fmt: str):
 
 
 def _warn_if_active(record: StateRecord):
-    worst = float(np.max(np.abs(record.s11)))
+    worst = float(abs(record.s11).max())
     if record.s21 is not None:
-        worst = max(worst, float(np.max(np.abs(record.s21))))
+        worst = max(worst, float(abs(record.s21).max()))
     if worst > 1.0 + _PASSIVITY_SLACK:
         warnings.warn(
             f"state '{record.state_id}': |S| reaches {worst:.6f} > 1, data looks active",
@@ -299,10 +311,11 @@ def load_cell_manifest(path) -> list[CellSpec]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or "cells" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise ConfigError(f"{path}: manifest must be an object with a 'cells' list")
     base = os.path.dirname(os.path.abspath(path))
     cells = []
+    names = {}
     for i, entry in enumerate(doc["cells"]):
         where = f"{path}: cells[{i}]"
         if not isinstance(entry, dict):
@@ -313,11 +326,19 @@ def load_cell_manifest(path) -> list[CellSpec]:
         name = entry.get("name")
         if not name or not isinstance(name, str):
             raise ConfigError(f"{where}: 'name' is required")
+        # the name is a file name under --out: no separator, no NUL, no dot entry
+        if name in (".", "..") or any(c and c in name for c in ("/", "\0", os.sep, os.altsep)):
+            raise ConfigError(f"{where}.name: must be one plain file-name component, got {name!r}")
+        if name in names:
+            raise ConfigError(f"{where}.name: {name!r} is already the name of cells[{names[name]}]")
+        names[name] = i
         kind = entry.get("kind", "reflection")
         if kind not in ("reflection", "transmission"):
             raise ConfigError(f"{where}: kind must be 'reflection' or 'transmission', got '{kind}'")
         states = entry.get("states")
-        if not isinstance(states, dict) or not states:
+        if not isinstance(states, dict) or not states or not all(
+            isinstance(rel, str) for rel in states.values()
+        ):
             raise ConfigError(f"{where}: 'states' must map state ids to file paths")
         resolved = tuple(
             (state_id, os.path.join(base, rel)) for state_id, rel in states.items()

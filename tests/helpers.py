@@ -67,16 +67,24 @@ def fresh_interpreter(*args):
 
 
 def loaded_modules(*argv):
-    """Short names of the ``risplan`` modules a fresh interpreter has loaded
-    after importing ``risplan.cli`` and, given ``argv``, running the command
-    ``risplan.cli.main(argv)``, which must succeed."""
+    """What a fresh interpreter has loaded after importing ``risplan.cli`` and,
+    given ``argv``, running the command ``risplan.cli.main(argv)``.
+
+    Returns the short names of the loaded ``risplan`` modules, whether numpy
+    is loaded, and the command's exit code: what ``main`` returned, or the
+    code of the ``SystemExit`` it raised (``--help``, ``--version`` and
+    argument errors), 0 without ``argv``.
+    """
     code = (
         "import json, sys, risplan.cli\n"
-        "code = risplan.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
-        "sys.exit(code)\n"
+        "try:\n"
+        "    code = risplan.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     done = fresh_interpreter("-c", code, *argv)
     assert done.returncode == 0, done.stderr
-    names = json.loads(done.stdout.splitlines()[-1])
-    return {name.split(".", 1)[1] for name in names if name.startswith("risplan.")}
+    code, names = json.loads(done.stdout.splitlines()[-1])
+    layers = {name.split(".", 1)[1] for name in names if name.startswith("risplan.")}
+    return layers, "numpy" in names, code

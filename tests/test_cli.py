@@ -80,6 +80,16 @@ def write_cells(tmp_path, names=("split", "weak")):
     return str(path)
 
 
+def rename_cells(manifest, names):
+    """Give the cells of a manifest file written by ``write_cells`` new names."""
+    path = pathlib.Path(manifest)
+    doc = json.loads(path.read_text())
+    for cell, name in zip(doc["cells"], names, strict=True):
+        cell["name"] = name
+    path.write_text(json.dumps(doc))
+    return manifest
+
+
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -204,6 +214,33 @@ class TestBoi:
         state.mkdir()
         assert main(["boi", manifest, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {state}: Is a directory\n"
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_repeated_cell_name_exits_2_writing_nothing(self, tmp_path, capsys, force):
+        # two cells of one name would write one contrast file twice
+        manifest = rename_cells(write_cells(tmp_path), ["split", "split"])
+        out = tmp_path / "out"
+        argv = ["boi", manifest, "--out", str(out)] + ["--force"] * force
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: cells[1].name: 'split' is already the name of cells[0]\n")
+        assert not out.exists()
+
+    def test_cell_name_with_a_separator_exits_2(self, tmp_path, capsys):
+        manifest = rename_cells(write_cells(tmp_path), ["sub/x", "weak"])
+        out = tmp_path / "out"
+        assert main(["boi", manifest, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {manifest}: cells[0].name: must be one "
+                                           "plain file-name component, got 'sub/x'\n")
+        assert not out.exists()
+
+    def test_cell_name_cannot_climb_out_of_the_output_directory(self, tmp_path, capsys):
+        manifest = rename_cells(write_cells(tmp_path), ["split", "../escaped"])
+        out = tmp_path / "out"
+        assert main(["boi", manifest, "--out", str(out)]) == 2
+        assert "cells[1].name: must be one plain file-name component" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "escaped_contrast.csv").exists()
 
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         assert main(["boi", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
@@ -654,12 +691,66 @@ BOI_LAYERS = {"touchstone", "unitcell"}
     ids=["import", "boi", "aoi", "coexist"],
 )
 def test_each_command_loads_only_its_own_layers(tmp_path, argv, needed, unneeded):
-    # a one-shot process pays to compile and import every module it loads
+    # a one-shot process pays to compile and import every module it loads;
+    # numpy comes with a command's numeric layer, never with the CLI itself
     if argv:
         argv = [*argv, "--out-dir" if argv[0] == "aoi" else "--out", str(tmp_path / "out")]
-    loaded = loaded_modules(*argv)
+    loaded, numpy_loaded, code = loaded_modules(*argv)
+    assert code == 0
     assert needed <= loaded
     assert not loaded & unneeded
+    assert numpy_loaded == bool(argv)
+
+
+# every layer module that imports numpy
+NUMERIC_LAYERS = AOI_LAYERS | {"unitcell", "coexistence", "propagation", "kernels", "seeding"}
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["aoi", "{bad_scene}", "--metric", "gain_db"], 2),
+        (["aoi", str(SCENES / "minimal.json"), "--metric", "gain_db", "--jobs", "0"], 2),
+        (["coexist", "{bad_scene}", "--switch-prob", "0.3", "--slots", "10", "--ue", "1,1"], 2),
+        (["boi", "{bad_manifest}"], 2),
+        (["boi", str(SCENES / "cells.json"), "--cmin", "3"], 2),
+    ],
+    ids=["version", "help", "aoi_scene_error", "aoi_jobs_error", "coexist_scene_error",
+         "boi_manifest_error", "boi_cmin_error"],
+)
+def test_input_paths_leave_numpy_unloaded(tmp_path, argv, exit_code):
+    # start-up and every input check ahead of a computation run before any
+    # numeric layer, so they never pay for numpy's import
+    bad_scene = write_scene(tmp_path, scene_without(SCENE, "carrier_hz"))
+    bad_manifest = tmp_path / "cells.json"
+    bad_manifest.write_text(json.dumps({"cells": [{"name": "../x", "states": {"on": "x"}}]}))
+    argv = [a.format(bad_scene=bad_scene, bad_manifest=bad_manifest) for a in argv]
+    if argv[0] in ("aoi", "boi", "coexist"):
+        argv += ["--out-dir" if argv[0] == "aoi" else "--out", str(tmp_path / "out")]
+    loaded, numpy_loaded, code = loaded_modules(*argv)
+    assert code == exit_code
+    assert not numpy_loaded
+    assert not loaded & NUMERIC_LAYERS
+    assert not (tmp_path / "out").exists()
+
+
+def test_bundled_inputs_parse_without_numpy():
+    # the set-up path of every command: the CLI, each bundled scene and the
+    # bundled cell manifest
+    scenes = sorted(str(p) for p in SCENES.glob("*.json") if p.name != "cells.json")
+    code = (
+        "import json, sys, risplan.cli\n"
+        "from risplan.scene import load_scene\n"
+        "from risplan.touchstone import load_cell_manifest\n"
+        "scenes = [load_scene(path) for path in sys.argv[2:]]\n"
+        "cells = load_cell_manifest(sys.argv[1])\n"
+        "print(json.dumps([len(scenes), len(cells), 'numpy' in sys.modules]))\n"
+    )
+    done = fresh_interpreter("-c", code, str(SCENES / "cells.json"), *scenes)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [5, 2, False]
 
 
 # every module a command may load, as the commands import them

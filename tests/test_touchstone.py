@@ -137,6 +137,14 @@ def test_load_cell_manifest(tmp_path):
         ({"cells": [{"name": "c", "kind": "weird", "states": {"a": "x"}}]}, "kind must be"),
         ({"cells": [{"name": "c", "bogus": 1, "states": {"a": "x"}}]}, "unknown keys"),
         ({"cells": [{"name": "c", "states": {"a": "missing.s1p"}}]}, "file not found"),
+        ({"cells": [{"name": "c", "states": {"a": 5}}]}, "'states' must map"),
+        ({"cells": 5}, "with a 'cells' list"),
+        ({"cells": None}, "with a 'cells' list"),
+        ({"cells": [{"name": "a/b", "states": {"a": "x"}}]}, "cells[0].name: must be one plain"),
+        ({"cells": [{"name": "../b", "states": {"a": "x"}}]}, "cells[0].name: must be one plain"),
+        ({"cells": [{"name": "..", "states": {"a": "x"}}]}, "cells[0].name: must be one plain"),
+        ({"cells": [{"name": ".", "states": {"a": "x"}}]}, "cells[0].name: must be one plain"),
+        ({"cells": [{"name": "a\0b", "states": {"a": "x"}}]}, "cells[0].name: must be one plain"),
     ],
 )
 def test_manifest_errors(tmp_path, doc, fragment):
