@@ -97,14 +97,14 @@ class GainTerms:
 
 
 def direct_gain(direct: DirectChannel):
-    """Direct-only post-combining gain ||h||^2: (n,) for a batch, 0-d for one point."""
+    """Direct-only post-combining gain ||h||^2 at each point: (n,)."""
     return np.sum(np.abs(direct.gains) ** 2, axis=-1)
 
 
 def gain_terms(
     direct: DirectChannel, ris_ch: RisChannel | None, count: int, spacing_hz: float
 ) -> GainTerms:
-    """Build (b, V, c0) for one base station at one point or at a batch of points.
+    """Build (b, V, c0) for one base station at a batch of points.
 
     With no surface the form degenerates to the constant c0. The antenna
     dimension collapses analytically: the direct and cascade paths share
@@ -191,8 +191,9 @@ def default_codebook(scene: Scene) -> np.ndarray:
     """(C, M) element responses: dark, specular, then a fan of quantized beams.
 
     Row 0 is the dark (absorbing) entry, all zeros, so a sweep can never do
-    worse than no surface at all; row 1 is the specular entry, all ones. The
-    fan spans +-75 degrees off broadside, each phase snapped to the lookup.
+    worse than no surface at all; row 1 is the specular entry, phase 0. The
+    fan spans +-75 degrees off broadside. Every phase is snapped to the
+    lookup, so every row but the dark one is a state the surface can take.
     """
     m = scene.ris.element_count
     k = scene.ris.codebook_directions
@@ -203,5 +204,5 @@ def default_codebook(scene: Scene) -> np.ndarray:
     offsets = (np.arange(m) - (m - 1) / 2.0) * scene.ris_spacing_m()
     phases = -2.0 * math.pi * offsets * sines[:, None] / scene.wavelength_m
     lookup = np.asarray(scene.ris.phase_lookup_rad, dtype=float)
-    beams = np.exp(1j * lookup[quantize_indices(wrap_phase(phases), lookup)])
-    return np.concatenate([np.zeros((1, m)), np.ones((1, m)), beams])
+    states = quantize_indices(np.vstack([np.zeros(m), wrap_phase(phases)]), lookup)
+    return np.concatenate([np.zeros((1, m)), np.exp(1j * lookup)[states]])

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, RunError
-from .scene import METRIC_IDS, Scene, load_scene, read_seed
+from .scene import METRIC_IDS, CoexistConfig, Scene, load_scene, read_seed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -227,10 +227,6 @@ def cmd_aoi(args: argparse.Namespace) -> int:
 
 def cmd_coexist(args: argparse.Namespace) -> int:
     scene = _apply_seed(load_scene(args.scene), args.seed)
-    ue = _parse_point(args.ue, scene)
-
-    from .coexistence import CoexistConfig, simulate, write_trace_csv
-
     config = CoexistConfig(
         slots=args.slots,
         switch_probability=args.switch_prob,
@@ -239,6 +235,10 @@ def cmd_coexist(args: argparse.Namespace) -> int:
         snr_margin_db=args.margin_db,
         seed=scene.seed,
     )
+    ue = _parse_point(args.ue, scene)
+
+    from .coexistence import simulate, write_trace_csv
+
     base = os.path.splitext(os.path.basename(args.scene))[0]
 
     result = simulate(scene, ue, config)

@@ -12,6 +12,8 @@ channel only: it has no way to sound a surface it does not control.
 Rate adaptation is idealized Shannon-with-gap.
 The victim link is the grid maps' channel layer on a one-point batch; the
 surface draws from ``default_codebook``, one (C, M) array of responses.
+A run's options, :class:`CoexistConfig`, are defined and checked in
+``scene``, which loads no numpy; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import default_codebook, mrc_weights
-from .errors import CoincidentNodeError, ConfigError, RunError
+from .errors import CoincidentNodeError, RunError
 from .kernels import forward_fill
 from .linkmetrics import serving_bs, station_legs
 from .propagation import (
@@ -34,7 +36,7 @@ from .propagation import (
     ris_channels,
     surface_legs,
 )
-from .scene import Scene
+from .scene import CoexistConfig, Scene
 from .seeding import derived_rng
 
 # Slots per chunk of the slot recursion and of the trace writer, where one
@@ -43,39 +45,6 @@ from .seeding import derived_rng
 # held at once (about 0.13 MB at 2048 rows), never the bytes written or the
 # random stream, which are the same for any chunk size.
 _TRACE_CHUNK_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class CoexistConfig:
-    """Knobs of one simulation run.
-
-    ``snr_margin_db`` is the SNR drop a block absorbs before failing; the
-    default 0.1 dB keeps vanishing ripples from a far-away surface from
-    registering as errors while leaving any real dip visible.  Set it to 0
-    for the strict rule (any SNR decrease across the delay window fails).
-    """
-
-    slots: int
-    switch_probability: float
-    csi_delay_slots: int = 1
-    mcs_gap_db: float = 3.0
-    snr_margin_db: float = 0.1
-    seed: int = 1
-
-    def __post_init__(self) -> None:
-        if self.slots < 1:
-            raise ConfigError("slots must be >= 1")
-        if not 0.0 <= self.switch_probability <= 1.0:
-            raise ConfigError("switch_probability must lie in [0, 1]")
-        if self.csi_delay_slots < 1:
-            raise ConfigError("csi_delay_slots must be >= 1")
-        if self.csi_delay_slots >= self.slots:
-            raise ConfigError(f"csi_delay_slots ({self.csi_delay_slots}) must be below "
-                              f"slots ({self.slots}), or no slot transmits")
-        if not (math.isfinite(self.mcs_gap_db) and self.mcs_gap_db >= 0.0):
-            raise ConfigError("mcs_gap_db must be finite and >= 0")
-        if not (math.isfinite(self.snr_margin_db) and self.snr_margin_db >= 0.0):
-            raise ConfigError("snr_margin_db must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -145,12 +145,12 @@ class DirectChannel:
 
     All antennas share one delay; gains fold amplitude, wall factor,
     carrier phase and the plane-wave steering phasor. Every field carries
-    the leading point axis of :func:`direct_channels`; one-point views drop it.
+    the leading point axis of :func:`direct_channels`.
     """
 
-    gains: np.ndarray  # (n, A) or (A,) complex
-    delay_s: float | np.ndarray  # (n,) or scalar
-    distance_m: float | np.ndarray  # (n,) or scalar
+    gains: np.ndarray  # (n, A) complex
+    delay_s: np.ndarray  # (n,)
+    distance_m: np.ndarray  # (n,)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ fixed_height_m and are enumerated row-major: index = iy * nx + ix.
 
 Reading and validating a scene loads no numpy: only the two methods that
 compute on arrays (``Grid.points``, ``Scene.nearest_bs_to_ris``) import it.
+The ``coexist`` options, :class:`CoexistConfig`, are checked here for the
+same reason.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
-from .errors import RunError, SceneError
+from .errors import ConfigError, RunError, SceneError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -185,6 +187,41 @@ class Thresholds:
             if mid == metric_id:
                 return value
         return None
+
+
+@dataclass(frozen=True)
+class CoexistConfig:
+    """Knobs of one ``coexist`` run, checked as they are built.
+
+    It lives with the scene types, which load no numpy, so a bad option
+    exits before any numeric layer is imported. ``snr_margin_db`` is the
+    SNR drop a block absorbs before failing; the default 0.1 dB keeps
+    vanishing ripples from a far-away surface from registering as errors
+    while leaving any real dip visible.  Set it to 0 for the strict rule
+    (any SNR decrease across the delay window fails).
+    """
+
+    slots: int
+    switch_probability: float
+    csi_delay_slots: int = 1
+    mcs_gap_db: float = 3.0
+    snr_margin_db: float = 0.1
+    seed: int = 1
+
+    def __post_init__(self) -> None:
+        if self.slots < 1:
+            raise ConfigError("slots must be >= 1")
+        if not 0.0 <= self.switch_probability <= 1.0:
+            raise ConfigError("switch_probability must lie in [0, 1]")
+        if self.csi_delay_slots < 1:
+            raise ConfigError("csi_delay_slots must be >= 1")
+        if self.csi_delay_slots >= self.slots:
+            raise ConfigError(f"csi_delay_slots ({self.csi_delay_slots}) must be below "
+                              f"slots ({self.slots}), or no slot transmits")
+        if not (math.isfinite(self.mcs_gap_db) and self.mcs_gap_db >= 0.0):
+            raise ConfigError("mcs_gap_db must be finite and >= 0")
+        if not (math.isfinite(self.snr_margin_db) and self.snr_margin_db >= 0.0):
+            raise ConfigError("snr_margin_db must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 The channel realization is Friis-scaled Rayleigh fading: every link
 entry is the centre-to-centre pathloss amplitude (walls included) times
 an independent unit-variance complex Gaussian, drawn once per (point,
-seed, draw index). The transmit side optimizes a single covariance
-matrix on the power ball; the surface side runs quantized coordinate
-ascent on the secrecy rate. Neither side can lose to switching the
+seed, draw index). :func:`secrecy_links` builds a block of points'
+channels from one set of ray amplitudes; only the fading is drawn per cell.
+The transmit side optimizes a single covariance matrix on the power ball;
+the surface side runs quantized coordinate ascent on the secrecy rate over
+the lookup states, held as indices into one response table and started
+at the state nearest phase 0. Neither side can lose to switching the
 surface dark, because the dark configuration is always compared in.
 
 Maps go through one engine, :func:`sse_pairs`, which runs that
@@ -22,81 +25,84 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CoincidentNodeError, RunError
+from .beamforming import quantize_indices
+from .errors import RunError
 from .propagation import dbm_to_watts, ray_amplitudes
 from .scene import Scene
 from .seeding import derived_rng
 
 LN2 = math.log(2.0)
 
+# stopping rules: the covariance ascent's step cap and relative gain, the
+# phase ascent's round cap and relative gain, and the alternation's round cap
+_Q_ITERS, _Q_REL_TOL = 100, 1e-5
+_PHASE_ROUNDS, _PHASE_REL_TOL = 20, 1e-6
+_OUTER_ROUNDS = 5
+
 
 @dataclass(frozen=True)
 class SecrecyChannels:
-    """Configuration-independent channel pieces for one fading draw."""
+    """Configuration-independent channel pieces of K cells for one fading draw."""
 
-    direct_rx: np.ndarray  # (N_rx, N_bs)
-    direct_eve: np.ndarray  # (N_eve, N_bs)
-    bs_to_ris: np.ndarray | None  # (M, N_bs)
-    ris_to_rx: np.ndarray | None  # (N_rx, M)
-    ris_to_eve: np.ndarray | None  # (N_eve, M)
+    direct_rx: np.ndarray  # (K, N_rx, N_bs)
+    direct_eve: np.ndarray  # (K, N_eve, N_bs)
+    bs_to_ris: np.ndarray | None  # (K, M, N_bs)
+    ris_to_rx: np.ndarray | None  # (K, N_rx, M)
+    ris_to_eve: np.ndarray | None  # (K, N_eve, M)
     noise_w: float
     power_w: float
 
 
-def _fading(rng, rows: int, cols: int) -> np.ndarray:
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / math.sqrt(2.0)
+_MATRICES = ("direct_rx", "direct_eve", "bs_to_ris", "ris_to_rx", "ris_to_eve")
 
 
-def _amplitudes_from(scene: Scene, origin, targets) -> np.ndarray:
-    amp, dist = ray_amplitudes(scene, origin, targets)
-    if np.any(dist == 0.0):
-        raise CoincidentNodeError(
-            f"a link from {np.asarray(origin, dtype=float).tolist()} has zero length"
-        )
-    return amp
+def secrecy_links(scene: Scene, points, point_indices, draw: int):
+    """(channels, on_node): one Rayleigh realization of every link around (n, 3) RX points.
 
-
-def secrecy_link(scene: Scene, point, point_index: int = 0, draw: int = 0) -> SecrecyChannels:
-    """One Rayleigh realization of every link around the given RX point."""
+    Point i's fading comes from ``point_indices[i]`` and ``draw``. A point
+    with a zero-length RX ray, or every point when an Eve or
+    station-to-surface ray has zero length, sits on a scene node: its
+    ``on_node`` entry is set and its channels are not finite.
+    """
     if scene.eve is None:
         raise RunError("secrecy metrics need an eavesdropper in the scene")
-    rng = derived_rng(scene.seed, "sse-fading", point_index, draw)
-    n_bs = sum(bs.antenna_count for bs in scene.bs)
-    n_rx = scene.secrecy.rx_antenna_count
-    n_eve = scene.eve.antenna_count
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n_rx, n_eve = scene.secrecy.rx_antenna_count, scene.eve.antenna_count
+    antennas = [bs.antenna_count for bs in scene.bs]
+    k, n_bs = len(antennas), sum(antennas)
 
     # one amplitude per station, then per station antenna; the surface
     # centre, when there is one, is the last target of the RX and Eve rays
     stations = np.array([bs.position_m for bs in scene.bs], dtype=float)
-    antennas = [bs.antenna_count for bs in scene.bs]
     targets = stations if scene.ris is None else np.vstack([stations, scene.ris.position_m])
-    amp_rx = _amplitudes_from(scene, point, targets)
-    amp_eve = _amplitudes_from(scene, scene.eve.position_m, targets)
-
-    # matrices are always drawn in the same order so results are stable
-    k = len(antennas)
-    direct_rx = np.repeat(amp_rx[:k], antennas)[None, :] * _fading(rng, n_rx, n_bs)
-    direct_eve = np.repeat(amp_eve[:k], antennas)[None, :] * _fading(rng, n_eve, n_bs)
-
-    bs_to_ris = ris_to_rx = ris_to_eve = None
+    amp_rx, dist_rx = ray_amplitudes(scene, points[:, None, :], targets)
+    amp_eve, dist_eve = ray_amplitudes(scene, scene.eve.position_m, targets)
+    on_node = np.any(dist_rx == 0.0, axis=1) | np.any(dist_eve == 0.0)
+    # each matrix's shape and amplitude, in the order every cell draws them
+    parts = [((n_rx, n_bs), np.repeat(amp_rx[:, :k], antennas, axis=1)[:, None, :]),
+             ((n_eve, n_bs), np.repeat(amp_eve[:k], antennas)[None, :])]
     if scene.ris is not None:
         m = scene.ris.element_count
-        amp_g = np.repeat(_amplitudes_from(scene, scene.ris.position_m, stations), antennas)
-        bs_to_ris = scene.ris.element_efficiency * amp_g[None, :] * _fading(rng, m, n_bs)
-        ris_to_rx = amp_rx[k] * _fading(rng, n_rx, m)
-        ris_to_eve = amp_eve[k] * _fading(rng, n_eve, m)
+        amp_g, dist_g = ray_amplitudes(scene, scene.ris.position_m, stations)
+        on_node |= np.any(dist_g == 0.0)
+        parts += [((m, n_bs), scene.ris.element_efficiency * np.repeat(amp_g, antennas)[None, :]),
+                  ((n_rx, m), amp_rx[:, k, None, None]), ((n_eve, m), amp_eve[k])]
 
-    return SecrecyChannels(
-        direct_rx=direct_rx,
-        direct_eve=direct_eve,
-        bs_to_ris=bs_to_ris,
-        ris_to_rx=ris_to_rx,
-        ris_to_eve=ris_to_eve,
+    fading = [np.empty((len(points), *shape), dtype=np.complex128) for shape, _ in parts]
+    for row, index in enumerate(point_indices):
+        rng = derived_rng(scene.seed, "sse-fading", index, draw)
+        for cells in fading:
+            re = rng.standard_normal(cells.shape[1:])
+            im = rng.standard_normal(cells.shape[1:])
+            cells[row] = (re + 1j * im) / math.sqrt(2.0)
+    with np.errstate(invalid="ignore"):
+        links = [amp * cells for (_, amp), cells in zip(parts, fading)]
+    channels = SecrecyChannels(
+        *links, *[None] * (len(_MATRICES) - len(links)),
         noise_w=dbm_to_watts(scene.noise_power_dbm),
         power_w=dbm_to_watts(scene.secrecy.power_budget_dbm),
     )
+    return channels, on_node
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +112,7 @@ def secrecy_link(scene: Scene, point, point_index: int = 0, draw: int = 0) -> Se
 # Budget for one block's candidate cascades, the largest operand: the
 # phase ascent tries every lookup level of one element at once, so
 # ``_realize`` builds a (lookup levels x M x N_bs) complex cascade per cell,
-# N_bs the stations' summed antennas; its phasor factor, 1 / N_bs of that,
+# N_bs the stations' summed antennas; its response factor, 1 / N_bs of that,
 # lives while it is built. The budget bounds memory, never the result,
 # which is the same for any block size.
 _BLOCK_BYTES = 4 * 2**20
@@ -123,31 +129,17 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return np.conj(a).swapaxes(-1, -2)
 
 
-_MATRICES = ("direct_rx", "direct_eve", "bs_to_ris", "ris_to_rx", "ris_to_eve")
-
-
-def _stack(channels: list[SecrecyChannels]) -> SecrecyChannels:
-    """Cells' channels stacked on a leading axis."""
-    first = channels[0]
-    return replace(first, **{
-        name: None if getattr(first, name) is None
-        else np.stack([getattr(c, name) for c in channels])
-        for name in _MATRICES
-    })
-
-
 def _rows(ch: SecrecyChannels, rows: np.ndarray) -> SecrecyChannels:
     """Some cells of stacked channels."""
     return replace(ch, **{
-        name: None if getattr(ch, name) is None else getattr(ch, name)[rows]
-        for name in _MATRICES
+        name: getattr(ch, name)[rows] for name in _MATRICES if getattr(ch, name) is not None
     })
 
 
-def _realize(ch: SecrecyChannels, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h_rx, h_eve) with the surface at phases (K, M) or (K, L, M): H_d + H_r diag(e^{j phi}) G."""
-    lead = (slice(None),) + (None,) * (phases.ndim - 2)
-    cascade = ch.bs_to_ris[lead] * np.exp(1j * phases)[..., None]
+def _realize(ch: SecrecyChannels, responses: np.ndarray, states: np.ndarray):
+    """(h_rx, h_eve) in lookup states (K, M) or (K, L, M): H_d + H_r diag(responses[states]) G."""
+    lead = (slice(None),) + (None,) * (states.ndim - 2)
+    cascade = ch.bs_to_ris[lead] * responses[states][..., None]
     return (
         ch.direct_rx[lead] + ch.ris_to_rx[lead] @ cascade,
         ch.direct_eve[lead] + ch.ris_to_eve[lead] @ cascade,
@@ -197,15 +189,14 @@ def _gradients(h_rx, h_eve, q, noise_w: float) -> np.ndarray:
     return (half(h_rx) - half(h_eve)) / LN2
 
 
-def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float,
-              max_iters: int = 100, rel_tol: float = 1e-5):
+def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float):
     """Projected gradient ascent of the covariance on a block of K cells.
 
     Returns q (K, n, n) and the unclamped rate differences (K,). ``q0`` is
     None for the isotropic start. Each step starts at P over the gradient
     norm and halves until the value strictly improves, at most 40 times; a
     cell stops when its gradient vanishes, when no step improves it or when
-    it gains less than ``rel_tol`` relative, and so leaves both loops
+    it gains less than ``_Q_REL_TOL`` relative, and so leaves both loops
     exactly where it would alone.
     """
     k, n = h_rx.shape[0], h_rx.shape[-1]
@@ -215,7 +206,7 @@ def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float,
         q = _project_trace_balls(q0, power_w)
     val = _rate_differences(h_rx, h_eve, q, noise_w)
     live = np.arange(k)
-    for _ in range(max_iters):
+    for _ in range(_Q_ITERS):
         grad = _gradients(h_rx[live], h_eve[live], q[live], noise_w)
         # one norm per cell: a stacked Frobenius norm sums in another order
         scale = np.array([float(np.linalg.norm(g)) for g in grad])
@@ -236,55 +227,53 @@ def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float,
             step[pending] /= 2.0
         improved = np.ones(live.size, dtype=bool)
         improved[pending] = False
-        stalled = val[live] - prev < rel_tol * np.maximum(np.abs(prev), 1e-12)
+        stalled = val[live] - prev < _Q_REL_TOL * np.maximum(np.abs(prev), 1e-12)
         live = live[improved & ~stalled]
         if not live.size:
             break
     return q, val
 
 
-def _ascend_phases(ch: SecrecyChannels, q, phases, val, lookup,
-                   max_rounds: int = 20, rel_tol: float = 1e-6) -> None:
+def _ascend_phases(ch: SecrecyChannels, q, states, val, lookup, responses) -> None:
     """Element-by-element best response over the lookup on the rate difference, K cells at once.
 
-    ``phases`` (K, M) and ``val`` (K,) hold each cell's configuration and its
-    value under ``q`` (K, n, n); both are updated in place. All lookup
-    candidates of one element go through one stacked evaluation, then are
-    compared in lookup order with strict improvement, as one cell alone. A
-    cell stops once a round gains less than ``rel_tol`` relative.
+    ``states`` (K, M) and ``val`` (K,) hold each cell's lookup indices and
+    its value under ``q`` (K, n, n); both are updated in place. All lookup
+    levels of one element go through one stacked evaluation. The element
+    moves to the first best level whose phase differs from its own, if that
+    strictly improves, as one cell alone would in lookup order. A cell stops
+    once a round gains less than ``_PHASE_REL_TOL`` relative.
     """
-    lookup = np.asarray(lookup, dtype=float)
+    levels = np.arange(lookup.size)
     live = np.arange(len(val))
-    for _ in range(max_rounds):
+    for _ in range(_PHASE_ROUNDS):
         sub = _rows(ch, live)
         q_live = q[live][:, None]
         before = val[live]
-        for m in range(phases.shape[1]):
-            trial = np.repeat(phases[live][:, None, :], lookup.size, axis=1)
-            trial[:, :, m] = lookup
-            cand = _rate_differences(*_realize(sub, trial), q_live, ch.noise_w)
-            current = phases[live, m]
-            best, best_phase = val[live], current.copy()
-            for level, phase in enumerate(lookup):
-                up = (phase != current) & (cand[:, level] > best)
-                best = np.where(up, cand[:, level], best)
-                best_phase = np.where(up, phase, best_phase)
+        for m in range(states.shape[1]):
+            trial = np.repeat(states[live][:, None, :], lookup.size, axis=1)
+            trial[:, :, m] = levels
+            cand = _rate_differences(*_realize(sub, responses, trial), q_live, ch.noise_w)
+            cand[lookup[None, :] == lookup[states[live, m]][:, None]] = -math.inf
+            best_state = np.argmax(cand, axis=1)
+            best = cand[np.arange(live.size), best_state]
             switch = best > val[live]
-            phases[live[switch], m] = best_phase[switch]
+            states[live[switch], m] = best_state[switch]
             val[live[switch]] = best[switch]
-        stalled = val[live] - before < rel_tol * np.maximum(np.abs(before), 1.0)
+        stalled = val[live] - before < _PHASE_REL_TOL * np.maximum(np.abs(before), 1.0)
         live = live[~stalled]
         if not live.size:
             break
 
 
-def _sse_block(ch: SecrecyChannels, lookup, outer_rounds: int = 5) -> np.ndarray:
+def _sse_block(ch: SecrecyChannels, lookup) -> np.ndarray:
     """(2, K) without and with secrecy rates for a stack of cells' channels.
 
     Without the surface the covariance ascent runs once; with it, up to
-    ``outer_rounds`` rounds alternate the covariance and the phases from the
-    all-zero phases. Rates clamp at 0, and the with-surface rate never falls
-    below the without one, because switching the surface dark is compared in.
+    ``_OUTER_ROUNDS`` rounds alternate the covariance and the lookup states,
+    every element starting at the state nearest phase 0. Rates clamp at 0,
+    and the with-surface rate never falls below the without one, because
+    switching the surface dark is compared in.
     """
     _, val_wo = _ascend_q(ch.direct_rx, ch.direct_eve, None, ch.noise_w, ch.power_w)
     # each clamp keeps the value unless 0.0 is strictly above it, as max(v, 0.0)
@@ -292,24 +281,24 @@ def _sse_block(ch: SecrecyChannels, lookup, outer_rounds: int = 5) -> np.ndarray
     if ch.bs_to_ris is None:
         return np.stack([without, without])
 
-    k, m = ch.bs_to_ris.shape[:2]
-    phases = np.zeros((k, m))
+    lookup = np.asarray(lookup, dtype=float)
+    responses = np.exp(1j * lookup)
+    k, m, n = ch.bs_to_ris.shape
+    states = np.full((k, m), quantize_indices(0.0, lookup))
     val = np.full(k, -math.inf)
-    q = None
+    q = np.empty((k, n, n), dtype=np.complex128)
     live = np.arange(k)
-    for _ in range(outer_rounds):
+    for outer in range(_OUTER_ROUNDS):
         round_start = val[live]
         sub = _rows(ch, live)
         q_live, val_live = _ascend_q(
-            *_realize(sub, phases[live]), None if q is None else q[live], ch.noise_w, ch.power_w
+            *_realize(sub, responses, states[live]), q[live] if outer else None,
+            ch.noise_w, ch.power_w,
         )
-        phases_live = phases[live]
-        _ascend_phases(sub, q_live, phases_live, val_live, lookup)
-        if q is None:
-            q = q_live
-        else:
-            q[live] = q_live
-        phases[live] = phases_live
+        states_live = states[live]
+        _ascend_phases(sub, q_live, states_live, val_live, lookup, responses)
+        q[live] = q_live
+        states[live] = states_live
         val[live] = val_live
         stalled = np.isfinite(round_start) & (
             val_live - round_start < 1e-5 * np.maximum(np.abs(round_start), 1e-12)
@@ -331,11 +320,9 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
     phase ascent in lock-step (Dong & Wang, IEEE WCL 2020), every loop
     masked per point, so each reading is the one the point gets alone,
     whatever the block size.
-    Draws are accumulated in draw order. A point on a scene node
-    (``CoincidentNodeError``) reads NaN in both rows.
+    Draws are accumulated in draw order. A point on a scene node reads NaN
+    in both rows.
     """
-    if scene.eve is None:
-        raise RunError("secrecy metrics need an eavesdropper in the scene")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     indices = range(len(points)) if point_indices is None else list(point_indices)
     lookup = () if scene.ris is None else scene.ris.phase_lookup_rad
@@ -344,20 +331,17 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
     sums = np.zeros((2, len(points)))
     on_node = np.zeros(len(points), dtype=bool)
     for start in range(0, len(points), block):
-        rows = range(start, min(start + block, len(points)))
+        stop = min(start + block, len(points))
         for draw in range(draws):
-            cells, channels = [], []
-            for i in rows:
-                if on_node[i]:
-                    continue
-                try:
-                    channels.append(secrecy_link(scene, points[i], indices[i], draw))
-                    cells.append(i)
-                except CoincidentNodeError:
-                    on_node[i] = True
-            if not cells:
+            ch, on_node[start:stop] = secrecy_links(
+                scene, points[start:stop], indices[start:stop], draw
+            )
+            cells = np.flatnonzero(~on_node[start:stop])
+            if not cells.size:
                 break
-            sums[:, cells] += _sse_block(_stack(channels), lookup)
+            if cells.size < stop - start:
+                ch = _rows(ch, cells)
+            sums[:, start + cells] += _sse_block(ch, lookup)
     rates = sums / draws
     rates[:, on_node] = math.nan
     return rates

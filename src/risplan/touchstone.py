@@ -332,6 +332,9 @@ def load_cell_manifest(path) -> list[CellSpec]:
         if name in names:
             raise ConfigError(f"{where}.name: {name!r} is already the name of cells[{names[name]}]")
         names[name] = i
+        effective = entry.get("use_effective_s11", False)
+        if not isinstance(effective, bool):
+            raise ConfigError(f"{where}.use_effective_s11: must be true or false, got {effective!r}")
         kind = entry.get("kind", "reflection")
         if kind not in ("reflection", "transmission"):
             raise ConfigError(f"{where}: kind must be 'reflection' or 'transmission', got '{kind}'")
@@ -351,7 +354,7 @@ def load_cell_manifest(path) -> list[CellSpec]:
                 name=name,
                 states=resolved,
                 kind=kind,
-                use_effective_s11=bool(entry.get("use_effective_s11", False)),
+                use_effective_s11=effective,
             )
         )
     if not cells:

@@ -79,8 +79,16 @@ def steering_config(scene, angle_rad: float) -> RisConfig:
     return quantize_config(wrap_phase(phases), scene.ris.phase_lookup_rad)
 
 
+def specular_phase(lookup_rad) -> float:
+    """The lookup phase nearest 0: the specular state, and the secrecy ascent's start."""
+    lookup = np.asarray(lookup_rad, dtype=float)
+    return float(lookup[quantize_indices(0.0, lookup)])
+
+
 def codebook(scene) -> tuple[RisConfig, ...]:
-    """Dark entry, specular all-zero entry, then a fan of quantized beams, one angle at a time.
+    """Dark entry, specular entry, then a fan of quantized beams, one angle at a time.
+
+    The specular entry holds every element at the lookup phase nearest 0.
 
     The entries of :func:`risplan.beamforming.default_codebook`, whose rows
     are their responses.
@@ -88,7 +96,7 @@ def codebook(scene) -> tuple[RisConfig, ...]:
     if scene.ris is None:
         raise RunError("scene has no surface")
     m = scene.ris.element_count
-    entries = [RisConfig.off(m), RisConfig.uniform(m)]
+    entries = [RisConfig.off(m), RisConfig.uniform(m, specular_phase(scene.ris.phase_lookup_rad))]
     k = scene.ris.codebook_directions
     limit = math.radians(75.0)
     if k == 1:

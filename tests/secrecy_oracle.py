@@ -1,11 +1,14 @@
 """Per-point secrecy ascent: the oracle of ``secrecy.sse_pairs``.
 
-The package runs the alternating covariance / surface-phase ascent only on
-blocks of cells in lock-step (:func:`risplan.secrecy.sse_pairs`). This is
-the one-point algorithm it runs per cell: projected gradient ascent with
-step halving on the trace ball for the covariance, and the generic
-coordinate ascent of ``gain_oracle`` for the phases. Its arithmetic is
-unchanged, so ``sse_pairs`` must reproduce :func:`optimize_sse` bit for bit.
+The package builds channels and runs the alternating covariance /
+surface-phase ascent only on blocks of cells in lock-step
+(:func:`risplan.secrecy.secrecy_links`, :func:`risplan.secrecy.sse_pairs`).
+This is the one-point algorithm it runs per cell: one point's channels from
+:func:`secrecy_link`, projected gradient ascent with step halving on the
+trace ball for the covariance, and the generic coordinate ascent of
+``gain_oracle`` for the phases, from the lookup phase nearest 0. Its
+arithmetic is unchanged, so ``sse_pairs`` must reproduce :func:`optimize_sse`
+bit for bit.
 
 :func:`optimize_q` keeps the step rule the engine shares with it: the first
 step, P over the gradient norm, is always accepted, so the halving loop
@@ -14,12 +17,26 @@ the optimum.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gain_oracle import RisConfig, coordinate_ascent, response
-from risplan.secrecy import LN2, SecrecyChannels, secrecy_link
+from gain_oracle import RisConfig, coordinate_ascent, response, specular_phase
+from risplan.errors import CoincidentNodeError
+from risplan.secrecy import _MATRICES, LN2, SecrecyChannels, secrecy_links
+
+
+def secrecy_link(scene, point, point_index: int = 0, draw: int = 0) -> SecrecyChannels:
+    """One point's channels: a one-row view of :func:`secrecy_links`.
+
+    Raises ``CoincidentNodeError`` where the point sits on a scene node.
+    """
+    channels, on_node = secrecy_links(scene, [point], [point_index], draw)
+    if on_node[0]:
+        raise CoincidentNodeError(f"a link around {list(point)} has zero length")
+    return replace(channels, **{
+        name: getattr(channels, name)[0] for name in _MATRICES if getattr(channels, name) is not None
+    })
 
 
 @dataclass(frozen=True)
@@ -156,7 +173,7 @@ def optimize_sse(
         )
 
     lookup = scene.ris.phase_lookup_rad
-    config = RisConfig.uniform(m)
+    config = RisConfig.uniform(m, specular_phase(lookup))
     q = None
     val = -math.inf
     trace: list[float] = []

@@ -26,7 +26,6 @@ from risplan.beamforming import wrap_phase
 from risplan.coexistence import CoexistConfig, simulate
 from risplan.influence import LABELS, classify, sweep
 from risplan.scene import DEFAULT_PHASE_LOOKUP, load_scene, parse_scene
-from risplan.secrecy import secrecy_link
 from risplan.unitcell import (
     ContrastCurve,
     SParameterTable,
@@ -34,7 +33,14 @@ from risplan.unitcell import (
     extract_boi,
     max_contrast_effective,
 )
-from secrecy_oracle import MimoLink, optimize_q, optimize_sse, rate_difference, realize
+from secrecy_oracle import (
+    MimoLink,
+    optimize_q,
+    optimize_sse,
+    rate_difference,
+    realize,
+    secrecy_link,
+)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 

@@ -453,6 +453,23 @@ class TestCodebook:
         phasors = np.exp(1j * np.asarray(TWO_BIT))
         assert np.all(np.isin(book[2:], phasors))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 17),
+        lookup=st.lists(st.floats(-3.1, 3.1), min_size=1, max_size=8, unique=True),
+    )
+    def test_lit_rows_are_lookup_states(self, m, lookup):
+        # every entry but the dark one is a configuration the surface can
+        # take; the specular one holds every element in the state nearest
+        # phase 0, also where the lookup lacks 0
+        scene = scene_with(ris={"position_m": [4, 0], "element_count": m,
+                                "phase_lookup_rad": lookup, "codebook_directions": 5})
+        book = default_codebook(scene)
+        states = np.exp(1j * np.asarray(lookup))
+        assert np.all(np.isin(book[1:], states))
+        nearest = states[int(np.argmin(np.abs(lookup)))]
+        np.testing.assert_array_equal(book[1], np.full(m, nearest))
+
     def test_single_direction(self):
         scene = scene_with(
             ris={"position_m": [4, 0], "element_count": 4, "codebook_directions": 1}

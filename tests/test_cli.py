@@ -120,6 +120,14 @@ BUNDLED_CELL_DIGESTS = {
 }
 
 
+# sha256 of every file `aoi scenes/<scene>.json --metric <metric>` writes, run
+# from the repository root, for each bundled scene and metric; an int is the
+# exit code of a run that writes nothing (a secrecy map without an
+# eavesdropper). Recorded before the secrecy engine carried lookup indices.
+BUNDLED_AOI_DIGESTS = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "bundled_aoi_digests.json").read_text())
+
+
 class TestBoi:
     @pytest.mark.parametrize("kind", sorted(BUNDLED_CELL_DIGESTS))
     def test_bundled_cells_match_pinned_digests(self, tmp_path, monkeypatch, capsys, kind):
@@ -256,6 +264,23 @@ class TestBoi:
 
 
 class TestAoi:
+    @pytest.mark.parametrize("scene,metric", [
+        (scene, metric) for scene, runs in sorted(BUNDLED_AOI_DIGESTS.items())
+        for metric in sorted(runs)])
+    def test_bundled_scenes_match_pinned_digests(self, tmp_path, monkeypatch, capsys,
+                                                 scene, metric):
+        # manifest.json records the scene path as given, so run from the root
+        monkeypatch.chdir(SCENES.parent)
+        out = tmp_path / "out"
+        want = BUNDLED_AOI_DIGESTS[scene][metric]
+        code = main(["aoi", f"scenes/{scene}.json", "--metric", metric, "--out-dir", str(out)])
+        if isinstance(want, int):
+            assert code == want
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert {p.name: sha(p) for p in out.iterdir()} == want
+
     def test_gain_emits_nine_files(self, tmp_path):
         scene_path = write_scene(tmp_path, SCENE)
         out = tmp_path / "out"
@@ -714,11 +739,18 @@ NUMERIC_LAYERS = AOI_LAYERS | {"unitcell", "coexistence", "propagation", "kernel
         (["aoi", "{bad_scene}", "--metric", "gain_db"], 2),
         (["aoi", str(SCENES / "minimal.json"), "--metric", "gain_db", "--jobs", "0"], 2),
         (["coexist", "{bad_scene}", "--switch-prob", "0.3", "--slots", "10", "--ue", "1,1"], 2),
+        *[(["coexist", str(SCENES / "street_coexistence.json"), "--switch-prob", "0.3",
+            "--slots", "10", "--ue", "1,1", flag, value], 2)
+          for flag, value in (("--slots", "0"), ("--switch-prob", "2"), ("--csi-delay", "0"),
+                              ("--gap-db", "-1"), ("--margin-db", "nan"))],
         (["boi", "{bad_manifest}"], 2),
+        (["boi", "{string_flag_manifest}"], 2),
         (["boi", str(SCENES / "cells.json"), "--cmin", "3"], 2),
     ],
     ids=["version", "help", "aoi_scene_error", "aoi_jobs_error", "coexist_scene_error",
-         "boi_manifest_error", "boi_cmin_error"],
+         "coexist_slots_error", "coexist_switch_prob_error", "coexist_csi_delay_error",
+         "coexist_gap_error", "coexist_margin_error", "boi_manifest_error",
+         "boi_string_flag_error", "boi_cmin_error"],
 )
 def test_input_paths_leave_numpy_unloaded(tmp_path, argv, exit_code):
     # start-up and every input check ahead of a computation run before any
@@ -726,7 +758,16 @@ def test_input_paths_leave_numpy_unloaded(tmp_path, argv, exit_code):
     bad_scene = write_scene(tmp_path, scene_without(SCENE, "carrier_hz"))
     bad_manifest = tmp_path / "cells.json"
     bad_manifest.write_text(json.dumps({"cells": [{"name": "../x", "states": {"on": "x"}}]}))
-    argv = [a.format(bad_scene=bad_scene, bad_manifest=bad_manifest) for a in argv]
+    # the bundled cells, whole, but with the flag as a string that reads true
+    # to bool(): only the flag check can stop this run
+    string_flag_manifest = tmp_path / "string_flag.json"
+    doc = json.loads((SCENES / "cells.json").read_text())
+    for cell in doc["cells"]:
+        cell["states"] = {sid: str(SCENES / rel) for sid, rel in cell["states"].items()}
+        cell["use_effective_s11"] = "false"
+    string_flag_manifest.write_text(json.dumps(doc))
+    argv = [a.format(bad_scene=bad_scene, bad_manifest=bad_manifest,
+                     string_flag_manifest=string_flag_manifest) for a in argv]
     if argv[0] in ("aoi", "boi", "coexist"):
         argv += ["--out-dir" if argv[0] == "aoi" else "--out", str(tmp_path / "out")]
     loaded, numpy_loaded, code = loaded_modules(*argv)

@@ -9,7 +9,14 @@ import pytest
 
 from gain_oracle import RisConfig, response
 from risplan.errors import CoincidentNodeError, RunError
-from risplan.secrecy import SecrecyChannels, _ascend_q, secrecy_link, sse_pair, sse_pairs
+from risplan.secrecy import (
+    _MATRICES,
+    SecrecyChannels,
+    _ascend_q,
+    secrecy_links,
+    sse_pair,
+    sse_pairs,
+)
 from risplan.scene import load_scene, parse_scene
 from secrecy_oracle import (
     MimoLink,
@@ -18,6 +25,7 @@ from secrecy_oracle import (
     optimize_sse,
     rate_difference,
     realize,
+    secrecy_link,
 )
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
@@ -231,6 +239,41 @@ class TestSecrecyLinkBuilder:
         link = realize(ch, RisConfig.off(8))
         np.testing.assert_array_equal(link.h_rx, ch.direct_rx)
 
+    @pytest.mark.parametrize("changes", [{}, {"ris": None}, {"walls": [
+        {"p1_m": [5, 20], "p2_m": [5, 80], "penetration_loss_db": 20}]}],
+        ids=["surface", "no_surface", "walled"])
+    def test_block_rows_are_one_point_channels(self, changes):
+        # one block's channels hold, row by row, the channels each point gets alone
+        scene = sse_scene(**changes)
+        points = scene.grid.points()[4:11]
+        indices = range(4, 11)
+        block, on_node = secrecy_links(scene, points, indices, 1)
+        assert not on_node.any()
+        for row, (point, i) in enumerate(zip(points, indices)):
+            alone = secrecy_link(scene, point, i, 1)
+            for name in _MATRICES:
+                want = getattr(alone, name)
+                got = getattr(block, name)
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got[row].view(np.uint64), want.view(np.uint64))
+
+    def test_node_mask(self):
+        # the station sits on cell 12, the surface centre on cell 24; Eve on
+        # the station puts every cell on a node
+        doc = json.loads(json.dumps(SSE))
+        points = parse_scene(json.dumps(doc)).grid.points()
+        doc["bs"][0]["position_m"] = points[12].tolist()
+        doc["ris"]["position_m"] = points[24].tolist()
+        _, on_node = secrecy_links(parse_scene(json.dumps(doc)), points, range(len(points)), 0)
+        assert np.flatnonzero(on_node).tolist() == [12, 24]
+        doc["eve"]["position_m"] = points[12].tolist()
+        _, on_node = secrecy_links(parse_scene(json.dumps(doc)), points, range(len(points)), 0)
+        assert on_node.all()
+        with pytest.raises(CoincidentNodeError):
+            secrecy_link(parse_scene(json.dumps(doc)), points[0])
+
 
 class TestOptimizeSse:
     def test_with_never_below_without(self):
@@ -430,7 +473,8 @@ class TestBatchedOracle:
         assert_same_bits(sse_pairs(scene, scene.grid.points()).T, per_cell_map(scene))
 
     @pytest.mark.parametrize("variant", [
-        "two_draws", "one_element", "one_level_lookup", "walled", "no_surface",
+        "two_draws", "one_element", "one_level_lookup", "lookup_without_zero", "walled",
+        "no_surface",
     ])
     def test_variants(self, variant):
         doc = courtyard_doc()
@@ -438,6 +482,7 @@ class TestBatchedOracle:
             "two_draws": {"secrecy": {**doc["secrecy"], "fading_draws": 2}},
             "one_element": {"ris": {**doc["ris"], "element_count": 1}},
             "one_level_lookup": {"ris": {**doc["ris"], "phase_lookup_rad": [0.5]}},
+            "lookup_without_zero": {"ris": {**doc["ris"], "phase_lookup_rad": [0.5, 2.0]}},
             "walled": {"walls": [
                 {"p1_m": [5, 20], "p2_m": [5, 80], "penetration_loss_db": 20},
                 {"p1_m": [12, 35], "p2_m": [18, 45], "penetration_loss_db": 7},
@@ -460,6 +505,27 @@ class TestBatchedOracle:
         assert [i for i, pair in enumerate(got) if math.isnan(pair[0])] == [7, 14]
         assert all(math.isnan(pair[1]) for pair in (got[7], got[14]))
         assert_same_bits(got, per_cell_map(scene))
+
+    @pytest.mark.parametrize("phase", [0.5, -2.0])
+    def test_one_level_lookup_holds_every_element_at_its_phase(self, phase):
+        # a surface with one state can take no other configuration, so the
+        # with-surface reading is the alternating covariance ascent with
+        # every element held there, never one read at phase 0
+        doc = courtyard_doc()
+        scene = coarse_courtyard(ris={**doc["ris"], "phase_lookup_rad": [phase]})
+        held = RisConfig.uniform(scene.ris.element_count, phase)
+        want = []
+        for i, point in enumerate(scene.grid.points()):
+            channels = secrecy_link(scene, point, i)
+            without = max(optimize_q(realize(channels, None))[1], 0.0)
+            q, val = None, -math.inf
+            for _ in range(5):
+                start = val
+                q, val, _ = optimize_q(realize(channels, held), q0=q)
+                if math.isfinite(start) and val - start < 1e-5 * max(abs(start), 1e-12):
+                    break
+            want.append(max(without, max(val, 0.0)))
+        assert_same_bits(sse_pairs(scene, scene.grid.points())[1], want)
 
     def test_pair_is_one_row_view(self):
         scene = coarse_courtyard()

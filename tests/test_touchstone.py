@@ -145,6 +145,10 @@ def test_load_cell_manifest(tmp_path):
         ({"cells": [{"name": "..", "states": {"a": "x"}}]}, "cells[0].name: must be one plain"),
         ({"cells": [{"name": ".", "states": {"a": "x"}}]}, "cells[0].name: must be one plain"),
         ({"cells": [{"name": "a\0b", "states": {"a": "x"}}]}, "cells[0].name: must be one plain"),
+        ({"cells": [{"name": "c", "use_effective_s11": "false", "states": {"a": "x"}}]},
+         "cells[0].use_effective_s11: must be true or false, got 'false'"),
+        ({"cells": [{"name": "c", "use_effective_s11": 1, "states": {"a": "x"}}]},
+         "cells[0].use_effective_s11: must be true or false, got 1"),
     ],
 )
 def test_manifest_errors(tmp_path, doc, fragment):
