@@ -14,8 +14,11 @@ surface dark, because the dark configuration is always compared in.
 Maps go through one engine, :func:`sse_pairs`, which runs that
 alternating ascent on blocks of points in lock-step, every loop masked per
 point, so each point ends exactly where the ascent would leave it alone;
-``sse_pair`` is a one-row view of it. The tests keep the one-point ascent
-and check the engine against it bit for bit.
+``sse_pair`` is a one-row view of it. Its covariance ascent keeps only the
+live cells' operands, packed, and carries each cell's products H Q H^H
+from one step into the next gradient; the ascent without the surface runs
+in the first round's lock-step. The tests keep the one-point ascent and
+check the engine against it bit for bit.
 """
 
 from __future__ import annotations
@@ -146,47 +149,29 @@ def _realize(ch: SecrecyChannels, responses: np.ndarray, states: np.ndarray):
     )
 
 
-def _rate_differences(h_rx, h_eve, q, noise_w: float) -> np.ndarray:
-    """RX rate minus Eve rate, log2 det(I + H Q H^H / N0) each, unclamped, over any leading shape.
-
-    A determinant whose sign is not positive reads rate 0.
-    """
-    def rates(h):
-        gram = np.eye(h.shape[-2]) + h @ q @ _hermitian(h) / noise_w
-        sign, logdet = np.linalg.slogdet(gram)
-        return np.where(sign.real <= 0, 0.0, logdet / LN2)
-
-    return rates(h_rx) - rates(h_eve)
+def _rates(hs, q, noise_w: float, adjoints=None):
+    """(products P = H Q H^H, RX minus Eve rate) of the channels ``hs``: log2 det(I + P / N0)
+    each, unclamped, or 0 where the determinant's sign is not positive."""
+    prods = [h @ q @ hh for h, hh in zip(hs, adjoints or map(_hermitian, hs))]
+    rx, eve = (np.where(sign.real <= 0, 0.0, logdet / LN2) for sign, logdet in
+               (np.linalg.slogdet(np.eye(p.shape[-1]) + p / noise_w) for p in prods))
+    return prods, rx - eve
 
 
 def _project_trace_balls(q: np.ndarray, power_w: float) -> np.ndarray:
-    """Euclidean projection of each Q onto {Q >= 0, trace(Q) <= P}.
+    """Euclidean projection of each Q (K, n, n) onto {Q >= 0, trace(Q) <= P}.
 
     Negative eigenvalues clip to 0; where the rest sum past P they are
     projected onto the simplex {w >= 0, sum w = P}.
     """
-    herm = (q + _hermitian(q)) / 2.0
-    w, v = np.linalg.eigh(herm)
+    w, v = np.linalg.eigh((q + _hermitian(q)) / 2.0)
     w = np.maximum(w, 0.0)
-    over = np.flatnonzero(np.sum(w, axis=-1) > power_w)
-    if over.size:
-        drop = np.sort(w[over], axis=-1)[:, ::-1]
-        cum = np.cumsum(drop, axis=-1)
-        k = np.arange(1, w.shape[-1] + 1)
-        valid = drop - (cum - power_w) / k > 0
-        rho = w.shape[-1] - np.argmax(valid[:, ::-1], axis=-1)  # last valid index + 1
-        theta = (cum[np.arange(over.size), rho - 1] - power_w) / rho
-        w[over] = np.maximum(w[over] - theta[:, None], 0.0)
+    drop = w[:, ::-1]  # eigh sorts ascending, and the clip keeps the order
+    shift = (drop.cumsum(axis=-1) - power_w) / np.arange(1, w.shape[-1] + 1)
+    last = w.shape[-1] - 1 - (drop - shift > 0)[:, ::-1].argmax(axis=-1)  # last valid
+    theta = shift[np.arange(len(w)), last]
+    w = np.where((w.sum(axis=-1) > power_w)[:, None], np.maximum(w - theta[:, None], 0.0), w)
     return (v * w[..., None, :]) @ _hermitian(v)
-
-
-def _gradients(h_rx, h_eve, q, noise_w: float) -> np.ndarray:
-    def half(h):
-        hh = _hermitian(h)
-        mid = noise_w * np.eye(h.shape[-2]) + h @ q @ hh
-        return hh @ np.linalg.solve(mid, h)
-
-    return (half(h_rx) - half(h_eve)) / LN2
 
 
 def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float):
@@ -197,55 +182,70 @@ def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float):
     norm and halves until the value strictly improves, at most 40 times; a
     cell stops when its gradient vanishes, when no step improves it or when
     it gains less than ``_Q_REL_TOL`` relative, and so leaves both loops
-    exactly where it would alone.
+    exactly where it would alone. Only the live cells' operands are kept,
+    packed again when a cell stops; each carries its RX and Eve products
+    H Q H^H from the accepted step into the next gradient. The first try of
+    a step runs on the whole packed block; only when some cell rejects it
+    do the moving cells redo the step in the halving loop.
     """
     k, n = h_rx.shape[0], h_rx.shape[-1]
-    if q0 is None:
-        q = np.repeat((power_w / n * np.eye(n, dtype=np.complex128))[None], k, axis=0)
-    else:
-        q = _project_trace_balls(q0, power_w)
-    val = _rate_differences(h_rx, h_eve, q, noise_w)
-    live = np.arange(k)
+    q = (np.repeat((power_w / n * np.eye(n, dtype=np.complex128))[None], k, axis=0)
+         if q0 is None else _project_trace_balls(q0, power_w))
+    q_out, val_out, live = np.empty_like(q), np.empty(k), np.arange(k)
+    hs, mids = [h_rx, h_eve], [noise_w * np.eye(h.shape[-2]) for h in (h_rx, h_eve)]
+    adjoints = [_hermitian(h) for h in hs]
+    prods, val = _rates(hs, q, noise_w, adjoints)
     for _ in range(_Q_ITERS):
-        grad = _gradients(h_rx[live], h_eve[live], q[live], noise_w)
-        # one norm per cell: a stacked Frobenius norm sums in another order
-        scale = np.array([float(np.linalg.norm(g)) for g in grad])
+        grad = np.subtract(*(hh @ np.linalg.solve(m + p, h)
+                             for h, hh, p, m in zip(hs, adjoints, prods, mids))) / LN2
+        # np.linalg.norm per cell: a stacked matmul reduces each with the same dot
+        flat = grad.reshape(len(grad), 1, -1)
+        scale = np.sqrt((flat.real @ flat.real.swapaxes(1, 2)
+                         + flat.imag @ flat.imag.swapaxes(1, 2))[:, 0, 0])
         moving = scale != 0.0
-        live, grad, step = live[moving], grad[moving], power_w / scale[moving]
-        prev = val[live]
-        pending = np.arange(live.size)  # positions in ``live`` still halving
-        for _ in range(40):
-            if not pending.size:
+        step = power_w / np.where(moving, scale, math.inf)
+        cand = _project_trace_balls(q + step[:, None, None] * grad, power_w)
+        cand_prods, cand_val = _rates(hs, cand, noise_w, adjoints)
+        prev, up = val, moving & (cand_val > val)
+        if up.all():
+            q, prods, val = cand, cand_prods, cand_val
+        else:  # rare: redo the step, halving each cell's until it improves
+            val, pending = val.copy(), np.flatnonzero(moving)
+            for _ in range(40):
+                if not pending.size:
+                    break
+                cand = _project_trace_balls(q[pending] + step[pending, None, None] * grad[pending],
+                                            power_w)
+                cand_prods, cand_val = _rates([h[pending] for h in hs], cand, noise_w)
+                up = cand_val > val[pending]
+                for held, new in zip([q, val, *prods], [cand, cand_val, *cand_prods]):
+                    held[pending[up]] = new[up]
+                pending = pending[~up]
+                step[pending] /= 2.0
+        # a cell no step improved gains 0 (or NaN), so it stops here as well
+        keep = val - prev >= _Q_REL_TOL * np.maximum(np.abs(prev), 1e-12)
+        if not keep.all():
+            q_out[live[~keep]], val_out[live[~keep]] = q[~keep], val[~keep]
+            live, q, val, *hs = (a[keep] for a in (live, q, val, *hs))
+            prods, adjoints = [p[keep] for p in prods], [_hermitian(h) for h in hs]
+            if not live.size:
                 break
-            rows = live[pending]
-            cand = _project_trace_balls(q[rows] + step[pending, None, None] * grad[pending], power_w)
-            cand_val = _rate_differences(h_rx[rows], h_eve[rows], cand, noise_w)
-            up = cand_val > val[rows]
-            q[rows[up]] = cand[up]
-            val[rows[up]] = cand_val[up]
-            pending = pending[~up]
-            step[pending] /= 2.0
-        improved = np.ones(live.size, dtype=bool)
-        improved[pending] = False
-        stalled = val[live] - prev < _Q_REL_TOL * np.maximum(np.abs(prev), 1e-12)
-        live = live[improved & ~stalled]
-        if not live.size:
-            break
-    return q, val
+    q_out[live], val_out[live] = q, val
+    return q_out, val_out
 
 
-def _ascend_phases(ch: SecrecyChannels, q, states, val, lookup, responses) -> None:
+def _ascend_phases(ch: SecrecyChannels, q, states, val, lookup, responses, live) -> None:
     """Element-by-element best response over the lookup on the rate difference, K cells at once.
 
     ``states`` (K, M) and ``val`` (K,) hold each cell's lookup indices and
-    its value under ``q`` (K, n, n); both are updated in place. All lookup
-    levels of one element go through one stacked evaluation. The element
-    moves to the first best level whose phase differs from its own, if that
-    strictly improves, as one cell alone would in lookup order. A cell stops
-    once a round gains less than ``_PHASE_REL_TOL`` relative.
+    its value under ``q`` (K, n, n); the cells ``live`` indexes are ascended
+    and updated in place. All lookup levels of one element go through one
+    stacked evaluation. The element moves to the first best level whose
+    phase differs from its own, if that strictly improves, as one cell alone
+    would in lookup order. A cell stops once a round gains less than
+    ``_PHASE_REL_TOL`` relative.
     """
     levels = np.arange(lookup.size)
-    live = np.arange(len(val))
     for _ in range(_PHASE_ROUNDS):
         sub = _rows(ch, live)
         q_live = q[live][:, None]
@@ -253,7 +253,7 @@ def _ascend_phases(ch: SecrecyChannels, q, states, val, lookup, responses) -> No
         for m in range(states.shape[1]):
             trial = np.repeat(states[live][:, None, :], lookup.size, axis=1)
             trial[:, :, m] = levels
-            cand = _rate_differences(*_realize(sub, responses, trial), q_live, ch.noise_w)
+            cand = _rates(_realize(sub, responses, trial), q_live, ch.noise_w)[1]
             cand[lookup[None, :] == lookup[states[live, m]][:, None]] = -math.inf
             best_state = np.argmax(cand, axis=1)
             best = cand[np.arange(live.size), best_state]
@@ -271,38 +271,35 @@ def _sse_block(ch: SecrecyChannels, lookup) -> np.ndarray:
 
     Without the surface the covariance ascent runs once; with it, up to
     ``_OUTER_ROUNDS`` rounds alternate the covariance and the lookup states,
-    every element starting at the state nearest phase 0. Rates clamp at 0,
-    and the with-surface rate never falls below the without one, because
+    every element starting at the state nearest phase 0. The first round's
+    ascent starts isotropic, as the one without the surface does, so both
+    run in one lock-step, the direct channels stacked last. Rates clamp at
+    0, and the with-surface rate never falls below the without one, because
     switching the surface dark is compared in.
     """
-    _, val_wo = _ascend_q(ch.direct_rx, ch.direct_eve, None, ch.noise_w, ch.power_w)
+    k, hs = len(ch.direct_rx), [ch.direct_rx, ch.direct_eve]
+    if ch.bs_to_ris is not None:
+        lookup = np.asarray(lookup, dtype=float)
+        responses = np.exp(1j * lookup)
+        states = np.full(ch.bs_to_ris.shape[:2], quantize_indices(0.0, lookup))
+        hs = [np.concatenate([h, d]) for h, d in zip(_realize(ch, responses, states), hs)]
+    q, val = _ascend_q(*hs, None, ch.noise_w, ch.power_w)
+    del hs  # free the stacked channels before the phase ascent builds its cascades
     # each clamp keeps the value unless 0.0 is strictly above it, as max(v, 0.0)
-    without = np.where(val_wo < 0.0, 0.0, val_wo)
+    without = np.where(val[-k:] < 0.0, 0.0, val[-k:])
     if ch.bs_to_ris is None:
         return np.stack([without, without])
 
-    lookup = np.asarray(lookup, dtype=float)
-    responses = np.exp(1j * lookup)
-    k, m, n = ch.bs_to_ris.shape
-    states = np.full((k, m), quantize_indices(0.0, lookup))
-    val = np.full(k, -math.inf)
-    q = np.empty((k, n, n), dtype=np.complex128)
-    live = np.arange(k)
+    q, val = q[:k], val[:k]
+    live, round_start = np.arange(k), np.full(k, -math.inf)
     for outer in range(_OUTER_ROUNDS):
-        round_start = val[live]
-        sub = _rows(ch, live)
-        q_live, val_live = _ascend_q(
-            *_realize(sub, responses, states[live]), q[live] if outer else None,
-            ch.noise_w, ch.power_w,
-        )
-        states_live = states[live]
-        _ascend_phases(sub, q_live, states_live, val_live, lookup, responses)
-        q[live] = q_live
-        states[live] = states_live
-        val[live] = val_live
+        if outer:
+            round_start = val[live]
+            q[live], val[live] = _ascend_q(*_realize(_rows(ch, live), responses, states[live]),
+                                           q[live], ch.noise_w, ch.power_w)
+        _ascend_phases(ch, q, states, val, lookup, responses, live)
         stalled = np.isfinite(round_start) & (
-            val_live - round_start < 1e-5 * np.maximum(np.abs(round_start), 1e-12)
-        )
+            val[live] - round_start < 1e-5 * np.maximum(np.abs(round_start), 1e-12))
         live = live[~stalled]
         if not live.size:
             break

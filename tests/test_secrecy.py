@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gain_oracle import RisConfig, response
+from helpers import traced_peak
 from risplan.errors import CoincidentNodeError, RunError
 from risplan.secrecy import (
     _MATRICES,
@@ -474,7 +475,7 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("variant", [
         "two_draws", "one_element", "one_level_lookup", "lookup_without_zero", "walled",
-        "no_surface",
+        "no_surface", "unequal_antennas",
     ])
     def test_variants(self, variant):
         doc = courtyard_doc()
@@ -488,6 +489,9 @@ class TestBatchedOracle:
                 {"p1_m": [12, 35], "p2_m": [18, 45], "penetration_loss_db": 7},
             ]},
             "no_surface": {"ris": None},
+            # RX and Eve products of different shapes, which no step may stack
+            "unequal_antennas": {"secrecy": {**doc["secrecy"], "rx_antenna_count": 3},
+                                 "eve": {**doc["eve"], "antenna_count": 1}},
         }[variant]
         scene = coarse_courtyard(**changes)
         got = sse_pairs(scene, scene.grid.points()).T
@@ -557,6 +561,30 @@ class TestBatchedOracle:
             want_q, want_val, _ = optimize_q(link, q0=starts[k] if warm else None)
             assert_same_bits(q[k].view(np.float64), want_q.view(np.float64))
             assert_same_bits([val[k]], [want_val])
+
+    def test_capped_covariance_ascent_matches_optimize_q(self):
+        # the regime the maps spend their time in: every cell of the block
+        # still gains at the 100-step cap
+        rng = np.random.default_rng(3)
+        links = [random_link(rng, n_bs=4, noise=1e-3, power=1.0, eve_scale=1.0)
+                 for _ in range(40)]
+        capped = [(link, q, val) for link in links
+                  for q, val, trace in [optimize_q(link)] if len(trace) == 101]
+        assert len(capped) >= 20
+        q, val = _ascend_q(np.stack([link.h_rx for link, _, _ in capped]),
+                           np.stack([link.h_eve for link, _, _ in capped]), None, 1e-3, 1.0)
+        for k, (_, want_q, want_val) in enumerate(capped):
+            assert_same_bits(q[k].view(np.float64), want_q.view(np.float64))
+            assert_same_bits([val[k]], [want_val])
+
+    def test_map_memory_stays_bounded(self):
+        # products carried between ascent steps must not lift the map's
+        # temporaries: the bound sits about 10% over the 0.96 MB the map
+        # peaked at when every step formed its products afresh
+        scene = benchmark_courtyard()
+        points = scene.grid.points()
+        sse_pairs(scene, points[:2])  # lazy imports land here
+        assert traced_peak(lambda: sse_pairs(scene, points)) <= 1_050_000
 
     def test_requires_eavesdropper(self):
         with pytest.raises(RunError):
