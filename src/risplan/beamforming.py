@@ -1,8 +1,8 @@
 """Phase control of the surface and base-station combining.
 
 The central object is the mean-over-subcarriers combined-channel power
-gain, which is an exact quadratic form in the per-element unit phasors
-z_m = exp(j phi_m):
+gain, which is an exact quadratic form in the per-element responses z_m,
+each an entry of the surface's table of state responses:
 
     G(z) = c0 + 2 Re( sum_m conj(b_m) z_m ) + z^H V z
 
@@ -14,10 +14,11 @@ once, so one point costs one channel synthesis regardless of how many
 configurations get probed. The tests keep the one-point evaluation and the
 generic coordinate ascent it is checked against.
 
-Discrete phases come from the scene's lookup. Conventions used
-throughout: snapping to the lookup breaks ties toward the smaller index,
-and the ascent switches only on strict improvement, so results are
-deterministic and order-independent across runs.
+:func:`state_responses` is that table, eta exp(j phi) per lookup state: the
+one reader of ``element_efficiency`` and of lookup phases as complex
+numbers, so the channels carry geometry only. Snapping to the lookup
+breaks ties toward the smaller index, and the ascent switches only on
+strict improvement, so results are deterministic and order-independent.
 """
 
 from __future__ import annotations
@@ -148,38 +149,34 @@ def gain_terms(
     return GainTerms(b=np.ascontiguousarray(b), V=np.ascontiguousarray(V), c0=c0)
 
 
-def optimize_gains(
-    terms: GainTerms,
-    lookup_rad,
-    init_indices=None,
-    max_rounds: int = 20,
-    rel_tol: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
+def state_responses(scene: Scene) -> np.ndarray:
+    """(L,) complex response eta exp(j phi_l) of each surface state l.
+
+    The constant-modulus case of a per-state response (Abeywickrama et al.,
+    IEEE TCOM 2020), which the ascent kernel's best response relies on.
+    """
+    lookup = np.asarray(scene.ris.phase_lookup_rad, dtype=float)
+    return scene.ris.element_efficiency * np.exp(1j * lookup)
+
+
+def optimize_gains(terms: GainTerms, scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """Quantized coordinate ascent on a block of K quadratic forms at once.
 
-    ``terms`` holds b (K, M), V (K, M, M) and c0 (K,); returns lookup
-    indices (K, M) and gains (K,). Each point starts from its quantized
-    per-element alignment unless explicit (K, M) indices are given, and
-    ends where it would if ascended alone (Wu & Zhang, IEEE TCOM 2020,
-    best response per element over the discrete phases). Entirely
-    deterministic; a constant objective returns the initial configuration.
+    ``terms`` holds b (K, M), V (K, M, M) and c0 (K,); returns state
+    indices (K, M) and gains (K,). Each point starts from its per-element
+    alignment snapped to the lookup and ends where it would if ascended
+    alone (Wu & Zhang, IEEE TCOM 2020, best response per element over the
+    states). Entirely deterministic; a constant objective returns the start.
     """
-    lookup = np.asarray(lookup_rad, dtype=float)
     b = np.asarray(terms.b, dtype=np.complex128)
-    if init_indices is None:
-        init = quantize_indices(np.angle(b), lookup)
-    else:
-        init = np.asarray(init_indices, dtype=np.int64)
-        if init.shape != b.shape:
-            raise ValueError(f"expected initial indices of shape {b.shape}, got {init.shape}")
     return kernels.ascent_quadratic(
         b,
         np.asarray(terms.V, dtype=np.complex128),
         np.asarray(terms.c0, dtype=np.float64),
-        np.exp(1j * lookup).astype(np.complex128),
-        init.astype(np.int64),
-        max_rounds,
-        rel_tol,
+        state_responses(scene),
+        quantize_indices(np.angle(b), scene.ris.phase_lookup_rad),
+        20,  # rounds at most
+        1e-6,  # a cell stops once a round gains less, relative
     )
 
 
@@ -203,6 +200,6 @@ def default_codebook(scene: Scene) -> np.ndarray:
     sines = np.array([math.sin(a) for a in angles])
     offsets = (np.arange(m) - (m - 1) / 2.0) * scene.ris_spacing_m()
     phases = -2.0 * math.pi * offsets * sines[:, None] / scene.wavelength_m
-    lookup = np.asarray(scene.ris.phase_lookup_rad, dtype=float)
-    states = quantize_indices(np.vstack([np.zeros(m), wrap_phase(phases)]), lookup)
-    return np.concatenate([np.zeros((1, m)), np.exp(1j * lookup)[states]])
+    states = quantize_indices(np.vstack([np.zeros(m), wrap_phase(phases)]),
+                              scene.ris.phase_lookup_rad)
+    return np.concatenate([np.zeros((1, m)), state_responses(scene)[states]])

@@ -12,7 +12,8 @@ reads and checks its inputs before that import, so start-up, ``--help``,
 without numpy: only a command's numeric layer loads it.
 
 Exit codes: 0 success, 2 input or configuration problem, 3 runtime failure
-(a ``RunError``, or a ``ValueError`` or ``LinAlgError`` from the numerics).
+(a ``RunError``, a ``ValueError`` or ``LinAlgError`` from the numerics, or
+a ``MemoryError``).
 """
 
 from __future__ import annotations
@@ -354,6 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         # any other ValueError, a CoincidentNodeError included, is a
         # numeric failure at run time, as is a singular linear system
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # an allocation no RunError names, such as numpy's for an operand
+        # larger than memory
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
 
 

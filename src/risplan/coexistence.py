@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import default_codebook, mrc_weights
+from .beamforming import default_codebook, mrc_weights, state_responses
 from .errors import CoincidentNodeError, RunError
 from .kernels import forward_fill
 from .linkmetrics import serving_bs, station_legs
@@ -92,7 +92,7 @@ def _victim_link(scene: Scene, ue_point):
     leg = bs_leg(scene, bs_index)  # raises when the station's leg is degenerate
     point_gains, point_dists = surface_legs(scene, point)
     require_apart(point_dists[0], point[0].tolist())
-    hops = ris_channels(scene, leg, point_gains, point_dists).hop_products[0]
+    hops = ris_channels(leg, point_gains, point_dists).hop_products[0]
     return base, hops, complex(np.vdot(w, leg.steering))
 
 
@@ -156,7 +156,7 @@ def simulate(scene: Scene, ue_point, config: CoexistConfig) -> CoexistResult:
         snr_db=snr_db,
         capacity=np.log2(1.0 + snr / db_to_linear(config.mcs_gap_db)),
         transmitting_slots=n - d,
-        ris_direct_ratio_db=_ratio_db(link),
+        ris_direct_ratio_db=_ratio_db(scene, link),
     )
 
 
@@ -183,17 +183,18 @@ def _chunk(index, snr, snr_floor, d, start, stop):
     return now, before, snr[now] < snr_floor[before]
 
 
-def _ratio_db(link) -> float:
+def _ratio_db(scene: Scene, link) -> float:
     """Peak surface ripple over the direct amplitude after combining, in dB.
 
     The numerator is the best-case coherent cascade (all element phases
-    aligned), which bounds how far any configuration can move the combined
-    channel; -inf when the scene has no surface.
+    aligned, at the largest state modulus), which bounds how far any
+    configuration can move the combined channel; -inf without a surface.
     """
     base, hops, steer_gain = link
     if hops is None:
         return -math.inf
-    ripple = float(np.sum(np.abs(hops))) * abs(steer_gain)
+    peak = float(np.max(np.abs(state_responses(scene))))
+    ripple = peak * float(np.sum(np.abs(hops))) * abs(steer_gain)
     if ripple == 0.0:
         return -math.inf
     return 20.0 * math.log10(ripple / abs(base))

@@ -34,10 +34,11 @@ def max_pair_contrast(values):
 # quantized coordinate ascent on the combined-channel power gain, over a
 # block of K cells
 #
-# Objective per cell over unit phasors z_m drawn from a lookup:
+# Objective per cell over responses z_m drawn from a table of states:
 #   G(z) = c0 + 2 Re( sum_m conj(b_m) z_m ) + z^H V z
 # with V Hermitian PSD. Changing one z_m moves G by 2 Re[ conj(dz) t_m ],
-# t_m = b_m + (V z)_m - V_mm z_m, which the sweep exploits for O(M) updates.
+# t_m = b_m + (V z)_m - V_mm z_m, which the sweep exploits for O(M) updates;
+# it drops the move of V_mm |z_m|^2, so every state must share one modulus.
 #
 # Every complex product is spelled out in real arithmetic and every sum runs
 # in a fixed order (V z column by column, G term by term). Elementwise real
@@ -70,26 +71,26 @@ def _sequential_gain(br, bi, c0, zr, zi, sr, si):
     return gain
 
 
-def ascent_quadratic(b, V, c0, lookup, init_idx, max_rounds, rel_tol):
-    """Best-response sweeps over the lookup, all cells of a block in lockstep.
+def ascent_quadratic(b, V, c0, responses, init_idx, max_rounds, rel_tol):
+    """Best-response sweeps over the state responses, all cells of a block in lockstep.
 
-    ``b`` (K, M), ``V`` (K, M, M), ``c0`` (K,), ``init_idx`` (K, M) ->
-    (indices (K, M), gains (K,)). An element switches only on strict
-    improvement, ties going to the smaller lookup index. A cell leaves the
-    lockstep once a round improves it by less than ``rel_tol``, so
-    converged cells cost nothing in later rounds and every cell ends
+    ``b`` (K, M), ``V`` (K, M, M), ``c0`` (K,), ``responses`` (L,) and
+    ``init_idx`` (K, M) -> (indices (K, M), gains (K,)). An element switches
+    only on strict improvement, ties going to the smaller index. A cell
+    leaves the lockstep once a round improves it by less than ``rel_tol``,
+    so converged cells cost nothing in later rounds and every cell ends
     exactly where it would alone.
     """
     b = np.asarray(b, dtype=np.complex128)
     V = np.asarray(V, dtype=np.complex128)
     c0 = np.asarray(c0, dtype=np.float64)
-    lookup = np.asarray(lookup, dtype=np.complex128)
+    responses = np.asarray(responses, dtype=np.complex128)
     idx = np.asarray(init_idx, dtype=np.int64).copy()
     br, bi = b.real, b.imag
     # columns of V as contiguous rows, split into real and imaginary parts
     cols_r = np.ascontiguousarray(V.real.transpose(0, 2, 1))
     cols_i = np.ascontiguousarray(V.imag.transpose(0, 2, 1))
-    lr, li = lookup.real, lookup.imag
+    lr, li = responses.real, responses.imag
     zr, zi = lr[idx], li[idx]
     sr, si = _matvec(cols_r, cols_i, zr, zi)
     gain = _sequential_gain(br, bi, c0, zr, zi, sr, si)

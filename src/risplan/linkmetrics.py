@@ -154,7 +154,7 @@ def _served_gains(
         distance_m=direct.distance_m[rows],
     )
     ris_ch = (
-        ris_channels(scene, leg, point_legs[0][rows], point_legs[1][rows])
+        ris_channels(leg, point_legs[0][rows], point_legs[1][rows])
         if scene.ris is not None
         else None
     )
@@ -162,7 +162,7 @@ def _served_gains(
     gains = np.empty((2, rows.size))
     gains[:] = terms.c0
     if ris_ch is not None:
-        _, ascended = optimize_gains(terms, scene.ris.phase_lookup_rad)
+        _, ascended = optimize_gains(terms, scene)
         gains[1] = np.maximum(ascended, terms.c0)
     return gains
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamforming import state_responses
 from .errors import CoincidentNodeError
 from .propagation import (
     BsLeg,
@@ -70,13 +71,13 @@ def pilot_amplitude(scene: Scene) -> float:
 
 
 def _pilot_configs(scene: Scene, point_indices) -> np.ndarray:
-    """(n, pilot_count, element_count) lookup indices, one derived stream per point and pilot."""
+    """(n, pilot_count, element_count) state indices, one derived stream per point and pilot."""
     return derived_integers(
         scene.seed,
         "loc-pilot",
         np.asarray(point_indices, dtype=np.int64)[:, None],
         np.arange(scene.localization.pilot_count)[None, :],
-        high=len(scene.ris.phase_lookup_rad),
+        high=state_responses(scene).size,
         size=scene.ris.element_count,
     )
 
@@ -110,11 +111,11 @@ def _reflected_rows(scene: Scene, leg: BsLeg, points: np.ndarray, configs: np.nd
     batched product of the pilot responses with the element terms.
     """
     gains, dists = surface_legs(scene, points)
-    ch = ris_channels(scene, leg, gains, dists)
+    ch = ris_channels(leg, gains, dists)
     count, m = dists.shape
     n = np.arange(scene.subcarrier_count)
     n_scale = -2j * math.pi * scene.subcarrier_spacing_hz * n
-    phasors = np.exp(1j * np.asarray(scene.ris.phase_lookup_rad, dtype=float))
+    responses = state_responses(scene)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = pilot_amplitude(scene) * ch.hop_products  # (n, M)
         d2 = ch.element_to_point_m
@@ -138,7 +139,7 @@ def _reflected_rows(scene: Scene, leg: BsLeg, points: np.ndarray, configs: np.nd
             np.multiply(scratch, eps, out=terms[:, :, 1 + axis])
         np.multiply(g[..., None], eps, out=scratch)
         del eps
-        rows = (phasors[configs] @ terms.reshape(count, m, -1)).reshape(count, -1, 3, n.size)
+        rows = (responses[configs] @ terms.reshape(count, m, -1)).reshape(count, -1, 3, n.size)
     mu = rows[:, :, 0].reshape(count, -1)
     d_pos = np.moveaxis(rows[:, :, 1:], 2, 1).reshape(count, 2, -1)
     return mu, d_pos, dists

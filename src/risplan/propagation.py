@@ -155,29 +155,22 @@ class DirectChannel:
 
 @dataclass(frozen=True)
 class RisChannel:
-    """Per-element two-leg rays, kept separate so phasing applies later.
+    """Per-element two-leg cascades, before any surface state applies.
 
-    ``bs_to_elements[m]`` and ``elements_to_point[m]`` are the two Friis
-    legs with exact per-element distances (near-field: no plane-wave
-    shortcut across the aperture). ``bs_steering`` extends the cascade to
-    a multi-antenna base station: the per-antenna cascade is
-    ``(hop_products @ response) * bs_steering``. A batch over points carries a
-    leading point axis on the point-side fields; the base-station leg is
-    shared by every point.
+    ``hop_products[m]`` multiplies element m's two Friis legs, each with its
+    exact distance (near field: no plane-wave shortcut across the aperture);
+    a response from ``beamforming.state_responses`` multiplies it later, so
+    the channel carries geometry only. ``bs_steering`` extends the cascade
+    to a multi-antenna base station: the per-antenna cascade is
+    ``(hop_products @ responses) * bs_steering``. A batch over points
+    carries a leading point axis on the point-side fields.
     """
 
-    bs_to_elements: np.ndarray  # (M,) complex
-    elements_to_point: np.ndarray  # (M,) or (n, M) complex
+    hop_products: np.ndarray  # (M,) or (n, M) complex
     element_delays_s: np.ndarray  # (M,) or (n, M) two-leg delays
     element_positions_m: np.ndarray  # (M, 3)
     element_to_point_m: np.ndarray  # (M,) or (n, M) second-leg distances
     bs_steering: np.ndarray  # (A,) unit-magnitude phasors toward the surface
-    efficiency: float
-
-    @property
-    def hop_products(self) -> np.ndarray:
-        """(M,) or (n, M) per-element cascade gains before phasing."""
-        return self.efficiency * self.bs_to_elements * self.elements_to_point
 
 
 def _steering(scene: Scene, bs: BaseStation, targets) -> np.ndarray:
@@ -265,16 +258,12 @@ def require_apart(dists: np.ndarray, endpoint) -> None:
         )
 
 
-def ris_channels(
-    scene: Scene, leg: BsLeg, point_gains: np.ndarray, point_dists: np.ndarray
-) -> RisChannel:
+def ris_channels(leg: BsLeg, point_gains: np.ndarray, point_dists: np.ndarray) -> RisChannel:
     """Cascade channels from a station's leg and point legs from :func:`surface_legs`."""
     return RisChannel(
-        bs_to_elements=leg.gains,
-        elements_to_point=point_gains,
+        hop_products=leg.gains * point_gains,
         element_delays_s=(leg.distances_m + point_dists) / C_LIGHT_M_S,
         element_positions_m=leg.element_positions_m,
         element_to_point_m=point_dists,
         bs_steering=leg.steering,
-        efficiency=scene.ris.element_efficiency,
     )

@@ -74,7 +74,11 @@ class BaseStation:
 
 @dataclass(frozen=True)
 class Surface:
-    """Uniform linear array of switchable elements."""
+    """Uniform linear array of switchable elements.
+
+    State l of an element responds element_efficiency * exp(j phase_lookup_rad[l]);
+    every engine reads it through ``beamforming.state_responses``.
+    """
 
     position_m: tuple[float, float, float]
     element_count: int
@@ -361,10 +365,13 @@ def _object(cls, table: dict, check=None, rename=None) -> _Reader:
 
 
 def _check_grid(grid: Grid, path: str) -> Grid:
-    if grid.x_max < grid.x_min:
-        raise SceneError(_join(path, "x_max"), "must be >= x_min")
-    if grid.y_max < grid.y_min:
-        raise SceneError(_join(path, "y_max"), "must be >= y_min")
+    for axis, low, high in (("x", grid.x_min, grid.x_max), ("y", grid.y_min, grid.y_max)):
+        if high < low:
+            raise SceneError(_join(path, f"{axis}_max"), f"must be >= {axis}_min")
+        # a quotient past the float range has no cell count
+        if not math.isfinite((high - low) / grid.resolution_m):
+            raise SceneError(_join(path, "resolution_m"),
+                             f"the {axis} span over the resolution overflows")
     return grid
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamforming import quantize_indices
+from .beamforming import quantize_indices, state_responses
 from .errors import RunError
 from .propagation import dbm_to_watts, ray_amplitudes
 from .scene import Scene
@@ -88,7 +88,7 @@ def secrecy_links(scene: Scene, points, point_indices, draw: int):
         m = scene.ris.element_count
         amp_g, dist_g = ray_amplitudes(scene, scene.ris.position_m, stations)
         on_node |= np.any(dist_g == 0.0)
-        parts += [((m, n_bs), scene.ris.element_efficiency * np.repeat(amp_g, antennas)[None, :]),
+        parts += [((m, n_bs), np.repeat(amp_g, antennas)[None, :]),
                   ((n_rx, m), amp_rx[:, k, None, None]), ((n_eve, m), amp_eve[k])]
 
     fading = [np.empty((len(points), *shape), dtype=np.complex128) for shape, _ in parts]
@@ -113,8 +113,8 @@ def secrecy_links(scene: Scene, points, point_indices, draw: int):
 # lock-step, every loop level masked per cell
 
 # Budget for one block's candidate cascades, the largest operand: the
-# phase ascent tries every lookup level of one element at once, so
-# ``_realize`` builds a (lookup levels x M x N_bs) complex cascade per cell,
+# phase ascent tries every state of one element at once, so
+# ``_realize`` builds a (states x M x N_bs) complex cascade per cell,
 # N_bs the stations' summed antennas; its response factor, 1 / N_bs of that,
 # lives while it is built. The budget bounds memory, never the result,
 # which is the same for any block size.
@@ -124,7 +124,7 @@ _BLOCK_BYTES = 4 * 2**20
 def _cell_block(scene: Scene) -> int:
     per_cell = sum(bs.antenna_count for bs in scene.bs)
     if scene.ris is not None:
-        per_cell *= len(scene.ris.phase_lookup_rad) * scene.ris.element_count
+        per_cell *= state_responses(scene).size * scene.ris.element_count
     return max(1, _BLOCK_BYTES // (16 * per_cell))
 
 
@@ -140,7 +140,7 @@ def _rows(ch: SecrecyChannels, rows: np.ndarray) -> SecrecyChannels:
 
 
 def _realize(ch: SecrecyChannels, responses: np.ndarray, states: np.ndarray):
-    """(h_rx, h_eve) in lookup states (K, M) or (K, L, M): H_d + H_r diag(responses[states]) G."""
+    """(h_rx, h_eve) in states (K, M) or (K, L, M): H_d + H_r diag(responses[states]) G."""
     lead = (slice(None),) + (None,) * (states.ndim - 2)
     cascade = ch.bs_to_ris[lead] * responses[states][..., None]
     return (
@@ -234,27 +234,27 @@ def _ascend_q(h_rx, h_eve, q0, noise_w: float, power_w: float):
     return q_out, val_out
 
 
-def _ascend_phases(ch: SecrecyChannels, q, states, val, lookup, responses, live) -> None:
-    """Element-by-element best response over the lookup on the rate difference, K cells at once.
+def _ascend_phases(ch: SecrecyChannels, q, states, val, responses, live) -> None:
+    """Element-by-element best response over the states on the rate difference, K cells at once.
 
-    ``states`` (K, M) and ``val`` (K,) hold each cell's lookup indices and
-    its value under ``q`` (K, n, n); the cells ``live`` indexes are ascended
-    and updated in place. All lookup levels of one element go through one
-    stacked evaluation. The element moves to the first best level whose
-    phase differs from its own, if that strictly improves, as one cell alone
-    would in lookup order. A cell stops once a round gains less than
-    ``_PHASE_REL_TOL`` relative.
+    ``states`` (K, M) and ``val`` (K,) hold each cell's indices into the
+    table ``responses`` and its value under ``q`` (K, n, n); the cells
+    ``live`` indexes are ascended and updated in place. All states of one
+    element go through one stacked evaluation. The element moves to the
+    first best state whose response differs from its own, if that strictly
+    improves, as one cell alone would in table order. A cell stops once a
+    round gains less than ``_PHASE_REL_TOL`` relative.
     """
-    levels = np.arange(lookup.size)
+    levels = np.arange(responses.size)
     for _ in range(_PHASE_ROUNDS):
         sub = _rows(ch, live)
         q_live = q[live][:, None]
         before = val[live]
         for m in range(states.shape[1]):
-            trial = np.repeat(states[live][:, None, :], lookup.size, axis=1)
+            trial = np.repeat(states[live][:, None, :], levels.size, axis=1)
             trial[:, :, m] = levels
             cand = _rates(_realize(sub, responses, trial), q_live, ch.noise_w)[1]
-            cand[lookup[None, :] == lookup[states[live, m]][:, None]] = -math.inf
+            cand[responses[None, :] == responses[states[live, m]][:, None]] = -math.inf
             best_state = np.argmax(cand, axis=1)
             best = cand[np.arange(live.size), best_state]
             switch = best > val[live]
@@ -266,22 +266,20 @@ def _ascend_phases(ch: SecrecyChannels, q, states, val, lookup, responses, live)
             break
 
 
-def _sse_block(ch: SecrecyChannels, lookup) -> np.ndarray:
+def _sse_block(ch: SecrecyChannels, responses, start_state) -> np.ndarray:
     """(2, K) without and with secrecy rates for a stack of cells' channels.
 
     Without the surface the covariance ascent runs once; with it, up to
-    ``_OUTER_ROUNDS`` rounds alternate the covariance and the lookup states,
-    every element starting at the state nearest phase 0. The first round's
-    ascent starts isotropic, as the one without the surface does, so both
-    run in one lock-step, the direct channels stacked last. Rates clamp at
-    0, and the with-surface rate never falls below the without one, because
-    switching the surface dark is compared in.
+    ``_OUTER_ROUNDS`` rounds alternate the covariance and the states, every
+    element starting at ``start_state``, an index into ``responses``. The
+    first round's ascent starts isotropic, as the one without the surface
+    does, so both run in one lock-step, the direct channels stacked last.
+    Rates clamp at 0, and the with-surface rate never falls below the
+    without one, because switching the surface dark is compared in.
     """
     k, hs = len(ch.direct_rx), [ch.direct_rx, ch.direct_eve]
     if ch.bs_to_ris is not None:
-        lookup = np.asarray(lookup, dtype=float)
-        responses = np.exp(1j * lookup)
-        states = np.full(ch.bs_to_ris.shape[:2], quantize_indices(0.0, lookup))
+        states = np.full(ch.bs_to_ris.shape[:2], start_state)
         hs = [np.concatenate([h, d]) for h, d in zip(_realize(ch, responses, states), hs)]
     q, val = _ascend_q(*hs, None, ch.noise_w, ch.power_w)
     del hs  # free the stacked channels before the phase ascent builds its cascades
@@ -297,7 +295,7 @@ def _sse_block(ch: SecrecyChannels, lookup) -> np.ndarray:
             round_start = val[live]
             q[live], val[live] = _ascend_q(*_realize(_rows(ch, live), responses, states[live]),
                                            q[live], ch.noise_w, ch.power_w)
-        _ascend_phases(ch, q, states, val, lookup, responses, live)
+        _ascend_phases(ch, q, states, val, responses, live)
         stalled = np.isfinite(round_start) & (
             val[live] - round_start < 1e-5 * np.maximum(np.abs(round_start), 1e-12))
         live = live[~stalled]
@@ -322,7 +320,8 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     indices = range(len(points)) if point_indices is None else list(point_indices)
-    lookup = () if scene.ris is None else scene.ris.phase_lookup_rad
+    surface = (None, None) if scene.ris is None else (
+        state_responses(scene), quantize_indices(0.0, scene.ris.phase_lookup_rad))
     draws = scene.secrecy.fading_draws
     block = _cell_block(scene)
     sums = np.zeros((2, len(points)))
@@ -338,7 +337,7 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
                 break
             if cells.size < stop - start:
                 ch = _rows(ch, cells)
-            sums[:, start + cells] += _sse_block(ch, lookup)
+            sums[:, start + cells] += _sse_block(ch, *surface)
     rates = sums / draws
     rates[:, on_node] = math.nan
     return rates

@@ -47,24 +47,27 @@ def victim_link(scene, ue_point):
     return base, ch, complex(np.vdot(w, ch.bs_steering))
 
 
-def combined_amplitudes(link, book) -> np.ndarray:
+def combined_amplitudes(link, book, efficiency: float = 1.0) -> np.ndarray:
     """Post-combining channel amplitude for each codebook entry, one at a time."""
     base, ch, steer_gain = link
     if ch is None:
         return np.array([base])
     out = np.empty(len(book), dtype=np.complex128)
     for c, entry in enumerate(book):
-        ripple = cascade(ch, entry.phases_rad) if entry.active else 0.0
+        ripple = cascade(ch, entry.phases_rad, efficiency) if entry.active else 0.0
         out[c] = base + ripple * steer_gain
     return out
 
 
-def ratio_db(link) -> float:
-    """Coherent surface ripple over the combined direct amplitude, in dB."""
+def ratio_db(scene, link) -> float:
+    """Coherent surface ripple over the combined direct amplitude, in dB: the
+    cascade moduli summed, scaled by the largest state response modulus."""
     base, ch, steer_gain = link
     if ch is None:
         return -math.inf
-    ripple = float(np.sum(np.abs(ch.hop_products))) * abs(steer_gain)
+    lookup = np.asarray(scene.ris.phase_lookup_rad)
+    peak = float(np.max(np.abs(scene.ris.element_efficiency * np.exp(1j * lookup))))
+    ripple = peak * float(np.sum(np.abs(ch.hop_products))) * abs(steer_gain)
     if ripple == 0.0:
         return -math.inf
     return 20.0 * math.log10(ripple / abs(base))
@@ -89,7 +92,8 @@ def simulate(scene, ue_point, config, book=None) -> SlotTrace:
     link = victim_link(scene, ue_point)
     if book is None and scene.ris is not None:
         book = codebook(scene)
-    amps = combined_amplitudes(link, book)
+    efficiency = 1.0 if scene.ris is None else scene.ris.element_efficiency
+    amps = combined_amplitudes(link, book, efficiency)
     power_w = dbm_to_watts(scene.link_budget.max_tx_power_dbm)
     noise_w = dbm_to_watts(scene.noise_power_dbm)
     snr_per_config = power_w * np.abs(amps) ** 2 / noise_w
@@ -121,7 +125,7 @@ def simulate(scene, ue_point, config, book=None) -> SlotTrace:
         selected_rate_bps_hz=selected,
         capacity_bps_hz=capacity,
         transmitting_slots=tx,
-        ris_direct_ratio_db=ratio_db(link),
+        ris_direct_ratio_db=ratio_db(scene, link),
     )
 
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from risplan import kernels
 from risplan.beamforming import (
     GainTerms,
     gain_terms,
-    optimize_gains,
     quantize_indices,
     wrap_phase,
 )
@@ -127,16 +127,16 @@ def ris_channel(scene, bs_index: int, point) -> RisChannel:
     point = np.asarray(point, dtype=float)
     gains, dists = surface_legs(scene, point[None, :])
     require_apart(dists[0], point.tolist())
-    return ris_channels(scene, leg, gains[0], dists[0])
+    return ris_channels(leg, gains[0], dists[0])
 
 
-def cascade(ris_ch: RisChannel, phases) -> complex:
-    """Scalar cascade sum_m hop_m exp(j phi_m); linear in every hop."""
+def cascade(ris_ch: RisChannel, phases, efficiency: float = 1.0) -> complex:
+    """Scalar cascade sum_m hop_m eta exp(j phi_m); linear in every hop."""
     phases = np.asarray(phases, dtype=float)
-    m = ris_ch.bs_to_elements.shape[0]
+    m = ris_ch.hop_products.shape[-1]
     if phases.shape != (m,):
         raise ValueError(f"expected {m} phases, got shape {phases.shape}")
-    return complex(np.sum(ris_ch.hop_products * np.exp(1j * phases)))
+    return complex(np.sum(ris_ch.hop_products * (efficiency * np.exp(1j * phases))))
 
 
 def serving_station(scene, point) -> int:
@@ -149,11 +149,11 @@ def serving_station(scene, point) -> int:
 RIS_MODES = ("off", "optimized")
 
 
-def response(config: RisConfig) -> np.ndarray:
-    """(M,) complex element phasors of a configuration; zero when dark."""
+def response(config: RisConfig, efficiency: float = 1.0) -> np.ndarray:
+    """(M,) complex element responses eta exp(j phi) of a configuration; zero when dark."""
     if not config.active:
         return np.zeros(len(config.phases_rad), dtype=np.complex128)
-    return np.exp(1j * np.asarray(config.phases_rad))
+    return efficiency * np.exp(1j * np.asarray(config.phases_rad))
 
 
 def eval_quadratic_gain(b, V, c0, z):
@@ -167,8 +167,8 @@ def gain(terms: GainTerms, z) -> float:
     return eval_quadratic_gain(terms.b, terms.V, terms.c0, z)
 
 
-def gain_config(terms: GainTerms, config: RisConfig) -> float:
-    return gain(terms, response(config))
+def gain_config(terms: GainTerms, config: RisConfig, efficiency: float = 1.0) -> float:
+    return gain(terms, response(config, efficiency))
 
 
 def optimal_phases_continuous(ris_ch: RisChannel, direct: complex) -> RisConfig:
@@ -235,21 +235,24 @@ def optimize_gain(
     init_indices=None,
     max_rounds: int = 20,
     rel_tol: float = 1e-6,
+    efficiency: float = 1.0,
 ) -> AscentResult:
-    """One-point view of :func:`optimize_gains`, with the configuration spelled out."""
+    """One-point view of :func:`risplan.beamforming.optimize_gains`, with the
+    configuration spelled out: the ascent kernel on the responses
+    eta exp(j phi), from the snapped alignment unless indices are given."""
     lookup = np.asarray(lookup_rad, dtype=float)
     m_count = terms.b.shape[0]
     if m_count == 0:
         return AscentResult(config=RisConfig(phases_rad=()), indices=(), gain=terms.c0)
-    if init_indices is not None:
-        init_indices = np.asarray(init_indices, dtype=np.int64)
-        if init_indices.shape != (m_count,):
-            raise ValueError(
-                f"expected {m_count} initial indices, got {init_indices.shape}"
-            )
-        init_indices = init_indices[None, :]
-    block = GainTerms(b=terms.b[None, :], V=terms.V[None, :, :], c0=np.array([terms.c0]))
-    idx, gains = optimize_gains(block, lookup, init_indices, max_rounds, rel_tol)
+    if init_indices is None:
+        init_indices = quantize_indices(np.angle(terms.b), lookup)
+    init_indices = np.asarray(init_indices, dtype=np.int64)
+    if init_indices.shape != (m_count,):
+        raise ValueError(f"expected {m_count} initial indices, got {init_indices.shape}")
+    idx, gains = kernels.ascent_quadratic(
+        terms.b[None, :], terms.V[None, :, :], np.array([terms.c0]),
+        efficiency * np.exp(1j * lookup), init_indices[None, :], max_rounds, rel_tol,
+    )
     config = RisConfig(phases_rad=tuple(float(lookup[i]) for i in idx[0]))
     return AscentResult(config=config, indices=tuple(int(i) for i in idx[0]), gain=float(gains[0]))
 
@@ -310,10 +313,11 @@ def codebook_sweep(scene, bs_index: int, point, book=None):
     if not book:
         raise ValueError("codebook is empty")
     terms = point_gain_terms(scene, bs_index, point)
+    efficiency = scene.ris.element_efficiency
     best_config = book[0]
-    best_gain = gain_config(terms, best_config)
+    best_gain = gain_config(terms, best_config, efficiency)
     for config in book[1:]:
-        g = gain_config(terms, config)
+        g = gain_config(terms, config, efficiency)
         if g > best_gain:
             best_gain = g
             best_config = config
@@ -335,4 +339,6 @@ def equivalent_gain(scene, bs_index: int, point, ris_mode: str = "optimized") ->
         return math.nan
     if ris_mode == "off" or terms.b.shape[0] == 0:
         return _to_db(terms.c0)
-    return _to_db(max(optimize_gain(terms, scene.ris.phase_lookup_rad).gain, terms.c0))
+    optimized = optimize_gain(terms, scene.ris.phase_lookup_rad,
+                              efficiency=scene.ris.element_efficiency)
+    return _to_db(max(optimized.gain, terms.c0))

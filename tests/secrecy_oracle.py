@@ -49,12 +49,14 @@ class MimoLink:
     power_w: float
 
 
-def realize(channels: SecrecyChannels, config: RisConfig | None) -> MimoLink:
-    """The channels realized under one surface configuration; None for no surface."""
+def realize(channels: SecrecyChannels, config: RisConfig | None,
+            efficiency: float = 1.0) -> MimoLink:
+    """The channels realized under one surface configuration, every element
+    responding ``efficiency`` exp(j phi); None for no surface."""
     if config is None or channels.bs_to_ris is None:
         return MimoLink(channels.direct_rx, channels.direct_eve, channels.noise_w,
                         channels.power_w)
-    resp = response(config)
+    resp = response(config, efficiency)
     cascade = channels.bs_to_ris * resp[:, None]  # diag(resp) @ G
     return MimoLink(
         h_rx=channels.direct_rx + channels.ris_to_rx @ cascade,
@@ -172,18 +174,18 @@ def optimize_sse(
             trace=(sse_without,),
         )
 
-    lookup = scene.ris.phase_lookup_rad
+    lookup, efficiency = scene.ris.phase_lookup_rad, scene.ris.element_efficiency
     config = RisConfig.uniform(m, specular_phase(lookup))
     q = None
     val = -math.inf
     trace: list[float] = []
     for _ in range(outer_rounds):
         round_start = val
-        q, val, q_trace = optimize_q(realize(channels, config), q0=q)
+        q, val, q_trace = optimize_q(realize(channels, config, efficiency), q0=q)
         trace.extend(q_trace)
 
         def objective(cand: RisConfig, _q=q) -> float:
-            return rate_difference(realize(channels, cand), _q)
+            return rate_difference(realize(channels, cand, efficiency), _q)
 
         config, val, ris_trace = coordinate_ascent(objective, m, lookup, init=config)
         trace.extend(max(v, 0.0) for v in ris_trace)

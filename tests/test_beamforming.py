@@ -229,8 +229,8 @@ class TestInPlaceBitForBit:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), lead=st.sampled_from([(), (1,), (3,)]), m=st.integers(1, 9),
-           ant=st.integers(1, 4), count=st.integers(1, 64), efficiency=st.sampled_from([1.0, 0.7]))
-    def test_pair_matrix_matches_dense_oracle(self, data, lead, m, ant, count, efficiency):
+           ant=st.integers(1, 4), count=st.integers(1, 64))
+    def test_pair_matrix_matches_dense_oracle(self, data, lead, m, ant, count):
         def cplx(shape):
             re = data.draw(arrays(np.float64, shape, elements=PARTS))
             im = data.draw(arrays(np.float64, shape, elements=PARTS))
@@ -239,13 +239,11 @@ class TestInPlaceBitForBit:
             return out
 
         ris_ch = RisChannel(
-            bs_to_elements=cplx((m,)),
-            elements_to_point=cplx((*lead, m)),
+            hop_products=cplx((m,)) * cplx((*lead, m)),
             element_delays_s=data.draw(arrays(np.float64, (*lead, m), elements=DELAYS)),
             element_positions_m=np.zeros((m, 3)),
             element_to_point_m=np.ones((*lead, m)),
             bs_steering=np.ones(ant, dtype=np.complex128),
-            efficiency=efficiency,
         )
         direct = DirectChannel(
             gains=np.ones((*lead, ant), dtype=np.complex128),
@@ -259,13 +257,12 @@ class TestInPlaceBitForBit:
         # 1 + 0j on the diagonal turns (-0, -0) into (-0, +0) as the dense
         # product did; a plain copy would keep (-0, -0)
         ris_ch = RisChannel(
-            bs_to_elements=np.array([complex(-0.0, -0.0), 1.0, complex(0.0, -0.0)]),
-            elements_to_point=np.array([[1.0, complex(-0.0, 0.0), -1.0]]),
+            hop_products=np.array([complex(-0.0, -0.0), 1.0, complex(0.0, -0.0)])
+            * np.array([[1.0, complex(-0.0, 0.0), -1.0]]),
             element_delays_s=np.array([[0.0, -0.0, 0.0]]),
             element_positions_m=np.zeros((3, 3)),
             element_to_point_m=np.ones((1, 3)),
             bs_steering=np.ones(2, dtype=np.complex128),
-            efficiency=1.0,
         )
         direct = DirectChannel(gains=np.ones((1, 2), dtype=np.complex128),
                                delay_s=np.zeros(1), distance_m=np.ones(1))

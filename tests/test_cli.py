@@ -426,6 +426,20 @@ class TestAoi:
                                 "grid (19200001440000024 bytes)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", [{"x_min": -1e308, "x_max": 1e308},
+                                      {"x_max": 1e300, "resolution_m": 1e-300}])
+    def test_grid_whose_cell_count_overflows_exits_2(self, tmp_path, capsys, grid):
+        doc = json.loads((SCENES / "minimal.json").read_text())
+        doc["ue_grid"].update(grid)
+        out = tmp_path / "out"
+        scene_path = write_scene(tmp_path, doc)
+        assert main(["aoi", scene_path, "--metric", "gain_db", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {scene_path}: ue_grid.resolution_m: the x span "
+                                "over the resolution overflows\n")
+        assert not out.exists()
+
     def test_missing_scene_exits_2(self, tmp_path, capsys):
         assert main(["aoi", str(tmp_path / "gone.json"), "--metric", "gain_db"]) == 2
         assert "scene" in capsys.readouterr().err
@@ -838,6 +852,24 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, exc):
     scene_path = write_scene(tmp_path, SCENE)
     assert main(["aoi", scene_path, "--metric", "peb_m", "--out-dir", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 3.64 TiB for an array with shape (2000000, 2000000) "
+                 "and data type bool"),
+     "error: out of memory: Unable to allocate 3.64 TiB for an array with shape "
+     "(2000000, 2000000) and data type bool\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_allocation_failure_exits_3(tmp_path, capsys, monkeypatch, exc, line):
+    def failing_sweep(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("risplan.influence.sweep", failing_sweep)
+    scene_path = write_scene(tmp_path, SCENE)
+    assert main(["aoi", scene_path, "--metric", "gain_db", "--out-dir", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name", ["office_energy", "street_coexistence"])

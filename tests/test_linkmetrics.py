@@ -230,8 +230,10 @@ class TestServingBs:
 
 
 class TestPairs:
-    def test_pairs_match_single_calls(self):
-        scene = scene_with(ris={"position_m": [4, 0], "element_count": 8})
+    @pytest.mark.parametrize("efficiency", [1.0, 0.7])
+    def test_pairs_match_single_calls(self, efficiency):
+        scene = scene_with(
+            ris={"position_m": [4, 0], "element_count": 8, "element_efficiency": efficiency})
         point = [3, 2, 0]
         off, best = gain_pair(scene, point)
         assert off == pytest.approx(equivalent_gain(scene, 0, point, "off"))

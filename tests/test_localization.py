@@ -414,8 +414,9 @@ class TestPebPairs:
     POINTS = ([1, 1, 0], [2.5, 2.5, 0], [4, 1, 0], [0.6, 4.2, 0], [3.3, 0.7, 0])
     INDICES = (3, 0, 9, 4, 12)
 
-    def test_matches_schur_oracle(self):
-        scene = loc_scene()
+    @pytest.mark.parametrize("efficiency", [1.0, 0.7])
+    def test_matches_schur_oracle(self, efficiency):
+        scene = loc_scene(ris={**LOC["ris"], "element_efficiency": efficiency})
         pairs = peb_pairs(scene, self.POINTS, self.INDICES)
         assert pairs.shape == (2, len(self.POINTS))
         for point, idx, (wo, wi) in zip(self.POINTS, self.INDICES, pairs.T):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gain_oracle import cascade, direct_channel, ris_channel
 from helpers import at_subcarriers
+from risplan.beamforming import state_responses
 from risplan.errors import CoincidentNodeError, RunError
 from risplan.propagation import (
     C_LIGHT_M_S,
@@ -299,8 +300,8 @@ class TestRisChannel:
     def test_perpendicular_bisector_symmetry(self):
         scene = self.ris_scene(m=2)
         # surface along x centred at [4, 0]; points with x = 4 are equidistant
-        ch = ris_channel(scene, 0, [4, 3, 0])
-        assert ch.elements_to_point[0] == pytest.approx(ch.elements_to_point[1])
+        gains, _ = surface_legs(scene, [[4, 3, 0]])
+        assert gains[0, 0] == pytest.approx(gains[0, 1])
 
     def test_delays_are_summed_legs(self):
         scene = self.ris_scene(m=3)
@@ -320,23 +321,27 @@ class TestRisChannel:
         # far enough that the quadratic wavefront term is well under the tolerance
         dist = 1e4 * aperture
         point = np.array([4 + dist * math.sin(theta), dist * math.cos(theta), 0.0])
-        ch = ris_channel(scene, 0, point)
+        gains, _ = surface_legs(scene, [point])
         lam = scene.wavelength_m
         # receive phasor: elements closer to the wavefront lead in phase
         offsets = (np.arange(8) - 3.5) * scene.ris_spacing_m()
         plane = 2 * math.pi * offsets * math.sin(theta) / lam
         center_dist = np.linalg.norm(point - np.array([4, 0, 0.0]))
-        measured = np.angle(ch.elements_to_point * np.exp(2j * math.pi * center_dist / lam))
+        measured = np.angle(gains[0] * np.exp(2j * math.pi * center_dist / lam))
         err = np.angle(np.exp(1j * (measured - plane)))
         assert np.max(np.abs(err)) < 1e-3
 
-    def test_efficiency_scales_hops(self):
-        full = ris_channel(self.ris_scene(), 0, [1, 2, 0])
+    def test_efficiency_scales_responses_not_hops(self):
+        # the channel carries geometry only; eta enters through the state table
+        full_scene = self.ris_scene()
         half_scene = scene_with(
             ris={"position_m": [4, 0], "element_count": 8, "element_efficiency": 0.5}
         )
+        full = ris_channel(full_scene, 0, [1, 2, 0])
         half = ris_channel(half_scene, 0, [1, 2, 0])
-        np.testing.assert_allclose(half.hop_products, 0.5 * full.hop_products)
+        np.testing.assert_array_equal(half.hop_products, full.hop_products)
+        np.testing.assert_allclose(state_responses(half_scene), 0.5 * state_responses(full_scene))
+        np.testing.assert_allclose(np.abs(state_responses(half_scene)), 0.5)
 
     def test_point_on_element(self):
         scene = self.ris_scene(m=1)

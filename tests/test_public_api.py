@@ -12,6 +12,9 @@ belongs in a ``tests/*_oracle.py`` module.
 No package module takes another module's private name, by import or as
 ``mod._name``: what one module shares with another is public, and so falls
 under the reach rule.
+
+Outside ``scene``, which parses it, ``element_efficiency`` has one reader:
+the table of surface-state responses, through which every engine sees it.
 """
 
 import ast
@@ -133,6 +136,19 @@ def absolute_imports(trees: dict[str, ast.Module]) -> set[str]:
     return names
 
 
+def attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[str]:
+    """``module.name`` of each top-level function or class that loads ``attr``;
+    ``module`` alone for a load outside them."""
+    readers: set[str] = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if any(isinstance(sub, ast.Attribute) and sub.attr == attr
+                   and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node)):
+                scoped = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                readers.add(f"{module}.{node.name}" if scoped else module)
+    return readers
+
+
 def test_every_public_function_and_method_is_reached():
     assert sorted(unreached(parse_package(PACKAGE))) == [], "public names only tests call"
 
@@ -182,3 +198,25 @@ def test_each_reach_rule_counts():
     }
     trees = {name: ast.parse(text) for name, text in sources.items()}
     assert unreached(trees) == {"a.orphan", "d.Thing.lonely"}
+
+
+def test_element_efficiency_is_read_only_by_the_state_table():
+    trees = parse_package(PACKAGE)
+    del trees["scene"]
+    assert attribute_readers(trees, "element_efficiency") == {"beamforming.state_responses"}
+
+
+def test_each_attribute_reader_counts():
+    sources = {
+        "a": "def f(s):\n"
+             "    return s.ris.element_efficiency\n"
+             "class C:\n"
+             "    def g(self, s):\n"
+             "        s.element_efficiency = 1\n"
+             "    def h(self, s):\n"
+             "        return [s.element_efficiency]\n",
+        "b": "x.element_efficiency\n",
+        "c": "def other(s):\n    return s.efficiency\n",
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert attribute_readers(trees, "element_efficiency") == {"a.f", "a.C", "b"}

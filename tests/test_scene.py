@@ -178,6 +178,15 @@ class TestValidation:
              "ue_grid.x_max: must be >= x_min"),
             (make(ue_grid={"x_min": 0, "x_max": 9, "y_min": 0, "resolution_m": 1}),
              "ue_grid.y_max: missing required key"),
+            (make(ue_grid={"x_min": -1e308, "x_max": 1e308, "y_min": 0, "y_max": 9,
+                           "resolution_m": 1}),
+             "ue_grid.resolution_m: the x span over the resolution overflows"),
+            (make(ue_grid={"x_min": 0, "x_max": 1e300, "y_min": 0, "y_max": 9,
+                           "resolution_m": 1e-300}),
+             "ue_grid.resolution_m: the x span over the resolution overflows"),
+            (make(ue_grid={"x_min": 0, "x_max": 9, "y_min": 0, "y_max": 1e300,
+                           "resolution_m": 1e-300}),
+             "ue_grid.resolution_m: the y span over the resolution overflows"),
             (make(ris={"position_m": [0, 0]}), "ris.element_count: missing"),
             (make(ris={"position_m": [0, 0], "element_count": 4, "element_efficiency": 1.5}),
              "ris.element_efficiency: must lie in [0, 1]"),

@@ -475,7 +475,7 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("variant", [
         "two_draws", "one_element", "one_level_lookup", "lookup_without_zero", "walled",
-        "no_surface", "unequal_antennas",
+        "no_surface", "unequal_antennas", "efficiency",
     ])
     def test_variants(self, variant):
         doc = courtyard_doc()
@@ -492,6 +492,7 @@ class TestBatchedOracle:
             # RX and Eve products of different shapes, which no step may stack
             "unequal_antennas": {"secrecy": {**doc["secrecy"], "rx_antenna_count": 3},
                                  "eve": {**doc["eve"], "antenna_count": 1}},
+            "efficiency": {"ris": {**doc["ris"], "element_efficiency": 0.7}},
         }[variant]
         scene = coarse_courtyard(**changes)
         got = sse_pairs(scene, scene.grid.points()).T
