@@ -15,10 +15,11 @@ configurations get probed. The tests keep the one-point evaluation and the
 generic coordinate ascent it is checked against.
 
 :func:`state_responses` is that table, eta exp(j phi) per lookup state: the
-one reader of ``element_efficiency`` and of lookup phases as complex
-numbers, so the channels carry geometry only. Snapping to the lookup
-breaks ties toward the smaller index, and the ascent switches only on
-strict improvement, so results are deterministic and order-independent.
+one reader of ``element_efficiency`` and of the lookup phases, so the
+channels carry geometry only and a phase snaps to the angle of a table
+entry. Snapping breaks ties toward the smaller index, and the ascent
+switches only on strict improvement, so results are deterministic and
+order-independent.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ def wrap_phase(x):
     return x - 2.0 * math.pi * np.round(x / (2.0 * math.pi))
 
 
-def quantize_indices(phases_rad, lookup_rad) -> np.ndarray:
-    """Nearest lookup entry on the circle per phase; ties -> smaller index."""
+def quantize_indices(phases_rad, responses) -> np.ndarray:
+    """Per phase, the state of :func:`state_responses` whose angle is nearest
+    on the circle; ties -> smaller index."""
     phases = np.asarray(phases_rad, dtype=float)
-    lookup = np.asarray(lookup_rad, dtype=float)
-    dist = np.abs(wrap_phase(phases[..., None] - lookup))
+    # math.atan2 per state, not np.angle: numpy's vector arctan2 may round
+    # differently, and paging its code in costs a process that runs no other
+    angles = np.array([math.atan2(z.imag, z.real) for z in np.asarray(responses).tolist()])
+    dist = np.abs(wrap_phase(phases[..., None] - angles))
     return np.argmin(dist, axis=-1)
 
 
@@ -103,24 +107,16 @@ def direct_gain(direct: DirectChannel):
 
 
 def gain_terms(
-    direct: DirectChannel, ris_ch: RisChannel | None, count: int, spacing_hz: float
+    direct: DirectChannel, ris_ch: RisChannel, count: int, spacing_hz: float
 ) -> GainTerms:
     """Build (b, V, c0) for one base station at a batch of points.
 
-    With no surface the form degenerates to the constant c0. The antenna
-    dimension collapses analytically: the direct and cascade paths share
-    per-antenna steering structure, so only the steering correlation rho
-    and the antenna count survive. Every operation is per point, so a
-    point's terms do not depend on the batch it was built in.
+    The antenna dimension collapses analytically: the direct and cascade
+    paths share per-antenna steering structure, so only the steering
+    correlation rho and the antenna count survive. Every operation is per
+    point, so a point's terms do not depend on the batch it was built in.
     """
     c0 = direct_gain(direct)
-    if ris_ch is None:
-        lead = np.shape(c0)
-        return GainTerms(
-            b=np.zeros((*lead, 0), dtype=np.complex128),
-            V=np.zeros((*lead, 0, 0), dtype=np.complex128),
-            c0=c0,
-        )
     hops = ris_ch.hop_products
     taus = ris_ch.element_delays_s
     rho = np.sum(direct.gains * np.conj(ris_ch.bs_steering), axis=-1)
@@ -164,17 +160,18 @@ def optimize_gains(terms: GainTerms, scene: Scene) -> tuple[np.ndarray, np.ndarr
 
     ``terms`` holds b (K, M), V (K, M, M) and c0 (K,); returns state
     indices (K, M) and gains (K,). Each point starts from its per-element
-    alignment snapped to the lookup and ends where it would if ascended
+    alignment snapped to the state table and ends where it would if ascended
     alone (Wu & Zhang, IEEE TCOM 2020, best response per element over the
     states). Entirely deterministic; a constant objective returns the start.
     """
     b = np.asarray(terms.b, dtype=np.complex128)
+    responses = state_responses(scene)
     return kernels.ascent_quadratic(
         b,
         np.asarray(terms.V, dtype=np.complex128),
         np.asarray(terms.c0, dtype=np.float64),
-        state_responses(scene),
-        quantize_indices(np.angle(b), scene.ris.phase_lookup_rad),
+        responses,
+        quantize_indices(np.angle(b), responses),
         20,  # rounds at most
         1e-6,  # a cell stops once a round gains less, relative
     )
@@ -190,7 +187,7 @@ def default_codebook(scene: Scene) -> np.ndarray:
     Row 0 is the dark (absorbing) entry, all zeros, so a sweep can never do
     worse than no surface at all; row 1 is the specular entry, phase 0. The
     fan spans +-75 degrees off broadside. Every phase is snapped to the
-    lookup, so every row but the dark one is a state the surface can take.
+    state table, so every row but the dark one is a state the surface can take.
     """
     m = scene.ris.element_count
     k = scene.ris.codebook_directions
@@ -200,6 +197,6 @@ def default_codebook(scene: Scene) -> np.ndarray:
     sines = np.array([math.sin(a) for a in angles])
     offsets = (np.arange(m) - (m - 1) / 2.0) * scene.ris_spacing_m()
     phases = -2.0 * math.pi * offsets * sines[:, None] / scene.wavelength_m
-    states = quantize_indices(np.vstack([np.zeros(m), wrap_phase(phases)]),
-                              scene.ris.phase_lookup_rad)
-    return np.concatenate([np.zeros((1, m)), state_responses(scene)[states]])
+    responses = state_responses(scene)
+    states = quantize_indices(np.vstack([np.zeros(m), wrap_phase(phases)]), responses)
+    return np.concatenate([np.zeros((1, m)), responses[states]])

@@ -138,7 +138,6 @@ def cmd_boi(args: argparse.Namespace) -> int:
         build_table,
         extract_boi,
         max_contrast,
-        max_contrast_effective,
         normalized_contrast_table,
         write_boi_summary_csv,
         write_contrast_csv,
@@ -150,12 +149,8 @@ def cmd_boi(args: argparse.Namespace) -> int:
     for cell in cells:
         records = [read_touchstone(path, sid) for sid, path in cell.states]
         table = build_table(cell.name, records)
-        effective = cell.use_effective_s11
-        kind = cell.kind
-        if args.kind != "manifest":
-            effective = args.kind == "effective"
-            kind = "reflection" if effective else args.kind
-        curve = max_contrast_effective(table) if effective else max_contrast(table, kind)
+        kind = cell.kind if args.kind == "manifest" else args.kind
+        curve = max_contrast(table, kind)
         bands.append((cell.name, curve, extract_boi(curve, args.cmin)))
 
     out = _OutDir(args.out, args.force)

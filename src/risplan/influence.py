@@ -82,7 +82,6 @@ class MetricField:
 
     grid: Grid
     metric_id: str
-    kind: str
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -115,7 +114,7 @@ class InfluenceMap:
         return np.isin(self.labels, _UNDESIRED)
 
     def delta_field(self) -> MetricField:
-        return MetricField(self.grid, self.metric_id, "delta", self.delta)
+        return MetricField(self.grid, self.metric_id, self.delta)
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,7 @@ def sweep(scene: Scene, metric_id: str) -> tuple[MetricField, MetricField]:
     """
     metric = _require_metric(metric_id)
     without, with_ = metric.pairs(scene, scene.grid.points())
-    return (
-        MetricField(scene.grid, metric_id, "without", without),
-        MetricField(scene.grid, metric_id, "with", with_),
-    )
+    return MetricField(scene.grid, metric_id, without), MetricField(scene.grid, metric_id, with_)
 
 
 def comparison_value(metric_id: str, value: float) -> float:
@@ -193,11 +189,7 @@ def in_coverage(metric_id: str, values, thresholds: Thresholds) -> np.ndarray:
     return finite & (values <= floor)
 
 
-def classify(
-    without: MetricField,
-    with_: MetricField,
-    thresholds: Thresholds | None = None,
-) -> InfluenceMap:
+def classify(without: MetricField, with_: MetricField, thresholds: Thresholds) -> InfluenceMap:
     """Label every cell by how the surface changed the metric there."""
     if without.grid != with_.grid:
         raise ValueError("fields to classify must share a grid")
@@ -207,8 +199,6 @@ def classify(
         )
     metric_id = without.metric_id
     higher_better = _require_metric(metric_id).higher_better
-    if thresholds is None:
-        thresholds = Thresholds()
     boost, unchanged = thresholds.for_metric(metric_id)
 
     cov_a = in_coverage(metric_id, without.values, thresholds)

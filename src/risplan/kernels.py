@@ -132,7 +132,7 @@ def ascent_quadratic(b, V, c0, responses, init_idx, max_rounds, rel_tol):
 # coexistence switching chain: forward-fill the per-slot config index
 # ---------------------------------------------------------------------------
 
-def forward_fill(switch, draws, initial=0):
+def forward_fill(switch, draws, initial):
     """Config index per slot: the draw at the last switch so far, else ``initial``."""
     n = switch.shape[0]
     marks = np.where(switch, np.arange(n), -1)

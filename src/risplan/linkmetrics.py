@@ -19,7 +19,6 @@ return one ``(2, n)`` array: row 0 without the surface, row 1 with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .propagation import (
     ris_channels,
     surface_legs,
 )
-from .scene import Scene
+from .scene import LinkBudgetSpec, Scene
 
 # Budget for one block's V matrices (complex, M x M per point), the
 # largest operand; the block size follows from the element count. A block
@@ -59,46 +58,26 @@ def _per_value(fn, values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Resolved uplink budget: scene defaults plus the derived noise power."""
-
-    target_snr_db: float
-    max_tx_power_dbm: float
-    min_tx_power_dbm: float
-    noise_power_dbm: float
-    se_max_bps_hz: float
-
-
-def link_budget(scene: Scene) -> LinkBudget:
-    lb = scene.link_budget
-    return LinkBudget(
-        target_snr_db=lb.target_snr_db,
-        max_tx_power_dbm=lb.max_tx_power_dbm,
-        min_tx_power_dbm=lb.min_tx_power_dbm,
-        noise_power_dbm=scene.noise_power_dbm,
-        se_max_bps_hz=lb.se_max_bps_hz,
-    )
-
-
-def required_tx_power(gain_db, budget: LinkBudget):
+def required_tx_power(gain_db, budget: LinkBudgetSpec, noise_power_dbm: float):
     """Transmit power meeting the voice SNR target, NaN when out of coverage.
 
     The unclamped solution is pure dB arithmetic; a device cannot go below
     its minimum power, so low demands clamp up, while demands beyond the
     maximum mean the target is unattainable. Elementwise on an array.
     """
-    p = budget.target_snr_db + budget.noise_power_dbm - np.asarray(gain_db, dtype=float)
+    p = budget.target_snr_db + noise_power_dbm - np.asarray(gain_db, dtype=float)
     # the clamp keeps p unless the floor is strictly above it, as max(p, floor)
     floor = budget.min_tx_power_dbm
     return np.where(p > budget.max_tx_power_dbm, math.nan, np.where(floor > p, floor, p))[()]
 
 
-def spectral_efficiency_from_gain(gain_db: float, budget: LinkBudget) -> float:
+def spectral_efficiency_from_gain(
+    gain_db: float, budget: LinkBudgetSpec, noise_power_dbm: float
+) -> float:
     """Shannon rate at full power, floored by the voice target and capped."""
     if math.isnan(gain_db):
         return math.nan
-    snr_db = budget.max_tx_power_dbm + gain_db - budget.noise_power_dbm
+    snr_db = budget.max_tx_power_dbm + gain_db - noise_power_dbm
     if snr_db < budget.target_snr_db:
         return math.nan
     se = math.log2(1.0 + 10.0 ** (snr_db / 10.0))
@@ -153,18 +132,12 @@ def _served_gains(
         delay_s=direct.delay_s[rows],
         distance_m=direct.distance_m[rows],
     )
-    ris_ch = (
-        ris_channels(leg, point_legs[0][rows], point_legs[1][rows])
-        if scene.ris is not None
-        else None
-    )
+    if scene.ris is None:
+        return np.tile(direct_gain(sub), (2, 1))
+    ris_ch = ris_channels(leg, point_legs[0][rows], point_legs[1][rows])
     terms = gain_terms(sub, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
-    gains = np.empty((2, rows.size))
-    gains[:] = terms.c0
-    if ris_ch is not None:
-        _, ascended = optimize_gains(terms, scene)
-        gains[1] = np.maximum(ascended, terms.c0)
-    return gains
+    _, ascended = optimize_gains(terms, scene)
+    return np.stack([terms.c0, np.maximum(ascended, terms.c0)])
 
 
 def _gain_block(scene: Scene, points: np.ndarray, legs: list) -> np.ndarray:
@@ -203,13 +176,13 @@ def gain_pairs(scene: Scene, points) -> np.ndarray:
 
 
 def tx_power_pairs(scene: Scene, points) -> np.ndarray:
-    return required_tx_power(gain_pairs(scene, points), link_budget(scene))
+    return required_tx_power(gain_pairs(scene, points), scene.link_budget, scene.noise_power_dbm)
 
 
 def se_pairs(scene: Scene, points) -> np.ndarray:
-    budget = link_budget(scene)
+    budget, noise = scene.link_budget, scene.noise_power_dbm
     return _per_value(
-        lambda g: spectral_efficiency_from_gain(g, budget), gain_pairs(scene, points)
+        lambda g: spectral_efficiency_from_gain(g, budget, noise), gain_pairs(scene, points)
     )
 
 

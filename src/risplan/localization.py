@@ -85,7 +85,7 @@ def _pilot_configs(scene: Scene, point_indices) -> np.ndarray:
 def _direct_rows(scene: Scene, bs_index: int, points: np.ndarray):
     """A station's direct path at (n, 3) points.
 
-    Returns mu (n, N), d_pos (n, 2, N), basis (n, N) and the distance (n,).
+    Returns d_pos (n, 2, N), the gain basis (n, N) and the distance (n,).
     A point on the station comes back with distance 0 and non-finite rows;
     callers mask it or raise.
     """
@@ -99,7 +99,7 @@ def _direct_rows(scene: Scene, bs_index: int, points: np.ndarray):
         phi = np.exp(-2j * math.pi * n * scene.subcarrier_spacing_hz * tau[:, None])
         slope = gamma[:, None] * (-2j * math.pi * scene.subcarrier_spacing_hz) * n * phi
         d_pos = slope[:, None, :] * d_tau[:, :, None]
-        return gamma[:, None] * phi, d_pos, phi, d
+        return d_pos, phi, d
 
 
 def _reflected_rows(scene: Scene, leg: BsLeg, points: np.ndarray, configs: np.ndarray):
@@ -221,7 +221,7 @@ def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg
     on_node = np.zeros(len(points), dtype=bool)
     without = np.zeros((len(points), 2, 2))
     for b in range(len(scene.bs)):
-        _, d_pos, basis, dist = _direct_rows(scene, b, points)
+        d_pos, basis, dist = _direct_rows(scene, b, points)
         on_node |= dist == 0.0
         without += weight * scale * _path_information(d_pos, basis)
     with_ = without
@@ -236,20 +236,18 @@ def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg
     return bounds
 
 
-def peb_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
+def peb_pairs(scene: Scene, points) -> np.ndarray:
     """(2, n) without and with position error bound in metres at each point.
 
     The grid-batched engine behind the ``peb_m`` map. Each point's pilot
-    configs derive from its index (``point_indices``, by default its
-    position in ``points``), and blocks of points are processed together,
-    sized so one block's reflected-row operands stay within a fixed memory
-    budget; every operation is per point, so the result does not depend on
-    the block size. A point on a base station or a surface element reads
+    configs derive from its index, its row in ``points``, and blocks of
+    points are processed together, sized so one block's reflected-row
+    operands stay within a fixed memory budget; every operation is per
+    point, so the result does not depend on the block size. A point on a base station or a surface element reads
     NaN in both rows, and so does every point when the surface leg of the
     station nearest the surface is degenerate.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    indices = np.arange(len(points)) if point_indices is None else np.asarray(point_indices)
     bounds = np.full((2, len(points)), math.nan)
     leg = None
     if scene.ris is not None:
@@ -259,15 +257,15 @@ def peb_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
             return bounds
     block = _cell_block(scene)
     for start in range(0, len(points), block):
-        stop = start + block
-        bounds[:, start:stop] = _peb_block(scene, points[start:stop], indices[start:stop], leg)
+        stop = min(start + block, len(points))
+        bounds[:, start:stop] = _peb_block(scene, points[start:stop], np.arange(start, stop), leg)
     return bounds
 
 
-def peb_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
+def peb_pair(scene: Scene, point) -> tuple[float, float]:
     """(without, with) bound in metres for one grid point: a one-row view of :func:`peb_pairs`.
 
     Bound in ``influence`` for perfbench's per-cell timer, like
     :func:`risplan.linkmetrics.gain_pair`; no command calls it.
     """
-    return tuple(peb_pairs(scene, [point], [point_index])[:, 0].tolist())
+    return tuple(peb_pairs(scene, [point])[:, 0].tolist())

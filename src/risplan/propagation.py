@@ -36,9 +36,7 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def element_positions(
-    center, count: int, spacing_m: float, orientation_rad: float = 0.0
-) -> np.ndarray:
+def element_positions(center, count: int, spacing_m: float, orientation_rad: float) -> np.ndarray:
     """Centred uniform line of elements in the xy-plane, (count, 3)."""
     center = np.asarray(center, dtype=float)
     axis = np.array([math.cos(orientation_rad), math.sin(orientation_rad), 0.0])

@@ -126,14 +126,14 @@ class Grid:
     def points(self) -> np.ndarray:
         """All cell centres as an (n, 3) array, row-major.
 
-        A grid whose centres cannot be allocated is a run-time failure.
+        A grid whose centres cannot be allocated or indexed is a run-time failure.
         """
         import numpy as np
 
         n = self.cell_count
         try:
             pts = np.empty((n, 3))
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise RunError(f"cannot allocate the centres of the {self.nx} x {self.ny} grid "
                            f"({24 * n} bytes)") from None
         cells = pts.reshape(self.ny, self.nx, 3)

@@ -7,9 +7,9 @@ seed, draw index). :func:`secrecy_links` builds a block of points'
 channels from one set of ray amplitudes; only the fading is drawn per cell.
 The transmit side optimizes a single covariance matrix on the power ball;
 the surface side runs quantized coordinate ascent on the secrecy rate over
-the lookup states, held as indices into one response table and started
-at the state nearest phase 0. Neither side can lose to switching the
-surface dark, because the dark configuration is always compared in.
+the surface states, held as indices into one response table and started
+at the state whose angle is nearest 0. Neither side can lose to switching
+the surface dark, because the dark configuration is always compared in.
 
 Maps go through one engine, :func:`sse_pairs`, which runs that
 alternating ascent on blocks of points in lock-step, every loop masked per
@@ -306,22 +306,20 @@ def _sse_block(ch: SecrecyChannels, responses, start_state) -> np.ndarray:
     return np.stack([without, np.where(without >= with_, without, with_)])
 
 
-def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
+def sse_pairs(scene: Scene, points) -> np.ndarray:
     """(2, n) without and with secrecy rate at each point, averaged over the scene's fading draws.
 
     The grid-batched engine behind the ``sse_bps_hz`` map. Each point's
-    fading comes from its index (``point_indices``, by default its position
-    in ``points``), and blocks of points run the alternating covariance /
-    phase ascent in lock-step (Dong & Wang, IEEE WCL 2020), every loop
-    masked per point, so each reading is the one the point gets alone,
-    whatever the block size.
+    fading comes from its index, its row in ``points``, and blocks of
+    points run the alternating covariance / phase ascent in lock-step (Dong
+    & Wang, IEEE WCL 2020), every loop masked per point, so each reading is
+    the one the point gets alone, whatever the block size.
     Draws are accumulated in draw order. A point on a scene node reads NaN
     in both rows.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    indices = range(len(points)) if point_indices is None else list(point_indices)
-    surface = (None, None) if scene.ris is None else (
-        state_responses(scene), quantize_indices(0.0, scene.ris.phase_lookup_rad))
+    responses = None if scene.ris is None else state_responses(scene)
+    surface = (None, None) if responses is None else (responses, quantize_indices(0.0, responses))
     draws = scene.secrecy.fading_draws
     block = _cell_block(scene)
     sums = np.zeros((2, len(points)))
@@ -330,7 +328,7 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
         stop = min(start + block, len(points))
         for draw in range(draws):
             ch, on_node[start:stop] = secrecy_links(
-                scene, points[start:stop], indices[start:stop], draw
+                scene, points[start:stop], range(start, stop), draw
             )
             cells = np.flatnonzero(~on_node[start:stop])
             if not cells.size:
@@ -343,10 +341,10 @@ def sse_pairs(scene: Scene, points, point_indices=None) -> np.ndarray:
     return rates
 
 
-def sse_pair(scene: Scene, point, point_index: int = 0) -> tuple[float, float]:
+def sse_pair(scene: Scene, point) -> tuple[float, float]:
     """(without, with) secrecy rate at one point: a one-row view of :func:`sse_pairs`.
 
     Bound in ``influence`` for perfbench's per-cell timer, like
     :func:`risplan.linkmetrics.gain_pair`; no command calls it.
     """
-    return tuple(sse_pairs(scene, [point], [point_index])[:, 0].tolist())
+    return tuple(sse_pairs(scene, [point])[:, 0].tolist())

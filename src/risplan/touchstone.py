@@ -20,7 +20,7 @@ command writes ``<name>_contrast.csv``:
         {
           "name": "pin_cell",
           "kind": "reflection",            # or "transmission"
-          "use_effective_s11": false,       # fold |S11| loss into the phase state
+          "use_effective_s11": false,       # true: the effective contrast, whatever the kind
           "states": {"on": "pin_on.s1p", "off": "pin_off.s1p"}
         }
       ]
@@ -31,7 +31,6 @@ Only the Touchstone parser imports numpy, so reading a manifest loads none.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -134,21 +133,16 @@ def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lines(source):
-    """An iterator over the lines of ``source`` from its start, split where
-    ``str.splitlines`` splits the ASCII-decoded text.
+def _lines(fh):
+    """An iterator over the lines of binary file ``fh`` from its start, split
+    where ``str.splitlines`` splits the ASCII-decoded text.
 
-    ``source`` is Touchstone text as str, or its bytes or a binary file,
-    which are decoded in blocks of whole lines (see ``_blocks``), so the
+    The file is decoded in blocks of whole lines (see ``_blocks``), so the
     whole text is never held. Each block ends at a line break, so splitting
     each one gives the lines of the whole text.
     """
-    if isinstance(source, str):
-        return iter(source.splitlines())
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    source.seek(0)
-    return itertools.chain.from_iterable(map(str.splitlines, _blocks(source)))
+    fh.seek(0)
+    return itertools.chain.from_iterable(map(str.splitlines, _blocks(fh)))
 
 
 def _blocks(fh):
@@ -164,18 +158,18 @@ def _blocks(fh):
     yield tail.decode("ascii", errors="replace")
 
 
-def parse_touchstone(data, state_id: str) -> StateRecord:
-    """Parse Touchstone v1 text (str, bytes or a binary file) into a StateRecord.
+def parse_touchstone(fh, state_id: str) -> StateRecord:
+    """Parse the Touchstone v1 text of binary file ``fh`` into a StateRecord.
 
     The port count is inferred from the data row arity: 3 columns for a
     1-port file, 9 for a 2-port file. ``np.loadtxt`` reads the data lines
-    as they stream from ``data``, ``_BODY_CHUNK_ROWS`` rows per call, and
+    as they stream from ``fh``, ``_BODY_CHUNK_ROWS`` rows per call, and
     every check runs on whole columns of a chunk; only a file that fails
     one is read again line by line, for the line to report.
     """
     import numpy as np
 
-    lines = _lines(data)
+    lines = _lines(fh)
     # only comment and blank lines may precede the option line
     for start, raw in enumerate(lines, start=1):
         line = raw.split("!", 1)[0].strip()
@@ -217,7 +211,7 @@ def parse_touchstone(data, state_id: str) -> StateRecord:
     except (ValueError, OverflowError):
         # a failed check, a token that is no number, rows of unequal arity,
         # a DB magnitude past the float range or no data row at all
-        _raise_at_bad_line(itertools.islice(_lines(data), start, None), start, unit, fmt)
+        _raise_at_bad_line(itertools.islice(_lines(fh), start, None), start, unit, fmt)
     freqs, s11, s21 = (np.concatenate(c) if c else None for c in chunks)
     record = StateRecord(state_id, freqs, s11, s21, reference)
     _warn_if_active(record)
@@ -282,9 +276,7 @@ def _warn_if_active(record: StateRecord):
         )
 
 
-def read_touchstone(path, state_id: str | None = None) -> StateRecord:
-    if state_id is None:
-        state_id = os.path.splitext(os.path.basename(path))[0]
+def read_touchstone(path, state_id: str) -> StateRecord:
     try:
         with open(path, "rb") as fh:
             return parse_touchstone(fh, state_id)
@@ -296,12 +288,15 @@ def read_touchstone(path, state_id: str | None = None) -> StateRecord:
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One cell's entry from a manifest: resolved file paths per state."""
+    """One cell's entry from a manifest: resolved file paths per state.
+
+    ``kind`` is the contrast kind the entry resolves to: "effective" when
+    it sets ``use_effective_s11``, else its "reflection" or "transmission".
+    """
 
     name: str
     states: tuple[tuple[str, str], ...]
-    kind: str = "reflection"
-    use_effective_s11: bool = False
+    kind: str
 
 
 def load_cell_manifest(path) -> list[CellSpec]:
@@ -349,14 +344,7 @@ def load_cell_manifest(path) -> list[CellSpec]:
         for state_id, spath in resolved:
             if not os.path.exists(spath):
                 raise ConfigError(f"{where}: state '{state_id}' file not found: {spath}")
-        cells.append(
-            CellSpec(
-                name=name,
-                states=resolved,
-                kind=kind,
-                use_effective_s11=effective,
-            )
-        )
+        cells.append(CellSpec(name, resolved, "effective" if effective else kind))
     if not cells:
         raise ConfigError(f"{path}: manifest lists no cells")
     return cells

@@ -26,8 +26,6 @@ from . import kernels
 from .errors import ConfigError
 from .touchstone import StateRecord
 
-DEFAULT_CONTRAST_THRESHOLD = 1.0
-
 # Rows per write() of the contrast and normalized writers. It bounds the text
 # and the Python floats held at once, never the bytes written.
 _CSV_CHUNK_ROWS = 2048
@@ -56,11 +54,6 @@ class SParameterTable:
 class ContrastCurve:
     frequencies_hz: np.ndarray
     contrast: np.ndarray
-    kind: str  # "reflection" | "transmission"
-
-    def __post_init__(self):
-        if self.kind not in ("reflection", "transmission"):
-            raise ConfigError(f"contrast kind must be reflection or transmission, got '{self.kind}'")
 
 
 @dataclass(frozen=True)
@@ -128,18 +121,22 @@ def build_table(name: str, states: list[StateRecord]) -> SParameterTable:
     )
 
 
-def max_contrast(table: SParameterTable, kind: str = "reflection") -> ContrastCurve:
-    """Per-frequency max over state pairs of |S_i - S_j| for the chosen port path."""
-    if kind == "reflection":
-        values = table.s11
-    elif kind == "transmission":
+def max_contrast(table: SParameterTable, kind: str) -> ContrastCurve:
+    """Per-frequency max over state pairs of |S_i - S_j| for the chosen port path.
+
+    ``kind`` "reflection" compares S11, "transmission" S21 and "effective"
+    the loss-compensated S11 of :func:`effective_s11`.
+    """
+    if kind == "transmission":
         if table.s21 is None:
             raise ConfigError(f"cell '{table.name}': transmission contrast needs 2-port data")
         values = table.s21
+    elif kind == "effective":
+        values = effective_s11(table.s11)
     else:
-        raise ConfigError(f"contrast kind must be reflection or transmission, got '{kind}'")
+        values = table.s11
     contrast = kernels.max_pair_contrast(np.ascontiguousarray(values, dtype=np.complex128))
-    return ContrastCurve(frequencies_hz=table.frequencies_hz, contrast=contrast, kind=kind)
+    return ContrastCurve(frequencies_hz=table.frequencies_hz, contrast=contrast)
 
 
 def effective_s11(values: np.ndarray) -> np.ndarray:
@@ -152,22 +149,13 @@ def effective_s11(values: np.ndarray) -> np.ndarray:
     return (1.0 - np.abs(values)) * np.exp(1j * np.angle(values))
 
 
-def max_contrast_effective(table: SParameterTable) -> ContrastCurve:
-    """Reflection contrast computed on the loss-compensated S11."""
-    mapped = effective_s11(table.s11)
-    contrast = kernels.max_pair_contrast(np.ascontiguousarray(mapped))
-    return ContrastCurve(frequencies_hz=table.frequencies_hz, contrast=contrast, kind="reflection")
-
-
-def extract_boi(curve: ContrastCurve, c_min: float = DEFAULT_CONTRAST_THRESHOLD) -> BandOfInfluence:
+def extract_boi(curve: ContrastCurve, c_min: float) -> BandOfInfluence:
     """Maximal intervals where the piecewise-linear contrast >= c_min.
 
     Interval edges falling between samples are refined by linear
     interpolation. Zero-width touches (a single sample exactly at c_min
     with both neighbours below) are dropped.
     """
-    if not (0.0 < c_min <= 2.0):
-        raise ConfigError(f"c_min must lie in (0, 2], got {c_min}")
     f = curve.frequencies_hz
     c = curve.contrast
     above = c >= c_min

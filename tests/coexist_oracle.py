@@ -102,7 +102,7 @@ def simulate(scene, ue_point, config, book=None) -> SlotTrace:
     rng = derived_rng(config.seed, "coexist-switch")
     switch = rng.random(n) < config.switch_probability
     draws = rng.integers(0, snr_per_config.shape[0], n)
-    indices = forward_fill(switch, draws.astype(np.int64))
+    indices = forward_fill(switch, draws.astype(np.int64), 0)
 
     snr_lin = snr_per_config[indices]
     with np.errstate(divide="ignore"):

@@ -25,6 +25,7 @@ import numpy as np
 from risplan import kernels
 from risplan.beamforming import (
     GainTerms,
+    direct_gain,
     gain_terms,
     quantize_indices,
     wrap_phase,
@@ -63,9 +64,15 @@ class RisConfig:
         return cls(phases_rad=(0.0,) * count, active=False)
 
 
-def quantize_config(phases_rad, lookup_rad) -> RisConfig:
+def state_table(lookup_rad, efficiency: float = 1.0) -> np.ndarray:
+    """The responses eta exp(j phi) of :func:`risplan.beamforming.state_responses`,
+    whose angles every phase snaps to."""
+    return efficiency * np.exp(1j * np.asarray(lookup_rad, dtype=float))
+
+
+def quantize_config(phases_rad, lookup_rad, efficiency: float = 1.0) -> RisConfig:
     lookup = np.asarray(lookup_rad, dtype=float)
-    idx = quantize_indices(phases_rad, lookup)
+    idx = quantize_indices(phases_rad, state_table(lookup, efficiency))
     return RisConfig(phases_rad=tuple(float(p) for p in lookup[idx]))
 
 
@@ -76,13 +83,15 @@ def steering_config(scene, angle_rad: float) -> RisConfig:
     m = scene.ris.element_count
     offsets = (np.arange(m) - (m - 1) / 2.0) * scene.ris_spacing_m()
     phases = -2.0 * math.pi * offsets * math.sin(angle_rad) / scene.wavelength_m
-    return quantize_config(wrap_phase(phases), scene.ris.phase_lookup_rad)
+    return quantize_config(wrap_phase(phases), scene.ris.phase_lookup_rad,
+                           scene.ris.element_efficiency)
 
 
-def specular_phase(lookup_rad) -> float:
-    """The lookup phase nearest 0: the specular state, and the secrecy ascent's start."""
+def specular_phase(lookup_rad, efficiency: float = 1.0) -> float:
+    """The lookup phase whose state is nearest phase 0: the specular state, and
+    the secrecy ascent's start."""
     lookup = np.asarray(lookup_rad, dtype=float)
-    return float(lookup[quantize_indices(0.0, lookup)])
+    return float(lookup[quantize_indices(0.0, state_table(lookup, efficiency))])
 
 
 def codebook(scene) -> tuple[RisConfig, ...]:
@@ -96,7 +105,8 @@ def codebook(scene) -> tuple[RisConfig, ...]:
     if scene.ris is None:
         raise RunError("scene has no surface")
     m = scene.ris.element_count
-    entries = [RisConfig.off(m), RisConfig.uniform(m, specular_phase(scene.ris.phase_lookup_rad))]
+    entries = [RisConfig.off(m), RisConfig.uniform(
+        m, specular_phase(scene.ris.phase_lookup_rad, scene.ris.element_efficiency))]
     k = scene.ris.codebook_directions
     limit = math.radians(75.0)
     if k == 1:
@@ -184,9 +194,13 @@ def optimal_phases_continuous(ris_ch: RisChannel, direct: complex) -> RisConfig:
 
 
 def point_gain_terms(scene, bs_index: int, point) -> GainTerms:
-    """Terms for a grid point, using the scene's surface when present."""
+    """Terms for a grid point, using the scene's surface when present; without
+    one the form degenerates to the constant c0."""
     direct = direct_channel(scene, bs_index, point)
-    ris_ch = ris_channel(scene, bs_index, point) if scene.ris is not None else None
+    if scene.ris is None:
+        return GainTerms(b=np.zeros(0, dtype=np.complex128),
+                         V=np.zeros((0, 0), dtype=np.complex128), c0=direct_gain(direct))
+    ris_ch = ris_channel(scene, bs_index, point)
     return gain_terms(direct, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
 
 
@@ -241,17 +255,18 @@ def optimize_gain(
     configuration spelled out: the ascent kernel on the responses
     eta exp(j phi), from the snapped alignment unless indices are given."""
     lookup = np.asarray(lookup_rad, dtype=float)
+    responses = state_table(lookup, efficiency)
     m_count = terms.b.shape[0]
     if m_count == 0:
         return AscentResult(config=RisConfig(phases_rad=()), indices=(), gain=terms.c0)
     if init_indices is None:
-        init_indices = quantize_indices(np.angle(terms.b), lookup)
+        init_indices = quantize_indices(np.angle(terms.b), responses)
     init_indices = np.asarray(init_indices, dtype=np.int64)
     if init_indices.shape != (m_count,):
         raise ValueError(f"expected {m_count} initial indices, got {init_indices.shape}")
     idx, gains = kernels.ascent_quadratic(
         terms.b[None, :], terms.V[None, :, :], np.array([terms.c0]),
-        efficiency * np.exp(1j * lookup), init_indices[None, :], max_rounds, rel_tol,
+        responses, init_indices[None, :], max_rounds, rel_tol,
     )
     config = RisConfig(phases_rad=tuple(float(lookup[i]) for i in idx[0]))
     return AscentResult(config=config, indices=tuple(int(i) for i in idx[0]), gain=float(gains[0]))

@@ -1,5 +1,6 @@
 """Small evaluations that only tests need, kept out of the package API."""
 
+import io
 import json
 import math
 import os
@@ -11,6 +12,13 @@ import tracemalloc
 import numpy as np
 
 import risplan
+from risplan.touchstone import parse_touchstone
+
+
+def parse_text(text, state_id):
+    """``parse_touchstone`` on literal Touchstone text, fed as the binary file
+    ``read_touchstone`` passes it."""
+    return parse_touchstone(io.BytesIO(text.encode("ascii")), state_id)
 
 
 def at_subcarriers(direct, count, spacing_hz):

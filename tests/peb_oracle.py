@@ -31,8 +31,9 @@ from risplan.localization import (
     _reflected_rows,
     noise_variance_w,
     peb,
+    pilot_amplitude,
 )
-from risplan.propagation import bs_leg
+from risplan.propagation import bs_leg, ray_amplitudes
 from risplan.seeding import derived_rng
 
 
@@ -60,13 +61,17 @@ class PathBlock:
 
 
 def _direct_block(scene, bs_index: int, point) -> PathBlock:
-    mu, d_pos, basis, dist = _direct_rows(scene, bs_index, np.asarray(point, dtype=float)[None, :])
+    points = np.asarray(point, dtype=float)[None, :]
+    d_pos, basis, dist = _direct_rows(scene, bs_index, points)
     if dist[0] == 0.0:
         raise CoincidentNodeError(
             f"point coincides with the base station at {scene.bs[bs_index].position_m}"
         )
+    # the noise-free rows: the path gain times the subcarrier phasors of the basis
+    amp, d = ray_amplitudes(scene, points, np.asarray(scene.bs[bs_index].position_m, dtype=float))
+    gamma = pilot_amplitude(scene) * amp * np.exp(-2j * math.pi * d / scene.wavelength_m)
     return PathBlock(
-        mu=mu[0],
+        mu=(gamma[:, None] * basis)[0],
         d_pos=d_pos[0].T,
         basis=basis[0],
         gain_slot=bs_index,

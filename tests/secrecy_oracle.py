@@ -175,7 +175,7 @@ def optimize_sse(
         )
 
     lookup, efficiency = scene.ris.phase_lookup_rad, scene.ris.element_efficiency
-    config = RisConfig.uniform(m, specular_phase(lookup))
+    config = RisConfig.uniform(m, specular_phase(lookup, efficiency))
     q = None
     val = -math.inf
     trace: list[float] = []

@@ -31,7 +31,7 @@ from risplan.unitcell import (
     SParameterTable,
     effective_s11,
     extract_boi,
-    max_contrast_effective,
+    max_contrast,
 )
 from secrecy_oracle import (
     MimoLink,
@@ -49,12 +49,12 @@ def _report(name: str, detail: str) -> None:
     print(f"PASS {name}: {detail}")
 
 
-def _trapezoid_curve(f1_ghz: float, f2_ghz: float, kind: str) -> ContrastCurve:
+def _trapezoid_curve(f1_ghz: float, f2_ghz: float) -> ContrastCurve:
     """Piecewise-linear contrast crossing 1.0 exactly at f1 and f2 (GHz)."""
     mid = (f1_ghz + f2_ghz) / 2.0
     anchors = np.array([f1_ghz - 1.5, f1_ghz, mid, f2_ghz, f2_ghz + 1.5]) * 1e9
     values = np.array([0.05, 1.0, 1.7, 1.0, 0.05])
-    return ContrastCurve(frequencies_hz=anchors, contrast=values, kind=kind)
+    return ContrastCurve(frequencies_hz=anchors, contrast=values)
 
 
 class TestUnitCellBands:
@@ -68,7 +68,6 @@ class TestUnitCellBands:
         curve = ContrastCurve(
             frequencies_hz=freqs,
             contrast=np.interp(freqs, anchors, values),
-            kind="transmission",
         )
         t0 = time.perf_counter()
         boi = extract_boi(curve, c_min=1.0)
@@ -87,14 +86,14 @@ class TestUnitCellBands:
         # centres to 1 MHz, plus the two centres that usually get quoted
         # rounded (5.8 and 5.05 GHz) stay within 0.1 GHz of those figures
         cases = [
-            (23.9, 30.6, 6.7, 27.25, "reflection"),
-            (5.1, 6.4, 1.3, 5.75, "transmission"),
-            (5.17, 5.44, 0.27, 5.305, "reflection"),
-            (4.4, 5.6, 1.2, 5.0, "transmission"),
+            (23.9, 30.6, 6.7, 27.25),
+            (5.1, 6.4, 1.3, 5.75),
+            (5.17, 5.44, 0.27, 5.305),
+            (4.4, 5.6, 1.2, 5.0),
         ]
         mids = []
-        for f1, f2, width, mid, kind in cases:
-            boi = extract_boi(_trapezoid_curve(f1, f2, kind), c_min=1.0)
+        for f1, f2, width, mid in cases:
+            boi = extract_boi(_trapezoid_curve(f1, f2), c_min=1.0)
             assert len(boi.intervals) == 1
             assert boi.width_hz == pytest.approx(width * 1e9, abs=1e6)
             assert boi.f0_hz == pytest.approx(mid * 1e9, abs=1e6)
@@ -131,7 +130,7 @@ class TestUnitCellBands:
             s11=s11,
             s21=None,
         )
-        curve = max_contrast_effective(table)
+        curve = max_contrast(table, "effective")
         mapped = (1.0 - np.abs(s11)) * np.exp(1j * np.angle(s11))
         brute = np.zeros(freqs.size)
         for i, j in itertools.combinations(range(7), 2):

@@ -41,6 +41,7 @@ from risplan.propagation import DirectChannel, RisChannel
 from risplan.scene import DEFAULT_PHASE_LOOKUP, parse_scene
 
 TWO_BIT = DEFAULT_PHASE_LOOKUP
+TWO_BIT_TABLE = np.exp(1j * np.asarray(TWO_BIT))
 
 
 def scene_with(**kwargs):
@@ -69,17 +70,17 @@ class TestWrapAndQuantize:
 
     def test_nearest_entry(self):
         # pi/5 is closer to 0 than to pi/2
-        idx = quantize_indices([math.pi / 5], TWO_BIT)
+        idx = quantize_indices([math.pi / 5], TWO_BIT_TABLE)
         assert idx[0] == 0
 
     def test_tie_prefers_smaller_index(self):
         # pi/4 sits exactly between lookup entries 0 and pi/2
-        idx = quantize_indices([math.pi / 4], TWO_BIT)
+        idx = quantize_indices([math.pi / 4], TWO_BIT_TABLE)
         assert idx[0] == 0
 
     def test_circular_distance(self):
         # -3 pi/4 wraps: closest entry is pi (index 2) at distance pi/4
-        idx = quantize_indices([-3 * math.pi / 4 - 0.1], TWO_BIT)
+        idx = quantize_indices([-3 * math.pi / 4 - 0.1], TWO_BIT_TABLE)
         assert TWO_BIT[idx[0]] == math.pi
 
     def test_identity_on_lookup_values(self):

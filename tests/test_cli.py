@@ -210,10 +210,27 @@ class TestBoi:
         # states share |s11| inside the band, so the effective-loss contrast collapses
         assert (a / "split_contrast.csv").read_text() != (b / "split_contrast.csv").read_text()
 
-    def test_cmin_out_of_range_exits_2(self, tmp_path, capsys):
+    def test_manifest_effective_flag_wins_over_its_kind(self, tmp_path):
+        # use_effective_s11 selects the effective contrast whatever the cell's kind
+        cells = json.loads((SCENES / "cells.json").read_text())["cells"]
+        for cell in cells:
+            cell["use_effective_s11"] = True
+            cell["states"] = {sid: str(SCENES / rel) for sid, rel in cell["states"].items()}
+        assert [cell["kind"] for cell in cells] == ["reflection", "transmission"]
+        manifest = tmp_path / "cells.json"
+        manifest.write_text(json.dumps({"cells": cells}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["boi", str(manifest), "--out", str(a)]) == 0
+        assert main(["boi", str(manifest), "--kind", "effective", "--out", str(b)]) == 0
+        for cell in cells:
+            name = f"{cell['name']}_contrast.csv"
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("cmin", ["0", "-1", "2.5"])
+    def test_cmin_out_of_range_exits_2(self, tmp_path, capsys, cmin):
         manifest = write_cells(tmp_path)
-        assert main(["boi", manifest, "--cmin", "2.5", "--out", str(tmp_path / "o")]) == 2
-        assert "cmin" in capsys.readouterr().err
+        assert main(["boi", manifest, "--cmin", cmin, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: --cmin must lie in (0, 2], got {float(cmin)}\n"
 
     def test_state_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
         manifest = write_cells(tmp_path, names=("split",))
@@ -300,8 +317,8 @@ class TestAoi:
         scene = parse_scene(json.dumps(SCENE))
         without, with_ = sweep(scene, "gain_db")
         xy = bits(scene.grid.points()[:, :2]).T
-        for field in (without, with_):
-            x, y, value = csv_columns(out / f"scene_gain_db_{field.kind}.csv")
+        for kind, field in (("without", without), ("with", with_)):
+            x, y, value = csv_columns(out / f"scene_gain_db_{kind}.csv")
             np.testing.assert_array_equal([x, y], xy)
             np.testing.assert_array_equal(value, bits(field.values))
 
@@ -424,6 +441,20 @@ class TestAoi:
         assert captured.out == ""
         assert captured.err == ("error: cannot allocate the centres of the 40000001 x 20000001 "
                                 "grid (19200001440000024 bytes)\n")
+        assert not out.exists()
+
+    def test_grid_past_the_index_range_exits_3_writing_no_output(self, tmp_path, capsys):
+        # 10^300 x 21 cell centres: numpy refuses the shape itself
+        doc = json.loads((SCENES / "minimal.json").read_text())
+        doc["ue_grid"].update(x_max=1e300, resolution_m=1)
+        grid = parse_scene(json.dumps(doc)).grid
+        out = tmp_path / "out"
+        assert main(["aoi", write_scene(tmp_path, doc), "--metric", "gain_db",
+                     "--out-dir", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot allocate the centres of the {grid.nx} x "
+                                f"{grid.ny} grid ({24 * grid.cell_count} bytes)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", [{"x_min": -1e308, "x_max": 1e308},

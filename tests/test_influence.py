@@ -32,7 +32,7 @@ from risplan.influence import (
     sweep,
 )
 from risplan.linkmetrics import gain_pair
-from risplan.localization import peb_pair
+from risplan.localization import peb_pairs
 from risplan.scene import METRIC_IDS, Grid, Thresholds, load_scene, parse_scene
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
@@ -57,8 +57,8 @@ def line_grid(n):
     return Grid(x_min=0, x_max=float(n - 1), y_min=0, y_max=0, resolution_m=1.0)
 
 
-def field_of(values, metric_id="gain_db", kind="without"):
-    return MetricField(line_grid(len(values)), metric_id, kind, values)
+def field_of(values, metric_id="gain_db"):
+    return MetricField(line_grid(len(values)), metric_id, values)
 
 
 def names(imap):
@@ -73,11 +73,11 @@ def cells(mask):
 class TestMetricField:
     def test_length_must_match_grid(self):
         with pytest.raises(ValueError, match="values"):
-            MetricField(line_grid(3), "gain_db", "without", (1.0, 2.0))
+            MetricField(line_grid(3), "gain_db", (1.0, 2.0))
 
     def test_values_are_a_read_only_copy(self):
         given = np.array([1.0, 2.0, 3.0])
-        field = MetricField(line_grid(3), "gain_db", "without", given)
+        field = MetricField(line_grid(3), "gain_db", given)
         given[0] = 9.0
         assert field.values.dtype == np.float64 and field.values[0] == 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -89,7 +89,6 @@ class TestSweep:
         scene = small_scene(ris=None)
         without, with_ = sweep(scene, "gain_db")
         np.testing.assert_array_equal(without.values, with_.values)
-        assert without.kind == "without" and with_.kind == "with"
 
     def test_cell_count(self):
         scene = small_scene()
@@ -118,7 +117,8 @@ class TestSweep:
                                 {"position_m": [3, 5, 3]}])
         without, with_ = sweep(scene, "peb_m")
         idx = 4
-        wo, wi = peb_pair(scene, scene.grid.points()[idx], point_index=idx)
+        # the cell's pilots come from its index: a shorter grid ending at it agrees
+        wo, wi = peb_pairs(scene, scene.grid.points()[:idx + 1])[:, idx]
         assert without.values[idx] == wo
         assert with_.values[idx] == wi
 
@@ -276,15 +276,15 @@ class TestCoverage:
 class TestClassify:
     def test_identical_fields_all_unchanged(self):
         f = field_of([3.0, 4.0, 5.0])
-        g = MetricField(f.grid, f.metric_id, "with", f.values)
-        imap = classify(f, g)
+        g = MetricField(f.grid, f.metric_id, f.values)
+        imap = classify(f, g, Thresholds())
         assert set(names(imap)) == {"unchanged"}
         assert not np.any(imap.desired | imap.undesired)
 
     def test_power_reduction_boosted_at_explicit_threshold(self):
         th = Thresholds(per_metric=(("tx_power_dbm", (3.0, 2.0)),))
         wo = field_of([20.0], "tx_power_dbm")
-        wi = field_of([14.0], "tx_power_dbm", "with")
+        wi = field_of([14.0], "tx_power_dbm")
         imap = classify(wo, wi, th)
         assert names(imap) == ("boosted",)
         assert imap.delta[0] == pytest.approx(6.0)
@@ -292,31 +292,31 @@ class TestClassify:
     def test_power_change_floor_default(self):
         # any reduction past the floor counts; a hair under it does not
         wo = field_of([20.0, 20.0], "tx_power_dbm")
-        wi = field_of([19.8, 19.95], "tx_power_dbm", "with")
-        imap = classify(wo, wi)
+        wi = field_of([19.8, 19.95], "tx_power_dbm")
+        imap = classify(wo, wi, Thresholds())
         assert names(imap) == ("boosted", "unchanged")
 
     def test_outage_to_coverage_enabled(self):
         wo = field_of([math.nan], "tx_power_dbm")
-        wi = field_of([10.0], "tx_power_dbm", "with")
-        assert names(classify(wo, wi)) == ("enabled",)
+        wi = field_of([10.0], "tx_power_dbm")
+        assert names(classify(wo, wi, Thresholds())) == ("enabled",)
 
     def test_coverage_to_outage_degraded(self):
         wo = field_of([10.0])
-        wi = field_of([math.nan], kind="with")
-        assert names(classify(wo, wi)) == ("degraded",)
+        wi = field_of([math.nan])
+        assert names(classify(wo, wi, Thresholds())) == ("degraded",)
 
     def test_outage_both_infeasible(self):
         wo = field_of([math.nan])
-        wi = field_of([math.nan], kind="with")
-        imap = classify(wo, wi)
+        wi = field_of([math.nan])
+        imap = classify(wo, wi, Thresholds())
         assert names(imap) == ("infeasible_both",)
         assert not np.any(imap.desired | imap.undesired)
 
     def test_higher_better_bands(self):
         wo = field_of([0.0] * 7)
-        wi = field_of([3.0, 2.5, 2.0, 1.9, -1.9, -2.0, -5.0], kind="with")
-        imap = classify(wo, wi)
+        wi = field_of([3.0, 2.5, 2.0, 1.9, -1.9, -2.0, -5.0])
+        imap = classify(wo, wi, Thresholds())
         assert names(imap) == ("boosted", "marginal", "marginal", "unchanged",
                                "unchanged", "degraded", "degraded")
 
@@ -325,7 +325,7 @@ class TestClassify:
         # the higher band; a rise of exactly the unchanged threshold degrades
         th = Thresholds(per_metric=(("tx_power_dbm", (3.0, 2.0)),))
         wo = field_of([20.0] * 5, "tx_power_dbm")
-        wi = field_of([17.0, 18.0, 18.5, 21.5, 22.0], "tx_power_dbm", "with")
+        wi = field_of([17.0, 18.0, 18.5, 21.5, 22.0], "tx_power_dbm")
         imap = classify(wo, wi, th)
         assert names(imap) == ("boosted", "marginal", "unchanged", "unchanged",
                                "degraded")
@@ -347,7 +347,7 @@ class TestClassify:
         pairs = data.draw(st.lists(st.tuples(reading, reading), min_size=1, max_size=20))
         hi = lo + step
         wo = field_of([a for a, _ in pairs], metric_id)
-        wi = field_of([b for _, b in pairs], metric_id, "with")
+        wi = field_of([b for _, b in pairs], metric_id)
         loose = classify(wo, wi, Thresholds(per_metric=((metric_id, (lo + 1.0, lo)),)))
         strict = classify(wo, wi, Thresholds(per_metric=((metric_id, (hi + 1.0, hi)),)))
         aoi = [cells(imap.desired | imap.undesired) for imap in (loose, strict)]
@@ -357,40 +357,40 @@ class TestClassify:
 
     def test_grid_mismatch(self):
         wo = field_of([0.0, 1.0])
-        wi = field_of([0.0], kind="with")
+        wi = field_of([0.0])
         with pytest.raises(ValueError, match="grid"):
-            classify(wo, wi)
+            classify(wo, wi, Thresholds())
 
     def test_metric_mismatch(self):
         wo = field_of([0.0])
-        wi = field_of([0.0], "se_bps_hz", "with")
+        wi = field_of([0.0], "se_bps_hz")
         with pytest.raises(ValueError, match="metric"):
-            classify(wo, wi)
+            classify(wo, wi, Thresholds())
 
     def test_peb_compared_in_db(self):
         wo = field_of([0.1, 0.1], "peb_m")
-        wi = field_of([0.05, 0.09], "peb_m", "with")
-        imap = classify(wo, wi)
+        wi = field_of([0.05, 0.09], "peb_m")
+        imap = classify(wo, wi, Thresholds())
         assert names(imap) == ("boosted", "unchanged")
         assert imap.delta[0] == pytest.approx(20 * math.log10(2), rel=1e-12)
 
     def test_peb_feasibility_gates(self):
         wo = field_of([0.2, 0.2, 0.1, 0.05], "peb_m")
-        wi = field_of([0.05, 0.2, 0.2, 0.0], "peb_m", "with")
-        imap = classify(wo, wi)
+        wi = field_of([0.05, 0.2, 0.2, 0.0], "peb_m")
+        imap = classify(wo, wi, Thresholds())
         assert names(imap) == ("enabled", "infeasible_both", "degraded", "boosted")
 
     def test_qos_floor_enables(self):
         th = Thresholds(qos_min=(("sse_bps_hz", 26.0),))
         wo = field_of([20.0, 27.0], "sse_bps_hz")
-        wi = field_of([30.0, 30.0], "sse_bps_hz", "with")
+        wi = field_of([30.0, 30.0], "sse_bps_hz")
         imap = classify(wo, wi, th)
         assert names(imap) == ("enabled", "boosted")
 
     def test_desired_undesired_split(self):
         wo = field_of([0.0, 0.0, 0.0, math.nan, 5.0])
-        wi = field_of([5.0, 2.5, -5.0, 1.0, math.nan], kind="with")
-        imap = classify(wo, wi)
+        wi = field_of([5.0, 2.5, -5.0, 1.0, math.nan])
+        imap = classify(wo, wi, Thresholds())
         assert names(imap) == ("boosted", "marginal", "degraded", "enabled",
                                "degraded")
         assert cells(imap.desired) == frozenset({0, 3})
@@ -409,8 +409,8 @@ class TestClassify:
     @settings(max_examples=60, deadline=None)
     def test_partition_invariants(self, pairs):
         wo = field_of([a for a, _ in pairs])
-        wi = field_of([b for _, b in pairs], kind="with")
-        imap = classify(wo, wi)
+        wi = field_of([b for _, b in pairs])
+        imap = classify(wo, wi, Thresholds())
         assert all(0 <= code < len(LABELS) for code in imap.labels)
         assert len(imap.labels) == len(pairs)
         assert not np.any(imap.desired & imap.undesired)
@@ -420,10 +420,9 @@ class TestClassify:
 
     def test_delta_field_round_trip(self):
         wo = field_of([0.0, 1.0])
-        wi = field_of([4.0, 1.5], kind="with")
-        imap = classify(wo, wi)
+        wi = field_of([4.0, 1.5])
+        imap = classify(wo, wi, Thresholds())
         delta = imap.delta_field()
-        assert delta.kind == "delta"
         np.testing.assert_array_equal(delta.values, imap.delta)
 
 
@@ -431,8 +430,8 @@ class TestPowerMap:
     def test_boosted_where_required_power_falls(self):
         # lower-better: a power drop past the boost threshold is a boost
         wo = field_of([20.0, 20.0, math.nan, 14.0], "tx_power_dbm")
-        wi = field_of([14.0, 19.99, 10.0, 20.0], "tx_power_dbm", "with")
-        imap = classify(wo, wi)
+        wi = field_of([14.0, 19.99, 10.0, 20.0], "tx_power_dbm")
+        imap = classify(wo, wi, Thresholds())
         assert names(imap) == ("boosted", "unchanged", "enabled", "degraded")
         assert cells(imap.desired) == frozenset({0, 2})
 
@@ -449,7 +448,7 @@ def bits(values):
 class TestCsvExport:
     def test_single_cell(self, tmp_path):
         grid = Grid(x_min=2, x_max=2, y_min=3, y_max=3, resolution_m=1.0)
-        f = MetricField(grid, "gain_db", "without", (5.0,))
+        f = MetricField(grid, "gain_db", (5.0,))
         path = tmp_path / "one.csv"
         export_csv(f, path)
         assert path.read_text() == "x_m,y_m,value\n2.0,3.0,5.0\n"
@@ -459,7 +458,7 @@ class TestCsvExport:
         grid = Grid(x_min=0, x_max=3, y_min=0, y_max=3, resolution_m=1.0)
         vals = list(rng.standard_normal(10) * 1e3)
         vals += [math.nan, math.inf, -math.inf, -0.0, 1.5, 5e-324]
-        f = MetricField(grid, "se_bps_hz", "with", tuple(float(v) for v in vals))
+        f = MetricField(grid, "se_bps_hz", tuple(float(v) for v in vals))
         path = tmp_path / "field.csv"
         export_csv(f, path)
         back = load_field_csv(path)
@@ -470,7 +469,7 @@ class TestCsvExport:
         grid = Grid(x_min=3.0, x_max=5.0, y_min=-2.0, y_max=-1.0,
                     resolution_m=0.25, fixed_height_m=1.5)
         vals = tuple(float(i) / 7 for i in range(grid.cell_count))
-        f = MetricField(grid, "gain_db", "without", vals)
+        f = MetricField(grid, "gain_db", vals)
         path = tmp_path / "frac.csv"
         export_csv(f, path)
         back = load_field_csv(path)
@@ -519,7 +518,7 @@ class TestPpmExport:
     def test_top_row_is_north(self, tmp_path):
         grid = Grid(x_min=0, x_max=1, y_min=0, y_max=1, resolution_m=1.0)
         # south row at the bottom of the range, north row at the top
-        f = MetricField(grid, "gain_db", "without", (0.0, 0.0, 1.0, 1.0))
+        f = MetricField(grid, "gain_db", (0.0, 0.0, 1.0, 1.0))
         path = tmp_path / "rows.ppm"
         export_ppm(f, path)
         lines = path.read_text().splitlines()
@@ -528,7 +527,7 @@ class TestPpmExport:
 
     def test_lines_stay_narrow(self, tmp_path):
         grid = Grid(x_min=0, x_max=39, y_min=0, y_max=0, resolution_m=1.0)
-        f = MetricField(grid, "gain_db", "without",
+        f = MetricField(grid, "gain_db",
                         tuple(float(i) for i in range(40)))
         path = tmp_path / "wide.ppm"
         export_ppm(f, path)
@@ -540,8 +539,8 @@ class TestPpmExport:
 class TestLabelExport:
     def make_map(self):
         wo = field_of([0.0, 0.0, math.nan, math.nan, 0.0, 0.0])
-        wi = field_of([5.0, 2.5, 1.0, math.nan, -5.0, 0.0], kind="with")
-        return classify(wo, wi)
+        wi = field_of([5.0, 2.5, 1.0, math.nan, -5.0, 0.0])
+        return classify(wo, wi, Thresholds())
 
     def test_labels_csv(self, tmp_path):
         imap = self.make_map()
@@ -648,8 +647,8 @@ class TestMatchesOracle:
     @settings(max_examples=150, deadline=None)
     def test_labels_delta_and_files(self, case):
         metric_id, thresholds, grid, a, b = case
-        without = MetricField(grid, metric_id, "without", a)
-        with_ = MetricField(grid, metric_id, "with", b)
+        without = MetricField(grid, metric_id, a)
+        with_ = MetricField(grid, metric_id, b)
         imap = classify(without, with_, thresholds)
         labels, deltas = oracle.classify(metric_id, a, b, thresholds)
         assert names(imap) == labels

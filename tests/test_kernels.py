@@ -155,10 +155,10 @@ class TestForwardFill:
             if switch[t]:
                 cur = draws[t]
             expect.append(cur)
-        np.testing.assert_array_equal(forward_fill(switch, draws), expect)
+        np.testing.assert_array_equal(forward_fill(switch, draws, 0), expect)
 
     def test_no_switch_stays_at_zero(self):
-        out = forward_fill(np.zeros(10, dtype=bool), np.full(10, 5, dtype=np.int64))
+        out = forward_fill(np.zeros(10, dtype=bool), np.full(10, 5, dtype=np.int64), 0)
         np.testing.assert_array_equal(out, np.zeros(10, dtype=np.int64))
 
     def test_initial_entry_holds_until_the_first_switch(self):
@@ -170,11 +170,11 @@ class TestForwardFill:
     def test_hand_worked_chain(self):
         switch = np.array([False, True, False, False, True, False])
         draws = np.array([9, 3, 9, 9, 1, 9], dtype=np.int64)
-        np.testing.assert_array_equal(forward_fill(switch, draws), [0, 3, 3, 3, 1, 1])
+        np.testing.assert_array_equal(forward_fill(switch, draws, 0), [0, 3, 3, 3, 1, 1])
 
     def test_switch_every_slot_copies_draws(self):
         draws = np.array([4, 0, 2, 2, 6], dtype=np.int64)
-        np.testing.assert_array_equal(forward_fill(np.ones(5, dtype=bool), draws), draws)
+        np.testing.assert_array_equal(forward_fill(np.ones(5, dtype=bool), draws, 0), draws)
 
 
 def test_numpy_backend_binding_kept():

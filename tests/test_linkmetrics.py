@@ -12,10 +12,8 @@ from gain_oracle import RisConfig, equivalent_gain, gain_config, point_gain_term
 from helpers import traced_peak
 from risplan import linkmetrics
 from risplan.linkmetrics import (
-    LinkBudget,
     gain_pair,
     gain_pairs,
-    link_budget,
     required_tx_power,
     se_pair,
     serving_bs,
@@ -24,7 +22,7 @@ from risplan.linkmetrics import (
     tx_power_pair,
 )
 from risplan.propagation import C_LIGHT_M_S, direct_channels
-from risplan.scene import parse_scene
+from risplan.scene import LinkBudgetSpec, parse_scene
 
 BASE = {
     "spec_version": 1,
@@ -40,13 +38,13 @@ def scene_with(**kwargs):
     return parse_scene(json.dumps(doc))
 
 
-BUDGET = LinkBudget(
+BUDGET = LinkBudgetSpec(
     target_snr_db=5.0,
     max_tx_power_dbm=23.0,
     min_tx_power_dbm=-40.0,
-    noise_power_dbm=-94.0,
     se_max_bps_hz=7.4,
 )
+NOISE_DBM = -94.0
 
 
 class TestEquivalentGain:
@@ -108,77 +106,77 @@ class TestEquivalentGain:
 
 class TestRequiredTxPower:
     def test_additive_db_arithmetic(self):
-        assert required_tx_power(-100.0, BUDGET) == pytest.approx(11.0)
+        assert required_tx_power(-100.0, BUDGET, NOISE_DBM) == pytest.approx(11.0)
 
     def test_gain_improvement_drops_power(self):
-        assert required_tx_power(-90.0, BUDGET) == pytest.approx(
-            required_tx_power(-100.0, BUDGET) - 10.0
+        assert required_tx_power(-90.0, BUDGET, NOISE_DBM) == pytest.approx(
+            required_tx_power(-100.0, BUDGET, NOISE_DBM) - 10.0
         )
 
     def test_just_past_max_is_out_of_coverage(self):
         # unclamped power max + 0.1 dB
-        gain = BUDGET.target_snr_db + BUDGET.noise_power_dbm - (23.0 + 0.1)
-        assert math.isnan(required_tx_power(gain, BUDGET))
+        gain = BUDGET.target_snr_db + NOISE_DBM - (23.0 + 0.1)
+        assert math.isnan(required_tx_power(gain, BUDGET, NOISE_DBM))
 
     def test_exactly_max_is_served(self):
-        gain = BUDGET.target_snr_db + BUDGET.noise_power_dbm - 23.0
-        assert required_tx_power(gain, BUDGET) == pytest.approx(23.0)
+        gain = BUDGET.target_snr_db + NOISE_DBM - 23.0
+        assert required_tx_power(gain, BUDGET, NOISE_DBM) == pytest.approx(23.0)
 
     def test_strong_gain_clamps_up_to_min(self):
-        assert required_tx_power(10.0, BUDGET) == -40.0
+        assert required_tx_power(10.0, BUDGET, NOISE_DBM) == -40.0
 
     def test_nan_gain_out_of_coverage(self):
-        assert math.isnan(required_tx_power(math.nan, BUDGET))
+        assert math.isnan(required_tx_power(math.nan, BUDGET, NOISE_DBM))
 
     @given(
         gain=st.floats(min_value=-120, max_value=-75),
         k=st.floats(min_value=0.1, max_value=10),
     )
     def test_db_linearity_when_unclamped(self, gain, k):
-        p0 = required_tx_power(gain, BUDGET)
-        p1 = required_tx_power(gain + k, BUDGET)
+        p0 = required_tx_power(gain, BUDGET, NOISE_DBM)
+        p1 = required_tx_power(gain + k, BUDGET, NOISE_DBM)
         if not math.isnan(p0) and p1 > BUDGET.min_tx_power_dbm:
             assert p1 == pytest.approx(p0 - k, abs=1e-9)
 
 
 class TestSpectralEfficiency:
     def test_snr_exactly_at_target(self):
-        gain = BUDGET.target_snr_db + BUDGET.noise_power_dbm - BUDGET.max_tx_power_dbm
+        gain = BUDGET.target_snr_db + NOISE_DBM - BUDGET.max_tx_power_dbm
         expected = math.log2(1 + 10 ** (BUDGET.target_snr_db / 10))
-        assert spectral_efficiency_from_gain(gain, BUDGET) == pytest.approx(expected)
+        assert spectral_efficiency_from_gain(gain, BUDGET, NOISE_DBM) == pytest.approx(expected)
 
     def test_below_target_out_of_coverage(self):
-        gain = BUDGET.target_snr_db + BUDGET.noise_power_dbm - BUDGET.max_tx_power_dbm
-        assert math.isnan(spectral_efficiency_from_gain(gain - 1e-6, BUDGET))
+        gain = BUDGET.target_snr_db + NOISE_DBM - BUDGET.max_tx_power_dbm
+        assert math.isnan(spectral_efficiency_from_gain(gain - 1e-6, BUDGET, NOISE_DBM))
 
     def test_cap_applies(self):
-        assert spectral_efficiency_from_gain(0.0, BUDGET) == 7.4
+        assert spectral_efficiency_from_gain(0.0, BUDGET, NOISE_DBM) == 7.4
 
     def test_low_snr_doubling(self):
         # at SNR well below 0 dB, log2(1 + snr) is nearly linear in snr
-        budget = LinkBudget(-60.0, 23.0, -40.0, -94.0, 7.4)
+        budget = LinkBudgetSpec(-60.0, 23.0, -40.0, 7.4)
         g0 = -147.0  # SNR -30 dB
-        s0 = spectral_efficiency_from_gain(g0, budget)
-        s1 = spectral_efficiency_from_gain(g0 + 3.01, budget)
+        s0 = spectral_efficiency_from_gain(g0, budget, NOISE_DBM)
+        s1 = spectral_efficiency_from_gain(g0 + 3.01, budget, NOISE_DBM)
         assert s0 == pytest.approx(math.log2(1 + 1e-3), rel=1e-12)
         assert s1 == pytest.approx(math.log2(1 + 1e-3 * 10 ** 0.301), rel=1e-12)
         assert s1 / s0 == pytest.approx(2.0, rel=5e-3)
 
     def test_nan_propagates(self):
-        assert math.isnan(spectral_efficiency_from_gain(math.nan, BUDGET))
+        assert math.isnan(spectral_efficiency_from_gain(math.nan, BUDGET, NOISE_DBM))
 
 
 class TestLinkBudgetFromScene:
     def test_noise_power_derived(self):
         scene = scene_with(subcarrier_count=100, subcarrier_spacing_hz=120e3)
-        b = link_budget(scene)
-        assert b.noise_power_dbm == pytest.approx(-174 + 10 * math.log10(12e6) + 9)
+        b = scene.link_budget
+        assert scene.noise_power_dbm == pytest.approx(-174 + 10 * math.log10(12e6) + 9)
         assert b.target_snr_db == 5.0
         assert b.se_max_bps_hz == 7.4
 
     def test_overrides_flow_through(self):
         scene = scene_with(link_budget={"target_snr_db": 3.0, "max_tx_power_dbm": 20.0})
-        b = link_budget(scene)
+        b = scene.link_budget
         assert b.target_snr_db == 3.0
         assert b.max_tx_power_dbm == 20.0
 

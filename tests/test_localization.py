@@ -333,11 +333,11 @@ class TestEquivalentPositionFim:
         assert equivalent_position_fim(f) is None
 
 
-def peb_label(peb_without, peb_with, thresholds=None):
+def peb_label(peb_without, peb_with, thresholds=Thresholds()):
     """Label of one cell whose PEB moves from ``peb_without`` to ``peb_with``."""
     grid = Grid(x_min=0, x_max=0, y_min=0, y_max=0, resolution_m=1.0)
-    without = MetricField(grid, "peb_m", "without", (peb_without,))
-    with_ = MetricField(grid, "peb_m", "with", (peb_with,))
+    without = MetricField(grid, "peb_m", (peb_without,))
+    with_ = MetricField(grid, "peb_m", (peb_with,))
     return LABELS[classify(without, with_, thresholds).labels[0]]
 
 
@@ -385,17 +385,17 @@ class TestPebPoint:
 
     def test_deterministic(self):
         scene = loc_scene()
-        a = peb_pair(scene, [3, 3, 0], point_index=7)
-        b = peb_pair(scene, [3, 3, 0], point_index=7)
+        a = peb_pair(scene, [3, 3, 0])
+        b = peb_pair(scene, [3, 3, 0])
         assert a == b
 
     def test_pair_matches_points(self):
         scene = loc_scene()
-        without, with_ris = peb_pair(scene, [2, 3, 0], point_index=4)
+        without, with_ris = peb_pair(scene, [2, 3, 0])
         assert without == pytest.approx(
-            peb_point(scene, [2, 3, 0], False, point_index=4).peb_m, rel=ORACLE_RTOL)
+            peb_point(scene, [2, 3, 0], False).peb_m, rel=ORACLE_RTOL)
         assert with_ris == pytest.approx(
-            peb_point(scene, [2, 3, 0], True, point_index=4).peb_m, rel=ORACLE_RTOL)
+            peb_point(scene, [2, 3, 0], True).peb_m, rel=ORACLE_RTOL)
 
     def test_finite_on_three_bs_scene(self):
         scene = loc_scene()
@@ -412,14 +412,13 @@ ORACLE_RTOL = 1e-5
 
 class TestPebPairs:
     POINTS = ([1, 1, 0], [2.5, 2.5, 0], [4, 1, 0], [0.6, 4.2, 0], [3.3, 0.7, 0])
-    INDICES = (3, 0, 9, 4, 12)
 
     @pytest.mark.parametrize("efficiency", [1.0, 0.7])
     def test_matches_schur_oracle(self, efficiency):
         scene = loc_scene(ris={**LOC["ris"], "element_efficiency": efficiency})
-        pairs = peb_pairs(scene, self.POINTS, self.INDICES)
+        pairs = peb_pairs(scene, self.POINTS)
         assert pairs.shape == (2, len(self.POINTS))
-        for point, idx, (wo, wi) in zip(self.POINTS, self.INDICES, pairs.T):
+        for idx, (point, (wo, wi)) in enumerate(zip(self.POINTS, pairs.T)):
             assert wo == pytest.approx(peb_point(scene, point, False, idx).peb_m,
                                        rel=ORACLE_RTOL)
             assert wi == pytest.approx(peb_point(scene, point, True, idx).peb_m,
@@ -432,9 +431,9 @@ class TestPebPairs:
         cells = np.arange(0, scene.grid.cell_count, scene.grid.cell_count // 10)
         points = scene.grid.points()[cells]
         finite = 0
-        for i, point, pair in zip(cells, points, peb_pairs(scene, points, cells).T):
+        for i, (point, pair) in enumerate(zip(points, peb_pairs(scene, points).T)):
             for value, with_ris in zip(pair, (False, True)):
-                ref = peb_point(scene, point, with_ris, int(i)).peb_m
+                ref = peb_point(scene, point, with_ris, i).peb_m
                 if math.isinf(ref):
                     assert math.isinf(value)
                 else:
@@ -444,12 +443,14 @@ class TestPebPairs:
 
     def test_block_size_does_not_change_a_bit(self, monkeypatch):
         scene = loc_scene()
-        reference = peb_pairs(scene, self.POINTS, self.INDICES)
+        reference = peb_pairs(scene, self.POINTS)
         monkeypatch.setattr(localization, "_BLOCK_BYTES", 1)
         assert localization._cell_block(scene) == 1
-        np.testing.assert_array_equal(peb_pairs(scene, self.POINTS, self.INDICES), reference)
-        rows = [peb_pair(scene, p, i) for p, i in zip(self.POINTS, self.INDICES)]
-        assert rows == list(zip(*reference.tolist()))
+        np.testing.assert_array_equal(peb_pairs(scene, self.POINTS), reference)
+        # each point alone, after the points before it
+        rows = [peb_pairs(scene, self.POINTS[:i + 1])[:, i] for i in range(len(self.POINTS))]
+        np.testing.assert_array_equal(np.stack(rows, axis=1), reference)
+        assert peb_pair(scene, self.POINTS[0]) == tuple(reference[:, 0].tolist())
 
     def test_point_on_a_node_is_nan_pair(self):
         scene = loc_scene(ris={"position_m": [4, 0], "element_count": 1})

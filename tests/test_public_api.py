@@ -13,13 +13,21 @@ No package module takes another module's private name, by import or as
 ``mod._name``: what one module shares with another is public, and so falls
 under the reach rule.
 
-Outside ``scene``, which parses it, ``element_efficiency`` has one reader:
-the table of surface-state responses, through which every engine sees it.
+Every default of a public function's or method's parameter is left out by
+some package call: a default that every call supplies is a second code path
+that only tests take. A function loaded as a value, such as an engine stored
+in a table, counts as relying on all its defaults.
+
+Outside ``scene``, which parses them, ``element_efficiency`` and
+``phase_lookup_rad`` have one reader: the table of surface-state responses,
+through which every engine sees the surface's states.
 """
 
 import ast
 import pathlib
 import sys
+
+import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "risplan"
 
@@ -149,6 +157,85 @@ def attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[str]:
     return readers
 
 
+def defaulted_parameters(node: ast.FunctionDef, bound: bool) -> dict[str, int | None]:
+    """Parameter name -> position in a call (None if keyword-only) of each
+    parameter with a default; ``bound`` drops the leading self or cls."""
+    args = node.args
+    params = [*args.posonlyargs, *args.args]
+    first = len(params) - len(args.defaults)
+    found = {p.arg: i - bound for i, p in enumerate(params) if i >= first}
+    found.update({p.arg: None for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    return found
+
+
+def _is_static(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+
+
+def unused_defaults(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.name(parameter)`` for each default of a public function or
+    method that no package call leaves out.
+
+    A top-level function is called by its bare name in its own module, by
+    the name a relative ``from .mod import`` binds, or as ``mod.name``; a
+    method by any call of an attribute of its name. A call with ``*`` or
+    ``**`` arguments supplies every parameter.
+    """
+    defaults = {
+        key: defaulted_parameters(node, bound=False)
+        for key, node in public_functions(trees).items()
+    }
+    methods: dict[str, list[str]] = {}
+    for key, node in public_methods(trees).items():
+        defaults[key] = defaulted_parameters(node, bound=not _is_static(node))
+        methods.setdefault(node.name, []).append(key)
+    left_out: dict[str, set[str]] = {key: set() for key in defaults}
+
+    for module, tree in trees.items():
+        names = {name.split(".", 1)[1]: name for name in defaults if name.count(".") == 1
+                 and name.startswith(f"{module}.")}
+        module_aliases: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in trees:
+                        module_aliases[alias.asname or alias.name] = alias.name
+                    elif f"{node.module}.{alias.name}" in defaults:
+                        names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+        def targets(expr) -> list[str]:
+            if isinstance(expr, ast.Name) and isinstance(expr.ctx, ast.Load):
+                return [names[expr.id]] if expr.id in names else []
+            if isinstance(expr, ast.Attribute) and isinstance(expr.ctx, ast.Load):
+                if isinstance(expr.value, ast.Name) and expr.value.id in module_aliases:
+                    key = f"{module_aliases[expr.value.id]}.{expr.attr}"
+                    return [key] if key in defaults else []
+                return methods.get(expr.attr, [])
+            return []
+
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        called = {id(call.func) for call in calls}
+        for call in calls:
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                continue
+            given = {k.arg for k in call.keywords}
+            for key in targets(call.func):
+                left_out[key].update(
+                    name for name, pos in defaults[key].items()
+                    if name not in given and (pos is None or pos >= len(call.args)))
+        for node in ast.walk(tree):
+            if id(node) not in called:
+                for key in targets(node):
+                    left_out[key].update(defaults[key])
+    return {
+        f"{key}({name})"
+        for key, params in defaults.items()
+        for name in params
+        if name not in left_out[key]
+    }
+
+
 def test_every_public_function_and_method_is_reached():
     assert sorted(unreached(parse_package(PACKAGE))) == [], "public names only tests call"
 
@@ -200,10 +287,50 @@ def test_each_reach_rule_counts():
     assert unreached(trees) == {"a.orphan", "d.Thing.lonely"}
 
 
-def test_element_efficiency_is_read_only_by_the_state_table():
+def test_every_default_is_left_out_by_a_package_call():
+    assert sorted(unused_defaults(parse_package(PACKAGE))) == [], "defaults only tests rely on"
+
+
+def test_each_default_rule_counts():
+    sources = {
+        "a": "def f(x, y=1, *, z=2): pass\n"
+             "def g(x=1): pass\n"
+             "def h(x=1): pass\n"
+             "def k(x=1, y=2): pass\n"
+             "def _private(x=1): pass\n"
+             "f(0, 1, z=3)\n",
+        "b": "from .a import g as renamed, k\n"
+             "renamed()\n"
+             "k(*args)\n",
+        "c": "from . import a\n"
+             "table = {'h': a.h}\n",
+        "d": "class Thing:\n"
+             "    def m(self, x, y=1): pass\n"
+             "    @staticmethod\n"
+             "    def s(x, y=1): pass\n"
+             "    def n(self, x=1): pass\n"
+             "def _use(thing):\n"
+             "    thing.m(0)\n"
+             "    thing.s(0, 1)\n"
+             "    thing.n(x=2)\n",
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert unused_defaults(trees) == {
+        "a.f(y)", "a.f(z)", "a.k(x)", "a.k(y)", "d.Thing.s(y)", "d.Thing.n(x)"}
+
+
+# attribute -> the one package function outside ``scene`` that reads it
+SOLE_READERS = {
+    "element_efficiency": "beamforming.state_responses",
+    "phase_lookup_rad": "beamforming.state_responses",
+}
+
+
+@pytest.mark.parametrize("attr", sorted(SOLE_READERS))
+def test_surface_state_fields_are_read_only_by_the_state_table(attr):
     trees = parse_package(PACKAGE)
     del trees["scene"]
-    assert attribute_readers(trees, "element_efficiency") == {"beamforming.state_responses"}
+    assert attribute_readers(trees, attr) == {SOLE_READERS[attr]}
 
 
 def test_each_attribute_reader_counts():

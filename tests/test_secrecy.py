@@ -335,8 +335,8 @@ class TestOptimizeSse:
     def test_pair_averages_draws(self):
         scene = sse_scene(secrecy={"rx_antenna_count": 2, "power_budget_dbm": 30,
                                    "fading_draws": 2})
-        without, with_ris = sse_pair(scene, [10, 50, 1.5], point_index=1)
-        parts = [optimize_sse(scene, [10, 50, 1.5], point_index=1, draw=d) for d in (0, 1)]
+        without, with_ris = sse_pair(scene, [10, 50, 1.5])
+        parts = [optimize_sse(scene, [10, 50, 1.5], draw=d) for d in (0, 1)]
         assert without == pytest.approx(np.mean([p.sse_without for p in parts]))
         assert with_ris == pytest.approx(np.mean([p.sse_with for p in parts]))
 
@@ -407,10 +407,11 @@ class TestTinyInstanceOracle:
         assert result.sse_with >= 0.95 * best
 
 
-def per_cell_map(scene):
-    """The oracle: :func:`optimize_sse` cell by cell, draws summed in draw order."""
+def per_cell_map(scene, points=None):
+    """The oracle: :func:`optimize_sse` cell by cell, draws summed in draw order,
+    over the grid or the given points, each seeded by its row."""
     pairs = []
-    for i, point in enumerate(scene.grid.points()):
+    for i, point in enumerate(scene.grid.points() if points is None else points):
         without = with_ris = 0.0
         try:
             for draw in range(scene.secrecy.fading_draws):
@@ -536,15 +537,17 @@ class TestBatchedOracle:
         scene = coarse_courtyard()
         points = scene.grid.points()
         batched = sse_pairs(scene, points).T
-        for i in (0, 13, 35):
-            assert_same_bits([sse_pair(scene, points[i], point_index=i)], [batched[i]])
+        assert_same_bits([sse_pair(scene, points[0])], [batched[0]])
+        for i in (13, 20):
+            # a point's fading comes from its row, so a batch ending at it agrees
+            assert_same_bits([sse_pairs(scene, points[:i + 1]).T[i]], [batched[i]])
 
-    def test_point_indices_seed_the_fading(self):
+    def test_rows_seed_the_fading(self):
         scene = coarse_courtyard()
-        points = scene.grid.points()[[3, 9]]
-        got = sse_pairs(scene, points, point_indices=[3, 9]).T
-        assert_same_bits(got, [sse_pair(scene, points[0], 3), sse_pair(scene, points[1], 9)])
-        assert not np.array_equal(got, sse_pairs(scene, points).T)
+        points = scene.grid.points()[:10]
+        got = sse_pairs(scene, points).T
+        assert_same_bits(got, per_cell_map(scene, points))
+        assert not np.array_equal(got[[3, 9]], sse_pairs(scene, points[[3, 9]]).T)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_covariance_ascent_matches_optimize_q(self, warm):

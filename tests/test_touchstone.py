@@ -4,19 +4,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import traced_peak
+from helpers import parse_text, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import touchstone_oracle
 from risplan import touchstone
 from risplan.errors import ConfigError, TouchstoneError
-from risplan.touchstone import load_cell_manifest, parse_touchstone, read_touchstone
+from risplan.touchstone import load_cell_manifest, read_touchstone
 
 
 def test_parse_ri_single_row():
     text = "# GHZ S RI R 50\n5.0  -1.0 0.0\n"
-    rec = parse_touchstone(text, "on")
+    rec = parse_text(text, "on")
     assert rec.port_count == 1
     assert rec.frequencies_hz.tolist() == [5.0e9]
     assert rec.s11[0] == -1.0 + 0.0j
@@ -25,10 +25,10 @@ def test_parse_ri_single_row():
 
 def test_parse_db_ma_conversions():
     # -6.0206 dB at 90 degrees: magnitude 10**(-6.0206/20), pure imaginary
-    rec = parse_touchstone("# HZ S DB R 50\n5.3e9  -6.0206 90\n", "x")
+    rec = parse_text("# HZ S DB R 50\n5.3e9  -6.0206 90\n", "x")
     expect = 10 ** (-6.0206 / 20.0)
     assert abs(rec.s11[0] - expect * 1j) < 1e-12
-    rec = parse_touchstone("# MHZ S MA R 50\n5300  0.5 180\n", "y")
+    rec = parse_text("# MHZ S MA R 50\n5300  0.5 180\n", "y")
     assert abs(rec.s11[0] - (-0.5)) < 1e-12
     assert rec.frequencies_hz[0] == 5.3e9
 
@@ -37,7 +37,7 @@ def test_parse_two_port_rows():
     text = "! transmissive cell\n# GHZ S RI R 50\n"
     text += "27.0  0.1 0.0  0.9 0.1  0.9 0.1  0.1 0.0\n"
     text += "28.0  0.1 0.0  -0.9 0.0  -0.9 0.0  0.1 0.0\n"
-    rec = parse_touchstone(text, "s")
+    rec = parse_text(text, "s")
     assert rec.port_count == 2
     assert rec.s21[1] == -0.9 + 0j
     assert rec.frequencies_hz.tolist() == [27.0e9, 28.0e9]
@@ -45,16 +45,16 @@ def test_parse_two_port_rows():
 
 def test_option_line_defaults_and_order():
     # Touchstone defaults: GHz, S, MA, 50 ohm; token order is free
-    rec = parse_touchstone("#\n1.0 1.0 0\n", "d")
+    rec = parse_text("#\n1.0 1.0 0\n", "d")
     assert rec.frequencies_hz[0] == 1e9
     assert rec.s11[0] == 1.0 + 0j
-    rec = parse_touchstone("# R 75 S RI HZ\n10 0.5 0.5\n", "d")
+    rec = parse_text("# R 75 S RI HZ\n10 0.5 0.5\n", "d")
     assert rec.reference_ohm == 75.0
     assert rec.s11[0] == 0.5 + 0.5j
 
 
 def test_mid_line_comments_stripped():
-    rec = parse_touchstone("# GHZ S RI R 50\n1.0 0.0 1.0 ! resonance\n", "c")
+    rec = parse_text("# GHZ S RI R 50\n1.0 0.0 1.0 ! resonance\n", "c")
     assert rec.s11[0] == 1j
 
 
@@ -85,26 +85,26 @@ def test_mid_line_comments_stripped():
 )
 def test_parse_errors(body, fragment):
     with pytest.raises(TouchstoneError) as err:
-        parse_touchstone(body, "bad")
+        parse_text(body, "bad")
     assert fragment in str(err.value)
 
 
 def test_error_carries_line_number():
     with pytest.raises(TouchstoneError) as err:
-        parse_touchstone("# GHZ S RI R 50\n1 0 0\n2 0 0\n1.5 0 0\n", "bad")
+        parse_text("# GHZ S RI R 50\n1 0 0\n2 0 0\n1.5 0 0\n", "bad")
     assert str(err.value).startswith("line 4:")
 
 
 def test_active_data_warns():
     with pytest.warns(UserWarning, match="looks active"):
-        parse_touchstone("# GHZ S RI R 50\n1 1.5 0\n", "hot")
+        parse_text("# GHZ S RI R 50\n1 1.5 0\n", "hot")
 
 
-def test_read_touchstone_uses_filename_state_id(tmp_path):
+def test_read_touchstone_records_the_given_state_id(tmp_path):
     p = tmp_path / "state_on.s1p"
     p.write_text("# GHZ S RI R 50\n1 0.3 0\n2 0.4 0\n")
-    rec = read_touchstone(p)
-    assert rec.state_id == "state_on"
+    rec = read_touchstone(p, "on")
+    assert rec.state_id == "on"
 
 
 def test_load_cell_manifest(tmp_path):
@@ -116,16 +116,19 @@ def test_load_cell_manifest(tmp_path):
             {
                 "cells": [
                     {"name": "demo", "states": {"on": "a.s1p", "off": "b.s1p"}},
+                    {"name": "flat", "kind": "transmission", "use_effective_s11": True,
+                     "states": {"on": "a.s1p"}},
                 ]
             }
         )
     )
     cells = load_cell_manifest(manifest)
-    assert len(cells) == 1
+    assert len(cells) == 2
     assert cells[0].name == "demo"
     assert cells[0].kind == "reflection"
-    assert not cells[0].use_effective_s11
     assert [sid for sid, _ in cells[0].states] == ["on", "off"]
+    # use_effective_s11 wins over the cell's kind
+    assert cells[1].kind == "effective"
 
 
 @pytest.mark.parametrize(
@@ -238,8 +241,7 @@ def touchstone_files(draw, mutation=None):
             lines.append(extra_after[k])
     # every line break of ASCII text that str.splitlines knows
     end = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]))
-    text = end.join(lines) + draw(st.sampled_from(["", end]))
-    return text.encode("ascii") if draw(st.booleans()) else text
+    return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
 def outcome(parse, text):
@@ -256,10 +258,9 @@ def streamed(read_bytes, chunk_rows):
     """``parse_touchstone`` on a binary file of the text, as ``read_touchstone``
     reads one, with small reads and chunks so that their edges fall inside it."""
     def parse(text, state_id):
-        data = text.encode("ascii") if isinstance(text, str) else text
         with mock.patch.multiple(touchstone, _READ_BYTES=read_bytes,
                                  _BODY_CHUNK_ROWS=chunk_rows):
-            return parse_touchstone(io.BytesIO(data), state_id)
+            return parse_text(text, state_id)
     return parse
 
 
@@ -271,7 +272,7 @@ STREAMED_PARSERS = st.builds(streamed, st.integers(1, 64), st.integers(1, 4))
 def test_records_match_oracle_bit_for_bit(text, parse_file):
     expected = outcome(touchstone_oracle.parse_touchstone, text)
     assert not isinstance(expected, str), expected
-    assert outcome(parse_touchstone, text) == expected
+    assert outcome(parse_text, text) == expected
     assert outcome(parse_file, text) == expected
 
 
@@ -280,7 +281,7 @@ def test_records_match_oracle_bit_for_bit(text, parse_file):
 def test_malformed_files_fail_like_oracle(text, parse_file):
     expected = outcome(touchstone_oracle.parse_touchstone, text)
     assert isinstance(expected, str)
-    assert outcome(parse_touchstone, text) == expected
+    assert outcome(parse_text, text) == expected
     assert outcome(parse_file, text) == expected
 
 
@@ -324,9 +325,9 @@ def test_long_file_memory_stays_near_its_table(tmp_path, end):
     # table of every row
     path = tmp_path / "long.s2p"
     table = write_long_s2p(path, end)
-    traced_peak(lambda: read_touchstone(path))  # lazy imports land here
-    assert traced_peak(lambda: read_touchstone(path)) < 1.5 * table.nbytes
-    rec = read_touchstone(path)
+    traced_peak(lambda: read_touchstone(path, "long"))  # lazy imports land here
+    assert traced_peak(lambda: read_touchstone(path, "long")) < 1.5 * table.nbytes
+    rec = read_touchstone(path, "long")
     assert rec.frequencies_hz.tolist() == (table[:, 0] * 1e9).tolist()
     assert rec.s21.tolist() == (table[:, 3] + 1j * table[:, 4]).tolist()
 
@@ -336,4 +337,4 @@ def test_bad_row_deep_in_a_long_file_reports_its_line(tmp_path, end):
     path = tmp_path / "long.s2p"
     write_long_s2p(path, end, bad_row=LONG_ROWS - 100)
     with pytest.raises(TouchstoneError, match=f"line {LONG_ROWS - 100 + 3}: non-numeric"):
-        read_touchstone(path)
+        read_touchstone(path, "long")
