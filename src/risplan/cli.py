@@ -111,9 +111,7 @@ def _parse_point(text: str, scene: Scene) -> np.ndarray:
     from .propagation import ray_amplitudes
 
     point = np.array(coords)
-    nodes = [bs.position_m for bs in scene.bs]
-    if scene.ris is not None:
-        nodes.append(scene.ris.position_m)
+    nodes = [bs.position_m for bs in scene.bs] + [scene.ris.position_m]
     with np.errstate(over="ignore"):
         _, dists = ray_amplitudes(scene, np.array(nodes), point)
     if not np.all(np.isfinite(dists)):

@@ -73,13 +73,13 @@ def _victim_link(scene: Scene, ue_point):
     """The victim's serving link after direct-matched combining.
 
     Returns the combined direct amplitude, the (M,) cascade hop products of
-    the gain engine's serving station (None without a surface) and the
-    combining weights' gain on that station's steering toward the surface.
+    the gain engine's serving station and the combining weights' gain on
+    that station's steering toward the surface.
     With no usable station, station 0's coincidence is the error.
     """
     point = np.asarray(ue_point, dtype=float)[None, :]
     directs = [direct_channels(scene, i, point) for i in range(len(scene.bs))]
-    bs_index = max(int(serving_bs(scene, directs, station_legs(scene))[0]), 0)
+    bs_index = max(int(serving_bs(directs, station_legs(scene))[0]), 0)
     direct = directs[bs_index]
     if direct.distance_m[0] == 0.0:
         raise CoincidentNodeError(
@@ -87,8 +87,6 @@ def _victim_link(scene: Scene, ue_point):
         )
     w = mrc_weights(direct.gains[0])
     base = complex(np.vdot(w, direct.gains[0]))
-    if scene.ris is None:
-        return base, None, 0j
     leg = bs_leg(scene, bs_index)  # raises when the station's leg is degenerate
     point_gains, point_dists = surface_legs(scene, point)
     require_apart(point_dists[0], point[0].tolist())
@@ -99,8 +97,6 @@ def _victim_link(scene: Scene, ue_point):
 def _combined_amplitudes(scene: Scene, link) -> np.ndarray:
     """Post-combining channel amplitude for each entry of the default codebook."""
     base, hops, steer_gain = link
-    if hops is None:
-        return np.array([base])
     ripples = np.sum(hops * default_codebook(scene), axis=-1)
     # Python complex products: numpy's vector multiply rounds some differently
     return np.array([base + ripple * steer_gain for ripple in ripples.tolist()])
@@ -188,11 +184,9 @@ def _ratio_db(scene: Scene, link) -> float:
 
     The numerator is the best-case coherent cascade (all element phases
     aligned, at the largest state modulus), which bounds how far any
-    configuration can move the combined channel; -inf without a surface.
+    configuration can move the combined channel; -inf when it vanishes.
     """
     base, hops, steer_gain = link
-    if hops is None:
-        return -math.inf
     peak = float(np.max(np.abs(state_responses(scene))))
     ripple = peak * float(np.sum(np.abs(hops))) * abs(steer_gain)
     if ripple == 0.0:

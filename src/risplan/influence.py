@@ -68,8 +68,6 @@ LABEL_COLORS = {
     "infeasible_both": (64, 64, 64),
 }
 
-FIELD_KINDS = ("without", "with", "delta", "labels")
-
 _CODE = {label: code for code, label in enumerate(LABELS)}
 _DESIRED = [_CODE["enabled"], _CODE["boosted"]]
 _UNDESIRED = [_CODE["degraded"], _CODE["marginal"]]
@@ -235,8 +233,6 @@ _PPM_LINE = 68  # characters
 
 
 def field_filename(scene_name: str, metric_id: str, kind: str, ext: str) -> str:
-    if kind not in FIELD_KINDS:
-        raise ValueError(f"kind must be one of {FIELD_KINDS}, got {kind!r}")
     return f"{scene_name}_{metric_id}_{kind}.{ext}"
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .beamforming import direct_gain, gain_terms, optimize_gains
 from .errors import CoincidentNodeError
 from .propagation import (
+    BsLeg,
     DirectChannel,
     bs_leg,
     direct_channels,
@@ -85,35 +86,32 @@ def spectral_efficiency_from_gain(
 
 
 def _cell_block(scene: Scene) -> int:
-    m = scene.ris.element_count if scene.ris is not None else 1
+    m = scene.ris.element_count
     return max(1, _BLOCK_BYTES // (16 * m * m))
 
 
-def station_legs(scene: Scene) -> list:
-    """Each station's surface leg, None where the station sits on the surface."""
-    if scene.ris is None:
-        return [None] * len(scene.bs)
-    legs = []
+def station_legs(scene: Scene) -> dict[int, BsLeg]:
+    """The surface leg of each station by index; a station that sits on the surface has none."""
+    legs = {}
     for i in range(len(scene.bs)):
         try:
-            legs.append(bs_leg(scene, i))
+            legs[i] = bs_leg(scene, i)
         except CoincidentNodeError:
-            legs.append(None)
+            pass
     return legs
 
 
-def serving_bs(scene: Scene, directs: list[DirectChannel], legs: list) -> np.ndarray:
+def serving_bs(directs: list[DirectChannel], legs: dict[int, BsLeg]) -> np.ndarray:
     """Serving station per point by strongest direct link (c0), -1 for none.
 
-    ``directs`` are the stations' channels at the points. Ties go to the
-    lowest index. A station the point coincides with, or whose surface leg
-    is degenerate, drops out. The surface is left out on purpose: a UE
-    picks its cell from reference signals, before any surface optimization.
+    ``directs`` are the stations' channels at the points and ``legs`` their
+    surface legs from :func:`station_legs`. Ties go to the lowest index. A
+    station the point coincides with, or whose surface leg is degenerate,
+    drops out. The surface is left out on purpose: a UE picks its cell
+    from reference signals, before any surface optimization.
     """
     c0 = np.stack([direct_gain(d) for d in directs])
-    usable = np.stack([d.distance_m > 0.0 for d in directs])
-    if scene.ris is not None:
-        usable &= np.array([leg is not None for leg in legs])[:, None]
+    usable = np.stack([(d.distance_m > 0.0) & (i in legs) for i, d in enumerate(directs)])
     c0 = np.where(usable, c0, -math.inf)
     best = np.argmax(c0, axis=0)
     return np.where(usable[best, np.arange(best.size)], best, -1)
@@ -132,23 +130,18 @@ def _served_gains(
         delay_s=direct.delay_s[rows],
         distance_m=direct.distance_m[rows],
     )
-    if scene.ris is None:
-        return np.tile(direct_gain(sub), (2, 1))
     ris_ch = ris_channels(leg, point_legs[0][rows], point_legs[1][rows])
     terms = gain_terms(sub, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
     _, ascended = optimize_gains(terms, scene)
     return np.stack([terms.c0, np.maximum(ascended, terms.c0)])
 
 
-def _gain_block(scene: Scene, points: np.ndarray, legs: list) -> np.ndarray:
+def _gain_block(scene: Scene, points: np.ndarray, legs: dict[int, BsLeg]) -> np.ndarray:
     """(2, n) linear without and with gains at the serving station of each point."""
     directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
-    serving = serving_bs(scene, directs, legs)
+    point_legs = surface_legs(scene, points)
+    serving = np.where(np.all(point_legs[1] > 0.0, axis=1), serving_bs(directs, legs), -1)
     gains = np.full((2, len(points)), math.nan)
-    point_legs = None
-    if scene.ris is not None:
-        point_legs = surface_legs(scene, points)
-        serving = np.where(np.all(point_legs[1] > 0.0, axis=1), serving, -1)
     for i, direct in enumerate(directs):
         rows = np.flatnonzero(serving == i)
         if rows.size:

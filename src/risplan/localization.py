@@ -199,13 +199,10 @@ def peb(fim_2x2) -> PebResult:
 def _cell_bytes(scene: Scene) -> int:
     """Bytes one cell adds to a block's largest operands, all complex.
 
-    With a surface: eps (M N), terms (M 3N), the pilot responses (K M),
-    rows (K 3N) and the mu and d_pos copies of rows (K 3N); without one,
-    a station's 3N direct-path rows.
+    eps (M N), terms (M 3N), the pilot responses (K M), rows (K 3N) and
+    the mu and d_pos copies of rows (K 3N).
     """
     n = scene.subcarrier_count
-    if scene.ris is None:
-        return 16 * 3 * n
     m, k = scene.ris.element_count, scene.localization.pilot_count
     return 16 * (4 * m * n + k * m + 6 * k * n)
 
@@ -214,7 +211,7 @@ def _cell_block(scene: Scene) -> int:
     return max(1, _BLOCK_BYTES // _cell_bytes(scene))
 
 
-def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg | None):
+def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg):
     """(2, n) without and with bounds at a block of points, NaN on a scene node."""
     scale = 2.0 / noise_variance_w(scene)
     weight = float(scene.localization.pilot_count)
@@ -224,11 +221,9 @@ def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg
         d_pos, basis, dist = _direct_rows(scene, b, points)
         on_node |= dist == 0.0
         without += weight * scale * _path_information(d_pos, basis)
-    with_ = without
-    if leg is not None:
-        mu, d_pos, dists = _reflected_rows(scene, leg, points, _pilot_configs(scene, indices))
-        on_node |= np.any(dists == 0.0, axis=1)
-        with_ = without + scale * _path_information(d_pos, mu)
+    mu, d_pos, dists = _reflected_rows(scene, leg, points, _pilot_configs(scene, indices))
+    on_node |= np.any(dists == 0.0, axis=1)
+    with_ = without + scale * _path_information(d_pos, mu)
     bounds = np.full((2, len(points)), math.nan)
     ok = ~on_node
     if np.any(ok):
@@ -249,12 +244,10 @@ def peb_pairs(scene: Scene, points) -> np.ndarray:
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     bounds = np.full((2, len(points)), math.nan)
-    leg = None
-    if scene.ris is not None:
-        try:
-            leg = bs_leg(scene, scene.nearest_bs_to_ris())
-        except CoincidentNodeError:
-            return bounds
+    try:
+        leg = bs_leg(scene, scene.nearest_bs_to_ris())
+    except CoincidentNodeError:
+        return bounds
     block = _cell_block(scene)
     for start in range(0, len(points), block):
         stop = min(start + block, len(points))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentNodeError, RunError
+from .errors import CoincidentNodeError
 from .scene import C_LIGHT_M_S, BaseStation, Scene
 
 
@@ -45,8 +45,6 @@ def element_positions(center, count: int, spacing_m: float, orientation_rad: flo
 
 
 def surface_element_positions(scene: Scene) -> np.ndarray:
-    if scene.ris is None:
-        raise RunError("scene has no surface")
     return element_positions(
         scene.ris.position_m,
         scene.ris.element_count,

@@ -1,7 +1,7 @@
 """Scene files: geometry, radio settings and planning thresholds.
 
 A scene is a JSON document (``spec_version: 1``) describing base stations,
-an evaluation grid, optionally a surface, walls and an eavesdropper, plus
+an evaluation grid, the surface, optionally walls and an eavesdropper, plus
 the numeric knobs the metric engines need. Each block is read through one
 table of key readers (see ``_SCENE``); absent keys take the dataclass
 defaults, and unknown keys are rejected with their key path.
@@ -233,12 +233,12 @@ class Scene:
     carrier_hz: float
     grid: Grid
     bs: tuple[BaseStation, ...]
+    ris: Surface
     subcarrier_count: int = 1
     subcarrier_spacing_hz: float = 240e3
     noise_psd_dbm_hz: float = -174.0
     noise_figure_db: float = 9.0
     seed: int = 1
-    ris: Surface | None = None
     walls: tuple[Wall, ...] = ()
     eve: Eavesdropper | None = None
     link_budget: LinkBudgetSpec = field(default_factory=LinkBudgetSpec)

@@ -49,9 +49,9 @@ class SecrecyChannels:
 
     direct_rx: np.ndarray  # (K, N_rx, N_bs)
     direct_eve: np.ndarray  # (K, N_eve, N_bs)
-    bs_to_ris: np.ndarray | None  # (K, M, N_bs)
-    ris_to_rx: np.ndarray | None  # (K, N_rx, M)
-    ris_to_eve: np.ndarray | None  # (K, N_eve, M)
+    bs_to_ris: np.ndarray  # (K, M, N_bs)
+    ris_to_rx: np.ndarray  # (K, N_rx, M)
+    ris_to_eve: np.ndarray  # (K, N_eve, M)
     noise_w: float
     power_w: float
 
@@ -75,21 +75,19 @@ def secrecy_links(scene: Scene, points, point_indices, draw: int):
     k, n_bs = len(antennas), sum(antennas)
 
     # one amplitude per station, then per station antenna; the surface
-    # centre, when there is one, is the last target of the RX and Eve rays
+    # centre is the last target of the RX and Eve rays
     stations = np.array([bs.position_m for bs in scene.bs], dtype=float)
-    targets = stations if scene.ris is None else np.vstack([stations, scene.ris.position_m])
+    targets = np.vstack([stations, scene.ris.position_m])
     amp_rx, dist_rx = ray_amplitudes(scene, points[:, None, :], targets)
     amp_eve, dist_eve = ray_amplitudes(scene, scene.eve.position_m, targets)
-    on_node = np.any(dist_rx == 0.0, axis=1) | np.any(dist_eve == 0.0)
+    amp_g, dist_g = ray_amplitudes(scene, scene.ris.position_m, stations)
+    on_node = np.any(dist_rx == 0.0, axis=1) | np.any(dist_eve == 0.0) | np.any(dist_g == 0.0)
     # each matrix's shape and amplitude, in the order every cell draws them
+    m = scene.ris.element_count
     parts = [((n_rx, n_bs), np.repeat(amp_rx[:, :k], antennas, axis=1)[:, None, :]),
-             ((n_eve, n_bs), np.repeat(amp_eve[:k], antennas)[None, :])]
-    if scene.ris is not None:
-        m = scene.ris.element_count
-        amp_g, dist_g = ray_amplitudes(scene, scene.ris.position_m, stations)
-        on_node |= np.any(dist_g == 0.0)
-        parts += [((m, n_bs), np.repeat(amp_g, antennas)[None, :]),
-                  ((n_rx, m), amp_rx[:, k, None, None]), ((n_eve, m), amp_eve[k])]
+             ((n_eve, n_bs), np.repeat(amp_eve[:k], antennas)[None, :]),
+             ((m, n_bs), np.repeat(amp_g, antennas)[None, :]),
+             ((n_rx, m), amp_rx[:, k, None, None]), ((n_eve, m), amp_eve[k])]
 
     fading = [np.empty((len(points), *shape), dtype=np.complex128) for shape, _ in parts]
     for row, index in enumerate(point_indices):
@@ -101,7 +99,7 @@ def secrecy_links(scene: Scene, points, point_indices, draw: int):
     with np.errstate(invalid="ignore"):
         links = [amp * cells for (_, amp), cells in zip(parts, fading)]
     channels = SecrecyChannels(
-        *links, *[None] * (len(_MATRICES) - len(links)),
+        *links,
         noise_w=dbm_to_watts(scene.noise_power_dbm),
         power_w=dbm_to_watts(scene.secrecy.power_budget_dbm),
     )
@@ -122,9 +120,8 @@ _BLOCK_BYTES = 4 * 2**20
 
 
 def _cell_block(scene: Scene) -> int:
-    per_cell = sum(bs.antenna_count for bs in scene.bs)
-    if scene.ris is not None:
-        per_cell *= state_responses(scene).size * scene.ris.element_count
+    n_bs = sum(bs.antenna_count for bs in scene.bs)
+    per_cell = n_bs * state_responses(scene).size * scene.ris.element_count
     return max(1, _BLOCK_BYTES // (16 * per_cell))
 
 
@@ -134,9 +131,7 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
 
 def _rows(ch: SecrecyChannels, rows: np.ndarray) -> SecrecyChannels:
     """Some cells of stacked channels."""
-    return replace(ch, **{
-        name: getattr(ch, name)[rows] for name in _MATRICES if getattr(ch, name) is not None
-    })
+    return replace(ch, **{name: getattr(ch, name)[rows] for name in _MATRICES})
 
 
 def _realize(ch: SecrecyChannels, responses: np.ndarray, states: np.ndarray):
@@ -277,16 +272,14 @@ def _sse_block(ch: SecrecyChannels, responses, start_state) -> np.ndarray:
     Rates clamp at 0, and the with-surface rate never falls below the
     without one, because switching the surface dark is compared in.
     """
-    k, hs = len(ch.direct_rx), [ch.direct_rx, ch.direct_eve]
-    if ch.bs_to_ris is not None:
-        states = np.full(ch.bs_to_ris.shape[:2], start_state)
-        hs = [np.concatenate([h, d]) for h, d in zip(_realize(ch, responses, states), hs)]
+    k = len(ch.direct_rx)
+    states = np.full(ch.bs_to_ris.shape[:2], start_state)
+    hs = [np.concatenate([h, d])
+          for h, d in zip(_realize(ch, responses, states), [ch.direct_rx, ch.direct_eve])]
     q, val = _ascend_q(*hs, None, ch.noise_w, ch.power_w)
     del hs  # free the stacked channels before the phase ascent builds its cascades
     # each clamp keeps the value unless 0.0 is strictly above it, as max(v, 0.0)
     without = np.where(val[-k:] < 0.0, 0.0, val[-k:])
-    if ch.bs_to_ris is None:
-        return np.stack([without, without])
 
     q, val = q[:k], val[:k]
     live, round_start = np.arange(k), np.full(k, -math.inf)
@@ -318,8 +311,8 @@ def sse_pairs(scene: Scene, points) -> np.ndarray:
     in both rows.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    responses = None if scene.ris is None else state_responses(scene)
-    surface = (None, None) if responses is None else (responses, quantize_indices(0.0, responses))
+    responses = state_responses(scene)
+    start_state = quantize_indices(0.0, responses)
     draws = scene.secrecy.fading_draws
     block = _cell_block(scene)
     sums = np.zeros((2, len(points)))
@@ -335,7 +328,7 @@ def sse_pairs(scene: Scene, points) -> np.ndarray:
                 break
             if cells.size < stop - start:
                 ch = _rows(ch, cells)
-            sums[:, start + cells] += _sse_block(ch, *surface)
+            sums[:, start + cells] += _sse_block(ch, responses, start_state)
     rates = sums / draws
     rates[:, on_node] = math.nan
     return rates

@@ -73,7 +73,6 @@ class StateRecord:
     frequencies_hz: np.ndarray
     s11: np.ndarray
     s21: np.ndarray | None = None
-    reference_ohm: float = 50.0
 
     @property
     def port_count(self) -> int:
@@ -81,9 +80,9 @@ class StateRecord:
 
 
 def _parse_option_line(tokens, line_no):
+    """(unit, format) of the option line; an ``R`` resistance is checked and dropped."""
     unit = "GHZ"
     fmt = "MA"
-    reference = 50.0
     i = 0
     while i < len(tokens):
         tok = tokens[i].upper()
@@ -99,14 +98,14 @@ def _parse_option_line(tokens, line_no):
             if i + 1 >= len(tokens):
                 raise TouchstoneError("'R' must be followed by a reference resistance", line_no)
             try:
-                reference = float(tokens[i + 1])
+                float(tokens[i + 1])
             except ValueError:
                 raise TouchstoneError(f"bad reference resistance '{tokens[i + 1]}'", line_no) from None
             i += 1
         else:
             raise TouchstoneError(f"unexpected token '{tokens[i]}' in option line", line_no)
         i += 1
-    return unit, fmt, reference
+    return unit, fmt
 
 
 def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,7 +178,7 @@ def parse_touchstone(fh, state_id: str) -> StateRecord:
         raise TouchstoneError("no option line found")
     if not line.startswith("#"):
         raise TouchstoneError("data before option line", start)
-    unit, fmt, reference = _parse_option_line(line[1:].split(), start)
+    unit, fmt = _parse_option_line(line[1:].split(), start)
     chunks = ([], [], [])  # frequencies, S11 and S21 of each chunk of rows
     width, prev = None, -math.inf
     try:
@@ -213,7 +212,7 @@ def parse_touchstone(fh, state_id: str) -> StateRecord:
         # a DB magnitude past the float range or no data row at all
         _raise_at_bad_line(itertools.islice(_lines(fh), start, None), start, unit, fmt)
     freqs, s11, s21 = (np.concatenate(c) if c else None for c in chunks)
-    record = StateRecord(state_id, freqs, s11, s21, reference)
+    record = StateRecord(state_id, freqs, s11, s21)
     _warn_if_active(record)
     return record
 

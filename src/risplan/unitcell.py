@@ -61,7 +61,6 @@ class BandOfInfluence:
     """Intervals where the contrast clears c_min; the widest one is principal."""
 
     intervals: tuple[tuple[float, float], ...]
-    c_min: float
 
     @property
     def principal(self) -> tuple[float, float] | None:
@@ -182,7 +181,7 @@ def extract_boi(curve: ContrastCurve, c_min: float) -> BandOfInfluence:
         if f_hi > f_lo:
             intervals.append((f_lo, f_hi))
         i = j + 1
-    return BandOfInfluence(intervals=tuple(intervals), c_min=c_min)
+    return BandOfInfluence(intervals=tuple(intervals))
 
 
 def normalized_contrast_table(

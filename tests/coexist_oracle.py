@@ -36,13 +36,11 @@ def neighbour_codebook(scene, entries: int = 16, seed: int = 1) -> tuple[RisConf
 
 
 def victim_link(scene, ue_point):
-    """(combined direct amplitude, cascade channel or None, steering gain)."""
+    """(combined direct amplitude, cascade channel, steering gain)."""
     bs_index = serving_station(scene, ue_point)
     direct = direct_channel(scene, bs_index, ue_point)
     w = mrc_weights(direct.gains)
     base = complex(np.vdot(w, direct.gains))
-    if scene.ris is None:
-        return base, None, 0j
     ch = ris_channel(scene, bs_index, ue_point)
     return base, ch, complex(np.vdot(w, ch.bs_steering))
 
@@ -50,8 +48,6 @@ def victim_link(scene, ue_point):
 def combined_amplitudes(link, book, efficiency: float = 1.0) -> np.ndarray:
     """Post-combining channel amplitude for each codebook entry, one at a time."""
     base, ch, steer_gain = link
-    if ch is None:
-        return np.array([base])
     out = np.empty(len(book), dtype=np.complex128)
     for c, entry in enumerate(book):
         ripple = cascade(ch, entry.phases_rad, efficiency) if entry.active else 0.0
@@ -63,8 +59,6 @@ def ratio_db(scene, link) -> float:
     """Coherent surface ripple over the combined direct amplitude, in dB: the
     cascade moduli summed, scaled by the largest state response modulus."""
     base, ch, steer_gain = link
-    if ch is None:
-        return -math.inf
     lookup = np.asarray(scene.ris.phase_lookup_rad)
     peak = float(np.max(np.abs(scene.ris.element_efficiency * np.exp(1j * lookup))))
     ripple = peak * float(np.sum(np.abs(ch.hop_products))) * abs(steer_gain)
@@ -90,10 +84,9 @@ def simulate(scene, ue_point, config, book=None) -> SlotTrace:
     ``book`` is a tuple of codebook entries, by default the scene's beams.
     """
     link = victim_link(scene, ue_point)
-    if book is None and scene.ris is not None:
+    if book is None:
         book = codebook(scene)
-    efficiency = 1.0 if scene.ris is None else scene.ris.element_efficiency
-    amps = combined_amplitudes(link, book, efficiency)
+    amps = combined_amplitudes(link, book, scene.ris.element_efficiency)
     power_w = dbm_to_watts(scene.link_budget.max_tx_power_dbm)
     noise_w = dbm_to_watts(scene.noise_power_dbm)
     snr_per_config = power_w * np.abs(amps) ** 2 / noise_w

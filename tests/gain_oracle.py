@@ -25,12 +25,11 @@ import numpy as np
 from risplan import kernels
 from risplan.beamforming import (
     GainTerms,
-    direct_gain,
     gain_terms,
     quantize_indices,
     wrap_phase,
 )
-from risplan.errors import CoincidentNodeError, RunError
+from risplan.errors import CoincidentNodeError
 from risplan.linkmetrics import _to_db, serving_bs, station_legs
 from risplan.propagation import (
     DirectChannel,
@@ -78,8 +77,6 @@ def quantize_config(phases_rad, lookup_rad, efficiency: float = 1.0) -> RisConfi
 
 def steering_config(scene, angle_rad: float) -> RisConfig:
     """Quantized plane-wave beam of the surface toward a broadside angle."""
-    if scene.ris is None:
-        raise RunError("scene has no surface")
     m = scene.ris.element_count
     offsets = (np.arange(m) - (m - 1) / 2.0) * scene.ris_spacing_m()
     phases = -2.0 * math.pi * offsets * math.sin(angle_rad) / scene.wavelength_m
@@ -102,8 +99,6 @@ def codebook(scene) -> tuple[RisConfig, ...]:
     The entries of :func:`risplan.beamforming.default_codebook`, whose rows
     are their responses.
     """
-    if scene.ris is None:
-        raise RunError("scene has no surface")
     m = scene.ris.element_count
     entries = [RisConfig.off(m), RisConfig.uniform(
         m, specular_phase(scene.ris.phase_lookup_rad, scene.ris.element_efficiency))]
@@ -153,7 +148,7 @@ def serving_station(scene, point) -> int:
     """One-row view of :func:`risplan.linkmetrics.serving_bs`; station 0 when none is usable."""
     points = np.asarray(point, dtype=float)[None, :]
     directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
-    return max(int(serving_bs(scene, directs, station_legs(scene))[0]), 0)
+    return max(int(serving_bs(directs, station_legs(scene))[0]), 0)
 
 
 RIS_MODES = ("off", "optimized")
@@ -194,12 +189,8 @@ def optimal_phases_continuous(ris_ch: RisChannel, direct: complex) -> RisConfig:
 
 
 def point_gain_terms(scene, bs_index: int, point) -> GainTerms:
-    """Terms for a grid point, using the scene's surface when present; without
-    one the form degenerates to the constant c0."""
+    """Terms for a grid point and the scene's surface."""
     direct = direct_channel(scene, bs_index, point)
-    if scene.ris is None:
-        return GainTerms(b=np.zeros(0, dtype=np.complex128),
-                         V=np.zeros((0, 0), dtype=np.complex128), c0=direct_gain(direct))
     ris_ch = ris_channel(scene, bs_index, point)
     return gain_terms(direct, ris_ch, scene.subcarrier_count, scene.subcarrier_spacing_hz)
 
@@ -352,7 +343,7 @@ def equivalent_gain(scene, bs_index: int, point, ris_mode: str = "optimized") ->
         terms = point_gain_terms(scene, bs_index, point)
     except CoincidentNodeError:
         return math.nan
-    if ris_mode == "off" or terms.b.shape[0] == 0:
+    if ris_mode == "off":
         return _to_db(terms.c0)
     optimized = optimize_gain(terms, scene.ris.phase_lookup_rad,
                               efficiency=scene.ris.element_efficiency)

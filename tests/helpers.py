@@ -79,9 +79,9 @@ def loaded_modules(*argv):
     given ``argv``, running the command ``risplan.cli.main(argv)``.
 
     Returns the short names of the loaded ``risplan`` modules, whether numpy
-    is loaded, and the command's exit code: what ``main`` returned, or the
+    is loaded, the command's exit code: what ``main`` returned, or the
     code of the ``SystemExit`` it raised (``--help``, ``--version`` and
-    argument errors), 0 without ``argv``.
+    argument errors), 0 without ``argv``, and its standard error.
     """
     code = (
         "import json, sys, risplan.cli\n"
@@ -95,4 +95,4 @@ def loaded_modules(*argv):
     assert done.returncode == 0, done.stderr
     code, names = json.loads(done.stdout.splitlines()[-1])
     layers = {name.split(".", 1)[1] for name in names if name.startswith("risplan.")}
-    return layers, "numpy" in names, code
+    return layers, "numpy" in names, code, done.stderr

@@ -102,19 +102,14 @@ def observation_model(scene, bs_index: int, point, ris_configs=None):
     path, which only the station nearest the surface carries.
     """
     blocks = [_direct_block(scene, bs_index, point)]
-    if (
-        ris_configs is not None
-        and scene.ris is not None
-        and bs_index == scene.nearest_bs_to_ris()
-    ):
+    if ris_configs is not None and bs_index == scene.nearest_bs_to_ris():
         blocks.append(_reflected_block(scene, bs_index, point, np.asarray(ris_configs)))
     return tuple(blocks)
 
 
 def _stacked_observation(scene, point, with_ris: bool, point_index: int):
     """Blocks with direct rows expanded to per-pilot copies (for simulation)."""
-    use_ris = with_ris and scene.ris is not None
-    configs = pilot_configs(scene, point_index) if use_ris else None
+    configs = pilot_configs(scene, point_index) if with_ris else None
     expanded = []
     for b in range(len(scene.bs)):
         for blk in observation_model(scene, b, point, configs):
@@ -201,9 +196,8 @@ def ml_position_rmse(
 def build_fim(scene, point, with_ris, point_index=0):
     """Stack all stations' path blocks into the full information matrix."""
     bs_count = len(scene.bs)
-    use_ris = with_ris and scene.ris is not None
-    dim = 2 + 2 * bs_count + (2 if use_ris else 0)
-    configs = pilot_configs(scene, point_index) if use_ris else None
+    dim = 2 + 2 * bs_count + (2 if with_ris else 0)
+    configs = pilot_configs(scene, point_index) if with_ris else None
     fim = np.zeros((dim, dim))
     scale = 2.0 / noise_variance_w(scene)
     for b in range(bs_count):

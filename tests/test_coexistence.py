@@ -38,6 +38,9 @@ COEX = {
                 "fixed_height_m": 1.5},
 }
 
+# a surface whose every state absorbs: it cannot move the victim's channel
+DARK = {**COEX["ris"], "element_efficiency": 0.0}
+
 NEAR = [11.0, 19.0, 1.5]
 FAR = [200.0, 5.0, 1.5]
 
@@ -126,8 +129,8 @@ class TestSimulate:
         assert res.error_count == 0
         assert error_slots(res) == ()
 
-    def test_no_surface_never_errs(self):
-        scene = coex_scene(ris=None)
+    def test_dark_surface_never_errs(self):
+        scene = coex_scene(ris=DARK)
         res = simulate(scene, NEAR, CoexistConfig(slots=5000, switch_probability=1.0))
         assert res.bler == 0.0
         snr, _, _ = trace_columns(res)
@@ -247,8 +250,8 @@ class TestSimulate:
 
 
 class TestOverlapCurve:
-    def test_ratio_negative_infinity_without_surface(self):
-        scene = coex_scene(ris=None)
+    def test_ratio_negative_infinity_for_a_dark_surface(self):
+        scene = coex_scene(ris=DARK)
         res = simulate(scene, NEAR, CoexistConfig(slots=50, switch_probability=0.5))
         assert res.ris_direct_ratio_db == -math.inf
 
@@ -314,7 +317,7 @@ class TestCsvWriters:
         assert math.isnan(float(first[2]))
 
     def test_curve_formats_minus_inf(self, tmp_path):
-        scene = coex_scene(ris=None)
+        scene = coex_scene(ris=DARK)
         rows = bler_vs_overlap_curve(
             scene, [NEAR], CoexistConfig(slots=100, switch_probability=0.5)
         )
@@ -342,9 +345,9 @@ class TestTraceWriterOracle:
             ({}, CoexistConfig(slots=20_000, switch_probability=0.5)),
             ({}, CoexistConfig(slots=20_000, switch_probability=0.5, csi_delay_slots=3)),
             ({}, CoexistConfig(slots=4, switch_probability=1.0, csi_delay_slots=3)),
-            ({"ris": None}, CoexistConfig(slots=20_000, switch_probability=0.5)),
+            ({"ris": DARK}, CoexistConfig(slots=20_000, switch_probability=0.5)),
         ],
-        ids=["default", "csi_delay_3", "warmup_then_one_slot", "no_surface"],
+        ids=["default", "csi_delay_3", "warmup_then_one_slot", "dark_surface"],
     )
     def test_simulated_trace(self, tmp_path, scene_kwargs, config):
         res = simulate(coex_scene(**scene_kwargs), NEAR, config)
@@ -495,14 +498,14 @@ def coexist_runs(draw):
         "slots": slots,
         "probability": draw(st.sampled_from([0.0, 0.5, 1.0])),
         "margin_db": draw(st.sampled_from([0.0, 0.1])),
-        # None drops the surface; 200 directions make C * C far exceed the rows
-        "directions": draw(st.sampled_from([None, 1, 16, 200])),
+        # 200 directions make C * C far exceed the rows
+        "directions": draw(st.sampled_from([1, 16, 200])),
         "seed": draw(st.integers(0, 2**32)),
         "ue": draw(st.sampled_from([NEAR, FAR])),
         "stations": draw(st.integers(1, 3)),
         "wall": draw(st.booleans()),
         "lookup": draw(st.sampled_from([None, [0.0, math.pi], [-2.5, -0.4, 1.0, 2.2, 3.0]])),
-        "efficiency": draw(st.sampled_from([None, 0.7])),
+        "efficiency": draw(st.sampled_from([None, 0.7, 0.0])),
     }
 
 
@@ -516,14 +519,11 @@ def test_cli_files_match_slot_oracle(run):
     doc["bs"] = list(STATIONS[:run["stations"]])
     if run["wall"]:
         doc["walls"] = [WALL]
-    if run["directions"] is None:
-        del doc["ris"]
-    else:
-        doc["ris"]["codebook_directions"] = run["directions"]
-        if run["lookup"] is not None:
-            doc["ris"]["phase_lookup_rad"] = run["lookup"]
-        if run["efficiency"] is not None:
-            doc["ris"]["element_efficiency"] = run["efficiency"]
+    doc["ris"]["codebook_directions"] = run["directions"]
+    if run["lookup"] is not None:
+        doc["ris"]["phase_lookup_rad"] = run["lookup"]
+    if run["efficiency"] is not None:
+        doc["ris"]["element_efficiency"] = run["efficiency"]
     doc["seed"] = run["seed"]
     scene = parse_scene(json.dumps(doc))
     config = CoexistConfig(slots=run["slots"], switch_probability=run["probability"],

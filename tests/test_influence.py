@@ -85,8 +85,8 @@ class TestMetricField:
 
 
 class TestSweep:
-    def test_no_surface_fields_identical(self):
-        scene = small_scene(ris=None)
+    def test_dark_surface_fields_identical(self):
+        scene = small_scene(ris={**SMALL["ris"], "element_efficiency": 0.0})
         without, with_ = sweep(scene, "gain_db")
         np.testing.assert_array_equal(without.values, with_.values)
 
@@ -570,10 +570,6 @@ class TestNaming:
     def test_pattern(self):
         assert field_filename("demo", "gain_db", "with", "csv") == "demo_gain_db_with.csv"
         assert field_filename("s", "peb_m", "labels", "ppm") == "s_peb_m_labels.ppm"
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            field_filename("demo", "gain_db", "optimum", "csv")
 
 
 QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)

@@ -29,6 +29,7 @@ BASE = {
     "carrier_hz": 3.5e9,
     "bs": [{"position_m": [0, 0]}],
     "ue_grid": {"x_min": 0, "x_max": 9, "y_min": 0, "y_max": 9, "resolution_m": 1},
+    "ris": {"position_m": [4, 0], "element_count": 8},
 }
 
 
@@ -69,8 +70,8 @@ class TestEquivalentGain:
     def test_coincident_point_is_nan(self):
         assert math.isnan(equivalent_gain(scene_with(), 0, [0, 0, 0]))
 
-    def test_no_surface_modes_agree(self):
-        scene = scene_with()
+    def test_dark_surface_modes_agree(self):
+        scene = scene_with(ris={**BASE["ris"], "element_efficiency": 0.0})
         point = [5, 5, 0]
         assert equivalent_gain(scene, 0, point, "off") == equivalent_gain(
             scene, 0, point, "optimized"
@@ -185,7 +186,7 @@ def served(scene, points):
     """The engine's station choice at each of the (n, 3) points, -1 for none."""
     points = np.asarray(points, dtype=float)
     directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
-    return serving_bs(scene, directs, station_legs(scene)).tolist()
+    return serving_bs(directs, station_legs(scene)).tolist()
 
 
 def serving_bs_at(scene, point):
@@ -237,8 +238,8 @@ class TestPairs:
         assert off == pytest.approx(equivalent_gain(scene, 0, point, "off"))
         assert best == pytest.approx(equivalent_gain(scene, 0, point, "optimized"))
 
-    def test_no_surface_pairs_collapse(self):
-        scene = scene_with()
+    def test_dark_surface_pairs_collapse(self):
+        scene = scene_with(ris={**BASE["ris"], "element_efficiency": 0.0})
         off, best = gain_pair(scene, [2, 2, 0])
         assert off == best
 

@@ -246,7 +246,7 @@ class TestBuildFim:
             assert np.linalg.eigvalsh(diff)[0] >= -1e-9 * np.max(np.abs(diff))
 
     def test_single_bs_range_only_is_singular(self):
-        scene = loc_scene(bs=[{"position_m": [0.5, 1]}], ris=None)
+        scene = loc_scene(bs=[{"position_m": [0.5, 1]}])
         result = peb_point(scene, [2, 2, 0], with_ris=False)
         assert math.isinf(result.peb_m)
 
@@ -520,7 +520,6 @@ class TestMlSanity:
     def test_rmse_brackets_bound(self):
         scene = loc_scene(
             carrier_hz=3.5e9,
-            ris=None,
             subcarrier_count=64,
             localization={"pilot_count": 8, "tx_power_dbm": 0.0},
         )

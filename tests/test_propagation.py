@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gain_oracle import cascade, direct_channel, ris_channel
 from helpers import at_subcarriers
 from risplan.beamforming import state_responses
-from risplan.errors import CoincidentNodeError, RunError
+from risplan.errors import CoincidentNodeError
 from risplan.propagation import (
     C_LIGHT_M_S,
     direct_channels,
@@ -27,6 +27,7 @@ BASE = {
     "carrier_hz": 3.5e9,
     "bs": [{"position_m": [0, 0]}],
     "ue_grid": {"x_min": 0, "x_max": 9, "y_min": 0, "y_max": 9, "resolution_m": 1},
+    "ris": {"position_m": [4, 0], "element_count": 8},
 }
 
 
@@ -292,10 +293,6 @@ class TestDirectChannel:
 class TestRisChannel:
     def ris_scene(self, m=8, **kwargs):
         return scene_with(ris={"position_m": [4, 0], "element_count": m}, **kwargs)
-
-    def test_requires_surface(self):
-        with pytest.raises(RunError):
-            ris_channel(scene_with(), 0, [1, 1, 0])
 
     def test_perpendicular_bisector_symmetry(self):
         scene = self.ris_scene(m=2)

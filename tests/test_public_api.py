@@ -21,6 +21,10 @@ in a table, counts as relying on all its defaults.
 Outside ``scene``, which parses them, ``element_efficiency`` and
 ``phase_lookup_rad`` have one reader: the table of surface-state responses,
 through which every engine sees the surface's states.
+
+Every scene names its surface, so no package module compares ``ris`` or
+``bs_to_ris`` with ``None``: such a test could only open a second code path
+for a scene without one.
 """
 
 import ast
@@ -155,6 +159,19 @@ def attribute_readers(trees: dict[str, ast.Module], attr: str) -> set[str]:
                 scoped = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 readers.add(f"{module}.{node.name}" if scoped else module)
     return readers
+
+
+def none_comparisons(trees: dict[str, ast.Module], attrs: set[str]) -> set[str]:
+    """``module:line`` of each comparison of an attribute named in ``attrs`` with ``None``."""
+    found: set[str] = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(o, ast.Constant) and o.value is None for o in operands) and any(
+                        isinstance(o, ast.Attribute) and o.attr in attrs for o in operands):
+                    found.add(f"{module}:{node.lineno}")
+    return found
 
 
 def defaulted_parameters(node: ast.FunctionDef, bound: bool) -> dict[str, int | None]:
@@ -347,3 +364,26 @@ def test_each_attribute_reader_counts():
     }
     trees = {name: ast.parse(text) for name, text in sources.items()}
     assert attribute_readers(trees, "element_efficiency") == {"a.f", "a.C", "b"}
+
+
+# attributes every scene carries, so no package test of them against None
+ALWAYS_SET = {"ris", "bs_to_ris"}
+
+
+def test_no_module_tests_the_surface_for_none():
+    assert sorted(none_comparisons(parse_package(PACKAGE), ALWAYS_SET)) == []
+
+
+def test_each_none_comparison_rule_counts():
+    sources = {
+        "a": "def f(s):\n"
+             "    if s.ris is None:\n"
+             "        return None\n"
+             "    return s.ris.element_count is None\n",
+        "b": "ok = [None != ch.bs_to_ris, ch.bs_to_ris == 0]\n",
+        "c": "x = s.eve is None\n"
+             "y = ris is None\n"
+             "z = getattr(s, 'ris') is None\n",
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert none_comparisons(trees, ALWAYS_SET) == {"a:2", "b:1"}

@@ -13,6 +13,7 @@ from risplan.scene import (
     BaseStation,
     Grid,
     Scene,
+    Surface,
     load_scene,
     parse_scene,
 )
@@ -22,6 +23,7 @@ MINIMAL = {
     "carrier_hz": 3.5e9,
     "bs": [{"position_m": [0, 0, 3]}],
     "ue_grid": {"x_min": 0, "x_max": 9, "y_min": 0, "y_max": 9, "resolution_m": 1},
+    "ris": {"position_m": [4, 0], "element_count": 1},
 }
 
 
@@ -33,6 +35,12 @@ def make(overrides=None, **kwargs):
     return json.dumps(doc)
 
 
+def make_without(key):
+    doc = json.loads(make())
+    del doc[key]
+    return json.dumps(doc)
+
+
 class TestParsing:
     def test_minimal_scene_defaults(self):
         scene = parse_scene(make())
@@ -40,7 +48,7 @@ class TestParsing:
         assert scene.subcarrier_count == 1
         assert scene.subcarrier_spacing_hz == 240e3
         assert scene.seed == 1
-        assert scene.ris is None
+        assert scene.ris == Surface(position_m=(4.0, 0.0, 0.0), element_count=1)
         assert scene.eve is None
         assert scene.walls == ()
         assert scene.bs[0].position_m == (0.0, 0.0, 3.0)
@@ -76,10 +84,6 @@ class TestParsing:
         # default spacing resolves to half a wavelength
         lam = 299_792_458.0 / 3.5e9
         assert scene.ris_spacing_m() == pytest.approx(lam / 2)
-
-    def test_null_ris_means_absent(self):
-        scene = parse_scene(make(ris=None))
-        assert scene.ris is None
 
     def test_walls_and_eve(self):
         scene = parse_scene(
@@ -143,7 +147,6 @@ class TestParsing:
         # keys and every optional block empty equals the bare constructor call
         scene = parse_scene(
             make(
-                ris=None,
                 eve=None,
                 walls=[],
                 link_budget={},
@@ -157,6 +160,7 @@ class TestParsing:
             carrier_hz=3.5e9,
             grid=Grid(x_min=0.0, x_max=9.0, y_min=0.0, y_max=9.0, resolution_m=1.0),
             bs=(BaseStation(position_m=(0.0, 0.0, 3.0)),),
+            ris=Surface(position_m=(4.0, 0.0, 0.0), element_count=1),
         )
         assert scene == expected
 
@@ -187,6 +191,8 @@ class TestValidation:
             (make(ue_grid={"x_min": 0, "x_max": 9, "y_min": 0, "y_max": 1e300,
                            "resolution_m": 1e-300}),
              "ue_grid.resolution_m: the y span over the resolution overflows"),
+            (make_without("ris"), "ris: missing required key"),
+            (make(ris=None), "ris: expected an object"),
             (make(ris={"position_m": [0, 0]}), "ris.element_count: missing"),
             (make(ris={"position_m": [0, 0], "element_count": 4, "element_efficiency": 1.5}),
              "ris.element_efficiency: must lie in [0, 1]"),

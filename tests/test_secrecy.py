@@ -195,12 +195,6 @@ class TestSecrecyLinkBuilder:
         assert ch.ris_to_rx.shape == (2, 8)
         assert ch.ris_to_eve.shape == (2, 8)
 
-    def test_no_surface_pieces_absent(self):
-        scene = sse_scene(ris=None)
-        ch = secrecy_link(scene, [10, 50, 1.5])
-        assert ch.bs_to_ris is None
-        assert ch.ris_to_rx is None and ch.ris_to_eve is None
-
     def test_requires_eavesdropper(self):
         scene = sse_scene(eve=None)
         with pytest.raises(RunError):
@@ -240,9 +234,9 @@ class TestSecrecyLinkBuilder:
         link = realize(ch, RisConfig.off(8))
         np.testing.assert_array_equal(link.h_rx, ch.direct_rx)
 
-    @pytest.mark.parametrize("changes", [{}, {"ris": None}, {"walls": [
+    @pytest.mark.parametrize("changes", [{}, {"walls": [
         {"p1_m": [5, 20], "p2_m": [5, 80], "penetration_loss_db": 20}]}],
-        ids=["surface", "no_surface", "walled"])
+        ids=["surface", "walled"])
     def test_block_rows_are_one_point_channels(self, changes):
         # one block's channels hold, row by row, the channels each point gets alone
         scene = sse_scene(**changes)
@@ -255,10 +249,7 @@ class TestSecrecyLinkBuilder:
             for name in _MATRICES:
                 want = getattr(alone, name)
                 got = getattr(block, name)
-                if want is None:
-                    assert got is None
-                else:
-                    np.testing.assert_array_equal(got[row].view(np.uint64), want.view(np.uint64))
+                np.testing.assert_array_equal(got[row].view(np.uint64), want.view(np.uint64))
 
     def test_node_mask(self):
         # the station sits on cell 12, the surface centre on cell 24; Eve on
@@ -320,11 +311,14 @@ class TestOptimizeSse:
         assert result.sse_with == pytest.approx(result.sse_without, abs=1e-3)
         assert result.sse_with >= result.sse_without
 
-    def test_no_surface_scene(self):
-        scene = sse_scene(ris=None)
-        result = optimize_sse(scene, [10, 50, 1.5])
-        assert result.sse_with == result.sse_without
-        assert result.config.phases_rad == ()
+    def test_dark_surface_scene(self):
+        # the without value never reads the surface; the with value can only add
+        # the ascent steps that a dark surface leaves on the direct channel alone
+        dark = optimize_sse(sse_scene(ris={**SSE["ris"], "element_efficiency": 0.0}),
+                            [10, 50, 1.5])
+        bright = optimize_sse(sse_scene(), [10, 50, 1.5])
+        assert dark.sse_without == bright.sse_without
+        assert dark.sse_with >= dark.sse_without
 
     def test_q_respects_budget(self):
         scene = sse_scene()
@@ -476,7 +470,7 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("variant", [
         "two_draws", "one_element", "one_level_lookup", "lookup_without_zero", "walled",
-        "no_surface", "unequal_antennas", "efficiency",
+        "dark_surface", "unequal_antennas", "efficiency",
     ])
     def test_variants(self, variant):
         doc = courtyard_doc()
@@ -489,7 +483,7 @@ class TestBatchedOracle:
                 {"p1_m": [5, 20], "p2_m": [5, 80], "penetration_loss_db": 20},
                 {"p1_m": [12, 35], "p2_m": [18, 45], "penetration_loss_db": 7},
             ]},
-            "no_surface": {"ris": None},
+            "dark_surface": {"ris": {**doc["ris"], "element_efficiency": 0.0}},
             # RX and Eve products of different shapes, which no step may stack
             "unequal_antennas": {"secrecy": {**doc["secrecy"], "rx_antenna_count": 3},
                                  "eve": {**doc["eve"], "antenna_count": 1}},

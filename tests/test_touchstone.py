@@ -20,7 +20,6 @@ def test_parse_ri_single_row():
     assert rec.port_count == 1
     assert rec.frequencies_hz.tolist() == [5.0e9]
     assert rec.s11[0] == -1.0 + 0.0j
-    assert rec.reference_ohm == 50.0
 
 
 def test_parse_db_ma_conversions():
@@ -49,7 +48,7 @@ def test_option_line_defaults_and_order():
     assert rec.frequencies_hz[0] == 1e9
     assert rec.s11[0] == 1.0 + 0j
     rec = parse_text("# R 75 S RI HZ\n10 0.5 0.5\n", "d")
-    assert rec.reference_ohm == 75.0
+    assert rec.frequencies_hz[0] == 10.0
     assert rec.s11[0] == 0.5 + 0.5j
 
 
@@ -251,7 +250,7 @@ def outcome(parse, text):
     except TouchstoneError as exc:
         return str(exc)
     fields = [rec.frequencies_hz, rec.s11] + ([] if rec.s21 is None else [rec.s21])
-    return rec.state_id, rec.reference_ohm, [f.view(np.uint64).tolist() for f in fields]
+    return rec.state_id, [f.view(np.uint64).tolist() for f in fields]
 
 
 def streamed(read_bytes, chunk_rows):

@@ -29,7 +29,6 @@ _CONVERTERS = {
 def _parse_option_line(tokens, line_no):
     unit = "GHZ"
     fmt = "MA"
-    reference = 50.0
     i = 0
     while i < len(tokens):
         tok = tokens[i].upper()
@@ -45,14 +44,14 @@ def _parse_option_line(tokens, line_no):
             if i + 1 >= len(tokens):
                 raise TouchstoneError("'R' must be followed by a reference resistance", line_no)
             try:
-                reference = float(tokens[i + 1])
+                float(tokens[i + 1])
             except ValueError:
                 raise TouchstoneError(f"bad reference resistance '{tokens[i + 1]}'", line_no) from None
             i += 1
         else:
             raise TouchstoneError(f"unexpected token '{tokens[i]}' in option line", line_no)
         i += 1
-    return unit, fmt, reference
+    return unit, fmt
 
 
 def parse_touchstone(data, state_id: str) -> StateRecord:
@@ -64,7 +63,6 @@ def parse_touchstone(data, state_id: str) -> StateRecord:
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
     unit = fmt = None
-    reference = 50.0
     freqs: list[float] = []
     rows: list[list[float]] = []
     arity = None
@@ -75,7 +73,7 @@ def parse_touchstone(data, state_id: str) -> StateRecord:
         if line.startswith("#"):
             if unit is not None:
                 raise TouchstoneError("multiple option lines", line_no)
-            unit, fmt, reference = _parse_option_line(line[1:].split(), line_no)
+            unit, fmt = _parse_option_line(line[1:].split(), line_no)
             continue
         if unit is None:
             raise TouchstoneError("data before option line", line_no)
@@ -115,7 +113,6 @@ def parse_touchstone(data, state_id: str) -> StateRecord:
         frequencies_hz=np.array(freqs),
         s11=s11,
         s21=s21,
-        reference_ohm=reference,
     )
     _warn_if_active(record)
     return record
