@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -177,31 +178,30 @@ def cmd_aoi(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     scene = _apply_seed(load_scene(args.scene), args.seed)
+    if args.metric == "sse_bps_hz" and scene.eve is None:
+        raise ConfigError("secrecy metrics need an eavesdropper in the scene")
     base = os.path.splitext(os.path.basename(args.scene))[0]
 
     from .influence import (
+        DESIRED,
+        UNDESIRED,
         classify,
         export_csv,
         export_labels_csv,
         export_labels_ppm,
         export_ppm,
-        field_filename,
         sweep,
     )
 
-    without, with_ = sweep(scene, args.metric)
-    imap = classify(without, with_, scene.thresholds)
+    pairs = sweep(scene, args.metric)
+    labels, delta = classify(args.metric, pairs, scene.thresholds)
     out = _OutDir(args.out_dir, args.force)
-
-    export_csv(without, out.path(field_filename(base, args.metric, "without", "csv")))
-    export_ppm(without, out.path(field_filename(base, args.metric, "without", "ppm")))
-    export_csv(with_, out.path(field_filename(base, args.metric, "with", "csv")))
-    export_ppm(with_, out.path(field_filename(base, args.metric, "with", "ppm")))
-    delta = imap.delta_field()
-    export_csv(delta, out.path(field_filename(base, args.metric, "delta", "csv")))
-    export_ppm(delta, out.path(field_filename(base, args.metric, "delta", "ppm")))
-    export_labels_csv(imap, out.path(field_filename(base, args.metric, "labels", "csv")))
-    export_labels_ppm(imap, out.path(field_filename(base, args.metric, "labels", "ppm")))
+    grid, stem = scene.grid, f"{base}_{args.metric}"
+    for kind, values in (("without", pairs[0]), ("with", pairs[1]), ("delta", delta)):
+        export_csv(grid, out.path(f"{stem}_{kind}.csv"), values)
+        export_ppm(grid, out.path(f"{stem}_{kind}.ppm"), values)
+    export_labels_csv(grid, out.path(f"{stem}_labels.csv"), labels)
+    export_labels_ppm(grid, out.path(f"{stem}_labels.ppm"), labels)
 
     _write_manifest(
         out,
@@ -210,8 +210,9 @@ def cmd_aoi(args: argparse.Namespace) -> int:
         {"metric": args.metric},
         scene.seed,
     )
-    desired = int(imap.desired.sum())
-    undesired = int(imap.undesired.sum())
+    tally = Counter(labels.tolist())
+    desired = sum(tally[code] for code in DESIRED)
+    undesired = sum(tally[code] for code in UNDESIRED)
     print(
         f"{scene.grid.cell_count} cells: {desired} desired, "
         f"{undesired} undesired; wrote {len(out.entries) + 1} files to {args.out_dir}"

@@ -26,7 +26,7 @@ import numpy as np
 from .beamforming import default_codebook, mrc_weights, state_responses
 from .errors import CoincidentNodeError, RunError
 from .kernels import forward_fill
-from .linkmetrics import serving_bs, station_legs
+from .linkmetrics import serving_bs
 from .propagation import (
     bs_leg,
     db_to_linear,
@@ -34,6 +34,7 @@ from .propagation import (
     direct_channels,
     require_apart,
     ris_channels,
+    station_legs,
     surface_legs,
 )
 from .scene import CoexistConfig, Scene

@@ -26,13 +26,16 @@ every other metric compares in its native unit.  The sign convention is
 "improvement positive" regardless of whether the metric is higher-better
 or lower-better.
 
-An :class:`InfluenceMap` holds ``grid``, ``metric_id``, ``labels`` (codes
-into :data:`LABELS`) and ``delta``, the improvement in dB, or in bps/Hz for
-the rates, NaN unless both readings are in coverage.
+:func:`classify` returns two arrays over the grid: ``labels``, codes into
+:data:`LABELS`, and ``delta``, the improvement in dB, or in bps/Hz for the
+rates, NaN unless both readings are in coverage. The area of influence is
+the :data:`DESIRED` cells (enabled, boosted) and the :data:`UNDESIRED`
+ones (degraded, marginal).
 
-Exports cover CSV (bit-exact round trip of every value but a NaN's sign)
-and PPM with a blue/green/red three-stop colormap; label maps export with
-a fixed palette.
+The exporters take the grid, the output path and one row of values or
+labels. They cover CSV (bit-exact round trip of every value but a NaN's
+sign) and PPM with a blue/green/red three-stop colormap; label maps export
+with a fixed palette.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError
 from .linkmetrics import gain_pairs, se_pairs, tx_power_pairs
 from .localization import peb_pairs
 from .scene import Grid, METRIC_IDS, Scene, Thresholds
@@ -69,50 +71,12 @@ LABEL_COLORS = {
 }
 
 _CODE = {label: code for code, label in enumerate(LABELS)}
-_DESIRED = [_CODE["enabled"], _CODE["boosted"]]
-_UNDESIRED = [_CODE["degraded"], _CODE["marginal"]]
 _PALETTE = np.array([LABEL_COLORS[label] for label in LABELS])
 
-
-@dataclass(frozen=True, eq=False)
-class MetricField:
-    """One metric over a grid, row-major, NaN = out of coverage; ``values`` is read-only."""
-
-    grid: Grid
-    metric_id: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.shape != (self.grid.cell_count,):
-            raise ValueError(
-                f"{values.size} values for a {self.grid.cell_count}-cell grid"
-            )
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True, eq=False)
-class InfluenceMap:
-    """Read-only per-cell labels, as codes into :data:`LABELS`, and improvements."""
-
-    grid: Grid
-    metric_id: str
-    labels: np.ndarray
-    delta: np.ndarray
-
-    @property
-    def desired(self) -> np.ndarray:
-        """Mask of the enabled and boosted cells."""
-        return np.isin(self.labels, _DESIRED)
-
-    @property
-    def undesired(self) -> np.ndarray:
-        """Mask of the degraded and marginal cells: the rest of the area of influence."""
-        return np.isin(self.labels, _UNDESIRED)
-
-    def delta_field(self) -> MetricField:
-        return MetricField(self.grid, self.metric_id, self.delta)
+# the area of influence, by label code: the cells the surface helps, and
+# the cells it hurts or improves by less than the boost threshold
+DESIRED = (_CODE["enabled"], _CODE["boosted"])
+UNDESIRED = (_CODE["degraded"], _CODE["marginal"])
 
 
 @dataclass(frozen=True)
@@ -134,17 +98,8 @@ METRICS: dict[str, _Metric] = {
 assert set(METRICS) == set(METRIC_IDS)
 
 
-def _require_metric(metric_id: str) -> _Metric:
-    try:
-        return METRICS[metric_id]
-    except KeyError:
-        raise ConfigError(
-            f"unknown metric {metric_id!r}, expected one of {', '.join(METRIC_IDS)}"
-        ) from None
-
-
-def sweep(scene: Scene, metric_id: str) -> tuple[MetricField, MetricField]:
-    """Evaluate a metric over the whole grid; returns (without, with) fields.
+def sweep(scene: Scene, metric_id: str) -> np.ndarray:
+    """Evaluate a metric over the whole grid: its engine's (2, n) array, row 0 without.
 
     Every metric runs grid-batched in this process: the gain family
     (``gain_db``, ``tx_power_dbm``, ``se_bps_hz``) through
@@ -155,11 +110,11 @@ def sweep(scene: Scene, metric_id: str) -> tuple[MetricField, MetricField]:
     block size changes the output. A cell on a scene node is a NaN pair
     for ``peb_m`` and ``sse_bps_hz``; the gain engine drops a station the
     cell sits on and reads NaN only on a surface element or with no
-    station left.
+    station left. ``metric_id`` is one of :data:`METRIC_IDS`, and a
+    secrecy map's scene has an eavesdropper: ``aoi`` checks both before it
+    loads numpy.
     """
-    metric = _require_metric(metric_id)
-    without, with_ = metric.pairs(scene, scene.grid.points())
-    return MetricField(scene.grid, metric_id, without), MetricField(scene.grid, metric_id, with_)
+    return METRICS[metric_id].pairs(scene, scene.grid.points())
 
 
 def comparison_value(metric_id: str, value: float) -> float:
@@ -182,27 +137,26 @@ def in_coverage(metric_id: str, values, thresholds: Thresholds) -> np.ndarray:
     floor = thresholds.qos_for(metric_id)
     if floor is None:
         return finite
-    if _require_metric(metric_id).higher_better:
+    if METRICS[metric_id].higher_better:
         return finite & (values >= floor)
     return finite & (values <= floor)
 
 
-def classify(without: MetricField, with_: MetricField, thresholds: Thresholds) -> InfluenceMap:
-    """Label every cell by how the surface changed the metric there."""
-    if without.grid != with_.grid:
-        raise ValueError("fields to classify must share a grid")
-    if without.metric_id != with_.metric_id:
-        raise ValueError(
-            f"metric mismatch: {without.metric_id!r} vs {with_.metric_id!r}"
-        )
-    metric_id = without.metric_id
-    higher_better = _require_metric(metric_id).higher_better
+def classify(
+    metric_id: str, pairs: np.ndarray, thresholds: Thresholds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label every cell by how the surface changed the metric there: (labels, delta).
+
+    ``pairs`` is a sweep's (2, n) array, row 0 without the surface.
+    """
+    without, with_ = pairs
+    higher_better = METRICS[metric_id].higher_better
     boost, unchanged = thresholds.for_metric(metric_id)
 
-    cov_a = in_coverage(metric_id, without.values, thresholds)
-    cov_b = in_coverage(metric_id, with_.values, thresholds)
+    cov_a = in_coverage(metric_id, without, thresholds)
+    cov_b = in_coverage(metric_id, with_, thresholds)
     both = cov_a & cov_b
-    a, b = without.values[both], with_.values[both]
+    a, b = without[both], with_[both]
     if metric_id == "peb_m":
         # math.log10 per value: numpy's log10 rounds differently on some inputs
         to_db = partial(comparison_value, metric_id)
@@ -212,7 +166,7 @@ def classify(without: MetricField, with_: MetricField, thresholds: Thresholds) -
     # both readings pinned at the same scale extreme
     improvement[np.isnan(improvement)] = 0.0
 
-    labels = np.full(without.values.shape, _CODE["infeasible_both"], dtype=np.uint8)
+    labels = np.full(without.shape, _CODE["infeasible_both"], dtype=np.uint8)
     labels[cov_b & ~cov_a] = _CODE["enabled"]
     labels[cov_a & ~cov_b] = _CODE["degraded"]
     labels[both] = np.select(
@@ -220,20 +174,15 @@ def classify(without: MetricField, with_: MetricField, thresholds: Thresholds) -
         [_CODE["boosted"], _CODE["degraded"], _CODE["marginal"]],
         _CODE["unchanged"],
     )
-    delta = np.full(without.values.shape, math.nan)
+    delta = np.full(without.shape, math.nan)
     delta[both] = improvement
-    labels.flags.writeable = delta.flags.writeable = False
-    return InfluenceMap(grid=without.grid, metric_id=metric_id, labels=labels, delta=delta)
+    return labels, delta
 
 
 # ---------------------------------------------------------------------------
 # file export
 
 _PPM_LINE = 68  # characters
-
-
-def field_filename(scene_name: str, metric_id: str, kind: str, ext: str) -> str:
-    return f"{scene_name}_{metric_id}_{kind}.{ext}"
 
 
 def _write_csv(path: str, grid: Grid, column: str, texts: Iterable[str]) -> None:
@@ -270,14 +219,14 @@ def _write_ppm(path: str, grid: Grid, rgb: np.ndarray) -> None:
                 start, used = stop, end[stop - 1]
 
 
-def export_csv(field: MetricField, path: str) -> None:
+def export_csv(grid: Grid, path: str, values: np.ndarray) -> None:
     """Header ``x_m,y_m,value``, then one row per cell in grid order.
 
     Floats are written with ``repr``, so a re-import reproduces every bit
     of every value except a NaN's: any NaN, a sign-bit one included, is
     written ``nan`` and reads back as the canonical quiet NaN.
     """
-    _write_csv(path, field.grid, "value", map(repr, field.values.tolist()))
+    _write_csv(path, grid, "value", map(repr, values.tolist()))
 
 
 def _finite_range(values: np.ndarray, what: str) -> tuple[float, float] | None:
@@ -308,9 +257,8 @@ def colormap_rgb(t) -> np.ndarray:
     )
 
 
-def export_ppm(field: MetricField, path: str) -> None:
+def export_ppm(grid: Grid, path: str, values: np.ndarray) -> None:
     """Plain-text colour image on the blue/green/red map, NaN = black."""
-    values = field.values
     rng = _finite_range(values, path)
     missing = np.isnan(values)
     if rng is None:
@@ -322,12 +270,12 @@ def export_ppm(field: MetricField, path: str) -> None:
             raise ValueError(f"{path}: the value range overflows float64")
     rgb = colormap_rgb(np.where(missing, 0.5, t))
     rgb[missing] = 0
-    _write_ppm(path, field.grid, rgb)
+    _write_ppm(path, grid, rgb)
 
 
-def export_labels_csv(imap: InfluenceMap, path: str) -> None:
-    _write_csv(path, imap.grid, "label", map(LABELS.__getitem__, imap.labels.tolist()))
+def export_labels_csv(grid: Grid, path: str, labels: np.ndarray) -> None:
+    _write_csv(path, grid, "label", map(LABELS.__getitem__, labels.tolist()))
 
 
-def export_labels_ppm(imap: InfluenceMap, path: str) -> None:
-    _write_ppm(path, imap.grid, _PALETTE[imap.labels])
+def export_labels_ppm(grid: Grid, path: str, labels: np.ndarray) -> None:
+    _write_ppm(path, grid, _PALETTE[labels])

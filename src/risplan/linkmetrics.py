@@ -23,13 +23,12 @@ import math
 import numpy as np
 
 from .beamforming import direct_gain, gain_terms, optimize_gains
-from .errors import CoincidentNodeError
 from .propagation import (
     BsLeg,
     DirectChannel,
-    bs_leg,
     direct_channels,
     ris_channels,
+    station_legs,
     surface_legs,
 )
 from .scene import LinkBudgetSpec, Scene
@@ -90,24 +89,13 @@ def _cell_block(scene: Scene) -> int:
     return max(1, _BLOCK_BYTES // (16 * m * m))
 
 
-def station_legs(scene: Scene) -> dict[int, BsLeg]:
-    """The surface leg of each station by index; a station that sits on the surface has none."""
-    legs = {}
-    for i in range(len(scene.bs)):
-        try:
-            legs[i] = bs_leg(scene, i)
-        except CoincidentNodeError:
-            pass
-    return legs
-
-
 def serving_bs(directs: list[DirectChannel], legs: dict[int, BsLeg]) -> np.ndarray:
     """Serving station per point by strongest direct link (c0), -1 for none.
 
     ``directs`` are the stations' channels at the points and ``legs`` their
-    surface legs from :func:`station_legs`. Ties go to the lowest index. A
-    station the point coincides with, or whose surface leg is degenerate,
-    drops out. The surface is left out on purpose: a UE picks its cell
+    surface legs from :func:`risplan.propagation.station_legs`. Ties go to
+    the lowest index. A station the point coincides with, or whose surface
+    leg is degenerate, drops out. The surface is left out on purpose: a UE picks its cell
     from reference signals, before any surface optimization.
     """
     c0 = np.stack([direct_gain(d) for d in directs])

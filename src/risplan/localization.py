@@ -11,7 +11,10 @@ Paths contribute information additively: each path forms its own block
 of observation rows, so switching the surface on adds a positive
 semidefinite term to the information matrix and can never worsen the
 bound. Base stations transmit orthogonally; the reflected path is
-carried only by the station nearest the surface.
+carried only by the station nearest the surface centre among those with a
+surface leg (:func:`risplan.propagation.station_legs`), the lowest index
+on a tie. With no such station the bound with the surface is the one
+without.
 
 The gain nuisances are marginalized by projection (Shen & Win,
 "Fundamental limits of wideband localization, Part I", IEEE TIT 2010):
@@ -33,13 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import state_responses
-from .errors import CoincidentNodeError
 from .propagation import (
     BsLeg,
-    bs_leg,
     dbm_to_watts,
     ray_amplitudes,
     ris_channels,
+    station_legs,
     surface_legs,
 )
 from .scene import C_LIGHT_M_S, Scene
@@ -102,15 +104,17 @@ def _direct_rows(scene: Scene, bs_index: int, points: np.ndarray):
         return d_pos, phi, d
 
 
-def _reflected_rows(scene: Scene, leg: BsLeg, points: np.ndarray, configs: np.ndarray):
+def _reflected_rows(
+    scene: Scene, leg: BsLeg, points: np.ndarray, legs: tuple, configs: np.ndarray
+):
     """The surface path at (n, 3) points under (n, K, M) pilot configs.
 
-    Returns mu (n, K N) and d_pos (n, 2, K N), rows pilot-major, and the
-    (n, M) point-to-element distances; a point on an element has distance
-    0 there and non-finite rows. Every pilot's rows come out of one
+    ``legs`` is :func:`risplan.propagation.surface_legs` at the points.
+    Returns mu (n, K N) and d_pos (n, 2, K N), rows pilot-major; a point on
+    an element has non-finite rows. Every pilot's rows come out of one
     batched product of the pilot responses with the element terms.
     """
-    gains, dists = surface_legs(scene, points)
+    gains, dists = legs
     ch = ris_channels(leg, gains, dists)
     count, m = dists.shape
     n = np.arange(scene.subcarrier_count)
@@ -142,7 +146,7 @@ def _reflected_rows(scene: Scene, leg: BsLeg, points: np.ndarray, configs: np.nd
         rows = (responses[configs] @ terms.reshape(count, m, -1)).reshape(count, -1, 3, n.size)
     mu = rows[:, :, 0].reshape(count, -1)
     d_pos = np.moveaxis(rows[:, :, 1:], 2, 1).reshape(count, 2, -1)
-    return mu, d_pos, dists
+    return mu, d_pos
 
 
 def _path_information(d_pos: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -211,8 +215,12 @@ def _cell_block(scene: Scene) -> int:
     return max(1, _BLOCK_BYTES // _cell_bytes(scene))
 
 
-def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg):
-    """(2, n) without and with bounds at a block of points, NaN on a scene node."""
+def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg | None):
+    """(2, n) without and with bounds at a block of points, NaN on a scene node.
+
+    ``leg`` is the surface leg of the station carrying the reflected path;
+    with none, the bound with the surface is the one without.
+    """
     scale = 2.0 / noise_variance_w(scene)
     weight = float(scene.localization.pilot_count)
     on_node = np.zeros(len(points), dtype=bool)
@@ -221,9 +229,12 @@ def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg
         d_pos, basis, dist = _direct_rows(scene, b, points)
         on_node |= dist == 0.0
         without += weight * scale * _path_information(d_pos, basis)
-    mu, d_pos, dists = _reflected_rows(scene, leg, points, _pilot_configs(scene, indices))
-    on_node |= np.any(dists == 0.0, axis=1)
-    with_ = without + scale * _path_information(d_pos, mu)
+    legs = surface_legs(scene, points)
+    on_node |= np.any(legs[1] == 0.0, axis=1)
+    with_ = without
+    if leg is not None:
+        mu, d_pos = _reflected_rows(scene, leg, points, legs, _pilot_configs(scene, indices))
+        with_ = without + scale * _path_information(d_pos, mu)
     bounds = np.full((2, len(points)), math.nan)
     ok = ~on_node
     if np.any(ok):
@@ -238,16 +249,17 @@ def peb_pairs(scene: Scene, points) -> np.ndarray:
     configs derive from its index, its row in ``points``, and blocks of
     points are processed together, sized so one block's reflected-row
     operands stay within a fixed memory budget; every operation is per
-    point, so the result does not depend on the block size. A point on a base station or a surface element reads
-    NaN in both rows, and so does every point when the surface leg of the
-    station nearest the surface is degenerate.
+    point, so the result does not depend on the block size. A point on a
+    base station or a surface element reads NaN in both rows.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    bounds = np.full((2, len(points)), math.nan)
-    try:
-        leg = bs_leg(scene, scene.nearest_bs_to_ris())
-    except CoincidentNodeError:
-        return bounds
+    legs = station_legs(scene)
+    leg = None
+    if legs:
+        # min keeps the first of equals, so a tie goes to the lowest index
+        nearest = min(legs, key=lambda i: math.dist(scene.bs[i].position_m, scene.ris.position_m))
+        leg = legs[nearest]
+    bounds = np.empty((2, len(points)))
     block = _cell_block(scene)
     for start in range(0, len(points), block):
         stop = min(start + block, len(points))

@@ -245,6 +245,17 @@ def bs_leg(scene: Scene, bs_index: int) -> BsLeg:
     return BsLeg(gains=gains[0], distances_m=dists[0], steering=steering, element_positions_m=elems)
 
 
+def station_legs(scene: Scene) -> dict[int, BsLeg]:
+    """The surface leg of each station by index; a station that sits on the surface has none."""
+    legs = {}
+    for i in range(len(scene.bs)):
+        try:
+            legs[i] = bs_leg(scene, i)
+        except CoincidentNodeError:
+            pass
+    return legs
+
+
 def require_apart(dists: np.ndarray, endpoint) -> None:
     """Raise when an endpoint sits on a surface element: some leg distance is 0."""
     if np.any(dists == 0.0):

@@ -10,8 +10,8 @@ Positions may be given as [x, y] or [x, y, z] metres; 2D inputs are stored
 with z = 0 so every distance is a plain 3D norm. Grid cells sit at
 fixed_height_m and are enumerated row-major: index = iy * nx + ix.
 
-Reading and validating a scene loads no numpy: only the two methods that
-compute on arrays (``Grid.points``, ``Scene.nearest_bs_to_ris``) import it.
+Reading and validating a scene loads no numpy: only ``Grid.points``, which
+computes on arrays, imports it.
 The ``coexist`` options, :class:`CoexistConfig`, are checked here for the
 same reason.
 """
@@ -264,14 +264,6 @@ class Scene:
     def ris_spacing_m(self) -> float:
         s = self.ris.element_spacing_m
         return s if s is not None else 0.5 * self.wavelength_m
-
-    def nearest_bs_to_ris(self) -> int:
-        """Index of the base station closest to the surface (ties: lowest index)."""
-        import numpy as np
-
-        rp = np.array(self.ris.position_m)
-        dists = [float(np.linalg.norm(np.array(b.position_m) - rp)) for b in self.bs]
-        return int(np.argmin(dists))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ live cells' operands, packed, and carries each cell's products H Q H^H
 from one step into the next gradient; the ascent without the surface runs
 in the first round's lock-step. The tests keep the one-point ascent and
 check the engine against it bit for bit.
+
+Every function here takes a scene with an eavesdropper: ``aoi`` refuses a
+secrecy map of a scene without one before it loads numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beamforming import quantize_indices, state_responses
-from .errors import RunError
 from .propagation import dbm_to_watts, ray_amplitudes
 from .scene import Scene
 from .seeding import derived_rng
@@ -67,8 +69,6 @@ def secrecy_links(scene: Scene, points, point_indices, draw: int):
     station-to-surface ray has zero length, sits on a scene node: its
     ``on_node`` entry is set and its channels are not finite.
     """
-    if scene.eve is None:
-        raise RunError("secrecy metrics need an eavesdropper in the scene")
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n_rx, n_eve = scene.secrecy.rx_antenna_count, scene.eve.antenna_count
     antennas = [bs.antenna_count for bs in scene.bs]

@@ -41,14 +41,6 @@ class SParameterTable:
     s11: np.ndarray  # (n_states, n_freq)
     s21: np.ndarray | None
 
-    def __post_init__(self):
-        if len(self.frequencies_hz) < 2:
-            raise ConfigError(f"cell '{self.name}': need at least 2 frequency samples")
-        if np.any(np.diff(self.frequencies_hz) <= 0):
-            raise ConfigError(f"cell '{self.name}': frequencies must be strictly increasing")
-        if self.s11.shape != (len(self.state_ids), len(self.frequencies_hz)):
-            raise ConfigError(f"cell '{self.name}': S11 shape does not match states x frequencies")
-
 
 @dataclass(frozen=True)
 class ContrastCurve:

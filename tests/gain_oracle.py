@@ -30,7 +30,7 @@ from risplan.beamforming import (
     wrap_phase,
 )
 from risplan.errors import CoincidentNodeError
-from risplan.linkmetrics import _to_db, serving_bs, station_legs
+from risplan.linkmetrics import _to_db, serving_bs
 from risplan.propagation import (
     DirectChannel,
     RisChannel,
@@ -38,6 +38,7 @@ from risplan.propagation import (
     direct_channels,
     require_apart,
     ris_channels,
+    station_legs,
     surface_legs,
 )
 

@@ -33,7 +33,7 @@ from risplan.localization import (
     peb,
     pilot_amplitude,
 )
-from risplan.propagation import bs_leg, ray_amplitudes
+from risplan.propagation import bs_leg, ray_amplitudes, surface_legs
 from risplan.seeding import derived_rng
 
 
@@ -81,11 +81,13 @@ def _direct_block(scene, bs_index: int, point) -> PathBlock:
 
 def _reflected_block(scene, bs_index: int, point, configs: np.ndarray) -> PathBlock:
     p = np.asarray(point, dtype=float)
-    mu, d_pos, dists = _reflected_rows(scene, bs_leg(scene, bs_index), p[None, :], configs[None])
+    legs = surface_legs(scene, p[None, :])
+    dists = legs[1]
     if np.any(dists == 0.0):
         raise CoincidentNodeError(
             f"point {p.tolist()} coincides with surface element {int(np.argmin(dists[0]))}"
         )
+    mu, d_pos = _reflected_rows(scene, bs_leg(scene, bs_index), p[None, :], legs, configs[None])
     return PathBlock(
         mu=mu[0],
         d_pos=d_pos[0].T,
@@ -95,14 +97,33 @@ def _reflected_block(scene, bs_index: int, point, configs: np.ndarray) -> PathBl
     )
 
 
+def surface_station(scene):
+    """Index of the station that carries the reflected path, None for none.
+
+    It is the station nearest the surface centre among those whose surface
+    leg exists, the lowest index on a tie.
+    """
+    best = None
+    centre = np.array(scene.ris.position_m)
+    for b, bs in enumerate(scene.bs):
+        try:
+            bs_leg(scene, b)
+        except CoincidentNodeError:
+            continue
+        dist = float(np.linalg.norm(np.array(bs.position_m) - centre))
+        if best is None or dist < best[0]:
+            best = (dist, b)
+    return None if best is None else best[1]
+
+
 def observation_model(scene, bs_index: int, point, ris_configs=None):
     """Path blocks for one transmitting base station.
 
     ``ris_configs`` (pilot-indexed lookup rows) activates the reflected
-    path, which only the station nearest the surface carries.
+    path, which only the station :func:`surface_station` names carries.
     """
     blocks = [_direct_block(scene, bs_index, point)]
-    if ris_configs is not None and bs_index == scene.nearest_bs_to_ris():
+    if ris_configs is not None and bs_index == surface_station(scene):
         blocks.append(_reflected_block(scene, bs_index, point, np.asarray(ris_configs)))
     return tuple(blocks)
 

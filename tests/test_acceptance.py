@@ -209,15 +209,13 @@ def indoor_scene():
 @pytest.fixture(scope="module")
 def indoor_peb(indoor_scene):
     t0 = time.perf_counter()
-    without, with_ = sweep(indoor_scene, "peb_m")
-    return without, with_, time.perf_counter() - t0
+    pairs = sweep(indoor_scene, "peb_m")
+    return pairs, time.perf_counter() - t0
 
 
 class TestLocalizationMaps:
     def test_peb_never_worse_and_pilot_scaling(self, indoor_scene, indoor_peb):
-        without, with_, elapsed = indoor_peb
-        a = np.asarray(without.values)
-        b = np.asarray(with_.values)
+        (a, b), elapsed = indoor_peb
         assert a.shape == (441,)
         # adding the surface can only add information
         assert np.all(b <= a * (1 + 1e-12))
@@ -241,12 +239,12 @@ class TestLocalizationMaps:
         )
 
     def test_influence_regions(self, indoor_scene, indoor_peb):
-        without, with_, _ = indoor_peb
-        imap = classify(without, with_, indoor_scene.thresholds)
-        grid = imap.grid
+        pairs, _ = indoor_peb
+        labels, _ = classify("peb_m", pairs, indoor_scene.thresholds)
+        grid = indoor_scene.grid
 
         xy = grid.points()[:, :2]
-        enabled = imap.labels == LABELS.index("enabled")
+        enabled = labels == LABELS.index("enabled")
         assert np.any(enabled)
         ris_xy = np.asarray(indoor_scene.ris.position_m[:2])
         nearest = np.min(np.hypot(*(xy[enabled] - ris_xy).T))
@@ -266,7 +264,7 @@ class TestLocalizationMaps:
 
         inner = [i for i in range(grid.cell_count) if inside(*xy[i])]
         assert inner
-        unchanged = sum(1 for i in inner if LABELS[imap.labels[i]] == "unchanged")
+        unchanged = sum(1 for i in inner if LABELS[labels[i]] == "unchanged")
         share = unchanged / len(inner)
         assert share > 0.60
         _report(
@@ -379,9 +377,7 @@ class TestSecrecyMaps:
         # adding the surface never hurts, on every cell of the bundled
         # courtyard scene
         scene = load_scene(str(SCENES / "courtyard_secrecy.json"))
-        without, with_ = sweep(scene, "sse_bps_hz")
-        a = np.asarray(without.values)
-        b = np.asarray(with_.values)
+        a, b = sweep(scene, "sse_bps_hz")
         assert a.shape == (121,)
         assert np.all(b >= a - 1e-12)
 
@@ -434,19 +430,17 @@ class TestSecrecyMaps:
 class TestCoverageMaps:
     def test_power_se_fields_and_boosted_identity(self):
         scene = load_scene(str(SCENES / "office_energy.json"))
-        pw_without, pw_with = sweep(scene, "tx_power_dbm")
-        se_without, se_with = sweep(scene, "se_bps_hz")
-        pa, pb = np.asarray(pw_without.values), np.asarray(pw_with.values)
-        sa, sb = np.asarray(se_without.values), np.asarray(se_with.values)
+        power = sweep(scene, "tx_power_dbm")
+        (pa, pb), (sa, sb) = power, sweep(scene, "se_bps_hz")
         # the codebook contains the dark configuration, so the best
         # config can never need more power or carry less rate
         assert np.all(pb <= pa + 1e-12)
         assert np.all(sb >= sa - 1e-12)
 
-        imap = classify(pw_without, pw_with, scene.thresholds)
+        labels, _ = classify("tx_power_dbm", power, scene.thresholds)
         # energy efficiency at a fixed rate improves exactly where the
         # required power falls: the boosted cells of the power map
-        efficient = np.flatnonzero(imap.labels == LABELS.index("boosted"))
+        efficient = np.flatnonzero(labels == LABELS.index("boosted"))
         assert efficient.size
         _report(
             "coverage maps",

@@ -300,6 +300,13 @@ class TestAoi:
         else:
             assert code == 0
             assert {p.name: sha(p) for p in out.iterdir()} == want
+            rows = (out / f"{scene}_{metric}_labels.csv").read_text().splitlines()[1:]
+            labels = [row.rsplit(",", 1)[1] for row in rows]
+            desired = sum(label in ("enabled", "boosted") for label in labels)
+            undesired = sum(label in ("degraded", "marginal") for label in labels)
+            assert capsys.readouterr().out == (
+                f"{len(labels)} cells: {desired} desired, {undesired} undesired; "
+                f"wrote {len(want)} files to {out}\n")
 
     def test_gain_emits_nine_files(self, tmp_path):
         scene_path = write_scene(tmp_path, SCENE)
@@ -318,12 +325,11 @@ class TestAoi:
         out = tmp_path / "out"
         main(["aoi", scene_path, "--metric", "gain_db", "--out-dir", str(out), "--jobs", "1"])
         scene = parse_scene(json.dumps(SCENE))
-        without, with_ = sweep(scene, "gain_db")
         xy = bits(scene.grid.points()[:, :2]).T
-        for kind, field in (("without", without), ("with", with_)):
+        for kind, values in zip(("without", "with"), sweep(scene, "gain_db")):
             x, y, value = csv_columns(out / f"scene_gain_db_{kind}.csv")
             np.testing.assert_array_equal([x, y], xy)
-            np.testing.assert_array_equal(value, bits(field.values))
+            np.testing.assert_array_equal(value, bits(values))
 
     def test_manifest_records_run(self, tmp_path):
         scene_path = write_scene(tmp_path, SCENE)
@@ -393,8 +399,8 @@ class TestAoi:
             f"note: {out / 'dark_gain_db_delta.ppm'}: flat value range, rendering mid-scale\n")
         _, _, delta = csv_columns(out / "dark_gain_db_delta.csv")
         scene = parse_scene(json.dumps(DARK_SCENE))
-        imap = classify(*sweep(scene, "gain_db"), scene.thresholds)
-        np.testing.assert_array_equal(delta, bits(imap.delta))
+        _, want = classify("gain_db", sweep(scene, "gain_db"), scene.thresholds)
+        np.testing.assert_array_equal(delta, bits(want))
         np.testing.assert_array_equal(delta, bits(np.zeros(6)))
         labels = (out / "dark_gain_db_labels.csv").read_text().splitlines()[1:]
         assert all(line.endswith(",unchanged") for line in labels)
@@ -410,15 +416,16 @@ class TestAoi:
                      "--out-dir", str(out), "--jobs", "1"]) == 0
         _, _, value = csv_columns(out / f"scene_{metric}_with.csv")
         _, with_ = sweep(parse_scene(json.dumps(doc)), metric)
-        np.testing.assert_array_equal(value, bits(with_.values))
-        assert math.isnan(with_.values[0]) == (metric != "gain_db")
+        np.testing.assert_array_equal(value, bits(with_))
+        assert math.isnan(with_[0]) == (metric != "gain_db")
 
-    def test_sse_without_eve_exits_3(self, tmp_path, capsys):
+    def test_sse_without_eve_exits_2(self, tmp_path, capsys):
         scene_path = write_scene(tmp_path, SCENE)
         out = tmp_path / "o"
         assert main(["aoi", scene_path, "--metric", "sse_bps_hz",
-                     "--out-dir", str(out)]) == 3
-        assert "eavesdropper" in capsys.readouterr().err
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: secrecy metrics need an eavesdropper in the scene\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
@@ -787,6 +794,7 @@ NUMERIC_LAYERS = AOI_LAYERS | {"unitcell", "coexistence", "propagation", "kernel
         (["aoi", "{bad_scene}", "--metric", "gain_db"], 2),
         (["aoi", str(SCENES / "minimal.json"), "--metric", "gain_db", "--jobs", "0"], 2),
         (["aoi", "{bare_scene}", "--metric", "gain_db"], 2),
+        (["aoi", str(SCENES / "minimal.json"), "--metric", "sse_bps_hz"], 2),
         (["coexist", "{bad_scene}", "--switch-prob", "0.3", "--slots", "10", "--ue", "1,1"], 2),
         (["coexist", "{bare_scene}", "--switch-prob", "0.3", "--slots", "10", "--ue", "1,1"], 2),
         *[(["coexist", str(SCENES / "street_coexistence.json"), "--switch-prob", "0.3",
@@ -798,6 +806,7 @@ NUMERIC_LAYERS = AOI_LAYERS | {"unitcell", "coexistence", "propagation", "kernel
         (["boi", str(SCENES / "cells.json"), "--cmin", "3"], 2),
     ],
     ids=["version", "help", "aoi_scene_error", "aoi_jobs_error", "aoi_no_surface",
+         "aoi_sse_no_eavesdropper",
          "coexist_scene_error", "coexist_no_surface", "coexist_slots_error",
          "coexist_switch_prob_error", "coexist_csi_delay_error", "coexist_gap_error",
          "coexist_margin_error", "boi_manifest_error", "boi_string_flag_error",

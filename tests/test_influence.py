@@ -14,12 +14,9 @@ from hypothesis import strategies as st
 
 import influence_oracle as oracle
 from risplan import influence, linkmetrics, localization, secrecy
-from risplan.errors import ConfigError, RunError
 from risplan.influence import (
     LABEL_COLORS,
     LABELS,
-    InfluenceMap,
-    MetricField,
     classify,
     colormap_rgb,
     comparison_value,
@@ -27,7 +24,6 @@ from risplan.influence import (
     export_labels_csv,
     export_labels_ppm,
     export_ppm,
-    field_filename,
     in_coverage,
     sweep,
 )
@@ -57,59 +53,53 @@ def line_grid(n):
     return Grid(x_min=0, x_max=float(n - 1), y_min=0, y_max=0, resolution_m=1.0)
 
 
-def field_of(values, metric_id="gain_db"):
-    return MetricField(line_grid(len(values)), metric_id, values)
+def pairs_of(without, with_):
+    """A sweep's (2, n) array from its without and with readings."""
+    return np.array([without, with_], dtype=float)
 
 
-def names(imap):
-    """The map's labels as a tuple of names."""
-    return tuple(LABELS[code] for code in imap.labels)
+def names(labels):
+    """Label codes as a tuple of names."""
+    return tuple(LABELS[code] for code in labels)
 
 
 def cells(mask):
     return frozenset(np.flatnonzero(mask).tolist())
 
 
-class TestMetricField:
-    def test_length_must_match_grid(self):
-        with pytest.raises(ValueError, match="values"):
-            MetricField(line_grid(3), "gain_db", (1.0, 2.0))
+def desired(labels):
+    """Mask of the cells ``aoi`` counts as desired."""
+    return np.isin(labels, influence.DESIRED)
 
-    def test_values_are_a_read_only_copy(self):
-        given = np.array([1.0, 2.0, 3.0])
-        field = MetricField(line_grid(3), "gain_db", given)
-        given[0] = 9.0
-        assert field.values.dtype == np.float64 and field.values[0] == 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            field.values[0] = 5.0
+
+def undesired(labels):
+    """Mask of the cells ``aoi`` counts as undesired."""
+    return np.isin(labels, influence.UNDESIRED)
 
 
 class TestSweep:
     def test_dark_surface_fields_identical(self):
         scene = small_scene(ris={**SMALL["ris"], "element_efficiency": 0.0})
         without, with_ = sweep(scene, "gain_db")
-        np.testing.assert_array_equal(without.values, with_.values)
+        np.testing.assert_array_equal(without, with_)
 
     def test_cell_count(self):
         scene = small_scene()
-        without, with_ = sweep(scene, "gain_db")
-        assert len(without.values) == scene.grid.cell_count == 15
+        assert sweep(scene, "gain_db").shape == (2, scene.grid.cell_count) == (2, 15)
         big = Grid(x_min=0, x_max=50, y_min=0, y_max=50, resolution_m=1.0)
         assert big.cell_count == 2601
 
     def test_deterministic(self):
-        a = sweep(small_scene(), "gain_db")
-        b = sweep(small_scene(), "gain_db")
-        np.testing.assert_array_equal(a[0].values, b[0].values)
-        np.testing.assert_array_equal(a[1].values, b[1].values)
+        np.testing.assert_array_equal(sweep(small_scene(), "gain_db"),
+                                      sweep(small_scene(), "gain_db"))
 
     def test_matches_single_point_calls(self):
         scene = small_scene()
         without, with_ = sweep(scene, "gain_db")
         for idx in (0, 7, 14):
             wo, wi = gain_pair(scene, scene.grid.points()[idx])
-            assert without.values[idx] == wo
-            assert with_.values[idx] == wi
+            assert without[idx] == wo
+            assert with_[idx] == wi
 
     def test_cell_index_seeds_random_metrics(self):
         scene = small_scene(bs=[{"position_m": [0, 0, 3]},
@@ -119,8 +109,8 @@ class TestSweep:
         idx = 4
         # the cell's pilots come from its index: a shorter grid ending at it agrees
         wo, wi = peb_pairs(scene, scene.grid.points()[:idx + 1])[:, idx]
-        assert without.values[idx] == wo
-        assert with_.values[idx] == wi
+        assert without[idx] == wo
+        assert with_[idx] == wi
 
     def test_cell_on_base_station_is_nan_pair_for_per_cell_metrics(self):
         # cell 6 sits at (2, 2, 1.5), exactly on base station 0
@@ -130,15 +120,15 @@ class TestSweep:
         )
         for metric in ("peb_m", "sse_bps_hz"):
             without, with_ = sweep(scene, metric)
-            assert math.isnan(without.values[6]) and math.isnan(with_.values[6])
-            others = [v for i, v in enumerate(without.values) if i != 6]
+            assert math.isnan(without[6]) and math.isnan(with_[6])
+            others = [v for i, v in enumerate(without) if i != 6]
             assert not any(math.isnan(v) for v in others), metric
 
     def test_cell_on_base_station_is_served_by_another(self):
         scene = small_scene(bs=[{"position_m": [2, 2, 1.5]}, {"position_m": [6, 0, 3]}])
         without, with_ = sweep(scene, "gain_db")
-        assert math.isfinite(without.values[6]) and math.isfinite(with_.values[6])
-        assert (without.values[6], with_.values[6]) == gain_pair(scene, [2, 2, 1.5])
+        assert math.isfinite(without[6]) and math.isfinite(with_[6])
+        assert (without[6], with_[6]) == gain_pair(scene, [2, 2, 1.5])
 
     def test_cell_on_surface_element_is_nan_pair_for_every_metric(self):
         # a one-element surface centred on cell 7 at (3, 2, 1.5)
@@ -149,20 +139,7 @@ class TestSweep:
         )
         for metric in ("gain_db", "tx_power_dbm", "se_bps_hz", "peb_m", "sse_bps_hz"):
             without, with_ = sweep(scene, metric)
-            assert math.isnan(without.values[7]) and math.isnan(with_.values[7]), metric
-
-    def test_per_cell_names_stay_bound(self):
-        # perfbench's CellTimer looks these up on the module and rebinds them
-        for name in ("gain_pair", "tx_power_pair", "se_pair", "peb_pair", "sse_pair"):
-            assert callable(getattr(influence, name)), name
-
-    def test_unknown_metric(self):
-        with pytest.raises(ConfigError, match="unknown metric"):
-            sweep(small_scene(), "latency_ms")
-
-    def test_secrecy_needs_eavesdropper(self):
-        with pytest.raises(RunError, match="eavesdropper"):
-            sweep(small_scene(), "sse_bps_hz")
+            assert math.isnan(without[7]) and math.isnan(with_[7]), metric
 
 
 def walled_street():
@@ -181,22 +158,19 @@ class TestBatchedSweepInvariance:
     @pytest.mark.parametrize("metric", ["gain_db", "tx_power_dbm", "se_bps_hz"])
     def test_block_size(self, scene, metric, monkeypatch):
         reference = sweep(scene, metric)
-        assert np.isfinite(reference[1].values).any()
+        assert np.isfinite(reference[1]).any()
         m = scene.ris.element_count
         monkeypatch.setattr(linkmetrics, "_BLOCK_BYTES", 16 * m * m * 7)
         assert linkmetrics._cell_block(scene) == 7
-        without, with_ = sweep(scene, metric)
-        np.testing.assert_array_equal(without.values, reference[0].values)
-        np.testing.assert_array_equal(with_.values, reference[1].values)
+        np.testing.assert_array_equal(sweep(scene, metric), reference)
 
     @pytest.mark.parametrize("block", [7, 1])
     def test_peb_block_size(self, scene, block, monkeypatch):
         reference = sweep(scene, "peb_m")
-        assert np.isfinite(reference[1].values).any()
+        assert np.isfinite(reference[1]).any()
         monkeypatch.setattr(localization, "_BLOCK_BYTES", localization._cell_bytes(scene) * block)
         assert localization._cell_block(scene) == block
-        for field, ref in zip(sweep(scene, "peb_m"), reference):
-            np.testing.assert_array_equal(field.values, ref.values)
+        np.testing.assert_array_equal(sweep(scene, "peb_m"), reference)
 
     @pytest.fixture(scope="class")
     def courtyard(self):
@@ -206,16 +180,14 @@ class TestBatchedSweepInvariance:
     @pytest.mark.parametrize("block", [7, 1])
     def test_secrecy_block_size(self, courtyard, block, monkeypatch):
         scene, reference = courtyard
-        assert np.isfinite(reference[1].values).all()
-        assert np.any(np.array(reference[1].values) > np.array(reference[0].values))
+        assert np.isfinite(reference[1]).all()
+        assert np.any(reference[1] > reference[0])
         antennas = sum(bs.antenna_count for bs in scene.bs)
         levels = len(scene.ris.phase_lookup_rad)
         per_cell = 16 * levels * scene.ris.element_count * antennas
         monkeypatch.setattr(secrecy, "_BLOCK_BYTES", per_cell * block)
         assert secrecy._cell_block(scene) == block
-        run = sweep(scene, "sse_bps_hz")
-        for field, ref in zip(run, reference):
-            np.testing.assert_array_equal(field.values, ref.values)
+        np.testing.assert_array_equal(sweep(scene, "sse_bps_hz"), reference)
 
     def test_secrecy_walls_single_cell_blocks(self, monkeypatch):
         doc = json.loads((SCENES / "courtyard_secrecy.json").read_text())
@@ -226,8 +198,7 @@ class TestBatchedSweepInvariance:
         reference = sweep(scene, "sse_bps_hz")
         monkeypatch.setattr(secrecy, "_BLOCK_BYTES", 1)
         assert secrecy._cell_block(scene) == 1
-        for field, ref in zip(sweep(scene, "sse_bps_hz"), reference):
-            np.testing.assert_array_equal(field.values, ref.values)
+        np.testing.assert_array_equal(sweep(scene, "sse_bps_hz"), reference)
 
     def test_walls_single_cell_blocks(self, monkeypatch):
         scene = walled_street()
@@ -235,8 +206,7 @@ class TestBatchedSweepInvariance:
         monkeypatch.setattr(linkmetrics, "_BLOCK_BYTES", 1)
         assert linkmetrics._cell_block(scene) == 1
         for idx in (0, 200, 650):
-            assert gain_pair(scene, scene.grid.points()[idx]) == (
-                reference[0].values[idx], reference[1].values[idx])
+            assert gain_pair(scene, scene.grid.points()[idx]) == tuple(reference[:, idx].tolist())
 
 
 class TestComparisonScale:
@@ -274,62 +244,50 @@ class TestCoverage:
 
 
 class TestClassify:
-    def test_identical_fields_all_unchanged(self):
-        f = field_of([3.0, 4.0, 5.0])
-        g = MetricField(f.grid, f.metric_id, f.values)
-        imap = classify(f, g, Thresholds())
-        assert set(names(imap)) == {"unchanged"}
-        assert not np.any(imap.desired | imap.undesired)
+    def test_identical_readings_all_unchanged(self):
+        labels, _ = classify("gain_db", pairs_of([3.0, 4.0, 5.0], [3.0, 4.0, 5.0]), Thresholds())
+        assert set(names(labels)) == {"unchanged"}
+        assert not np.any(desired(labels) | undesired(labels))
 
     def test_power_reduction_boosted_at_explicit_threshold(self):
         th = Thresholds(per_metric=(("tx_power_dbm", (3.0, 2.0)),))
-        wo = field_of([20.0], "tx_power_dbm")
-        wi = field_of([14.0], "tx_power_dbm")
-        imap = classify(wo, wi, th)
-        assert names(imap) == ("boosted",)
-        assert imap.delta[0] == pytest.approx(6.0)
+        labels, delta = classify("tx_power_dbm", pairs_of([20.0], [14.0]), th)
+        assert names(labels) == ("boosted",)
+        assert delta[0] == pytest.approx(6.0)
 
     def test_power_change_floor_default(self):
         # any reduction past the floor counts; a hair under it does not
-        wo = field_of([20.0, 20.0], "tx_power_dbm")
-        wi = field_of([19.8, 19.95], "tx_power_dbm")
-        imap = classify(wo, wi, Thresholds())
-        assert names(imap) == ("boosted", "unchanged")
+        labels, _ = classify("tx_power_dbm", pairs_of([20.0, 20.0], [19.8, 19.95]), Thresholds())
+        assert names(labels) == ("boosted", "unchanged")
 
     def test_outage_to_coverage_enabled(self):
-        wo = field_of([math.nan], "tx_power_dbm")
-        wi = field_of([10.0], "tx_power_dbm")
-        assert names(classify(wo, wi, Thresholds())) == ("enabled",)
+        labels, _ = classify("tx_power_dbm", pairs_of([math.nan], [10.0]), Thresholds())
+        assert names(labels) == ("enabled",)
 
     def test_coverage_to_outage_degraded(self):
-        wo = field_of([10.0])
-        wi = field_of([math.nan])
-        assert names(classify(wo, wi, Thresholds())) == ("degraded",)
+        labels, _ = classify("gain_db", pairs_of([10.0], [math.nan]), Thresholds())
+        assert names(labels) == ("degraded",)
 
     def test_outage_both_infeasible(self):
-        wo = field_of([math.nan])
-        wi = field_of([math.nan])
-        imap = classify(wo, wi, Thresholds())
-        assert names(imap) == ("infeasible_both",)
-        assert not np.any(imap.desired | imap.undesired)
+        labels, _ = classify("gain_db", pairs_of([math.nan], [math.nan]), Thresholds())
+        assert names(labels) == ("infeasible_both",)
+        assert not np.any(desired(labels) | undesired(labels))
 
     def test_higher_better_bands(self):
-        wo = field_of([0.0] * 7)
-        wi = field_of([3.0, 2.5, 2.0, 1.9, -1.9, -2.0, -5.0])
-        imap = classify(wo, wi, Thresholds())
-        assert names(imap) == ("boosted", "marginal", "marginal", "unchanged",
-                               "unchanged", "degraded", "degraded")
+        pairs = pairs_of([0.0] * 7, [3.0, 2.5, 2.0, 1.9, -1.9, -2.0, -5.0])
+        labels, _ = classify("gain_db", pairs, Thresholds())
+        assert names(labels) == ("boosted", "marginal", "marginal", "unchanged",
+                                 "unchanged", "degraded", "degraded")
 
     def test_lower_better_band_edges_inclusive(self):
         # a power drop of exactly the boost or unchanged threshold lands in
         # the higher band; a rise of exactly the unchanged threshold degrades
         th = Thresholds(per_metric=(("tx_power_dbm", (3.0, 2.0)),))
-        wo = field_of([20.0] * 5, "tx_power_dbm")
-        wi = field_of([17.0, 18.0, 18.5, 21.5, 22.0], "tx_power_dbm")
-        imap = classify(wo, wi, th)
-        assert names(imap) == ("boosted", "marginal", "unchanged", "unchanged",
-                               "degraded")
-        assert imap.delta.tolist() == [3.0, 2.0, 1.5, -1.5, -2.0]
+        pairs = pairs_of([20.0] * 5, [17.0, 18.0, 18.5, 21.5, 22.0])
+        labels, delta = classify("tx_power_dbm", pairs, th)
+        assert names(labels) == ("boosted", "marginal", "unchanged", "unchanged",
+                                 "degraded")
+        assert delta.tolist() == [3.0, 2.0, 1.5, -1.5, -2.0]
 
     @given(
         st.sampled_from(["gain_db", "tx_power_dbm", "peb_m"]),
@@ -344,57 +302,39 @@ class TestClassify:
         # feasible range so most cells reach the threshold comparison
         value = st.floats(0.01, 0.1) if metric_id == "peb_m" else st.floats(0.0, 20.0)
         reading = st.one_of(st.just(math.nan), value)
-        pairs = data.draw(st.lists(st.tuples(reading, reading), min_size=1, max_size=20))
+        pairs = np.array(data.draw(st.lists(st.tuples(reading, reading), min_size=1,
+                                            max_size=20))).T
         hi = lo + step
-        wo = field_of([a for a, _ in pairs], metric_id)
-        wi = field_of([b for _, b in pairs], metric_id)
-        loose = classify(wo, wi, Thresholds(per_metric=((metric_id, (lo + 1.0, lo)),)))
-        strict = classify(wo, wi, Thresholds(per_metric=((metric_id, (hi + 1.0, hi)),)))
-        aoi = [cells(imap.desired | imap.undesired) for imap in (loose, strict)]
+        loose, _ = classify(metric_id, pairs, Thresholds(per_metric=((metric_id, (lo + 1.0, lo)),)))
+        strict, _ = classify(metric_id, pairs,
+                             Thresholds(per_metric=((metric_id, (hi + 1.0, hi)),)))
+        aoi = [cells(desired(labels) | undesired(labels)) for labels in (loose, strict)]
         assert aoi[1] <= aoi[0]
-        boosted = [cells(imap.labels == LABELS.index("boosted")) for imap in (loose, strict)]
+        boosted = [cells(labels == LABELS.index("boosted")) for labels in (loose, strict)]
         assert boosted[1] <= boosted[0]
 
-    def test_grid_mismatch(self):
-        wo = field_of([0.0, 1.0])
-        wi = field_of([0.0])
-        with pytest.raises(ValueError, match="grid"):
-            classify(wo, wi, Thresholds())
-
-    def test_metric_mismatch(self):
-        wo = field_of([0.0])
-        wi = field_of([0.0], "se_bps_hz")
-        with pytest.raises(ValueError, match="metric"):
-            classify(wo, wi, Thresholds())
-
     def test_peb_compared_in_db(self):
-        wo = field_of([0.1, 0.1], "peb_m")
-        wi = field_of([0.05, 0.09], "peb_m")
-        imap = classify(wo, wi, Thresholds())
-        assert names(imap) == ("boosted", "unchanged")
-        assert imap.delta[0] == pytest.approx(20 * math.log10(2), rel=1e-12)
+        labels, delta = classify("peb_m", pairs_of([0.1, 0.1], [0.05, 0.09]), Thresholds())
+        assert names(labels) == ("boosted", "unchanged")
+        assert delta[0] == pytest.approx(20 * math.log10(2), rel=1e-12)
 
     def test_peb_feasibility_gates(self):
-        wo = field_of([0.2, 0.2, 0.1, 0.05], "peb_m")
-        wi = field_of([0.05, 0.2, 0.2, 0.0], "peb_m")
-        imap = classify(wo, wi, Thresholds())
-        assert names(imap) == ("enabled", "infeasible_both", "degraded", "boosted")
+        pairs = pairs_of([0.2, 0.2, 0.1, 0.05], [0.05, 0.2, 0.2, 0.0])
+        labels, _ = classify("peb_m", pairs, Thresholds())
+        assert names(labels) == ("enabled", "infeasible_both", "degraded", "boosted")
 
     def test_qos_floor_enables(self):
         th = Thresholds(qos_min=(("sse_bps_hz", 26.0),))
-        wo = field_of([20.0, 27.0], "sse_bps_hz")
-        wi = field_of([30.0, 30.0], "sse_bps_hz")
-        imap = classify(wo, wi, th)
-        assert names(imap) == ("enabled", "boosted")
+        labels, _ = classify("sse_bps_hz", pairs_of([20.0, 27.0], [30.0, 30.0]), th)
+        assert names(labels) == ("enabled", "boosted")
 
     def test_desired_undesired_split(self):
-        wo = field_of([0.0, 0.0, 0.0, math.nan, 5.0])
-        wi = field_of([5.0, 2.5, -5.0, 1.0, math.nan])
-        imap = classify(wo, wi, Thresholds())
-        assert names(imap) == ("boosted", "marginal", "degraded", "enabled",
-                               "degraded")
-        assert cells(imap.desired) == frozenset({0, 3})
-        assert cells(imap.undesired) == frozenset({1, 2, 4})
+        pairs = pairs_of([0.0, 0.0, 0.0, math.nan, 5.0], [5.0, 2.5, -5.0, 1.0, math.nan])
+        labels, _ = classify("gain_db", pairs, Thresholds())
+        assert names(labels) == ("boosted", "marginal", "degraded", "enabled",
+                                 "degraded")
+        assert cells(desired(labels)) == frozenset({0, 3})
+        assert cells(undesired(labels)) == frozenset({1, 2, 4})
 
     @given(
         st.lists(
@@ -408,32 +348,22 @@ class TestClassify:
     )
     @settings(max_examples=60, deadline=None)
     def test_partition_invariants(self, pairs):
-        wo = field_of([a for a, _ in pairs])
-        wi = field_of([b for _, b in pairs])
-        imap = classify(wo, wi, Thresholds())
-        assert all(0 <= code < len(LABELS) for code in imap.labels)
-        assert len(imap.labels) == len(pairs)
-        assert not np.any(imap.desired & imap.undesired)
-        uninfluenced = ~(imap.desired | imap.undesired)
-        assert set(np.asarray(LABELS)[imap.labels[uninfluenced]]) <= {
+        labels, _ = classify("gain_db", np.array(pairs).T, Thresholds())
+        assert all(0 <= code < len(LABELS) for code in labels)
+        assert len(labels) == len(pairs)
+        assert not np.any(desired(labels) & undesired(labels))
+        uninfluenced = ~(desired(labels) | undesired(labels))
+        assert set(np.asarray(LABELS)[labels[uninfluenced]]) <= {
             "unchanged", "infeasible_both"}
-
-    def test_delta_field_round_trip(self):
-        wo = field_of([0.0, 1.0])
-        wi = field_of([4.0, 1.5])
-        imap = classify(wo, wi, Thresholds())
-        delta = imap.delta_field()
-        np.testing.assert_array_equal(delta.values, imap.delta)
 
 
 class TestPowerMap:
     def test_boosted_where_required_power_falls(self):
         # lower-better: a power drop past the boost threshold is a boost
-        wo = field_of([20.0, 20.0, math.nan, 14.0], "tx_power_dbm")
-        wi = field_of([14.0, 19.99, 10.0, 20.0], "tx_power_dbm")
-        imap = classify(wo, wi, Thresholds())
-        assert names(imap) == ("boosted", "unchanged", "enabled", "degraded")
-        assert cells(imap.desired) == frozenset({0, 2})
+        pairs = pairs_of([20.0, 20.0, math.nan, 14.0], [14.0, 19.99, 10.0, 20.0])
+        labels, _ = classify("tx_power_dbm", pairs, Thresholds())
+        assert names(labels) == ("boosted", "unchanged", "enabled", "degraded")
+        assert cells(desired(labels)) == frozenset({0, 2})
 
 
 def load_field_csv(path):
@@ -448,40 +378,37 @@ def bits(values):
 class TestCsvExport:
     def test_single_cell(self, tmp_path):
         grid = Grid(x_min=2, x_max=2, y_min=3, y_max=3, resolution_m=1.0)
-        f = MetricField(grid, "gain_db", (5.0,))
         path = tmp_path / "one.csv"
-        export_csv(f, path)
+        export_csv(grid, path, np.array([5.0]))
         assert path.read_text() == "x_m,y_m,value\n2.0,3.0,5.0\n"
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         grid = Grid(x_min=0, x_max=3, y_min=0, y_max=3, resolution_m=1.0)
         vals = list(rng.standard_normal(10) * 1e3)
-        vals += [math.nan, math.inf, -math.inf, -0.0, 1.5, 5e-324]
-        f = MetricField(grid, "se_bps_hz", tuple(float(v) for v in vals))
+        vals = np.array(vals + [math.nan, math.inf, -math.inf, -0.0, 1.5, 5e-324])
         path = tmp_path / "field.csv"
-        export_csv(f, path)
+        export_csv(grid, path, vals)
         back = load_field_csv(path)
         np.testing.assert_array_equal(bits(back[:, :2]), bits(grid.points()[:, :2]))
-        np.testing.assert_array_equal(bits(back[:, 2]), bits(f.values))
+        np.testing.assert_array_equal(bits(back[:, 2]), bits(vals))
 
     def test_fractional_resolution_round_trip(self, tmp_path):
         grid = Grid(x_min=3.0, x_max=5.0, y_min=-2.0, y_max=-1.0,
                     resolution_m=0.25, fixed_height_m=1.5)
-        vals = tuple(float(i) / 7 for i in range(grid.cell_count))
-        f = MetricField(grid, "gain_db", vals)
+        vals = np.arange(grid.cell_count) / 7
         path = tmp_path / "frac.csv"
-        export_csv(f, path)
+        export_csv(grid, path, vals)
         back = load_field_csv(path)
         np.testing.assert_array_equal(bits(back[:, :2]), bits(grid.points()[:, :2]))
         np.testing.assert_array_equal(bits(back[:, 2]), bits(vals))
 
     def test_reruns_byte_identical(self, tmp_path):
-        f = field_of([1.0, math.nan, -2.5])
+        values = np.array([1.0, math.nan, -2.5])
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        export_csv(f, a)
-        export_csv(f, b)
+        export_csv(line_grid(3), a, values)
+        export_csv(line_grid(3), b, values)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -494,9 +421,8 @@ class TestPpmExport:
         assert colormap_rgb([[0.0, 1.0]]).tolist() == [[[0, 0, 255], [255, 0, 0]]]
 
     def test_field_maps_to_stops(self, tmp_path):
-        f = field_of([0.0, 5.0, 10.0, math.nan])
         path = tmp_path / "f.ppm"
-        export_ppm(f, path)
+        export_ppm(line_grid(4), path, np.array([0.0, 5.0, 10.0, math.nan]))
         lines = path.read_text().splitlines()
         assert lines[0] == "P3"
         assert lines[1] == "4 1"
@@ -507,9 +433,8 @@ class TestPpmExport:
         assert pixels[9:12] == ["0", "0", "0"]
 
     def test_flat_field_green_with_note(self, tmp_path, capsys):
-        f = field_of([2.0, 2.0])
         path = tmp_path / "flat.ppm"
-        export_ppm(f, path)
+        export_ppm(line_grid(2), path, np.array([2.0, 2.0]))
         assert capsys.readouterr().err == (
             f"note: {path}: flat value range, rendering mid-scale\n")
         pixels = " ".join(path.read_text().splitlines()[3:]).split()
@@ -518,43 +443,38 @@ class TestPpmExport:
     def test_top_row_is_north(self, tmp_path):
         grid = Grid(x_min=0, x_max=1, y_min=0, y_max=1, resolution_m=1.0)
         # south row at the bottom of the range, north row at the top
-        f = MetricField(grid, "gain_db", (0.0, 0.0, 1.0, 1.0))
         path = tmp_path / "rows.ppm"
-        export_ppm(f, path)
+        export_ppm(grid, path, np.array([0.0, 0.0, 1.0, 1.0]))
         lines = path.read_text().splitlines()
         assert lines[3] == "255 0 0 255 0 0"
         assert lines[4] == "0 0 255 0 0 255"
 
     def test_lines_stay_narrow(self, tmp_path):
         grid = Grid(x_min=0, x_max=39, y_min=0, y_max=0, resolution_m=1.0)
-        f = MetricField(grid, "gain_db",
-                        tuple(float(i) for i in range(40)))
         path = tmp_path / "wide.ppm"
-        export_ppm(f, path)
+        export_ppm(grid, path, np.arange(40.0))
         lines = path.read_text().splitlines()
         assert len(lines) > 4
         assert max(len(line) for line in lines) <= 70
 
 
 class TestLabelExport:
-    def make_map(self):
-        wo = field_of([0.0, 0.0, math.nan, math.nan, 0.0, 0.0])
-        wi = field_of([5.0, 2.5, 1.0, math.nan, -5.0, 0.0])
-        return classify(wo, wi, Thresholds())
+    def make_labels(self):
+        pairs = pairs_of([0.0, 0.0, math.nan, math.nan, 0.0, 0.0],
+                         [5.0, 2.5, 1.0, math.nan, -5.0, 0.0])
+        return classify("gain_db", pairs, Thresholds())[0]
 
     def test_labels_csv(self, tmp_path):
-        imap = self.make_map()
         path = tmp_path / "labels.csv"
-        export_labels_csv(imap, path)
+        export_labels_csv(line_grid(6), path, self.make_labels())
         lines = path.read_text().splitlines()
         assert lines[0] == "x_m,y_m,label"
         assert lines[1] == "0.0,0.0,boosted"
         assert lines[4] == "3.0,0.0,infeasible_both"
 
     def test_labels_ppm_palette(self, tmp_path):
-        imap = self.make_map()
         path = tmp_path / "labels.ppm"
-        export_labels_ppm(imap, path)
+        export_labels_ppm(line_grid(6), path, self.make_labels())
         pixels = " ".join(path.read_text().splitlines()[3:]).split()
         expected = []
         for lab in ("boosted", "marginal", "enabled", "infeasible_both",
@@ -564,12 +484,6 @@ class TestLabelExport:
 
     def test_every_label_has_a_colour(self):
         assert set(LABEL_COLORS) == set(LABELS)
-
-
-class TestNaming:
-    def test_pattern(self):
-        assert field_filename("demo", "gain_db", "with", "csv") == "demo_gain_db_with.csv"
-        assert field_filename("s", "peb_m", "labels", "ppm") == "s_peb_m_labels.ppm"
 
 
 QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)
@@ -621,16 +535,16 @@ def oracle_cases(draw):
     return metric_id, thresholds, grid, without, field(without)
 
 
-def write_maps(directory, writers, without, with_, delta, labels):
+def write_maps(directory, writers, grid, without, with_, delta, labels):
     """Every file of one aoi run: {name: bytes} and the notes printed."""
     export_values, export_image, export_labels, export_label_image = writers
     notes = io.StringIO()
     with contextlib.redirect_stderr(notes):
         for kind, values in (("without", without), ("with", with_), ("delta", delta)):
-            export_values(values, f"{directory}/{kind}.csv")
-            export_image(values, f"{directory}/{kind}.ppm")
-        export_labels(labels, f"{directory}/labels.csv")
-        export_label_image(labels, f"{directory}/labels.ppm")
+            export_values(grid, f"{directory}/{kind}.csv", values)
+            export_image(grid, f"{directory}/{kind}.ppm", values)
+        export_labels(grid, f"{directory}/labels.csv", labels)
+        export_label_image(grid, f"{directory}/labels.ppm", labels)
     files = {path.name: path.read_bytes() for path in pathlib.Path(directory).iterdir()}
     assert len(files) == 8
     return files, notes.getvalue()
@@ -643,25 +557,24 @@ class TestMatchesOracle:
     @settings(max_examples=150, deadline=None)
     def test_labels_delta_and_files(self, case):
         metric_id, thresholds, grid, a, b = case
-        without = MetricField(grid, metric_id, a)
-        with_ = MetricField(grid, metric_id, b)
-        imap = classify(without, with_, thresholds)
-        labels, deltas = oracle.classify(metric_id, a, b, thresholds)
-        assert names(imap) == labels
-        assert bits(imap.delta).tolist() == bits(deltas).tolist()
+        pairs = pairs_of(a, b)
+        labels, delta = classify(metric_id, pairs, thresholds)
+        want_labels, want_delta = oracle.classify(metric_id, a, b, thresholds)
+        assert names(labels) == want_labels
+        assert bits(delta).tolist() == bits(want_delta).tolist()
 
         with tempfile.TemporaryDirectory() as directory:
             new = write_maps(
                 directory,
                 (export_csv, export_ppm, export_labels_csv, export_labels_ppm),
-                without, with_, imap.delta_field(), imap,
+                grid, *pairs, delta, labels,
             )
             old = write_maps(
                 directory,
-                tuple(lambda values, path, write=write: write(grid, values, path)
+                tuple(lambda grid, path, values, write=write: write(grid, values, path)
                       for write in (oracle.export_csv, oracle.export_ppm,
                                     oracle.export_labels_csv, oracle.export_labels_ppm)),
-                a, b, deltas, labels,
+                grid, a, b, want_delta, want_labels,
             )
         assert new == old
 
@@ -671,4 +584,4 @@ class TestMatchesOracle:
         with pytest.raises(ValueError):
             oracle.export_ppm(line_grid(3), values, tmp_path / "old.ppm")
         with pytest.raises(ValueError, match="overflows"):
-            export_ppm(field_of(values), tmp_path / "new.ppm")
+            export_ppm(line_grid(3), tmp_path / "new.ppm", np.array(values))

@@ -18,10 +18,9 @@ from risplan.linkmetrics import (
     se_pair,
     serving_bs,
     spectral_efficiency_from_gain,
-    station_legs,
     tx_power_pair,
 )
-from risplan.propagation import C_LIGHT_M_S, direct_channels
+from risplan.propagation import C_LIGHT_M_S, direct_channels, station_legs
 from risplan.scene import LinkBudgetSpec, parse_scene
 
 BASE = {

@@ -28,8 +28,8 @@ from risplan.localization import (
     peb_pair,
     peb_pairs,
 )
-from risplan.influence import LABELS, MetricField, classify
-from risplan.scene import Grid, Thresholds, load_scene, parse_scene
+from risplan.influence import LABELS, classify
+from risplan.scene import Thresholds, load_scene, parse_scene
 from risplan.seeding import derived_rng
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
@@ -335,10 +335,8 @@ class TestEquivalentPositionFim:
 
 def peb_label(peb_without, peb_with, thresholds=Thresholds()):
     """Label of one cell whose PEB moves from ``peb_without`` to ``peb_with``."""
-    grid = Grid(x_min=0, x_max=0, y_min=0, y_max=0, resolution_m=1.0)
-    without = MetricField(grid, "peb_m", (peb_without,))
-    with_ = MetricField(grid, "peb_m", (peb_with,))
-    return LABELS[classify(without, with_, thresholds).labels[0]]
+    labels, _ = classify("peb_m", np.array([[peb_without], [peb_with]]), thresholds)
+    return LABELS[labels[0]]
 
 
 class TestClassifyPeb:
@@ -458,12 +456,29 @@ class TestPebPairs:
         assert np.all(np.isnan(pairs[:, :2]))
         assert np.all(np.isfinite(pairs[:, 2]))
 
-    def test_station_on_surface_centre_nans_every_cell(self):
-        # the nearest station's surface leg has no direction
+    def test_station_on_surface_centre_hands_the_surface_path_on(self):
+        # the nearest station's surface leg has no direction, so the next
+        # nearest carries the surface path
         scene = loc_scene(bs=[{"position_m": [4, 0]}, {"position_m": [4.8, 4.8]},
                               {"position_m": [1, 4.8]}])
         pairs = peb_pairs(scene, self.POINTS)
-        assert pairs.shape == (2, len(self.POINTS)) and np.all(np.isnan(pairs))
+        for idx, (point, (wo, wi)) in enumerate(zip(self.POINTS, pairs.T)):
+            assert wo == pytest.approx(peb_point(scene, point, False, idx).peb_m,
+                                       rel=ORACLE_RTOL)
+            assert wi == pytest.approx(peb_point(scene, point, True, idx).peb_m,
+                                       rel=ORACLE_RTOL)
+            assert wi < wo
+
+    def test_no_surface_leg_leaves_the_bound_without(self):
+        # every station sits on the surface, one on its centre and two on its
+        # end elements: no station has a path via the surface
+        scene = loc_scene(bs=[{"position_m": [3, 0]}, {"position_m": [4, 0]},
+                              {"position_m": [5, 0]}],
+                          ris={"position_m": [4, 0], "element_count": 3,
+                               "element_spacing_m": 1.0})
+        without, with_ris = peb_pairs(scene, self.POINTS)
+        assert np.all(np.isfinite(without))
+        np.testing.assert_array_equal(with_ris, without)
 
     def test_dark_surface_adds_nothing(self):
         scene = loc_scene(

@@ -103,15 +103,6 @@ class TestParsing:
         )
         assert scene.noise_power_dbm == pytest.approx(-105.0)
 
-    def test_nearest_bs_to_ris(self):
-        scene = parse_scene(
-            make(
-                bs=[{"position_m": [0, 0]}, {"position_m": [3, 0]}],
-                ris={"position_m": [4, 0], "element_count": 8},
-            )
-        )
-        assert scene.nearest_bs_to_ris() == 1
-
     def test_thresholds_overrides(self):
         scene = parse_scene(
             make(

@@ -9,7 +9,7 @@ import pytest
 
 from gain_oracle import RisConfig, response
 from helpers import traced_peak
-from risplan.errors import CoincidentNodeError, RunError
+from risplan.errors import CoincidentNodeError
 from risplan.secrecy import (
     _MATRICES,
     SecrecyChannels,
@@ -194,11 +194,6 @@ class TestSecrecyLinkBuilder:
         assert ch.bs_to_ris.shape == (8, 4)
         assert ch.ris_to_rx.shape == (2, 8)
         assert ch.ris_to_eve.shape == (2, 8)
-
-    def test_requires_eavesdropper(self):
-        scene = sse_scene(eve=None)
-        with pytest.raises(RunError):
-            secrecy_link(scene, [10, 50, 1.5])
 
     def test_deterministic_per_point_and_draw(self):
         scene = sse_scene()
@@ -583,7 +578,3 @@ class TestBatchedOracle:
         points = scene.grid.points()
         sse_pairs(scene, points[:2])  # lazy imports land here
         assert traced_peak(lambda: sse_pairs(scene, points)) <= 1_050_000
-
-    def test_requires_eavesdropper(self):
-        with pytest.raises(RunError):
-            sse_pairs(sse_scene(eve=None), [[10, 50, 1.5]])
