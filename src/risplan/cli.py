@@ -313,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     coexist.add_argument("--slots", type=int, required=True, help="simulated slots")
     coexist.add_argument("--ue", required=True,
                          help="victim position as 'x,y' or 'x,y,z' in metres")
-    coexist.add_argument("--csi-delay", type=int, default=1,
-                         help="slots between measurement and use (default 1)")
-    coexist.add_argument("--gap-db", type=float, default=3.0,
-                         help="Shannon gap of the rate adaptation (default 3)")
-    coexist.add_argument("--margin-db", type=float, default=0.1,
-                         help="SNR drop absorbed before a block fails (default 0.1)")
+    coexist.add_argument("--csi-delay", type=int, default=CoexistConfig.csi_delay_slots,
+                         help="slots between measurement and use (default %(default)s)")
+    coexist.add_argument("--gap-db", type=float, default=CoexistConfig.mcs_gap_db,
+                         help="Shannon gap of the rate adaptation (default %(default)s)")
+    coexist.add_argument("--margin-db", type=float, default=CoexistConfig.snr_margin_db,
+                         help="SNR drop absorbed before a block fails (default %(default)s)")
     coexist.add_argument("--out", default=".", help="output directory")
     coexist.add_argument("--seed", type=int, default=None,
                          help="override the scene seed, in [0, 2**64)")

@@ -32,6 +32,12 @@ rates, NaN unless both readings are in coverage. The area of influence is
 the :data:`DESIRED` cells (enabled, boosted) and the :data:`UNDESIRED`
 ones (degraded, marginal).
 
+Five one-row views, ``gain_pair`` to ``sse_pair``, sit next to
+:data:`METRICS` and give one point's ``(without, with)`` tuple. Only
+perfbench's per-cell timer, which rebinds them by name on this module,
+and the tests use them; keeping them here leaves the engine modules
+holding engines alone.
+
 The exporters take the grid, the output path and one row of values or
 labels. They cover CSV (bit-exact round trip of every value but a NaN's
 sign) and PPM with a blue/green/red three-stop colormap; label maps export
@@ -52,11 +58,6 @@ from .linkmetrics import gain_pairs, se_pairs, tx_power_pairs
 from .localization import peb_pairs
 from .scene import Grid, METRIC_IDS, Scene, Thresholds
 from .secrecy import sse_pairs
-# not called here, but perfbench's CellTimer looks these per-cell names up
-# on this module and rebinds them to time each cell, so they must stay bound
-from .linkmetrics import gain_pair, se_pair, tx_power_pair  # noqa: F401
-from .localization import peb_pair  # noqa: F401
-from .secrecy import sse_pair  # noqa: F401
 
 LABELS = ("unchanged", "boosted", "enabled", "degraded", "marginal", "infeasible_both")
 
@@ -96,6 +97,18 @@ METRICS: dict[str, _Metric] = {
 }
 
 assert set(METRICS) == set(METRIC_IDS)
+
+
+def _one_row(pairs):
+    return lambda scene, point: tuple(pairs(scene, [point])[:, 0].tolist())
+
+
+# (without, with) at one point, one view per metric. No command calls them:
+# perfbench's CellTimer looks these names up here and rebinds them to time
+# each cell. ROADMAP item 3 deletes them together with the CellTimer.
+gain_pair, tx_power_pair, se_pair, peb_pair, sse_pair = (
+    _one_row(METRICS[metric].pairs) for metric in METRIC_IDS
+)
 
 
 def sweep(scene: Scene, metric_id: str) -> np.ndarray:

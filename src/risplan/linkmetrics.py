@@ -12,7 +12,6 @@ once, the base station to surface leg once per map, the surface to point
 legs once per block, and the quadratic-form ascent over all points of a
 block served by the same station. It and the two maps derived from it
 return one ``(2, n)`` array: row 0 without the surface, row 1 with it.
-``gain_pair``, ``tx_power_pair`` and ``se_pair`` are one-row views of it.
 ``coexistence`` picks the victim's station with the same :func:`serving_bs`.
 """
 
@@ -165,23 +164,3 @@ def se_pairs(scene: Scene, points) -> np.ndarray:
     return _per_value(
         lambda g: spectral_efficiency_from_gain(g, budget, noise), gain_pairs(scene, points)
     )
-
-
-def gain_pair(scene: Scene, point) -> tuple[float, float]:
-    """(without, with) equivalent gain in dB at the serving base station.
-
-    One-row view of :func:`gain_pairs`. ``influence`` binds it with the other
-    ``*_pair`` views because perfbench's per-cell timer looks them up there
-    and rebinds them; no command calls them.
-    """
-    return tuple(gain_pairs(scene, [point])[:, 0].tolist())
-
-
-def tx_power_pair(scene: Scene, point) -> tuple[float, float]:
-    """One-row view of :func:`tx_power_pairs`, bound for the per-cell timer like :func:`gain_pair`."""
-    return tuple(tx_power_pairs(scene, [point])[:, 0].tolist())
-
-
-def se_pair(scene: Scene, point) -> tuple[float, float]:
-    """One-row view of :func:`se_pairs`, bound for the per-cell timer like :func:`gain_pair`."""
-    return tuple(se_pairs(scene, [point])[:, 0].tolist())

@@ -185,11 +185,6 @@ def peb(fim_2x2) -> PebResult:
     exceeds ``PEB_CONDITION_LIMIT``, has an infinite bound.
     """
     f = np.asarray(fim_2x2, dtype=float)
-    if f.ndim < 2 or f.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got {f.shape}")
-    scale = np.max(np.abs(f), axis=(-2, -1))
-    if np.any(np.abs(f[..., 0, 1] - f[..., 1, 0]) > 1e-9 * np.maximum(scale, 1.0)):
-        raise ValueError("position information matrix must be symmetric")
     eig = np.linalg.eigvalsh(f)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = np.where(eig[..., 0] > 0, eig[..., -1] / eig[..., 0], math.inf)
@@ -265,12 +260,3 @@ def peb_pairs(scene: Scene, points) -> np.ndarray:
         stop = min(start + block, len(points))
         bounds[:, start:stop] = _peb_block(scene, points[start:stop], np.arange(start, stop), leg)
     return bounds
-
-
-def peb_pair(scene: Scene, point) -> tuple[float, float]:
-    """(without, with) bound in metres for one grid point: a one-row view of :func:`peb_pairs`.
-
-    Bound in ``influence`` for perfbench's per-cell timer, like
-    :func:`risplan.linkmetrics.gain_pair`; no command calls it.
-    """
-    return tuple(peb_pairs(scene, [point])[:, 0].tolist())

@@ -13,12 +13,11 @@ the surface dark, because the dark configuration is always compared in.
 
 Maps go through one engine, :func:`sse_pairs`, which runs that
 alternating ascent on blocks of points in lock-step, every loop masked per
-point, so each point ends exactly where the ascent would leave it alone;
-``sse_pair`` is a one-row view of it. Its covariance ascent keeps only the
-live cells' operands, packed, and carries each cell's products H Q H^H
-from one step into the next gradient; the ascent without the surface runs
-in the first round's lock-step. The tests keep the one-point ascent and
-check the engine against it bit for bit.
+point, so each point ends exactly where the ascent would leave it alone.
+Its covariance ascent keeps only the live cells' operands, packed, and
+carries each cell's products H Q H^H from one step into the next gradient;
+the ascent without the surface runs in the first round's lock-step. The
+tests keep the one-point ascent and check the engine against it bit for bit.
 
 Every function here takes a scene with an eavesdropper: ``aoi`` refuses a
 secrecy map of a scene without one before it loads numpy.
@@ -332,12 +331,3 @@ def sse_pairs(scene: Scene, points) -> np.ndarray:
     rates = sums / draws
     rates[:, on_node] = math.nan
     return rates
-
-
-def sse_pair(scene: Scene, point) -> tuple[float, float]:
-    """(without, with) secrecy rate at one point: a one-row view of :func:`sse_pairs`.
-
-    Bound in ``influence`` for perfbench's per-cell timer, like
-    :func:`risplan.linkmetrics.gain_pair`; no command calls it.
-    """
-    return tuple(sse_pairs(scene, [point])[:, 0].tolist())

@@ -37,7 +37,6 @@ class SParameterTable:
 
     name: str
     frequencies_hz: np.ndarray
-    state_ids: tuple[str, ...]
     s11: np.ndarray  # (n_states, n_freq)
     s21: np.ndarray | None
 
@@ -78,8 +77,6 @@ def build_table(name: str, states: list[StateRecord]) -> SParameterTable:
     Mismatched grids are linearly resampled onto the first state's grid
     restricted to the intersection of all ranges; extrapolation is refused.
     """
-    if not states:
-        raise ConfigError(f"cell '{name}': no states given")
     ports = {s.port_count for s in states}
     if len(ports) > 1:
         raise ConfigError(f"cell '{name}': states mix 1-port and 2-port data")
@@ -106,7 +103,6 @@ def build_table(name: str, states: list[StateRecord]) -> SParameterTable:
     return SParameterTable(
         name=name,
         frequencies_hz=grid.astype(float),
-        state_ids=tuple(s.state_id for s in states),
         s11=s11,
         s21=s21,
     )

@@ -126,7 +126,6 @@ class TestUnitCellBands:
         table = SParameterTable(
             name="delay7",
             frequencies_hz=freqs,
-            state_ids=tuple(f"s{k}" for k in range(7)),
             s11=s11,
             s21=None,
         )

@@ -24,10 +24,10 @@ from risplan.influence import (
     export_labels_csv,
     export_labels_ppm,
     export_ppm,
+    gain_pair,
     in_coverage,
     sweep,
 )
-from risplan.linkmetrics import gain_pair
 from risplan.localization import peb_pairs
 from risplan.scene import METRIC_IDS, Grid, Thresholds, load_scene, parse_scene
 

@@ -11,14 +11,12 @@ from hypothesis import given, strategies as st
 from gain_oracle import RisConfig, equivalent_gain, gain_config, point_gain_terms
 from helpers import traced_peak
 from risplan import linkmetrics
+from risplan.influence import gain_pair, se_pair, tx_power_pair
 from risplan.linkmetrics import (
-    gain_pair,
     gain_pairs,
     required_tx_power,
-    se_pair,
     serving_bs,
     spectral_efficiency_from_gain,
-    tx_power_pair,
 )
 from risplan.propagation import C_LIGHT_M_S, direct_channels, station_legs
 from risplan.scene import LinkBudgetSpec, parse_scene

@@ -2,7 +2,8 @@
 
 perfbench finds some package functions by name: ``CellTimer`` rebinds the
 per-cell ``*_pair`` views that ``tracer.PAIR_FUNCTIONS`` names on
-``risplan.influence``, and the traced pass reads ``args[1]`` of each
+``risplan.influence``, each of which must be the one-row view of the
+metric it is filed under, and the traced pass reads ``args[1]`` of each
 exporter that ``run.INFLUENCE_EXPORTS`` names as the path of the file it
 wrote. ``environment()`` names the kernel backend by testing
 ``kernels.ascent_quadratic is kernels.ascent_quadratic_numpy``. A change
@@ -24,6 +25,7 @@ import pathlib
 import pytest
 
 from risplan import influence, kernels
+from risplan.scene import load_scene
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,13 +41,24 @@ def perfbench_constant(module: str, name: str):
     raise LookupError(f"perfbench/{module}.py binds no {name}")
 
 
-PAIR_FUNCTIONS = sorted(perfbench_constant("tracer", "PAIR_FUNCTIONS").values())
+PAIR_FUNCTIONS = perfbench_constant("tracer", "PAIR_FUNCTIONS")
 INFLUENCE_EXPORTS = perfbench_constant("run", "INFLUENCE_EXPORTS")
 
 
-@pytest.mark.parametrize("name", PAIR_FUNCTIONS + list(INFLUENCE_EXPORTS))
+@pytest.mark.parametrize("name", sorted(PAIR_FUNCTIONS.values()) + list(INFLUENCE_EXPORTS))
 def test_named_functions_are_bound_on_influence(name):
     assert callable(getattr(influence, name, None)), name
+
+
+@pytest.mark.parametrize("metric, name", sorted(PAIR_FUNCTIONS.items()))
+def test_each_view_is_the_one_row_view_of_its_metric(metric, name):
+    # grid points of both scenes, on no station, surface or eavesdropper
+    if metric == "sse_bps_hz":
+        scene, point = load_scene(ROOT / "scenes" / "courtyard_secrecy.json"), [10.0, 40.0, 1.5]
+    else:
+        scene, point = load_scene(ROOT / "scenes" / "indoor_localization.json"), [2.0, 3.0, 1.0]
+    expected = tuple(influence.METRICS[metric].pairs(scene, [point])[:, 0].tolist())
+    assert getattr(influence, name)(scene, point) == expected
 
 
 @pytest.mark.parametrize("name", INFLUENCE_EXPORTS)

@@ -10,12 +10,12 @@ import pytest
 from gain_oracle import RisConfig, response
 from helpers import traced_peak
 from risplan.errors import CoincidentNodeError
+from risplan.influence import sse_pair
 from risplan.secrecy import (
     _MATRICES,
     SecrecyChannels,
     _ascend_q,
     secrecy_links,
-    sse_pair,
     sse_pairs,
 )
 from risplan.scene import load_scene, parse_scene

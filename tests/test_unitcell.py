@@ -30,7 +30,6 @@ def table_from_s11(rows, freqs=None, name="cell"):
     return SParameterTable(
         name=name,
         frequencies_hz=np.asarray(freqs, dtype=float),
-        state_ids=tuple(f"s{i}" for i in range(rows.shape[0])),
         s11=rows,
         s21=None,
     )
@@ -83,7 +82,7 @@ def test_transmission_contrast_uses_s21():
     freqs = np.array([27e9, 28e9])
     s11 = np.full((2, 2), 0.1 + 0j)
     s21 = np.array([[0.9 + 0j, 0.9j], [-0.9 + 0j, -0.9j]])
-    t = SParameterTable("t", freqs, ("a", "b"), s11, s21)
+    t = SParameterTable("t", freqs, s11, s21)
     c = max_contrast(t, kind="transmission")
     assert np.allclose(c.contrast, [1.8, 1.8])
     assert np.allclose(max_contrast(t, kind="reflection").contrast, 0.0)
