@@ -11,7 +11,8 @@ reads and checks its inputs before that import, so start-up, ``--help``,
 ``--version`` and every input error found ahead of a computation run
 without numpy: only a command's numeric layer loads it.
 
-Exit codes: 0 success, 2 input or configuration problem, 3 runtime failure
+Exit codes: 0 success, 2 input or configuration problem (an output file
+that cannot be written included), 3 runtime failure
 (a ``RunError``, a ``ValueError`` or ``LinAlgError`` from the numerics, or
 a ``MemoryError``).
 """
@@ -134,10 +135,8 @@ def cmd_boi(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read cell manifest: {exc}") from None
 
     from .unitcell import (
-        build_table,
         extract_boi,
         max_contrast,
-        normalized_contrast_table,
         write_boi_summary_csv,
         write_contrast_csv,
         write_normalized_csv,
@@ -147,9 +146,8 @@ def cmd_boi(args: argparse.Namespace) -> int:
     bands = []
     for cell in cells:
         records = [read_touchstone(path, sid) for sid, path in cell.states]
-        table = build_table(cell.name, records)
         kind = cell.kind if args.kind == "manifest" else args.kind
-        curve = max_contrast(table, kind)
+        curve = max_contrast(cell.name, records, kind)
         bands.append((cell.name, curve, extract_boi(curve, args.cmin)))
 
     out = _OutDir(args.out, args.force)
@@ -164,8 +162,7 @@ def cmd_boi(args: argparse.Namespace) -> int:
 
     write_boi_summary_csv([(name, boi) for name, _, boi in bands], out.path("boi_summary.csv"))
     if len(cells) > 1:
-        normalized = normalized_contrast_table(normalized_entries)
-        write_normalized_csv(normalized, out.path("normalized_contrast.csv"))
+        write_normalized_csv(normalized_entries, out.path("normalized_contrast.csv"))
 
     _write_manifest(
         out, "boi", args.manifest, {"cmin": args.cmin, "kind": args.kind}, None
@@ -355,6 +352,12 @@ def main(argv: list[str] | None = None) -> int:
         # larger than memory
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 3
+    except OSError as exc:
+        # every input is read under its own catch, so this is an output file
+        # that cannot be opened or written, such as a name past NAME_MAX
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ formats. The data lines stream from the file into ``np.loadtxt``, one
 chunk of rows per call, so a number follows its grammar: ASCII decimal
 floats with an optional exponent, no digit-group underscores (``1_000``
 is rejected, although Python's ``float`` takes it). A row holding
-``nan`` or ``inf``, a frequency that overflows once scaled to Hz, or a
-DB magnitude whose linear value overflows is rejected. Every parse error
-carries the 1-based line number.
+``nan`` or ``inf``, a frequency that overflows once scaled to Hz or lies
+below 0 Hz, or a DB magnitude whose linear value overflows is rejected.
+Every parse error carries the 1-based line number.
 
 A cell manifest is a JSON file naming one or more cells and, per cell, the
 state id -> Touchstone path map (paths relative to the manifest). Each
@@ -196,6 +196,7 @@ def parse_touchstone(fh, state_id: str) -> StateRecord:
                     and table.shape[1] == width
                     and np.isfinite(freqs).all()
                     and np.isfinite(table).all()
+                    and freqs[0] >= 0
                     and freqs[0] > prev
                     and np.all(np.diff(freqs) > 0)
                 ):
@@ -251,6 +252,8 @@ def _raise_at_bad_line(body, start: int, unit: str, fmt: str):
         f_hz = values[0] * _FREQ_UNITS[unit]
         if not all(map(math.isfinite, [f_hz, *values])):
             raise TouchstoneError(f"non-finite value in data row: '{line}'", line_no)
+        if f_hz < 0:
+            raise TouchstoneError(f"negative frequency in data row: '{line}'", line_no)
         if prev is not None and f_hz <= prev:
             raise TouchstoneError(
                 f"frequencies must be strictly increasing ({f_hz:g} Hz after {prev:g} Hz)",

@@ -32,16 +32,6 @@ _CSV_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
-class SParameterTable:
-    """States of one cell resampled onto a shared frequency grid."""
-
-    name: str
-    frequencies_hz: np.ndarray
-    s11: np.ndarray  # (n_states, n_freq)
-    s21: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class ContrastCurve:
     frequencies_hz: np.ndarray
     contrast: np.ndarray
@@ -71,11 +61,13 @@ class BandOfInfluence:
         return None if p is None else p[1] - p[0]
 
 
-def build_table(name: str, states: list[StateRecord]) -> SParameterTable:
-    """Assemble states onto a shared grid.
+def max_contrast(name: str, states: list[StateRecord], kind: str) -> ContrastCurve:
+    """Per-frequency max over state pairs of |S_i - S_j| for the chosen port path.
 
-    Mismatched grids are linearly resampled onto the first state's grid
-    restricted to the intersection of all ranges; extrapolation is refused.
+    ``kind`` "reflection" compares S11, "transmission" S21 and "effective"
+    the loss-compensated S11 of :func:`effective_s11`. Only that port is
+    linearly resampled, onto the first state's grid restricted to the
+    intersection of all ranges; extrapolation is refused.
     """
     ports = {s.port_count for s in states}
     if len(ports) > 1:
@@ -88,42 +80,21 @@ def build_table(name: str, states: list[StateRecord]) -> SParameterTable:
     grid = base[(base >= lo) & (base <= hi)]
     if len(grid) < 2:
         raise ConfigError(f"cell '{name}': fewer than 2 shared frequency samples after overlap")
+    if kind == "transmission" and ports != {2}:
+        raise ConfigError(f"cell '{name}': transmission contrast needs 2-port data")
 
-    def onto_grid(rec, values):
+    def onto_grid(rec):
+        values = rec.s21 if kind == "transmission" else rec.s11
         if len(rec.frequencies_hz) == len(grid) and np.array_equal(rec.frequencies_hz, grid):
-            return values.astype(np.complex128)
+            return values
         re = np.interp(grid, rec.frequencies_hz, values.real)
         im = np.interp(grid, rec.frequencies_hz, values.imag)
         return re + 1j * im
 
-    s11 = np.vstack([onto_grid(s, s.s11) for s in states])
-    s21 = None
-    if ports == {2}:
-        s21 = np.vstack([onto_grid(s, s.s21) for s in states])
-    return SParameterTable(
-        name=name,
-        frequencies_hz=grid.astype(float),
-        s11=s11,
-        s21=s21,
-    )
-
-
-def max_contrast(table: SParameterTable, kind: str) -> ContrastCurve:
-    """Per-frequency max over state pairs of |S_i - S_j| for the chosen port path.
-
-    ``kind`` "reflection" compares S11, "transmission" S21 and "effective"
-    the loss-compensated S11 of :func:`effective_s11`.
-    """
-    if kind == "transmission":
-        if table.s21 is None:
-            raise ConfigError(f"cell '{table.name}': transmission contrast needs 2-port data")
-        values = table.s21
-    elif kind == "effective":
-        values = effective_s11(table.s11)
-    else:
-        values = table.s11
-    contrast = kernels.max_pair_contrast(np.ascontiguousarray(values, dtype=np.complex128))
-    return ContrastCurve(frequencies_hz=table.frequencies_hz, contrast=contrast)
+    values = np.vstack([onto_grid(s) for s in states])
+    if kind == "effective":
+        values = effective_s11(values)
+    return ContrastCurve(frequencies_hz=grid, contrast=kernels.max_pair_contrast(values))
 
 
 def effective_s11(values: np.ndarray) -> np.ndarray:
@@ -172,30 +143,6 @@ def extract_boi(curve: ContrastCurve, c_min: float) -> BandOfInfluence:
     return BandOfInfluence(intervals=tuple(intervals))
 
 
-def normalized_contrast_table(
-    entries: list[tuple[str, ContrastCurve, float]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Long-format columns (name, f/f0, contrast) for cross-design comparison.
-
-    The names come as one object array with a name per row; f/f0 and the
-    contrast as float64 arrays of the same length.
-    """
-    for name, _, f0_hz in entries:
-        if not f0_hz or f0_hz <= 0:
-            raise ConfigError(f"design '{name}': normalization needs f0 > 0, got {f0_hz}")
-    if not entries:
-        return np.empty(0, dtype=object), np.empty(0), np.empty(0)
-    names = np.repeat(
-        np.array([name for name, _, _ in entries], dtype=object),
-        [len(curve.frequencies_hz) for _, curve, _ in entries],
-    )
-    ratios = np.concatenate(
-        [curve.frequencies_hz / f0_hz for _, curve, f0_hz in entries], dtype=np.float64
-    )
-    contrast = np.concatenate([curve.contrast for _, curve, _ in entries], dtype=np.float64)
-    return names, ratios, contrast
-
-
 # ---------------------------------------------------------------------------
 # CSV writers (formats shared with the command-line front end)
 # ---------------------------------------------------------------------------
@@ -223,17 +170,20 @@ def write_boi_summary_csv(rows: list[tuple[str, BandOfInfluence]], path):
                 )
 
 
-def write_normalized_csv(table: tuple[np.ndarray, np.ndarray, np.ndarray], path):
-    """The columns of ``normalized_contrast_table`` as name,f_over_f0,contrast rows.
+def write_normalized_csv(entries: list[tuple[str, ContrastCurve, float]], path):
+    """name,f_over_f0,contrast rows of each (name, curve, f0_hz) entry, in
+    entry order, for comparing designs on a normalized frequency axis.
 
-    Each distinct name is quoted once; the columns become Python objects
+    Each name is quoted once, and each curve's rows become Python objects
     and text one ``_CSV_CHUNK_ROWS`` slice at a time, so the memory held
     does not grow with the row count.
     """
-    fields = {name: _csv_field(name) for name in set(table[0])}
     with open(path, "w", newline="") as fh:
         fh.write("name,f_over_f0,contrast\r\n")
-        _write_rows(fh, table, lambda name, x, c: f"{fields[name]},{x!r},{c!r}\r\n")
+        for name, curve, f0_hz in entries:
+            field = _csv_field(name)
+            _write_rows(fh, (curve.frequencies_hz, curve.contrast),
+                        lambda f, c: f"{field},{f / f0_hz!r},{c!r}\r\n")
 
 
 def _csv_field(value) -> str:

@@ -26,9 +26,9 @@ from risplan.beamforming import wrap_phase
 from risplan.coexistence import CoexistConfig, simulate
 from risplan.influence import LABELS, classify, sweep
 from risplan.scene import DEFAULT_PHASE_LOOKUP, load_scene, parse_scene
+from risplan.touchstone import StateRecord
 from risplan.unitcell import (
     ContrastCurve,
-    SParameterTable,
     effective_s11,
     extract_boi,
     max_contrast,
@@ -123,13 +123,8 @@ class TestUnitCellBands:
             mag = 0.12 + 0.02 * np.sin(2 * np.pi * rel + k)
             ang = 2 * np.pi * k / 7 + 0.3 * np.cos(2 * np.pi * rel - k)
             s11[k] = mag * np.exp(1j * ang)
-        table = SParameterTable(
-            name="delay7",
-            frequencies_hz=freqs,
-            s11=s11,
-            s21=None,
-        )
-        curve = max_contrast(table, "effective")
+        states = [StateRecord(str(k), freqs, s11[k]) for k in range(7)]
+        curve = max_contrast("delay7", states, "effective")
         mapped = (1.0 - np.abs(s11)) * np.exp(1j * np.angle(s11))
         brute = np.zeros(freqs.size)
         for i, j in itertools.combinations(range(7), 2):

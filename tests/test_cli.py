@@ -102,9 +102,10 @@ def load_manifest(out_dir):
 
 
 # sha256 of every file `boi scenes/cells.json` writes, run from the repository
-# root; both kinds were recorded with the line-by-line Touchstone reader, so
-# they pin the bytes the array reader and the column-wise normalized table
-# must keep.
+# root. `manifest` and `effective` were recorded with the line-by-line
+# Touchstone reader, `reflection` (the 2-port pin_tshift read on S11) with
+# the state tables that resampled both ports; they pin the bytes the array
+# reader and the one-port resampling must keep.
 BUNDLED_CELL_DIGESTS = {
     "manifest": {
         "boi_summary.csv": "b74245495ceb6d79b32ba308e508ff075f17bffbf1a107f8a6d7fbb454353354",
@@ -119,6 +120,13 @@ BUNDLED_CELL_DIGESTS = {
         "manifest.json": "49730086c8568cb428a1c310b39e50f5ad1ce0d876b1ea85f2ea731f3eb2f963",
         "normalized_contrast.csv": "3fe5ebffe49126de2e5f1d633ad9c9c38304610f149af5eef2b30e7a5a1a045e",
         "pin_tshift_contrast.csv": "d9af92be464b8fd1f9bb16f23cc8029f9d65849957613941451e147c21290c8a",
+    },
+    "reflection": {
+        "boi_summary.csv": "0735d13c9dbf756537862522e94023715b0bc012622b21066fce74f1520ea551",
+        "ka_switch_contrast.csv": "e8c555e823d5ec2a18516c073d5c2d112485a7d9f6677bc751b3207abac2199c",
+        "manifest.json": "03098086fd6ef8248bf6dc75eaaa7e047e9d93c2c2423397f2bfca36b101fce6",
+        "normalized_contrast.csv": "5a98f91d9dbeb8838405e6650792f4f60cbb2a6c55031e22835a452798d4a70b",
+        "pin_tshift_contrast.csv": "f0f13c3e07c15c630e74e71939cc56691e73961c6f53f236a86ebdfedec592da",
     },
 }
 
@@ -160,6 +168,25 @@ class TestBoi:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: line 3: ")
+        assert not out.exists()
+
+    def test_band_at_negative_frequencies_exits_2_writing_no_output(self, tmp_path, capsys):
+        # such a band would have a negative centre, so no state may hold a
+        # frequency below 0 Hz; the reader refuses it before --out exists
+        cells = []
+        for name in ("neg", "neg2"):
+            for state, value in (("on", "1 0"), ("off", "-1 0")):
+                rows = "".join(f"{f} {value}\n" for f in (-3, -2, -1))
+                (tmp_path / f"{name}_{state}.s1p").write_text("# GHZ S RI R 50\n" + rows)
+            cells.append({"name": name, "states": {s: f"{name}_{s}.s1p" for s in ("on", "off")}})
+        manifest = tmp_path / "cells.json"
+        manifest.write_text(json.dumps({"cells": cells}))
+        out = tmp_path / "out"
+        assert main(["boi", str(manifest), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {tmp_path / 'neg_on.s1p'}: line 2: "
+                                "negative frequency in data row: '-3 1 0'\n")
         assert not out.exists()
 
     def test_two_cell_run(self, tmp_path, capsys):
@@ -738,6 +765,27 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command, fault):
         message = f"{out / 'manifest.json'} is a directory"
     assert main(small_run(tmp_path, command, out) + ["--force"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["boi", "aoi", "coexist"])
+def test_output_name_past_the_name_limit_exits_2(tmp_path, capsys, command):
+    # the input names are legal, but the output names built from them run
+    # past the 255 bytes one path component may hold
+    long = "s" * 245
+    out = tmp_path / "out"
+    if command == "boi":
+        argv = ["boi", rename_cells(write_cells(tmp_path), [long, "weak"]), "--out", str(out)]
+        name = f"{long}_contrast.csv"
+    elif command == "aoi":
+        argv = ["aoi", write_scene(tmp_path, SCENE, f"{long}.json"), "--metric", "gain_db",
+                "--out-dir", str(out)]
+        name = f"{long}_gain_db_without.csv"
+    else:
+        argv = ["coexist", write_scene(tmp_path, COEX_SCENE, f"{long}.json"),
+                "--switch-prob", "0.5", "--slots", "10", "--ue", "11,19", "--out", str(out)]
+        name = f"{long}_coexist_trace.csv"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {out / name}: File name too long\n"
 
 
 def test_version_flag(capsys):

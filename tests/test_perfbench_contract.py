@@ -4,8 +4,9 @@ perfbench finds some package functions by name: ``CellTimer`` rebinds the
 per-cell ``*_pair`` views that ``tracer.PAIR_FUNCTIONS`` names on
 ``risplan.influence``, each of which must be the one-row view of the
 metric it is filed under, and the traced pass reads ``args[1]`` of each
-exporter that ``run.INFLUENCE_EXPORTS`` names as the path of the file it
-wrote. ``environment()`` names the kernel backend by testing
+writer that ``run.INFLUENCE_EXPORTS`` names on ``risplan.influence`` and
+``run.UNITCELL_WRITERS`` on ``risplan.unitcell`` as the path of the file
+it wrote. ``environment()`` names the kernel backend by testing
 ``kernels.ascent_quadratic is kernels.ascent_quadratic_numpy``. A change
 to the package that breaks one of these fails ``perfbench/run.py --trace 1``
 only; this module fails first. Every ``aoi`` workload command also passes
@@ -24,7 +25,7 @@ import pathlib
 
 import pytest
 
-from risplan import influence, kernels
+from risplan import influence, kernels, unitcell
 from risplan.scene import load_scene
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -43,6 +44,9 @@ def perfbench_constant(module: str, name: str):
 
 PAIR_FUNCTIONS = perfbench_constant("tracer", "PAIR_FUNCTIONS")
 INFLUENCE_EXPORTS = perfbench_constant("run", "INFLUENCE_EXPORTS")
+UNITCELL_WRITERS = perfbench_constant("run", "UNITCELL_WRITERS")
+WRITERS = [(influence, name) for name in INFLUENCE_EXPORTS] + [
+    (unitcell, name) for name in UNITCELL_WRITERS]
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_FUNCTIONS.values()) + list(INFLUENCE_EXPORTS))
@@ -61,9 +65,11 @@ def test_each_view_is_the_one_row_view_of_its_metric(metric, name):
     assert getattr(influence, name)(scene, point) == expected
 
 
-@pytest.mark.parametrize("name", INFLUENCE_EXPORTS)
-def test_exporters_take_the_path_second(name):
-    params = list(inspect.signature(getattr(influence, name)).parameters)
+@pytest.mark.parametrize("module, name", WRITERS, ids=[name for _, name in WRITERS])
+def test_exporters_take_the_path_second(module, name):
+    writer = getattr(module, name, None)
+    assert callable(writer), f"{module.__name__} binds no {name}"
+    params = list(inspect.signature(writer).parameters)
     assert params[1] == "path", params
 
 

@@ -80,12 +80,20 @@ def test_mid_line_comments_stripped():
         ("# HZ S RI R 50\n1_000 0 0\n", "line 2: non-numeric value in data row: '1_000 0 0'"),
         ("# HZ S RI R 50\n1 0 0\n2 0.1_5 0\n", "line 3: non-numeric value"),
         ("# GHZ S DB R 50\n1 -3 0\n2 7000 0\n", "line 3: DB magnitude out of range"),
+        ("# GHZ S RI R 50\n! c\n-3 1 0\n-2 1 0\n",
+         "line 3: negative frequency in data row: '-3 1 0'"),
+        ("# MHZ S RI R 50\n-1e-9 1 0\n", "line 2: negative frequency"),
     ],
 )
 def test_parse_errors(body, fragment):
     with pytest.raises(TouchstoneError) as err:
         parse_text(body, "bad")
     assert fragment in str(err.value)
+
+
+def test_zero_hertz_is_a_frequency():
+    rec = parse_text("# HZ S RI R 50\n0 0.5 0\n1 0.5 0\n", "dc")
+    assert rec.frequencies_hz.tolist() == [0.0, 1.0]
 
 
 def test_error_carries_line_number():

@@ -8,31 +8,30 @@ from hypothesis import strategies as st
 
 from helpers import contrast_at, parse_text, traced_peak
 from risplan.errors import ConfigError
+from risplan.touchstone import StateRecord
 from risplan.unitcell import (
     _CSV_CHUNK_ROWS,
     BandOfInfluence,
     ContrastCurve,
-    SParameterTable,
-    build_table,
     effective_s11,
     extract_boi,
     max_contrast,
-    normalized_contrast_table,
     write_contrast_csv,
     write_normalized_csv,
 )
 
 
-def table_from_s11(rows, freqs=None, name="cell"):
+def states_from_s11(rows, freqs=None):
+    """One 1-port state per row of ``rows``, all on one frequency grid."""
     rows = np.asarray(rows, dtype=np.complex128)
     if freqs is None:
         freqs = np.linspace(1e9, 2e9, rows.shape[1])
-    return SParameterTable(
-        name=name,
-        frequencies_hz=np.asarray(freqs, dtype=float),
-        s11=rows,
-        s21=None,
-    )
+    freqs = np.asarray(freqs, dtype=float)
+    return [StateRecord(str(k), freqs, row) for k, row in enumerate(rows)]
+
+
+def reflection(rows):
+    return max_contrast("cell", states_from_s11(rows), "reflection").contrast
 
 
 def pairwise_oracle(rows):
@@ -54,38 +53,33 @@ def pairwise_oracle(rows):
 # ---------------------------------------------------------------------------
 
 def test_antipodal_states_hit_upper_bound():
-    t = table_from_s11([[1.0, 1.0], [-1.0, -1.0]])
-    c = max_contrast(t, "reflection")
-    assert np.allclose(c.contrast, 2.0)
+    assert np.allclose(reflection([[1.0, 1.0], [-1.0, -1.0]]), 2.0)
 
 
 def test_single_state_zero_contrast():
-    t = table_from_s11([[0.5, 0.7]])
-    assert np.all(max_contrast(t, "reflection").contrast == 0.0)
+    assert np.all(reflection([[0.5, 0.7]]) == 0.0)
 
 
 def test_three_state_matches_exhaustive_oracle():
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(3, 11)) + 1j * rng.normal(size=(3, 11))
     rows /= np.max(np.abs(rows))
-    t = table_from_s11(rows)
-    assert np.allclose(max_contrast(t, "reflection").contrast, pairwise_oracle(rows), atol=1e-12)
+    assert np.allclose(reflection(rows), pairwise_oracle(rows), atol=1e-12)
 
 
 def test_transmission_contrast_needs_two_port():
-    t = table_from_s11([[0.5, 0.5]])
-    with pytest.raises(ConfigError, match="2-port"):
-        max_contrast(t, kind="transmission")
+    with pytest.raises(ConfigError, match="cell 'cell': transmission contrast needs 2-port data"):
+        max_contrast("cell", states_from_s11([[0.5, 0.5]]), kind="transmission")
 
 
 def test_transmission_contrast_uses_s21():
     freqs = np.array([27e9, 28e9])
-    s11 = np.full((2, 2), 0.1 + 0j)
-    s21 = np.array([[0.9 + 0j, 0.9j], [-0.9 + 0j, -0.9j]])
-    t = SParameterTable("t", freqs, s11, s21)
-    c = max_contrast(t, kind="transmission")
+    s11 = np.full(2, 0.1 + 0j)
+    states = [StateRecord("a", freqs, s11, np.array([0.9 + 0j, 0.9j])),
+              StateRecord("b", freqs, s11, np.array([-0.9 + 0j, -0.9j]))]
+    c = max_contrast("t", states, kind="transmission")
     assert np.allclose(c.contrast, [1.8, 1.8])
-    assert np.allclose(max_contrast(t, kind="reflection").contrast, 0.0)
+    assert np.allclose(max_contrast("t", states, kind="reflection").contrast, 0.0)
 
 
 @given(
@@ -99,10 +93,10 @@ def test_contrast_bounds_and_permutation_invariance(n_states, n_freq, seed):
     mag = rng.uniform(0, 1, size=(n_states, n_freq))
     ph = rng.uniform(-np.pi, np.pi, size=(n_states, n_freq))
     rows = mag * np.exp(1j * ph)
-    c = max_contrast(table_from_s11(rows), "reflection").contrast
+    c = reflection(rows)
     assert np.all(c >= 0.0) and np.all(c <= 2.0 + 1e-12)
     perm = rng.permutation(n_states)
-    c2 = max_contrast(table_from_s11(rows[perm]), "reflection").contrast
+    c2 = reflection(rows[perm])
     assert np.array_equal(c, c2)
 
 
@@ -111,8 +105,8 @@ def test_contrast_bounds_and_permutation_invariance(n_states, n_freq, seed):
 def test_adding_a_state_never_lowers_contrast(seed):
     rng = np.random.default_rng(seed)
     rows = 0.9 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4, 9)))
-    c_small = max_contrast(table_from_s11(rows[:3]), "reflection").contrast
-    c_full = max_contrast(table_from_s11(rows), "reflection").contrast
+    c_small = reflection(rows[:3])
+    c_full = reflection(rows)
     assert np.all(c_full >= c_small - 1e-12)
 
 
@@ -121,8 +115,8 @@ def test_adding_a_state_never_lowers_contrast(seed):
 def test_global_phase_invariance(phase):
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-    base = max_contrast(table_from_s11(rows), "reflection").contrast
-    rotated = max_contrast(table_from_s11(rows * np.exp(1j * phase)), "reflection").contrast
+    base = reflection(rows)
+    rotated = reflection(rows * np.exp(1j * phase))
     assert np.allclose(base, rotated, atol=1e-12)
 
 
@@ -155,8 +149,7 @@ def test_seven_phase_delay_line_oracle():
     # widest chord 2*sin(3*pi/7) scaled by 0.9.
     phases = 2 * np.pi * np.arange(7) / 7.0
     s11 = 0.1 * np.exp(1j * phases)
-    t = table_from_s11(np.tile(s11[:, None], (1, 3)))
-    c = max_contrast(t, "effective").contrast
+    c = max_contrast("cell", states_from_s11(np.tile(s11[:, None], (1, 3))), "effective").contrast
     oracle = 0.9 * max(
         abs(np.exp(1j * a) - np.exp(1j * b)) for i, a in enumerate(phases) for b in phases[:i]
     )
@@ -275,77 +268,111 @@ def test_raising_threshold_shrinks_band(seed):
 
 
 # ---------------------------------------------------------------------------
-# table assembly and normalization
+# resampling onto the shared grid
 # ---------------------------------------------------------------------------
 
-def test_build_table_resamples_onto_intersection():
+def test_max_contrast_resamples_onto_intersection():
     a = parse_text(
         "# GHZ S RI R 50\n1.0 0.5 0\n1.5 0.5 0\n2.0 0.5 0\n2.5 0.5 0\n3.0 0.5 0\n", "a"
     )
     b = parse_text("# GHZ S RI R 50\n1.2 -0.5 0\n3.2 -0.5 0\n", "b")
-    t = build_table("mix", [a, b])
-    assert t.frequencies_hz.tolist() == [1.5e9, 2.0e9, 2.5e9, 3.0e9]
-    assert np.allclose(t.s11[1], -0.5 + 0j)
+    c = max_contrast("mix", [a, b], "reflection")
+    assert c.frequencies_hz.tolist() == [1.5e9, 2.0e9, 2.5e9, 3.0e9]
+    # b resampled to -0.5 at every shared sample
+    assert c.contrast.tolist() == [1.0] * 4
 
 
-def test_build_table_rejects_disjoint_ranges():
-    a = parse_text("# GHZ S RI R 50\n1.0 0.5 0\n2.0 0.5 0\n", "a")
-    b = parse_text("# GHZ S RI R 50\n3.0 0.5 0\n4.0 0.5 0\n", "b")
-    with pytest.raises(ConfigError, match="overlap"):
-        build_table("mix", [a, b])
-
-
-def test_build_table_interpolates_linearly():
+def test_max_contrast_interpolates_linearly():
     a = parse_text("# GHZ S RI R 50\n1.0 0.0 0\n2.0 1.0 0\n3.0 0.0 0\n", "a")
     b = parse_text("# GHZ S RI R 50\n0.5 0.0 0\n3.5 0.6 0\n", "b")
-    t = build_table("mix", [a, b])
-    assert t.frequencies_hz.tolist() == [1e9, 2e9, 3e9]
-    # b linearly interpolated: value at 2 GHz is 0.6 * (1.5/3.0) = 0.3
-    assert t.s11[1, 1] == pytest.approx(0.3 + 0j, abs=1e-12)
+    c = max_contrast("mix", [a, b], "reflection")
+    assert c.frequencies_hz.tolist() == [1e9, 2e9, 3e9]
+    # b linearly interpolated: 0.1, 0.3 and 0.5 at 1, 2 and 3 GHz
+    assert c.contrast.tolist() == pytest.approx([0.1, 0.7, 0.5], abs=1e-12)
 
 
-def test_build_table_mixed_ports_rejected():
-    one = parse_text("# GHZ S RI R 50\n1 0 0\n2 0 0\n", "p1")
-    two = parse_text("# GHZ S RI R 50\n1 0 0 1 0 1 0 0 0\n2 0 0 1 0 1 0 0 0\n", "p2")
-    with pytest.raises(ConfigError, match="mix"):
-        build_table("mix", [one, two])
+def test_max_contrast_resamples_the_port_its_kind_reads():
+    # b runs linearly from S11 = 0, S21 = 0.4 at 0 GHz to S11 = 0.8j,
+    # S21 = -0.4 at 4 GHz, so on a's grid it reads S11 = 0.2j, 0.4j, 0.6j
+    # and S21 = 0.2, 0, -0.2
+    a = parse_text("# GHZ S RI R 50\n" + "".join(
+        f"{f} 0.5 0 0 0.5 0 0.5 0 0\n" for f in (1, 2, 3)), "a")
+    b = parse_text("# GHZ S RI R 50\n0 0 0 0.4 0 0.4 0 0 0\n4 0 0.8 -0.4 0 -0.4 0 0 0\n", "b")
+    expected = {
+        "reflection": [0.29, 0.41, 0.61],
+        "transmission": [0.29, 0.25, 0.29],
+        # the loss-compensated map follows the resampling: b reads 0.8j,
+        # 0.6j, 0.4j and a reads 0.5
+        "effective": [0.89, 0.61, 0.41],
+    }
+    for kind, squares in expected.items():
+        c = max_contrast("two", [a, b], kind)
+        assert c.frequencies_hz.tolist() == [1e9, 2e9, 3e9]
+        assert c.contrast == pytest.approx(np.sqrt(squares), abs=1e-12), kind
 
 
-def test_normalized_axis_example():
+@pytest.mark.parametrize(
+    "texts,message",
+    [
+        # each case also fails every later check, so the first one must win
+        (["1 0 0\n2 0 0\n", "3 0 0 1 0 1 0 0 0\n4 0 0 1 0 1 0 0 0\n"],
+         "states mix 1-port and 2-port data"),
+        (["1 0.5 0\n2 0.5 0\n", "3 0.5 0\n4 0.5 0\n"], "state frequency ranges do not overlap"),
+        (["1 0.5 0\n2 0.5 0\n3 0.5 0\n", "2.5 0.5 0\n4 0.5 0\n"],
+         "fewer than 2 shared frequency samples after overlap"),
+        (["1 0.5 0\n2 0.5 0\n", "1 -0.5 0\n2 -0.5 0\n"],
+         "transmission contrast needs 2-port data"),
+    ],
+    ids=["mixed_ports", "disjoint", "one_shared_sample", "one_port"],
+)
+def test_max_contrast_checks_in_order(texts, message):
+    states = [parse_text("# GHZ S RI R 50\n" + text, str(k)) for k, text in enumerate(texts)]
+    with pytest.raises(ConfigError) as err:
+        max_contrast("c", states, "transmission")
+    assert str(err.value) == f"cell 'c': {message}"
+
+
+# ---------------------------------------------------------------------------
+# normalized comparison
+# ---------------------------------------------------------------------------
+
+def normalized_columns(entries, tmp_path):
+    """The name, f/f0 and contrast columns ``write_normalized_csv`` writes."""
+    path = tmp_path / "normalized.csv"
+    write_normalized_csv(entries, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["name", "f_over_f0", "contrast"]
+    names = [name for name, _, _ in rows[1:]]
+    return names, [float(x) for _, x, _ in rows[1:]], [float(c) for _, _, c in rows[1:]]
+
+
+def test_normalized_axis_example(tmp_path):
     f = np.array([4.5e9, 5.0e9, 5.5e9])
     curve = ContrastCurve(f, np.array([0.5, 1.5, 0.5]))
-    names, ratios, contrast = normalized_contrast_table([("d", curve, 5.0e9)])
-    assert ratios.tolist() == pytest.approx([0.9, 1.0, 1.1])
-    assert names.tolist() == ["d", "d", "d"]
-    assert contrast.tolist() == [0.5, 1.5, 0.5]
+    names, ratios, contrast = normalized_columns([("d", curve, 5.0e9)], tmp_path)
+    assert ratios == pytest.approx([0.9, 1.0, 1.1])
+    assert names == ["d", "d", "d"]
+    assert contrast == [0.5, 1.5, 0.5]
 
 
-def test_normalized_reference_points():
+def test_normalized_reference_points(tmp_path):
     # widest-band design: edges 4.4 and 5.6 GHz around centre 5.05 GHz
     f = np.array([4.4e9, 5.6e9])
     curve = ContrastCurve(f, np.array([1.0, 1.0]))
-    _, ratios, _ = normalized_contrast_table([("pin", curve, 5.05e9)])
+    _, ratios, _ = normalized_columns([("pin", curve, 5.05e9)], tmp_path)
     assert ratios[0] == pytest.approx(0.871, abs=5e-4)
     assert ratios[1] == pytest.approx(1.109, abs=5e-4)
 
 
-def test_normalized_columns_follow_entry_order():
+def test_normalized_rows_follow_entry_order(tmp_path):
     a = ContrastCurve(np.array([1e9, 2e9]), np.array([0.5, 1.5]))
     b = ContrastCurve(np.array([3e9, 4e9, 5e9]), np.array([1.2, 1.4, 0.2]))
-    names, ratios, contrast = normalized_contrast_table([("a", a, 2e9), ("b", b, 4e9)])
-    assert names.tolist() == ["a", "a", "b", "b", "b"]
-    assert ratios.tolist() == [0.5, 1.0, 0.75, 1.0, 1.25]
-    assert contrast.tolist() == [0.5, 1.5, 1.2, 1.4, 0.2]
-    assert ratios.dtype == contrast.dtype == np.float64
-    names, ratios, contrast = normalized_contrast_table([])
-    assert names.size == ratios.size == contrast.size == 0
-
-
-def test_normalized_requires_positive_f0():
-    f = np.array([1e9, 2e9])
-    curve = ContrastCurve(f, np.ones(2))
-    with pytest.raises(ConfigError, match="f0"):
-        normalized_contrast_table([("d", curve, 0.0)])
+    names, ratios, contrast = normalized_columns([("a", a, 2e9), ("b", b, 4e9)], tmp_path)
+    assert names == ["a", "a", "b", "b", "b"]
+    assert ratios == [0.5, 1.0, 0.75, 1.0, 1.25]
+    assert contrast == [0.5, 1.5, 1.2, 1.4, 0.2]
+    assert normalized_columns([], tmp_path) == ([], [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +407,25 @@ def test_contrast_csv_matches_csv_writer(tmp_path):
 
 
 def test_normalized_csv_matches_csv_writer(tmp_path):
+    # f/f0 is divided per row in Python; the reference divides whole arrays
+    # in numpy, so the two must round alike
     names = ["pin", "a,b", 'say "hi"', "", "line\nbreak", " lead"]
+    f0s = [5.05e9, 1.0, 3.0, 0.1, 7e9, 2.4e10]
     rng = np.random.default_rng(4)
-    rows = [
-        (names[i % len(names)], float(x), float(c))
-        for i, (x, c) in enumerate(rng.uniform(0.5, 1.5, (2 * _CSV_CHUNK_ROWS + 5, 2)))
-    ]
-    rows[: len(SPECIAL_FLOATS)] = [
-        (names[i % len(names)], v, -v) for i, v in enumerate(SPECIAL_FLOATS)
-    ]
-    columns = [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), (object, float, float))]
-    write_normalized_csv(tuple(columns), tmp_path / "new.csv")
+    entries = []
+    for k, (name, f0) in enumerate(zip(names, f0s)):
+        n = 2 * _CSV_CHUNK_ROWS + 5 if k == 0 else 3 + k
+        freqs, contrast = rng.uniform(0.5, 1.5, (2, n))
+        entries.append((name, ContrastCurve(freqs * f0, contrast), f0))
+    special = np.array(SPECIAL_FLOATS)
+    entries.append(("special", ContrastCurve(special, -special), 1.0))
+    write_normalized_csv(entries, tmp_path / "new.csv")
     csv_reference(
         tmp_path / "ref.csv",
         ["name", "f_over_f0", "contrast"],
-        ([name, repr(x), repr(c)] for name, x, c in rows),
+        ([name, repr(x), repr(c)]
+         for name, curve, f0 in entries
+         for x, c in zip((curve.frequencies_hz / f0).tolist(), curve.contrast.tolist())),
     )
     expected = (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "new.csv").read_bytes() == expected
@@ -404,13 +435,13 @@ def test_normalized_csv_matches_csv_writer(tmp_path):
 def test_normalized_csv_memory_stays_one_chunk():
     # the rows become Python objects and text one chunk at a time, so five
     # times the rows hold no more memory
-    def columns(n):
-        names = np.array(["pin", "a,b", "line\nbreak"], dtype=object)[np.arange(n) % 3]
-        return names, np.linspace(0.5, 1.5, n), np.linspace(0.0, 2.0, n)
+    def entries(n):
+        curve = ContrastCurve(np.linspace(0.5e9, 1.5e9, n // 3), np.linspace(0.0, 2.0, n // 3))
+        return [(name, curve, 1e9) for name in ("pin", "a,b", "line\nbreak")]
 
     def peak(table):
         return traced_peak(lambda: write_normalized_csv(table, os.devnull))
 
-    small, large = columns(20_000), columns(100_000)
+    small, large = entries(20_000), entries(100_000)
     peak(small)  # lazy imports land here
     assert peak(large) - peak(small) <= 200_000

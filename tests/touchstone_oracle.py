@@ -4,9 +4,9 @@ This is the parser the package used before the array-at-once reader: it
 walks the text one line at a time, converts each token with ``float`` and
 each value pair with one converter call. On every file both accept, the
 records agree bit for bit; on every malformed file both reject, they raise
-the same message at the same line. It accepts two inputs the package now
-rejects: non-finite values (``nan``, ``inf``) and numbers with
-underscores (``1_000``).
+the same message at the same line. It accepts three inputs the package
+now rejects: non-finite values (``nan``, ``inf``), numbers with
+underscores (``1_000``) and negative frequencies.
 """
 
 import cmath
