@@ -1,9 +1,13 @@
 """Grid sweeps, with/without differencing, and area-of-influence maps.
 
 A sweep evaluates one link metric on every grid cell twice, once with the
-surface absent and once with it active: each metric's engine returns one
-``(2, n)`` array, row 0 without the surface and row 1 with it, and
-:func:`classify` labels all cells at once.  Six labels partition the grid:
+surface absent and once with it active, into one ``(2, n)`` array, row 0
+without the surface and row 1 with it. :func:`sweep` is the one block
+driver: it holds the memory budget, runs the grid through the metric's
+engine one block of cells at a time and fills that array.  Each engine
+does its per-map setup once and states what one cell costs; its blocks
+return finished ``(2, k)`` values.  :func:`classify` labels all cells at
+once.  Six labels partition the grid:
 
 ``unchanged``
     both readings in coverage, difference below the unchanged threshold
@@ -54,10 +58,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .linkmetrics import gain_pairs, se_pairs, tx_power_pairs
-from .localization import peb_pairs
+from .linkmetrics import gain_engine, se_engine, tx_power_engine
+from .localization import peb_engine
 from .scene import Grid, METRIC_IDS, Scene, Thresholds
-from .secrecy import sse_pairs
+from .secrecy import sse_engine
 
 LABELS = ("unchanged", "boosted", "enabled", "degraded", "marginal", "infeasible_both")
 
@@ -80,47 +84,69 @@ DESIRED = (_CODE["enabled"], _CODE["boosted"])
 UNDESIRED = (_CODE["degraded"], _CODE["marginal"])
 
 
+# Memory budget of one block of cells: each engine states what one cell
+# adds to its largest operands, and a block holds as many cells as fit. It
+# bounds memory, never the result, which is the same for any block size.
+_BLOCK_BYTES = 4 * 2**20
+
+
 @dataclass(frozen=True)
 class _Metric:
-    """How a metric is swept: its grid-batched (2, n) without/with engine."""
+    """How a metric is swept: its engine factory, ``engine(scene) -> (cell_bytes, block)``.
+
+    The factory does the per-map setup once. ``block(points, indices)``
+    takes (k, 3) points and their (k,) rows and returns the block's
+    finished ``(2, k)`` values, row 0 without the surface.
+    """
 
     higher_better: bool
-    pairs: Callable[[Scene, np.ndarray], np.ndarray]
+    engine: Callable[[Scene], tuple[int, Callable[[np.ndarray, np.ndarray], np.ndarray]]]
+
+    def pairs(self, scene: Scene, points) -> np.ndarray:
+        """(2, n) without and with readings at (n, 3) points, in blocks of the one budget.
+
+        A point's random draws derive from its row in ``points``.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        cell_bytes, block = self.engine(scene)
+        size = max(1, _BLOCK_BYTES // cell_bytes)
+        out = np.empty((2, len(points)))
+        for start in range(0, len(points), size):
+            stop = min(start + size, len(points))
+            out[:, start:stop] = block(points[start:stop], np.arange(start, stop))
+        return out
 
 
 METRICS: dict[str, _Metric] = {
-    "gain_db": _Metric(higher_better=True, pairs=gain_pairs),
-    "tx_power_dbm": _Metric(higher_better=False, pairs=tx_power_pairs),
-    "se_bps_hz": _Metric(higher_better=True, pairs=se_pairs),
-    "peb_m": _Metric(higher_better=False, pairs=peb_pairs),
-    "sse_bps_hz": _Metric(higher_better=True, pairs=sse_pairs),
+    "gain_db": _Metric(higher_better=True, engine=gain_engine),
+    "tx_power_dbm": _Metric(higher_better=False, engine=tx_power_engine),
+    "se_bps_hz": _Metric(higher_better=True, engine=se_engine),
+    "peb_m": _Metric(higher_better=False, engine=peb_engine),
+    "sse_bps_hz": _Metric(higher_better=True, engine=sse_engine),
 }
 
 assert set(METRICS) == set(METRIC_IDS)
 
 
-def _one_row(pairs):
-    return lambda scene, point: tuple(pairs(scene, [point])[:, 0].tolist())
+def _one_row(metric):
+    return lambda scene, point: tuple(metric.pairs(scene, [point])[:, 0].tolist())
 
 
 # (without, with) at one point, one view per metric. No command calls them:
 # perfbench's CellTimer looks these names up here and rebinds them to time
 # each cell. ROADMAP item 3 deletes them together with the CellTimer.
 gain_pair, tx_power_pair, se_pair, peb_pair, sse_pair = (
-    _one_row(METRICS[metric].pairs) for metric in METRIC_IDS
+    _one_row(METRICS[metric]) for metric in METRIC_IDS
 )
 
 
 def sweep(scene: Scene, metric_id: str) -> np.ndarray:
-    """Evaluate a metric over the whole grid: its engine's (2, n) array, row 0 without.
+    """Evaluate a metric over the whole grid: one (2, n) array, row 0 without.
 
-    Every metric runs grid-batched in this process: the gain family
-    (``gain_db``, ``tx_power_dbm``, ``se_bps_hz``) through
-    :func:`risplan.linkmetrics.gain_pairs`, ``peb_m`` through
-    :func:`risplan.localization.peb_pairs` and ``sse_bps_hz`` through
-    :func:`risplan.secrecy.sse_pairs`. All randomness derives from the
-    scene seed plus the cell index, so neither the cell order nor the
-    block size changes the output. A cell on a scene node is a NaN pair
+    The grid runs through the metric's engine in blocks of cells sized to
+    ``_BLOCK_BYTES``. All randomness derives from the scene seed plus the
+    cell index, so neither the cell order nor the block size changes the
+    output. A cell on a scene node is a NaN pair
     for ``peb_m`` and ``sse_bps_hz``; the gain engine drops a station the
     cell sits on and reads NaN only on a surface element or with no
     station left. ``metric_id`` is one of :data:`METRIC_IDS`, and a

@@ -6,13 +6,14 @@ subcarriers; `required_tx_power` inverts the uplink voice budget;
 `spectral_efficiency_from_gain` rate-adapts at full power. Out-of-coverage
 points are reported as NaN so the mapping layer can treat them uniformly.
 
-Grid maps go through one engine, :func:`gain_pairs`, which works on
-arrays of points: direct channels per base station for a whole block at
+Grid maps go through one engine, :func:`gain_engine`, which works on
+blocks of points: direct channels per base station for a whole block at
 once, the base station to surface leg once per map, the surface to point
 legs once per block, and the quadratic-form ascent over all points of a
-block served by the same station. It and the two maps derived from it
-return one ``(2, n)`` array: row 0 without the surface, row 1 with it.
-``coexistence`` picks the victim's station with the same :func:`serving_bs`.
+block served by the same station. Its blocks, and the two maps derived
+from them per block, are ``(2, k)`` arrays: row 0 without the surface, row
+1 with it. ``coexistence`` picks the victim's station with the same
+:func:`serving_bs`.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ from .propagation import (
     surface_legs,
 )
 from .scene import LinkBudgetSpec, Scene
-
-# Budget for one block's V matrices (complex, M x M per point), the
-# largest operand; the block size follows from the element count. A block
-# whose points one station serves peaks near twice this: the ascent kernel
-# holds V's real and imaginary parts again as column arrays, and building V
-# holds the upper-triangle pair phasors, half a V, next to it. The budget
-# bounds memory, never the result, which is the same for any block size.
-_BLOCK_BYTES = 4 * 2**20
 
 
 def _to_db(power_linear: float) -> float:
@@ -83,11 +76,6 @@ def spectral_efficiency_from_gain(
     return min(se, budget.se_max_bps_hz)
 
 
-def _cell_block(scene: Scene) -> int:
-    m = scene.ris.element_count
-    return max(1, _BLOCK_BYTES // (16 * m * m))
-
-
 def serving_bs(directs: list[DirectChannel], legs: dict[int, BsLeg]) -> np.ndarray:
     """Serving station per point by strongest direct link (c0), -1 for none.
 
@@ -123,44 +111,45 @@ def _served_gains(
     return np.stack([terms.c0, np.maximum(ascended, terms.c0)])
 
 
-def _gain_block(scene: Scene, points: np.ndarray, legs: dict[int, BsLeg]) -> np.ndarray:
-    """(2, n) linear without and with gains at the serving station of each point."""
-    directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
-    point_legs = surface_legs(scene, points)
-    serving = np.where(np.all(point_legs[1] > 0.0, axis=1), serving_bs(directs, legs), -1)
-    gains = np.full((2, len(points)), math.nan)
-    for i, direct in enumerate(directs):
-        rows = np.flatnonzero(serving == i)
-        if rows.size:
-            gains[:, rows] = _served_gains(scene, direct, rows, legs[i], point_legs)
-    return gains
+def gain_engine(scene: Scene):
+    """(cell bytes, block) of the ``gain_db`` map; a block is (2, k) serving-station gains in dB.
 
-
-def gain_pairs(scene: Scene, points) -> np.ndarray:
-    """(2, n) without and with equivalent gain in dB at each point's serving station.
-
-    The grid-batched engine behind every gain-family map. Points are
-    processed in blocks sized so one block's V matrices stay within a
-    fixed memory budget; every operation is per point, so the result does
-    not depend on the block size. A point on a base station drops that
-    station from the choice; a point with no usable station, or on a
-    surface element, reads NaN in both rows.
+    The stations' surface legs are built once per map. A cell's bytes are
+    its V matrix (complex, M x M), the largest operand. A block whose
+    points one station serves peaks near twice the bytes it counts: the
+    ascent kernel holds V's real and imaginary parts again as column
+    arrays, and building V holds the upper-triangle pair phasors, half a
+    V, next to it. A point on a base station drops that station from the
+    choice; a point with no usable station, or on a surface element, reads
+    NaN in both rows.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
     legs = station_legs(scene)
-    block = _cell_block(scene)
-    gains = np.empty((2, len(points)))
-    for start in range(0, len(points), block):
-        gains[:, start:start + block] = _gain_block(scene, points[start:start + block], legs)
-    return _per_value(_to_db, gains)
+    m = scene.ris.element_count
+
+    def block(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        directs = [direct_channels(scene, i, points) for i in range(len(scene.bs))]
+        point_legs = surface_legs(scene, points)
+        serving = np.where(np.all(point_legs[1] > 0.0, axis=1), serving_bs(directs, legs), -1)
+        gains = np.full((2, len(points)), math.nan)
+        for i, direct in enumerate(directs):
+            rows = np.flatnonzero(serving == i)
+            if rows.size:
+                gains[:, rows] = _served_gains(scene, direct, rows, legs[i], point_legs)
+        return _per_value(_to_db, gains)
+
+    return 16 * m * m, block
 
 
-def tx_power_pairs(scene: Scene, points) -> np.ndarray:
-    return required_tx_power(gain_pairs(scene, points), scene.link_budget, scene.noise_power_dbm)
-
-
-def se_pairs(scene: Scene, points) -> np.ndarray:
+def tx_power_engine(scene: Scene):
+    """(cell bytes, block) of the ``tx_power_dbm`` map: the gain blocks' required power."""
     budget, noise = scene.link_budget, scene.noise_power_dbm
-    return _per_value(
-        lambda g: spectral_efficiency_from_gain(g, budget, noise), gain_pairs(scene, points)
-    )
+    cell_bytes, gain = gain_engine(scene)
+    return cell_bytes, lambda *block: required_tx_power(gain(*block), budget, noise)
+
+
+def se_engine(scene: Scene):
+    """(cell bytes, block) of the ``se_bps_hz`` map: the gain blocks' spectral efficiency."""
+    budget, noise = scene.link_budget, scene.noise_power_dbm
+    cell_bytes, gain = gain_engine(scene)
+    return cell_bytes, lambda *block: _per_value(
+        lambda g: spectral_efficiency_from_gain(g, budget, noise), gain(*block))

@@ -22,7 +22,7 @@ a path's gain columns touch only that path's rows, so the equivalent
 position information is the sum over paths of Re(D⊥ᴴD⊥), where D⊥ is the
 path's position Jacobian with its gain direction projected out. Nothing
 is subtracted after the Gram product, so every term is symmetric positive
-semidefinite by construction. :func:`peb_pairs` evaluates this for blocks
+semidefinite by construction. :func:`peb_engine` evaluates this for blocks
 of grid points at once; the tests keep the per-point observation model,
 the bound by Schur subtraction and a maximum-likelihood position estimate
 it is checked against.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,12 +49,6 @@ from .scene import C_LIGHT_M_S, Scene
 from .seeding import derived_integers
 
 PEB_CONDITION_LIMIT = 1e12
-
-# Budget for the reflected-path operands one block holds at once, counted
-# per cell by :func:`_cell_bytes`: the element phasors and terms, the pilot
-# responses, the pilot rows and their mu and d_pos copies. It bounds
-# memory, never the result, which is the same for any block size.
-_BLOCK_BYTES = 2 * 2**20
 
 
 def noise_variance_w(scene: Scene) -> float:
@@ -195,21 +190,6 @@ def peb(fim_2x2) -> PebResult:
     return PebResult(peb_m=bound[()], fim_condition=condition[()])
 
 
-def _cell_bytes(scene: Scene) -> int:
-    """Bytes one cell adds to a block's largest operands, all complex.
-
-    eps (M N), terms (M 3N), the pilot responses (K M), rows (K 3N) and
-    the mu and d_pos copies of rows (K 3N).
-    """
-    n = scene.subcarrier_count
-    m, k = scene.ris.element_count, scene.localization.pilot_count
-    return 16 * (4 * m * n + k * m + 6 * k * n)
-
-
-def _cell_block(scene: Scene) -> int:
-    return max(1, _BLOCK_BYTES // _cell_bytes(scene))
-
-
 def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg | None):
     """(2, n) without and with bounds at a block of points, NaN on a scene node.
 
@@ -237,26 +217,24 @@ def _peb_block(scene: Scene, points: np.ndarray, indices: np.ndarray, leg: BsLeg
     return bounds
 
 
-def peb_pairs(scene: Scene, points) -> np.ndarray:
-    """(2, n) without and with position error bound in metres at each point.
+def peb_engine(scene: Scene):
+    """(cell bytes, block) of the ``peb_m`` map; a block is (2, k) bounds in metres.
 
-    The grid-batched engine behind the ``peb_m`` map. Each point's pilot
-    configs derive from its index, its row in ``points``, and blocks of
-    points are processed together, sized so one block's reflected-row
-    operands stay within a fixed memory budget; every operation is per
-    point, so the result does not depend on the block size. A point on a
-    base station or a surface element reads NaN in both rows.
+    The reflected path rides on the surface leg of the station nearest the
+    surface centre, chosen once per map; each point's pilot configs derive
+    from its index. A point on a base station or a surface element reads
+    NaN in both rows.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
     legs = station_legs(scene)
     leg = None
     if legs:
         # min keeps the first of equals, so a tie goes to the lowest index
         nearest = min(legs, key=lambda i: math.dist(scene.bs[i].position_m, scene.ris.position_m))
         leg = legs[nearest]
-    bounds = np.empty((2, len(points)))
-    block = _cell_block(scene)
-    for start in range(0, len(points), block):
-        stop = min(start + block, len(points))
-        bounds[:, start:stop] = _peb_block(scene, points[start:stop], np.arange(start, stop), leg)
-    return bounds
+    n = scene.subcarrier_count
+    m, k = scene.ris.element_count, scene.localization.pilot_count
+    # a cell's largest operands, all complex: eps (M N), terms (M 3N), the
+    # pilot responses (K M), rows (K 3N) and rows' mu and d_pos copies (K 3N).
+    # They count twice: floor(4 MiB / 2x) == floor(2 MiB / x), so a block
+    # holds them in half the shared budget and the map peaks near 2 MiB
+    return 2 * 16 * (4 * m * n + k * m + 6 * k * n), partial(_peb_block, scene, leg=leg)

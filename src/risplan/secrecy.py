@@ -11,7 +11,7 @@ the surface states, held as indices into one response table and started
 at the state whose angle is nearest 0. Neither side can lose to switching
 the surface dark, because the dark configuration is always compared in.
 
-Maps go through one engine, :func:`sse_pairs`, which runs that
+Maps go through one engine, :func:`sse_engine`, which runs that
 alternating ascent on blocks of points in lock-step, every loop masked per
 point, so each point ends exactly where the ascent would leave it alone.
 Its covariance ascent keeps only the live cells' operands, packed, and
@@ -108,20 +108,6 @@ def secrecy_links(scene: Scene, points, point_indices, draw: int):
 # ---------------------------------------------------------------------------
 # grid-batched ascent: the alternating ascent on a block of cells in
 # lock-step, every loop level masked per cell
-
-# Budget for one block's candidate cascades, the largest operand: the
-# phase ascent tries every state of one element at once, so
-# ``_realize`` builds a (states x M x N_bs) complex cascade per cell,
-# N_bs the stations' summed antennas; its response factor, 1 / N_bs of that,
-# lives while it is built. The budget bounds memory, never the result,
-# which is the same for any block size.
-_BLOCK_BYTES = 4 * 2**20
-
-
-def _cell_block(scene: Scene) -> int:
-    n_bs = sum(bs.antenna_count for bs in scene.bs)
-    per_cell = n_bs * state_responses(scene).size * scene.ris.element_count
-    return max(1, _BLOCK_BYTES // (16 * per_cell))
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -298,36 +284,36 @@ def _sse_block(ch: SecrecyChannels, responses, start_state) -> np.ndarray:
     return np.stack([without, np.where(without >= with_, without, with_)])
 
 
-def sse_pairs(scene: Scene, points) -> np.ndarray:
-    """(2, n) without and with secrecy rate at each point, averaged over the scene's fading draws.
+def sse_engine(scene: Scene):
+    """(cell bytes, block) of the ``sse_bps_hz`` map; a block is (2, k) mean secrecy rates.
 
-    The grid-batched engine behind the ``sse_bps_hz`` map. Each point's
-    fading comes from its index, its row in ``points``, and blocks of
-    points run the alternating covariance / phase ascent in lock-step (Dong
-    & Wang, IEEE WCL 2020), every loop masked per point, so each reading is
-    the one the point gets alone, whatever the block size.
-    Draws are accumulated in draw order. A point on a scene node reads NaN
-    in both rows.
+    The mean runs over the scene's fading draws, in draw order. Each
+    point's fading comes from its index, and a block's points run the
+    alternating covariance / phase ascent in lock-step (Dong & Wang, IEEE
+    WCL 2020), every loop masked per point, so each reading is the one the
+    point gets alone. A point on a scene node reads NaN in both rows. A
+    cell's bytes are its candidate cascades, the largest operand: the
+    phase ascent tries every state of one element at once, a (states x M x
+    N_bs) complex cascade, N_bs the stations' summed antennas; its
+    response factor, 1 / N_bs of that, lives while it is built.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
     responses = state_responses(scene)
     start_state = quantize_indices(0.0, responses)
     draws = scene.secrecy.fading_draws
-    block = _cell_block(scene)
-    sums = np.zeros((2, len(points)))
-    on_node = np.zeros(len(points), dtype=bool)
-    for start in range(0, len(points), block):
-        stop = min(start + block, len(points))
+
+    def block(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        sums = np.zeros((2, len(points)))
         for draw in range(draws):
-            ch, on_node[start:stop] = secrecy_links(
-                scene, points[start:stop], range(start, stop), draw
-            )
-            cells = np.flatnonzero(~on_node[start:stop])
+            ch, on_node = secrecy_links(scene, points, indices, draw)
+            cells = np.flatnonzero(~on_node)
             if not cells.size:
                 break
-            if cells.size < stop - start:
+            if cells.size < len(points):
                 ch = _rows(ch, cells)
-            sums[:, start + cells] += _sse_block(ch, responses, start_state)
-    rates = sums / draws
-    rates[:, on_node] = math.nan
-    return rates
+            sums[:, cells] += _sse_block(ch, responses, start_state)
+        rates = sums / draws
+        rates[:, on_node] = math.nan
+        return rates
+
+    n_bs = sum(bs.antenna_count for bs in scene.bs)
+    return 16 * n_bs * responses.size * scene.ris.element_count, block

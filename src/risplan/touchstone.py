@@ -7,8 +7,8 @@ chunk of rows per call, so a number follows its grammar: ASCII decimal
 floats with an optional exponent, no digit-group underscores (``1_000``
 is rejected, although Python's ``float`` takes it). A row holding
 ``nan`` or ``inf``, a frequency that overflows once scaled to Hz or lies
-below 0 Hz, or an S11 or S21 DB magnitude whose linear value overflows is
-rejected. Every parse error carries the 1-based line number: a file that
+below 0 Hz, or a DB magnitude whose linear value overflows is rejected.
+Every parse error carries the 1-based line number: the chunk of rows that
 breaks a rule is read again through the same checks, one line per call.
 
 A cell manifest is a JSON file naming one or more cells and, per cell, the
@@ -39,6 +39,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, TouchstoneError
@@ -163,9 +164,9 @@ def parse_touchstone(fh, state_id: str) -> StateRecord:
 
     The port count is inferred from the data row arity: 3 columns for a
     1-port file, 9 for a 2-port file. The data lines stream from ``fh``
-    through ``_read_rows``, ``_BODY_CHUNK_ROWS`` rows per call; only a file
-    that breaks a rule is read again, one line per call, for the line to
-    report.
+    through ``_read_rows``, ``_BODY_CHUNK_ROWS`` rows per call; only the
+    chunk that breaks a rule is read again, one line per call, for the line
+    to report.
     """
     import numpy as np
 
@@ -182,18 +183,26 @@ def parse_touchstone(fh, state_id: str) -> StateRecord:
     unit, fmt = _parse_option_line(line[1:].split(), start)
     scale = _FREQ_UNITS[unit]
     reads = []  # (frequencies, S11, S21 or None) of each chunk of rows
+    consumed = start  # lines taken from the file before the chunk being read
     with warnings.catch_warnings():
         # loadtxt warns on a read that finds no row and on blank lines under
         # max_rows, neither of which is a fault
         warnings.simplefilter("ignore", UserWarning)
         try:
-            while rows := _read_rows(lines, scale, fmt, reads[-1] if reads else None):
+            while True:
+                # counts the chunk's lines in C; zip takes no count past the last line
+                taken = itertools.count()
+                rows = _read_rows(map(itemgetter(0), zip(lines, taken)), scale, fmt,
+                                  reads[-1] if reads else None)
+                if not rows:
+                    break
                 reads.append(rows)
+                consumed += next(taken)
         except TouchstoneError:
-            # read the body again, one line per call, for the line to report
-            before = None
-            body = itertools.islice(_lines(fh), start, None)
-            for line_no, raw in enumerate(body, start=start + 1):
+            # read the failed chunk again, one line per call, for the line to report
+            before = reads[-1] if reads else None
+            body = itertools.islice(_lines(fh), consumed, None)
+            for line_no, raw in enumerate(body, start=consumed + 1):
                 try:
                     before = _read_rows([raw], scale, fmt, before, raw) or before
                 except TouchstoneError as exc:
@@ -254,6 +263,10 @@ def _read_rows(lines, scale: float, fmt: str, before=None, row: str = ""):
     try:
         s11 = _to_complex(fmt, table[:, 1], table[:, 2])
         s21 = _to_complex(fmt, table[:, 3], table[:, 4]) if columns == 9 else None
+        if fmt == "DB" and columns == 9:
+            # S12 and S22 are not kept: only their largest magnitude is
+            # converted, which overflows when any of theirs does
+            10.0 ** (float(table[:, 5::2].max()) / 20.0)
     except OverflowError:
         raise TouchstoneError(f"DB magnitude out of range in data row: '{text}'") from None
     return freqs, s11, s21

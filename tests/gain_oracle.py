@@ -1,7 +1,7 @@
 """Per-point gain paths: the oracles of the grid-batched gain engine and ascent kernel.
 
 The package evaluates gains only on blocks of grid cells
-(:func:`risplan.linkmetrics.gain_pairs`,
+(:func:`risplan.linkmetrics.gain_engine`,
 :func:`risplan.beamforming.optimize_gains`,
 :func:`risplan.kernels.ascent_quadratic`) and describes a surface setting
 only as an array of element responses. These are the one-point paths it
@@ -278,7 +278,7 @@ def coordinate_ascent(
     Returns (best_config, best_value, trace) where trace holds the value
     after each completed round; the trace is non-decreasing because every
     switch requires strict improvement. ``kernels.ascent_quadratic`` and
-    the batched phase search of ``secrecy.sse_pairs`` are tested against it.
+    the batched phase search of ``secrecy.sse_engine`` are tested against it.
     """
     lookup = [float(p) for p in np.asarray(lookup_rad, dtype=float)]
     if init is None:
@@ -336,7 +336,7 @@ def equivalent_gain(scene, bs_index: int, point, ris_mode: str = "optimized") ->
 
     The optimized reading is the best quantized configuration, never worse
     than leaving the surface off: the serving-station readings of
-    ``linkmetrics.gain_pairs`` one point at a time.
+    ``linkmetrics.gain_engine`` one point at a time.
     """
     if ris_mode not in RIS_MODES:
         raise ValueError(f"ris_mode must be one of {RIS_MODES}, got {ris_mode!r}")

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 
 import risplan
+from risplan import influence
 from risplan.touchstone import parse_touchstone
 
 
@@ -19,6 +20,12 @@ def parse_text(text, state_id):
     """``parse_touchstone`` on literal Touchstone text, fed as the binary file
     ``read_touchstone`` passes it."""
     return parse_touchstone(io.BytesIO(text.encode("ascii")), state_id)
+
+
+def block_size(scene, metric_id):
+    """Cells per block of ``metric_id``'s sweep on ``scene`` under the current budget."""
+    cell_bytes, _ = influence.METRICS[metric_id].engine(scene)
+    return max(1, influence._BLOCK_BYTES // cell_bytes)
 
 
 def at_subcarriers(direct, count, spacing_hz):

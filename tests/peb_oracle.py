@@ -1,7 +1,7 @@
-"""Per-cell localization paths: the oracles of ``peb_pairs``.
+"""Per-cell localization paths: the oracles of ``peb_engine``.
 
 The package builds observation rows and position information only for
-blocks of grid cells (:func:`risplan.localization.peb_pairs`). This module
+blocks of grid cells (:func:`risplan.localization.peb_engine`). This module
 keeps the per-cell paths it is checked against, with their arithmetic
 unchanged:
 
@@ -10,7 +10,7 @@ unchanged:
   projection EFIM: stack every path's Jacobian columns into one full
   information matrix over the position and all gain nuisances, then
   marginalize the nuisances by a Schur complement of the Jacobi-scaled
-  nuisance block. On well-conditioned cells it agrees with ``peb_pairs`` to
+  nuisance block. On well-conditioned cells it agrees with ``peb_engine`` to
   rounding, amplified by the cancellation in the subtraction;
 * a Monte-Carlo maximum-likelihood position estimate, whose RMSE the
   acceptance test compares with the bound.

@@ -1,13 +1,13 @@
-"""Per-point secrecy ascent: the oracle of ``secrecy.sse_pairs``.
+"""Per-point secrecy ascent: the oracle of ``secrecy.sse_engine``.
 
 The package builds channels and runs the alternating covariance /
 surface-phase ascent only on blocks of cells in lock-step
-(:func:`risplan.secrecy.secrecy_links`, :func:`risplan.secrecy.sse_pairs`).
+(:func:`risplan.secrecy.secrecy_links`, :func:`risplan.secrecy.sse_engine`).
 This is the one-point algorithm it runs per cell: one point's channels from
 :func:`secrecy_link`, projected gradient ascent with step halving on the
 trace ball for the covariance, and the generic coordinate ascent of
 ``gain_oracle`` for the phases, from the lookup phase nearest 0. Its
-arithmetic is unchanged, so ``sse_pairs`` must reproduce :func:`optimize_sse`
+arithmetic is unchanged, so ``sse_engine`` must reproduce :func:`optimize_sse`
 bit for bit.
 
 :func:`optimize_q` keeps the step rule the engine shares with it: the first

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import influence_oracle as oracle
-from risplan import influence, linkmetrics, localization, secrecy
+from helpers import block_size
+from risplan import influence
 from risplan.influence import (
     LABEL_COLORS,
     LABELS,
@@ -28,7 +29,6 @@ from risplan.influence import (
     in_coverage,
     sweep,
 )
-from risplan.localization import peb_pairs
 from risplan.scene import METRIC_IDS, Grid, Thresholds, load_scene, parse_scene
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
@@ -108,7 +108,7 @@ class TestSweep:
         without, with_ = sweep(scene, "peb_m")
         idx = 4
         # the cell's pilots come from its index: a shorter grid ending at it agrees
-        wo, wi = peb_pairs(scene, scene.grid.points()[:idx + 1])[:, idx]
+        wo, wi = influence.METRICS["peb_m"].pairs(scene, scene.grid.points()[:idx + 1])[:, idx]
         assert without[idx] == wo
         assert with_[idx] == wi
 
@@ -144,69 +144,75 @@ class TestSweep:
 
 def walled_street():
     doc = json.loads((SCENES / "street_coexistence.json").read_text())
+    doc["ue_grid"]["resolution_m"] = 2
     doc["walls"] = [{"p1_m": [8, 5], "p2_m": [12, 12], "penetration_loss_db": 12}]
     return parse_scene(json.dumps(doc))
+
+
+def walled_courtyard():
+    doc = json.loads((SCENES / "courtyard_secrecy.json").read_text())
+    doc["ue_grid"]["resolution_m"] = 4
+    doc["walls"] = [{"p1_m": [5, 20], "p2_m": [5, 80], "penetration_loss_db": 20},
+                    {"p1_m": [12, 35], "p2_m": [18, 45], "penetration_loss_db": 7}]
+    return parse_scene(json.dumps(doc))
+
+
+INVARIANCE_SCENES = {
+    "office_energy": lambda: load_scene(SCENES / "office_energy.json"),
+    "street_coexistence": lambda: load_scene(SCENES / "street_coexistence.json"),
+    "walled_street": walled_street,
+    "courtyard_secrecy": lambda: load_scene(SCENES / "courtyard_secrecy.json"),
+    "walled_courtyard": walled_courtyard,
+}
+# the secrecy map needs an eavesdropper, which only the courtyards place
+SECRECY_SCENES = ("courtyard_secrecy", "walled_courtyard")
+
+
+# cells per block of gain_db, peb_m and sse_bps_hz on each bundled scene;
+# a block's size, not its values, sets a map's peak memory
+BUNDLED_BLOCK_SIZES = {
+    "courtyard_secrecy": (4096, 221, 2048),
+    "indoor_localization": (64, 12),
+    "minimal": (262144, 461),
+    "office_energy": (256, 79),
+    "street_coexistence": (64, 42),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_BLOCK_SIZES))
+def test_bundled_block_sizes(name):
+    scene = load_scene(SCENES / f"{name}.json")
+    metrics = ("gain_db", "peb_m", "sse_bps_hz")[:len(BUNDLED_BLOCK_SIZES[name])]
+    assert tuple(block_size(scene, m) for m in metrics) == BUNDLED_BLOCK_SIZES[name]
 
 
 class TestBatchedSweepInvariance:
     """Grid-batched maps do not depend on the cell block size."""
 
-    @pytest.fixture(scope="class", params=["office_energy", "street_coexistence"])
-    def scene(self, request):
-        return load_scene(SCENES / f"{request.param}.json")
-
-    @pytest.mark.parametrize("metric", ["gain_db", "tx_power_dbm", "se_bps_hz"])
-    def test_block_size(self, scene, metric, monkeypatch):
-        reference = sweep(scene, metric)
-        assert np.isfinite(reference[1]).any()
-        m = scene.ris.element_count
-        monkeypatch.setattr(linkmetrics, "_BLOCK_BYTES", 16 * m * m * 7)
-        assert linkmetrics._cell_block(scene) == 7
-        np.testing.assert_array_equal(sweep(scene, metric), reference)
-
-    @pytest.mark.parametrize("block", [7, 1])
-    def test_peb_block_size(self, scene, block, monkeypatch):
-        reference = sweep(scene, "peb_m")
-        assert np.isfinite(reference[1]).any()
-        monkeypatch.setattr(localization, "_BLOCK_BYTES", localization._cell_bytes(scene) * block)
-        assert localization._cell_block(scene) == block
-        np.testing.assert_array_equal(sweep(scene, "peb_m"), reference)
-
     @pytest.fixture(scope="class")
-    def courtyard(self):
-        scene = load_scene(SCENES / "courtyard_secrecy.json")
-        return scene, sweep(scene, "sse_bps_hz")
+    def reference(self):
+        """(scene, sweep at the default budget) per (scene name, metric), built once."""
+        cache = {}
 
-    @pytest.mark.parametrize("block", [7, 1])
-    def test_secrecy_block_size(self, courtyard, block, monkeypatch):
-        scene, reference = courtyard
-        assert np.isfinite(reference[1]).all()
-        assert np.any(reference[1] > reference[0])
-        antennas = sum(bs.antenna_count for bs in scene.bs)
-        levels = len(scene.ris.phase_lookup_rad)
-        per_cell = 16 * levels * scene.ris.element_count * antennas
-        monkeypatch.setattr(secrecy, "_BLOCK_BYTES", per_cell * block)
-        assert secrecy._cell_block(scene) == block
-        np.testing.assert_array_equal(sweep(scene, "sse_bps_hz"), reference)
+        def get(name, metric):
+            if (name, metric) not in cache:
+                scene = INVARIANCE_SCENES[name]()
+                cache[name, metric] = scene, sweep(scene, metric)
+            return cache[name, metric]
+        return get
 
-    def test_secrecy_walls_single_cell_blocks(self, monkeypatch):
-        doc = json.loads((SCENES / "courtyard_secrecy.json").read_text())
-        doc["ue_grid"]["resolution_m"] = 4
-        doc["walls"] = [{"p1_m": [5, 20], "p2_m": [5, 80], "penetration_loss_db": 20},
-                        {"p1_m": [12, 35], "p2_m": [18, 45], "penetration_loss_db": 7}]
-        scene = parse_scene(json.dumps(doc))
-        reference = sweep(scene, "sse_bps_hz")
-        monkeypatch.setattr(secrecy, "_BLOCK_BYTES", 1)
-        assert secrecy._cell_block(scene) == 1
-        np.testing.assert_array_equal(sweep(scene, "sse_bps_hz"), reference)
-
-    def test_walls_single_cell_blocks(self, monkeypatch):
-        scene = walled_street()
-        reference = sweep(scene, "gain_db")
-        monkeypatch.setattr(linkmetrics, "_BLOCK_BYTES", 1)
-        assert linkmetrics._cell_block(scene) == 1
-        for idx in (0, 200, 650):
-            assert gain_pair(scene, scene.grid.points()[idx]) == tuple(reference[:, idx].tolist())
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("metric, name", [
+        (metric, name) for metric in METRIC_IDS for name in INVARIANCE_SCENES
+        if (name in SECRECY_SCENES) == (metric == "sse_bps_hz")])
+    def test_block_size(self, reference, metric, name, block, monkeypatch):
+        scene, expected = reference(name, metric)
+        assert np.isfinite(expected[1]).any()
+        assert block_size(scene, metric) > block
+        cell_bytes, _ = influence.METRICS[metric].engine(scene)
+        monkeypatch.setattr(influence, "_BLOCK_BYTES", cell_bytes * block)
+        assert block_size(scene, metric) == block
+        np.testing.assert_array_equal(sweep(scene, metric), expected)
 
 
 class TestComparisonScale:

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gain_oracle import RisConfig, equivalent_gain, gain_config, point_gain_terms
-from helpers import traced_peak
-from risplan import linkmetrics
-from risplan.influence import gain_pair, se_pair, tx_power_pair
+from helpers import block_size, traced_peak
+from risplan import influence
+from risplan.influence import gain_pair, se_pair, sweep, tx_power_pair
 from risplan.linkmetrics import (
-    gain_pairs,
     required_tx_power,
     serving_bs,
     spectral_efficiency_from_gain,
@@ -281,7 +280,6 @@ def test_gain_engine_memory_stays_near_two_block_budgets():
         "ue_grid": {"x_min": 0.5, "x_max": 15.5, "y_min": 1, "y_max": 8,
                     "resolution_m": 1, "fixed_height_m": 1.5},
     }))
-    points = scene.grid.points()
-    assert len(points) == 2 * linkmetrics._cell_block(scene)
-    gain_pairs(scene, points[:2])  # lazy imports land here
-    assert traced_peak(lambda: gain_pairs(scene, points)) <= 2.4 * linkmetrics._BLOCK_BYTES
+    assert scene.grid.cell_count == 2 * block_size(scene, "gain_db")
+    gain_pair(scene, scene.grid.points()[0])  # lazy imports land here
+    assert traced_peak(lambda: sweep(scene, "gain_db")) <= 2.4 * influence._BLOCK_BYTES

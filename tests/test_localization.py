@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from helpers import traced_peak
+from helpers import block_size, traced_peak
 from peb_oracle import (
     _direct_block,
     build_fim,
@@ -18,20 +18,21 @@ from peb_oracle import (
     peb_point,
     pilot_configs,
 )
-from risplan import localization
+from risplan import influence
 from risplan.errors import CoincidentNodeError
 from risplan.localization import (
     PebResult,
     _path_information,
     noise_variance_w,
     peb,
-    peb_pairs,
 )
-from risplan.influence import LABELS, classify, peb_pair
+from risplan.influence import LABELS, METRICS, classify, peb_pair, sweep
 from risplan.scene import Thresholds, load_scene, parse_scene
 from risplan.seeding import derived_rng
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+
+peb_pairs = METRICS["peb_m"].pairs
 
 LOC = {
     "spec_version": 1,
@@ -433,8 +434,8 @@ class TestPebPairs:
     def test_block_size_does_not_change_a_bit(self, monkeypatch):
         scene = loc_scene()
         reference = peb_pairs(scene, self.POINTS)
-        monkeypatch.setattr(localization, "_BLOCK_BYTES", 1)
-        assert localization._cell_block(scene) == 1
+        monkeypatch.setattr(influence, "_BLOCK_BYTES", 1)
+        assert block_size(scene, "peb_m") == 1
         np.testing.assert_array_equal(peb_pairs(scene, self.POINTS), reference)
         # each point alone, after the points before it
         rows = [peb_pairs(scene, self.POINTS[:i + 1])[:, i] for i in range(len(self.POINTS))]
@@ -545,7 +546,7 @@ def test_peb_engine_memory_stays_within_the_block_budget():
         ue_grid={"x_min": 0.1, "x_max": 4.9, "y_min": 0.5, "y_max": 4.9,
                  "resolution_m": 0.8, "fixed_height_m": 1.0},
     )
-    points = scene.grid.points()
-    assert len(points) == 6 * localization._cell_block(scene)
-    peb_pairs(scene, points[:2])  # lazy imports land here
-    assert traced_peak(lambda: peb_pairs(scene, points)) <= 1.2 * localization._BLOCK_BYTES
+    assert scene.grid.cell_count == 6 * block_size(scene, "peb_m")
+    peb_pairs(scene, scene.grid.points()[:2])  # lazy imports land here
+    # the engine counts its operands twice, so they fill half the budget
+    assert traced_peak(lambda: sweep(scene, "peb_m")) <= 1.2 * influence._BLOCK_BYTES / 2

@@ -25,6 +25,10 @@ through which every engine sees the surface's states.
 Every scene names its surface, so no package module compares ``ris`` or
 ``bs_to_ris`` with ``None``: such a test could only open a second code path
 for a scene without one.
+
+Only ``influence`` binds a ``_BLOCK_BYTES``: the grid sweep's one memory
+budget, from which every map's block size follows. An engine module with a
+budget of its own would be a second block driver.
 """
 
 import ast
@@ -387,3 +391,28 @@ def test_each_none_comparison_rule_counts():
     }
     trees = {name: ast.parse(text) for name, text in sources.items()}
     assert none_comparisons(trees, ALWAYS_SET) == {"a:2", "b:1"}
+
+
+def name_binders(trees: dict[str, ast.Module], name: str) -> set[str]:
+    """Modules that store to ``name`` anywhere, at any depth."""
+    return {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store)
+    }
+
+
+def test_only_the_sweep_binds_a_block_budget():
+    assert name_binders(parse_package(PACKAGE), "_BLOCK_BYTES") == {"influence"}
+
+
+def test_each_binding_rule_counts():
+    sources = {
+        "a": "_BLOCK_BYTES = 4\n",
+        "b": "def f():\n    _BLOCK_BYTES, x = 1, 2\n",
+        "c": "from .a import x\nprint(_BLOCK_BYTES)\n",
+        "d": "for _BLOCK_BYTES in ():\n    pass\n",
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert name_binders(trees, "_BLOCK_BYTES") == {"a", "b", "d"}

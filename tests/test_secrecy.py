@@ -10,13 +10,12 @@ import pytest
 from gain_oracle import RisConfig, response
 from helpers import traced_peak
 from risplan.errors import CoincidentNodeError
-from risplan.influence import sse_pair
+from risplan.influence import METRICS, sse_pair, sweep
 from risplan.secrecy import (
     _MATRICES,
     SecrecyChannels,
     _ascend_q,
     secrecy_links,
-    sse_pairs,
 )
 from risplan.scene import load_scene, parse_scene
 from secrecy_oracle import (
@@ -30,6 +29,8 @@ from secrecy_oracle import (
 )
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+
+sse_pairs = METRICS["sse_bps_hz"].pairs
 
 SSE = {
     "spec_version": 1,
@@ -577,4 +578,4 @@ class TestBatchedOracle:
         scene = benchmark_courtyard()
         points = scene.grid.points()
         sse_pairs(scene, points[:2])  # lazy imports land here
-        assert traced_peak(lambda: sse_pairs(scene, points)) <= 1_050_000
+        assert traced_peak(lambda: sweep(scene, "sse_bps_hz")) <= 1_050_000

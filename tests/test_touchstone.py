@@ -83,10 +83,11 @@ def test_mid_line_comments_stripped():
         ("# GHZ S RI R 50\n! c\n-3 1 0\n-2 1 0\n",
          "line 3: negative frequency in data row: '-3 1 0'"),
         ("# MHZ S RI R 50\n-1e-9 1 0\n", "line 2: negative frequency"),
-        # only S11 and S21 are converted: an S22 magnitude past the float
-        # range breaks no rule, so the later row's error is the one reported
+        # an S12 or S22 magnitude is range-checked like an S11 or S21 one
         ("# GHZ S DB R 50\n1 -3 0 -3 0 -3 0 -3 0\n2 -3 0 -3 0 -3 0 7000 0\n3 x 0 0 0 0 0 0 0\n",
-         "line 4: non-numeric value"),
+         "line 3: DB magnitude out of range"),
+        ("# GHZ S DB R 50\n1 -3 0 -3 0 -3 0 -3 0\n2 -3 0 -3 0 7000 0 -3 0\n",
+         "line 3: DB magnitude out of range"),
     ],
 )
 def test_parse_errors(body, fragment):
@@ -348,6 +349,25 @@ def test_long_file_memory_stays_near_its_table(tmp_path, end):
     rec = read_touchstone(path, "long")
     assert rec.frequencies_hz.tolist() == (table[:, 0] * 1e9).tolist()
     assert rec.s21.tolist() == (table[:, 3] + 1j * table[:, 4]).tolist()
+
+
+def test_bad_row_deep_in_a_long_file_rereads_only_its_chunk(tmp_path, monkeypatch):
+    # the line-by-line pass starts where the failed chunk began: the chunks
+    # read before it, then one call per line up to the bad row, not one per
+    # line of the whole body
+    path = tmp_path / "long.s2p"
+    write_long_s2p(path, bad_row=LONG_ROWS - 100)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    with pytest.raises(TouchstoneError, match=f"line {LONG_ROWS - 100 + 3}: non-numeric"):
+        read_touchstone(path, "long")
+    assert len(calls) <= touchstone._BODY_CHUNK_ROWS + 2
 
 
 @pytest.mark.parametrize("end", ["\n", "\r"])
