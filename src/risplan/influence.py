@@ -90,6 +90,11 @@ UNDESIRED = (_CODE["degraded"], _CODE["marginal"])
 _BLOCK_BYTES = 4 * 2**20
 
 
+def _block_size(cell_bytes: int) -> int:
+    """Cells per block: as many as fit in ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // cell_bytes)
+
+
 @dataclass(frozen=True)
 class _Metric:
     """How a metric is swept: its engine factory, ``engine(scene) -> (cell_bytes, block)``.
@@ -109,7 +114,7 @@ class _Metric:
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         cell_bytes, block = self.engine(scene)
-        size = max(1, _BLOCK_BYTES // cell_bytes)
+        size = _block_size(cell_bytes)
         out = np.empty((2, len(points)))
         for start in range(0, len(points), size):
             stop = min(start + size, len(points))

@@ -25,7 +25,7 @@ def parse_text(text, state_id):
 def block_size(scene, metric_id):
     """Cells per block of ``metric_id``'s sweep on ``scene`` under the current budget."""
     cell_bytes, _ = influence.METRICS[metric_id].engine(scene)
-    return max(1, influence._BLOCK_BYTES // cell_bytes)
+    return influence._block_size(cell_bytes)
 
 
 def at_subcarriers(direct, count, spacing_hz):
